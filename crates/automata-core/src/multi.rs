@@ -15,14 +15,14 @@
 //! implementation may build a shared product table with per-state accept
 //! masks (one transition lookup per event, preferred for small sets over a
 //! common alphabet) or advance M compiled engines in lockstep over the same
-//! event (the [`BatchAcceptor`](crate::BatchAcceptor) lane shape) — both
-//! present the same [`QuerySetRun`] API, and
-//! [`query::run_multi`](crate::query::run_multi) /
+//! event (the [`BatchAcceptor`] lane shape). Either way a run of the set
+//! is its lane stepped through a [`LaneRun`], which presents the
+//! [`QuerySetRun`] API, and [`query::run_multi`](crate::query::run_multi) /
 //! `nwa_xml::queries::run_multi_streaming_reader` drive either. The
 //! reference implementation with both backends and a size heuristic between
 //! them is `nwa::QuerySet`.
 
-use crate::stream::{StreamOutcome, StreamRun};
+use crate::stream::{BatchAcceptor, LaneRun, StreamOutcome, StreamRun};
 
 /// The most queries one set may hold: verdicts travel as bits of one `u64`
 /// ([`QuerySetRun::verdicts`]), so a set is capped at 64 members. Larger
@@ -59,6 +59,12 @@ pub trait QuerySetRun: StreamRun {
 /// A compiled query-set artifact: M queries answered by one run over one
 /// stream.
 ///
+/// The set is a [`BatchAcceptor`] whose single-verdict view is the
+/// conjunction of its members; [`lane_verdicts`](MultiAcceptor::lane_verdicts)
+/// reads the per-query answers off the same lane, and
+/// [`start_set`](MultiAcceptor::start_set) wraps that lane in a [`LaneRun`],
+/// which is the [`QuerySetRun`].
+///
 /// Laws (property-tested in `tests/multiquery.rs`):
 ///
 /// 1. **set ≡ sequential** — at every prefix, bit `i` of
@@ -68,19 +74,19 @@ pub trait QuerySetRun: StreamRun {
 /// 2. **one stream** — all M outcomes report the same `events` count;
 /// 3. **representation-free** — a product-table backend and a lockstep
 ///    backend over the same queries agree on every stream.
-pub trait MultiAcceptor {
-    /// The multi-query run type; borrows the artifact for the duration of
-    /// the run.
-    type SetRun<'a>: QuerySetRun
-    where
-        Self: 'a;
-
+pub trait MultiAcceptor: BatchAcceptor + Sized {
     /// Starts a fresh run of all member queries in their initial
     /// configurations.
-    fn start_set(&self) -> Self::SetRun<'_>;
+    fn start_set(&self) -> LaneRun<'_, Self> {
+        LaneRun::new(self)
+    }
 
     /// Number of member queries in the set.
     fn num_queries(&self) -> usize;
+
+    /// The per-query verdict bitmask of a lane: bit `i` is set iff query `i`
+    /// would accept if the lane's stream ended now.
+    fn lane_verdicts(&self, lane: &Self::Lane) -> u64;
 
     /// The alphabet fingerprint each member query was compiled against, in
     /// query order ([`persist::fingerprint_alphabet`](crate::persist::fingerprint_alphabet)
@@ -88,6 +94,27 @@ pub trait MultiAcceptor {
     /// queueing, so a query compiled over the wrong alphabet is one typed
     /// error up front rather than a mid-batch worker panic.
     fn member_alphabet_fingerprints(&self) -> Vec<u64>;
+}
+
+impl<A: MultiAcceptor> QuerySetRun for LaneRun<'_, A> {
+    fn num_queries(&self) -> usize {
+        self.artifact.num_queries()
+    }
+
+    fn verdicts(&self) -> u64 {
+        self.artifact.lane_verdicts(&self.lane)
+    }
+
+    fn outcomes(&self) -> Vec<StreamOutcome> {
+        let verdicts = self.verdicts();
+        let outcome = self.artifact.lane_outcome(&self.lane);
+        (0..self.num_queries())
+            .map(|i| StreamOutcome {
+                accepted: verdicts & (1 << i) != 0,
+                ..outcome
+            })
+            .collect()
+    }
 }
 
 /// Compilation of a query *set* into one steppable artifact — the

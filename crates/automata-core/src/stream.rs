@@ -22,9 +22,10 @@
 //! stream's per-event cost is bounded by the `state → table → state`
 //! load-to-use chain; interleaving independent lanes hides each lane's
 //! dependency stall behind the others' table lookups, which is what the
-//! `nwa-service` batched runner and decision service are built on
+//! `nwa-service` decision service is built on
 //! ([`query::run_batch`](crate::query::run_batch) is the free-function
-//! spelling).
+//! spelling). A compiled engine keeps no other run state: its
+//! [`StreamRun`] is the generic [`LaneRun`] over one lane.
 
 use nested_words::TaggedSymbol;
 
@@ -42,8 +43,9 @@ pub trait StreamRun {
     /// Consumes a slice of events in one call.
     ///
     /// Observably identical to stepping each event in order; the default
-    /// does exactly that. Compiled engines override it to hoist the run
-    /// state into registers for the whole slice, which is what the
+    /// does exactly that. [`LaneRun`] forwards it to the compiled engine's
+    /// [`BatchAcceptor::lane_step_slice`], which hoists the lane into
+    /// registers for the whole slice — what the
     /// bytes-in → verdict-out pipeline
     /// (`nwa_xml::queries::run_streaming_reader`) feeds with buffered
     /// event runs from the bulk scanner.
@@ -108,11 +110,16 @@ pub trait StreamAcceptor {
 /// itself stays shared and immutable (`&self` everywhere), so one compiled
 /// artifact can drive any number of lanes from any number of threads.
 ///
+/// The lane is the *only* run state of an implementor: its
+/// [`StreamAcceptor::Run`] is [`LaneRun`], the lane paired with a borrow of
+/// the artifact, so a single run and a batch lane step through the same
+/// code.
+///
 /// Laws (property-tested in `tests/service.rs`):
 ///
-/// 1. **lane ≡ run** — stepping a lane through a stream observes exactly what
-///    a [`StreamRun`] observes at every prefix (acceptance, stack height,
-///    peak memory, step count);
+/// 1. **slice ≡ step** — [`lane_step_slice`](BatchAcceptor::lane_step_slice)
+///    over a slice observes exactly what [`lane_step`](BatchAcceptor::lane_step)
+///    per event observes (acceptance, stack height, peak memory, step count);
 /// 2. **batch ≡ sequential** — [`run_batch`](BatchAcceptor::run_batch)
 ///    returns, per lane, the [`StreamOutcome`] of running that lane's stream
 ///    alone.
@@ -129,8 +136,24 @@ pub trait BatchAcceptor: StreamAcceptor {
     /// branch-light — it is the body of the batched inner loop.
     fn lane_step(&self, lane: &mut Self::Lane, event: TaggedSymbol);
 
+    /// Advances one lane through a slice of events — the bulk entry behind
+    /// [`LaneRun`]'s [`StreamRun::step_slice`].
+    ///
+    /// Observably identical to [`lane_step`](BatchAcceptor::lane_step) per
+    /// event; the default does exactly that. Compiled engines override it to
+    /// hoist the lane into registers for the whole slice.
+    fn lane_step_slice(&self, lane: &mut Self::Lane, events: &[TaggedSymbol]) {
+        for &event in events {
+            self.lane_step(lane, event);
+        }
+    }
+
     /// Would stopping this lane's stream now accept the prefix read so far.
     fn lane_accepting(&self, lane: &Self::Lane) -> bool;
+
+    /// The number of stack frames the lane currently holds (the
+    /// [`StreamRun::stack_height`] observable).
+    fn lane_stack_height(&self, lane: &Self::Lane) -> usize;
 
     /// The lane's completed-run observables: acceptance, events consumed,
     /// peak stack height.
@@ -155,11 +178,75 @@ pub trait BatchAcceptor: StreamAcceptor {
             }
         }
         for (lane, stream) in lanes.iter_mut().zip(streams) {
-            for &event in &stream[common..] {
-                self.lane_step(lane, event);
-            }
+            self.lane_step_slice(lane, &stream[common..]);
         }
         lanes.iter().map(|lane| self.lane_outcome(lane)).collect()
+    }
+}
+
+/// The [`StreamRun`] of every [`BatchAcceptor`]: one owned lane plus a
+/// borrow of the artifact that steps it.
+///
+/// Every hook forwards to the artifact's `lane_*` methods, so a run started
+/// with [`StreamAcceptor::start`] and a lane driven by a batch or a service
+/// worker are the same state advanced by the same code.
+/// [`lane`](LaneRun::lane) exposes the lane (to suspend it, say) and
+/// [`from_lane`](LaneRun::from_lane) wraps a resumed one.
+pub struct LaneRun<'a, A: BatchAcceptor> {
+    pub(crate) artifact: &'a A,
+    pub(crate) lane: A::Lane,
+}
+
+impl<'a, A: BatchAcceptor> LaneRun<'a, A> {
+    /// A run in the initial configuration.
+    pub fn new(artifact: &'a A) -> Self {
+        LaneRun::from_lane(artifact, artifact.lane_start())
+    }
+
+    /// A run continuing from an existing lane (e.g. one resumed from a
+    /// snapshot).
+    pub fn from_lane(artifact: &'a A, lane: A::Lane) -> Self {
+        LaneRun { artifact, lane }
+    }
+
+    /// The run's lane.
+    pub fn lane(&self) -> &A::Lane {
+        &self.lane
+    }
+}
+
+impl<A: BatchAcceptor> std::fmt::Debug for LaneRun<'_, A>
+where
+    A::Lane: std::fmt::Debug,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaneRun").field("lane", &self.lane).finish()
+    }
+}
+
+impl<A: BatchAcceptor> StreamRun for LaneRun<'_, A> {
+    fn step(&mut self, event: TaggedSymbol) {
+        self.artifact.lane_step(&mut self.lane, event);
+    }
+
+    fn step_slice(&mut self, events: &[TaggedSymbol]) {
+        self.artifact.lane_step_slice(&mut self.lane, events);
+    }
+
+    fn is_accepting(&self) -> bool {
+        self.artifact.lane_accepting(&self.lane)
+    }
+
+    fn stack_height(&self) -> usize {
+        self.artifact.lane_stack_height(&self.lane)
+    }
+
+    fn peak_memory(&self) -> usize {
+        self.artifact.lane_outcome(&self.lane).peak_memory
+    }
+
+    fn steps(&self) -> usize {
+        self.artifact.lane_outcome(&self.lane).events
     }
 }
 

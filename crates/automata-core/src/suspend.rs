@@ -27,7 +27,7 @@ use crate::stream::BatchAcceptor;
 /// symbols for the subset engine, …); a snapshot is therefore only
 /// meaningful to artifacts whose [`fingerprint`](Snapshot::fingerprint)
 /// matches, which is exactly what
-/// [`Suspend::resume_lane`] / [`Suspend::resume_run`] enforce.
+/// [`Suspend::resume_lane`] enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Fingerprint of the artifact that took the snapshot
@@ -68,6 +68,18 @@ impl Snapshot {
         w.seal(kind::SNAPSHOT, 0)
     }
 
+    /// Checks that the snapshot was taken by an artifact with fingerprint
+    /// `expected` — the first validation of every `resume_lane`.
+    pub fn expect_fingerprint(&self, expected: u64) -> Result<(), PersistError> {
+        if self.fingerprint == expected {
+            return Ok(());
+        }
+        Err(PersistError::FingerprintMismatch {
+            expected,
+            found: self.fingerprint,
+        })
+    }
+
     /// Decodes a snapshot serialized by [`Snapshot::to_bytes`]. Corrupt or
     /// truncated bytes yield a typed [`PersistError`], never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, PersistError> {
@@ -100,16 +112,17 @@ impl Snapshot {
 /// the exact prefix — on this artifact or any other with the same
 /// fingerprint (e.g. one reloaded from saved bytes in another process).
 ///
+/// The capability maps lanes to snapshots and back; a run is a lane
+/// ([`LaneRun::lane`](crate::LaneRun::lane) to suspend it,
+/// [`LaneRun::from_lane`](crate::LaneRun::from_lane) to resume one).
+///
 /// Laws (property-tested in `tests/persist.rs`):
 ///
-/// 1. **resume ≡ continue** — suspending at any prefix and resuming (run or
-///    lane, on the same artifact or on `load(save(artifact))`) observes the
-///    same acceptance, stack height, peak and step count as the
-///    uninterrupted run at every subsequent prefix, pending edges included;
-/// 2. **run ↔ lane** — [`suspend_run`](Suspend::suspend_run) and
-///    [`suspend_lane`](Suspend::suspend_lane) produce interchangeable
-///    snapshots: either resumes as either;
-/// 3. **typed rejection** — resuming a snapshot from a different artifact
+/// 1. **resume ≡ continue** — suspending at any prefix and resuming (on the
+///    same artifact or on `load(save(artifact))`) observes the same
+///    acceptance, stack height, peak and step count as the uninterrupted
+///    run at every subsequent prefix, pending edges included;
+/// 2. **typed rejection** — resuming a snapshot from a different artifact
 ///    fails with [`PersistError::FingerprintMismatch`], and a structurally
 ///    impossible snapshot fails with a typed error, never a panic or an
 ///    out-of-bounds table access.
@@ -124,14 +137,14 @@ pub trait Suspend: BatchAcceptor + crate::Persist {
     /// Reconstructs a lane from a snapshot, validating the artifact
     /// fingerprint and the structural integrity of the state.
     fn resume_lane(&self, snapshot: &Snapshot) -> Result<Self::Lane, PersistError>;
+}
 
-    /// Captures a borrowing run's state as an owned snapshot
-    /// (interchangeable with [`suspend_lane`](Suspend::suspend_lane)).
-    fn suspend_run(&self, run: &Self::Run<'_>) -> Snapshot;
-
-    /// Reconstructs a borrowing run from a snapshot, validating the
-    /// artifact fingerprint and the structural integrity of the state.
-    fn resume_run<'a>(&'a self, snapshot: &Snapshot) -> Result<Self::Run<'a>, PersistError>;
+/// Decodes a snapshot's step counter: `u64` on the wire, `usize` in lane
+/// state, so an overflowing count is a typed error on narrow targets.
+pub fn decode_steps(steps: u64) -> Result<usize, PersistError> {
+    usize::try_from(steps).map_err(|_| PersistError::Malformed {
+        context: "snapshot step count overflows",
+    })
 }
 
 #[cfg(test)]

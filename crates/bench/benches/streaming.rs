@@ -2,7 +2,7 @@
 //! deterministic NWA membership is linear in the document length with memory
 //! proportional to the depth (§3.2), and document queries run in one pass
 //! over SAX-style event streams — either from a materialized nested word or
-//! fully incrementally from XML text via `sax::Tokenizer`, without ever
+//! fully incrementally from XML text via `sax::ByteTokenizer`, without ever
 //! building the document in memory.
 //!
 //! E15c adds the compiled execution engines (`query::compile`): interpreted

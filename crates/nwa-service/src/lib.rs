@@ -10,29 +10,31 @@
 //! (`query::compile`) made a single stream fast; this crate makes *many*
 //! streams fast, in two layers:
 //!
-//! * **Layer 1 — the batched runner** ([`BatchRun`] with a const lane
-//!   count, [`DynBatchRun`] for widths chosen at runtime): N independent
+//! * **Layer 1 — the batched runner** is `query::run_batch` (the
+//!   `automata_core::BatchAcceptor::run_batch` entry point): N independent
 //!   streams advanced in software-pipelined lockstep over one shared table,
-//!   via the `automata_core::BatchAcceptor` capability. One stream's
-//!   throughput is bounded by the `state → table → state` load-to-use
-//!   dependency chain, not by table size — the PR5 microbenchmarks measured
-//!   the compiled NWA at ~3.8 ns/event with most of the core idle. Lanes
-//!   are mutually independent chains, so interleaving them fills the
-//!   pipeline: lane B's table lookup executes in the shadow of lane A's
-//!   dependency stall.
+//!   one owned lane per stream. One stream's throughput is bounded by the
+//!   `state → table → state` load-to-use dependency chain, not by table
+//!   size; lanes are mutually independent chains, so interleaving them
+//!   fills the pipeline: lane B's table lookup executes in the shadow of
+//!   lane A's dependency stall. Engines whose step is already
+//!   issue-width-bound (the fused compiled NWA) override it to run lanes
+//!   back to back.
 //!
 //! * **Layer 2 — the decision service** ([`DecisionService`]): a
 //!   thread-pool facade over the batched runner. The compiled artifact is
 //!   built once and shared (`Arc`'d — the artifacts are `Send + Sync`);
 //!   worker threads pull submitted streams from a queue into batch slots
-//!   and answer through completion handles. [`DecisionService::submit_bytes`]
+//!   and answer through completion handles — one [`Handle`] type over a
+//!   typed slot, spelled [`DecisionHandle`], [`ParkedHandle`] and
+//!   [`MultiHandle`] by what it carries. [`DecisionService::submit_bytes`]
 //!   routes raw XML bytes through the incremental SAX `FrozenByteTokenizer`
 //!   (read-only name lookup against the compiled alphabet), so the external
 //!   API is bytes-in → verdict-out; [`DecisionService::submit`] validates
 //!   event symbols against the same alphabet, so nothing out of range ever
 //!   reaches the tables. Every handle is always fulfilled — worker panics
-//!   surface as a typed [`DecisionError`], never a hung
-//!   [`DecisionHandle::wait`]. Built-in counters ([`ServiceStats`]) report
+//!   surface as a typed [`DecisionError`], never a hung [`Handle::wait`].
+//!   Built-in counters ([`ServiceStats`]) report
 //!   per-worker batches, documents, events, failures and lane occupancy,
 //!   plus queue high-water marks. A service can also boot straight from
 //!   saved artifact bytes ([`DecisionService::from_artifact_bytes`], fully
@@ -82,11 +84,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod service;
 
-pub use batch::{BatchRun, DynBatchRun};
 pub use service::{
-    DecisionError, DecisionHandle, DecisionService, MultiHandle, MultiSubmitError, ParkError,
-    ParkedDoc, ParkedHandle, ServiceConfig, ServiceStats, WorkerStats,
+    DecisionError, DecisionHandle, DecisionService, Handle, MultiHandle, MultiSubmitError,
+    ParkError, ParkedDoc, ParkedHandle, ServiceConfig, ServiceStats, WorkerStats,
 };

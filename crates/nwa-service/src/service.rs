@@ -1,4 +1,4 @@
-//! Layer 2: the concurrent decision service.
+//! The concurrent decision service.
 //!
 //! A [`DecisionService`] owns one compiled artifact and a pool of worker
 //! threads. Callers submit whole event streams (or raw XML bytes, which are
@@ -27,27 +27,13 @@
 //! the service is getting the batching win or degenerating into sequential
 //! decisions (occupancy → 1/lanes means the queue never has a backlog).
 //!
-//! Two persistence-adjacent capabilities round the service out. A service
-//! can boot straight from saved artifact bytes
-//! ([`DecisionService::from_artifact_bytes`]): the bytes are fully
-//! validated — format, checksums, alphabet fingerprint — before any thread
-//! spawns. And in-flight documents can be *parked* between bursts of input:
-//! a parked job is its `automata_core::Snapshot` ([`ParkedDoc`]), opened by
-//! [`DecisionService::open_document`], advanced across the worker pool by
-//! [`DecisionService::advance`] and closed by [`DecisionService::finish`].
-//! Every resubmission re-validates the snapshot against the artifact
-//! fingerprint, so state parked by one artifact can only ever resume on
-//! that artifact (or a byte-identical reload of it), with a typed
-//! [`ParkError`] otherwise.
-//!
-//! Multi-query artifacts (`automata_core::MultiAcceptor`, e.g. an
-//! `nwa::QuerySet`) plug in through [`DecisionService::submit_multi`]: one
-//! submission decides a stream against every member query in one pass and
-//! returns a [`MultiHandle`] for all M verdicts — one queue slot and one
-//! worker dispatch instead of M. Each member's alphabet fingerprint is
-//! validated against the service's alphabet before anything is queued, so a
-//! query compiled over the wrong alphabet is one typed
-//! [`MultiSubmitError`] up front.
+//! Booting from saved artifact bytes
+//! ([`DecisionService::from_artifact_bytes`]), parking in-flight documents
+//! as snapshots ([`DecisionService::open_document`] /
+//! [`advance`](DecisionService::advance) /
+//! [`finish`](DecisionService::finish)) and one-pass multi-query submission
+//! ([`DecisionService::submit_multi`]) are documented on their methods;
+//! every one validates its input before anything is queued.
 
 use std::collections::VecDeque;
 use std::io;
@@ -63,7 +49,8 @@ use automata_core::{
     StreamRun, Suspend,
 };
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
-use nwa_xml::sax::{FrozenByteTokenizer, SaxError};
+use nwa_xml::queries::for_each_slice;
+use nwa_xml::sax::SaxError;
 
 /// Why a submitted stream ended without a verdict.
 ///
@@ -159,171 +146,145 @@ impl Default for ServiceConfig {
     }
 }
 
-/// An advance-burst closure: owns the already-resumed lane and the burst
-/// of events, runs on a worker against the shared artifact, and yields the
-/// re-parked snapshot. Multi-query submissions reuse the same shape — the
-/// closure owns the validated stream and runs the artifact's query-set
-/// entry points, so the worker loop stays free of the [`MultiAcceptor`]
-/// bound.
-type AdvanceTask<A> = Box<dyn FnOnce(&A) -> Fulfilment + Send>;
+/// A queued unit of work other than a whole-stream decision — a parked
+/// document's burst or a multi-query run. It owns its validated input and
+/// its typed [`Slot`], runs on a worker against the shared artifact, reports
+/// success or a caught panic to the worker's accounting callback, and then
+/// fulfils its own slot (see [`task`]).
+type Task<A> = Box<dyn FnOnce(&A, &dyn Fn(bool)) + Send>;
 
-/// What a worker does with one queued job.
-enum Payload<A> {
-    /// Decide one whole stream through the batched kernel.
-    Decide(Vec<TaggedSymbol>),
-    /// Advance one parked document by an [`AdvanceTask`] burst.
-    Advance { task: AdvanceTask<A>, events: usize },
-    /// Decide one whole stream against every member query of a multi-query
-    /// artifact in one pass.
-    Multi { task: AdvanceTask<A>, events: usize },
-}
-
-impl<A> std::fmt::Debug for Payload<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Payload::Decide(events) => f.debug_tuple("Decide").field(&events.len()).finish(),
-            Payload::Advance { events, .. } => {
-                f.debug_struct("Advance").field("events", events).finish()
-            }
-            Payload::Multi { events, .. } => {
-                f.debug_struct("Multi").field("events", events).finish()
-            }
-        }
-    }
+/// Builds a [`Task`] around `work`: a panic inside `work` is caught
+/// individually — the task owns all its state, so one panicking unit
+/// cannot contaminate its batch-mates — and becomes
+/// [`DecisionError::WorkerPanicked`]. `account` runs before the slot is
+/// fulfilled, so a waiter woken by the fulfilment never snapshots stats
+/// that still miss its own unit of work.
+fn task<A, T: Send + 'static>(
+    slot: Arc<Slot<T>>,
+    work: impl FnOnce(&A) -> T + Send + 'static,
+) -> Task<A> {
+    Box::new(move |artifact: &A, account: &dyn Fn(bool)| {
+        let result = catch_unwind(AssertUnwindSafe(|| work(artifact)))
+            .map_err(|_| DecisionError::WorkerPanicked);
+        account(result.is_ok());
+        slot.fulfil(result);
+    })
 }
 
 /// A submitted unit of work waiting for a worker.
+enum Job<A> {
+    /// Decide one whole stream through the batched kernel.
+    Decide(Vec<TaggedSymbol>, Arc<Slot<StreamOutcome>>),
+    /// Run one boxed [`Task`] consuming `events` events.
+    Task { task: Task<A>, events: usize },
+}
+
+impl<A> std::fmt::Debug for Job<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Job::Decide(events, _) => f.debug_tuple("Decide").field(&events.len()).finish(),
+            Job::Task { events, .. } => f.debug_struct("Task").field("events", events).finish(),
+        }
+    }
+}
+
+/// The typed completion cell behind a [`Handle`].
 #[derive(Debug)]
-struct Job<A> {
-    payload: Payload<A>,
-    slot: Arc<Slot>,
-}
-
-/// The happy-path value a worker fulfils a slot with: a full-stream verdict
-/// (behind a [`DecisionHandle`]) or a re-parked document (behind a
-/// [`ParkedHandle`]). Which variant a slot gets is fixed by the payload
-/// that created it, so each handle type unwraps its own variant.
-#[derive(Debug, Clone)]
-enum Fulfilment {
-    Decided(StreamOutcome),
-    Parked(ParkedDoc),
-    MultiDecided(Vec<StreamOutcome>),
-}
-
-/// Maps a slot fulfilment to the verdict a [`DecisionHandle`] promises.
-/// Decide jobs are only ever fulfilled with [`Fulfilment::Decided`], so the
-/// other arms are unreachable by construction.
-fn decided(outcome: &Result<Fulfilment, DecisionError>) -> Result<StreamOutcome, DecisionError> {
-    match outcome {
-        Ok(Fulfilment::Decided(outcome)) => Ok(*outcome),
-        Ok(Fulfilment::Parked(_) | Fulfilment::MultiDecided(_)) => {
-            unreachable!("decide job fulfilled with the wrong variant")
-        }
-        Err(error) => Err(*error),
-    }
-}
-
-/// Maps a slot fulfilment to the re-parked document a [`ParkedHandle`]
-/// promises; the other arms are unreachable by construction.
-fn parked(outcome: &Result<Fulfilment, DecisionError>) -> Result<ParkedDoc, DecisionError> {
-    match outcome {
-        Ok(Fulfilment::Parked(doc)) => Ok(doc.clone()),
-        Ok(Fulfilment::Decided(_) | Fulfilment::MultiDecided(_)) => {
-            unreachable!("advance job fulfilled with the wrong variant")
-        }
-        Err(error) => Err(*error),
-    }
-}
-
-/// Maps a slot fulfilment to the per-query verdicts a [`MultiHandle`]
-/// promises; the single-verdict arms are unreachable by construction.
-fn multi_decided(
-    outcome: &Result<Fulfilment, DecisionError>,
-) -> Result<Vec<StreamOutcome>, DecisionError> {
-    match outcome {
-        Ok(Fulfilment::MultiDecided(outcomes)) => Ok(outcomes.clone()),
-        Ok(Fulfilment::Decided(_) | Fulfilment::Parked(_)) => {
-            unreachable!("multi-query job fulfilled with a single verdict")
-        }
-        Err(error) => Err(*error),
-    }
-}
-
-/// The completion cell behind a [`DecisionHandle`] or [`ParkedHandle`].
-#[derive(Debug, Default)]
-struct Slot {
-    result: Mutex<Option<Result<Fulfilment, DecisionError>>>,
+struct Slot<T> {
+    result: Mutex<Option<Result<T, DecisionError>>>,
     done: Condvar,
 }
 
-impl Slot {
-    fn fulfil(&self, outcome: Result<Fulfilment, DecisionError>) {
+impl<T> Slot<T> {
+    fn new() -> Arc<Self> {
+        Arc::new(Slot {
+            result: Mutex::new(None),
+            done: Condvar::new(),
+        })
+    }
+
+    fn fulfil(&self, outcome: Result<T, DecisionError>) {
         let mut result = self.result.lock().expect("decision slot poisoned");
         *result = Some(outcome);
         self.done.notify_all();
     }
 }
 
-/// The caller's side of one submitted decision: a future for a single
-/// [`StreamOutcome`], fulfilled by whichever worker's batch the stream
-/// landed in.
+/// The caller's side of one submitted unit of work: a future for a `T`,
+/// fulfilled by whichever worker ran it — a verdict behind a
+/// [`DecisionHandle`], a re-parked document behind a [`ParkedHandle`], all
+/// member verdicts behind a [`MultiHandle`].
 ///
-/// Fulfilment is guaranteed: a worker that panics in the batch kernel
-/// fulfils every handle of its batch with
-/// [`DecisionError::WorkerPanicked`] instead of a verdict, and dropping the
-/// service drains the queue first — so [`wait`](DecisionHandle::wait)
-/// always returns. [`wait_timeout`](DecisionHandle::wait_timeout) bounds
-/// the wait anyway for callers that must not block on a congested queue.
-#[derive(Debug, Clone)]
-pub struct DecisionHandle {
-    slot: Arc<Slot>,
+/// Fulfilment is guaranteed: a worker that panics fulfils every handle of
+/// its unit of work with [`DecisionError::WorkerPanicked`] instead of a
+/// value, and dropping the service drains the queue first — so
+/// [`wait`](Handle::wait) always returns.
+/// [`wait_timeout`](Handle::wait_timeout) bounds the wait anyway for
+/// callers that must not block on a congested queue.
+#[derive(Debug)]
+pub struct Handle<T> {
+    slot: Arc<Slot<T>>,
 }
 
-impl DecisionHandle {
-    /// Blocks until the decision is in and returns it: the verdict, or the
-    /// [`DecisionError`] explaining why there is none. Waiting again
+impl<T> Clone for Handle<T> {
+    fn clone(&self) -> Self {
+        Handle {
+            slot: Arc::clone(&self.slot),
+        }
+    }
+}
+
+impl<T: Clone> Handle<T> {
+    /// Blocks until the work is done and returns its result: the value, or
+    /// the [`DecisionError`] explaining why there is none. Waiting again
     /// returns the same result.
-    pub fn wait(&self) -> Result<StreamOutcome, DecisionError> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return decided(outcome);
-            }
-            result = self.slot.done.wait(result).expect("decision slot poisoned");
-        }
+    pub fn wait(&self) -> Result<T, DecisionError> {
+        let result = self.slot.result.lock().expect("decision slot poisoned");
+        let result = self
+            .slot
+            .done
+            .wait_while(result, |r| r.is_none())
+            .expect("decision slot poisoned");
+        result.clone().expect("woken with a result")
     }
 
-    /// Like [`wait`](DecisionHandle::wait), but gives up after `timeout`
-    /// and returns `None` if the decision is still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<StreamOutcome, DecisionError>> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return Some(decided(outcome));
-            }
-            let (guard, wait) = self
-                .slot
-                .done
-                .wait_timeout(result, timeout)
-                .expect("decision slot poisoned");
-            result = guard;
-            if wait.timed_out() {
-                // A fulfilment racing the timeout still counts.
-                return result.as_ref().map(decided);
-            }
-        }
+    /// Like [`wait`](Handle::wait), but gives up once `timeout` has passed
+    /// — one deadline, however many times the wait wakes early — and
+    /// returns `None` if the result is still pending.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, DecisionError>> {
+        let result = self.slot.result.lock().expect("decision slot poisoned");
+        let (result, _) = self
+            .slot
+            .done
+            .wait_timeout_while(result, timeout, |r| r.is_none())
+            .expect("decision slot poisoned");
+        // A fulfilment racing the timeout still counts.
+        result.clone()
     }
 
-    /// The decision if it is already in, without blocking.
-    pub fn try_outcome(&self) -> Option<Result<StreamOutcome, DecisionError>> {
+    /// The result if it is already in, without blocking.
+    pub fn try_wait(&self) -> Option<Result<T, DecisionError>> {
         self.slot
             .result
             .lock()
             .expect("decision slot poisoned")
-            .as_ref()
-            .map(decided)
+            .clone()
     }
 }
+
+/// The handle of one [`DecisionService::submit`] /
+/// [`submit_bytes`](DecisionService::submit_bytes): a single
+/// [`StreamOutcome`], fulfilled by whichever worker's batch the stream
+/// landed in.
+pub type DecisionHandle = Handle<StreamOutcome>;
+
+/// The handle of one in-flight [`DecisionService::advance`]: the re-parked
+/// document, fulfilled by whichever worker ran the burst.
+pub type ParkedHandle = Handle<ParkedDoc>;
+
+/// The handle of one [`DecisionService::submit_multi`]: all M per-query
+/// verdicts of one stream against a multi-query artifact, in query order.
+pub type MultiHandle = Handle<Vec<StreamOutcome>>;
 
 /// One parked in-flight document: an owned, serializable unit of run state
 /// that any service holding the same artifact — or a byte-identical reload
@@ -377,117 +338,6 @@ impl From<Snapshot> for ParkedDoc {
     /// handed to the pool.
     fn from(snapshot: Snapshot) -> Self {
         ParkedDoc { snapshot }
-    }
-}
-
-/// The caller's side of one in-flight [`DecisionService::advance`]: a
-/// future for the re-parked document, fulfilled by whichever worker ran the
-/// burst. Fulfilment is guaranteed exactly as for [`DecisionHandle`].
-#[derive(Debug, Clone)]
-pub struct ParkedHandle {
-    slot: Arc<Slot>,
-}
-
-impl ParkedHandle {
-    /// Blocks until the burst has been applied and returns the re-parked
-    /// document, or the [`DecisionError`] explaining why there is none.
-    /// Waiting again returns the same result.
-    pub fn wait(&self) -> Result<ParkedDoc, DecisionError> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return parked(outcome);
-            }
-            result = self.slot.done.wait(result).expect("decision slot poisoned");
-        }
-    }
-
-    /// Like [`wait`](ParkedHandle::wait), but gives up after `timeout` and
-    /// returns `None` if the burst is still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ParkedDoc, DecisionError>> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return Some(parked(outcome));
-            }
-            let (guard, wait) = self
-                .slot
-                .done
-                .wait_timeout(result, timeout)
-                .expect("decision slot poisoned");
-            result = guard;
-            if wait.timed_out() {
-                return result.as_ref().map(parked);
-            }
-        }
-    }
-
-    /// The re-parked document if it is already in, without blocking.
-    pub fn try_parked(&self) -> Option<Result<ParkedDoc, DecisionError>> {
-        self.slot
-            .result
-            .lock()
-            .expect("decision slot poisoned")
-            .as_ref()
-            .map(parked)
-    }
-}
-
-/// The caller's side of one [`DecisionService::submit_multi`]: a future for
-/// all M per-query verdicts of one stream against a multi-query artifact,
-/// in query order. Fulfilment is guaranteed exactly as for
-/// [`DecisionHandle`].
-#[derive(Debug, Clone)]
-pub struct MultiHandle {
-    slot: Arc<Slot>,
-}
-
-impl MultiHandle {
-    /// Blocks until the stream has been decided and returns one
-    /// [`StreamOutcome`] per member query, or the [`DecisionError`]
-    /// explaining why there are none. Waiting again returns the same
-    /// result.
-    pub fn wait(&self) -> Result<Vec<StreamOutcome>, DecisionError> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return multi_decided(outcome);
-            }
-            result = self.slot.done.wait(result).expect("decision slot poisoned");
-        }
-    }
-
-    /// Like [`wait`](MultiHandle::wait), but gives up after `timeout` and
-    /// returns `None` if the verdicts are still pending.
-    pub fn wait_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Option<Result<Vec<StreamOutcome>, DecisionError>> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return Some(multi_decided(outcome));
-            }
-            let (guard, wait) = self
-                .slot
-                .done
-                .wait_timeout(result, timeout)
-                .expect("decision slot poisoned");
-            result = guard;
-            if wait.timed_out() {
-                return result.as_ref().map(multi_decided);
-            }
-        }
-    }
-
-    /// The per-query verdicts if they are already in, without blocking.
-    pub fn try_outcomes(&self) -> Option<Result<Vec<StreamOutcome>, DecisionError>> {
-        self.slot
-            .result
-            .lock()
-            .expect("decision slot poisoned")
-            .as_ref()
-            .map(multi_decided)
     }
 }
 
@@ -706,26 +556,47 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     /// [`NestedWordError::UnknownSymbol`] instead of indexing past the
     /// compiled transition tables inside a worker.
     pub fn submit(&self, events: Vec<TaggedSymbol>) -> Result<DecisionHandle, NestedWordError> {
+        self.check_symbols(&events)?;
+        Ok(self.decide(events))
+    }
+
+    /// The submission guard: every event's symbol must index inside the
+    /// alphabet the artifact was compiled against.
+    fn check_symbols(&self, events: &[TaggedSymbol]) -> Result<(), NestedWordError> {
         let sigma = self.alphabet.len();
-        if let Some(event) = events.iter().find(|e| e.symbol().index() >= sigma) {
-            return Err(NestedWordError::UnknownSymbol {
+        match events.iter().find(|e| e.symbol().index() >= sigma) {
+            Some(event) => Err(NestedWordError::UnknownSymbol {
                 name: event.symbol().to_string(),
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(DecisionHandle {
-            slot: self.enqueue(Payload::Decide(events)),
-        })
+    }
+
+    /// Queues one already-validated whole stream for the batched kernel.
+    fn decide(&self, events: Vec<TaggedSymbol>) -> DecisionHandle {
+        let slot = Slot::new();
+        self.enqueue(Job::Decide(events, Arc::clone(&slot)));
+        Handle { slot }
+    }
+
+    /// Queues `work` over `events` validated events as a boxed [`Task`].
+    fn run_task<T: Send + 'static>(
+        &self,
+        events: usize,
+        work: impl FnOnce(&A) -> T + Send + 'static,
+    ) -> Handle<T> {
+        let slot = Slot::new();
+        self.enqueue(Job::Task {
+            task: task(Arc::clone(&slot), work),
+            events,
+        });
+        Handle { slot }
     }
 
     /// Queues one already-validated unit of work. Callers guarantee nothing
     /// the worker runs can fail validation (symbols index inside the
     /// compiled tables; parked lanes were resumed at submission).
-    fn enqueue(&self, payload: Payload<A>) -> Arc<Slot> {
-        let slot = Arc::new(Slot::default());
-        let job = Job {
-            payload,
-            slot: Arc::clone(&slot),
-        };
+    fn enqueue(&self, job: Job<A>) {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let depth = {
             let mut queue = self.shared.queue.lock().expect("service queue poisoned");
@@ -736,11 +607,11 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
             .max_queue_depth
             .fetch_max(depth, Ordering::Relaxed);
         self.shared.available.notify_one();
-        slot
     }
 
     /// Submits a raw XML-ish byte stream: tokenizes it on the calling thread
-    /// through the SAX [`FrozenByteTokenizer`] — which sweeps the reader in
+    /// through the SAX `FrozenByteTokenizer` (the
+    /// [`for_each_slice`] loop) — which sweeps the reader in
     /// [`nwa_xml::scan::SCAN_CHUNK`]-sized chunks with the bulk structural
     /// scanner, validating UTF-8 per chunk instead of per char — then queues
     /// the tagged events. This is the bytes-in → verdict-out external API of
@@ -756,14 +627,12 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     /// the corresponding typed [`SaxError`]s before anything is queued.
     pub fn submit_bytes<R: io::Read>(&self, reader: R) -> Result<DecisionHandle, SaxError> {
         let mut events = Vec::new();
-        for event in FrozenByteTokenizer::new(reader, &self.alphabet) {
-            events.push(event?);
-        }
+        for_each_slice(reader, &self.alphabet, |slice| {
+            events.extend_from_slice(slice)
+        })?;
         // Read-only resolution means every symbol is in the alphabet, so
         // queue directly — re-validating would find nothing.
-        Ok(DecisionHandle {
-            slot: self.enqueue(Payload::Decide(events)),
-        })
+        Ok(self.decide(events))
     }
 
     /// Snapshots the service's counters. The snapshot is not atomic across
@@ -842,27 +711,16 @@ impl<A: BatchAcceptor + MultiAcceptor + Send + Sync + 'static> DecisionService<A
                 });
             }
         }
-        let sigma = self.alphabet.len();
-        if let Some(event) = events.iter().find(|e| e.symbol().index() >= sigma) {
-            return Err(MultiSubmitError::Input(NestedWordError::UnknownSymbol {
-                name: event.symbol().to_string(),
-            }));
-        }
-        let count = events.len();
-        // The closure owns the validated stream and carries the
+        self.check_symbols(&events)
+            .map_err(MultiSubmitError::Input)?;
+        // The task owns the validated stream and carries the
         // `MultiAcceptor` entry points with it, keeping the worker loop on
         // the plain `BatchAcceptor` bound.
-        let task: AdvanceTask<A> = Box::new(move |artifact: &A| {
+        Ok(self.run_task(events.len(), move |artifact: &A| {
             let mut run = artifact.start_set();
             run.step_slice(&events);
-            Fulfilment::MultiDecided(run.outcomes())
-        });
-        Ok(MultiHandle {
-            slot: self.enqueue(Payload::Multi {
-                task,
-                events: count,
-            }),
-        })
+            run.outcomes()
+        }))
     }
 }
 
@@ -914,33 +772,19 @@ impl<A: Suspend + Send + Sync + 'static> DecisionService<A> {
         parked: &ParkedDoc,
         events: Vec<TaggedSymbol>,
     ) -> Result<ParkedHandle, ParkError> {
-        let sigma = self.alphabet.len();
-        if let Some(event) = events.iter().find(|e| e.symbol().index() >= sigma) {
-            return Err(ParkError::Input(NestedWordError::UnknownSymbol {
-                name: event.symbol().to_string(),
-            }));
-        }
+        self.check_symbols(&events).map_err(ParkError::Input)?;
         let lane = self
             .shared
             .artifact
             .resume_lane(&parked.snapshot)
             .map_err(ParkError::Artifact)?;
-        let count = events.len();
-        let task: AdvanceTask<A> = Box::new(move |artifact: &A| {
+        Ok(self.run_task(events.len(), move |artifact: &A| {
             let mut lane = lane;
-            for event in events {
-                artifact.lane_step(&mut lane, event);
-            }
-            Fulfilment::Parked(ParkedDoc {
+            artifact.lane_step_slice(&mut lane, &events);
+            ParkedDoc {
                 snapshot: artifact.suspend_lane(&lane),
-            })
-        });
-        Ok(ParkedHandle {
-            slot: self.enqueue(Payload::Advance {
-                task,
-                events: count,
-            }),
-        })
+            }
+        }))
     }
 
     /// Closes a parked document: resumes it one last time and returns its
@@ -981,8 +825,8 @@ impl<A: BatchAcceptor + Send + Sync + 'static> Drop for DecisionService<A> {
 
 /// One worker: block for a first job, opportunistically top the batch up to
 /// `lanes` jobs without blocking, run the slot, fulfil the handles. Whole
-/// streams go through the batched runner in lockstep; parked-document
-/// bursts run one at a time on their already-resumed lanes. Exits only when
+/// streams go through the artifact's batch kernel together; tasks
+/// (parked-document bursts, multi-query runs) run one at a time. Exits only when
 /// shutdown is flagged *and* the queue is empty, so pending submissions are
 /// always drained.
 fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize) {
@@ -1011,16 +855,12 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
             }
         }
 
-        let mut decisions: Vec<(Vec<TaggedSymbol>, Arc<Slot>)> = Vec::new();
-        let mut advances: Vec<(AdvanceTask<A>, usize, Arc<Slot>)> = Vec::new();
+        let mut decisions: Vec<(Vec<TaggedSymbol>, Arc<Slot<StreamOutcome>>)> = Vec::new();
+        let mut tasks: Vec<(Task<A>, usize)> = Vec::new();
         for job in batch {
-            match job.payload {
-                Payload::Decide(events) => decisions.push((events, job.slot)),
-                // Advance bursts and multi-query runs share the boxed-task
-                // shape and the individually-caught execution path below.
-                Payload::Advance { task, events } | Payload::Multi { task, events } => {
-                    advances.push((task, events, job.slot))
-                }
+            match job {
+                Job::Decide(events, slot) => decisions.push((events, slot)),
+                Job::Task { task, events } => tasks.push((task, events)),
             }
         }
 
@@ -1035,8 +875,8 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
                 .map(|(events, _)| events.as_slice())
                 .collect();
             // The trait entry point, so per-model overrides apply
-            // (CompiledNwa's register-resident lockstep kernel rather than
-            // the generic stored-lane loop). Caught unwinding keeps the
+            // (CompiledNwa's register-resident slice loop rather than the
+            // generic stored-lane loop). Caught unwinding keeps the
             // fulfilment guarantee: a kernel panic (submission validation
             // makes one unlikely, not impossible — an artifact bug
             // suffices) must not strand the batch's handles in
@@ -1045,31 +885,28 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
             // so no observable state can be left half-updated by the
             // unwind.
             let outcomes = catch_unwind(AssertUnwindSafe(|| shared.artifact.run_batch(&streams)));
-
-            match outcomes {
-                Ok(outcomes) => {
+            let count = decisions.len() as u64;
+            match &outcomes {
+                Ok(_) => {
                     counters.batches.fetch_add(1, Ordering::Relaxed);
-                    counters
-                        .documents
-                        .fetch_add(decisions.len() as u64, Ordering::Relaxed);
+                    counters.documents.fetch_add(count, Ordering::Relaxed);
                     counters.events.fetch_add(
                         streams.iter().map(|s| s.len() as u64).sum(),
                         Ordering::Relaxed,
                     );
-                    shared
-                        .completed
-                        .fetch_add(decisions.len() as u64, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    counters.failures.fetch_add(count, Ordering::Relaxed);
+                }
+            }
+            shared.completed.fetch_add(count, Ordering::Relaxed);
+            match outcomes {
+                Ok(outcomes) => {
                     for ((_, slot), outcome) in decisions.into_iter().zip(outcomes) {
-                        slot.fulfil(Ok(Fulfilment::Decided(outcome)));
+                        slot.fulfil(Ok(outcome));
                     }
                 }
                 Err(_) => {
-                    counters
-                        .failures
-                        .fetch_add(decisions.len() as u64, Ordering::Relaxed);
-                    shared
-                        .completed
-                        .fetch_add(decisions.len() as u64, Ordering::Relaxed);
                     for (_, slot) in decisions {
                         slot.fulfil(Err(DecisionError::WorkerPanicked));
                     }
@@ -1077,22 +914,15 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
             }
         }
 
-        for (task, events, slot) in advances {
-            // Each advance owns its already-resumed lane, so one panicking
-            // burst cannot contaminate its batch-mates — catch it
-            // individually and keep the fulfilment guarantee per handle.
-            match catch_unwind(AssertUnwindSafe(|| task(&shared.artifact))) {
-                Ok(fulfilment) => {
+        for (task, events) in tasks {
+            task(&shared.artifact, &|ok| {
+                if ok {
                     counters.events.fetch_add(events as u64, Ordering::Relaxed);
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    slot.fulfil(Ok(fulfilment));
-                }
-                Err(_) => {
+                } else {
                     counters.failures.fetch_add(1, Ordering::Relaxed);
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    slot.fulfil(Err(DecisionError::WorkerPanicked));
                 }
-            }
+                shared.completed.fetch_add(1, Ordering::Relaxed);
+            });
         }
     }
 }
@@ -1150,7 +980,7 @@ mod tests {
             assert_eq!(outcome.events, i);
             // Waiting twice returns the same verdict.
             assert_eq!(handle.wait(), Ok(outcome));
-            assert_eq!(handle.try_outcome(), Some(Ok(outcome)));
+            assert_eq!(handle.try_wait(), Some(Ok(outcome)));
         }
         let stats = service.stats();
         assert_eq!(stats.submitted, 17);
@@ -1303,12 +1133,13 @@ mod tests {
             handle.wait_timeout(Duration::from_millis(10)),
             Some(Ok(outcome))
         );
-        // A handle nothing will ever fulfil times out instead of hanging.
-        let orphan = DecisionHandle {
-            slot: Arc::new(Slot::default()),
-        };
+        // A handle nothing will ever fulfil times out instead of hanging,
+        // after one deadline rather than one per wakeup.
+        let orphan: DecisionHandle = Handle { slot: Slot::new() };
+        let start = std::time::Instant::now();
         assert_eq!(orphan.wait_timeout(Duration::from_millis(10)), None);
-        assert_eq!(orphan.try_outcome(), None);
+        assert!(start.elapsed() >= Duration::from_millis(10));
+        assert_eq!(orphan.try_wait(), None);
     }
 
     /// An artifact whose batch kernel panics on `Return` events — a
@@ -1317,49 +1148,32 @@ mod tests {
     #[derive(Debug)]
     struct Bomb;
 
-    struct BombLane(usize);
-
-    impl automata_core::StreamRun for BombLane {
-        fn step(&mut self, event: TaggedSymbol) {
-            assert!(!matches!(event, TaggedSymbol::Return(_)), "bomb tripped");
-            self.0 += 1;
-        }
-        fn is_accepting(&self) -> bool {
-            true
-        }
-        fn stack_height(&self) -> usize {
-            0
-        }
-        fn peak_memory(&self) -> usize {
-            0
-        }
-        fn steps(&self) -> usize {
-            self.0
-        }
-    }
-
     impl automata_core::StreamAcceptor for Bomb {
-        type Run<'a> = BombLane;
-        fn start(&self) -> BombLane {
-            BombLane(0)
+        type Run<'a> = automata_core::LaneRun<'a, Bomb>;
+        fn start(&self) -> automata_core::LaneRun<'_, Bomb> {
+            automata_core::LaneRun::new(self)
         }
     }
 
     impl BatchAcceptor for Bomb {
-        type Lane = BombLane;
-        fn lane_start(&self) -> BombLane {
-            BombLane(0)
+        type Lane = usize;
+        fn lane_start(&self) -> usize {
+            0
         }
-        fn lane_step(&self, lane: &mut BombLane, event: TaggedSymbol) {
-            automata_core::StreamRun::step(lane, event);
+        fn lane_step(&self, lane: &mut usize, event: TaggedSymbol) {
+            assert!(!matches!(event, TaggedSymbol::Return(_)), "bomb tripped");
+            *lane += 1;
         }
-        fn lane_accepting(&self, _: &BombLane) -> bool {
+        fn lane_accepting(&self, _: &usize) -> bool {
             true
         }
-        fn lane_outcome(&self, lane: &BombLane) -> StreamOutcome {
+        fn lane_stack_height(&self, _: &usize) -> usize {
+            0
+        }
+        fn lane_outcome(&self, lane: &usize) -> StreamOutcome {
             StreamOutcome {
                 accepted: true,
-                events: lane.0,
+                events: *lane,
                 peak_memory: 0,
             }
         }
@@ -1587,7 +1401,7 @@ mod tests {
                 }
                 // Waiting twice returns the same verdicts.
                 assert_eq!(handle.wait().unwrap(), outcomes);
-                assert_eq!(handle.try_outcomes(), Some(Ok(outcomes.clone())));
+                assert_eq!(handle.try_wait(), Some(Ok(outcomes.clone())));
                 assert_eq!(
                     handle.wait_timeout(Duration::from_millis(10)),
                     Some(Ok(outcomes))

@@ -240,16 +240,7 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
     alphabet: &Alphabet,
 ) -> Result<StreamingOutcome, SaxError> {
     let mut run = a.start();
-    let mut tokenizer = FrozenByteTokenizer::new(reader, alphabet);
-    let mut buffer: Vec<TaggedSymbol> = Vec::with_capacity(EVENT_SLICE);
-    loop {
-        tokenizer.fill(&mut buffer, EVENT_SLICE)?;
-        if buffer.is_empty() {
-            break;
-        }
-        run.step_slice(&buffer);
-        buffer.clear();
-    }
+    for_each_slice(reader, alphabet, |events| run.step_slice(events))?;
     Ok(StreamingOutcome {
         accepted: run.is_accepting(),
         events: run.steps(),
@@ -276,17 +267,31 @@ pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
     alphabet: &Alphabet,
 ) -> Result<Vec<StreamingOutcome>, SaxError> {
     let mut run = set.start_set();
+    for_each_slice(reader, alphabet, |events| run.step_slice(events))?;
+    Ok(run.outcomes())
+}
+
+/// The one bytes → event-slice loop behind [`run_streaming_reader`],
+/// [`run_multi_streaming_reader`] and `nwa-service`'s `submit_bytes`:
+/// sweeps `reader` with a [`FrozenByteTokenizer`] against the read-only
+/// `alphabet` and hands every buffered run of at most [`EVENT_SLICE`]
+/// events to `sink`, in stream order. Stops at the first error, which is
+/// returned after the events lexed before it have been handed over.
+pub fn for_each_slice<R: io::Read>(
+    reader: R,
+    alphabet: &Alphabet,
+    mut sink: impl FnMut(&[TaggedSymbol]),
+) -> Result<(), SaxError> {
     let mut tokenizer = FrozenByteTokenizer::new(reader, alphabet);
     let mut buffer: Vec<TaggedSymbol> = Vec::with_capacity(EVENT_SLICE);
     loop {
         tokenizer.fill(&mut buffer, EVENT_SLICE)?;
         if buffer.is_empty() {
-            break;
+            return Ok(());
         }
-        run.step_slice(&buffer);
+        sink(&buffer);
         buffer.clear();
     }
-    Ok(run.outcomes())
 }
 
 /// [`run_streaming_reader`] over an in-memory text: the same byte-level
@@ -298,15 +303,7 @@ pub fn run_streaming_text<A: StreamAcceptor>(
     text: &str,
     alphabet: &Alphabet,
 ) -> Result<StreamingOutcome, NestedWordError> {
-    run_streaming_reader(a, text.as_bytes(), alphabet).map_err(|e| match e {
-        SaxError::Syntax(e) => e,
-        // Unreachable for an in-memory &str source, but mapped rather than
-        // panicked on out of caution.
-        other => NestedWordError::Parse {
-            offset: 0,
-            message: other.to_string(),
-        },
-    })
+    run_streaming_reader(a, text.as_bytes(), alphabet).map_err(SaxError::into_syntax)
 }
 
 #[cfg(test)]

@@ -9,21 +9,16 @@
 //! close tags are allowed — they become pending calls and returns, exactly
 //! the situation §1 highlights as awkward for tree-based models.
 //!
-//! Three incremental front ends share one event-building core
-//! (`LexerCore` — the [`ResolveName`] policy, the queued-event buffer, and
-//! the tag/CDATA classification rules), behind two lexing engines: the
-//! char-at-a-time [`EventLexer`] and the bulk structural scanner of
-//! [`crate::scan`]:
+//! There is one lexer: the bulk structural scanner of [`crate::scan`],
+//! building events through `LexerCore` (the [`ResolveName`] policy, the
+//! queued-event buffer, and the tag/CDATA classification rules). Two front
+//! ends expose it:
 //!
-//! * [`Tokenizer`] — an iterator over
-//!   `Result<TaggedSymbol, NestedWordError>` that lexes one SAX event at a
-//!   time from any `Iterator<Item = char>` (the [`EventLexer`] engine);
-//! * [`ByteTokenizer`] — the byte-level source: one SAX event at a time
-//!   from any [`std::io::Read`], swept chunk-at-a-time by the bulk scanner
-//!   (UTF-8 validated per chunk, multi-byte sequences split across `read`
-//!   calls carried over the seam, invalid or truncated sequences surfacing
-//!   as typed [`SaxError`]s) without ever materializing the document — the
-//!   bytes-in → events-out pipeline of §1;
+//! * [`ByteTokenizer`] — one SAX event at a time from any [`std::io::Read`],
+//!   swept chunk-at-a-time (UTF-8 validated per chunk, multi-byte sequences
+//!   split across `read` calls carried over the seam, invalid or truncated
+//!   sequences surfacing as typed [`SaxError`]s) without ever materializing
+//!   the document — the bytes-in → events-out pipeline of §1;
 //! * [`FrozenByteTokenizer`] — the same byte-level source against a
 //!   *read-only* alphabet ([`ResolveName`] chooses between the two
 //!   policies): names are looked up instead of interned, an unknown name is
@@ -34,7 +29,8 @@
 //! Neither front end materializes a [`TaggedWord`] or [`NestedWord`];
 //! feeding one straight into `query::run_stream` evaluates a document query
 //! in one pass with memory proportional to the nesting depth. [`tokenize`]
-//! and [`parse_document`] are the batch conveniences on top.
+//! and [`parse_document`] are the batch conveniences on top, running the
+//! same scanner over `text.as_bytes()`.
 
 use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol, TaggedWord};
 use std::collections::VecDeque;
@@ -43,10 +39,9 @@ use std::io;
 /// Errors of the byte-level SAX pipeline: everything that can go wrong
 /// between raw bytes and tagged-symbol events.
 ///
-/// The char-level [`Tokenizer`] can only fail with [`SaxError::Syntax`] (its
-/// input is already decoded), so it keeps yielding plain
-/// [`NestedWordError`]s; the byte-level [`ByteTokenizer`] adds the I/O and
-/// UTF-8 failure modes.
+/// Over an in-memory `&str` only [`SaxError::Syntax`] is reachable, so the
+/// batch conveniences ([`tokenize`], [`parse_document`]) report plain
+/// [`NestedWordError`]s; byte sources add the I/O and UTF-8 failure modes.
 #[derive(Debug)]
 pub enum SaxError {
     /// A lexical error in the XML-ish syntax (unterminated tag, empty tag
@@ -102,130 +97,23 @@ impl From<NestedWordError> for SaxError {
     }
 }
 
-// --------------------------------------------------------------------------
-// Incremental UTF-8 decoding over io::Read
-// --------------------------------------------------------------------------
-
-/// An iterator of `Result<char, SaxError>` decoding UTF-8 incrementally
-/// from any [`io::Read`].
-///
-/// Bytes are pulled through an internal buffer one decoded scalar at a
-/// time, so a multi-byte sequence split across `read` calls (or across
-/// buffer refills) is reassembled transparently. Validation is strict
-/// (WHATWG table): overlong encodings, surrogates and scalars above
-/// `U+10FFFF` are [`SaxError::InvalidUtf8`]; EOF inside a sequence is
-/// [`SaxError::TruncatedUtf8`]. After any error the iterator is fused.
-#[derive(Debug)]
-pub struct Utf8Chars<R: io::Read> {
-    reader: R,
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    /// Absolute byte offset of the next unread byte.
-    offset: usize,
-    failed: bool,
-}
-
-impl<R: io::Read> Utf8Chars<R> {
-    /// Starts decoding `reader` with the default 8 KiB buffer.
-    pub fn new(reader: R) -> Self {
-        Utf8Chars {
-            reader,
-            buf: vec![0; 8 * 1024],
-            start: 0,
-            end: 0,
-            offset: 0,
-            failed: false,
-        }
-    }
-
-    /// Pulls one byte, refilling the buffer as needed. `Ok(None)` is EOF.
-    fn next_byte(&mut self) -> Result<Option<u8>, SaxError> {
-        while self.start == self.end {
-            match self.reader.read(&mut self.buf) {
-                Ok(0) => return Ok(None),
-                Ok(n) => {
-                    self.start = 0;
-                    self.end = n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(SaxError::Io(e)),
-            }
-        }
-        let b = self.buf[self.start];
-        self.start += 1;
-        self.offset += 1;
-        Ok(Some(b))
-    }
-
-    fn decode_next(&mut self) -> Result<Option<char>, SaxError> {
-        let start = self.offset;
-        let b0 = match self.next_byte()? {
-            None => return Ok(None),
-            Some(b) => b,
-        };
-        if b0 < 0x80 {
-            return Ok(Some(b0 as char));
-        }
-        // (sequence length, allowed range of the second byte): the WHATWG
-        // encoding table, which rejects overlong forms (C0/C1, E0 80–9F,
-        // F0 80–8F), surrogates (ED A0–BF) and scalars past U+10FFFF
-        // (F4 90–BF, F5–FF) at the second byte.
-        let (len, min_b1, max_b1) = match b0 {
-            0xC2..=0xDF => (2, 0x80, 0xBF),
-            0xE0 => (3, 0xA0, 0xBF),
-            0xE1..=0xEC | 0xEE..=0xEF => (3, 0x80, 0xBF),
-            0xED => (3, 0x80, 0x9F),
-            0xF0 => (4, 0x90, 0xBF),
-            0xF1..=0xF3 => (4, 0x80, 0xBF),
-            0xF4 => (4, 0x80, 0x8F),
-            _ => return Err(SaxError::InvalidUtf8 { offset: start }),
-        };
-        let mut cp = (b0 as u32) & (0x7F >> len);
-        for i in 1..len {
-            let b = match self.next_byte()? {
-                None => return Err(SaxError::TruncatedUtf8 { offset: start }),
-                Some(b) => b,
-            };
-            let (lo, hi) = if i == 1 {
-                (min_b1, max_b1)
-            } else {
-                (0x80, 0xBF)
-            };
-            if b < lo || b > hi {
-                return Err(SaxError::InvalidUtf8 { offset: start });
-            }
-            cp = (cp << 6) | ((b as u32) & 0x3F);
-        }
-        match char::from_u32(cp) {
-            Some(c) => Ok(Some(c)),
-            // Unreachable given the table above, but a defensive error beats
-            // a panic on a decoder bug.
-            None => Err(SaxError::InvalidUtf8 { offset: start }),
-        }
-    }
-}
-
-impl<R: io::Read> Iterator for Utf8Chars<R> {
-    type Item = Result<char, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.decode_next() {
-            Ok(Some(c)) => Some(Ok(c)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
+impl SaxError {
+    /// The syntax error inside, for sources where nothing else can fail (an
+    /// in-memory `&str` is valid UTF-8 and reads without I/O); any other
+    /// variant is mapped to a parse error rather than panicked on.
+    pub(crate) fn into_syntax(self) -> NestedWordError {
+        match self {
+            SaxError::Syntax(e) => e,
+            other => NestedWordError::Parse {
+                offset: 0,
+                message: other.to_string(),
+            },
         }
     }
 }
 
 // --------------------------------------------------------------------------
-// The shared lexing engine
+// The event builder
 // --------------------------------------------------------------------------
 
 /// How the lexing engine maps lexed names (tag names, text tokens) to
@@ -235,8 +123,8 @@ impl<R: io::Read> Iterator for Utf8Chars<R> {
 ///
 /// * `&mut Alphabet` — **interning**: a name seen for the first time is
 ///   added to the alphabet ([`Alphabet::try_intern`]); this is what the
-///   parsing front ends ([`Tokenizer`], [`ByteTokenizer`]) use, where the
-///   alphabet is being *built* from the document.
+///   parsing front end ([`ByteTokenizer`], hence [`tokenize`]) uses, where
+///   the alphabet is being *built* from the document.
 /// * `&Alphabet` — **read-only lookup**: an unknown name is a typed
 ///   [`NestedWordError::UnknownSymbol`] and the alphabet is never mutated;
 ///   this is what [`FrozenByteTokenizer`] uses on the serving path, where
@@ -262,14 +150,11 @@ impl ResolveName for &Alphabet {
     }
 }
 
-/// The name-to-event builder shared by the char-at-a-time [`EventLexer`]
-/// and the bulk [`scan`](crate::scan) path: it owns the [`ResolveName`]
-/// policy, the queue of already-lexed events (the return of a self-closing
-/// tag, the text tokens of a CDATA section) and the post-error fuse, plus
-/// the two classification steps both paths share verbatim — turning a tag
+/// The name-to-event builder of the [`scan`](crate::scan) lexer: it owns
+/// the [`ResolveName`] policy, the queue of already-lexed events (the
+/// return of a self-closing tag, the text tokens of a CDATA section) and
+/// the post-error fuse, plus the two classification steps — turning a tag
 /// body into its event and splitting CDATA content into text tokens.
-/// Keeping these in one place is what makes the two lexers equivalent by
-/// construction rather than by parallel maintenance.
 #[derive(Debug)]
 pub(crate) struct LexerCore<N: ResolveName> {
     pub(crate) names: N,
@@ -383,8 +268,8 @@ impl<N: ResolveName> LexerCore<N> {
     }
 
     /// Maps one lexed name to a symbol through the policy. Equivalent to
-    /// [`LexerCore::resolve_bytes`] (which it wraps); the `&str` form is
-    /// what the char-level lexer holds.
+    /// [`LexerCore::resolve_bytes`] (which it wraps), for callers holding a
+    /// `&str`.
     pub(crate) fn resolve(&mut self, name: &str) -> Result<Symbol, SaxError> {
         self.resolve_bytes(name.as_bytes())
     }
@@ -403,33 +288,16 @@ impl<N: ResolveName> LexerCore<N> {
     pub(crate) fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
         if name.len() <= 16 {
             let (w0, w1) = pack_name(name);
-            let len = name.len() as u32;
-            // Any mix is fine — a slot collision costs a policy call, not
-            // a wrong answer (the key compare below is exact).
-            let mix =
-                (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let slot = (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1);
-            let e = self.cache[slot];
-            if e.w0 == w0 && e.w1 == w1 && e.len == len {
-                return Ok(e.sym);
-            }
-            let name = std::str::from_utf8(name).expect("resolve_bytes takes valid UTF-8");
-            let sym = self.names.resolve(name)?;
-            self.cache[slot] = NameCacheEntry { w0, w1, len, sym };
-            return Ok(sym);
+            return self.resolve_prepacked(w0, w1, name);
         }
-        let name = std::str::from_utf8(name).expect("resolve_bytes takes valid UTF-8");
-        Ok(self.names.resolve(name)?)
+        self.resolve_uncached(name)
     }
 
-    /// The SIMD fill path's spelling of [`Self::resolve_bytes`] for short
-    /// names: the caller already holds the exact cache key — the same
-    /// `(w0, w1)` value [`pack_name`] would produce, built from two masked
-    /// word loads of its in-bounds window — so a hit costs only the probe.
-    /// Misses take the identical policy path and fill the same slot, so
-    /// the answer (and the cache state left behind) matches
-    /// `resolve_bytes` exactly.
-    #[cfg(feature = "simd")]
+    /// [`Self::resolve_bytes`] for a name of at most 16 bytes whose exact
+    /// cache key the caller already holds — the `(w0, w1)` value
+    /// [`pack_name`] produces, which the SIMD fill path builds from two
+    /// masked word loads of its in-bounds window — so a hit costs only the
+    /// probe.
     #[inline]
     pub(crate) fn resolve_prepacked(
         &mut self,
@@ -437,35 +305,27 @@ impl<N: ResolveName> LexerCore<N> {
         w1: u64,
         name: &[u8],
     ) -> Result<Symbol, SaxError> {
-        debug_assert!((1..=16).contains(&name.len()));
         debug_assert_eq!(pack_name(name), (w0, w1));
         let len = name.len() as u32;
+        // Any mix is fine — a slot collision costs a policy call, not a
+        // wrong answer (the key compare below is exact).
         let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let slot = (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1);
         let e = self.cache[slot];
         if e.w0 == w0 && e.w1 == w1 && e.len == len {
             return Ok(e.sym);
         }
-        self.resolve_prepacked_miss(w0, w1, slot, name)
-    }
-
-    /// The policy-consulting tail of [`Self::resolve_prepacked`], kept out
-    /// of the inlined probe: per distinct name it runs once, while the
-    /// probe runs per event.
-    #[cfg(feature = "simd")]
-    #[cold]
-    fn resolve_prepacked_miss(
-        &mut self,
-        w0: u64,
-        w1: u64,
-        slot: usize,
-        name: &[u8],
-    ) -> Result<Symbol, SaxError> {
-        let len = name.len() as u32;
-        let name = std::str::from_utf8(name).expect("resolve_prepacked takes valid UTF-8");
-        let sym = self.names.resolve(name)?;
+        let sym = self.resolve_uncached(name)?;
         self.cache[slot] = NameCacheEntry { w0, w1, len, sym };
         Ok(sym)
+    }
+
+    /// The policy call itself, kept out of the inlined probe: per distinct
+    /// short name it runs once, while the probe runs per event.
+    #[cold]
+    fn resolve_uncached(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
+        let name = std::str::from_utf8(name).expect("lexed names are valid UTF-8");
+        Ok(self.names.resolve(name)?)
     }
 
     /// Classifies one tag body (the characters between `<` and `>`) into
@@ -581,357 +441,33 @@ impl<N: ResolveName> LexerCore<N> {
     }
 }
 
-/// A peekable, offset-tracking adapter over a fallible char source.
-#[derive(Debug)]
-struct Source<S> {
-    iter: S,
-    peeked: Option<char>,
-    /// Byte offset of the next unread character (for error reporting).
-    offset: usize,
-}
-
-impl<S: Iterator<Item = Result<char, SaxError>>> Source<S> {
-    fn new(iter: S) -> Self {
-        Source {
-            iter,
-            peeked: None,
-            offset: 0,
-        }
-    }
-
-    /// Peeks the next character. A source error is consumed and returned
-    /// (the lexer fuses after any error, so nothing is lost).
-    fn peek(&mut self) -> Result<Option<char>, SaxError> {
-        if self.peeked.is_none() {
-            match self.iter.next() {
-                None => return Ok(None),
-                Some(Ok(c)) => self.peeked = Some(c),
-                Some(Err(e)) => return Err(e),
-            }
-        }
-        Ok(self.peeked)
-    }
-
-    /// Consumes the next character, advancing the byte offset.
-    fn bump(&mut self) -> Result<Option<char>, SaxError> {
-        let c = match self.peeked.take() {
-            Some(c) => Some(c),
-            None => match self.iter.next() {
-                None => None,
-                Some(Ok(c)) => Some(c),
-                Some(Err(e)) => return Err(e),
-            },
-        };
-        if let Some(c) = c {
-            self.offset += c.len_utf8();
-        }
-        Ok(c)
-    }
-}
-
-/// The lexing engine shared by [`Tokenizer`] (chars in), [`ByteTokenizer`]
-/// (bytes in) and [`FrozenByteTokenizer`] (bytes in, read-only alphabet): an
-/// iterator over `Result<TaggedSymbol, SaxError>` that yields one event per
-/// open tag, close tag, or whitespace-separated text token, resolving names
-/// through the [`ResolveName`] policy as it goes.
-///
-/// * Tag names end at the first whitespace character; anything after it
-///   (attributes) is ignored, so `<sec a="1">` and `</sec>` produce the
-///   *same* symbol.
-/// * A `>` inside a single- or double-quoted attribute value does not
-///   terminate the tag.
-/// * `<!…>` declarations/comments and `<?…?>` processing instructions are
-///   skipped entirely; a `<!DOCTYPE …>` may carry a `[ … ]` internal subset
-///   whose declarations contain `>`.
-/// * `<![CDATA[ … ]]>` sections run to their `]]>` terminator; their
-///   content is character data and is lexed as ordinary text tokens, so a
-///   `>`, `&` or even `<tag>` inside CDATA is never mistaken for markup.
-/// * `<tag/>` (with or without attributes) yields a call immediately
-///   followed by a return.
-///
-/// Errors — lexical ([`SaxError::Syntax`]: `unterminated tag`, `empty tag
-/// name`, name-resolution failures from the [`ResolveName`] policy) or, for
-/// byte sources, I/O and UTF-8 failures — are yielded once, after which the
-/// iterator is fused.
-#[derive(Debug)]
-pub struct EventLexer<S: Iterator<Item = Result<char, SaxError>>, N: ResolveName> {
-    source: Source<S>,
-    core: LexerCore<N>,
-}
-
-impl<S: Iterator<Item = Result<char, SaxError>>, N: ResolveName> EventLexer<S, N> {
-    /// Creates a lexer over a fallible character source, resolving symbol
-    /// names through `names`.
-    pub fn new(source: S, names: N) -> Self {
-        EventLexer {
-            source: Source::new(source),
-            core: LexerCore::new(names),
-        }
-    }
-
-    /// Skips or lexes one directive, with the cursor just past `<` and on
-    /// `!` or `?`. Comments run to `-->`, processing instructions to `?>`,
-    /// CDATA sections to `]]>` (their content is queued as text tokens, see
-    /// [`EventLexer::lex_cdata`]); other declarations (`<!DOCTYPE …>`) run
-    /// to the first `>` *outside* a `[ … ]` internal subset, so an entity
-    /// declaration's `>` inside the subset does not end the DOCTYPE early.
-    /// Attribute-quote rules do not apply inside directives, so an
-    /// apostrophe or a bare `>` in a comment does not derail the lexer.
-    fn lex_directive(&mut self, tag_start: usize) -> Result<(), SaxError> {
-        let unterminated = || {
-            SaxError::Syntax(NestedWordError::Parse {
-                offset: tag_start,
-                message: "unterminated directive".into(),
-            })
-        };
-        let lead = self.source.bump()?.expect("caller peeked '!' or '?'");
-        if lead == '!' && self.source.peek()? == Some('-') {
-            self.source.bump()?;
-            if self.source.peek()? == Some('-') {
-                self.source.bump()?;
-                // comment: scan for the "-->" terminator
-                let mut dashes = 0usize;
-                loop {
-                    match self.source.bump()? {
-                        None => return Err(unterminated()),
-                        Some('-') => dashes += 1,
-                        Some('>') if dashes >= 2 => return Ok(()),
-                        Some(_) => dashes = 0,
-                    }
-                }
-            }
-            // "<!-…" without a second dash: fall through to the '>' scan
-        }
-        if lead == '?' {
-            // processing instruction: scan for the "?>" terminator
-            let mut prev_question = false;
-            loop {
-                match self.source.bump()? {
-                    None => return Err(unterminated()),
-                    Some('>') if prev_question => return Ok(()),
-                    Some(c) => prev_question = c == '?',
-                }
-            }
-        }
-        // `[`…`]` nesting depth of a DOCTYPE internal subset; a `>` only
-        // terminates the directive at depth zero.
-        let mut depth = 0usize;
-        if lead == '!' && self.source.peek()? == Some('[') {
-            self.source.bump()?;
-            // `<![`: a CDATA section if the marker `CDATA[` follows.
-            const MARKER: [char; 6] = ['C', 'D', 'A', 'T', 'A', '['];
-            let mut matched = 0usize;
-            while matched < MARKER.len() && self.source.peek()? == Some(MARKER[matched]) {
-                self.source.bump()?;
-                matched += 1;
-            }
-            if matched == MARKER.len() {
-                return self.lex_cdata(tag_start);
-            }
-            // Not CDATA (e.g. a DTD conditional section): the consumed `[`
-            // opened one bracket level; fall through to the scan.
-            depth = 1;
-        }
-        loop {
-            match self.source.bump()? {
-                None => return Err(unterminated()),
-                Some('[') => depth += 1,
-                Some(']') => depth = depth.saturating_sub(1),
-                Some('>') if depth == 0 => return Ok(()),
-                Some(_) => {}
-            }
-        }
-    }
-
-    /// Lexes a CDATA section, with the cursor just past `<![CDATA[`: scans
-    /// to the `]]>` terminator and queues the content as ordinary
-    /// whitespace-separated text tokens. Everything inside — `>`, `&`, even
-    /// `<tag>` — is character data, never markup.
-    fn lex_cdata(&mut self, tag_start: usize) -> Result<(), SaxError> {
-        let mut content = String::new();
-        loop {
-            match self.source.bump()? {
-                None => {
-                    return Err(SaxError::Syntax(NestedWordError::Parse {
-                        offset: tag_start,
-                        message: "unterminated CDATA section".into(),
-                    }));
-                }
-                Some(c) => {
-                    content.push(c);
-                    if content.ends_with("]]>") {
-                        content.truncate(content.len() - 3);
-                        break;
-                    }
-                }
-            }
-        }
-        self.core.cdata_tokens(&content)
-    }
-
-    /// Lexes one `<…>` construct, with the cursor on `<`. Returns `None`
-    /// for skipped directives.
-    fn lex_tag(&mut self) -> Result<Option<TaggedSymbol>, SaxError> {
-        let tag_start = self.source.offset;
-        self.source.bump()?; // consume '<'
-        if matches!(self.source.peek()?, Some('!') | Some('?')) {
-            // <!DOCTYPE …>, <!-- … -->, <?xml … ?>: no SAX event.
-            self.lex_directive(tag_start)?;
-            return Ok(None);
-        }
-        let mut content = String::new();
-        let mut quote: Option<char> = None;
-        loop {
-            match self.source.bump()? {
-                None => {
-                    return Err(SaxError::Syntax(NestedWordError::Parse {
-                        offset: tag_start,
-                        message: "unterminated tag".into(),
-                    }));
-                }
-                Some(c) => match quote {
-                    Some(q) => {
-                        if c == q {
-                            quote = None;
-                        }
-                        content.push(c);
-                    }
-                    None => {
-                        if c == '>' {
-                            break;
-                        }
-                        if c == '"' || c == '\'' {
-                            quote = Some(c);
-                        }
-                        content.push(c);
-                    }
-                },
-            }
-        }
-        self.core.tag_event(&content, tag_start).map(Some)
-    }
-
-    /// Lexes one whitespace-delimited text token, with the cursor on its
-    /// first character.
-    fn lex_text(&mut self) -> Result<TaggedSymbol, SaxError> {
-        let mut word = String::new();
-        while let Some(c) = self.source.peek()? {
-            if c == '<' || c.is_whitespace() {
-                break;
-            }
-            word.push(c);
-            self.source.bump()?;
-        }
-        let sym = self.core.resolve(&word)?;
-        Ok(TaggedSymbol::Internal(sym))
-    }
-
-    fn next_event(&mut self) -> Result<Option<TaggedSymbol>, SaxError> {
-        loop {
-            // Drained inside the loop: a skipped CDATA section queues text
-            // tokens that must come out before the next character is lexed.
-            if let Some(t) = self.core.queued.pop_front() {
-                return Ok(Some(t));
-            }
-            match self.source.peek()? {
-                None => return Ok(None),
-                Some('<') => {
-                    if let Some(t) = self.lex_tag()? {
-                        return Ok(Some(t));
-                    }
-                    // directive skipped
-                }
-                Some(c) if c.is_whitespace() => {
-                    self.source.bump()?;
-                }
-                Some(_) => return self.lex_text().map(Some),
-            }
-        }
-    }
-}
-
-impl<S: Iterator<Item = Result<char, SaxError>>, N: ResolveName> Iterator for EventLexer<S, N> {
-    type Item = Result<TaggedSymbol, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.core.failed {
-            return None;
-        }
-        match self.next_event() {
-            Ok(Some(t)) => Some(Ok(t)),
-            Ok(None) => None,
-            Err(e) => {
-                self.core.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 // --------------------------------------------------------------------------
 // The two public front ends
 // --------------------------------------------------------------------------
 
-fn infallible(c: char) -> Result<char, SaxError> {
-    Ok(c)
-}
-
-/// The adapter type lifting an infallible char iterator into the
-/// [`EventLexer`]'s fallible source.
-type OkChars<I> = std::iter::Map<I, fn(char) -> Result<char, SaxError>>;
-
-/// An incremental SAX lexer over a plain character stream: yields one
-/// [`TaggedSymbol`] event per open tag, close tag, or whitespace-separated
-/// text token, interning names into the borrowed alphabet as it goes. See
-/// [`EventLexer`] for the lexical rules; since the input is already decoded,
-/// the only possible failures are syntactic, reported as plain
-/// [`NestedWordError`]s.
-#[derive(Debug)]
-pub struct Tokenizer<'a, I: Iterator<Item = char>> {
-    inner: EventLexer<OkChars<I>, &'a mut Alphabet>,
-}
-
-impl<'a, I: Iterator<Item = char>> Tokenizer<'a, I> {
-    /// Creates a tokenizer over a character stream, interning symbol names
-    /// into `alphabet`.
-    pub fn new(chars: I, alphabet: &'a mut Alphabet) -> Self {
-        Tokenizer {
-            inner: EventLexer::new(chars.map(infallible as fn(char) -> _), alphabet),
-        }
-    }
-}
-
-impl<I: Iterator<Item = char>> Iterator for Tokenizer<'_, I> {
-    type Item = Result<TaggedSymbol, NestedWordError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(match self.inner.next()? {
-            Ok(t) => Ok(t),
-            Err(SaxError::Syntax(e)) => Err(e),
-            // Unreachable from an infallible char source, but mapped rather
-            // than panicked on out of caution.
-            Err(other) => Err(NestedWordError::Parse {
-                offset: 0,
-                message: other.to_string(),
-            }),
-        })
-    }
-}
-
-/// The byte-level SAX front end of the ROADMAP: an incremental lexer over
-/// any [`io::Read`], yielding one [`TaggedSymbol`] event at a time — no
+/// The byte-level SAX front end: an incremental lexer over any
+/// [`io::Read`], yielding one [`TaggedSymbol`] event at a time — no
 /// materialized document, memory proportional to the scan window plus the
-/// current token.
+/// current token — and interning names into the borrowed alphabet as it
+/// goes.
 ///
-/// Since the tokenizer-wall refactor this front end runs on the bulk
-/// structural scanner ([`crate::scan`]): bytes are pulled in
-/// [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks, UTF-8 is
-/// validated a chunk at a time (multi-byte sequences split across `read`
-/// calls are carried over the seam), and tags, text runs, CDATA sections
-/// and directives are classified with whole-run byte sweeps instead of
-/// per-character dispatch. The yielded stream is token-for-token and
-/// error-for-error identical to the char-level [`EventLexer`] over the
-/// same bytes (property-tested in `tests/sax_scan.rs`).
+/// It runs on the bulk structural scanner ([`crate::scan`]): bytes are
+/// pulled in [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks,
+/// UTF-8 is validated a chunk at a time (multi-byte sequences split across
+/// `read` calls are carried over the seam), and tags, text runs, CDATA
+/// sections and directives are classified with whole-run byte sweeps
+/// instead of per-character dispatch. Lexical rules:
+///
+/// * tag names end at the first whitespace character; anything after it
+///   (attributes) is ignored, so `<sec a="1">` and `</sec>` produce the
+///   *same* symbol, and a `>` inside a quoted attribute value does not end
+///   the tag;
+/// * `<!…>` declarations/comments and `<?…?>` processing instructions are
+///   skipped entirely; a `<!DOCTYPE …>` may carry a `[ … ]` internal subset
+///   whose declarations contain `>`;
+/// * `<![CDATA[ … ]]>` content is character data, lexed as ordinary text
+///   tokens;
+/// * `<tag/>` yields a call immediately followed by a return.
 ///
 /// Invalid UTF-8, sequences truncated by EOF (or split across `read` calls
 /// and never completed) and I/O failures surface as typed [`SaxError`]s;
@@ -966,7 +502,7 @@ impl<'a, R: io::Read> ByteTokenizer<'a, R> {
     /// the stream ends — the slice-producing entry the bytes-in →
     /// verdict-out pipeline feeds to the engines' bulk stepping. Events
     /// lexed before an error stay in `out` (in emission order) when `Err`
-    /// is returned.
+    /// is returned; every later call appends nothing.
     pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
         self.inner.fill(out, max)
     }
@@ -1044,10 +580,14 @@ impl<R: io::Read> Iterator for FrozenByteTokenizer<'_, R> {
 // --------------------------------------------------------------------------
 
 /// Parses a lightweight XML string into a stream of tagged symbols,
-/// interning tag names and text tokens into `alphabet` (the batch form of
-/// [`Tokenizer`]).
+/// interning tag names and text tokens into `alphabet` — the bulk scanner
+/// of [`ByteTokenizer`] over `text.as_bytes()`. An in-memory `&str` is
+/// valid UTF-8 and cannot fail to read, so the only failures are
+/// syntactic, reported as plain [`NestedWordError`]s.
 pub fn tokenize(text: &str, alphabet: &mut Alphabet) -> Result<TaggedWord, NestedWordError> {
-    Tokenizer::new(text.chars(), alphabet).collect()
+    ByteTokenizer::new(text.as_bytes(), alphabet)
+        .collect::<Result<_, _>>()
+        .map_err(SaxError::into_syntax)
 }
 
 /// Parses a lightweight XML string directly into a nested word.
@@ -1327,9 +867,9 @@ mod tests {
         let text = r#"<doc><sec n="1">hello world</sec><sec/></doc>"#;
         let batch = tokenize(text, &mut batch_ab).unwrap();
 
-        // One event at a time, from a plain char iterator.
+        // One event at a time, from the byte-level iterator.
         let mut ab = Alphabet::new();
-        let tok = Tokenizer::new(text.chars(), &mut ab);
+        let tok = ByteTokenizer::new(text.as_bytes(), &mut ab);
         let mut streamed = Vec::new();
         for item in tok {
             streamed.push(item.unwrap());
@@ -1339,7 +879,7 @@ mod tests {
 
         // After an error the iterator is fused.
         let mut ab2 = Alphabet::new();
-        let mut bad = Tokenizer::new("<doc".chars(), &mut ab2);
+        let mut bad = ByteTokenizer::new("<doc".as_bytes(), &mut ab2);
         assert!(bad.next().unwrap().is_err());
         assert!(bad.next().is_none());
     }
@@ -1377,11 +917,12 @@ mod tests {
 
     #[test]
     fn byte_tokenizer_agrees_with_char_tokenizer() {
+        // The whole text at once (what `tokenize` reads) against every
+        // small read granularity; the char-level oracle itself lives in
+        // `tests/sax_scan.rs`.
         let text = "<doc αβ='γ'><sec>héllo wörld — ≤∅≥</sec><näme/></doc>";
         let mut char_ab = Alphabet::new();
-        let chars: Vec<_> = Tokenizer::new(text.chars(), &mut char_ab)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let chars = tokenize(text, &mut char_ab).unwrap();
         // Whatever the read granularity — including mid-multi-byte splits —
         // the byte path produces the identical event stream and alphabet.
         for chunk in 1..=7 {
@@ -1505,19 +1046,6 @@ mod tests {
         )
         .collect();
         assert_eq!(events.unwrap().len(), 3);
-    }
-
-    #[test]
-    fn utf8_chars_decodes_exactly_like_str_chars() {
-        // Every scalar-value category, split at every granularity.
-        let text = "A£ह𐍈\u{10FFFF}\u{D7FF}\u{E000}ß\u{7F}\u{80}";
-        let expect: Vec<char> = text.chars().collect();
-        for chunk in 1..=5 {
-            let got: Vec<char> = Utf8Chars::new(SplitReader::new(text.as_bytes(), chunk))
-                .collect::<Result<_, _>>()
-                .unwrap();
-            assert_eq!(got, expect, "chunk {chunk}");
-        }
     }
 
     #[test]

@@ -1,37 +1,36 @@
-//! Bulk structural scanning of raw XML-ish bytes — the simdjson-style fast
-//! path behind [`ByteTokenizer`](crate::sax::ByteTokenizer) and
-//! [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer).
+//! Bulk structural scanning of raw XML-ish bytes — the one lexer behind
+//! [`ByteTokenizer`](crate::sax::ByteTokenizer),
+//! [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer) and the batch
+//! conveniences [`tokenize`](crate::sax::tokenize) /
+//! [`parse_document`](crate::sax::parse_document).
 //!
-//! The char-at-a-time [`EventLexer`](crate::sax::EventLexer) pulls one
-//! decoded scalar per step through a peekable adapter — five or six calls
-//! and a `String::push` per input byte. That wall dominates the measured
-//! bytes-in → verdict-out pipeline: the compiled engines decide hundreds of
-//! millions of events per second while the lexer feeds them tens of
-//! megabytes. This module moves every per-byte decision to a per-*run*
-//! decision, the way continuous-readout pipelines move validation from
-//! per-sample to per-chunk:
+//! Every per-byte decision is moved to a per-*run* decision, the way
+//! continuous-readout pipelines move validation from per-sample to
+//! per-chunk:
 //!
 //! * bytes are pulled through a `ChunkWindow` — a reusable buffer of
 //!   [`SCAN_CHUNK`] bytes refilled from the reader and **UTF-8-validated a
-//!   chunk at a time** (an 8-byte-word ASCII fast path, the WHATWG table
-//!   only on non-ASCII runs), with a multi-byte sequence split across a
-//!   refill seam carried over and re-validated when its tail arrives;
-//! * the `StructuralScanner` methods of the internal `BulkLexer` then sweep whole
+//!   chunk at a time** by one `std::str::from_utf8` call per refill, with a
+//!   multi-byte sequence split across a refill seam carried over and
+//!   re-validated when its tail arrives;
+//! * the sweep methods of the internal `BulkLexer` then classify whole
 //!   *runs* of the validated window with unrolled byte loops keyed on the
-//!   structural set — `<`, `>`, `&` quotes inside tags, the `-->` / `?>` /
-//!   `]]>` terminators — classifying text, tag bodies, CDATA sections,
-//!   comments, processing instructions and DOCTYPE internal subsets as
-//!   slices, not as characters;
-//! * names are resolved straight from window slices through the shared
-//!   [`ResolveName`] policy and the event-building
-//!   `LexerCore` that the char-level lexer also uses, so the two paths are
-//!   token-for-token and error-for-error equivalent (property-tested in
-//!   `tests/sax_scan.rs` under adversarial read granularities).
+//!   structural set — `<`, `>`, quotes inside tags, the `-->` / `?>` /
+//!   `]]>` terminators — taking text, tag bodies, CDATA sections, comments,
+//!   processing instructions and DOCTYPE internal subsets as slices, not as
+//!   characters;
+//! * names are resolved straight from window slices through the
+//!   [`ResolveName`] policy of the `LexerCore` event builder.
+//!
+//! The char-at-a-time lexer that once shared `LexerCore` lives on only as
+//! the differential oracle of `tests/sax_scan.rs`, which holds this scanner
+//! token-for-token and error-for-error equal to it under adversarial read
+//! granularities.
 //!
 //! Invalid or truncated UTF-8 found by the chunk validator is *deferred*:
 //! the window simply ends at the last valid scalar, and the typed
 //! [`SaxError`] surfaces exactly when lexing reaches that offset — the same
-//! observable order as the incremental decoder, where a token in progress
+//! observable order as an incremental decoder, where a token in progress
 //! when the bad byte arrives is discarded in favor of the error.
 
 use crate::sax::{LexerCore, ResolveName, SaxError};
@@ -59,65 +58,18 @@ enum Utf8Stop {
     Invalid,
 }
 
-/// Validates one byte run, returning the length of its longest prefix made
-/// of whole valid scalars and what stopped the sweep there.
-///
-/// ASCII is skipped eight bytes per test (`word & 0x8080…` — the memchr
-/// idiom for "any high bit set"); only non-ASCII runs consult the WHATWG
-/// second-byte table, which rejects overlong forms (C0/C1, E0 80–9F,
-/// F0 80–8F), surrogates (ED A0–BF) and scalars past U+10FFFF (F4 90–BF,
-/// F5–FF) — byte-for-byte the same acceptance set as the incremental
-/// [`Utf8Chars`](crate::sax::Utf8Chars) decoder.
-fn validate_utf8(bytes: &[u8]) -> (usize, Utf8Stop) {
-    const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
-    let n = bytes.len();
-    let mut i = 0;
-    while i < n {
-        // On the wide backend, swallow whole-vector ASCII runs first; the
-        // word loop below keeps the tail and stays the only path on SWAR.
-        #[cfg(feature = "simd")]
-        {
-            i += simd::ascii_run(&bytes[i..]);
-            if i >= n {
-                break;
-            }
-        }
-        let b = bytes[i];
-        if b < 0x80 {
-            if i + 8 <= n {
-                let word = u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte run"));
-                if word & HIGH_BITS == 0 {
-                    i += 8;
-                    continue;
-                }
-            }
-            i += 1;
-            continue;
-        }
-        let (len, min1, max1) = match b {
-            0xC2..=0xDF => (2, 0x80, 0xBF),
-            0xE0 => (3, 0xA0, 0xBF),
-            0xE1..=0xEC | 0xEE..=0xEF => (3, 0x80, 0xBF),
-            0xED => (3, 0x80, 0x9F),
-            0xF0 => (4, 0x90, 0xBF),
-            0xF1..=0xF3 => (4, 0x80, 0xBF),
-            0xF4 => (4, 0x80, 0x8F),
-            _ => return (i, Utf8Stop::Invalid),
-        };
-        let avail = (n - i).min(len);
-        for j in 1..avail {
-            let c = bytes[i + j];
-            let (lo, hi) = if j == 1 { (min1, max1) } else { (0x80, 0xBF) };
-            if c < lo || c > hi {
-                return (i, Utf8Stop::Invalid);
-            }
-        }
-        if avail < len {
-            return (i, Utf8Stop::Incomplete);
-        }
-        i += len;
+/// Validates one byte run with `std::str::from_utf8`, returning the length
+/// of its longest prefix made of whole valid scalars and what stopped the
+/// sweep there: [`Utf8Error::valid_up_to`](std::str::Utf8Error::valid_up_to)
+/// is the prefix, and `error_len() == None` ("unexpected end of input") is
+/// exactly a seam carry-over. std's acceptance set is the Unicode one —
+/// overlong forms, surrogates and scalars past U+10FFFF are invalid.
+fn utf8_prefix(bytes: &[u8]) -> (usize, Utf8Stop) {
+    match std::str::from_utf8(bytes) {
+        Ok(_) => (bytes.len(), Utf8Stop::Clean),
+        Err(e) if e.error_len().is_none() => (e.valid_up_to(), Utf8Stop::Incomplete),
+        Err(e) => (e.valid_up_to(), Utf8Stop::Invalid),
     }
-    (n, Utf8Stop::Clean)
 }
 
 /// Decodes the (already validated) scalar starting at `bytes[0]`, returning
@@ -400,23 +352,6 @@ mod simd {
         }
     }
 
-    /// Length of the longest all-ASCII prefix the wide backend can certify
-    /// in whole vectors — the UTF-8 validator's fast-forward. Returns 0 on
-    /// the SWAR backend (or within a vector of the first non-ASCII byte),
-    /// leaving the word-at-a-time loop to do exactly what it always did.
-    pub(super) fn ascii_run(bytes: &[u8]) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(k) = Avx2::active() {
-            return k.ascii_run(bytes);
-        }
-        #[cfg(target_arch = "aarch64")]
-        if let Some(k) = Neon::active() {
-            return k.ascii_run(bytes);
-        }
-        let _ = bytes;
-        0
-    }
-
     #[cfg(target_arch = "x86_64")]
     pub(super) use x86::Avx2;
 
@@ -437,31 +372,6 @@ mod simd {
             pub(in crate::scan) fn active() -> Option<Self> {
                 (crate::scan::scan_backend() == crate::scan::ScanBackend::Avx2).then_some(Avx2(()))
             }
-
-            /// See [`super::ascii_run`].
-            #[inline]
-            pub(in crate::scan) fn ascii_run(self, bytes: &[u8]) -> usize {
-                // SAFETY: `self` proves AVX2 is present; all loads stay
-                // inside `bytes` by the loop bound.
-                unsafe { ascii_run_avx2(bytes) }
-            }
-        }
-
-        /// 32 bytes per test: the prefix ends inside the first vector with
-        /// a set high bit, located by the movemask's trailing zeros.
-        #[target_feature(enable = "avx2")]
-        unsafe fn ascii_run_avx2(bytes: &[u8]) -> usize {
-            let n = bytes.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let v = _mm256_loadu_si256(bytes.as_ptr().add(i) as *const __m256i);
-                let mask = _mm256_movemask_epi8(v) as u32;
-                if mask != 0 {
-                    return i + mask.trailing_zeros() as usize;
-                }
-                i += 32;
-            }
-            i
         }
 
         impl BlockClassifier for Avx2 {
@@ -535,27 +445,6 @@ mod simd {
             #[inline]
             pub(in crate::scan) fn active() -> Option<Self> {
                 (crate::scan::scan_backend() == crate::scan::ScanBackend::Neon).then_some(Neon(()))
-            }
-
-            /// See [`super::ascii_run`]; 16 bytes per `vmaxvq_u8` test,
-            /// stopping short of the vector holding the first high byte
-            /// (the word loop finishes it).
-            #[inline]
-            pub(in crate::scan) fn ascii_run(self, bytes: &[u8]) -> usize {
-                let n = bytes.len();
-                let mut i = 0;
-                // SAFETY: NEON is baseline aarch64; loads stay inside
-                // `bytes` by the loop bound.
-                unsafe {
-                    while i + 16 <= n {
-                        let v = vld1q_u8(bytes.as_ptr().add(i));
-                        if vmaxvq_u8(v) >= 0x80 {
-                            break;
-                        }
-                        i += 16;
-                    }
-                }
-                i
             }
         }
 
@@ -837,8 +726,7 @@ impl<R: io::Read> ChunkWindow<R> {
     /// positions relative to `data()` survive the refill — a token spanning
     /// any number of seams stays addressable as one contiguous slice, at
     /// the cost of growing the buffer only when a single token outgrows it
-    /// (memory proportional to the longest token, as for the char path's
-    /// per-token `String`).
+    /// (memory proportional to the longest token).
     fn grow(&mut self) -> Result<bool, SaxError> {
         loop {
             if let Some(e) = self.pending.take() {
@@ -869,7 +757,7 @@ impl<R: io::Read> ChunkWindow<R> {
                 }
                 Ok(n) => {
                     self.raw_end += n;
-                    let (valid, stop) = validate_utf8(&self.buf[self.end..self.raw_end]);
+                    let (valid, stop) = utf8_prefix(&self.buf[self.end..self.raw_end]);
                     let grew = valid > 0;
                     self.end += valid;
                     if matches!(stop, Utf8Stop::Invalid) {
@@ -894,12 +782,10 @@ impl<R: io::Read> ChunkWindow<R> {
     }
 }
 
-/// The bulk lexer: a [`StructuralScanner`] over a [`ChunkWindow`], feeding
-/// run classifications through the shared `LexerCore` event builder. This
-/// is the engine inside [`ByteTokenizer`](crate::sax::ByteTokenizer) and
-/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer); it yields the
-/// token-for-token identical `Result<TaggedSymbol, SaxError>` stream to
-/// [`EventLexer`](crate::sax::EventLexer) over the same bytes.
+/// The bulk lexer: run-sweeping methods over a [`ChunkWindow`], feeding
+/// run classifications through the `LexerCore` event builder. This is the
+/// engine inside [`ByteTokenizer`](crate::sax::ByteTokenizer) and
+/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer).
 #[derive(Debug)]
 pub(crate) struct BulkLexer<R: io::Read, N: ResolveName> {
     window: ChunkWindow<R>,
@@ -917,17 +803,6 @@ pub(crate) struct BulkLexer<R: io::Read, N: ResolveName> {
 /// [`BulkLexer::fill`] call: large enough to amortize the refill, small
 /// enough (4 bytes per event) to stay cache-resident.
 const ITER_BATCH: usize = 1024;
-
-/// The structural sweep methods of [`BulkLexer`] — named for what they
-/// classify. Each method owns one run kind and consumes (or measures) it
-/// with a dedicated unrolled byte loop over the validated window.
-///
-/// This is a marker trait tying the module's public story to the
-/// implementation: the lexer's per-run methods are the scanner.
-pub(crate) trait StructuralScanner {
-    /// Scans past inter-token whitespace; `false` means clean EOF.
-    fn skip_whitespace(&mut self) -> Result<bool, SaxError>;
-}
 
 /// What one [`step_token`] call did with the window.
 enum StepOutcome {
@@ -950,9 +825,8 @@ enum StepOutcome {
 /// This is the *shared* per-token arm of both fill backends:
 /// [`BulkLexer::fill_window_swar`] is nothing but a loop of these, and the
 /// block-classified fill delegates every case its masks flag as complex to
-/// exactly one of these — so the backends agree with each other (and, via
-/// `LexerCore`, with the char-level lexer) by construction rather than by
-/// parallel maintenance.
+/// exactly one of these — so the backends agree with each other by
+/// construction rather than by parallel maintenance.
 #[inline(always)]
 fn step_token<N: ResolveName>(
     core: &mut LexerCore<N>,
@@ -1101,7 +975,20 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// — callers either discard them (the error is the outcome) or, like
     /// the draining iterator, hand them out before surfacing the error,
     /// which is exactly the per-event emission order.
+    ///
+    /// The lexer is fused at the first error: every later call appends
+    /// nothing and returns `Ok`, so a caller looping on `fill` can never
+    /// read on past a corrupt byte as if the document continued.
     pub(crate) fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
+        let filled = self.fill_events(out, max);
+        if filled.is_err() {
+            self.core.failed = true;
+        }
+        filled
+    }
+
+    /// The body of [`Self::fill`], free to exit on any error with `?`.
+    fn fill_events(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
         // Events the iterator view lexed ahead (and a deferred error) come
         // first, so interleaving `next()` and `fill` stays in order.
         while self.ready_pos < self.ready.len() {
@@ -1112,7 +999,6 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             }
         }
         if let Some(e) = self.pending_err.take() {
-            self.core.failed = true;
             return Err(e);
         }
         if self.core.failed {
@@ -1398,6 +1284,41 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         }
     }
 
+    /// Scans past inter-token whitespace; `false` means clean EOF.
+    fn skip_whitespace(&mut self) -> Result<bool, SaxError> {
+        loop {
+            let data = self.window.data();
+            let n = data.len();
+            let mut i = 0;
+            let mut stop = false;
+            while i < n {
+                let b = data[i];
+                if b < 0x80 {
+                    if is_ascii_ws(b) {
+                        i += 1;
+                        continue;
+                    }
+                    stop = true;
+                    break;
+                }
+                let (c, len) = decode_scalar(&data[i..]);
+                if c.is_whitespace() {
+                    i += len;
+                    continue;
+                }
+                stop = true;
+                break;
+            }
+            self.window.consume(i);
+            if stop {
+                return Ok(true);
+            }
+            if !self.window.grow()? {
+                return Ok(false);
+            }
+        }
+    }
+
     /// Lexes one whitespace-delimited text token, with the window cursor on
     /// its first byte: one sweep to the next `<` or whitespace, then a
     /// single name resolution over the whole slice.
@@ -1487,9 +1408,8 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 
     /// Skips or lexes one directive, with the window cursor just past the
-    /// consumed `<!` or `<?` (`lead` is the second byte). Mirrors
-    /// [`EventLexer::lex_directive`](crate::sax::EventLexer) exactly,
-    /// including the quirky corners: `<!-` with no second dash falls
+    /// consumed `<!` or `<?` (`lead` is the second byte). The quirky
+    /// corners are deliberate (and pinned by the differential oracle): `<!-` with no second dash falls
     /// through to the bracket scan, and a partial `CDATA[` marker leaves
     /// the consumed `[` as one open bracket level.
     fn lex_directive(&mut self, tag_start: usize, lead: u8) -> Result<(), SaxError> {
@@ -1643,42 +1563,6 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 }
 
-impl<R: io::Read, N: ResolveName> StructuralScanner for BulkLexer<R, N> {
-    fn skip_whitespace(&mut self) -> Result<bool, SaxError> {
-        loop {
-            let data = self.window.data();
-            let n = data.len();
-            let mut i = 0;
-            let mut stop = false;
-            while i < n {
-                let b = data[i];
-                if b < 0x80 {
-                    if is_ascii_ws(b) {
-                        i += 1;
-                        continue;
-                    }
-                    stop = true;
-                    break;
-                }
-                let (c, len) = decode_scalar(&data[i..]);
-                if c.is_whitespace() {
-                    i += len;
-                    continue;
-                }
-                stop = true;
-                break;
-            }
-            self.window.consume(i);
-            if stop {
-                return Ok(true);
-            }
-            if !self.window.grow()? {
-                return Ok(false);
-            }
-        }
-    }
-}
-
 impl<R: io::Read, N: ResolveName> Iterator for BulkLexer<R, N> {
     type Item = Result<TaggedSymbol, SaxError>;
 
@@ -1690,7 +1574,6 @@ impl<R: io::Read, N: ResolveName> Iterator for BulkLexer<R, N> {
                 return Some(Ok(t));
             }
             if let Some(e) = self.pending_err.take() {
-                self.core.failed = true;
                 return Some(Err(e));
             }
             if self.core.failed {
@@ -1723,7 +1606,7 @@ mod tests {
         // Every prefix of valid UTF-8 validates to its longest whole-scalar
         // prefix, never flagging an error.
         for cut in 0..=bytes.len() {
-            let (valid, stop) = validate_utf8(&bytes[..cut]);
+            let (valid, stop) = utf8_prefix(&bytes[..cut]);
             assert!(std::str::from_utf8(&bytes[..valid]).is_ok(), "cut {cut}");
             match stop {
                 Utf8Stop::Invalid => panic!("valid prefix flagged invalid at cut {cut}"),
@@ -1747,7 +1630,7 @@ mod tests {
         for &bad in cases {
             let mut input = b"ok ".to_vec();
             input.extend_from_slice(bad);
-            let (valid, stop) = validate_utf8(&input);
+            let (valid, stop) = utf8_prefix(&input);
             assert_eq!(valid, 3, "input {input:?}");
             assert!(matches!(stop, Utf8Stop::Invalid), "input {input:?}");
         }
@@ -1757,7 +1640,7 @@ mod tests {
     fn validator_ascii_fast_path_spans_word_boundaries() {
         // 8-byte-aligned and unaligned ASCII runs around a multi-byte char.
         let text = "0123456789abcdef€0123456789abcdef";
-        let (valid, stop) = validate_utf8(text.as_bytes());
+        let (valid, stop) = utf8_prefix(text.as_bytes());
         assert_eq!(valid, text.len());
         assert!(matches!(stop, Utf8Stop::Clean));
     }

@@ -1,12 +1,13 @@
 //! Differential property suite for the bulk structural scanner.
 //!
 //! The contract under test: [`ByteTokenizer`] (the chunk-windowed bulk
-//! scanner in `nwa_xml::scan`) is token-for-token and error-for-error
-//! identical to the char-at-a-time [`EventLexer`] over the same bytes —
-//! under adversarial read sizes (1..=7-byte chunks so every multi-byte
-//! UTF-8 scalar gets split across a `read` seam), across the internal
-//! scan-window seam, for CDATA / comment / PI / DOCTYPE edge cases, and
-//! for inputs truncated at every byte offset.
+//! scanner in `nwa_xml::scan`, the crate's one lexer) is token-for-token and
+//! error-for-error identical to the char-at-a-time reference lexer of
+//! `oracle/` ([`EventLexer`] over the [`Utf8Chars`] decoder) on the same
+//! bytes — under adversarial read sizes (1..=7-byte chunks so every
+//! multi-byte UTF-8 scalar gets split across a `read` seam), across the
+//! internal scan-window seam, for CDATA / comment / PI / DOCTYPE edge cases,
+//! and for inputs truncated at every byte offset.
 //!
 //! With the `simd` feature on, the whole suite implicitly runs against the
 //! auto-detected wide backend (the backend is probed on first use), and an
@@ -15,11 +16,14 @@
 //! shifted across the kernels' 32/64-byte block seams and the 64 KiB scan
 //! window seam.
 
+mod oracle;
+
 use std::io;
 
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
-use nwa_xml::sax::{ByteTokenizer, EventLexer, FrozenByteTokenizer, SaxError, Utf8Chars};
+use nwa_xml::sax::{ByteTokenizer, FrozenByteTokenizer, SaxError};
+use oracle::{EventLexer, Utf8Chars};
 
 // --------------------------------------------------------------------------
 // Harness
@@ -68,7 +72,7 @@ fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(it: I) -> Outcome {
     (events, None)
 }
 
-/// Reference outcome: the char-at-a-time `EventLexer` fed by the
+/// Reference outcome: the oracle's char-at-a-time `EventLexer` fed by its
 /// incremental `Utf8Chars` decoder, over an identically-chunked reader so
 /// byte offsets in errors line up with the subject's.
 fn reference(data: &[u8], chunk: usize) -> Outcome {
@@ -438,6 +442,95 @@ fn frozen_tokenizer_matches_mutable() {
         })
     );
     assert_eq!(msg, expected_err);
+}
+
+/// The oracle's decoder agrees with `str::chars` on every scalar category,
+/// whatever the read granularity — the premise of its error offsets.
+#[test]
+fn utf8_chars_decodes_exactly_like_str_chars() {
+    let text = "A£ह𐍈\u{10FFFF}\u{D7FF}\u{E000}ß\u{7F}\u{80}";
+    let expect: Vec<char> = text.chars().collect();
+    for chunk in 1..=5 {
+        let got: Vec<char> = Utf8Chars::new(SplitReader::new(text.as_bytes(), chunk))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(got, expect, "chunk {chunk}");
+    }
+}
+
+/// Drains `fill` up to its first error, then requires every further call to
+/// append nothing and report no new error: a caller looping on `fill` must
+/// never read past a corrupt byte as if the document continued.
+fn assert_fill_fused(
+    mut fill: impl FnMut(&mut Vec<TaggedSymbol>) -> Result<(), SaxError>,
+    label: &str,
+) {
+    let mut events = Vec::new();
+    loop {
+        let before = events.len();
+        match fill(&mut events) {
+            Err(_) => break,
+            Ok(()) => assert!(
+                events.len() > before,
+                "{label}: stream ended cleanly instead of failing"
+            ),
+        }
+    }
+    for attempt in 0..3 {
+        let before = events.len();
+        assert!(fill(&mut events).is_ok(), "{label}: error repeated");
+        assert_eq!(
+            events.len(),
+            before,
+            "{label}: fill call {attempt} after the error appended events"
+        );
+    }
+}
+
+/// After the first `Err`, further `fill` calls append nothing — for both
+/// tokenizers, on invalid bytes, truncated input and unknown names, at every
+/// read granularity and batch size.
+#[test]
+fn fill_stays_stopped_after_an_error() {
+    let failing: &[&[u8]] = &[
+        // invalid UTF-8 mid-document, with well-formed bytes after it
+        b"<a>abc\xFF</a>",
+        b"<a>\x80</a><b/>",
+        b"<a>\xc0\xaf</a>",
+        b"ok \xed\xa0\x80 tail",
+        // truncation: mid-scalar, mid-tag, mid-directive
+        b"<a>\xe2\x82",
+        b"<a>x</a><b",
+        b"<a/><!-- never closed",
+        b"<a/><![CDATA[no end]]",
+        // lexical errors with input after them
+        b"<a></ ><b/>",
+    ];
+    for data in failing {
+        // The interning pass over the same bytes leaves every name that
+        // precedes the error in the alphabet the frozen tokenizer reads.
+        let mut ab = Alphabet::new();
+        let _ = drain(ByteTokenizer::new(*data, &mut ab));
+        for chunk in [1, 3, data.len()] {
+            for batch in [1, 1024] {
+                let label = format!("{data:?}, chunk {chunk}, batch {batch}");
+                let mut fresh = Alphabet::new();
+                let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut fresh);
+                assert_fill_fused(|out| tok.fill(out, out.len() + batch), &label);
+                let mut tok = FrozenByteTokenizer::new(SplitReader::new(data, chunk), &ab);
+                assert_fill_fused(|out| tok.fill(out, out.len() + batch), &label);
+            }
+        }
+    }
+    // An unknown name on the serving path, with known names after it.
+    let ab = Alphabet::from_names(["doc", "tail"]);
+    for batch in [1, 1024] {
+        let mut tok = FrozenByteTokenizer::new(&b"<doc><intruder/>tail</doc>"[..], &ab);
+        assert_fill_fused(
+            |out| tok.fill(out, out.len() + batch),
+            &format!("unknown name, batch {batch}"),
+        );
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ use crate::automaton::Nwa;
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
 use crate::summary::{Summary, SummarySemantics};
-use automata_core::{BatchAcceptor, Compile, StreamAcceptor, StreamOutcome, StreamRun};
+use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamOutcome};
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -189,36 +189,15 @@ impl CompiledNwa {
     /// the stack, so a pending return (pop on an empty stack) resolves
     /// against the §3.1 hierarchical-initial row with no special case.
     /// State, stack pointer and peak stay in registers for the whole slice.
-    pub fn run_tagged(&self, events: &[TaggedSymbol]) -> automata_core::StreamOutcome {
-        let mut state = self.initial;
-        // The logical stack is spilled[1..sp] with its top cached in the
-        // register `top`; spilled[0] is the pending-return sentinel, so the
-        // live height is sp - 1. Keeping the top in a register keeps the
-        // address chain `state → table → state` free of stack loads.
-        let mut spilled: Vec<u32> = vec![self.pending_row; 64];
-        let mut top = self.pending_row;
-        let mut sp = 1usize;
-        let mut max_sp = 1usize;
-        for &event in events {
-            self.step_local(
-                &mut state,
-                &mut top,
-                &mut sp,
-                &mut max_sp,
-                &mut spilled,
-                event,
-            );
-        }
-        automata_core::StreamOutcome {
-            accepted: self.accepting[(state / self.stride) as usize],
-            events: events.len(),
-            peak_memory: max_sp - 1,
-        }
+    pub fn run_tagged(&self, events: &[TaggedSymbol]) -> StreamOutcome {
+        let mut lane = self.lane_start();
+        self.lane_step_slice(&mut lane, events);
+        self.lane_outcome(&lane)
     }
 
     /// The branch-free event step on explicit locals. `inline(always)` so
-    /// the callers' locals stay register-promoted: the single-stream loop
-    /// of [`CompiledNwa::run_tagged`] keeps the whole lane state in
+    /// the callers' locals stay register-promoted: the slice loop of
+    /// [`BatchAcceptor::lane_step_slice`] keeps the whole lane state in
     /// registers for the duration of a slice, and the stored-lane
     /// [`BatchAcceptor::lane_step`] reuses the same body.
     #[inline(always)]
@@ -264,125 +243,20 @@ impl CompiledNwa {
     }
 }
 
-/// A streaming run of a [`CompiledNwa`]: the same protocol as the
-/// interpreted [`StreamingRun`](crate::StreamingRun), resolved against the
-/// fused table with a stack of `u32` return-block bases. For whole slices,
-/// [`CompiledNwa::run_tagged`] is the faster entry point (its event-kind
-/// handling is branch-free).
-#[derive(Debug, Clone)]
-pub struct CompiledNwaRun<'a> {
-    pub(crate) tables: &'a CompiledNwa,
-    pub(crate) state: u32,
-    pub(crate) stack: Vec<u32>,
-    pub(crate) max_stack: usize,
-    pub(crate) steps: usize,
-}
-
-impl CompiledNwaRun<'_> {
-    #[inline]
-    fn step_event(&mut self, event: TaggedSymbol) {
-        self.steps += 1;
-        let t = self.tables;
-        let sigma = t.sigma;
-        let a = event.symbol().index() as u32;
-        debug_assert!(a < sigma.max(1), "event symbol outside the alphabet");
-        match event.kind() {
-            PositionKind::Internal => {
-                self.state = t.table[(self.state + sigma + a) as usize];
-            }
-            PositionKind::Call => {
-                let idx = (self.state + a) as usize;
-                self.stack.push(t.push[idx]);
-                self.max_stack = self.max_stack.max(self.stack.len());
-                self.state = t.table[idx];
-            }
-            PositionKind::Return => {
-                let base = self.stack.pop().unwrap_or(t.pending_row);
-                self.state = t.table[(base + self.state + 2 * sigma + a) as usize];
-            }
-        }
-    }
-}
-
-impl StreamRun for CompiledNwaRun<'_> {
-    fn step(&mut self, event: TaggedSymbol) {
-        self.step_event(event);
-    }
-
-    /// Bulk entry: hoists the run into the branch-free register-resident
-    /// loop of [`CompiledNwa::run_tagged`] for the whole slice, then folds
-    /// the locals back into the stored run. The suspended stack becomes
-    /// `spilled[1..sp]` above the pending-return sentinel with its top
-    /// cached in a register, exactly the lane layout `step_local` expects,
-    /// so a run interleaving `step` and `step_slice` observes the same
-    /// states as one stepped event-by-event.
-    fn step_slice(&mut self, events: &[TaggedSymbol]) {
-        let t = self.tables;
-        let mut state = self.state;
-        let mut spilled: Vec<u32> = Vec::with_capacity(self.stack.len() + 65);
-        spilled.push(t.pending_row);
-        spilled.extend_from_slice(&self.stack);
-        let sp0 = spilled.len();
-        spilled.resize(sp0 + 64, 0);
-        let mut sp = sp0;
-        let mut top = spilled[sp - 1];
-        let mut max_sp = (self.max_stack + 1).max(sp);
-        for &event in events {
-            t.step_local(
-                &mut state,
-                &mut top,
-                &mut sp,
-                &mut max_sp,
-                &mut spilled,
-                event,
-            );
-        }
-        self.state = state;
-        self.stack.clear();
-        self.stack.extend_from_slice(&spilled[1..sp]);
-        if let Some(last) = self.stack.last_mut() {
-            *last = top;
-        }
-        self.max_stack = max_sp - 1;
-        self.steps += events.len();
-    }
-
-    fn is_accepting(&self) -> bool {
-        self.tables.accepting[(self.state / self.tables.stride) as usize]
-    }
-
-    fn stack_height(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn peak_memory(&self) -> usize {
-        self.max_stack
-    }
-
-    fn steps(&self) -> usize {
-        self.steps
-    }
-}
-
 impl StreamAcceptor for CompiledNwa {
-    type Run<'a> = CompiledNwaRun<'a>;
+    type Run<'a> = LaneRun<'a, CompiledNwa>;
 
-    fn start(&self) -> CompiledNwaRun<'_> {
-        CompiledNwaRun {
-            tables: self,
-            state: self.initial,
-            stack: Vec::new(),
-            max_stack: 0,
-            steps: 0,
-        }
+    fn start(&self) -> LaneRun<'_, CompiledNwa> {
+        LaneRun::new(self)
     }
 }
 
 /// One stream's worth of batched-execution state for a [`CompiledNwa`]:
 /// the premultiplied linear state, the register-style cached stack top, and
 /// the spilled `u32` stack with its pending-return sentinel — exactly the
-/// state [`CompiledNwa::run_tagged`] keeps in registers, made storable so N
-/// lanes can sit side by side and migrate across worker threads.
+/// state the slice loop keeps in registers, made storable so N lanes can
+/// sit side by side and migrate across worker threads. It is also the
+/// state of every [`CompiledNwa`] streaming run ([`LaneRun`]).
 #[derive(Debug, Clone)]
 pub struct CompiledNwaLane {
     /// Current linear state as a premultiplied row offset.
@@ -416,9 +290,8 @@ impl BatchAcceptor for CompiledNwa {
         }
     }
 
-    /// The branch-free event step of [`CompiledNwa::run_tagged`]
-    /// (`step_local`), operating on a stored lane instead of the
-    /// single-stream loop's registers: setcc decode of the event kind,
+    /// The branch-free event step (`step_local`) on a stored lane: setcc
+    /// decode of the event kind,
     /// unconditional spill of the cached top, one add-and-load with the
     /// return base masked in, comparison-selected stack adjustment. Lanes
     /// touch only their own state, so interleaved calls on different lanes
@@ -440,8 +313,40 @@ impl BatchAcceptor for CompiledNwa {
         lane.steps += 1;
     }
 
+    /// Hoists the lane into locals for the whole slice — state, cached top,
+    /// stack pointer and peak in registers, the spilled stack moved out of
+    /// the lane rather than copied — and runs the branch-free `step_local`
+    /// loop (see [`CompiledNwa::run_tagged`] for the step's anatomy).
+    fn lane_step_slice(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
+        let mut state = lane.state;
+        let mut top = lane.top;
+        let mut sp = lane.sp as usize;
+        let mut max_sp = lane.max_sp as usize;
+        let mut spilled = std::mem::take(&mut lane.spilled);
+        for &event in events {
+            self.step_local(
+                &mut state,
+                &mut top,
+                &mut sp,
+                &mut max_sp,
+                &mut spilled,
+                event,
+            );
+        }
+        lane.state = state;
+        lane.top = top;
+        lane.sp = sp as u32;
+        lane.max_sp = max_sp as u32;
+        lane.spilled = spilled;
+        lane.steps += events.len();
+    }
+
     fn lane_accepting(&self, lane: &CompiledNwaLane) -> bool {
         self.accepting[(lane.state / self.stride) as usize]
+    }
+
+    fn lane_stack_height(&self, lane: &CompiledNwaLane) -> usize {
+        lane.sp as usize - 1
     }
 
     fn lane_outcome(&self, lane: &CompiledNwaLane) -> StreamOutcome {
@@ -453,7 +358,7 @@ impl BatchAcceptor for CompiledNwa {
     }
 
     /// Overrides the generic lockstep to run each stream back to back with
-    /// the register-resident [`CompiledNwa::run_tagged`] — deliberately
+    /// the register-resident slice loop ([`CompiledNwa::run_tagged`]) — deliberately
     /// *not* interleaved. The fused NWA step is issue-width-bound, not
     /// load-latency-bound: besides the table load it decodes the kind,
     /// spills the cached top, maintains the stack pointer and tracks the
@@ -686,84 +591,23 @@ impl<A: SummarySemantics> CompiledSummary<A> {
     }
 }
 
-/// A streaming run of a [`CompiledSummary`] engine: the same observable
-/// protocol as [`SummaryStreamingRun`](crate::summary::SummaryStreamingRun),
-/// but every configuration is one interned `u32` id and every step is a
-/// cache lookup (or, once per distinct transition, a derivation).
-#[derive(Debug)]
-pub struct CompiledSummaryRun<'a, A: SummarySemantics> {
-    pub(crate) engine: &'a CompiledSummary<A>,
-    pub(crate) current: u32,
-    pub(crate) stack: Vec<(u32, Symbol)>,
-    pub(crate) max_stack: usize,
-    pub(crate) steps: usize,
-}
-
-impl<A: SummarySemantics> StreamRun for CompiledSummaryRun<'_, A> {
-    fn step(&mut self, event: TaggedSymbol) {
-        self.steps += 1;
-        let a = event.symbol();
-        match event.kind() {
-            PositionKind::Internal => {
-                self.current = self.engine.step_internal(self.current, a);
-            }
-            PositionKind::Call => {
-                let linear = self.engine.step_call(self.current, a);
-                self.stack.push((self.current, a));
-                self.max_stack = self.max_stack.max(self.stack.len());
-                self.current = linear;
-            }
-            PositionKind::Return => match self.stack.pop() {
-                Some((outer, call_symbol)) => {
-                    self.current = self
-                        .engine
-                        .step_matched(outer, call_symbol, self.current, a);
-                }
-                None => {
-                    self.current = self.engine.step_pending(self.current, a);
-                }
-            },
-        }
-    }
-
-    fn is_accepting(&self) -> bool {
-        self.engine.accepting(self.current)
-    }
-
-    fn stack_height(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn peak_memory(&self) -> usize {
-        self.max_stack
-    }
-
-    fn steps(&self) -> usize {
-        self.steps
-    }
-}
-
 impl<A: SummarySemantics> StreamAcceptor for CompiledSummary<A> {
     type Run<'a>
-        = CompiledSummaryRun<'a, A>
+        = LaneRun<'a, CompiledSummary<A>>
     where
         Self: 'a;
 
-    fn start(&self) -> CompiledSummaryRun<'_, A> {
-        CompiledSummaryRun {
-            engine: self,
-            current: self.initial,
-            stack: Vec::new(),
-            max_stack: 0,
-            steps: 0,
-        }
+    fn start(&self) -> LaneRun<'_, CompiledSummary<A>> {
+        LaneRun::new(self)
     }
 }
 
 /// One stream's worth of batched-execution state for a [`CompiledSummary`]
-/// engine: the interned summary id plus the per-stream call stack — the
-/// state of a [`CompiledSummaryRun`], made owned so N lanes share one
-/// engine (and its memoized rows) from any number of threads.
+/// engine: the interned summary id plus the per-stream call stack, owned so
+/// N lanes share one engine (and its memoized rows) from any number of
+/// threads. Every step is a cache lookup (or, once per distinct
+/// transition, a derivation) — the same observable protocol as
+/// [`SummaryStreamingRun`](crate::summary::SummaryStreamingRun).
 #[derive(Debug, Clone)]
 pub struct CompiledSummaryLane {
     pub(crate) current: u32,
@@ -813,6 +657,10 @@ impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
         self.accepting(lane.current)
     }
 
+    fn lane_stack_height(&self, lane: &CompiledSummaryLane) -> usize {
+        lane.stack.len()
+    }
+
     fn lane_outcome(&self, lane: &CompiledSummaryLane) -> StreamOutcome {
         StreamOutcome {
             accepted: self.accepting(lane.current),
@@ -845,7 +693,7 @@ impl Compile for JoinlessNwa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata_core::query;
+    use automata_core::{query, StreamRun};
     use nested_words::generate::{random_nested_word, NestedWordConfig};
     use nested_words::tagged::parse_nested_word;
     use nested_words::{Alphabet, NestedWord};

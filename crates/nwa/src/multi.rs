@@ -14,7 +14,7 @@
 //!   all M queries; the trade is table size, which multiplies across
 //!   members (`∏ nᵢ` states, and the compiled fused table is quadratic in
 //!   that).
-//! * **Lockstep** — the members compile individually and their M runs
+//! * **Lockstep** — the members compile individually and their M lanes
 //!   advance back to back per event slice. Linear space, M dependent table
 //!   lookups per event; the per-event cost still amortizes the dominant
 //!   tokenization pass, which is shared either way.
@@ -27,25 +27,26 @@
 //! backend-equivalence properties in `tests/multiquery.rs` pin that both
 //! answer identically on the same seeds.
 //!
-//! The set also implements the single-verdict traits
-//! (`StreamAcceptor`/`BatchAcceptor`) as the **conjunction view**: the set
-//! accepts iff every member accepts — the intersection language — so one
-//! `QuerySet` can sit behind every existing single-verdict layer
+//! Either way a set's lane is one [`CompiledNwaLane`] per engine (one for
+//! the product, M for lockstep), and the set implements the single-verdict
+//! traits (`StreamAcceptor`/`BatchAcceptor`) as the **conjunction view**:
+//! the set accepts iff every member accepts — the intersection language —
+//! so one `QuerySet` can sit behind every existing single-verdict layer
 //! (`DecisionService`, `query::run_batch`) while
 //! [`DecisionService::submit_multi`](../nwa_service/struct.DecisionService.html)
-//! and `query::run_multi` read the per-query verdicts.
+//! and `query::run_multi` read the per-query verdicts off the same lane.
 
 use crate::automaton::Nwa;
 use crate::boolean;
-use crate::compile::{CompiledNwa, CompiledNwaLane, CompiledNwaRun};
+use crate::compile::{CompiledNwa, CompiledNwaLane};
 use automata_core::multi::MAX_QUERIES;
 use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
     Writer,
 };
 use automata_core::{
-    BatchAcceptor, Compile, MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun,
-    StreamAcceptor, StreamOutcome, StreamRun,
+    BatchAcceptor, Compile, LaneRun, MultiAcceptor, MultiCompile, Persist, PersistError,
+    StreamAcceptor, StreamOutcome,
 };
 use nested_words::TaggedSymbol;
 
@@ -220,141 +221,127 @@ impl QuerySet {
     /// Total dense-table footprint in bytes: the product table, or the sum
     /// of the member engines' tables.
     pub fn table_bytes(&self) -> usize {
+        self.engines().iter().map(CompiledNwa::table_bytes).sum()
+    }
+
+    /// The compiled engines a lane steps: the one product engine, or the
+    /// M member engines.
+    fn engines(&self) -> &[CompiledNwa] {
         match &self.backend {
-            Backend::Product { engine, .. } => engine.table_bytes(),
-            Backend::Lockstep { engines } => engines.iter().map(CompiledNwa::table_bytes).sum(),
+            Backend::Product { engine, .. } => std::slice::from_ref(engine),
+            Backend::Lockstep { engines } => engines,
         }
     }
 }
 
 // --------------------------------------------------------------------------
-// Runs
+// Lanes: the conjunction view, with per-query verdicts on the side
 // --------------------------------------------------------------------------
 
-/// The per-backend run state of a [`QuerySetRunState`].
-#[derive(Debug)]
-enum RunInner<'a> {
-    Product(CompiledNwaRun<'a>),
-    Lockstep(Vec<CompiledNwaRun<'a>>),
+/// One owned per-stream lane of a [`QuerySet`]: one [`CompiledNwaLane`] per
+/// engine the set steps (the product engine, or every member), so it is
+/// `Send` and borrows nothing.
+#[derive(Debug, Clone)]
+pub struct QuerySetLane {
+    lanes: Vec<CompiledNwaLane>,
 }
 
-/// One in-progress run of a [`QuerySet`] over a stream: all M member
-/// queries advanced per event, per-query verdicts readable at every prefix
-/// through the `QuerySetRun` trait.
-#[derive(Debug)]
-pub struct QuerySetRunState<'a> {
-    set: &'a QuerySet,
-    inner: RunInner<'a>,
+impl StreamAcceptor for QuerySet {
+    type Run<'a> = LaneRun<'a, QuerySet>;
+
+    /// Starts the conjunction view: the run accepts iff every member
+    /// accepts (the intersection language). The same run doubles as the
+    /// multi-verdict [`MultiAcceptor::start_set`] run.
+    fn start(&self) -> LaneRun<'_, QuerySet> {
+        LaneRun::new(self)
+    }
 }
 
-impl StreamRun for QuerySetRunState<'_> {
-    fn step(&mut self, event: TaggedSymbol) {
-        match &mut self.inner {
-            RunInner::Product(run) => run.step(event),
-            RunInner::Lockstep(runs) => {
-                for run in runs {
-                    run.step(event);
-                }
-            }
+impl BatchAcceptor for QuerySet {
+    type Lane = QuerySetLane;
+
+    fn lane_start(&self) -> QuerySetLane {
+        QuerySetLane {
+            lanes: self
+                .engines()
+                .iter()
+                .map(BatchAcceptor::lane_start)
+                .collect(),
         }
     }
 
-    fn step_slice(&mut self, events: &[TaggedSymbol]) {
-        match &mut self.inner {
-            RunInner::Product(run) => run.step_slice(events),
-            // Engines outer, events inner: each member gets the compiled
-            // register-resident slice loop over the whole buffered run.
-            RunInner::Lockstep(runs) => {
-                for run in runs {
-                    run.step_slice(events);
-                }
-            }
+    fn lane_step(&self, lane: &mut QuerySetLane, event: TaggedSymbol) {
+        for (engine, lane) in self.engines().iter().zip(&mut lane.lanes) {
+            engine.lane_step(lane, event);
+        }
+    }
+
+    /// Engines outer, events inner: each engine gets the compiled
+    /// register-resident slice loop over the whole buffered run.
+    fn lane_step_slice(&self, lane: &mut QuerySetLane, events: &[TaggedSymbol]) {
+        for (engine, lane) in self.engines().iter().zip(&mut lane.lanes) {
+            engine.lane_step_slice(lane, events);
         }
     }
 
     /// The conjunction view: `true` iff **every** member query accepts the
     /// prefix read so far (the product automaton folds acceptance with ∧,
     /// so both backends answer identically).
-    fn is_accepting(&self) -> bool {
-        match &self.inner {
-            RunInner::Product(run) => run.is_accepting(),
-            RunInner::Lockstep(runs) => runs.iter().all(StreamRun::is_accepting),
+    fn lane_accepting(&self, lane: &QuerySetLane) -> bool {
+        self.engines()
+            .iter()
+            .zip(&lane.lanes)
+            .all(|(engine, lane)| engine.lane_accepting(lane))
+    }
+
+    /// Stack height is a function of the event stream alone (one frame per
+    /// currently open call, whatever the states), so any engine's lane
+    /// reports it for the whole set.
+    fn lane_stack_height(&self, lane: &QuerySetLane) -> usize {
+        self.engines()[0].lane_stack_height(&lane.lanes[0])
+    }
+
+    fn lane_outcome(&self, lane: &QuerySetLane) -> StreamOutcome {
+        StreamOutcome {
+            accepted: self.lane_accepting(lane),
+            ..self.engines()[0].lane_outcome(&lane.lanes[0])
         }
     }
 
-    fn stack_height(&self) -> usize {
-        // Stack height is a function of the event stream alone (one frame
-        // per currently open call, whatever the states), so any member run
-        // reports it for the whole set.
-        match &self.inner {
-            RunInner::Product(run) => run.stack_height(),
-            RunInner::Lockstep(runs) => runs[0].stack_height(),
-        }
-    }
-
-    fn peak_memory(&self) -> usize {
-        match &self.inner {
-            RunInner::Product(run) => run.peak_memory(),
-            RunInner::Lockstep(runs) => runs[0].peak_memory(),
-        }
-    }
-
-    fn steps(&self) -> usize {
-        match &self.inner {
-            RunInner::Product(run) => run.steps(),
-            RunInner::Lockstep(runs) => runs[0].steps(),
-        }
-    }
-}
-
-impl QuerySetRun for QuerySetRunState<'_> {
-    fn num_queries(&self) -> usize {
-        self.set.num_queries
-    }
-
-    fn verdicts(&self) -> u64 {
-        match &self.inner {
-            RunInner::Product(run) => {
-                let Backend::Product { masks, .. } = &self.set.backend else {
-                    unreachable!("product run on a lockstep set");
-                };
-                masks[(run.state / run.tables.stride) as usize]
-            }
-            RunInner::Lockstep(runs) => runs.iter().enumerate().fold(0u64, |acc, (i, run)| {
-                acc | (u64::from(run.is_accepting()) << i)
-            }),
-        }
-    }
-
-    fn outcomes(&self) -> Vec<StreamOutcome> {
-        let verdicts = self.verdicts();
-        let events = self.steps();
-        let peak_memory = self.peak_memory();
-        (0..self.set.num_queries)
-            .map(|i| StreamOutcome {
-                accepted: verdicts & (1 << i) != 0,
-                events,
-                peak_memory,
+    /// Lanes drain sequentially, one stream at a time: the fused NWA step
+    /// is issue-width-bound and interleaved lanes spill (the measurement
+    /// behind `CompiledNwa`'s identical override), and a lockstep set
+    /// already advances M engines per event.
+    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
+        streams
+            .iter()
+            .map(|stream| {
+                let mut lane = self.lane_start();
+                self.lane_step_slice(&mut lane, stream);
+                self.lane_outcome(&lane)
             })
             .collect()
     }
 }
 
 impl MultiAcceptor for QuerySet {
-    type SetRun<'a> = QuerySetRunState<'a>;
-
-    fn start_set(&self) -> QuerySetRunState<'_> {
-        let inner = match &self.backend {
-            Backend::Product { engine, .. } => RunInner::Product(engine.start()),
-            Backend::Lockstep { engines } => {
-                RunInner::Lockstep(engines.iter().map(StreamAcceptor::start).collect())
-            }
-        };
-        QuerySetRunState { set: self, inner }
-    }
-
     fn num_queries(&self) -> usize {
         self.num_queries
+    }
+
+    fn lane_verdicts(&self, lane: &QuerySetLane) -> u64 {
+        match &self.backend {
+            Backend::Product { engine, masks } => {
+                masks[(lane.lanes[0].state / engine.stride) as usize]
+            }
+            Backend::Lockstep { engines } => engines
+                .iter()
+                .zip(&lane.lanes)
+                .enumerate()
+                .fold(0u64, |acc, (i, (engine, lane))| {
+                    acc | (u64::from(engine.lane_accepting(lane)) << i)
+                }),
+        }
     }
 
     fn member_alphabet_fingerprints(&self) -> Vec<u64> {
@@ -370,113 +357,6 @@ impl MultiCompile for Nwa {
 
     fn compile_set(queries: &[Nwa]) -> QuerySet {
         QuerySet::compile(queries)
-    }
-}
-
-// --------------------------------------------------------------------------
-// The single-verdict (conjunction) view
-// --------------------------------------------------------------------------
-
-impl StreamAcceptor for QuerySet {
-    type Run<'a> = QuerySetRunState<'a>;
-
-    /// Starts the conjunction view: the run accepts iff every member
-    /// accepts (the intersection language). The same run doubles as the
-    /// multi-verdict [`MultiAcceptor::start_set`] run.
-    fn start(&self) -> QuerySetRunState<'_> {
-        self.start_set()
-    }
-}
-
-/// The per-backend lane of a [`QuerySet`] batch: owned, `Send`, borrows
-/// nothing.
-#[derive(Debug)]
-enum LaneInner {
-    Product(CompiledNwaLane),
-    Lockstep(Vec<CompiledNwaLane>),
-}
-
-/// One owned per-stream lane of a [`QuerySet`] under `BatchAcceptor`: the
-/// conjunction view's batch state (every member advanced per event).
-#[derive(Debug)]
-pub struct QuerySetLane {
-    inner: LaneInner,
-}
-
-impl BatchAcceptor for QuerySet {
-    type Lane = QuerySetLane;
-
-    fn lane_start(&self) -> QuerySetLane {
-        let inner = match &self.backend {
-            Backend::Product { engine, .. } => LaneInner::Product(engine.lane_start()),
-            Backend::Lockstep { engines } => {
-                LaneInner::Lockstep(engines.iter().map(BatchAcceptor::lane_start).collect())
-            }
-        };
-        QuerySetLane { inner }
-    }
-
-    fn lane_step(&self, lane: &mut QuerySetLane, event: TaggedSymbol) {
-        match (&self.backend, &mut lane.inner) {
-            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
-                engine.lane_step(lane, event);
-            }
-            (Backend::Lockstep { engines }, LaneInner::Lockstep(lanes)) => {
-                for (engine, lane) in engines.iter().zip(lanes) {
-                    engine.lane_step(lane, event);
-                }
-            }
-            _ => unreachable!("lane backend does not match its query set"),
-        }
-    }
-
-    fn lane_accepting(&self, lane: &QuerySetLane) -> bool {
-        match (&self.backend, &lane.inner) {
-            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
-                engine.lane_accepting(lane)
-            }
-            (Backend::Lockstep { engines }, LaneInner::Lockstep(lanes)) => engines
-                .iter()
-                .zip(lanes)
-                .all(|(engine, lane)| engine.lane_accepting(lane)),
-            _ => unreachable!("lane backend does not match its query set"),
-        }
-    }
-
-    fn lane_outcome(&self, lane: &QuerySetLane) -> StreamOutcome {
-        match (&self.backend, &lane.inner) {
-            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
-                engine.lane_outcome(lane)
-            }
-            (Backend::Lockstep { engines }, LaneInner::Lockstep(lanes)) => {
-                let first = engines[0].lane_outcome(&lanes[0]);
-                StreamOutcome {
-                    accepted: engines
-                        .iter()
-                        .zip(lanes)
-                        .all(|(engine, lane)| engine.lane_accepting(lane)),
-                    ..first
-                }
-            }
-            _ => unreachable!("lane backend does not match its query set"),
-        }
-    }
-
-    /// Lanes drain sequentially, one stream at a time: the fused NWA step
-    /// is issue-width-bound and interleaved lanes spill (the PR6
-    /// measurement behind `CompiledNwa`'s identical override), and a
-    /// lockstep set already advances M engines per event.
-    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
-        streams
-            .iter()
-            .map(|stream| {
-                let mut lane = self.lane_start();
-                for &event in *stream {
-                    self.lane_step(&mut lane, event);
-                }
-                self.lane_outcome(&lane)
-            })
-            .collect()
     }
 }
 
@@ -611,6 +491,7 @@ impl Persist for QuerySet {
 mod tests {
     use super::*;
     use crate::builder::NwaBuilder;
+    use automata_core::{QuerySetRun, StreamRun};
     use nested_words::Symbol;
 
     /// Deterministic NWA over a σ-symbol alphabet accepting streams of even

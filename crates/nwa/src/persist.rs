@@ -24,8 +24,8 @@
 //! from the wrong summary.
 
 use crate::compile::{
-    summary_key, CompiledNwa, CompiledNwaLane, CompiledNwaRun, CompiledSummary,
-    CompiledSummaryLane, CompiledSummaryRun, InternedSummary, SummaryCache,
+    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane,
+    InternedSummary, SummaryCache,
 };
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
@@ -34,6 +34,7 @@ use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, fnv1a_words, kind,
     Reader, Writer,
 };
+use automata_core::suspend::decode_steps;
 use automata_core::{Persist, PersistError, Snapshot, Suspend};
 use nested_words::Symbol;
 use std::sync::RwLock;
@@ -85,16 +86,10 @@ impl CompiledNwa {
         v != 0 && v % lin == 0 && v / lin <= self.num_states as u64
     }
 
-    /// Shared validation for [`Suspend::resume_run`] /
-    /// [`Suspend::resume_lane`]: the snapshot must come from this artifact
-    /// and describe a state the tables can actually index.
+    /// Validation for [`Suspend::resume_lane`]: the snapshot must come from
+    /// this artifact and describe a state the tables can actually index.
     fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        if s.fingerprint != self.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: self.fingerprint,
-                found: s.fingerprint,
-            });
-        }
+        s.expect_fingerprint(self.fingerprint)?;
         if !self.is_row(s.state) {
             return Err(PersistError::Malformed {
                 context: "snapshot state is not a row offset of this artifact",
@@ -300,35 +295,6 @@ impl Suspend for CompiledNwa {
             spilled,
         })
     }
-
-    fn suspend_run(&self, run: &CompiledNwaRun<'_>) -> Snapshot {
-        Snapshot {
-            fingerprint: self.fingerprint,
-            state: run.state,
-            stack: run.stack.clone(),
-            peak: run.max_stack as u32,
-            steps: run.steps as u64,
-            check: 0,
-        }
-    }
-
-    fn resume_run<'a>(&'a self, snapshot: &Snapshot) -> Result<CompiledNwaRun<'a>, PersistError> {
-        self.check_snapshot(snapshot)?;
-        Ok(CompiledNwaRun {
-            tables: self,
-            state: snapshot.state,
-            stack: snapshot.stack.clone(),
-            max_stack: snapshot.peak as usize,
-            steps: decode_steps(snapshot.steps)?,
-        })
-    }
-}
-
-/// Step counters are `u64` on the wire and `usize` in run state.
-fn decode_steps(steps: u64) -> Result<usize, PersistError> {
-    usize::try_from(steps).map_err(|_| PersistError::Malformed {
-        context: "snapshot step count overflows",
-    })
 }
 
 // --------------------------------------------------------------------------
@@ -756,13 +722,7 @@ impl<A: PersistableSemantics> CompiledSummary<A> {
     /// Validates a snapshot against this artifact's intern table and
     /// decodes its stack back into `(summary id, call symbol)` frames.
     fn decode_snapshot(&self, snapshot: &Snapshot) -> Result<DecodedSnapshot, PersistError> {
-        let fingerprint = self.fingerprint();
-        if snapshot.fingerprint != fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: fingerprint,
-                found: snapshot.fingerprint,
-            });
-        }
+        snapshot.expect_fingerprint(self.fingerprint())?;
         if !snapshot.stack.len().is_multiple_of(2) {
             return Err(PersistError::Malformed {
                 context: "subset-engine snapshot stack must hold (summary, symbol) pairs",
@@ -932,44 +892,13 @@ impl<A: PersistableSemantics> Suspend for CompiledSummary<A> {
             steps,
         })
     }
-
-    fn suspend_run(&self, run: &CompiledSummaryRun<'_, A>) -> Snapshot {
-        let cache = self.read_cache();
-        let mut stack = Vec::with_capacity(run.stack.len() * 2);
-        for &(outer, sym) in &run.stack {
-            stack.push(outer);
-            stack.push(u32::from(sym.0));
-        }
-        Snapshot {
-            fingerprint: self.fingerprint(),
-            state: run.current,
-            stack,
-            peak: run.max_stack as u32,
-            steps: run.steps as u64,
-            check: Self::snapshot_check(&cache, run.current, run.stack.iter()),
-        }
-    }
-
-    fn resume_run<'a>(
-        &'a self,
-        snapshot: &Snapshot,
-    ) -> Result<CompiledSummaryRun<'a, A>, PersistError> {
-        let (current, stack, max_stack, steps) = self.decode_snapshot(snapshot)?;
-        Ok(CompiledSummaryRun {
-            engine: self,
-            current,
-            stack,
-            max_stack,
-            steps,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NwaBuilder;
-    use automata_core::{BatchAcceptor, Compile, StreamAcceptor, StreamRun};
+    use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamRun};
     use nested_words::TaggedSymbol;
 
     fn even_calls_nwa() -> crate::Nwa {
@@ -1017,7 +946,7 @@ mod tests {
         );
 
         // A run resumed from the lane snapshot continues identically.
-        let mut run = compiled.resume_run(&snapshot).unwrap();
+        let mut run = LaneRun::from_lane(&compiled, resumed);
         let mut full = compiled.start();
         for &e in &events {
             full.step(e);

@@ -31,9 +31,10 @@ use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
     Writer,
 };
+use automata_core::suspend::decode_steps;
 use automata_core::{
-    BatchAcceptor, Compile, Persist, PersistError, Snapshot, StreamAcceptor, StreamOutcome,
-    StreamRun, Suspend,
+    BatchAcceptor, Compile, LaneRun, Persist, PersistError, Snapshot, StreamAcceptor,
+    StreamOutcome, Suspend,
 };
 use nested_words::TaggedSymbol;
 
@@ -222,16 +223,10 @@ impl CompiledStepwiseTA {
         }
     }
 
-    /// Shared validation for [`Suspend::resume_run`] /
-    /// [`Suspend::resume_lane`]: every extended state must index the
-    /// extended tables.
+    /// Validation for [`Suspend::resume_lane`]: every extended state must
+    /// index the extended tables.
     fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        if s.fingerprint != self.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: self.fingerprint,
-                found: s.fingerprint,
-            });
-        }
+        s.expect_fingerprint(self.fingerprint)?;
         let m = self.m() as u32;
         if s.state >= m || s.stack.iter().any(|&v| v >= m) {
             return Err(PersistError::Malformed {
@@ -263,63 +258,18 @@ impl Compile for DetStepwiseTA {
     }
 }
 
-/// A streaming run of a [`CompiledStepwiseTA`] over tree events: the
-/// current extended value plus the stack of suspended parent folds — one
-/// frame per open node, so peak memory is the tree depth.
-#[derive(Debug, Clone)]
-pub struct CompiledStepwiseRun<'a> {
-    tables: &'a CompiledStepwiseTA,
-    current: u32,
-    stack: Vec<u32>,
-    max_stack: usize,
-    steps: usize,
-}
-
-impl StreamRun for CompiledStepwiseRun<'_> {
-    fn step(&mut self, event: TaggedSymbol) {
-        self.steps += 1;
-        if self
-            .tables
-            .step_value(&mut self.current, &mut self.stack, event)
-        {
-            self.max_stack = self.max_stack.max(self.stack.len());
-        }
-    }
-
-    fn is_accepting(&self) -> bool {
-        self.tables.accepting_ext[self.current as usize]
-    }
-
-    fn stack_height(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn peak_memory(&self) -> usize {
-        self.max_stack
-    }
-
-    fn steps(&self) -> usize {
-        self.steps
-    }
-}
-
 impl StreamAcceptor for CompiledStepwiseTA {
-    type Run<'a> = CompiledStepwiseRun<'a>;
+    type Run<'a> = LaneRun<'a, CompiledStepwiseTA>;
 
-    fn start(&self) -> CompiledStepwiseRun<'_> {
-        CompiledStepwiseRun {
-            tables: self,
-            current: self.top_start(),
-            stack: Vec::new(),
-            max_stack: 0,
-            steps: 0,
-        }
+    fn start(&self) -> LaneRun<'_, CompiledStepwiseTA> {
+        LaneRun::new(self)
     }
 }
 
-/// One stream's worth of batched-execution state for a
-/// [`CompiledStepwiseTA`]: the extended value plus the parent-fold stack,
-/// owned so N lanes share one artifact across threads.
+/// One stream's worth of execution state for a [`CompiledStepwiseTA`] over
+/// tree events: the current extended value plus the stack of suspended
+/// parent folds — one frame per open node, so peak memory is the tree
+/// depth — owned so N lanes share one artifact across threads.
 #[derive(Debug, Clone)]
 pub struct CompiledStepwiseLane {
     current: u32,
@@ -350,6 +300,10 @@ impl BatchAcceptor for CompiledStepwiseTA {
 
     fn lane_accepting(&self, lane: &CompiledStepwiseLane) -> bool {
         self.accepting_ext[lane.current as usize]
+    }
+
+    fn lane_stack_height(&self, lane: &CompiledStepwiseLane) -> usize {
+        lane.stack.len()
     }
 
     fn lane_outcome(&self, lane: &CompiledStepwiseLane) -> StreamOutcome {
@@ -462,43 +416,12 @@ impl Suspend for CompiledStepwiseTA {
             steps: decode_steps(snapshot.steps)?,
         })
     }
-
-    fn suspend_run(&self, run: &CompiledStepwiseRun<'_>) -> Snapshot {
-        Snapshot {
-            fingerprint: self.fingerprint,
-            state: run.current,
-            stack: run.stack.clone(),
-            peak: run.max_stack as u32,
-            steps: run.steps as u64,
-            check: 0,
-        }
-    }
-
-    fn resume_run<'a>(
-        &'a self,
-        snapshot: &Snapshot,
-    ) -> Result<CompiledStepwiseRun<'a>, PersistError> {
-        self.check_snapshot(snapshot)?;
-        Ok(CompiledStepwiseRun {
-            tables: self,
-            current: snapshot.state,
-            stack: snapshot.stack.clone(),
-            max_stack: snapshot.peak as usize,
-            steps: decode_steps(snapshot.steps)?,
-        })
-    }
-}
-
-/// Step counters are `u64` on the wire and `usize` in run state.
-fn decode_steps(steps: u64) -> Result<usize, PersistError> {
-    usize::try_from(steps).map_err(|_| PersistError::Malformed {
-        context: "snapshot step count overflows",
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use automata_core::StreamRun;
     use nested_words::{OrderedTree, Symbol};
 
     /// Two states over Σ = {a, b}: state 1 iff the tree contains a `b`.

@@ -31,7 +31,7 @@
 //!   [`query::run_batch`] that advances many independent streams in
 //!   software-pipelined lockstep over one shared compiled artifact
 //!   ([`prelude::BatchAcceptor`]; the [`nwa_service`] crate builds its
-//!   batched runner and concurrent decision service on it), the
+//!   concurrent decision service on it), the
 //!   multi-query verbs [`query::compile_set`] / [`query::run_multi`] /
 //!   [`query::run_multi_streaming_reader`] that compile M queries into one
 //!   artifact ([`prelude::MultiCompile`], e.g. an [`prelude::QuerySet`])
@@ -115,9 +115,9 @@ pub use word_automata;
 /// the unified traits.
 pub mod prelude {
     pub use automata_core::{
-        Acceptor, BatchAcceptor, BooleanOps, Builder, Compile, Decide, Emptiness, Minimize,
-        MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun, Snapshot, StateId,
-        StreamAcceptor, StreamOutcome, StreamRun, Suspend, Witness,
+        Acceptor, BatchAcceptor, BooleanOps, Builder, Compile, Decide, Emptiness, LaneRun,
+        Minimize, MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun, Snapshot,
+        StateId, StreamAcceptor, StreamOutcome, StreamRun, Suspend, Witness,
     };
     pub use nested_words::tagged::{display_nested_word, parse_nested_word};
     pub use nested_words::{
@@ -130,7 +130,7 @@ pub mod prelude {
     };
     pub use nwa_pushdown::{Pnwa, PnwaMode};
     pub use nwa_service::{
-        BatchRun, DecisionError, DecisionService, DynBatchRun, MultiHandle, MultiSubmitError,
+        DecisionError, DecisionHandle, DecisionService, Handle, MultiHandle, MultiSubmitError,
         ParkError, ParkedDoc, ParkedHandle, ServiceConfig,
     };
     pub use pushdown_automata::{Cfg, PushdownTreeAutomaton};

@@ -6,8 +6,9 @@
 //!   a reloaded artifact observes the same verdict, step count and peak
 //!   memory as the uninterrupted run at every subsequent prefix, pending
 //!   edges included, and the final snapshots coincide;
-//! * **run ↔ lane interchange** — `suspend_run` / `suspend_lane`
-//!   snapshots resume as either kind of run;
+//! * **run ↔ lane interchange** — a `LaneRun` driven by `step_slice`
+//!   suspends to the same snapshot as a lane stepped event by event, and a
+//!   resumed lane continues identically either way;
 //! * **typed rejection** — corrupt bytes (truncated anywhere, or any byte
 //!   flipped, header and payload alike) and cross-artifact snapshots are
 //!   typed [`PersistError`]s, never panics or silent misreads.
@@ -95,31 +96,37 @@ fn check_suspend_everywhere<A: Suspend>(artifact: &A, events: &[TaggedSymbol], c
     }
 }
 
-/// The run ↔ lane interchange law at a single cut: a snapshot taken from a
-/// borrowing run resumes as a lane and vice versa, with identical
-/// observables either way.
+/// The run ↔ lane interchange law at a single cut: a run (`LaneRun`, fed
+/// by the `step_slice` bulk loop) and a lane stepped event by event suspend
+/// to the same snapshot, and the snapshot resumed as a run continues
+/// exactly like it resumed as a lane.
 fn check_run_lane_interchange<A: Suspend>(artifact: &A, events: &[TaggedSymbol], ctx: &str) {
     let cut = events.len() / 2;
-    let mut run = artifact.start();
+    let mut run = LaneRun::new(artifact);
     let mut lane = artifact.lane_start();
+    run.step_slice(&events[..cut]);
     for &event in &events[..cut] {
-        run.step(event);
         artifact.lane_step(&mut lane, event);
     }
-    let from_run = artifact.suspend_run(&run);
+    let from_run = query::suspend(artifact, run.lane());
     let from_lane = artifact.suspend_lane(&lane);
     assert_eq!(from_run, from_lane, "{ctx}: run and lane snapshots differ");
 
     let mut as_lane = artifact.resume_lane(&from_run).expect(ctx);
-    let mut as_run = artifact.resume_run(&from_lane).expect(ctx);
+    let mut as_run = LaneRun::from_lane(artifact, artifact.resume_lane(&from_lane).expect(ctx));
     for &event in &events[cut..] {
         artifact.lane_step(&mut as_lane, event);
-        as_run.step(event);
     }
+    as_run.step_slice(&events[cut..]);
     let lane_outcome = artifact.lane_outcome(&as_lane);
     assert_eq!(lane_outcome.accepted, as_run.is_accepting(), "{ctx}");
     assert_eq!(lane_outcome.events, as_run.steps(), "{ctx}");
     assert_eq!(lane_outcome.peak_memory, as_run.peak_memory(), "{ctx}");
+    assert_eq!(
+        artifact.lane_stack_height(&as_lane),
+        as_run.stack_height(),
+        "{ctx}"
+    );
 }
 
 /// Corruption of the byte image — truncation at every length, every byte

@@ -1,15 +1,18 @@
-//! Property tests for the batched-execution subsystem (`BatchAcceptor`, the
-//! `nwa-service` runners and the `DecisionService` facade).
+//! Property tests for the batched-execution subsystem (`BatchAcceptor`, its
+//! generic `LaneRun`, and the `DecisionService` facade).
 //!
 //! The two laws stated on `automata_core::BatchAcceptor` are checked for
 //! every compiled engine, on seeded random tagged words with pending calls
 //! and returns:
 //!
-//! 1. **lane ≡ run** — an owned lane stepped through a stream observes
-//!    exactly what the borrowing `StreamRun` observes at *every prefix*
-//!    (acceptance, events consumed, peak memory);
-//! 2. **batch ≡ sequential** — `run_batch` over N streams returns, per
-//!    lane, the `StreamOutcome` of running that stream alone.
+//! 1. **slice ≡ step** — a lane advanced through a stream by
+//!    `lane_step_slice` in chunks of every size (the register-resident bulk
+//!    loop behind `LaneRun::step_slice`) observes exactly what a lane
+//!    stepped one event at a time observes at every chunk boundary
+//!    (acceptance, stack height, events consumed, peak memory);
+//! 2. **batch ≡ sequential** — `query::run_batch` over N streams, and a
+//!    hand-rolled lockstep of the lane hooks over chunks of four, return
+//!    per lane the `StreamOutcome` of running that stream alone.
 //!
 //! On top of that, the `DecisionService` is smoked multi-threaded: many
 //! submitter threads against one service, every verdict compared against
@@ -23,7 +26,7 @@ mod common;
 use common::{prop_iters, random_det_nwa, random_dfa, random_nnwa_with_transitions};
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
-use nested_words_suite::nwa_service::{BatchRun, DecisionService, DynBatchRun, ServiceConfig};
+use nested_words_suite::nwa_service::{DecisionService, ServiceConfig};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -44,38 +47,47 @@ fn random_words(count: usize, base_seed: u64) -> Vec<Vec<TaggedSymbol>> {
         .collect()
 }
 
-/// Law 1 for one artifact on one stream: the lane's observables equal the
-/// streaming run's at every prefix.
+/// Law 1 for one artifact on one stream: a run fed `step_slice` chunks of
+/// size `chunk` observes what a lane stepped event by event observes, at
+/// every chunk boundary.
 fn assert_lane_matches_run<A: BatchAcceptor>(a: &A, stream: &[TaggedSymbol], ctx: &str) {
-    let mut lane = a.lane_start();
-    let mut run = a.start();
-    for (j, &event) in stream.iter().enumerate() {
-        a.lane_step(&mut lane, event);
-        run.step(event);
-        assert_eq!(
-            a.lane_accepting(&lane),
-            run.is_accepting(),
-            "{ctx}, prefix {j}: acceptance"
-        );
-        let outcome = a.lane_outcome(&lane);
-        assert_eq!(outcome.events, run.steps(), "{ctx}, prefix {j}: events");
-        assert_eq!(
-            outcome.peak_memory,
-            run.peak_memory(),
-            "{ctx}, prefix {j}: peak memory"
-        );
-        assert_eq!(
-            outcome.accepted,
-            run.is_accepting(),
-            "{ctx}, prefix {j}: outcome acceptance"
-        );
+    for chunk in 1..=stream.len().max(1) {
+        let mut lane = a.lane_start();
+        let mut run = a.start();
+        let mut done = 0;
+        for slice in stream.chunks(chunk) {
+            for &event in slice {
+                a.lane_step(&mut lane, event);
+            }
+            run.step_slice(slice);
+            done += slice.len();
+            let ctx = format!("{ctx}, chunk {chunk}, prefix {done}");
+            let outcome = a.lane_outcome(&lane);
+            assert_eq!(
+                a.lane_accepting(&lane),
+                run.is_accepting(),
+                "{ctx}: acceptance"
+            );
+            assert_eq!(
+                outcome.accepted,
+                run.is_accepting(),
+                "{ctx}: outcome acceptance"
+            );
+            assert_eq!(
+                a.lane_stack_height(&lane),
+                run.stack_height(),
+                "{ctx}: stack height"
+            );
+            assert_eq!(outcome.events, run.steps(), "{ctx}: events");
+            assert_eq!(outcome.peak_memory, run.peak_memory(), "{ctx}: peak memory");
+        }
     }
 }
 
-/// Law 2 for one artifact over a batch of streams, through all three
-/// spellings of batched execution: the trait's `run_batch` (via the
-/// `query::run_batch` facade), the const-lane `BatchRun`, and the
-/// runtime-width `DynBatchRun`.
+/// Law 2 for one artifact over a batch of streams, through both spellings
+/// of batched execution: the trait's `run_batch` (via the
+/// `query::run_batch` facade) and a lockstep of the lane hooks over chunks
+/// of four streams, one event per lane per round.
 fn assert_batch_matches_sequential<A: BatchAcceptor>(
     a: &A,
     streams: &[Vec<TaggedSymbol>],
@@ -88,31 +100,21 @@ fn assert_batch_matches_sequential<A: BatchAcceptor>(
         .collect();
     assert_eq!(query::run_batch(a, &slices), sequential, "{ctx}: run_batch");
 
-    let mut dyn_run = DynBatchRun::new(a, slices.len());
-    assert_eq!(dyn_run.run(&slices), sequential, "{ctx}: DynBatchRun");
-
-    // Fixed-width lanes over chunks of 4, resetting between refills.
-    let mut fixed: BatchRun<'_, A, 4> = BatchRun::new(a);
     for (chunk_index, chunk) in slices.chunks(4).enumerate() {
-        for lane in 0..chunk.len() {
-            fixed.reset(lane);
-        }
-        let common = chunk.iter().map(|s| s.len()).min().unwrap_or(0);
-        for round in 0..common {
-            for (lane, stream) in chunk.iter().enumerate() {
-                fixed.step(lane, stream[round]);
+        let mut lanes: Vec<A::Lane> = chunk.iter().map(|_| a.lane_start()).collect();
+        let longest = chunk.iter().map(|s| s.len()).max().unwrap_or(0);
+        for round in 0..longest {
+            for (lane, stream) in lanes.iter_mut().zip(chunk) {
+                if let Some(&event) = stream.get(round) {
+                    a.lane_step(lane, event);
+                }
             }
         }
-        for (lane, stream) in chunk.iter().enumerate() {
-            for &event in &stream[common..] {
-                fixed.step(lane, event);
-            }
-        }
-        for (lane, _) in chunk.iter().enumerate() {
+        for (i, lane) in lanes.iter().enumerate() {
             assert_eq!(
-                fixed.outcome(lane),
-                sequential[chunk_index * 4 + lane],
-                "{ctx}: BatchRun chunk {chunk_index} lane {lane}"
+                a.lane_outcome(lane),
+                sequential[chunk_index * 4 + i],
+                "{ctx}: lockstep chunk {chunk_index} lane {i}"
             );
         }
     }
