@@ -69,7 +69,8 @@ pub trait StreamRun {
     /// not its length.
     fn peak_memory(&self) -> usize;
 
-    /// Number of events consumed so far.
+    /// Number of events consumed so far — every event read, whether or
+    /// not the engine had to step it.
     fn steps(&self) -> usize;
 }
 
@@ -256,7 +257,9 @@ impl<A: BatchAcceptor> StreamRun for LaneRun<'_, A> {
 pub struct StreamOutcome {
     /// Whether the automaton accepted the stream.
     pub accepted: bool,
-    /// Number of events processed.
+    /// Number of events read, including those the engine had no need to
+    /// step (compiled engines skip internals that cannot change their
+    /// state).
     pub events: usize,
     /// Maximum stack height used: proportional to the nesting depth of the
     /// input, not to its length.

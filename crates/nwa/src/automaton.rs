@@ -231,8 +231,14 @@ impl<'a> StreamingRun<'a> {
         }
     }
 
-    /// Consumes one tagged symbol.
+    /// Consumes one tagged symbol. A symbol outside the alphabet panics:
+    /// its column would fall in a neighbouring row of the flat transition
+    /// arrays.
     pub fn step(&mut self, tag: TaggedSymbol) {
+        let a = tag.symbol().index();
+        if a >= self.nwa.sigma() {
+            crate::compile::outside_alphabet(a, self.nwa.sigma());
+        }
         self.steps += 1;
         match tag.kind() {
             PositionKind::Call => {

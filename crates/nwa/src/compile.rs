@@ -69,10 +69,19 @@ use std::sync::RwLock;
 /// never branches on the (unpredictable) event kind, which is where the
 /// interpreted runner's cycles go.
 ///
+/// Compilation also derives two facts from the table, recomputed on load
+/// rather than stored: the **inert** symbols, whose internal transition is
+/// the identity in every state, and the **absorbing** states, which every
+/// transition maps back to themselves. The slice loop drops inert
+/// internals before stepping (see [`CompiledNwa::run_tagged`]), and a
+/// [`QuerySet`](crate::QuerySet) retires members that reach an absorbing
+/// state.
+///
 /// Build one with [`Compile::compile`] (or `query::compile`) and drive it
 /// through [`StreamAcceptor`], or hand a whole slice to
 /// [`CompiledNwa::run_tagged`]; it accepts exactly the streams the source
-/// [`Nwa`] accepts.
+/// [`Nwa`] accepts. A symbol outside its alphabet panics, as in the source
+/// [`Nwa`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledNwa {
     /// Row stride of linear states: `max(3σ, 1)`.
@@ -94,6 +103,60 @@ pub struct CompiledNwa {
     /// Content hash over the tables (see `persist`), stamped into
     /// snapshots and validated on resume.
     pub(crate) fingerprint: u64,
+    /// `inert[a]`: `δi(q, a) = q` in every state, so an internal `a` never
+    /// changes a run and the slice loop drops it. Derived from `table`
+    /// (never serialized); its length is σ, so looking a symbol up is also
+    /// the alphabet check.
+    pub(crate) inert: Vec<bool>,
+    /// `absorbing[q]`: every call, internal and return from `q`, for every
+    /// symbol and stack symbol, lands on `q` — a sink whose verdict is
+    /// fixed. Derived from `table`, never serialized.
+    pub(crate) absorbing: Vec<bool>,
+}
+
+/// Events per compaction block of the slice loops: each block's kept
+/// events gather in a stack buffer of this many slots before stepping.
+pub(crate) const BLOCK: usize = 1024;
+
+/// Whether a run must step `event`: `false` exactly for an internal whose
+/// symbol is inert. The `inert` lookup doubles as the alphabet check, so a
+/// symbol outside the automaton's alphabet panics here, on every kind.
+#[inline(always)]
+pub(crate) fn keeps(inert: &[bool], event: TaggedSymbol) -> bool {
+    let a = event.symbol().index();
+    let Some(&inert) = inert.get(a) else {
+        outside_alphabet(a, inert.len())
+    };
+    !(inert && matches!(event, TaggedSymbol::Internal(_)))
+}
+
+/// The panic of an event symbol outside the alphabet, shared by the
+/// interpreted [`Nwa`] and the compiled engine: the symbol's column would
+/// otherwise fall in a neighbouring row of the flat tables.
+#[cold]
+#[inline(never)]
+pub(crate) fn outside_alphabet(a: usize, sigma: usize) -> ! {
+    panic!("event symbol {a} is outside the automaton's {sigma}-symbol alphabet")
+}
+
+/// Copies the events of `block` a run must step into `kept` and returns
+/// how many there are, showing every event read to `each` on the way.
+/// Branch-free: every event is written, and the cursor advances only past
+/// a kept one.
+#[inline(always)]
+pub(crate) fn compact(
+    inert: &[bool],
+    block: &[TaggedSymbol],
+    kept: &mut [TaggedSymbol; BLOCK],
+    mut each: impl FnMut(TaggedSymbol),
+) -> usize {
+    let mut n = 0;
+    for &event in block {
+        kept[n] = event;
+        n += usize::from(keeps(inert, event));
+        each(event);
+    }
+    n
 }
 
 impl CompiledNwa {
@@ -143,9 +206,82 @@ impl CompiledNwa {
             initial: (nwa.initial() * stride) as u32,
             accepting: (0..n).map(|q| nwa.is_accepting(q)).collect(),
             fingerprint: 0,
+            inert: Vec::new(),
+            absorbing: Vec::new(),
         };
         compiled.fingerprint = compiled.compute_fingerprint();
+        compiled.derive_step_facts();
         compiled
+    }
+
+    /// Derives [`inert`](CompiledNwa::is_inert) symbols and
+    /// [`absorbing`](CompiledNwa::is_absorbing) states from the fused
+    /// table, in O(n²σ) — the cost of building it. Run at compile time and
+    /// again by `Persist::load` once the tables are validated.
+    pub(crate) fn derive_step_facts(&mut self) {
+        let (n, sigma, stride) = (self.num_states, self.sigma(), self.stride as usize);
+        let row = |q: usize| q * stride;
+        self.inert = (0..sigma)
+            .map(|a| (0..n).all(|q| self.table[row(q) + sigma + a] == row(q) as u32))
+            .collect();
+        self.absorbing = (0..n)
+            .map(|q| {
+                let here = row(q) as u32;
+                let calls_and_internals = &self.table[row(q)..row(q) + 2 * sigma];
+                calls_and_internals.iter().all(|&t| t == here)
+                    && (0..n).all(|h| {
+                        let returns = (n + h * n) * stride + row(q) + 2 * sigma;
+                        self.table[returns..returns + sigma]
+                            .iter()
+                            .all(|&t| t == here)
+                    })
+            })
+            .collect();
+    }
+
+    /// Whether symbol `a` is inert: `δi(q, a) = q` in every state `q`, so
+    /// an internal `a` cannot change any run and the slice loop skips it.
+    pub fn is_inert(&self, a: Symbol) -> bool {
+        self.inert[a.index()]
+    }
+
+    /// Whether state `q` is absorbing: every call, internal and return
+    /// from `q` lands on `q`, so a run there has a fixed verdict.
+    pub fn is_absorbing(&self, q: usize) -> bool {
+        self.absorbing[q]
+    }
+
+    /// Whether `lane` sits in an absorbing state.
+    pub(crate) fn lane_settled(&self, lane: &CompiledNwaLane) -> bool {
+        self.absorbing[(lane.state / self.stride) as usize]
+    }
+
+    /// The register loop over events that must all be stepped: hoists the
+    /// lane into locals — state, cached top, stack pointer and peak in
+    /// registers, the spilled stack moved out of the lane rather than
+    /// copied — and runs `step_local` per event. Leaves `steps` alone;
+    /// the callers count the events they read, kept or not.
+    pub(crate) fn step_kept(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
+        let mut state = lane.state;
+        let mut top = lane.top;
+        let mut sp = lane.sp as usize;
+        let mut max_sp = lane.max_sp as usize;
+        let mut spilled = std::mem::take(&mut lane.spilled);
+        for &event in events {
+            self.step_local(
+                &mut state,
+                &mut top,
+                &mut sp,
+                &mut max_sp,
+                &mut spilled,
+                event,
+            );
+        }
+        lane.state = state;
+        lane.top = top;
+        lane.sp = sp as u32;
+        lane.max_sp = max_sp as u32;
+        lane.spilled = spilled;
     }
 
     /// Number of states of the source automaton.
@@ -189,6 +325,15 @@ impl CompiledNwa {
     /// the stack, so a pending return (pop on an empty stack) resolves
     /// against the §3.1 hierarchical-initial row with no special case.
     /// State, stack pointer and peak stay in registers for the whole slice.
+    ///
+    /// The loop runs on a compacted copy of the events: each block of up to
+    /// 1024 is first copied into a stack buffer without its internals on
+    /// inert symbols — every event is written, the cursor advances only
+    /// past kept ones, so the copy does not branch either. An inert
+    /// internal changes neither the state nor the stack, so skipping it is
+    /// exact. On documents where half the events are text words no query
+    /// reads, that halves the steps. The outcome still counts every event
+    /// read.
     pub fn run_tagged(&self, events: &[TaggedSymbol]) -> StreamOutcome {
         let mut lane = self.lane_start();
         self.lane_step_slice(&mut lane, events);
@@ -296,8 +441,15 @@ impl BatchAcceptor for CompiledNwa {
     /// return base masked in, comparison-selected stack adjustment. Lanes
     /// touch only their own state, so interleaved calls on different lanes
     /// are independent dependency chains.
+    ///
+    /// A symbol outside the alphabet panics, as in the interpreted [`Nwa`]:
+    /// `state + σ + a` would otherwise land in the next row's call band.
     #[inline]
     fn lane_step(&self, lane: &mut CompiledNwaLane, event: TaggedSymbol) {
+        let a = event.symbol().index();
+        if a >= self.sigma() {
+            outside_alphabet(a, self.sigma());
+        }
         let mut sp = lane.sp as usize;
         let mut max_sp = lane.max_sp as usize;
         self.step_local(
@@ -313,31 +465,20 @@ impl BatchAcceptor for CompiledNwa {
         lane.steps += 1;
     }
 
-    /// Hoists the lane into locals for the whole slice — state, cached top,
-    /// stack pointer and peak in registers, the spilled stack moved out of
-    /// the lane rather than copied — and runs the branch-free `step_local`
-    /// loop (see [`CompiledNwa::run_tagged`] for the step's anatomy).
+    /// The compacted slice loop: each block of at most 1024 events is
+    /// first copied into a stack buffer without its inert internals
+    /// (branch-free — every event is written, the cursor advances only past
+    /// kept ones), then the kept events run through the register loop
+    /// (see [`CompiledNwa::run_tagged`] for the step's anatomy). Skipping
+    /// an internal leaves the stack untouched, so the lane — and any
+    /// snapshot of it — is exactly what stepping every event leaves.
+    /// `steps` grows by the whole slice: it counts events read.
     fn lane_step_slice(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
-        let mut state = lane.state;
-        let mut top = lane.top;
-        let mut sp = lane.sp as usize;
-        let mut max_sp = lane.max_sp as usize;
-        let mut spilled = std::mem::take(&mut lane.spilled);
-        for &event in events {
-            self.step_local(
-                &mut state,
-                &mut top,
-                &mut sp,
-                &mut max_sp,
-                &mut spilled,
-                event,
-            );
+        let mut kept = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
+        for block in events.chunks(BLOCK) {
+            let n = compact(&self.inert, block, &mut kept, |_| {});
+            self.step_kept(lane, &kept[..n]);
         }
-        lane.state = state;
-        lane.top = top;
-        lane.sp = sp as u32;
-        lane.max_sp = max_sp as u32;
-        lane.spilled = spilled;
         lane.steps += events.len();
     }
 

@@ -179,7 +179,7 @@ impl Persist for CompiledNwa {
                 context: "acceptance table length disagrees with the state count",
             });
         }
-        let artifact = CompiledNwa {
+        let mut artifact = CompiledNwa {
             stride: stride as u32,
             sigma,
             num_states: n,
@@ -189,6 +189,8 @@ impl Persist for CompiledNwa {
             initial,
             accepting,
             fingerprint,
+            inert: Vec::new(),
+            absorbing: Vec::new(),
         };
         if !artifact.is_row(artifact.initial) {
             return Err(PersistError::Malformed {
@@ -238,6 +240,9 @@ impl Persist for CompiledNwa {
                 context: "table entry is not a row offset",
             });
         }
+        // The skip facts are not part of the image: they are re-derived
+        // from the tables just validated.
+        artifact.derive_step_facts();
         Ok(artifact)
     }
 

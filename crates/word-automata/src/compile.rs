@@ -132,16 +132,31 @@ impl CompiledTaggedDfa {
     }
 
     /// One step, `δ(state, event)`: one add-and-load. The event kind enters
-    /// the address as arithmetic on the discriminant (`matches!`
-    /// comparisons compile to setcc) instead of the per-arm `match` of
-    /// [`TaggedSymbol::tagged_index`], whose data-dependent branches
-    /// mispredict on real event mixes.
+    /// the address as its discriminant: a `match` whose arms yield exactly
+    /// the discriminant values compiles to one load of the tag, where the
+    /// per-arm arithmetic of [`TaggedSymbol::tagged_index`] branches and
+    /// mispredicts on real event mixes. Callers pass the largest symbol
+    /// they stepped to `check_max`: a symbol outside the alphabet lands
+    /// `state + σ + a` in a neighbouring band or row.
     #[inline(always)]
     fn step(&self, state: u32, event: TaggedSymbol) -> u32 {
         let a = event.symbol().index() as u32;
-        let kind = u32::from(matches!(event, TaggedSymbol::Internal(_)))
-            + 2 * u32::from(matches!(event, TaggedSymbol::Return(_)));
+        let kind: u32 = match event {
+            TaggedSymbol::Call(_) => 0,
+            TaggedSymbol::Internal(_) => 1,
+            TaggedSymbol::Return(_) => 2,
+        };
         self.next[(state + kind * self.sigma as u32 + a) as usize]
+    }
+
+    /// Panics, as the interpreted run does, if `max` — the largest symbol
+    /// a caller stepped — is outside the alphabet. The step loops fold it
+    /// as they go, off the `state → table → state` chain; a pass of its own
+    /// would read every event twice.
+    fn check_max(&self, max: u16) {
+        if usize::from(max) >= self.sigma {
+            outside_alphabet(max.into(), self.sigma);
+        }
     }
 
     /// K streams through K register-resident states in lockstep. A single
@@ -158,11 +173,15 @@ impl CompiledTaggedDfa {
         let mut state = [self.initial; K];
         let common = streams.iter().map(|s| s.len()).min().unwrap_or(0);
         let rows: [&[TaggedSymbol]; K] = std::array::from_fn(|l| &streams[l][..common]);
+        let mut max = 0;
         for round in 0..common {
             for l in 0..K {
-                state[l] = self.step(state[l], rows[l][round]);
+                let event = rows[l][round];
+                max = event.symbol().0.max(max);
+                state[l] = self.step(state[l], event);
             }
         }
+        self.check_max(max);
         std::array::from_fn(|l| {
             let mut lane = CompiledTaggedDfaLane {
                 state: state[l],
@@ -172,6 +191,13 @@ impl CompiledTaggedDfa {
             self.lane_outcome(&lane)
         })
     }
+}
+
+/// The panic of an event symbol outside a tagged DFA's alphabet.
+#[cold]
+#[inline(never)]
+pub(crate) fn outside_alphabet(a: usize, sigma: usize) -> ! {
+    panic!("event symbol {a} is outside the automaton's {sigma}-symbol alphabet")
 }
 
 impl StreamAcceptor for CompiledTaggedDfa {
@@ -205,15 +231,18 @@ impl BatchAcceptor for CompiledTaggedDfa {
     /// lanes are independent load chains.
     #[inline]
     fn lane_step(&self, lane: &mut CompiledTaggedDfaLane, event: TaggedSymbol) {
+        self.check_max(event.symbol().0);
         lane.state = self.step(lane.state, event);
         lane.steps += 1;
     }
 
     /// Keeps the state in a register across the slice.
     fn lane_step_slice(&self, lane: &mut CompiledTaggedDfaLane, events: &[TaggedSymbol]) {
-        lane.state = events
-            .iter()
-            .fold(lane.state, |state, &e| self.step(state, e));
+        let (state, max) = events.iter().fold((lane.state, 0), |(state, max), &e| {
+            (self.step(state, e), e.symbol().0.max(max))
+        });
+        self.check_max(max);
+        lane.state = state;
         lane.steps += events.len();
     }
 

@@ -44,6 +44,76 @@ pub fn random_det_nwa(num_states: usize, sigma: usize, seed: u64) -> Nwa {
     m
 }
 
+/// A random complete deterministic NWA built to exercise the compiled
+/// engines' skip paths, which uniformly random automata almost never
+/// reach. Symbol `a` is:
+///
+/// * inert (`δi(q, a) = q` in every state) when `a % 3 == 0`;
+/// * partly inert when `a % 3 == 1`: the identity in some states, but
+///   never in state 0;
+/// * drawn at random otherwise.
+///
+/// The last state is an absorbing sink. Every other transition enters it
+/// with a per-automaton probability between 0.1% and 3%, so long streams
+/// see members settle at scattered points. Needs `num_states >= 3`.
+pub fn skip_path_nwa(num_states: usize, sigma: usize, seed: u64) -> Nwa {
+    assert!(num_states >= 3);
+    let mut rng = Prng::new(seed);
+    let sink = num_states - 1;
+    let to_sink = 0.001 + 0.029 * rng.f64();
+    let mut m = Nwa::new(num_states, sigma, rng.below(sink));
+    m.set_all_transitions_to(sink, sink);
+    let target = |rng: &mut Prng| {
+        if rng.bool(to_sink) {
+            sink
+        } else {
+            rng.below(sink)
+        }
+    };
+    for q in 0..num_states {
+        m.set_accepting(q, rng.bool(0.5));
+    }
+    for q in 0..sink {
+        for a in 0..sigma {
+            let internal = match a % 3 {
+                0 => q,
+                1 if q == 0 => 1,
+                1 if rng.bool(0.5) => q,
+                _ => target(&mut rng),
+            };
+            let a = Symbol(a as u16);
+            m.set_internal(q, a, internal);
+            m.set_call(q, a, target(&mut rng), rng.below(num_states));
+            for h in 0..num_states {
+                m.set_return(q, h, a, target(&mut rng));
+            }
+        }
+    }
+    m
+}
+
+/// Chunk lengths covering `total` events for feeding `step_slice`: the
+/// compaction-block edges 1, 1023, 1024, 1025 and 4096 in a seeded order
+/// first, then random lengths, the last one cut to fit.
+pub fn chunk_lengths(total: usize, rng: &mut Prng) -> Vec<usize> {
+    let mut edges = [1usize, 1023, 1024, 1025, 4096];
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.below(i + 1));
+    }
+    let mut lengths = Vec::new();
+    let mut left = total;
+    while left > 0 {
+        let len = if lengths.len() < edges.len() {
+            edges[lengths.len()]
+        } else {
+            1 + rng.below(2048)
+        };
+        lengths.push(len.min(left));
+        left -= len.min(left);
+    }
+    lengths
+}
+
 /// A random complete DFA.
 pub fn random_dfa(num_states: usize, num_symbols: usize, seed: u64) -> Dfa {
     let mut rng = Prng::new(seed);

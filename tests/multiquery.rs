@@ -20,10 +20,13 @@
 
 mod common;
 
-use common::{prop_iters, random_det_nwa};
+use common::{chunk_lengths, prop_iters, random_det_nwa, skip_path_nwa};
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa_xml::expr::Query;
+use nested_words_suite::nwa_xml::queries::{
+    contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa, within_nwa,
+};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -230,6 +233,126 @@ fn expr_lowering_matches_boolean_composition() {
                     outcomes[ei].accepted,
                     eval_expr(e, w, sigma),
                     "seed {seed}, word {wi}, expr {ei}"
+                );
+            }
+        }
+    }
+}
+
+/// The skip paths of a set's slice loop — events dropped as inert for the
+/// whole set, members retired in absorbing states, the set lane's own
+/// stack accounting — are exact: fed through `step_slice` in chunkings
+/// that straddle the 1024-event compaction block, both backends report at
+/// every slice boundary the verdicts, stack height, peak and step count of
+/// per-query runs stepped event by event. Members are built to have inert,
+/// partly inert and random symbols and a reachable sink, or drawn from the
+/// `nwa_xml` zoo; streams carry pending calls and pending returns.
+#[test]
+fn skip_paths_match_per_query_runs_at_every_slice_boundary() {
+    let sigma = 4;
+    let ab = Alphabet::with_size(sigma);
+    let (s0, s1, s2) = (Symbol(0), Symbol(1), Symbol(2));
+    for seed in 0..prop_iters(3) as u64 {
+        let mut rng = Prng::new(seed ^ 0x5C1F);
+        let mut queries: Vec<Nwa> = (0..3)
+            .map(|i| skip_path_nwa(3 + i, sigma, seed * 31 + i as u64))
+            .collect();
+        queries.extend([
+            contains_tag_nwa(s1, sigma),
+            within_nwa(s0, s2, sigma),
+            open_depth_at_most_nwa(6, sigma),
+            depth_at_most_nwa(3, sigma),
+            patterns_in_order_nwa(&[s1, s2], sigma),
+        ]);
+        // Syms 0 and 3 are inert in every member (`within` moves on its
+        // outer symbol's calls only); some member reads syms 1 and 2.
+        let lockstep = QuerySet::with_backend(&queries, QuerySetBackend::Lockstep);
+        assert!(lockstep.is_inert(s0) && lockstep.is_inert(Symbol(3)));
+        assert!(!lockstep.is_inert(s1) && !lockstep.is_inert(s2));
+        let product_members = [queries[0].clone(), queries[3].clone(), queries[4].clone()];
+        let product = QuerySet::with_backend(&product_members, QuerySetBackend::Product);
+        let config = NestedWordConfig {
+            len: 9000 + rng.below(4000),
+            allow_pending: true,
+            ..Default::default()
+        };
+        let events = random_nested_word(&ab, config, seed ^ 0xD0C).to_tagged();
+        let lengths = chunk_lengths(events.len(), &mut rng);
+        for (set, members) in [(&lockstep, &queries[..]), (&product, &product_members[..])] {
+            let mut run = set.start_set();
+            let mut solo: Vec<_> = members.iter().map(|q| q.start()).collect();
+            let mut at = 0;
+            for &len in &lengths {
+                let chunk = &events[at..at + len];
+                at += len;
+                run.step_slice(chunk);
+                for s in &mut solo {
+                    for &event in chunk {
+                        s.step(event);
+                    }
+                }
+                let expected = solo
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (i, s)| m | u64::from(s.is_accepting()) << i);
+                let ctx = format!("seed {seed}, {:?}, after {at} events", set.backend());
+                assert_eq!(run.verdicts(), expected, "{ctx}");
+                assert_eq!(run.stack_height(), solo[0].stack_height(), "{ctx}");
+                assert_eq!(run.peak_memory(), solo[0].peak_memory(), "{ctx}");
+                assert_eq!(run.steps(), at, "{ctx}");
+            }
+            for (outcome, q) in run.outcomes().iter().zip(members) {
+                assert_eq!(*outcome, query::run_stream(q, events.iter().copied()));
+            }
+        }
+    }
+}
+
+/// Members that settle early stop stepping, yet the set still measures the
+/// stream: after both `contains` members sit in their absorbing state, a
+/// 5,000-deep nesting must still report its full height and peak, on both
+/// backends and through both the slice and the per-event entry.
+#[test]
+fn retired_members_leave_stack_accounting_exact() {
+    let sigma = 3;
+    let (a, b, c) = (Symbol(0), Symbol(1), Symbol(2));
+    let queries = [contains_tag_nwa(a, sigma), contains_tag_nwa(b, sigma)];
+    let mut events = vec![
+        TaggedSymbol::Call(a),
+        TaggedSymbol::Return(a),
+        TaggedSymbol::Call(b),
+        TaggedSymbol::Internal(c),
+        TaggedSymbol::Return(b),
+    ];
+    let settled = events.len();
+    events.extend(std::iter::repeat_n(TaggedSymbol::Call(c), 5_000));
+    events.extend(std::iter::repeat_n(TaggedSymbol::Internal(c), 10));
+    events.extend(std::iter::repeat_n(TaggedSymbol::Return(c), 5_000));
+    let deepest = settled + 5_000;
+    for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
+        let set = QuerySet::with_backend(&queries, backend);
+        for sliced in [true, false] {
+            let mut run = set.start_set();
+            for part in [&events[..settled], &events[settled..deepest]] {
+                if sliced {
+                    run.step_slice(part);
+                } else {
+                    part.iter().for_each(|&e| run.step(e));
+                }
+            }
+            let ctx = format!("{backend:?}, sliced {sliced}");
+            assert_eq!(run.verdicts(), 0b11, "{ctx}");
+            assert_eq!(run.stack_height(), 5_000, "{ctx}");
+            assert_eq!(run.peak_memory(), 5_000, "{ctx}");
+            run.step_slice(&events[deepest..]);
+            assert_eq!(run.stack_height(), 0, "{ctx}");
+            assert_eq!(run.peak_memory(), 5_000, "{ctx}");
+            assert_eq!(run.steps(), events.len(), "{ctx}");
+            for (outcome, q) in run.outcomes().iter().zip(&queries) {
+                assert_eq!(
+                    *outcome,
+                    query::run_stream(q, events.iter().copied()),
+                    "{ctx}"
                 );
             }
         }
