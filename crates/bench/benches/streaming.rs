@@ -13,18 +13,16 @@
 //! (see the criterion shim), which CI uploads and gates against the
 //! checked-in baseline `BENCH_streaming.json` at the workspace root.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nested_words_suite::nested_words::generate::{deep_word, random_nested_word, NestedWordConfig};
 use nested_words_suite::nwa_xml::generate::{
     generate_deep_document, generate_document, DocumentConfig,
 };
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, open_depth_at_most_nwa, run_streaming, run_streaming_reader,
-    run_streaming_text,
+    run_streaming_text, EVENT_SLICE,
 };
-use nested_words_suite::nwa_xml::sax::parse_document;
-use nested_words_suite::nwa_xml::sax::to_xml;
-#[cfg(feature = "simd")]
+use nested_words_suite::nwa_xml::sax::{parse_document, to_xml, FrozenByteTokenizer};
 use nested_words_suite::nwa_xml::scan;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
@@ -178,8 +176,85 @@ fn print_compiled_table() {
     println!();
 }
 
+/// The scan layer alone: the bytes through `FrozenByteTokenizer::fill` in
+/// `EVENT_SLICE` slices, no engine. Returns the event count.
+fn tokenize_only(xml: &str, ab: &Alphabet) -> usize {
+    let mut tok = FrozenByteTokenizer::new(xml.as_bytes(), ab);
+    let mut slice = Vec::with_capacity(EVENT_SLICE);
+    let mut events = 0;
+    loop {
+        slice.clear();
+        tok.fill(&mut slice, EVENT_SLICE).unwrap();
+        if slice.is_empty() {
+            return events;
+        }
+        events += slice.len();
+    }
+}
+
+/// E15c layer table: the 1M-event document through UTF-8 validation alone,
+/// the scanner alone and the whole bytes→verdict pipeline, each on the
+/// SWAR-pinned and the detected stage-1 backend, in ns/event and ns/byte
+/// (fastest of ten passes; the criterion rows below are the recorded
+/// numbers).
+fn print_layer_table() {
+    let (ab, doc) = generate_document(
+        DocumentConfig {
+            events: 1_000_000,
+            max_depth: 32,
+            ..Default::default()
+        },
+        7,
+    );
+    let cq = query::compile(&contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len()));
+    let xml = to_xml(&doc, &ab);
+    let (events, bytes) = (doc.len() as f64, xml.len() as f64);
+    let fastest = |f: &dyn Fn()| {
+        (0..10)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                f();
+                t.elapsed().as_secs_f64() * 1e9
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    scan::auto_scan_backend();
+    let detected = scan::scan_backend();
+    println!(
+        "== E15c: per-layer cost, 1M events, {bytes} bytes (detected backend: {detected:?}) =="
+    );
+    println!("{:>28} {:>12} {:>12}", "layer", "ns/event", "ns/byte");
+    let row = |label: &str, ns: f64| {
+        println!("{label:>28} {:>12.2} {:>12.3}", ns / events, ns / bytes);
+    };
+    row(
+        "utf8_only",
+        fastest(&|| {
+            black_box(std::str::from_utf8(black_box(xml.as_bytes())).is_ok());
+        }),
+    );
+    for backend in [scan::ScanBackend::Swar, detected] {
+        assert!(scan::force_scan_backend(backend));
+        row(
+            &format!("tokenize_only ({backend:?})"),
+            fastest(&|| {
+                black_box(tokenize_only(&xml, &ab));
+            }),
+        );
+        row(
+            &format!("bytes_compiled ({backend:?})"),
+            fastest(&|| {
+                black_box(run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap());
+            }),
+        );
+    }
+    scan::auto_scan_backend();
+    println!();
+}
+
 fn bench_compiled(c: &mut Criterion) {
     print_compiled_table();
+    print_layer_table();
 
     // Interpreted vs compiled event engines, three models, three sizes.
     let mut group = c.benchmark_group("e15c_event_engines");
@@ -262,17 +337,19 @@ fn bench_compiled(c: &mut Criterion) {
     }
     group.finish();
 
-    // Bytes in, verdict out: the full byte-level pipeline (incremental
-    // UTF-8 decode → SAX events → automaton), interpreted and compiled.
-    // With the `simd` feature the group runs every row twice — the plain
-    // rows pinned to the portable SWAR backend, the `_simd` rows on the
-    // runtime-detected wide backend — so one `--features simd` run records
-    // both sides of the comparison CI gates on.
+    // Bytes in, verdict out: the full byte-level pipeline (chunked UTF-8
+    // validation → structural scan → automaton), interpreted and compiled,
+    // next to its first two layers alone (`utf8_only`, `tokenize_only`).
+    // The plain rows are pinned to the portable SWAR backend and the
+    // `_simd` rows run on the runtime-detected wide backend, so one run
+    // records both sides of the comparison CI gates on.
     let mut group = c.benchmark_group("e15c_bytes_to_verdict");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
+    scan::auto_scan_backend();
+    let wide = scan::scan_backend();
     for events in [10_000usize, 100_000, 1_000_000] {
         let (ab, doc) = generate_document(
             DocumentConfig {
@@ -286,34 +363,32 @@ fn bench_compiled(c: &mut Criterion) {
         let cq = query::compile(&q);
         let xml = to_xml(&doc, &ab);
         group.throughput(Throughput::Bytes(xml.len() as u64));
-        #[cfg(feature = "simd")]
-        assert!(scan::force_scan_backend(scan::ScanBackend::Swar));
-        group.bench_with_input(
-            BenchmarkId::new("bytes_interpreted", events),
-            &xml,
-            |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("bytes_compiled", events),
-            &xml,
-            |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
-        );
-        #[cfg(feature = "simd")]
-        {
-            scan::auto_scan_backend();
-            if scan::scan_backend() != scan::ScanBackend::Swar {
-                group.bench_with_input(
-                    BenchmarkId::new("bytes_interpreted_simd", events),
-                    &xml,
-                    |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
-                );
-                group.bench_with_input(
-                    BenchmarkId::new("bytes_compiled_simd", events),
-                    &xml,
-                    |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
-                );
-            }
+        group.bench_with_input(BenchmarkId::new("utf8_only", events), &xml, |b, xml| {
+            b.iter(|| std::str::from_utf8(black_box(xml.as_bytes())).is_ok())
+        });
+        let mut backends = vec![(scan::ScanBackend::Swar, "")];
+        if wide != scan::ScanBackend::Swar {
+            backends.push((wide, "_simd"));
         }
+        for (backend, suffix) in backends {
+            assert!(scan::force_scan_backend(backend));
+            group.bench_with_input(
+                BenchmarkId::new(&format!("tokenize_only{suffix}"), events),
+                &xml,
+                |b, xml| b.iter(|| tokenize_only(xml, &ab)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(&format!("bytes_interpreted{suffix}"), events),
+                &xml,
+                |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(&format!("bytes_compiled{suffix}"), events),
+                &xml,
+                |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
+            );
+        }
+        scan::auto_scan_backend();
     }
     group.finish();
 }

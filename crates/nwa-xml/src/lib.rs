@@ -29,13 +29,10 @@
 //!   `and`/`or`/`not` and lowered to one deterministic NWA through the
 //!   `automata-core` boolean constructions.
 
-// Without `simd` the crate is unsafe-free, enforced at `forbid` strength.
-// The feature's vector kernels need `core::arch` intrinsics, so that build
-// steps down to `deny` and the scanner's kernel module carries the one
-// scoped `allow(unsafe_code)` (bounds asserted, ISA presence proven by
-// construction — see `scan`'s `simd` module).
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// Unsafe code is denied crate-wide; the scanner's stage-1 kernels and its
+// append sink (`scan`'s `kernel` module) carry the one scoped allow, with a
+// `SAFETY:` comment on every block.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod expr;

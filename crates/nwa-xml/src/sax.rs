@@ -165,12 +165,14 @@ pub(crate) struct LexerCore<N: ResolveName> {
     pub(crate) failed: bool,
     /// Direct-mapped memo of recent name resolutions (see
     /// [`LexerCore::resolve_bytes`]).
-    cache: Vec<NameCacheEntry>,
+    cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
 }
 
 /// One slot of the name-resolution memo: the name's bytes zero-padded into
 /// two words plus its length — an *exact* key (equal key ⇔ equal bytes), so
-/// a hit needs no hashing, no string compare and no allocation. `len` is
+/// a hit needs no hashing, no string compare and no allocation — and the
+/// resolved symbol in all three event forms, indexed in place by
+/// [`FORM_INTERNAL`] / [`FORM_CALL`] / [`FORM_RETURN`]. `len` is
 /// `EMPTY_SLOT` for never-filled slots; names longer than 16 bytes are not
 /// cached (they fall through to the policy every time).
 #[derive(Debug, Clone, Copy)]
@@ -178,14 +180,30 @@ struct NameCacheEntry {
     w0: u64,
     w1: u64,
     len: u32,
-    sym: Symbol,
+    forms: [TaggedSymbol; 3],
+}
+
+/// Index of the text-word form in a name-cache slot.
+pub(crate) const FORM_INTERNAL: usize = 0;
+/// Index of the open-tag form in a name-cache slot.
+pub(crate) const FORM_CALL: usize = 1;
+/// Index of the close-tag form in a name-cache slot.
+pub(crate) const FORM_RETURN: usize = 2;
+
+/// A symbol's three event forms, in `FORM_*` order.
+pub(crate) fn forms(sym: Symbol) -> [TaggedSymbol; 3] {
+    [
+        TaggedSymbol::Internal(sym),
+        TaggedSymbol::Call(sym),
+        TaggedSymbol::Return(sym),
+    ]
 }
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Slots in the name memo. Documents draw their names from a small, heavily
 /// repeated set (element vocabularies, recurring words), so even a small
-/// direct-mapped table converges to all-hits; 256 slots × 24 bytes keep it
+/// direct-mapped table converges to all-hits; 256 slots × 32 bytes keep it
 /// L1-resident.
 const NAME_CACHE_SLOTS: usize = 256;
 
@@ -236,7 +254,7 @@ pub(crate) fn ascii_first_token(bytes: &[u8]) -> Result<Option<&[u8]>, NonAscii>
 /// typically 2–10 bytes, where a dynamic-length `memcpy` call would cost
 /// more than the whole cache probe.
 #[inline(always)]
-fn pack_name(bytes: &[u8]) -> (u64, u64) {
+pub(crate) fn pack_name(bytes: &[u8]) -> (u64, u64) {
     let mut w0 = 0u64;
     let mut w1 = 0u64;
     for (i, &b) in bytes.iter().enumerate() {
@@ -249,21 +267,36 @@ fn pack_name(bytes: &[u8]) -> (u64, u64) {
     (w0, w1)
 }
 
+/// The cache slot of an exact name key. Any mix is fine — a slot collision
+/// costs a policy call, not a wrong answer (the key compare is exact).
+#[inline(always)]
+fn slot_of(w0: u64, w1: u64, len: u32) -> usize {
+    let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1)
+}
+
+/// The policy call itself, kept out of the inlined probe: per distinct
+/// short name it runs once, while the probe runs per event.
+#[cold]
+fn resolve_with<N: ResolveName>(names: &mut N, name: &[u8]) -> Result<Symbol, SaxError> {
+    let name = std::str::from_utf8(name).expect("lexed names are valid UTF-8");
+    Ok(names.resolve(name)?)
+}
+
 impl<N: ResolveName> LexerCore<N> {
     pub(crate) fn new(names: N) -> Self {
         LexerCore {
             names,
             queued: VecDeque::new(),
             failed: false,
-            cache: vec![
-                NameCacheEntry {
+            cache: Box::new(
+                [NameCacheEntry {
                     w0: 0,
                     w1: 0,
                     len: EMPTY_SLOT,
-                    sym: Symbol(0),
-                };
-                NAME_CACHE_SLOTS
-            ],
+                    forms: forms(Symbol(0)),
+                }; NAME_CACHE_SLOTS],
+            ),
         }
     }
 
@@ -286,46 +319,38 @@ impl<N: ResolveName> LexerCore<N> {
     /// re-consult the policy.
     #[inline]
     pub(crate) fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
-        if name.len() <= 16 {
-            let (w0, w1) = pack_name(name);
-            return self.resolve_prepacked(w0, w1, name);
+        if name.len() > 16 {
+            return resolve_with(&mut self.names, name);
         }
-        self.resolve_uncached(name)
-    }
-
-    /// [`Self::resolve_bytes`] for a name of at most 16 bytes whose exact
-    /// cache key the caller already holds — the `(w0, w1)` value
-    /// [`pack_name`] produces, which the SIMD fill path builds from two
-    /// masked word loads of its in-bounds window — so a hit costs only the
-    /// probe.
-    #[inline]
-    pub(crate) fn resolve_prepacked(
-        &mut self,
-        w0: u64,
-        w1: u64,
-        name: &[u8],
-    ) -> Result<Symbol, SaxError> {
-        debug_assert_eq!(pack_name(name), (w0, w1));
+        let (w0, w1) = pack_name(name);
         let len = name.len() as u32;
-        // Any mix is fine — a slot collision costs a policy call, not a
-        // wrong answer (the key compare below is exact).
-        let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let slot = (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1);
-        let e = self.cache[slot];
-        if e.w0 == w0 && e.w1 == w1 && e.len == len {
-            return Ok(e.sym);
+        if let Some(t) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
+            return Ok(t.symbol());
         }
-        let sym = self.resolve_uncached(name)?;
-        self.cache[slot] = NameCacheEntry { w0, w1, len, sym };
+        let sym = resolve_with(&mut self.names, name)?;
+        self.cache[slot_of(w0, w1, len)] = NameCacheEntry {
+            w0,
+            w1,
+            len,
+            forms: forms(sym),
+        };
         Ok(sym)
     }
 
-    /// The policy call itself, kept out of the inlined probe: per distinct
-    /// short name it runs once, while the probe runs per event.
-    #[cold]
-    fn resolve_uncached(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
-        let name = std::str::from_utf8(name).expect("lexed names are valid UTF-8");
-        Ok(self.names.resolve(name)?)
+    /// The cache probe alone: the event form `form` (`FORM_*`) of the name
+    /// with exact key `(w0, w1, len)` — the value [`pack_name`] produces,
+    /// which the scanner's stage 2 builds from two masked word loads of its
+    /// window — read in place from its slot, or `None` on a miss.
+    #[inline(always)]
+    pub(crate) fn cached_form(
+        &self,
+        w0: u64,
+        w1: u64,
+        len: u32,
+        form: usize,
+    ) -> Option<TaggedSymbol> {
+        let slot = &self.cache[slot_of(w0, w1, len)];
+        (slot.w0 == w0 && slot.w1 == w1 && slot.len == len).then(|| slot.forms[form])
     }
 
     /// Classifies one tag body (the characters between `<` and `>`) into

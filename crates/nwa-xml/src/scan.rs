@@ -4,28 +4,46 @@
 //! conveniences [`tokenize`](crate::sax::tokenize) /
 //! [`parse_document`](crate::sax::parse_document).
 //!
-//! Every per-byte decision is moved to a per-*run* decision, the way
+//! Every per-byte decision is moved to a per-*block* decision, the way
 //! continuous-readout pipelines move validation from per-sample to
-//! per-chunk:
+//! per-chunk. Bytes are pulled through a `ChunkWindow`, a reusable buffer
+//! of [`SCAN_CHUNK`] bytes refilled from the reader and **UTF-8-validated a
+//! chunk at a time** by one `std::str::from_utf8` call per refill (a
+//! multi-byte sequence split across a refill seam is carried over and
+//! re-validated when its tail arrives). Each window is then lexed in two
+//! stages, the structural-index design of simdjson:
 //!
-//! * bytes are pulled through a `ChunkWindow` — a reusable buffer of
-//!   [`SCAN_CHUNK`] bytes refilled from the reader and **UTF-8-validated a
-//!   chunk at a time** by one `std::str::from_utf8` call per refill, with a
-//!   multi-byte sequence split across a refill seam carried over and
-//!   re-validated when its tail arrives;
-//! * the sweep methods of the internal `BulkLexer` then classify whole
-//!   *runs* of the validated window with unrolled byte loops keyed on the
-//!   structural set — `<`, `>`, quotes inside tags, the `-->` / `?>` /
-//!   `]]>` terminators — taking text, tag bodies, CDATA sections, comments,
-//!   processing instructions and DOCTYPE internal subsets as slices, not as
-//!   characters;
-//! * names are resolved straight from window slices through the
-//!   [`ResolveName`] policy of the `LexerCore` event builder.
+//! 1. **Stage 1 — the structural tape.** A block kernel classifies each
+//!    64-byte block into per-class bitmasks (`<`, `>`, whitespace, `/`,
+//!    quotes, `!`/`?`, and everything the tape never takes: non-ASCII and
+//!    control bytes). Bit arithmetic over those masks — a prefix-XOR of
+//!    `<`/`>` tracks "inside a tag", carried across blocks — yields every
+//!    token's `(start, end)` offsets, appended to an L1-sized tape of about
+//!    4 KiB of input per pass. A block the masks cannot prove *simple*
+//!    (only `<name>`, `</name>`, text words and ASCII whitespace) stops the
+//!    pass.
+//! 2. **Stage 2 — resolve and emit.** One loop walks the tape: the token's
+//!    first two bytes give its kind without a branch, the name is packed
+//!    into an exact cache key and resolved through `LexerCore`'s
+//!    direct-mapped name cache (whose slots hold all three event forms),
+//!    and the event is appended to the caller's slice.
 //!
-//! The char-at-a-time lexer that once shared `LexerCore` lives on only as
-//! the differential oracle of `tests/sax_scan.rs`, which holds this scanner
-//! token-for-token and error-for-error equal to it under adversarial read
-//! granularities.
+//! Whatever stage 1 rejects — attributes, quotes, self-closing tags,
+//! directives, `<>`, `</>`, a stray `>`, control bytes, non-ASCII, the
+//! short window tail — is lexed token by token by the scalar arm
+//! (`step_token`, word-at-a-time SWAR sweeps), and tokens that cannot be
+//! decided inside the window (a seam, a directive, EOF) by the growing
+//! slow path. The char-at-a-time lexer that once shared `LexerCore` lives
+//! on only as the differential oracle of `tests/sax_scan.rs`, which holds
+//! this scanner token-for-token and error-for-error equal to it under
+//! adversarial read granularities and block alignments.
+//!
+//! **Backends.** There is one window-fill loop; the three stage-1 kernels
+//! differ only in classification. Portable SWAR words ([`ScanBackend::Swar`])
+//! run everywhere; AVX2 ([`ScanBackend::Avx2`]) is compiled on every
+//! `x86_64` build and chosen at runtime when the CPU has it; NEON
+//! ([`ScanBackend::Neon`]) is the `aarch64` baseline. [`scan_backend`]
+//! reports the choice and [`force_scan_backend`] pins one.
 //!
 //! Invalid or truncated UTF-8 found by the chunk validator is *deferred*:
 //! the window simply ends at the last valid scalar, and the typed
@@ -33,9 +51,15 @@
 //! observable order as an incremental decoder, where a token in progress
 //! when the bad byte arrives is discarded in favor of the error.
 
-use crate::sax::{LexerCore, ResolveName, SaxError};
+use crate::sax::{forms, LexerCore, ResolveName, SaxError, FORM_CALL, FORM_RETURN};
+use kernel::{BlockClassifier, EventSink, BLOCK};
 use nested_words::{NestedWordError, TaggedSymbol};
 use std::io;
+
+// The stage-1 kernels and the stage-2 sink: the crate's one module allowed
+// `unsafe` (bounds asserted, ISA presence proven by construction).
+#[allow(unsafe_code)]
+mod kernel;
 
 /// Default size, in bytes, of the bulk scanning window: the unit reads are
 /// requested in, UTF-8 validation runs over, and structural runs are swept
@@ -140,17 +164,17 @@ fn load_word(data: &[u8], i: usize) -> u64 {
 }
 
 // --------------------------------------------------------------------------
-// Sweep backend selection (SWAR default, wide kernels behind `simd`)
+// Stage-1 backend selection (runtime-detected)
 // --------------------------------------------------------------------------
 
-/// Which sweep kernel the bulk scanner uses to classify window bytes. The
-/// backends are observationally identical — `tests/sax_scan.rs` holds them
-/// to token-for-token, error-for-error equivalence — and differ only in
-/// throughput.
+/// Which stage-1 kernel the scanner uses to classify window blocks. The
+/// backends are observationally identical — they compute the same masks,
+/// and `tests/sax_scan.rs` holds them token-for-token and error-for-error
+/// equal — and differ only in throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanBackend {
-    /// Portable 8-byte SWAR word sweeps: the default, and the only backend
-    /// compiled without the `simd` cargo feature.
+    /// Portable 8-byte SWAR words: the fallback on CPUs without a wide
+    /// kernel, and the pinned baseline of the benches and tests.
     Swar,
     /// 64-byte AVX2 block classification (`x86_64`, runtime-detected).
     Avx2,
@@ -158,21 +182,21 @@ pub enum ScanBackend {
     Neon,
 }
 
-/// The backend the next window fill will use. Without the `simd` feature
-/// this is always [`ScanBackend::Swar`]; with it, the CPU is probed once
-/// (AVX2 on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally
-/// on `aarch64` where it is baseline) and the answer cached. Benches and
-/// docs use this to report which path actually ran.
+/// The backend the next window fill will use: the CPU is probed once (AVX2
+/// on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally on
+/// `aarch64` where it is baseline) and the answer cached; anything else
+/// gets [`ScanBackend::Swar`]. Benches and docs use this to report which
+/// path actually ran.
 pub fn scan_backend() -> ScanBackend {
     backend::current()
 }
 
-/// Forces the sweep backend process-wide — how the benches and the
-/// differential tests run SWAR and SIMD side by side in one process.
-/// Returns `false` (changing nothing) if the requested backend is not
-/// compiled in or not supported by this CPU; [`auto_scan_backend`] returns
-/// to runtime detection. Safe at any moment: a lexer mid-stream simply
-/// fills its next window with the new backend.
+/// Forces the stage-1 backend process-wide — how the benches and the
+/// differential tests run SWAR and the wide kernel side by side in one
+/// process. Returns `false` (changing nothing) if this CPU does not support
+/// the requested backend; [`auto_scan_backend`] returns to runtime
+/// detection. Safe at any moment: a lexer mid-stream simply fills its next
+/// window with the new backend.
 pub fn force_scan_backend(backend: ScanBackend) -> bool {
     backend::force(backend)
 }
@@ -182,14 +206,14 @@ pub fn auto_scan_backend() {
     backend::reset()
 }
 
-#[cfg(feature = "simd")]
 mod backend {
     use super::ScanBackend;
     use std::sync::atomic::{AtomicU8, Ordering};
 
     /// 0 = undecided (probe on first use), else the backend's code below.
     /// Detection is idempotent, so a startup race costs a duplicate probe,
-    /// never a wrong answer.
+    /// never a wrong answer; the value publishes no other data, hence
+    /// `Relaxed`.
     static STATE: AtomicU8 = AtomicU8::new(0);
 
     fn code(b: ScanBackend) -> u8 {
@@ -249,267 +273,247 @@ mod backend {
     }
 }
 
-#[cfg(not(feature = "simd"))]
-mod backend {
-    use super::ScanBackend;
+// --------------------------------------------------------------------------
+// Stage 1: the structural tape
+// --------------------------------------------------------------------------
 
-    pub(super) fn current() -> ScanBackend {
-        ScanBackend::Swar
-    }
+/// Input bytes one stage-1 pass classifies at most: the tape a pass fills
+/// (two `u16` offsets per token) and the window bytes stage 2 then rereads
+/// both stay L1-resident.
+const TAPE_BYTES: usize = 4096;
 
-    pub(super) fn force(b: ScanBackend) -> bool {
-        b == ScanBackend::Swar
-    }
+/// Offsets a tape side can hold: one per byte of the largest pass.
+const TAPE_CAP: usize = TAPE_BYTES + BLOCK;
 
-    pub(super) fn reset() {}
+/// Stage 1's output: token `i` spans `from + starts[i] .. from + ends[i]`
+/// of the window, where `from` is the pass start. Tags span `<` through
+/// `>`; text tokens span the word.
+#[derive(Debug)]
+struct Tape {
+    starts: Vec<u16>,
+    ends: Vec<u16>,
 }
 
-/// Wide structural classification — the simdjson stage-1 idea scoped to
-/// this scanner. One vector pass over a 64-byte block produces five
-/// bitmasks (ASCII whitespace, `<`, `>`, "breaks a simple tag body",
-/// non-ASCII) that the block fill loop then consumes with register bit
-/// tests — no per-byte loads, no per-token sweep setup. Only
-/// *classification* is vectorized: every tokenization decision, and every
-/// case the masks flag as complex (directives, attributes, non-ASCII,
-/// block/window seams), goes through the same scalar [`step_token`] the
-/// SWAR backend uses, which is how the backends stay equivalent by
-/// construction.
-#[cfg(feature = "simd")]
-#[allow(unsafe_code)]
-mod simd {
-    /// Bytes classified per [`BlockClassifier::classify`] call.
-    pub(super) const BLOCK: usize = 64;
-
-    /// One bit per block byte, bit 0 = lowest address.
-    #[derive(Clone, Copy, Default)]
-    pub(super) struct BlockMasks {
-        /// ASCII whitespace (TAB, LF, VT, FF, CR, space) — exactly
-        /// [`is_ascii_ws`](super::is_ascii_ws).
-        pub ws: u64,
-        /// `<`
-        pub lt: u64,
-        /// `>`
-        pub gt: u64,
-        /// Bytes that end the *simple tag* fast path: below 0x21, `"`,
-        /// `'`, `/`, or non-ASCII — exactly the interest set of
-        /// [`find_tag_close`](super::find_tag_close) minus `>`.
-        pub bad: u64,
-        /// Non-ASCII (bit 7 set).
-        pub high: u64,
-    }
-
-    /// A vector kernel producing [`BlockMasks`]. Implementations are
-    /// zero-sized proofs: a value exists only after the ISA was verified
-    /// present (or is baseline), which is what makes their intrinsic use
-    /// sound.
-    pub(super) trait BlockClassifier: Copy {
-        /// Classifies `data[at..at + BLOCK]`; panics if out of bounds.
-        fn classify(self, data: &[u8], at: usize) -> BlockMasks;
-    }
-
-    /// An append cursor over a `Vec`'s spare capacity: the block fill
-    /// loop's spelling of `Vec::push` with the length held in a register
-    /// instead of written back per event. Construction reserves room for
-    /// `extra` pushes up front, so the per-event step is one store and an
-    /// increment — no capacity branch, no length store. Dropping the sink
-    /// (normally, on an error return, or on a `break` out of the loop)
-    /// publishes the final length, so events pushed before an error stay
-    /// visible, exactly like plain `push`.
-    pub(super) struct EventSink<'a, T: Copy> {
-        vec: &'a mut Vec<T>,
-        len: usize,
-    }
-
-    impl<'a, T: Copy> EventSink<'a, T> {
-        /// `extra` is the hard cap on pushes through this sink (the fill
-        /// budget); exceeding it is a debug-checked contract violation.
-        pub(super) fn new(vec: &'a mut Vec<T>, extra: usize) -> Self {
-            vec.reserve(extra);
-            let len = vec.len();
-            EventSink { vec, len }
-        }
-
-        #[inline(always)]
-        pub(super) fn push(&mut self, t: T) {
-            debug_assert!(self.len < self.vec.capacity());
-            // SAFETY: `new` reserved capacity for every permitted push,
-            // the write stays below that capacity (debug-asserted), and
-            // `T: Copy` means no drop obligations for `set_len` on Drop.
-            unsafe {
-                self.vec.as_mut_ptr().add(self.len).write(t);
-            }
-            self.len += 1;
-        }
-    }
-
-    impl<T: Copy> Drop for EventSink<'_, T> {
-        fn drop(&mut self) {
-            // SAFETY: `self.len` only grows past the pushes written above,
-            // each below the reserved capacity.
-            unsafe {
-                self.vec.set_len(self.len);
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    pub(super) use x86::Avx2;
-
-    #[cfg(target_arch = "x86_64")]
-    mod x86 {
-        use super::{BlockClassifier, BlockMasks, BLOCK};
-        use core::arch::x86_64::*;
-
-        /// Proof-of-AVX2 token (see [`BlockClassifier`]).
-        #[derive(Clone, Copy)]
-        pub(in crate::scan) struct Avx2(());
-
-        impl Avx2 {
-            /// `Some` iff the selected backend is AVX2 — which
-            /// [`force_scan_backend`](crate::scan::force_scan_backend)
-            /// only permits on CPUs that have it.
-            #[inline]
-            pub(in crate::scan) fn active() -> Option<Self> {
-                (crate::scan::scan_backend() == crate::scan::ScanBackend::Avx2).then_some(Avx2(()))
-            }
-        }
-
-        impl BlockClassifier for Avx2 {
-            #[inline(always)]
-            fn classify(self, data: &[u8], at: usize) -> BlockMasks {
-                assert!(at + BLOCK <= data.len());
-                // SAFETY: the bounds are asserted above, and `self` exists
-                // only when AVX2 was detected on this CPU.
-                unsafe { classify64(data, at) }
-            }
-        }
-
-        /// Two 32-byte lanes; each class is one byte-compare (or the
-        /// signed-compare union trick) plus a movemask.
-        #[target_feature(enable = "avx2")]
-        unsafe fn classify64(data: &[u8], at: usize) -> BlockMasks {
-            let mut m = BlockMasks::default();
-            for half in 0..2usize {
-                let v = _mm256_loadu_si256(data.as_ptr().add(at + 32 * half) as *const __m256i);
-                // ws: `v == ' '` OR `v - 9 <= 4` (TAB..CR as an unsigned
-                // range check via saturating subtract).
-                let t = _mm256_sub_epi8(v, _mm256_set1_epi8(9));
-                let ctl = _mm256_cmpeq_epi8(
-                    _mm256_subs_epu8(t, _mm256_set1_epi8(4)),
-                    _mm256_setzero_si256(),
-                );
-                let ws = _mm256_or_si256(_mm256_cmpeq_epi8(v, _mm256_set1_epi8(b' ' as i8)), ctl);
-                // Signed `v < 0x21` marks (unsigned < 0x21) ∪ (>= 0x80) in
-                // one compare — the same union the SWAR sweeps build from
-                // `match_lt(w, 0x21) | (w & HIGHS)`.
-                let sub21 = _mm256_cmpgt_epi8(_mm256_set1_epi8(0x21), v);
-                let high = _mm256_cmpgt_epi8(_mm256_setzero_si256(), v);
-                let bad = _mm256_or_si256(
-                    sub21,
-                    _mm256_or_si256(
-                        _mm256_or_si256(
-                            _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'"' as i8)),
-                            _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'\'' as i8)),
-                        ),
-                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'/' as i8)),
-                    ),
-                );
-                let lt = _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'<' as i8));
-                let gt = _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'>' as i8));
-                let shift = 32 * half;
-                m.ws |= (_mm256_movemask_epi8(ws) as u32 as u64) << shift;
-                m.lt |= (_mm256_movemask_epi8(lt) as u32 as u64) << shift;
-                m.gt |= (_mm256_movemask_epi8(gt) as u32 as u64) << shift;
-                m.bad |= (_mm256_movemask_epi8(bad) as u32 as u64) << shift;
-                m.high |= (_mm256_movemask_epi8(high) as u32 as u64) << shift;
-            }
-            m
-        }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    pub(super) use arm::Neon;
-
-    #[cfg(target_arch = "aarch64")]
-    mod arm {
-        use super::{BlockClassifier, BlockMasks, BLOCK};
-        use core::arch::aarch64::*;
-
-        /// Proof-of-NEON token — NEON (ASIMD) is part of the aarch64
-        /// baseline, so this is constructible whenever the backend is
-        /// selected.
-        #[derive(Clone, Copy)]
-        pub(in crate::scan) struct Neon(());
-
-        impl Neon {
-            #[inline]
-            pub(in crate::scan) fn active() -> Option<Self> {
-                (crate::scan::scan_backend() == crate::scan::ScanBackend::Neon).then_some(Neon(()))
-            }
-        }
-
-        impl BlockClassifier for Neon {
-            #[inline(always)]
-            fn classify(self, data: &[u8], at: usize) -> BlockMasks {
-                assert!(at + BLOCK <= data.len());
-                // SAFETY: bounds asserted above; NEON is baseline aarch64.
-                unsafe { classify64(data, at) }
-            }
-        }
-
-        /// Builds one 64-bit mask from four 16-lane compare results: AND
-        /// each lane with its bit weight, then three pairwise adds fold 64
-        /// single-bit bytes into 8 mask bytes (the simdjson-on-arm idiom —
-        /// NEON has no movemask).
-        #[inline(always)]
-        unsafe fn movemask4(m0: uint8x16_t, m1: uint8x16_t, m2: uint8x16_t, m3: uint8x16_t) -> u64 {
-            const BITS: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 1, 2, 4, 8, 16, 32, 64, 128];
-            let bit = vld1q_u8(BITS.as_ptr());
-            let t0 = vpaddq_u8(vandq_u8(m0, bit), vandq_u8(m1, bit));
-            let t1 = vpaddq_u8(vandq_u8(m2, bit), vandq_u8(m3, bit));
-            let t2 = vpaddq_u8(t0, t1);
-            vgetq_lane_u64::<0>(vreinterpretq_u64_u8(vpaddq_u8(t2, t2)))
-        }
-
-        /// Four 16-byte lanes per block; same classes as the AVX2 kernel,
-        /// with the signed-compare union trick spelled `vcltq_s8`.
-        unsafe fn classify64(data: &[u8], at: usize) -> BlockMasks {
-            let mut ws = [vdupq_n_u8(0); 4];
-            let mut lt = [vdupq_n_u8(0); 4];
-            let mut gt = [vdupq_n_u8(0); 4];
-            let mut bad = [vdupq_n_u8(0); 4];
-            let mut high = [vdupq_n_u8(0); 4];
-            for lane in 0..4usize {
-                let v = vld1q_u8(data.as_ptr().add(at + 16 * lane));
-                let sp = vceqq_u8(v, vdupq_n_u8(b' '));
-                let ctl = vcleq_u8(vsubq_u8(v, vdupq_n_u8(9)), vdupq_n_u8(4));
-                ws[lane] = vorrq_u8(sp, ctl);
-                lt[lane] = vceqq_u8(v, vdupq_n_u8(b'<'));
-                gt[lane] = vceqq_u8(v, vdupq_n_u8(b'>'));
-                let s = vreinterpretq_s8_u8(v);
-                let sub21 = vcltq_s8(s, vdupq_n_s8(0x21));
-                high[lane] = vcltq_s8(s, vdupq_n_s8(0));
-                bad[lane] = vorrq_u8(
-                    sub21,
-                    vorrq_u8(
-                        vorrq_u8(
-                            vceqq_u8(v, vdupq_n_u8(b'"')),
-                            vceqq_u8(v, vdupq_n_u8(b'\'')),
-                        ),
-                        vceqq_u8(v, vdupq_n_u8(b'/')),
-                    ),
-                );
-            }
-            BlockMasks {
-                ws: movemask4(ws[0], ws[1], ws[2], ws[3]),
-                lt: movemask4(lt[0], lt[1], lt[2], lt[3]),
-                gt: movemask4(gt[0], gt[1], gt[2], gt[3]),
-                bad: movemask4(bad[0], bad[1], bad[2], bad[3]),
-                high: movemask4(high[0], high[1], high[2], high[3]),
-            }
+impl Tape {
+    fn new() -> Self {
+        Tape {
+            starts: vec![0; TAPE_CAP],
+            ends: vec![0; TAPE_CAP],
         }
     }
 }
+
+/// What one stage-1 pass produced.
+struct Pass {
+    /// Complete tokens on the tape, capped at the pass budget.
+    tokens: usize,
+    /// The scalar arm must lex up to this window offset before stage 1 is
+    /// retried: the end of the block that failed the simplicity check, the
+    /// window end (`usize::MAX`) for the short tail, or 0 when the pass
+    /// stopped on its own budget.
+    scalar_until: usize,
+}
+
+/// Per-block state a pass carries into the next block: whether the
+/// previous block ended inside a tag (as an all-ones mask), and the top
+/// bit of its `<`, `</`, `>` and text masks, shifted down to bit 0.
+#[derive(Default)]
+struct Carry {
+    inside: u64,
+    lt: u64,
+    close: u64,
+    gt: u64,
+    text: u64,
+}
+
+/// Bit `i` of the result is the XOR of bits `0..=i` of `x`: over the `<`/`>`
+/// marks, "inside a tag" — set from a `<` up to (not including) its `>`.
+#[inline(always)]
+fn prefix_xor(mut x: u64) -> u64 {
+    x ^= x << 1;
+    x ^= x << 2;
+    x ^= x << 4;
+    x ^= x << 8;
+    x ^= x << 16;
+    x ^= x << 32;
+    x
+}
+
+/// Appends the offset of every set bit of `bits` (plus `off`) to `out` at
+/// `*n`, lowest first.
+#[inline(always)]
+fn flatten(mut bits: u64, off: usize, out: &mut [u16], n: &mut usize) {
+    while bits != 0 {
+        out[*n] = (off + bits.trailing_zeros() as usize) as u16;
+        *n += 1;
+        bits &= bits - 1;
+    }
+}
+
+/// Stage 1: classifies `data` in 64-byte blocks from `from` — a token
+/// boundary outside any tag — and records every token that completes in the
+/// simple blocks on `tape`, stopping after about [`TAPE_BYTES`], once
+/// `budget` tokens are complete, at the first block it cannot prove simple,
+/// or where a block (plus stage 2's 16-byte name loads) would leave the
+/// window.
+///
+/// A block is *simple* when every byte is ASCII and not a control byte, and
+/// every tag in it is `<name>` or `</name>`: a `<` only outside a tag, a `>`
+/// only inside one, no whitespace or quote inside a tag, no `/` inside a
+/// tag except straight after `<`, and no `<!`, `<?`, `<>` or `</>`. On
+/// such blocks the tokens are exactly those the scalar arm would lex: tags
+/// run from `<` to `>`, text words are the maximal runs of bytes outside
+/// tags that are neither `>` nor whitespace.
+#[inline(always)]
+fn build_tape<C: BlockClassifier>(
+    cls: C,
+    tape: &mut Tape,
+    data: &[u8],
+    from: usize,
+    budget: usize,
+) -> Pass {
+    let last_block = data.len().checked_sub(BLOCK + 16);
+    let (mut starts, mut ends) = (0usize, 0usize);
+    let mut carry = Carry::default();
+    let mut bb = from;
+    let scalar_until = loop {
+        if last_block.is_none_or(|last| bb > last) {
+            break usize::MAX;
+        }
+        if bb - from >= TAPE_BYTES || ends >= budget {
+            // A token longer than the whole pass leaves the tape empty:
+            // the scalar arm takes it.
+            break if ends == 0 { bb } else { 0 };
+        }
+        let m = cls.classify(data, bb);
+        let inside = prefix_xor(m.lt | m.gt) ^ carry.inside;
+        let after_lt = (m.lt << 1) | carry.lt;
+        let close = m.slash & after_lt;
+        let complex = m.other
+            | (m.lt & !inside)
+            | (m.gt & inside)
+            | ((m.ws | m.quote) & inside)
+            | (m.slash & inside & !after_lt)
+            | (after_lt & (m.lead | m.gt))
+            | (((close << 1) | carry.close) & m.gt);
+        if complex != 0 {
+            break bb + BLOCK;
+        }
+        let text = !(inside | m.gt | m.ws);
+        let text_before = (text << 1) | carry.text;
+        let off = bb - from;
+        flatten(
+            m.lt | (text & !text_before),
+            off,
+            &mut tape.starts,
+            &mut starts,
+        );
+        flatten(
+            (m.gt << 1) | carry.gt | (!text & text_before),
+            off,
+            &mut tape.ends,
+            &mut ends,
+        );
+        carry = Carry {
+            inside: 0u64.wrapping_sub(inside >> 63),
+            lt: m.lt >> 63,
+            close: close >> 63,
+            gt: m.gt >> 63,
+            text: text >> 63,
+        };
+        bb += BLOCK;
+    };
+    Pass {
+        tokens: ends.min(budget),
+        scalar_until,
+    }
+}
+
+// --------------------------------------------------------------------------
+// Stage 2: resolve and emit
+// --------------------------------------------------------------------------
+
+/// Stage 2: resolves and emits the first `tokens` tape entries of the pass
+/// that started at `from`, returning the window offset just past the last
+/// one. On a resolution failure the events before it stay in `out` and the
+/// error comes back with the failing token's start.
+///
+/// The inner loop runs over cache hits; a miss (or a name longer than a
+/// cache key) leaves it for one policy resolution, then the loop resumes.
+fn emit_tape<N: ResolveName>(
+    core: &mut LexerCore<N>,
+    tape: &Tape,
+    data: &[u8],
+    from: usize,
+    tokens: usize,
+    out: &mut Vec<TaggedSymbol>,
+) -> Result<usize, (SaxError, usize)> {
+    let mut sink = EventSink::new(out, tokens);
+    let mut i = 0;
+    while i < tokens {
+        while i < tokens {
+            let (s, form, len) = tape_token(tape, data, from, i);
+            if len > 16 {
+                break;
+            }
+            let (w0, w1) = pack_short(data, s + form, len);
+            let Some(t) = core.cached_form(w0, w1, len as u32, form) else {
+                break;
+            };
+            sink.push(t);
+            i += 1;
+        }
+        if i == tokens {
+            break;
+        }
+        let (s, form, len) = tape_token(tape, data, from, i);
+        match core.resolve_bytes(&data[s + form..s + form + len]) {
+            Ok(sym) => sink.push(forms(sym)[form]),
+            Err(err) => return Err((err, s)),
+        }
+        i += 1;
+    }
+    Ok(from + usize::from(tape.ends[tokens - 1]))
+}
+
+/// Tape token `i` of the pass that started at `from`, as its window start,
+/// its event form and its name length. The form is read off the token's
+/// first two bytes without a branch — a tag adds one for `<` and one more
+/// for `</` — and doubles as the name's offset in the token: `FORM_INTERNAL`
+/// 0 for a text word, `FORM_CALL` 1 for `<name>`, `FORM_RETURN` 2 for
+/// `</name>`.
+#[inline(always)]
+fn tape_token(tape: &Tape, data: &[u8], from: usize, i: usize) -> (usize, usize, usize) {
+    const _: () = assert!(FORM_CALL == 1 && FORM_RETURN == 2);
+    let s = from + usize::from(tape.starts[i]);
+    let e = from + usize::from(tape.ends[i]);
+    let [b0, b1]: [u8; 2] = data[s..s + 2].try_into().expect("two bytes");
+    let tag = usize::from(b0 == b'<');
+    let form = tag + (tag & usize::from(b1 == b'/'));
+    (s, form, e - tag - s - form)
+}
+
+/// Packs a 1..=16-byte name starting at `from` into its exact cache key —
+/// the same `(w0, w1)` value `LexerCore`'s byte-loop packer produces, built
+/// from two raw word loads and a mask instead. Callers guarantee
+/// `from + 16 <= data.len()` (stage 1 stops 16 bytes short of the window
+/// end for this), so the overread-free loads stay in bounds.
+#[inline(always)]
+fn pack_short(data: &[u8], from: usize, len: usize) -> (u64, u64) {
+    debug_assert!((1..=16).contains(&len) && from + 16 <= data.len());
+    let w0 = load_word(data, from);
+    if len <= 8 {
+        // `!0 >> (64 - 8·len)` keeps the low `len` lanes; len = 8 is the
+        // identity shift, so no branch for it.
+        return (w0 & (!0u64 >> (64 - 8 * len)), 0);
+    }
+    let w1 = load_word(data, from + 8);
+    (w0, w1 & (!0u64 >> (128 - 8 * len)))
+}
+
+// --------------------------------------------------------------------------
+// The scalar arm's word sweeps
+// --------------------------------------------------------------------------
 
 /// Index of the `>` closing the tag whose name (or attribute list) starts
 /// at `start` (just past `<`, or past `</`), honoring quoted attribute
@@ -781,7 +785,6 @@ impl<R: io::Read> ChunkWindow<R> {
         }
     }
 }
-
 /// The bulk lexer: run-sweeping methods over a [`ChunkWindow`], feeding
 /// run classifications through the `LexerCore` event builder. This is the
 /// engine inside [`ByteTokenizer`](crate::sax::ByteTokenizer) and
@@ -790,6 +793,8 @@ impl<R: io::Read> ChunkWindow<R> {
 pub(crate) struct BulkLexer<R: io::Read, N: ResolveName> {
     window: ChunkWindow<R>,
     core: LexerCore<N>,
+    /// Stage 1's output, reused across passes.
+    tape: Tape,
     /// Events lexed ahead by [`Self::fill`] for the per-event [`Iterator`]
     /// view, drained from `ready_pos`.
     ready: Vec<TaggedSymbol>,
@@ -822,11 +827,10 @@ enum StepOutcome {
 /// from `pos` (ASCII inline, non-ASCII decoded), then classify and emit the
 /// next token if it completes inside `data`, charging `budget` per event.
 ///
-/// This is the *shared* per-token arm of both fill backends:
-/// [`BulkLexer::fill_window_swar`] is nothing but a loop of these, and the
-/// block-classified fill delegates every case its masks flag as complex to
-/// exactly one of these — so the backends agree with each other by
-/// construction rather than by parallel maintenance.
+/// This is the scalar arm of the window fill: it lexes every token stage 1
+/// could not prove simple, with the word-at-a-time sweeps of
+/// [`find_tag_close`] / [`find_text_end`] and the byte-level classifier
+/// ([`LexerCore::tag_event_bytes`](crate::sax::LexerCore)).
 #[inline(always)]
 fn step_token<N: ResolveName>(
     core: &mut LexerCore<N>,
@@ -910,30 +914,12 @@ fn step_token<N: ResolveName>(
     }
 }
 
-/// Packs a 1..=16-byte name starting at `from` into its exact cache key —
-/// the same `(w0, w1)` value `LexerCore`'s byte-loop packer produces, built
-/// from two raw word loads and a mask instead. Callers guarantee
-/// `from + 16 <= data.len()` (the block fill's fast region does by
-/// construction), so the overread-free loads stay in bounds.
-#[cfg(feature = "simd")]
-#[inline(always)]
-fn pack_short(data: &[u8], from: usize, len: usize) -> (u64, u64) {
-    debug_assert!((1..=16).contains(&len) && from + 16 <= data.len());
-    let w0 = load_word(data, from);
-    if len <= 8 {
-        // `!0 >> (64 - 8·len)` keeps the low `len` lanes; len = 8 is the
-        // identity shift, so no branch for it.
-        return (w0 & (!0u64 >> (64 - 8 * len)), 0);
-    }
-    let w1 = load_word(data, from + 8);
-    (w0, w1 & (!0u64 >> (128 - 8 * len)))
-}
-
 impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     pub(crate) fn new(reader: R, names: N) -> Self {
         BulkLexer {
             window: ChunkWindow::new(reader),
             core: LexerCore::new(names),
+            tape: Tape::new(),
             ready: Vec::new(),
             ready_pos: 0,
             pending_err: None,
@@ -1027,32 +1013,33 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 
     /// The register-resident sweep of [`Self::fill`] over the bytes already
-    /// windowed: emits every event that completes inside the window,
-    /// consumes exactly the bytes of the events emitted, and returns
-    /// `Ok(true)` when `out` reached `max` (`Ok(false)` hands the seam to
-    /// the caller's slow path). Tag bodies and text tokens are located with
-    /// the word-at-a-time sweeps of [`find_tag_close`] / [`find_text_end`]
-    /// (or, on the [`scan_backend`]-selected wide backend, with 64-byte
-    /// block masks) and classified byte-level
-    /// ([`LexerCore::tag_event_bytes`](crate::sax::LexerCore),
-    /// `resolve_bytes`), so the common path touches each input byte once in
-    /// a word or vector and never re-walks a token as chars.
+    /// windowed, on the [`scan_backend`]-selected stage-1 kernel: emits
+    /// every event that completes inside the window, consumes exactly the
+    /// bytes of the events emitted, and returns `Ok(true)` when `out`
+    /// reached `max` (`Ok(false)` hands the seam to the caller's slow
+    /// path).
     fn fill_window(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<bool, SaxError> {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(kernel) = simd::Avx2::active() {
-            return self.fill_window_blocks(kernel, out, max);
+        match scan_backend() {
+            #[cfg(target_arch = "x86_64")]
+            ScanBackend::Avx2 => {
+                if let Some(kernel) = kernel::Avx2::detect() {
+                    return self.fill_window_with(kernel, out, max);
+                }
+            }
+            #[cfg(target_arch = "aarch64")]
+            ScanBackend::Neon => return self.fill_window_with(kernel::Neon::new(), out, max),
+            _ => {}
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        if let Some(kernel) = simd::Neon::active() {
-            return self.fill_window_blocks(kernel, out, max);
-        }
-        self.fill_window_swar(out, max)
+        self.fill_window_with(kernel::Swar, out, max)
     }
 
-    /// The portable backend of [`Self::fill_window`]: a straight loop of
-    /// [`step_token`] word-sweep steps over the window.
-    fn fill_window_swar(
+    /// The one window-fill loop: stage-1 passes build the tape and stage 2
+    /// emits it, while the scalar arm ([`step_token`]) lexes what a pass
+    /// could not prove simple — one token per step, up to the end of the
+    /// rejected block — and the short window tail.
+    fn fill_window_with<C: BlockClassifier>(
         &mut self,
+        cls: C,
         out: &mut Vec<TaggedSymbol>,
         max: usize,
     ) -> Result<bool, SaxError> {
@@ -1061,192 +1048,26 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         let mut pos = 0usize;
         // Counted down instead of re-reading `out.len()` every event.
         let mut budget = max.saturating_sub(out.len());
+        let mut scalar_until = 0usize;
         let full = loop {
             if budget == 0 {
                 break true;
             }
-            match step_token(&mut self.core, data, base, pos, out, &mut budget) {
-                StepOutcome::Emitted(next) => pos = next,
-                StepOutcome::Window(consumed) => {
-                    pos = consumed;
-                    break false;
-                }
-                StepOutcome::Fail(e, at) => {
-                    self.window.consume(at);
-                    return Err(e);
-                }
-            }
-        };
-        self.window.consume(pos);
-        Ok(full)
-    }
-
-    /// The wide backend of [`Self::fill_window`]: classifies the window in
-    /// 64-byte blocks ([`simd::BlockClassifier`]) and consumes the common
-    /// tokens — ASCII whitespace, simple tags, plain text runs — with
-    /// register bit tests over the block masks, several tokens per
-    /// classification. Anything else (directives, attribute-laden tags,
-    /// non-ASCII bytes, tokens leaving the fast region, the window tail)
-    /// falls through to exactly one scalar [`step_token`] and the loop
-    /// resumes — so every observable decision is either "trivially the
-    /// same token the SWAR sweeps find" (simple-body certification comes
-    /// from the `bad` mask, the very interest set of [`find_tag_close`])
-    /// or literally the same code.
-    #[cfg(feature = "simd")]
-    fn fill_window_blocks<C: simd::BlockClassifier>(
-        &mut self,
-        cls: C,
-        out: &mut Vec<TaggedSymbol>,
-        max: usize,
-    ) -> Result<bool, SaxError> {
-        use simd::BLOCK;
-        let base = self.window.abs_offset();
-        let data: &[u8] = &self.window.buf[self.window.start..self.window.end];
-        let n = data.len();
-        let mut pos = 0usize;
-        let mut budget = max.saturating_sub(out.len());
-        // The fast region keeps one whole block *and* the 16-byte
-        // packed-name loads in bounds; the short window tail (and any
-        // window shorter than a block) runs scalar.
-        let fast_end = n.saturating_sub(BLOCK + 32);
-        // One-sided spelling of `wide && pos <= fast_end`: a window too
-        // short for the fast region gets a limit of 0, one comparison per
-        // token instead of two.
-        let fast_limit = if n >= BLOCK + 32 { fast_end + 1 } else { 0 };
-        // Current block base. The sentinel keeps `pos.wrapping_sub(bb)` at
-        // `pos + BLOCK + 1 >= BLOCK` for every reachable `pos`, so the first
-        // fast-loop iteration always classifies a real block.
-        let mut bb = usize::MAX - BLOCK;
-        let mut m = simd::BlockMasks::default();
-        let full = 'outer: loop {
-            if budget == 0 {
-                break true;
-            }
-            // The sink scopes the fast loop: its drop publishes the final
-            // length (on every exit, including error returns and the
-            // budget break) before the scalar arm touches `out` directly.
-            {
-                let mut sink = simd::EventSink::new(out, budget);
-                while pos < fast_limit {
-                    if pos.wrapping_sub(bb) >= BLOCK {
-                        bb = pos;
-                        m = cls.classify(data, bb);
-                    }
-                    // Inter-token whitespace, straight off the ws mask.
-                    let non_ws = !m.ws & ((!0u64) << (pos - bb));
-                    if non_ws == 0 {
-                        pos = bb + BLOCK;
-                        continue;
-                    }
-                    let s = bb + non_ws.trailing_zeros() as usize;
-                    let rs = s - bb;
-                    // The isolated lowest bit doubles as the `s` bit test —
-                    // cheaper than a variable shift per class.
-                    let sbit = non_ws & non_ws.wrapping_neg();
-                    if m.high & sbit != 0 {
-                        // Unicode whitespace or a multi-byte token: scalar.
-                        pos = s;
-                        break;
-                    }
-                    if m.lt & sbit != 0 {
-                        // A tag. (`s + 1 < n` because `s <= fast_end`.)
-                        let lead = data[s + 1];
-                        if lead == b'!' || lead == b'?' {
-                            pos = s;
-                            break; // directive: stateful slow path
-                        }
-                        let from = if lead == b'/' { s + 2 } else { s + 1 };
-                        if from >= bb + BLOCK {
-                            bb = s;
-                            m = cls.classify(data, bb);
-                        }
-                        let mut stop = (m.gt | m.bad) & ((!0u64) << (from - bb));
-                        if stop == 0 {
-                            // The body crosses the block: re-anchor on the name.
-                            if from > fast_end {
-                                pos = s;
-                                break;
-                            }
-                            bb = from;
-                            m = cls.classify(data, bb);
-                            stop = m.gt | m.bad;
-                            if stop == 0 {
-                                pos = s;
-                                break; // a > 64-byte body: the word sweeps own it
-                            }
-                        }
-                        let close = bb + stop.trailing_zeros() as usize;
-                        let cbit = stop & stop.wrapping_neg();
-                        if m.bad & cbit != 0 || close == from {
-                            pos = s;
-                            break; // attributes/quotes/self-closing/`<>`: scalar
-                        }
-                        let name = &data[from..close];
-                        let resolved = if name.len() <= 16 {
-                            let (w0, w1) = pack_short(data, from, name.len());
-                            self.core.resolve_prepacked(w0, w1, name)
-                        } else {
-                            self.core.resolve_bytes(name)
-                        };
-                        match resolved {
-                            Ok(sym) => sink.push(if lead == b'/' {
-                                TaggedSymbol::Return(sym)
-                            } else {
-                                TaggedSymbol::Call(sym)
-                            }),
-                            Err(e) => {
-                                self.window.consume(s);
-                                return Err(e);
-                            }
-                        }
-                        budget -= 1;
-                        pos = close + 1;
-                        if budget == 0 {
-                            break 'outer true;
-                        }
-                        continue;
-                    }
-                    let mut cand = (m.ws | m.lt | m.high) & ((!1u64) << rs);
-                    loop {
-                        if cand != 0 {
-                            break;
-                        }
-                        let next = bb + BLOCK;
-                        if next > fast_end {
-                            break; // may outrun the fast region
-                        }
-                        bb = next;
-                        m = cls.classify(data, bb);
-                        cand = m.ws | m.lt | m.high;
-                    }
-                    let cbit = cand & cand.wrapping_neg();
-                    if cand == 0 || m.high & cbit != 0 {
-                        pos = s;
-                        break;
-                    }
-                    let close = bb + cand.trailing_zeros() as usize;
-                    let text = &data[s..close];
-                    let resolved = if text.len() <= 16 {
-                        let (w0, w1) = pack_short(data, s, text.len());
-                        self.core.resolve_prepacked(w0, w1, text)
-                    } else {
-                        self.core.resolve_bytes(text)
-                    };
-                    match resolved {
-                        Ok(sym) => sink.push(TaggedSymbol::Internal(sym)),
-                        Err(e) => {
-                            self.window.consume(s);
+            if pos >= scalar_until {
+                let pass = cls.stage1(&mut self.tape, data, pos, budget);
+                scalar_until = pass.scalar_until;
+                if pass.tokens > 0 {
+                    match emit_tape(&mut self.core, &self.tape, data, pos, pass.tokens, out) {
+                        Ok(next) => pos = next,
+                        Err((e, at)) => {
+                            self.window.consume(at);
                             return Err(e);
                         }
                     }
-                    budget -= 1;
-                    pos = close;
-                    if budget == 0 {
-                        break 'outer true;
-                    }
+                    budget -= pass.tokens;
+                    continue;
                 }
             }
-            // Scalar arm: the window tail, plus whatever the masks flagged.
             match step_token(&mut self.core, data, base, pos, out, &mut budget) {
                 StepOutcome::Emitted(next) => pos = next,
                 StepOutcome::Window(consumed) => {
@@ -1617,7 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_what_the_whatwg_table_rejects() {
+    fn validator_flags_invalid_sequences_after_a_valid_prefix() {
         let cases: &[&[u8]] = &[
             b"\x80",             // bare continuation byte
             b"\xFF",             // invalid leading byte
@@ -1637,11 +1458,131 @@ mod tests {
     }
 
     #[test]
-    fn validator_ascii_fast_path_spans_word_boundaries() {
-        // 8-byte-aligned and unaligned ASCII runs around a multi-byte char.
+    fn validator_accepts_multibyte_scalars_between_ascii_runs() {
+        // ASCII runs of either parity around a multi-byte char.
         let text = "0123456789abcdef€0123456789abcdef";
         let (valid, stop) = utf8_prefix(text.as_bytes());
         assert_eq!(valid, text.len());
         assert!(matches!(stop, Utf8Stop::Clean));
+    }
+
+    #[test]
+    fn pack_short_builds_the_cache_key_of_the_byte_packer() {
+        let data: Vec<u8> = (1..=40u8).collect();
+        for from in 0..8 {
+            for len in 1..=16 {
+                assert_eq!(
+                    pack_short(&data, from, len),
+                    crate::sax::pack_name(&data[from..from + len]),
+                    "from {from} len {len}"
+                );
+            }
+        }
+    }
+
+    /// Runs stage 1 over `data` pass after pass with `cls`, as the fill
+    /// loop does on a fully simple window, returning the token spans and
+    /// whether any block was rejected.
+    fn tape_spans<C: BlockClassifier>(cls: C, data: &[u8]) -> (Vec<(usize, usize)>, bool) {
+        let mut tape = Tape::new();
+        let (mut spans, mut pos) = (Vec::new(), 0usize);
+        loop {
+            let pass = cls.stage1(&mut tape, data, pos, usize::MAX);
+            for i in 0..pass.tokens {
+                spans.push((
+                    pos + usize::from(tape.starts[i]),
+                    pos + usize::from(tape.ends[i]),
+                ));
+            }
+            if pass.tokens > 0 {
+                pos = spans.last().expect("a token").1;
+            }
+            match pass.scalar_until {
+                0 => {}
+                usize::MAX => return (spans, false),
+                _ => return (spans, true),
+            }
+        }
+    }
+
+    /// Every backend this CPU has, SWAR first.
+    fn each_backend(mut check: impl FnMut(&str, &dyn Fn(&[u8]) -> (Vec<(usize, usize)>, bool))) {
+        check("swar", &|d| tape_spans(kernel::Swar, d));
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = kernel::Avx2::detect() {
+            check("avx2", &move |d| tape_spans(k, d));
+        }
+        #[cfg(target_arch = "aarch64")]
+        check("neon", &|d| tape_spans(kernel::Neon::new(), d));
+    }
+
+    #[test]
+    fn tape_covers_a_simple_document_in_full() {
+        let doc = "<t1>w1 w22</t1>  <t3>\tw3\n</t3><t4>w4<t5>w5</t5></t4>".repeat(40);
+        // The bytes a spec-level split finds: tags whole, words between.
+        let mut expected = Vec::new();
+        let bytes = doc.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let start = i;
+            if bytes[i] == b'<' {
+                i = doc[i..].find('>').expect("closed") + i + 1;
+            } else if is_ascii_ws(bytes[i]) {
+                i += 1;
+                continue;
+            } else {
+                while i < bytes.len() && bytes[i] != b'<' && !is_ascii_ws(bytes[i]) {
+                    i += 1;
+                }
+            }
+            expected.push((start, i));
+        }
+        // Stage 1 stops a block plus 16 bytes short of the window end.
+        let covered = |spans: &[(usize, usize)]| {
+            expected
+                .iter()
+                .take_while(|&&(_, e)| e + BLOCK + 16 <= bytes.len())
+                .count()
+                <= spans.len()
+        };
+        each_backend(|name, spans_of| {
+            let (spans, rejected) = spans_of(bytes);
+            assert!(!rejected, "{name}: a simple block was rejected");
+            assert!(covered(&spans), "{name}: the tape stopped early");
+            assert_eq!(spans, expected[..spans.len()], "{name}");
+        });
+    }
+
+    #[test]
+    fn tape_rejects_each_complex_construct_in_its_block() {
+        let constructs: &[&[u8]] = &[
+            b"<>",
+            b"</>",
+            b"<a/>",
+            b"<a b=\"1\">",
+            b"<a\tb>",
+            b"w>x",
+            b"w\x01x",
+            b"<!--c-->",
+            b"<?p?>",
+            b"<a<b>",
+            b"<//a>",
+            "<é>".as_bytes(),
+            "w\u{a0}x".as_bytes(),
+        ];
+        for construct in constructs {
+            for offset in [0usize, 63, 64] {
+                let mut doc = vec![b' '; offset];
+                doc.extend_from_slice(construct);
+                doc.extend_from_slice("<t1>w1</t1>".repeat(40).as_bytes());
+                each_backend(|name, spans_of| {
+                    let (spans, rejected) = spans_of(&doc);
+                    assert!(rejected, "{name}: {construct:?} at {offset} not rejected");
+                    // Only whitespace precedes the construct, and the pass
+                    // ends at its block: no token may reach the tape.
+                    assert!(spans.is_empty(), "{name}: {construct:?} at {offset}");
+                });
+            }
+        }
     }
 }

@@ -9,12 +9,14 @@
 //! internal scan-window seam, for CDATA / comment / PI / DOCTYPE edge cases,
 //! and for inputs truncated at every byte offset.
 //!
-//! With the `simd` feature on, the whole suite implicitly runs against the
-//! auto-detected wide backend (the backend is probed on first use), and an
-//! additional property pins the two sweeps against each other directly:
-//! SWAR and the wide kernel must be token-for-token identical on documents
-//! shifted across the kernels' 32/64-byte block seams and the 64 KiB scan
-//! window seam.
+//! Every property runs on the auto-detected stage-1 backend (AVX2 where
+//! the CPU has it, NEON on aarch64, SWAR otherwise), and one more pins the
+//! backends against each other directly: SWAR and every wide kernel the
+//! host has must be token-for-token identical on documents shifted across
+//! the 64-byte classification blocks and the 64 KiB scan-window seam.
+//! All-simple documents of the benchmark's shape exercise the structural
+//! tape itself, and one case per fast-path rejection reason, placed at
+//! block offsets 0, 63 and 64, exercises the hand-over to the scalar arm.
 
 mod oracle;
 
@@ -22,7 +24,9 @@ use std::io;
 
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
-use nwa_xml::sax::{ByteTokenizer, FrozenByteTokenizer, SaxError};
+use nwa_xml::generate::{generate_document, DocumentConfig};
+use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, SaxError};
+use nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend, SCAN_CHUNK};
 use oracle::{EventLexer, Utf8Chars};
 
 // --------------------------------------------------------------------------
@@ -59,9 +63,9 @@ impl io::Read for SplitReader<'_> {
 /// Events up to the first error, plus the error (as its `Debug` rendering,
 /// since `SaxError` carries non-`PartialEq` payloads). Errors must match
 /// *exactly* — variant, offset, and message.
-type Outcome = (Vec<TaggedSymbol>, Option<String>);
+type Drained = (Vec<TaggedSymbol>, Option<String>);
 
-fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(it: I) -> Outcome {
+fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(it: I) -> Drained {
     let mut events = Vec::new();
     for item in it {
         match item {
@@ -72,20 +76,30 @@ fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(it: I) -> Outcome {
     (events, None)
 }
 
+/// A [`Drained`] run with each event rendered against the alphabet it
+/// interned into (`<a`, `a`, `a>`), so two lexers agree only if they
+/// produce the same *names*, not merely the same interning order.
+type Outcome = (Vec<String>, Option<String>);
+
+fn named((events, err): Drained, ab: &Alphabet) -> Outcome {
+    (events.into_iter().map(|t| t.display(ab)).collect(), err)
+}
+
 /// Reference outcome: the oracle's char-at-a-time `EventLexer` fed by its
 /// incremental `Utf8Chars` decoder, over an identically-chunked reader so
 /// byte offsets in errors line up with the subject's.
 fn reference(data: &[u8], chunk: usize) -> Outcome {
     let mut ab = Alphabet::new();
     let lexer = EventLexer::new(Utf8Chars::new(SplitReader::new(data, chunk)), &mut ab);
-    drain(lexer)
+    let drained = drain(lexer);
+    named(drained, &ab)
 }
 
 /// Subject outcome via the `Iterator` entry point.
 fn bulk_iter(data: &[u8], chunk: usize) -> Outcome {
     let mut ab = Alphabet::new();
-    let tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
-    drain(tok)
+    let drained = drain(ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab));
+    named(drained, &ab)
 }
 
 /// Subject outcome via the slice-producing `fill` entry point, pulling in
@@ -94,17 +108,15 @@ fn bulk_fill(data: &[u8], chunk: usize, batch: usize) -> Outcome {
     let mut ab = Alphabet::new();
     let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
     let mut events = Vec::new();
-    loop {
+    let drained = loop {
         let before = events.len();
         match tok.fill(&mut events, before + batch.max(1)) {
-            Ok(()) => {
-                if events.len() == before {
-                    return (events, None);
-                }
-            }
-            Err(e) => return (events, Some(format!("{e:?}"))),
+            Ok(()) if events.len() == before => break (events, None),
+            Ok(()) => {}
+            Err(e) => break (events, Some(format!("{e:?}"))),
         }
-    }
+    };
+    named(drained, &ab)
 }
 
 /// Asserts the bulk scanner matches the char-at-a-time reference on `data`
@@ -393,7 +405,7 @@ fn truncation_at_every_byte_offset() {
 fn multibyte_scalar_across_scan_window_seam() {
     for shift in 0..8usize {
         let mut doc = String::from("<pad>");
-        let fill = nwa_xml::scan::SCAN_CHUNK - doc.len() - shift;
+        let fill = SCAN_CHUNK - doc.len() - shift;
         doc.push_str(&"a".repeat(fill));
         doc.push_str(" \u{1d11e}\u{a0}é tail</pad>");
         assert_eq!(
@@ -405,7 +417,7 @@ fn multibyte_scalar_across_scan_window_seam() {
     // Same straddle, but the document ends mid-scalar: truncated-UTF-8
     // error at the same offset the incremental decoder reports.
     let mut doc = Vec::from(&b"<pad>"[..]);
-    doc.resize(nwa_xml::scan::SCAN_CHUNK - 2, b'a');
+    doc.resize(SCAN_CHUNK - 2, b'a');
     doc.extend_from_slice(&[0xf0, 0x9d, 0x84]);
     assert_eq!(bulk_iter(&doc, doc.len()), reference(&doc, doc.len()));
 }
@@ -534,13 +546,12 @@ fn fill_stays_stopped_after_an_error() {
 }
 
 // --------------------------------------------------------------------------
-// SIMD backend vs SWAR (feature `simd`)
+// The structural tape: simple documents, block seams and rejections
 // --------------------------------------------------------------------------
 
 /// Iteration budget scaled by `NWA_PROP_ITERS`, mirroring the workspace
 /// property suites: the weekly deep CI job sets it to 10 to sweep ten
 /// times as many seeds through the same property.
-#[cfg(feature = "simd")]
 fn prop_iters(base: usize) -> usize {
     std::env::var("NWA_PROP_ITERS")
         .ok()
@@ -549,13 +560,119 @@ fn prop_iters(base: usize) -> usize {
         .map_or(base, |m| base * m)
 }
 
+/// An all-simple document of the benchmark's (E15c) shape: `<tN>` /
+/// `</tN>` tags and single-space-separated `wN` words, nothing the tape
+/// rejects.
+fn simple_document(events: usize, seed: u64) -> String {
+    let (ab, doc) = generate_document(
+        DocumentConfig {
+            events,
+            max_depth: 32,
+            ..Default::default()
+        },
+        seed,
+    );
+    to_xml(&doc, &ab)
+}
+
+/// Checks `data` against the oracle with whole-document reads — the
+/// setting where the tape covers the most — and one chunked read that
+/// refills mid-block.
+fn assert_equivalent_windowed(data: &[u8], label: &str) {
+    let expected = reference(data, data.len().max(1));
+    for chunk in [data.len().max(1), 4099] {
+        assert_eq!(
+            bulk_iter(data, chunk),
+            expected,
+            "{label}: iterator path diverged at chunk={chunk}"
+        );
+        for batch in [3, 1024] {
+            assert_eq!(
+                bulk_fill(data, chunk, batch),
+                expected,
+                "{label}: fill path diverged at chunk={chunk} batch={batch}"
+            );
+        }
+    }
+}
+
+/// `doc` with `shift` bytes of whitespace in front of it, behind an opening
+/// `<pad>`. The scanner lexes a stream's first token on its growing path
+/// and starts its first 64-byte block right after it, so the shift moves
+/// every later token across the block grid.
+fn shifted(doc: &str, shift: usize) -> String {
+    format!("<pad>{}{doc}</pad>", " ".repeat(shift))
+}
+
+/// Simple documents at every one of the 64 block alignments, and across
+/// the 64 KiB window seam at shifting offsets, equal the oracle.
+#[test]
+fn simple_documents_match_char_lexer_at_every_block_alignment() {
+    for seed in 0..prop_iters(3) as u64 {
+        let doc = simple_document(1_500, seed);
+        for shift in 0..64usize {
+            let padded = shifted(&doc, shift);
+            assert_equivalent_windowed(padded.as_bytes(), &format!("seed {seed} shift {shift}"));
+        }
+    }
+    let doc = simple_document(40_000, 7);
+    assert!(
+        doc.len() > SCAN_CHUNK + 64,
+        "the document spans the window seam"
+    );
+    for shift in 0..8usize {
+        let padded = shifted(&doc, shift);
+        assert_equivalent_windowed(padded.as_bytes(), &format!("window shift {shift}"));
+    }
+}
+
+/// Each construct the tape must reject, placed so it starts at block
+/// offset 0, 63 and 64 (see [`shifted`]) with simple tokens around it: the
+/// hand-over to the scalar arm yields the oracle's events and errors.
+#[test]
+fn tape_rejections_match_char_lexer_at_block_offsets() {
+    // Tags whose `>` lies blocks away: only the rejection of the block
+    // they start in keeps their inner bytes off the tape.
+    let long_attrs = format!("<a{}>", " b".repeat(100));
+    let long_nested = format!("<a<b{}>", " w".repeat(100));
+    let constructs: &[&[u8]] = &[
+        b"<>",
+        b"</>",
+        b"<a/>",
+        b"<a b=\"1\">",
+        b"<a b>",
+        b"</a >",
+        b"<a\"b>\"",
+        long_attrs.as_bytes(),
+        long_nested.as_bytes(),
+        b"w>x",    // a stray `>`
+        b"w\x01x", // a control byte in text
+        b"<!--c-->",
+        b"<?p?>",
+        "<é>".as_bytes(), // a non-ASCII name
+    ];
+    let tail = "<t1>w1 w2</t1>".repeat(16);
+    for construct in constructs {
+        let construct = std::str::from_utf8(construct).expect("UTF-8 construct");
+        for offset in [0usize, 62, 63, 64] {
+            // Whitespace before the construct, and text running into it.
+            let texts = [" ".repeat(offset), "y".repeat(offset)];
+            for text in texts {
+                let doc = format!("<pad>{text}{construct}{tail}");
+                assert_equivalent(doc.as_bytes(), &format!("{construct:?} at offset {offset}"));
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
+// Wide backends vs SWAR
+// --------------------------------------------------------------------------
+
 /// Tokenizes `doc` under both the forced SWAR backend and the forced wide
 /// backend, through both entry points, and asserts the outcomes (events
 /// *and* errors) are identical. Restores auto-detection before returning.
-#[cfg(feature = "simd")]
-fn assert_backends_agree(doc: &[u8], wide: nwa_xml::scan::ScanBackend, label: &str) {
-    use nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend};
-
+fn assert_backends_agree(doc: &[u8], wide: ScanBackend, label: &str) {
     assert!(force_scan_backend(ScanBackend::Swar));
     let swar_iter = bulk_iter(doc, doc.len().max(1));
     let swar_fill = bulk_fill(doc, 7, 3);
@@ -567,62 +684,69 @@ fn assert_backends_agree(doc: &[u8], wide: nwa_xml::scan::ScanBackend, label: &s
     assert_eq!(wide_fill, swar_fill, "{label}: fill path diverged");
 }
 
-/// With `simd` compiled in, the wide backend must be token-for-token and
-/// error-for-error identical to the SWAR sweeps on the same bytes. The
-/// adversarial inputs are Prng documents whose token boundaries straddle
-/// the kernels' seams: leading whitespace of every length in `0..64`
-/// slides each document across the 64-byte classification blocks (and the
-/// 32-byte halves the AVX2 kernel loads and the 16-byte NEON lanes), and a
-/// text pad pushes a document across the 64 KiB scan-window seam at
-/// byte-granular shifts.
+/// Every wide backend this host has must be token-for-token and
+/// error-for-error identical to SWAR on the same bytes. The adversarial
+/// inputs are random and all-simple documents whose token boundaries
+/// straddle the kernels' seams: leading whitespace of every length in
+/// `0..64` slides each document across the 64-byte classification blocks
+/// (and the 32-byte halves the AVX2 kernel loads and the 16-byte NEON
+/// lanes), and a text pad pushes a document across the 64 KiB scan-window
+/// seam at byte-granular shifts.
 ///
 /// Forcing a backend is process-global, which is safe here: every other
 /// test in this binary checks scanner-vs-reference equivalence, a property
 /// that holds under either backend.
-#[cfg(feature = "simd")]
 #[test]
 fn simd_matches_swar_token_for_token() {
-    use nwa_xml::scan::{auto_scan_backend, scan_backend, ScanBackend, SCAN_CHUNK};
-
-    auto_scan_backend();
-    let wide = scan_backend();
-    if wide == ScanBackend::Swar {
-        // Feature compiled in but the host CPU has no wide backend (e.g. an
-        // x86 machine without AVX2): nothing to differentiate against. The
-        // suite still ran SWAR through every property above.
+    let wide: Vec<ScanBackend> = [ScanBackend::Avx2, ScanBackend::Neon]
+        .into_iter()
+        .filter(|&b| {
+            let ok = force_scan_backend(b);
+            auto_scan_backend();
+            ok
+        })
+        .collect();
+    if wide.is_empty() {
+        // No wide kernel on this host: every property above already ran
+        // on SWAR, the only backend there is.
         eprintln!("skipping: no wide scan backend on this host");
         return;
     }
 
-    // Block seams: every alignment in 0..64 of every document.
-    for seed in 0..prop_iters(6) as u64 {
-        let doc = generate(5000 + seed);
-        for shift in 0..64usize {
-            let padded = format!("{}{}", " ".repeat(shift), doc);
-            assert_backends_agree(
-                padded.as_bytes(),
-                wide,
-                &format!("seed {seed} shift {shift}"),
-            );
+    for &backend in &wide {
+        // Block seams: every alignment in 0..64 of every document.
+        for seed in 0..prop_iters(6) as u64 {
+            let docs = [generate(5000 + seed), simple_document(600, 5000 + seed)];
+            for doc in &docs {
+                for shift in 0..64usize {
+                    let padded = shifted(doc, shift);
+                    assert_backends_agree(
+                        padded.as_bytes(),
+                        backend,
+                        &format!("{backend:?} seed {seed} shift {shift}"),
+                    );
+                }
+            }
         }
-    }
 
-    // Window seam: the document body begins just before the 64 KiB scan
-    // window boundary, so its tokens cross the seam at shifting offsets
-    // (the pad is a single long text token plus alignment whitespace).
-    for seed in 0..prop_iters(2) as u64 {
-        let doc = generate(9000 + seed);
-        for shift in 0..8usize {
-            let mut padded = String::from("<pad>");
-            padded.push_str(&"a".repeat(SCAN_CHUNK - padded.len() - 40 - shift));
-            padded.push(' ');
-            padded.push_str(&doc);
-            padded.push_str("</pad>");
-            assert_backends_agree(
-                padded.as_bytes(),
-                wide,
-                &format!("window seed {seed} shift {shift}"),
-            );
+        // Window seam: the document body begins just before the 64 KiB
+        // scan window boundary, so its tokens cross the seam at shifting
+        // offsets (the pad is a single long text token plus alignment
+        // whitespace).
+        for seed in 0..prop_iters(2) as u64 {
+            let doc = generate(9000 + seed);
+            for shift in 0..8usize {
+                let mut padded = String::from("<pad>");
+                padded.push_str(&"a".repeat(SCAN_CHUNK - padded.len() - 40 - shift));
+                padded.push(' ');
+                padded.push_str(&doc);
+                padded.push_str("</pad>");
+                assert_backends_agree(
+                    padded.as_bytes(),
+                    backend,
+                    &format!("{backend:?} window seed {seed} shift {shift}"),
+                );
+            }
         }
     }
 }
