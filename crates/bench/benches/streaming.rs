@@ -339,7 +339,8 @@ fn bench_compiled(c: &mut Criterion) {
 
     // Bytes in, verdict out: the full byte-level pipeline (chunked UTF-8
     // validation → structural scan → automaton), interpreted and compiled,
-    // next to its first two layers alone (`utf8_only`, `tokenize_only`).
+    // next to its first two layers alone (`utf8_only`, `tokenize_only`) and
+    // to parsing the whole document before running (`materialize_then_run`).
     // The plain rows are pinned to the portable SWAR backend and the
     // `_simd` rows run on the runtime-detected wide backend, so one run
     // records both sides of the comparison CI gates on.
@@ -362,6 +363,7 @@ fn bench_compiled(c: &mut Criterion) {
         let q = contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len());
         let cq = query::compile(&q);
         let xml = to_xml(&doc, &ab);
+        let mut parse_ab = ab.clone();
         group.throughput(Throughput::Bytes(xml.len() as u64));
         group.bench_with_input(BenchmarkId::new("utf8_only", events), &xml, |b, xml| {
             b.iter(|| std::str::from_utf8(black_box(xml.as_bytes())).is_ok())
@@ -382,6 +384,21 @@ fn bench_compiled(c: &mut Criterion) {
                 &xml,
                 |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
             );
+            if suffix.is_empty() {
+                // Parse-then-run beside stream-from-bytes: pay the parse and
+                // the whole materialized document on every iteration, then
+                // decide with the same interpreted query.
+                group.bench_with_input(
+                    BenchmarkId::new("materialize_then_run", events),
+                    &xml,
+                    |b, xml| {
+                        b.iter(|| {
+                            let doc = parse_document(xml, &mut parse_ab).unwrap();
+                            run_streaming(&q, &doc)
+                        })
+                    },
+                );
+            }
             group.bench_with_input(
                 BenchmarkId::new(&format!("bytes_compiled{suffix}"), events),
                 &xml,
@@ -415,51 +432,6 @@ fn bench_streaming(c: &mut Criterion) {
             BenchmarkId::new("det_membership", word.len()),
             &word,
             |b, w| b.iter(|| query::contains(&q, w)),
-        );
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("e15_xml_streaming");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
-    for events in [10_000usize, 100_000, 1_000_000] {
-        let (mut doc_ab, doc) = generate_document(
-            DocumentConfig {
-                events,
-                max_depth: 64,
-                ..Default::default()
-            },
-            11,
-        );
-        let q = contains_tag_nwa(doc_ab.lookup("t1").unwrap(), doc_ab.len());
-        let xml = to_xml(&doc, &doc_ab);
-
-        group.throughput(Throughput::Elements(doc.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("contains_tag_batch", events),
-            &doc,
-            |b, d| b.iter(|| run_streaming(&q, d)),
-        );
-        // materialize-then-run: pay the parse and the full document on every
-        // iteration, then decide
-        group.bench_with_input(
-            BenchmarkId::new("materialize_then_run", events),
-            &xml,
-            |b, xml| {
-                b.iter(|| {
-                    let doc = parse_document(xml, &mut doc_ab).unwrap();
-                    run_streaming(&q, &doc)
-                })
-            },
-        );
-        // incremental: tokenizer events straight into the automaton, nothing
-        // materialized
-        group.bench_with_input(
-            BenchmarkId::new("incremental_stream", events),
-            &xml,
-            |b, xml| b.iter(|| run_streaming_text(&q, xml, &doc_ab).unwrap()),
         );
     }
     group.finish();

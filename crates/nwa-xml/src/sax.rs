@@ -9,19 +9,19 @@
 //! close tags are allowed — they become pending calls and returns, exactly
 //! the situation §1 highlights as awkward for tree-based models.
 //!
-//! There is one lexer: the bulk structural scanner of [`crate::scan`],
-//! building events through `LexerCore` (the [`ResolveName`] policy, the
-//! queued-event buffer, and the tag/CDATA classification rules). Two front
-//! ends expose it:
+//! There is one lexer, [`scan::BulkLexer`](crate::scan::BulkLexer): every
+//! token is lexed either by its structural tape or by its one scalar token
+//! step, and a token cut by the scan window's end takes that same step again
+//! on a grown window. The lexer is generic over the [`ResolveName`] policy,
+//! and this module names its two instances:
 //!
 //! * [`ByteTokenizer`] — one SAX event at a time from any [`std::io::Read`],
 //!   swept chunk-at-a-time (UTF-8 validated per chunk, multi-byte sequences
 //!   split across `read` calls carried over the seam, invalid or truncated
 //!   sequences surfacing as typed [`SaxError`]s) without ever materializing
 //!   the document — the bytes-in → events-out pipeline of §1;
-//! * [`FrozenByteTokenizer`] — the same byte-level source against a
-//!   *read-only* alphabet ([`ResolveName`] chooses between the two
-//!   policies): names are looked up instead of interned, an unknown name is
+//! * [`FrozenByteTokenizer`] — the same lexer against a *read-only*
+//!   alphabet: names are looked up instead of interned, an unknown name is
 //!   a typed [`NestedWordError::UnknownSymbol`], and the alphabet is never
 //!   copied or mutated — the serving-path front end, where the alphabet
 //!   must stay aligned with a compiled artifact.
@@ -32,8 +32,8 @@
 //! and [`parse_document`] are the batch conveniences on top, running the
 //! same scanner over `text.as_bytes()`.
 
+use crate::scan::BulkLexer;
 use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol, TaggedWord};
-use std::collections::VecDeque;
 use std::io;
 
 /// Errors of the byte-level SAX pipeline: everything that can go wrong
@@ -113,10 +113,10 @@ impl SaxError {
 }
 
 // --------------------------------------------------------------------------
-// The event builder
+// Name resolution and the two front ends
 // --------------------------------------------------------------------------
 
-/// How the lexing engine maps lexed names (tag names, text tokens) to
+/// How the lexer maps lexed names (tag names, text tokens) to
 /// [`Symbol`]s.
 ///
 /// Two policies exist:
@@ -150,343 +150,27 @@ impl ResolveName for &Alphabet {
     }
 }
 
-/// The name-to-event builder of the [`scan`](crate::scan) lexer: it owns
-/// the [`ResolveName`] policy, the queue of already-lexed events (the
-/// return of a self-closing tag, the text tokens of a CDATA section) and
-/// the post-error fuse, plus the two classification steps — turning a tag
-/// body into its event and splitting CDATA content into text tokens.
-#[derive(Debug)]
-pub(crate) struct LexerCore<N: ResolveName> {
-    pub(crate) names: N,
-    /// Queued events: the return of a self-closing tag, or the text tokens
-    /// of a CDATA section.
-    pub(crate) queued: VecDeque<TaggedSymbol>,
-    /// Set after yielding an error; the iterator is fused.
-    pub(crate) failed: bool,
-    /// Direct-mapped memo of recent name resolutions (see
-    /// [`LexerCore::resolve_bytes`]).
-    cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
-}
-
-/// One slot of the name-resolution memo: the name's bytes zero-padded into
-/// two words plus its length — an *exact* key (equal key ⇔ equal bytes), so
-/// a hit needs no hashing, no string compare and no allocation — and the
-/// resolved symbol in all three event forms, indexed in place by
-/// [`FORM_INTERNAL`] / [`FORM_CALL`] / [`FORM_RETURN`]. `len` is
-/// `EMPTY_SLOT` for never-filled slots; names longer than 16 bytes are not
-/// cached (they fall through to the policy every time).
-#[derive(Debug, Clone, Copy)]
-struct NameCacheEntry {
-    w0: u64,
-    w1: u64,
-    len: u32,
-    forms: [TaggedSymbol; 3],
-}
-
-/// Index of the text-word form in a name-cache slot.
-pub(crate) const FORM_INTERNAL: usize = 0;
-/// Index of the open-tag form in a name-cache slot.
-pub(crate) const FORM_CALL: usize = 1;
-/// Index of the close-tag form in a name-cache slot.
-pub(crate) const FORM_RETURN: usize = 2;
-
-/// A symbol's three event forms, in `FORM_*` order.
-pub(crate) fn forms(sym: Symbol) -> [TaggedSymbol; 3] {
-    [
-        TaggedSymbol::Internal(sym),
-        TaggedSymbol::Call(sym),
-        TaggedSymbol::Return(sym),
-    ]
-}
-
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Slots in the name memo. Documents draw their names from a small, heavily
-/// repeated set (element vocabularies, recurring words), so even a small
-/// direct-mapped table converges to all-hits; 256 slots × 32 bytes keep it
-/// L1-resident.
-const NAME_CACHE_SLOTS: usize = 256;
-
-/// Is this byte one of the six ASCII characters `char::is_whitespace`
-/// accepts (TAB, LF, VT, FF, CR, space)?
-#[inline(always)]
-pub(crate) fn is_ascii_whitespace_byte(b: u8) -> bool {
-    b == b' ' || (0x09..=0x0D).contains(&b)
-}
-
-/// Marker: a non-ASCII byte decided an ASCII-only classification attempt.
-pub(crate) struct NonAscii;
-
-/// `split_whitespace().next()` on bytes, ASCII-only: skips leading ASCII
-/// whitespace, takes bytes up to the next ASCII whitespace (or the end).
-/// A non-ASCII byte in either role — it could be Unicode whitespace or a
-/// multi-byte name character — aborts with [`NonAscii`] so the caller can
-/// fall back to char-level classification. `Ok(None)` means only
-/// whitespace was found.
-#[inline]
-pub(crate) fn ascii_first_token(bytes: &[u8]) -> Result<Option<&[u8]>, NonAscii> {
-    let mut i = 0;
-    while i < bytes.len() && is_ascii_whitespace_byte(bytes[i]) {
-        i += 1;
-    }
-    if i == bytes.len() {
-        return Ok(None);
-    }
-    if bytes[i] >= 0x80 {
-        return Err(NonAscii);
-    }
-    let start = i;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if is_ascii_whitespace_byte(b) {
-            return Ok(Some(&bytes[start..i]));
-        }
-        if b >= 0x80 {
-            return Err(NonAscii);
-        }
-        i += 1;
-    }
-    Ok(Some(&bytes[start..]))
-}
-
-/// Packs up to 16 name bytes into two little-endian words, zero-padded.
-/// Built with shift-or rather than a copy into a padded buffer: names are
-/// typically 2–10 bytes, where a dynamic-length `memcpy` call would cost
-/// more than the whole cache probe.
-#[inline(always)]
-pub(crate) fn pack_name(bytes: &[u8]) -> (u64, u64) {
-    let mut w0 = 0u64;
-    let mut w1 = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        if i < 8 {
-            w0 |= u64::from(b) << (8 * i);
-        } else {
-            w1 |= u64::from(b) << (8 * (i - 8));
-        }
-    }
-    (w0, w1)
-}
-
-/// The cache slot of an exact name key. Any mix is fine — a slot collision
-/// costs a policy call, not a wrong answer (the key compare is exact).
-#[inline(always)]
-fn slot_of(w0: u64, w1: u64, len: u32) -> usize {
-    let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1)
-}
-
-/// The policy call itself, kept out of the inlined probe: per distinct
-/// short name it runs once, while the probe runs per event.
-#[cold]
-fn resolve_with<N: ResolveName>(names: &mut N, name: &[u8]) -> Result<Symbol, SaxError> {
-    let name = std::str::from_utf8(name).expect("lexed names are valid UTF-8");
-    Ok(names.resolve(name)?)
-}
-
-impl<N: ResolveName> LexerCore<N> {
-    pub(crate) fn new(names: N) -> Self {
-        LexerCore {
-            names,
-            queued: VecDeque::new(),
-            failed: false,
-            cache: Box::new(
-                [NameCacheEntry {
-                    w0: 0,
-                    w1: 0,
-                    len: EMPTY_SLOT,
-                    forms: forms(Symbol(0)),
-                }; NAME_CACHE_SLOTS],
-            ),
-        }
-    }
-
-    /// Maps one lexed name to a symbol through the policy. Equivalent to
-    /// [`LexerCore::resolve_bytes`] (which it wraps), for callers holding a
-    /// `&str`.
-    pub(crate) fn resolve(&mut self, name: &str) -> Result<Symbol, SaxError> {
-        self.resolve_bytes(name.as_bytes())
-    }
-
-    /// Maps one lexed name (guaranteed-valid UTF-8 bytes — a slice of a
-    /// validated window or of a `&str`) to a symbol through the policy,
-    /// memoized in a direct-mapped cache: resolution is the per-event step
-    /// the scanner cannot batch, and the policy's `HashMap` lookup
-    /// (SipHash, probe, `str` re-validation) would otherwise dominate the
-    /// whole tokenizer on short names. Both policies are idempotent per name —
-    /// interning returns the same symbol it first assigned, frozen lookup
-    /// never changes — so a cached hit is exactly the policy's answer.
-    /// Failures (unknown name, alphabet full) are not cached and always
-    /// re-consult the policy.
-    #[inline]
-    pub(crate) fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
-        if name.len() > 16 {
-            return resolve_with(&mut self.names, name);
-        }
-        let (w0, w1) = pack_name(name);
-        let len = name.len() as u32;
-        if let Some(t) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
-            return Ok(t.symbol());
-        }
-        let sym = resolve_with(&mut self.names, name)?;
-        self.cache[slot_of(w0, w1, len)] = NameCacheEntry {
-            w0,
-            w1,
-            len,
-            forms: forms(sym),
-        };
-        Ok(sym)
-    }
-
-    /// The cache probe alone: the event form `form` (`FORM_*`) of the name
-    /// with exact key `(w0, w1, len)` — the value [`pack_name`] produces,
-    /// which the scanner's stage 2 builds from two masked word loads of its
-    /// window — read in place from its slot, or `None` on a miss.
-    #[inline(always)]
-    pub(crate) fn cached_form(
-        &self,
-        w0: u64,
-        w1: u64,
-        len: u32,
-        form: usize,
-    ) -> Option<TaggedSymbol> {
-        let slot = &self.cache[slot_of(w0, w1, len)];
-        (slot.w0 == w0 && slot.w1 == w1 && slot.len == len).then(|| slot.forms[form])
-    }
-
-    /// Classifies one tag body (the characters between `<` and `>`) into
-    /// its SAX event, queueing the return of a self-closing tag:
-    ///
-    /// * a leading `/` is a close tag — the name is the first
-    ///   whitespace-separated token of the rest (attributes ignored);
-    /// * otherwise the body is trimmed, a trailing `/` marks the tag
-    ///   self-closing, and the name is again the first token — so
-    ///   `<sec a="1">` and `</sec>` produce the *same* symbol;
-    /// * a body with no name at all is the typed `empty tag name` error at
-    ///   the tag's opening offset.
-    pub(crate) fn tag_event(
-        &mut self,
-        body: &str,
-        tag_start: usize,
-    ) -> Result<TaggedSymbol, SaxError> {
-        let empty_name = || {
-            SaxError::Syntax(NestedWordError::Parse {
-                offset: tag_start,
-                message: "empty tag name".into(),
-            })
-        };
-        if let Some(rest) = body.strip_prefix('/') {
-            let name = rest.split_whitespace().next().ok_or_else(empty_name)?;
-            let sym = self.resolve(name)?;
-            return Ok(TaggedSymbol::Return(sym));
-        }
-        // Both branches read the same trimmed body. (The untrimmed view the
-        // non-self-closing branch previously took was harmless — the name is
-        // extracted with split_whitespace — but equal inputs by construction
-        // beat equal-by-coincidence.)
-        let trimmed = body.trim_end();
-        let (inner, self_closing) = match trimmed.strip_suffix('/') {
-            Some(inner) => (inner, true),
-            None => (trimmed, false),
-        };
-        let name = inner.split_whitespace().next().ok_or_else(empty_name)?;
-        let sym = self.resolve(name)?;
-        if self_closing {
-            self.queued.push_back(TaggedSymbol::Return(sym));
-        }
-        Ok(TaggedSymbol::Call(sym))
-    }
-
-    /// [`LexerCore::tag_event`] from validated window bytes: the all-ASCII
-    /// classification steps (leading `/`, trailing-whitespace trim, first
-    /// whitespace-separated token) run byte-level; any non-ASCII byte in a
-    /// deciding position (inside the name, or in the trailing run that the
-    /// trim must judge) falls back to the char-level classifier, which is
-    /// the semantics. Same result for the same bytes, by construction for
-    /// the fallback and because ASCII classification agrees with Unicode
-    /// classification wherever only ASCII is inspected.
-    pub(crate) fn tag_event_bytes(
-        &mut self,
-        body: &[u8],
-        tag_start: usize,
-    ) -> Result<TaggedSymbol, SaxError> {
-        let fallback = |core: &mut Self| {
-            let body = std::str::from_utf8(body).expect("the window holds validated UTF-8");
-            core.tag_event(body, tag_start)
-        };
-        let empty_name = || {
-            SaxError::Syntax(NestedWordError::Parse {
-                offset: tag_start,
-                message: "empty tag name".into(),
-            })
-        };
-        if body.first() == Some(&b'/') {
-            return match ascii_first_token(&body[1..]) {
-                Err(NonAscii) => fallback(self),
-                Ok(None) => Err(empty_name()),
-                Ok(Some(name)) => Ok(TaggedSymbol::Return(self.resolve_bytes(name)?)),
-            };
-        }
-        // trim_end: drop trailing ASCII whitespace; a non-ASCII byte at the
-        // trimmed end could itself be Unicode whitespace — let chars decide.
-        let mut end = body.len();
-        while end > 0 && is_ascii_whitespace_byte(body[end - 1]) {
-            end -= 1;
-        }
-        if end > 0 && body[end - 1] >= 0x80 {
-            return fallback(self);
-        }
-        let (inner, self_closing) = match body[..end].split_last() {
-            Some((b'/', inner)) => (inner, true),
-            _ => (&body[..end], false),
-        };
-        match ascii_first_token(inner) {
-            Err(NonAscii) => fallback(self),
-            Ok(None) => Err(empty_name()),
-            Ok(Some(name)) => {
-                let sym = self.resolve_bytes(name)?;
-                if self_closing {
-                    self.queued.push_back(TaggedSymbol::Return(sym));
-                }
-                Ok(TaggedSymbol::Call(sym))
-            }
-        }
-    }
-
-    /// Splits CDATA content into whitespace-separated text tokens and
-    /// queues them — resolving every token before queuing any, so an
-    /// alphabet-full or unknown-symbol error surfaces without half the
-    /// section already emitted.
-    pub(crate) fn cdata_tokens(&mut self, content: &str) -> Result<(), SaxError> {
-        let mut events = Vec::new();
-        for token in content.split_whitespace() {
-            events.push(TaggedSymbol::Internal(self.resolve(token)?));
-        }
-        self.queued.extend(events);
-        Ok(())
-    }
-}
-
-// --------------------------------------------------------------------------
-// The two public front ends
-// --------------------------------------------------------------------------
-
 /// The byte-level SAX front end: an incremental lexer over any
 /// [`io::Read`], yielding one [`TaggedSymbol`] event at a time — no
 /// materialized document, memory proportional to the scan window plus the
 /// current token — and interning names into the borrowed alphabet as it
 /// goes.
 ///
-/// It runs on the bulk structural scanner ([`crate::scan`]): bytes are
-/// pulled in [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks,
-/// UTF-8 is validated a chunk at a time (multi-byte sequences split across
-/// `read` calls are carried over the seam), and tags, text runs, CDATA
-/// sections and directives are classified with whole-run byte sweeps
-/// instead of per-character dispatch. Lexical rules:
+/// It is the bulk structural scanner ([`BulkLexer`]) with the interning
+/// policy: bytes are pulled in
+/// [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks, UTF-8 is
+/// validated a chunk at a time (multi-byte sequences split across `read`
+/// calls are carried over the seam), and tags, text runs, CDATA sections
+/// and directives are classified with whole-run byte sweeps instead of
+/// per-character dispatch. [`BulkLexer::fill`] lexes events in bulk for the
+/// engines' slice stepping. Lexical rules:
 ///
 /// * tag names end at the first whitespace character; anything after it
 ///   (attributes) is ignored, so `<sec a="1">` and `</sec>` produce the
 ///   *same* symbol, and a `>` inside a quoted attribute value does not end
 ///   the tag;
+/// * an open tag whose last non-whitespace character is `/` is
+///   self-closing;
 /// * `<!…>` declarations/comments and `<?…?>` processing instructions are
 ///   skipped entirely; a `<!DOCTYPE …>` may carry a `[ … ]` internal subset
 ///   whose declarations contain `>`;
@@ -509,39 +193,9 @@ impl<N: ResolveName> LexerCore<N> {
 /// assert_eq!(events.len(), 3);
 /// assert_eq!(events[1], TaggedSymbol::Internal(ab.lookup("héllo").unwrap()));
 /// ```
-#[derive(Debug)]
-pub struct ByteTokenizer<'a, R: io::Read> {
-    inner: crate::scan::BulkLexer<R, &'a mut Alphabet>,
-}
+pub type ByteTokenizer<'a, R> = BulkLexer<R, &'a mut Alphabet>;
 
-impl<'a, R: io::Read> ByteTokenizer<'a, R> {
-    /// Creates a tokenizer over a byte stream, interning symbol names into
-    /// `alphabet`.
-    pub fn new(reader: R, alphabet: &'a mut Alphabet) -> Self {
-        ByteTokenizer {
-            inner: crate::scan::BulkLexer::new(reader, alphabet),
-        }
-    }
-
-    /// Lexes events in bulk into `out` until roughly `max` are buffered or
-    /// the stream ends — the slice-producing entry the bytes-in →
-    /// verdict-out pipeline feeds to the engines' bulk stepping. Events
-    /// lexed before an error stay in `out` (in emission order) when `Err`
-    /// is returned; every later call appends nothing.
-    pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
-        self.inner.fill(out, max)
-    }
-}
-
-impl<R: io::Read> Iterator for ByteTokenizer<'_, R> {
-    type Item = Result<TaggedSymbol, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
-/// The serving-path byte-level front end: identical lexing to
+/// The serving-path byte-level front end: the same lexer as
 /// [`ByteTokenizer`], but against a **read-only** alphabet.
 ///
 /// Names are resolved by lookup only — a name that is not already interned
@@ -571,34 +225,7 @@ impl<R: io::Read> Iterator for ByteTokenizer<'_, R> {
 ///     SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }) if name == "intruder"
 /// ));
 /// ```
-#[derive(Debug)]
-pub struct FrozenByteTokenizer<'a, R: io::Read> {
-    inner: crate::scan::BulkLexer<R, &'a Alphabet>,
-}
-
-impl<'a, R: io::Read> FrozenByteTokenizer<'a, R> {
-    /// Creates a tokenizer over a byte stream, resolving symbol names by
-    /// read-only lookup in `alphabet`.
-    pub fn new(reader: R, alphabet: &'a Alphabet) -> Self {
-        FrozenByteTokenizer {
-            inner: crate::scan::BulkLexer::new(reader, alphabet),
-        }
-    }
-
-    /// Lexes events in bulk into `out` until roughly `max` are buffered or
-    /// the stream ends; see [`ByteTokenizer::fill`].
-    pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
-        self.inner.fill(out, max)
-    }
-}
-
-impl<R: io::Read> Iterator for FrozenByteTokenizer<'_, R> {
-    type Item = Result<TaggedSymbol, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
+pub type FrozenByteTokenizer<'a, R> = BulkLexer<R, &'a Alphabet>;
 
 // --------------------------------------------------------------------------
 // Batch conveniences
@@ -840,7 +467,7 @@ mod tests {
     fn tag_whitespace_variants_intern_identical_symbols() {
         // All spellings of an element with trailing whitespace or a
         // self-closing slash must produce one and the same symbol, whichever
-        // lex_tag branch handles them.
+        // branch of the tag classifier handles them.
         let mut ab = Alphabet::new();
         let events = tokenize("<tag ></tag ><tag/><tag />", &mut ab).unwrap();
         let tag = ab.lookup("tag").unwrap();
@@ -941,23 +568,23 @@ mod tests {
     }
 
     #[test]
-    fn byte_tokenizer_agrees_with_char_tokenizer() {
+    fn chunked_reads_agree_with_whole_text() {
         // The whole text at once (what `tokenize` reads) against every
         // small read granularity; the char-level oracle itself lives in
         // `tests/sax_scan.rs`.
         let text = "<doc αβ='γ'><sec>héllo wörld — ≤∅≥</sec><näme/></doc>";
-        let mut char_ab = Alphabet::new();
-        let chars = tokenize(text, &mut char_ab).unwrap();
+        let mut whole_ab = Alphabet::new();
+        let whole = tokenize(text, &mut whole_ab).unwrap();
         // Whatever the read granularity — including mid-multi-byte splits —
-        // the byte path produces the identical event stream and alphabet.
+        // the chunked reads produce the identical event stream and alphabet.
         for chunk in 1..=7 {
-            let mut byte_ab = Alphabet::new();
-            let bytes: Vec<_> =
-                ByteTokenizer::new(SplitReader::new(text.as_bytes(), chunk), &mut byte_ab)
+            let mut chunked_ab = Alphabet::new();
+            let chunked: Vec<_> =
+                ByteTokenizer::new(SplitReader::new(text.as_bytes(), chunk), &mut chunked_ab)
                     .collect::<Result<_, _>>()
                     .unwrap();
-            assert_eq!(bytes, chars, "chunk size {chunk}");
-            assert_eq!(byte_ab, char_ab, "chunk size {chunk}");
+            assert_eq!(chunked, whole, "chunk size {chunk}");
+            assert_eq!(chunked_ab, whole_ab, "chunk size {chunk}");
         }
     }
 

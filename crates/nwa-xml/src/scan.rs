@@ -1,5 +1,5 @@
-//! Bulk structural scanning of raw XML-ish bytes — the one lexer behind
-//! [`ByteTokenizer`](crate::sax::ByteTokenizer),
+//! Bulk structural scanning of raw XML-ish bytes: [`BulkLexer`], the one
+//! lexer behind [`ByteTokenizer`](crate::sax::ByteTokenizer),
 //! [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer) and the batch
 //! conveniences [`tokenize`](crate::sax::tokenize) /
 //! [`parse_document`](crate::sax::parse_document).
@@ -28,15 +28,19 @@
 //!    direct-mapped name cache (whose slots hold all three event forms),
 //!    and the event is appended to the caller's slice.
 //!
-//! Whatever stage 1 rejects — attributes, quotes, self-closing tags,
-//! directives, `<>`, `</>`, a stray `>`, control bytes, non-ASCII, the
-//! short window tail — is lexed token by token by the scalar arm
-//! (`step_token`, word-at-a-time SWAR sweeps), and tokens that cannot be
-//! decided inside the window (a seam, a directive, EOF) by the growing
-//! slow path. The char-at-a-time lexer that once shared `LexerCore` lives
-//! on only as the differential oracle of `tests/sax_scan.rs`, which holds
-//! this scanner token-for-token and error-for-error equal to it under
-//! adversarial read granularities and block alignments.
+//! Every token is lexed either by the tape or by the one scalar token step
+//! (`step_token`: word-at-a-time SWAR sweeps to the token's end, then the
+//! one byte-level tag classifier), which takes whatever stage 1 rejects —
+//! attributes, quotes, self-closing tags, directives, `<>`, `</>`, a stray
+//! `>`, control bytes, non-ASCII — and the short window tail. A token cut
+//! by the window's end takes that same step again once the window has
+//! grown: the window at least doubles per retry, so the re-sweeps stay
+//! linear in the token's length whatever the read size. Only directives
+//! leave the step: comments, PIs, DOCTYPEs and CDATA sections are swept as
+//! they stream past. The char-at-a-time lexer lives on only as the
+//! differential oracle of `tests/sax_scan.rs`, which holds this scanner
+//! token-for-token and error-for-error equal to it under adversarial read
+//! granularities and block alignments.
 //!
 //! **Backends.** There is one window-fill loop; the three stage-1 kernels
 //! differ only in classification. Portable SWAR words ([`ScanBackend::Swar`])
@@ -45,15 +49,17 @@
 //! ([`ScanBackend::Neon`]) is the `aarch64` baseline. [`scan_backend`]
 //! reports the choice and [`force_scan_backend`] pins one.
 //!
-//! Invalid or truncated UTF-8 found by the chunk validator is *deferred*:
-//! the window simply ends at the last valid scalar, and the typed
-//! [`SaxError`] surfaces exactly when lexing reaches that offset — the same
-//! observable order as an incremental decoder, where a token in progress
-//! when the bad byte arrives is discarded in favor of the error.
+//! Whatever stops the reader — invalid or truncated UTF-8 found by the
+//! chunk validator, or a failed `read` — is *held*: the window simply ends
+//! at the last valid scalar before it, and the typed [`SaxError`] surfaces
+//! exactly when lexing reaches that offset — the same observable order as
+//! an incremental decoder, where every token that completes before the bad
+//! byte comes out and a token still in progress is discarded in favor of
+//! the error.
 
-use crate::sax::{forms, LexerCore, ResolveName, SaxError, FORM_CALL, FORM_RETURN};
+use crate::sax::{ResolveName, SaxError};
 use kernel::{BlockClassifier, EventSink, BLOCK};
-use nested_words::{NestedWordError, TaggedSymbol};
+use nested_words::{NestedWordError, Symbol, TaggedSymbol};
 use std::io;
 
 // The stage-1 kernels and the stage-2 sink: the crate's one module allowed
@@ -124,6 +130,57 @@ fn decode_scalar(bytes: &[u8]) -> (char, usize) {
 #[inline(always)]
 fn is_ascii_ws(b: u8) -> bool {
     b == b' ' || (0x09..=0x0D).contains(&b)
+}
+
+/// Whether the scalar at `data[i]` is whitespace by `char::is_whitespace`,
+/// and its encoded length: ASCII is judged inline, a high byte decoded.
+#[inline(always)]
+fn scalar_ws(data: &[u8], i: usize) -> (bool, usize) {
+    let b = data[i];
+    if b < 0x80 {
+        return (is_ascii_ws(b), 1);
+    }
+    let (c, len) = decode_scalar(&data[i..]);
+    (c.is_whitespace(), len)
+}
+
+/// The end of the run of whitespace scalars (`ws`), or of non-whitespace
+/// scalars (`!ws`), that starts at `i`.
+#[inline(always)]
+fn run_end(data: &[u8], mut i: usize, ws: bool) -> usize {
+    while i < data.len() {
+        let (is_ws, len) = scalar_ws(data, i);
+        if is_ws != ws {
+            break;
+        }
+        i += len;
+    }
+    i
+}
+
+/// `bytes.len()` less its trailing whitespace scalars: `str::trim_end` on
+/// validated bytes, stepping back over continuation bytes to judge a high
+/// scalar from its lead byte.
+fn trim_end(bytes: &[u8]) -> usize {
+    let mut end = bytes.len();
+    while end > 0 {
+        let mut lead = end - 1;
+        while bytes[lead] & 0xC0 == 0x80 {
+            lead -= 1;
+        }
+        if !scalar_ws(bytes, lead).0 {
+            break;
+        }
+        end = lead;
+    }
+    end
+}
+
+fn parse_error(offset: usize, message: &str) -> SaxError {
+    SaxError::Syntax(NestedWordError::Parse {
+        offset,
+        message: message.into(),
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -270,6 +327,189 @@ mod backend {
 
     pub(super) fn reset() {
         STATE.store(0, Ordering::Relaxed);
+    }
+}
+
+// --------------------------------------------------------------------------
+// Name resolution and the tag classifier
+// --------------------------------------------------------------------------
+
+/// The name-to-event builder of the lexer: the [`ResolveName`] policy
+/// behind a direct-mapped name cache, and the one classifier of tag bodies.
+#[derive(Debug)]
+struct LexerCore<N: ResolveName> {
+    names: N,
+    /// Direct-mapped memo of recent name resolutions (see
+    /// [`LexerCore::resolve_bytes`]).
+    cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
+}
+
+/// One slot of the name-resolution memo: the name's bytes zero-padded into
+/// two words plus its length — an *exact* key (equal key ⇔ equal bytes), so
+/// a hit needs no hashing, no string compare and no allocation — and the
+/// resolved symbol in all three event forms, indexed in place by
+/// [`FORM_INTERNAL`] / [`FORM_CALL`] / [`FORM_RETURN`]. `len` is
+/// `EMPTY_SLOT` for never-filled slots; names longer than 16 bytes are not
+/// cached (they fall through to the policy every time).
+#[derive(Debug, Clone, Copy)]
+struct NameCacheEntry {
+    w0: u64,
+    w1: u64,
+    len: u32,
+    forms: [TaggedSymbol; 3],
+}
+
+/// Index of the text-word form in a name-cache slot.
+const FORM_INTERNAL: usize = 0;
+/// Index of the open-tag form in a name-cache slot.
+const FORM_CALL: usize = 1;
+/// Index of the close-tag form in a name-cache slot.
+const FORM_RETURN: usize = 2;
+
+/// A symbol's three event forms, in `FORM_*` order.
+fn forms(sym: Symbol) -> [TaggedSymbol; 3] {
+    [
+        TaggedSymbol::Internal(sym),
+        TaggedSymbol::Call(sym),
+        TaggedSymbol::Return(sym),
+    ]
+}
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Slots in the name memo. Documents draw their names from a small, heavily
+/// repeated set (element vocabularies, recurring words), so even a small
+/// direct-mapped table converges to all-hits; 256 slots × 32 bytes keep it
+/// L1-resident.
+const NAME_CACHE_SLOTS: usize = 256;
+
+/// Packs up to 16 name bytes into two little-endian words, zero-padded.
+/// Built with shift-or rather than a copy into a padded buffer: names are
+/// typically 2–10 bytes, where a dynamic-length `memcpy` call would cost
+/// more than the whole cache probe.
+#[inline(always)]
+fn pack_name(bytes: &[u8]) -> (u64, u64) {
+    let mut w0 = 0u64;
+    let mut w1 = 0u64;
+    for (i, &b) in bytes.iter().enumerate() {
+        if i < 8 {
+            w0 |= u64::from(b) << (8 * i);
+        } else {
+            w1 |= u64::from(b) << (8 * (i - 8));
+        }
+    }
+    (w0, w1)
+}
+
+/// The cache slot of an exact name key. Any mix is fine — a slot collision
+/// costs a policy call, not a wrong answer (the key compare is exact).
+#[inline(always)]
+fn slot_of(w0: u64, w1: u64, len: u32) -> usize {
+    let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1)
+}
+
+/// The policy call itself, kept out of the inlined probe: per distinct
+/// short name it runs once, while the probe runs per event.
+#[cold]
+fn resolve_with<N: ResolveName>(names: &mut N, name: &[u8]) -> Result<Symbol, SaxError> {
+    let name = std::str::from_utf8(name).expect("lexed names are valid UTF-8");
+    Ok(names.resolve(name)?)
+}
+
+impl<N: ResolveName> LexerCore<N> {
+    fn new(names: N) -> Self {
+        LexerCore {
+            names,
+            cache: Box::new(
+                [NameCacheEntry {
+                    w0: 0,
+                    w1: 0,
+                    len: EMPTY_SLOT,
+                    forms: forms(Symbol(0)),
+                }; NAME_CACHE_SLOTS],
+            ),
+        }
+    }
+
+    /// Maps one lexed name (valid UTF-8 bytes of the validated window) to a
+    /// symbol through the policy, memoized in a direct-mapped cache:
+    /// resolution is the per-event step the scanner cannot batch, and the
+    /// policy's `HashMap` lookup (SipHash, probe, `str` re-validation) would
+    /// otherwise dominate the whole tokenizer on short names. Both policies
+    /// are idempotent per name — interning returns the same symbol it first
+    /// assigned, frozen lookup never changes — so a cached hit is exactly the
+    /// policy's answer. Failures (unknown name, alphabet full) are not
+    /// cached and always re-consult the policy.
+    #[inline]
+    fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
+        if name.len() > 16 {
+            return resolve_with(&mut self.names, name);
+        }
+        let (w0, w1) = pack_name(name);
+        let len = name.len() as u32;
+        if let Some(t) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
+            return Ok(t.symbol());
+        }
+        let sym = resolve_with(&mut self.names, name)?;
+        self.cache[slot_of(w0, w1, len)] = NameCacheEntry {
+            w0,
+            w1,
+            len,
+            forms: forms(sym),
+        };
+        Ok(sym)
+    }
+
+    /// The cache probe alone: the event form `form` (`FORM_*`) of the name
+    /// with exact key `(w0, w1, len)` — the value [`pack_name`] produces,
+    /// which the scanner's stage 2 builds from two masked word loads of its
+    /// window — read in place from its slot, or `None` on a miss.
+    #[inline(always)]
+    fn cached_form(&self, w0: u64, w1: u64, len: u32, form: usize) -> Option<TaggedSymbol> {
+        let slot = &self.cache[slot_of(w0, w1, len)];
+        (slot.w0 == w0 && slot.w1 == w1 && slot.len == len).then(|| slot.forms[form])
+    }
+
+    /// Classifies one tag body — the bytes between `<` and `>` — into its
+    /// event, plus the return of a self-closing tag:
+    ///
+    /// * a leading `/` is a close tag, named by the first
+    ///   whitespace-separated token of the rest (attributes ignored);
+    /// * otherwise the tag self-closes when its last non-whitespace scalar
+    ///   is `/`, and is named by the first token before that `/` — so
+    ///   `<sec a="1">`, `<sec/>` and `</sec>` name the *same* symbol;
+    /// * a body with no name at all is the typed `empty tag name` error at
+    ///   the tag's opening offset.
+    ///
+    /// Whitespace is `char::is_whitespace`, judged inline on ASCII and by
+    /// decoding on high bytes, as everywhere in the scanner.
+    fn tag_events(
+        &mut self,
+        body: &[u8],
+        tag_start: usize,
+    ) -> Result<(TaggedSymbol, Option<TaggedSymbol>), SaxError> {
+        let (inner, close, self_closing) = match body {
+            [b'/', rest @ ..] => (rest, true, false),
+            _ => match &body[..trim_end(body)] {
+                [inner @ .., b'/'] => (inner, false, true),
+                trimmed => (trimmed, false, false),
+            },
+        };
+        let start = run_end(inner, 0, true);
+        let end = run_end(inner, start, false);
+        if start == end {
+            return Err(parse_error(tag_start, "empty tag name"));
+        }
+        let sym = self.resolve_bytes(&inner[start..end])?;
+        Ok(if close {
+            (TaggedSymbol::Return(sym), None)
+        } else {
+            (
+                TaggedSymbol::Call(sym),
+                self_closing.then_some(TaggedSymbol::Return(sym)),
+            )
+        })
     }
 }
 
@@ -494,7 +734,7 @@ fn tape_token(tape: &Tape, data: &[u8], from: usize, i: usize) -> (usize, usize,
 }
 
 /// Packs a 1..=16-byte name starting at `from` into its exact cache key —
-/// the same `(w0, w1)` value `LexerCore`'s byte-loop packer produces, built
+/// the same `(w0, w1)` value the byte-loop [`pack_name`] produces, built
 /// from two raw word loads and a mask instead. Callers guarantee
 /// `from + 16 <= data.len()` (stage 1 stops 16 bytes short of the window
 /// end for this), so the overread-free loads stay in bounds.
@@ -650,20 +890,13 @@ fn find_text_end(data: &[u8], start: usize) -> Option<usize> {
             }
             break j;
         };
-        let b = data[k];
-        if b < 0x80 {
-            if b == b'<' || is_ascii_ws(b) {
-                return Some(k);
-            }
-            // A control character: part of the token.
-            j = k + 1;
-        } else {
-            let (c, len) = decode_scalar(&data[k..]);
-            if c.is_whitespace() {
-                return Some(k);
-            }
-            j = k + len;
+        // A control character or a non-whitespace high scalar is part of
+        // the token.
+        let (ws, len) = scalar_ws(data, k);
+        if ws || data[k] == b'<' {
+            return Some(k);
         }
+        j = k + len;
     }
 }
 
@@ -672,9 +905,11 @@ fn find_text_end(data: &[u8], start: usize) -> Option<usize> {
 /// Layout: `buf[start..end]` is unread *validated* data, `buf[end..raw_end]`
 /// is a carried multi-byte tail split by the last refill seam (re-validated
 /// once its continuation arrives), and `offset_base` is the absolute stream
-/// offset of `buf[0]`. A validation failure is *deferred* into `pending`:
-/// the window behaves as if the stream ended at the last valid scalar, and
-/// the typed error is handed out when the lexer actually reaches it.
+/// offset of `buf[0]`. Whatever stops the reader — clean EOF, an I/O error,
+/// invalid or truncated UTF-8 — sets `eof`, and an error is *held* in
+/// `pending`: the window behaves as if the stream ended at the last valid
+/// scalar before it, and the typed error is handed out when the lexer
+/// actually reaches that end.
 #[derive(Debug)]
 struct ChunkWindow<R> {
     reader: R,
@@ -720,35 +955,31 @@ impl<R: io::Read> ChunkWindow<R> {
         self.start += n;
     }
 
-    /// Extends the validated window past its current end: compacts the
-    /// consumed prefix, pulls one `read`, validates the new bytes (plus any
-    /// carried seam tail) and loops until at least one new whole scalar is
-    /// available. `Ok(false)` is clean EOF; a deferred UTF-8 error whose
-    /// offset the caller has scanned up to, or an I/O failure, is `Err`.
+    /// Pulls one more `read` past the window's end: compacts the consumed
+    /// prefix, reads, and validates the new bytes (plus any carried seam
+    /// tail). Returns whether the reader may have more; once it has stopped
+    /// it is never read again.
     ///
     /// Because compaction moves only the *unconsumed* suffix to the front,
     /// positions relative to `data()` survive the refill — a token spanning
     /// any number of seams stays addressable as one contiguous slice, at
     /// the cost of growing the buffer only when a single token outgrows it
     /// (memory proportional to the longest token).
-    fn grow(&mut self) -> Result<bool, SaxError> {
+    fn read_more(&mut self) -> bool {
+        if self.eof {
+            return false;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.raw_end, 0);
+            self.offset_base += self.start;
+            self.end -= self.start;
+            self.raw_end -= self.start;
+            self.start = 0;
+        }
+        if self.raw_end == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
         loop {
-            if let Some(e) = self.pending.take() {
-                return Err(e);
-            }
-            if self.eof {
-                return Ok(false);
-            }
-            if self.start > 0 {
-                self.buf.copy_within(self.start..self.raw_end, 0);
-                self.offset_base += self.start;
-                self.end -= self.start;
-                self.raw_end -= self.start;
-                self.start = 0;
-            }
-            if self.raw_end == self.buf.len() {
-                self.buf.resize(self.buf.len() * 2, 0);
-            }
             match self.reader.read(&mut self.buf[self.raw_end..]) {
                 Ok(0) => {
                     self.eof = true;
@@ -762,35 +993,49 @@ impl<R: io::Read> ChunkWindow<R> {
                 Ok(n) => {
                     self.raw_end += n;
                     let (valid, stop) = utf8_prefix(&self.buf[self.end..self.raw_end]);
-                    let grew = valid > 0;
                     self.end += valid;
                     if matches!(stop, Utf8Stop::Invalid) {
+                        // Nothing past the error is ever examined.
                         self.pending = Some(SaxError::InvalidUtf8 {
                             offset: self.offset_base + self.end,
                         });
-                        // Nothing past the error is ever examined: the
-                        // lexer fuses once the error surfaces.
                         self.eof = true;
                     }
-                    if grew {
-                        return Ok(true);
-                    }
-                    // No whole scalar completed (a tiny read inside a
-                    // multi-byte sequence, or an error right at the seam):
-                    // loop to read again or surface the deferral.
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(SaxError::Io(e)),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.pending = Some(SaxError::Io(e));
+                    self.eof = true;
+                }
+            }
+            return !self.eof;
+        }
+    }
+
+    /// Extends the window by at least one whole scalar. `Ok(false)` is
+    /// clean EOF; a held error, now reached, is `Err`.
+    fn grow(&mut self) -> Result<bool, SaxError> {
+        let len = self.data().len();
+        loop {
+            let more = self.read_more();
+            if self.data().len() > len {
+                return Ok(true);
+            }
+            if !more {
+                return self.pending.take().map_or(Ok(false), Err);
             }
         }
     }
 }
-/// The bulk lexer: run-sweeping methods over a [`ChunkWindow`], feeding
-/// run classifications through the `LexerCore` event builder. This is the
-/// engine inside [`ByteTokenizer`](crate::sax::ByteTokenizer) and
-/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer).
+
+/// The bulk lexer over one byte stream: a `ChunkWindow` on the reader,
+/// the name resolver, the stage-1 tape, and the lex-ahead buffer of the
+/// per-event [`Iterator`] view. It is generic over the [`ResolveName`]
+/// policy; [`ByteTokenizer`](crate::sax::ByteTokenizer) (interning) and
+/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer) (read-only
+/// lookup) name its two instances, and their docs give the lexical rules.
 #[derive(Debug)]
-pub(crate) struct BulkLexer<R: io::Read, N: ResolveName> {
+pub struct BulkLexer<R: io::Read, N: ResolveName> {
     window: ChunkWindow<R>,
     core: LexerCore<N>,
     /// Stage 1's output, reused across passes.
@@ -802,6 +1047,8 @@ pub(crate) struct BulkLexer<R: io::Read, N: ResolveName> {
     /// An error met while lexing ahead: surfaced after `ready` drains, i.e.
     /// in exactly the position the per-event path would have yielded it.
     pending_err: Option<SaxError>,
+    /// Set after yielding an error; the lexer is fused.
+    failed: bool,
 }
 
 /// How many events the per-event [`Iterator`] view lexes ahead per
@@ -811,111 +1058,110 @@ const ITER_BATCH: usize = 1024;
 
 /// What one [`step_token`] call did with the window.
 enum StepOutcome {
-    /// One event (plus possibly a queued self-closing twin) was emitted;
-    /// the cursor is now at the contained position.
+    /// One event (plus a self-closing tag's return) was emitted; the cursor
+    /// is now at the contained position.
     Emitted(usize),
-    /// The next token cannot be decided inside the window (it may span the
-    /// seam, or is a stateful directive): consume up to the contained
-    /// position and hand over to the growing slow path.
+    /// The next token cannot be decided inside the window: it may continue
+    /// past the window's end, or it is a directive. Consume up to the
+    /// contained position and let the caller skip the directive or grow the
+    /// window.
     Window(usize),
-    /// Name resolution failed at the token starting at the contained
-    /// position (consume up to there, then surface the error).
+    /// The token starting at the contained position failed (consume up to
+    /// there, then surface the error).
     Fail(SaxError, usize),
 }
 
-/// One scalar token step of the window fill: skip inter-token whitespace
-/// from `pos` (ASCII inline, non-ASCII decoded), then classify and emit the
-/// next token if it completes inside `data`, charging `budget` per event.
+/// One scalar token step: skip inter-token whitespace from `pos`, then
+/// classify and emit the next token if it completes inside `data`, charging
+/// `budget` per event. With `eof` the window's end is the stream's end: a
+/// text word ends there, and an open `<…` is an unterminated tag.
 ///
-/// This is the scalar arm of the window fill: it lexes every token stage 1
-/// could not prove simple, with the word-at-a-time sweeps of
-/// [`find_tag_close`] / [`find_text_end`] and the byte-level classifier
-/// ([`LexerCore::tag_event_bytes`](crate::sax::LexerCore)).
+/// This is the scanner's one token rule besides the tape. It lexes every
+/// token stage 1 could not prove simple and the short window tail, and —
+/// re-run on a grown window — every token cut by the window's end, with the
+/// word-at-a-time sweeps of [`find_tag_close`] / [`find_text_end`] and the
+/// tag classifier [`LexerCore::tag_events`].
 #[inline(always)]
 fn step_token<N: ResolveName>(
     core: &mut LexerCore<N>,
     data: &[u8],
     base: usize,
-    mut pos: usize,
+    pos: usize,
+    eof: bool,
     out: &mut Vec<TaggedSymbol>,
     budget: &mut usize,
 ) -> StepOutcome {
     let n = data.len();
     // Inter-token whitespace — usually none or one byte.
-    while pos < n {
-        let b = data[pos];
-        if b < 0x80 {
-            if !is_ascii_ws(b) {
-                break;
-            }
-            pos += 1;
-        } else {
-            let (c, len) = decode_scalar(&data[pos..]);
-            if !c.is_whitespace() {
-                break;
-            }
-            pos += len;
-        }
-    }
+    let pos = run_end(data, pos, true);
     if pos == n {
         return StepOutcome::Window(n);
     }
-    if data[pos] == b'<' {
-        if pos + 1 == n {
-            return StepOutcome::Window(pos);
-        }
-        let lead = data[pos + 1];
-        if lead == b'!' || lead == b'?' {
-            // Directives are rare and stateful: slow path.
-            return StepOutcome::Window(pos);
-        }
-        // `</name>` and `<name>` with nothing but name material between
-        // the brackets skip the classifier entirely: the sweep's simple
-        // verdict certifies the slice is the name.
-        let body_at = if lead == b'/' { pos + 2 } else { pos + 1 };
-        let Some((gt, simple)) = find_tag_close(data, body_at) else {
-            return StepOutcome::Window(pos);
-        };
-        if simple && gt > body_at {
-            match core.resolve_bytes(&data[body_at..gt]) {
-                Ok(sym) => out.push(if lead == b'/' {
-                    TaggedSymbol::Return(sym)
-                } else {
-                    TaggedSymbol::Call(sym)
-                }),
-                Err(e) => return StepOutcome::Fail(e, pos),
-            }
-            *budget -= 1;
-        } else {
-            let body = if lead == b'/' { pos + 1 } else { body_at };
-            match core.tag_event_bytes(&data[body..gt], base + pos) {
-                Ok(event) => out.push(event),
-                Err(e) => return StepOutcome::Fail(e, pos),
-            }
-            *budget -= 1;
-            // A self-closing tag queued its return; emit it in place.
-            if let Some(t) = core.queued.pop_front() {
-                out.push(t);
-                *budget = budget.saturating_sub(1);
-            }
-        }
-        StepOutcome::Emitted(gt + 1)
-    } else {
-        let Some(end) = find_text_end(data, pos) else {
-            // The token may continue past the window: slow path.
-            return StepOutcome::Window(pos);
+    if data[pos] != b'<' {
+        let end = match find_text_end(data, pos) {
+            Some(end) => end,
+            None if eof => n,
+            None => return StepOutcome::Window(pos),
         };
         match core.resolve_bytes(&data[pos..end]) {
             Ok(sym) => out.push(TaggedSymbol::Internal(sym)),
             Err(e) => return StepOutcome::Fail(e, pos),
         }
         *budget -= 1;
-        StepOutcome::Emitted(end)
+        return StepOutcome::Emitted(end);
     }
+    // A tag the window cuts: undecided, or unterminated at the stream's end.
+    let cut = || {
+        if eof {
+            StepOutcome::Fail(parse_error(base + pos, "unterminated tag"), pos)
+        } else {
+            StepOutcome::Window(pos)
+        }
+    };
+    let lead = match data.get(pos + 1) {
+        // Directives are rare and stateful: the caller skips them.
+        Some(b'!' | b'?') => return StepOutcome::Window(pos),
+        Some(&lead) => lead,
+        None => return cut(),
+    };
+    let body_at = if lead == b'/' { pos + 2 } else { pos + 1 };
+    let Some((gt, simple)) = find_tag_close(data, body_at) else {
+        return cut();
+    };
+    if simple && gt > body_at {
+        // `</name>` and `<name>` with nothing but name material between the
+        // brackets skip the classifier: the sweep's simple verdict
+        // certifies the slice is the name.
+        match core.resolve_bytes(&data[body_at..gt]) {
+            Ok(sym) => out.push(if lead == b'/' {
+                TaggedSymbol::Return(sym)
+            } else {
+                TaggedSymbol::Call(sym)
+            }),
+            Err(e) => return StepOutcome::Fail(e, pos),
+        }
+        *budget -= 1;
+    } else {
+        match core.tag_events(&data[pos + 1..gt], base + pos) {
+            Ok((event, twin)) => {
+                out.push(event);
+                *budget -= 1;
+                if let Some(t) = twin {
+                    out.push(t);
+                    *budget = budget.saturating_sub(1);
+                }
+            }
+            Err(e) => return StepOutcome::Fail(e, pos),
+        }
+    }
+    StepOutcome::Emitted(gt + 1)
 }
 
 impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
-    pub(crate) fn new(reader: R, names: N) -> Self {
+    /// Creates a lexer over a byte stream, resolving symbol names through
+    /// `names`: `&mut Alphabet` interns them, `&Alphabet` looks them up
+    /// read-only.
+    pub fn new(reader: R, names: N) -> Self {
         BulkLexer {
             window: ChunkWindow::new(reader),
             core: LexerCore::new(names),
@@ -923,6 +1169,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             ready: Vec::new(),
             ready_pos: 0,
             pending_err: None,
+            failed: false,
         }
     }
 
@@ -946,29 +1193,30 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 
     /// Lexes events in bulk into `out` until roughly `max` are buffered or
-    /// the stream ends — the slice-producing entry behind
-    /// `queries::run_streaming_reader` and the per-event iterators.
+    /// the stream ends — the slice-producing entry the bytes-in →
+    /// verdict-out pipeline feeds to the engines' bulk stepping (behind
+    /// `queries::run_streaming_reader`), and the source of the per-event
+    /// iterator.
     ///
     /// The hot loop sweeps the *current* window with a local cursor: no
     /// per-event `Result` plumbing, no window bookkeeping, no method
-    /// dispatch — one `consume` per window, not per token. Anything that
-    /// cannot be finished inside the window (a token cut by the chunk seam,
-    /// a directive, EOF, a deferred UTF-8 error) falls back to the general
-    /// per-event path ([`Self::next_event`]), which grows the window and
-    /// agrees with the fast loop token-for-token by sharing `LexerCore`.
+    /// dispatch — one `consume` per window, not per token. Only a directive
+    /// or a token cut by the window's end leaves that loop: directives are
+    /// skipped as they stream past, and a cut token sends the window off to
+    /// grow before the same token step runs on it again.
     ///
-    /// Events already pushed to `out` stay there when an error is returned
-    /// — callers either discard them (the error is the outcome) or, like
-    /// the draining iterator, hand them out before surfacing the error,
-    /// which is exactly the per-event emission order.
+    /// Events lexed before an error stay in `out` (in emission order) when
+    /// `Err` is returned — callers either discard them (the error is the
+    /// outcome) or, like the draining iterator, hand them out before
+    /// surfacing the error, which is exactly the per-event emission order.
     ///
     /// The lexer is fused at the first error: every later call appends
     /// nothing and returns `Ok`, so a caller looping on `fill` can never
     /// read on past a corrupt byte as if the document continued.
-    pub(crate) fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
+    pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
         let filled = self.fill_events(out, max);
         if filled.is_err() {
-            self.core.failed = true;
+            self.failed = true;
         }
         filled
     }
@@ -987,27 +1235,32 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
-        if self.core.failed {
+        if self.failed {
             return Ok(());
         }
         loop {
-            while let Some(t) = self.core.queued.pop_front() {
-                out.push(t);
-                if out.len() >= max {
-                    return Ok(());
-                }
-            }
-            if out.len() >= max {
-                return Ok(());
-            }
             if self.fill_window(out, max)? {
                 return Ok(());
             }
-            // The window could not decide the next token: grow-and-lex it
-            // on the general path, then resume sweeping.
-            match self.next_event()? {
-                Some(t) => out.push(t),
-                None => return Ok(()),
+            // `fill_window` consumed everything before the token it could
+            // not decide.
+            let data = self.window.data();
+            if let [b'<', lead @ (b'!' | b'?'), ..] = *data {
+                let tag_start = self.window.abs_offset();
+                self.window.consume(2);
+                self.lex_directive(tag_start, lead, out)?;
+            } else if self.window.eof {
+                // The reader has stopped: at a clean end nothing is left,
+                // otherwise the error it stopped on is reached now.
+                return self.window.pending.take().map_or(Ok(()), Err);
+            } else {
+                // A token cut by the window's end: grow the window until it
+                // at least doubles or the reader stops, then step the same
+                // token again. Doubling keeps the re-sweeps of one token
+                // linear in its length, whatever the read size; an error
+                // met while growing waits until the tokens before it are out.
+                let want = (2 * data.len()).max(1);
+                while self.window.read_more() && self.window.data().len() < want {}
             }
         }
     }
@@ -1016,8 +1269,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// windowed, on the [`scan_backend`]-selected stage-1 kernel: emits
     /// every event that completes inside the window, consumes exactly the
     /// bytes of the events emitted, and returns `Ok(true)` when `out`
-    /// reached `max` (`Ok(false)` hands the seam to the caller's slow
-    /// path).
+    /// reached `max` (`Ok(false)` hands the undecided token to the caller).
     fn fill_window(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<bool, SaxError> {
         match scan_backend() {
             #[cfg(target_arch = "x86_64")]
@@ -1044,6 +1296,8 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         max: usize,
     ) -> Result<bool, SaxError> {
         let base = self.window.abs_offset();
+        // Does the window end where the stream ends cleanly?
+        let eof = self.window.eof && self.window.pending.is_none();
         let data: &[u8] = &self.window.buf[self.window.start..self.window.end];
         let mut pos = 0usize;
         // Counted down instead of re-reading `out.len()` every event.
@@ -1068,7 +1322,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
                     continue;
                 }
             }
-            match step_token(&mut self.core, data, base, pos, out, &mut budget) {
+            match step_token(&mut self.core, data, base, pos, eof, out, &mut budget) {
                 StepOutcome::Emitted(next) => pos = next,
                 StepOutcome::Window(consumed) => {
                     pos = consumed;
@@ -1084,156 +1338,18 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         Ok(full)
     }
 
-    fn next_event(&mut self) -> Result<Option<TaggedSymbol>, SaxError> {
-        loop {
-            // Drained inside the loop: a CDATA section queues text tokens
-            // that must come out before the next run is scanned.
-            if let Some(t) = self.core.queued.pop_front() {
-                return Ok(Some(t));
-            }
-            if !self.skip_whitespace()? {
-                return Ok(None);
-            }
-            if self.window.data()[0] == b'<' {
-                if let Some(t) = self.lex_tag()? {
-                    return Ok(Some(t));
-                }
-                // directive skipped
-            } else {
-                return self.lex_text().map(Some);
-            }
-        }
-    }
-
-    /// Scans past inter-token whitespace; `false` means clean EOF.
-    fn skip_whitespace(&mut self) -> Result<bool, SaxError> {
-        loop {
-            let data = self.window.data();
-            let n = data.len();
-            let mut i = 0;
-            let mut stop = false;
-            while i < n {
-                let b = data[i];
-                if b < 0x80 {
-                    if is_ascii_ws(b) {
-                        i += 1;
-                        continue;
-                    }
-                    stop = true;
-                    break;
-                }
-                let (c, len) = decode_scalar(&data[i..]);
-                if c.is_whitespace() {
-                    i += len;
-                    continue;
-                }
-                stop = true;
-                break;
-            }
-            self.window.consume(i);
-            if stop {
-                return Ok(true);
-            }
-            if !self.window.grow()? {
-                return Ok(false);
-            }
-        }
-    }
-
-    /// Lexes one whitespace-delimited text token, with the window cursor on
-    /// its first byte: one sweep to the next `<` or whitespace, then a
-    /// single name resolution over the whole slice.
-    fn lex_text(&mut self) -> Result<TaggedSymbol, SaxError> {
-        let mut pos = 0usize;
-        loop {
-            let data = self.window.data();
-            let n = data.len();
-            let mut stop = false;
-            while pos < n {
-                let b = data[pos];
-                if b < 0x80 {
-                    if b == b'<' || is_ascii_ws(b) {
-                        stop = true;
-                        break;
-                    }
-                    pos += 1;
-                    continue;
-                }
-                let (c, len) = decode_scalar(&data[pos..]);
-                if c.is_whitespace() {
-                    stop = true;
-                    break;
-                }
-                pos += len;
-            }
-            if stop {
-                break;
-            }
-            if !self.window.grow()? {
-                break; // EOF ends the token
-            }
-        }
-        let token = std::str::from_utf8(&self.window.data()[..pos])
-            .expect("the window holds validated UTF-8");
-        let sym = self.core.resolve(token)?;
-        self.window.consume(pos);
-        Ok(TaggedSymbol::Internal(sym))
-    }
-
-    /// Lexes one `<…>` construct, with the window cursor on `<`. Returns
-    /// `None` for skipped directives. The closing `>` is found by a
-    /// quote-aware byte sweep (a `>` inside a quoted attribute value does
-    /// not terminate the tag); the body between the brackets is then handed
-    /// whole to the shared tag classifier.
-    fn lex_tag(&mut self) -> Result<Option<TaggedSymbol>, SaxError> {
-        let tag_start = self.window.abs_offset();
-        if self.ensure(1)? {
-            let b = self.window.data()[1];
-            if b == b'!' || b == b'?' {
-                // <!DOCTYPE …>, <!-- … -->, <?xml … ?>: no SAX event.
-                self.window.consume(2); // the '<' and the lead byte
-                self.lex_directive(tag_start, b)?;
-                return Ok(None);
-            }
-        }
-        let mut pos = 1usize;
-        let mut quote = 0u8;
-        'scan: loop {
-            let data = self.window.data();
-            let n = data.len();
-            while pos < n {
-                let b = data[pos];
-                pos += 1;
-                if quote != 0 {
-                    if b == quote {
-                        quote = 0;
-                    }
-                } else if b == b'>' {
-                    break 'scan;
-                } else if b == b'"' || b == b'\'' {
-                    quote = b;
-                }
-            }
-            if !self.window.grow()? {
-                return Err(SaxError::Syntax(NestedWordError::Parse {
-                    offset: tag_start,
-                    message: "unterminated tag".into(),
-                }));
-            }
-        }
-        let body = std::str::from_utf8(&self.window.data()[1..pos - 1])
-            .expect("the window holds validated UTF-8");
-        let event = self.core.tag_event(body, tag_start)?;
-        self.window.consume(pos);
-        Ok(Some(event))
-    }
-
     /// Skips or lexes one directive, with the window cursor just past the
-    /// consumed `<!` or `<?` (`lead` is the second byte). The quirky
-    /// corners are deliberate (and pinned by the differential oracle): `<!-` with no second dash falls
-    /// through to the bracket scan, and a partial `CDATA[` marker leaves
-    /// the consumed `[` as one open bracket level.
-    fn lex_directive(&mut self, tag_start: usize, lead: u8) -> Result<(), SaxError> {
+    /// consumed `<!` or `<?` (`lead` is the second byte); a CDATA section's
+    /// words go to `out`. The quirky corners are deliberate (and pinned by
+    /// the differential oracle): `<!-` with no second dash falls through to
+    /// the bracket scan, and a partial `CDATA[` marker leaves the consumed
+    /// `[` as one open bracket level.
+    fn lex_directive(
+        &mut self,
+        tag_start: usize,
+        lead: u8,
+        out: &mut Vec<TaggedSymbol>,
+    ) -> Result<(), SaxError> {
         if lead == b'!' && self.peek_byte()? == Some(b'-') {
             self.window.consume(1);
             if self.peek_byte()? == Some(b'-') {
@@ -1256,20 +1372,13 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
                 matched += 1;
             }
             if matched == MARKER.len() {
-                return self.lex_cdata(tag_start);
+                return self.lex_cdata(tag_start, out);
             }
             // Not CDATA (e.g. a DTD conditional section): the consumed `[`
             // opened one bracket level; fall through to the scan.
             depth = 1;
         }
         self.scan_doctype(tag_start, depth)
-    }
-
-    fn unterminated_directive(tag_start: usize) -> SaxError {
-        SaxError::Syntax(NestedWordError::Parse {
-            offset: tag_start,
-            message: "unterminated directive".into(),
-        })
     }
 
     /// Sweeps a comment body to its `-->` terminator, consuming as it goes
@@ -1295,7 +1404,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             }
             self.window.consume(i);
             if !self.window.grow()? {
-                return Err(Self::unterminated_directive(tag_start));
+                return Err(parse_error(tag_start, "unterminated directive"));
             }
         }
     }
@@ -1319,7 +1428,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             }
             self.window.consume(i);
             if !self.window.grow()? {
-                return Err(Self::unterminated_directive(tag_start));
+                return Err(parse_error(tag_start, "unterminated directive"));
             }
         }
     }
@@ -1347,18 +1456,18 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             }
             self.window.consume(i);
             if !self.window.grow()? {
-                return Err(Self::unterminated_directive(tag_start));
+                return Err(parse_error(tag_start, "unterminated directive"));
             }
         }
     }
 
     /// Lexes a CDATA section, with the cursor just past `<![CDATA[`: one
-    /// sweep to the `]]>` terminator, then the whole content slice goes to
-    /// the shared token splitter. Unlike the other directives the content
-    /// is needed whole — its text tokens are all resolved before any is
-    /// queued, so a resolution failure surfaces with nothing half-emitted —
-    /// so the sweep grows the window instead of consuming.
-    fn lex_cdata(&mut self, tag_start: usize) -> Result<(), SaxError> {
+    /// sweep to the `]]>` terminator, then the content's whitespace-separated
+    /// words are resolved straight into `out`. Unlike the other directives
+    /// the content is needed whole — a resolution failure truncates the
+    /// section's words off `out` again, so nothing is half-emitted — so the
+    /// sweep grows the window instead of consuming.
+    fn lex_cdata(&mut self, tag_start: usize, out: &mut Vec<TaggedSymbol>) -> Result<(), SaxError> {
         let mut pos = 0usize;
         let end = 'scan: loop {
             let data = self.window.data();
@@ -1370,15 +1479,23 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
                 pos += 1;
             }
             if !self.window.grow()? {
-                return Err(SaxError::Syntax(NestedWordError::Parse {
-                    offset: tag_start,
-                    message: "unterminated CDATA section".into(),
-                }));
+                return Err(parse_error(tag_start, "unterminated CDATA section"));
             }
         };
-        let content = std::str::from_utf8(&self.window.data()[..end])
-            .expect("the window holds validated UTF-8");
-        self.core.cdata_tokens(content)?;
+        let content = &self.window.data()[..end];
+        let mark = out.len();
+        let mut word = run_end(content, 0, true);
+        while word < content.len() {
+            let word_end = run_end(content, word, false);
+            match self.core.resolve_bytes(&content[word..word_end]) {
+                Ok(sym) => out.push(TaggedSymbol::Internal(sym)),
+                Err(e) => {
+                    out.truncate(mark);
+                    return Err(e);
+                }
+            }
+            word = run_end(content, word_end, true);
+        }
         self.window.consume(end + 3);
         Ok(())
     }
@@ -1397,7 +1514,7 @@ impl<R: io::Read, N: ResolveName> Iterator for BulkLexer<R, N> {
             if let Some(e) = self.pending_err.take() {
                 return Some(Err(e));
             }
-            if self.core.failed {
+            if self.failed {
                 return None;
             }
             // Lex the next batch ahead; events met before an error drain
@@ -1473,7 +1590,7 @@ mod tests {
             for len in 1..=16 {
                 assert_eq!(
                     pack_short(&data, from, len),
-                    crate::sax::pack_name(&data[from..from + len]),
+                    pack_name(&data[from..from + len]),
                     "from {from} len {len}"
                 );
             }

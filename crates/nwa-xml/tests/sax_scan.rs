@@ -39,6 +39,9 @@ struct SplitReader<'a> {
     data: &'a [u8],
     pos: usize,
     chunk: usize,
+    /// After the last byte, fail with `ConnectionReset` instead of
+    /// reporting EOF.
+    reset_at_end: bool,
 }
 
 impl<'a> SplitReader<'a> {
@@ -47,12 +50,24 @@ impl<'a> SplitReader<'a> {
             data,
             pos: 0,
             chunk: chunk.max(1),
+            reset_at_end: false,
+        }
+    }
+
+    /// [`SplitReader::new`], whose read after the last byte fails.
+    fn resetting(data: &'a [u8], chunk: usize) -> Self {
+        SplitReader {
+            reset_at_end: true,
+            ..SplitReader::new(data, chunk)
         }
     }
 }
 
 impl io::Read for SplitReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.reset_at_end && self.pos == self.data.len() {
+            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "reset"));
+        }
         let n = self.chunk.min(buf.len()).min(self.data.len() - self.pos);
         buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
         self.pos += n;
@@ -89,24 +104,36 @@ fn named((events, err): Drained, ab: &Alphabet) -> Outcome {
 /// incremental `Utf8Chars` decoder, over an identically-chunked reader so
 /// byte offsets in errors line up with the subject's.
 fn reference(data: &[u8], chunk: usize) -> Outcome {
+    reference_from(SplitReader::new(data, chunk))
+}
+
+fn reference_from(reader: SplitReader) -> Outcome {
     let mut ab = Alphabet::new();
-    let lexer = EventLexer::new(Utf8Chars::new(SplitReader::new(data, chunk)), &mut ab);
+    let lexer = EventLexer::new(Utf8Chars::new(reader), &mut ab);
     let drained = drain(lexer);
     named(drained, &ab)
 }
 
 /// Subject outcome via the `Iterator` entry point.
 fn bulk_iter(data: &[u8], chunk: usize) -> Outcome {
+    bulk_iter_from(SplitReader::new(data, chunk))
+}
+
+fn bulk_iter_from(reader: SplitReader) -> Outcome {
     let mut ab = Alphabet::new();
-    let drained = drain(ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab));
+    let drained = drain(ByteTokenizer::new(reader, &mut ab));
     named(drained, &ab)
 }
 
 /// Subject outcome via the slice-producing `fill` entry point, pulling in
 /// deliberately awkward batch sizes so batching never hides a seam bug.
 fn bulk_fill(data: &[u8], chunk: usize, batch: usize) -> Outcome {
+    bulk_fill_from(SplitReader::new(data, chunk), batch)
+}
+
+fn bulk_fill_from(reader: SplitReader, batch: usize) -> Outcome {
     let mut ab = Alphabet::new();
-    let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
+    let mut tok = ByteTokenizer::new(reader, &mut ab);
     let mut events = Vec::new();
     let drained = loop {
         let before = events.len();
@@ -323,63 +350,158 @@ fn random_documents_match_char_lexer() {
     );
 }
 
+/// Hand-picked documents: lexical errors, quote and bracket interplay,
+/// directives, control bytes, non-ASCII and invalid UTF-8.
+const EDGE_CASES: &[&[u8]] = &[
+    b"",
+    b" \t\n ",
+    "\u{a0}\u{2003}".as_bytes(),
+    b"word",
+    b"<a></a>",
+    b"<a/>",
+    b"< a ></ a >",
+    b"<a b=\"c\">t</a>",
+    // lexical errors: empty names, unterminated constructs
+    b"<>",
+    b"</>",
+    b"< >",
+    b"<a><",
+    b"<a>text",
+    b"<a",
+    b"</a",
+    b"<a b=\"unclosed>",
+    b"<!-- never closed",
+    b"<!-- -- >still open",
+    b"<![CDATA[no end]]",
+    b"<?pi no end?",
+    b"<!DOCTYPE d [ <!ENTITY e \">\"> ",
+    b"<!DOCTYPE d [ unclosed subset >",
+    // quote/bracket interplay
+    b"<a x='>'>i</a>",
+    b"<a x=\"'\" y='\"'>.</a>",
+    b"<a x='a/>'></a>",
+    // self-closing variants
+    b"<a / >",
+    b"<a  />",
+    // directives adjacent to everything
+    b"<!--c--><a><?p?><![CDATA[x]]></a><!--t-->",
+    b"<![CDATA[]]]><a/>",
+    b"<![CDATA[]] >]]>",
+    // control characters inside text are token characters
+    b"<a>\x01\x02</a>",
+    // non-ASCII everywhere: names, text, attribute values, whitespace
+    "<é \u{a0}>\u{a0}𝄞\u{3000}汉</é>".as_bytes(),
+    "<𝄞note>x</𝄞note>".as_bytes(),
+    // invalid UTF-8: lone continuation, overlong, bad leading byte,
+    // truncated scalar mid-stream and at EOF — typed errors with the
+    // exact byte offset must agree with the incremental decoder.
+    b"<a>\x80</a>",
+    b"<a>\xc0\xaf</a>",
+    b"<a>\xff</a>",
+    b"<a>\xe2\x82</a>",
+    b"<a>\xe2\x82",
+    b"<a>\xf0\x9d\x84",
+    b"ok \xf0\x9d\x84\x9e bad \xed\xa0\x80 tail",
+    b"<t\xc3>",
+    b"<t a='\xf4\x90\x80\x80'>",
+    // Unicode whitespace beside a self-closing `/`, in names and in text
+    "<a/\u{a0}>".as_bytes(),
+    "<a\u{3000}/>".as_bytes(),
+    "<\u{a0}/>".as_bytes(),
+    "</\u{2003}a>".as_bytes(),
+    "<a\u{85}b>".as_bytes(),
+    "<a\u{1680}k='>'/>".as_bytes(),
+    "x\u{85}y".as_bytes(),
+];
+
 #[test]
 fn edge_documents_match_char_lexer() {
-    let cases: &[&[u8]] = &[
-        b"",
-        b" \t\n ",
-        "\u{a0}\u{2003}".as_bytes(),
-        b"word",
-        b"<a></a>",
-        b"<a/>",
-        b"< a ></ a >",
-        b"<a b=\"c\">t</a>",
-        // lexical errors: empty names, unterminated constructs
-        b"<>",
-        b"</>",
-        b"< >",
-        b"<a><",
-        b"<a>text",
-        b"<a",
-        b"</a",
-        b"<a b=\"unclosed>",
-        b"<!-- never closed",
-        b"<!-- -- >still open",
-        b"<![CDATA[no end]]",
-        b"<?pi no end?",
-        b"<!DOCTYPE d [ <!ENTITY e \">\"> ",
-        b"<!DOCTYPE d [ unclosed subset >",
-        // quote/bracket interplay
-        b"<a x='>'>i</a>",
-        b"<a x=\"'\" y='\"'>.</a>",
-        b"<a x='a/>'></a>",
-        // self-closing variants
-        b"<a / >",
-        b"<a  />",
-        // directives adjacent to everything
-        b"<!--c--><a><?p?><![CDATA[x]]></a><!--t-->",
-        b"<![CDATA[]]]><a/>",
-        b"<![CDATA[]] >]]>",
-        // control characters inside text are token characters
-        b"<a>\x01\x02</a>",
-        // non-ASCII everywhere: names, text, attribute values, whitespace
-        "<é \u{a0}>\u{a0}𝄞\u{3000}汉</é>".as_bytes(),
-        "<𝄞note>x</𝄞note>".as_bytes(),
-        // invalid UTF-8: lone continuation, overlong, bad leading byte,
-        // truncated scalar mid-stream and at EOF — typed errors with the
-        // exact byte offset must agree with the incremental decoder.
-        b"<a>\x80</a>",
-        b"<a>\xc0\xaf</a>",
-        b"<a>\xff</a>",
-        b"<a>\xe2\x82</a>",
-        b"<a>\xe2\x82",
-        b"<a>\xf0\x9d\x84",
-        b"ok \xf0\x9d\x84\x9e bad \xed\xa0\x80 tail",
-        b"<t\xc3>",
-        b"<t a='\xf4\x90\x80\x80'>",
-    ];
-    for (i, case) in cases.iter().enumerate() {
+    for (i, case) in EDGE_CASES.iter().enumerate() {
         assert_equivalent(case, &format!("edge case {i}"));
+    }
+}
+
+/// A read that fails after the last byte: the scanner yields the oracle's
+/// events up to the failed read, then its `SaxError::Io` — tokens that
+/// complete in the bytes before the failure come out first — at every read
+/// size and through both entry points.
+#[test]
+fn read_error_after_the_last_byte_matches_char_lexer() {
+    let mut io_errors = 0;
+    for (i, case) in EDGE_CASES.iter().enumerate() {
+        for chunk in 1..=7 {
+            let label = format!("edge case {i}, chunk={chunk}");
+            let expected = reference_from(SplitReader::resetting(case, chunk));
+            let err = expected.1.as_deref().expect("every run ends in an error");
+            io_errors += usize::from(err.starts_with("Io("));
+            assert_eq!(
+                bulk_iter_from(SplitReader::resetting(case, chunk)),
+                expected,
+                "{label}: iterator path diverged"
+            );
+            for batch in [1, 3, 1024] {
+                assert_eq!(
+                    bulk_fill_from(SplitReader::resetting(case, chunk), batch),
+                    expected,
+                    "{label}: fill path diverged at batch={batch}"
+                );
+            }
+        }
+    }
+    // Most cases reach the failed read before any error of their own.
+    assert!(
+        io_errors > EDGE_CASES.len() * 7 / 2,
+        "{io_errors} Io errors"
+    );
+}
+
+/// One-mebibyte tokens — a text word, a tag whose quoted attribute value
+/// is full of `>`, and that tag cut off by EOF — read one byte at a time
+/// and in 4099-byte reads. A token cut by the window's end is re-swept each
+/// time the window doubles, which is linear in its length; a lexer that
+/// re-swept it after every read would be quadratic here, and the
+/// wall-clock bound turns that into a failure instead of a hang.
+#[test]
+fn mebibyte_tokens_match_char_lexer_in_linear_time() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    const LIMIT: Duration = Duration::from_secs(30);
+    let mib = 1 << 20;
+    let tag = format!("<a k='{}'", ">".repeat(mib));
+    let docs = [
+        format!("<doc>{} tail</doc>", "w".repeat(mib)),
+        format!("{tag}>x</a>"),
+        tag,
+    ];
+    let (done, finished) = channel();
+    let worker = std::thread::spawn(move || {
+        for (i, doc) in docs.iter().enumerate() {
+            let expected = reference(doc.as_bytes(), doc.len());
+            for chunk in [1, 4099] {
+                assert_eq!(
+                    bulk_iter(doc.as_bytes(), chunk),
+                    expected,
+                    "document {i}: iterator path diverged at chunk={chunk}"
+                );
+                assert_eq!(
+                    bulk_fill(doc.as_bytes(), chunk, 1024),
+                    expected,
+                    "document {i}: fill path diverged at chunk={chunk}"
+                );
+            }
+        }
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(LIMIT) {
+        // Finished or panicked: join, re-raising an assertion failure.
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        // Left running: the failure ends the test process.
+        Err(RecvTimeoutError::Timeout) => panic!("mebibyte tokens took over {LIMIT:?}"),
     }
 }
 
