@@ -18,9 +18,8 @@
 //!   feed one event at a time, and observe acceptance and peak stack memory
 //!   at any prefix;
 //! * [`BatchAcceptor`] — batched multi-stream membership
-//!   ([`query::run_batch`]): N independent event streams advanced in
-//!   software-pipelined lockstep over one shared automaton, each stream's
-//!   state an owned `Send`able lane — the capability the `nwa-service`
+//!   ([`query::run_batch`]): N independent event streams over one shared
+//!   automaton, each stream's state an owned `Send`able lane — the capability the `nwa-service`
 //!   concurrent decision service drives. The lane is the only run state
 //!   of a compiled engine: its [`StreamRun`] is the generic [`LaneRun`];
 //! * [`MultiCompile`] / [`MultiAcceptor`] / [`QuerySetRun`] — multi-query

@@ -14,13 +14,13 @@
 //! The contract deliberately does not fix a representation. An
 //! implementation may build a shared product table with per-state accept
 //! masks (one transition lookup per event, preferred for small sets over a
-//! common alphabet) or advance M compiled engines in lockstep over the same
-//! event (the [`BatchAcceptor`] lane shape). Either way a run of the set
-//! is its lane stepped through a [`LaneRun`], which presents the
-//! [`QuerySetRun`] API, and [`query::run_multi`](crate::query::run_multi) /
-//! `nwa_xml::queries::run_multi_streaming_reader` drive either. The
-//! reference implementation with both backends and a size heuristic between
-//! them is `nwa::QuerySet`.
+//! common alphabet) or advance M compiled engines over the same event.
+//! Either way a run of the set is its lane stepped through a [`LaneRun`],
+//! which presents the [`QuerySetRun`] API, and
+//! [`query::run_multi`](crate::query::run_multi) /
+//! `nwa_xml::queries::run_multi_streaming_reader` drive it. The reference
+//! implementation, with both shapes and a size rule between them, is
+//! `nwa::QuerySet`.
 
 use crate::stream::{BatchAcceptor, LaneRun, StreamOutcome, StreamRun};
 
@@ -72,8 +72,8 @@ pub trait QuerySetRun: StreamRun {
 ///    alone observes at that prefix (pending calls and pending returns
 ///    included);
 /// 2. **one stream** — all M outcomes report the same `events` count;
-/// 3. **representation-free** — a product-table backend and a lockstep
-///    backend over the same queries agree on every stream.
+/// 3. **representation-free** — a product-table shape and a per-query
+///    shape over the same queries agree on every stream.
 pub trait MultiAcceptor: BatchAcceptor + Sized {
     /// Starts a fresh run of all member queries in their initial
     /// configurations.
@@ -87,13 +87,6 @@ pub trait MultiAcceptor: BatchAcceptor + Sized {
     /// The per-query verdict bitmask of a lane: bit `i` is set iff query `i`
     /// would accept if the lane's stream ended now.
     fn lane_verdicts(&self, lane: &Self::Lane) -> u64;
-
-    /// The alphabet fingerprint each member query was compiled against, in
-    /// query order ([`persist::fingerprint_alphabet`](crate::persist::fingerprint_alphabet)
-    /// of its σ). Serving layers validate submissions against these *before*
-    /// queueing, so a query compiled over the wrong alphabet is one typed
-    /// error up front rather than a mid-batch worker panic.
-    fn member_alphabet_fingerprints(&self) -> Vec<u64>;
 }
 
 impl<A: MultiAcceptor> QuerySetRun for LaneRun<'_, A> {
@@ -122,7 +115,7 @@ impl<A: MultiAcceptor> QuerySetRun for LaneRun<'_, A> {
 ///
 /// The free-function spelling is
 /// [`query::compile_set`](crate::query::compile_set). Implementations pick
-/// their representation (shared product table, lockstep engines, …) per
+/// their representation (shared product table, per-query engines, …) per
 /// set; whatever they pick, the result honors the [`MultiAcceptor`] laws.
 pub trait MultiCompile: Sized {
     /// The compiled query-set artifact.

@@ -69,8 +69,8 @@ pub mod kind {
     pub const COMPILED_STEPWISE_TA: u16 = 5;
     /// `automata_core::Snapshot` — suspended run state (not an automaton).
     pub const SNAPSHOT: u16 = 6;
-    /// `nwa::QuerySet` — compiled multi-query artifact (product table with
-    /// accept masks, or lockstep member engines).
+    /// `nwa::QuerySet` — compiled multi-query artifact (compiled engines,
+    /// each with per-state verdict masks).
     pub const QUERY_SET: u16 = 7;
 }
 

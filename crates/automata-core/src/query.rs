@@ -140,15 +140,13 @@ where
     run_stream(a, events).accepted
 }
 
-/// Advances N independent event streams in software-pipelined lockstep over
-/// one shared automaton and returns one [`StreamOutcome`] per stream — the
-/// model-generic entry point to every [`BatchAcceptor`] implementation.
+/// Advances N independent event streams over one shared automaton and
+/// returns one [`StreamOutcome`] per stream — the model-generic entry point
+/// to every [`BatchAcceptor`] implementation
+/// ([`BatchAcceptor::run_batch`]).
 ///
 /// Per stream, the outcome equals [`run_stream`] on that stream alone
-/// (property-tested in `tests/service.rs`); the point of the batch is
-/// throughput: the lanes' `state → table → state` load chains are mutually
-/// independent, so interleaving them hides each lane's dependency stall
-/// behind the others' table lookups. Compile once, batch many.
+/// (property-tested in `tests/service.rs`). Compile once, batch many.
 ///
 /// ```
 /// use automata_core::query;

@@ -112,7 +112,7 @@ fn print_multiquery_table(xml: &str, ab: &Alphabet, pools: &[(&str, &[Nwa])]) {
     println!("== E19: one-pass multi-query vs sequential per-query passes ==");
     println!(
         "{:>7} {:>10} {:>14} {:>10}",
-        "M", "backend", "table bytes", "agree"
+        "M", "engines", "table bytes", "agree"
     );
     for (name, pool) in pools {
         let set = query::compile_set(pool);
@@ -129,7 +129,7 @@ fn print_multiquery_table(xml: &str, ab: &Alphabet, pools: &[(&str, &[Nwa])]) {
         println!(
             "{:>7} {:>10} {:>14} {:>10}",
             name,
-            format!("{:?}", set.backend()),
+            set.num_engines(),
             set.table_bytes(),
             agree
         );

@@ -25,6 +25,10 @@ pub enum TaggedSymbol {
     Return(Symbol),
 }
 
+// A `u16` symbol plus a tag: 4 bytes, a figure the event-buffer sizes in
+// `nwa_xml` are documented in.
+const _: () = assert!(std::mem::size_of::<TaggedSymbol>() == 4);
+
 impl TaggedSymbol {
     /// Builds a tagged symbol from a kind and a symbol.
     pub fn new(kind: PositionKind, symbol: Symbol) -> Self {

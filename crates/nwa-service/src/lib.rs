@@ -12,14 +12,11 @@
 //!
 //! * **Layer 1 — the batched runner** is `query::run_batch` (the
 //!   `automata_core::BatchAcceptor::run_batch` entry point): N independent
-//!   streams advanced in software-pipelined lockstep over one shared table,
-//!   one owned lane per stream. One stream's throughput is bounded by the
-//!   `state → table → state` load-to-use dependency chain, not by table
-//!   size; lanes are mutually independent chains, so interleaving them
-//!   fills the pipeline: lane B's table lookup executes in the shadow of
-//!   lane A's dependency stall. Engines whose step is already
-//!   issue-width-bound (the fused compiled NWA) override it to run lanes
-//!   back to back.
+//!   streams over one shared table, one owned lane per stream. By default
+//!   the lanes run back to back through each engine's register-resident
+//!   slice loop; the compiled tagged DFA, whose step is a bare
+//!   `state → table → state` load chain, interleaves four lanes so their
+//!   table lookups overlap.
 //!
 //! * **Layer 2 — the decision service** ([`DecisionService`]): a
 //!   thread-pool facade over the batched runner. The compiled artifact is
@@ -47,7 +44,7 @@
 //!   artifact is a multi-query set (`automata_core::MultiAcceptor`, e.g. an
 //!   `nwa::QuerySet`), [`DecisionService::submit_multi`] decides one stream
 //!   against every member query in one pass and answers through a
-//!   [`MultiHandle`] carrying all M verdicts, with each member's alphabet
+//!   [`MultiHandle`] carrying all M verdicts, with the set's alphabet
 //!   fingerprint validated up front ([`MultiSubmitError`]).
 //!
 //! This outgrows the single-shot WALi-OpenNWA `query::language` shape the

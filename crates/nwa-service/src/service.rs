@@ -5,7 +5,7 @@
 //! tokenized on the calling thread) and get back a [`DecisionHandle`];
 //! workers pull submitted streams from a shared queue into batch slots of up
 //! to `lanes` streams, decide the slot through the batched entry point
-//! (`BatchAcceptor::run_batch`, so per-model lockstep kernels apply), and
+//! (`BatchAcceptor::run_batch`, so per-model batch kernels apply), and
 //! fulfil the handles. The
 //! artifact is shared by reference inside one `Arc` — the compiled engines
 //! are `Send + Sync` precisely so that a single table can serve every
@@ -129,9 +129,9 @@ pub struct ServiceConfig {
     /// parallelism (falling back to 1 when it cannot be queried).
     pub workers: usize,
     /// Batch-slot width: the maximum number of streams one worker decides in
-    /// lockstep per batch. The default of 4 sits past the knee of the
-    /// interleaving curve on the compiled tables (see `bench/service.rs`)
-    /// while keeping per-batch latency low.
+    /// one `run_batch` call. The default of 4 matches the compiled DFA's
+    /// four-lane interleaving kernel (see `bench/service.rs`) while keeping
+    /// per-batch latency low.
     pub lanes: usize,
 }
 
@@ -353,16 +353,13 @@ pub enum MultiSubmitError {
     /// An event's symbol falls outside the alphabet the service holds —
     /// the same guard as [`DecisionService::submit`].
     Input(NestedWordError),
-    /// Member query `query` of the artifact was compiled against a
-    /// different alphabet than the service's: its fingerprint `found` does
-    /// not match the `expected` fingerprint of the service alphabet. The
-    /// first offending query is reported.
-    QueryAlphabetMismatch {
-        /// Index of the first member query whose alphabet disagrees.
-        query: usize,
+    /// The artifact was compiled against a different alphabet than the
+    /// service's: its fingerprint `found` does not match the `expected`
+    /// fingerprint of the service alphabet.
+    AlphabetMismatch {
         /// Fingerprint of the service's alphabet.
         expected: u64,
-        /// Fingerprint the member query was compiled against.
+        /// Fingerprint the artifact was compiled against.
         found: u64,
     },
 }
@@ -371,13 +368,9 @@ impl std::fmt::Display for MultiSubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MultiSubmitError::Input(e) => write!(f, "invalid events for a multi-query run: {e}"),
-            MultiSubmitError::QueryAlphabetMismatch {
-                query,
-                expected,
-                found,
-            } => write!(
+            MultiSubmitError::AlphabetMismatch { expected, found } => write!(
                 f,
-                "member query {query} was compiled against a different alphabet \
+                "the query set was compiled against a different alphabet \
                  (fingerprint {found:#018x}, service alphabet {expected:#018x})"
             ),
         }
@@ -388,7 +381,7 @@ impl std::error::Error for MultiSubmitError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MultiSubmitError::Input(e) => Some(e),
-            MultiSubmitError::QueryAlphabetMismatch { .. } => None,
+            MultiSubmitError::AlphabetMismatch { .. } => None,
         }
     }
 }
@@ -466,8 +459,8 @@ pub struct WorkerStats {
 /// [`DecisionService::stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Units of work submitted so far (full streams and parked-document
-    /// bursts).
+    /// Units of work submitted so far (full streams, multi-query streams
+    /// and parked-document bursts).
     pub submitted: u64,
     /// Units of work fulfilled so far.
     pub completed: u64,
@@ -677,7 +670,7 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     }
 }
 
-impl<A: BatchAcceptor + MultiAcceptor + Send + Sync + 'static> DecisionService<A> {
+impl<A: MultiAcceptor + Persist + Send + Sync + 'static> DecisionService<A> {
     /// Submits one stream for decision against **every member query** of a
     /// multi-query artifact (e.g. an `nwa::QuerySet`) and returns a handle
     /// for all M verdicts: the serving-side spelling of one-pass
@@ -685,31 +678,20 @@ impl<A: BatchAcceptor + MultiAcceptor + Send + Sync + 'static> DecisionService<A
     /// dispatch and one pass over the events.
     ///
     /// Everything that can be refused is refused here, typed, before
-    /// anything is queued. First every member query's alphabet fingerprint
-    /// is validated against the service's alphabet
-    /// ([`MultiAcceptor::member_alphabet_fingerprints`]) — a query compiled
-    /// over the wrong alphabet is a
-    /// [`MultiSubmitError::QueryAlphabetMismatch`] naming the first
-    /// offending index, not out-of-range table indexing inside a worker.
-    /// Then every event symbol is checked against the alphabet exactly as
-    /// in [`submit`](DecisionService::submit), with unknown symbols
-    /// reported as [`MultiSubmitError::Input`].
+    /// anything is queued. First the artifact's alphabet fingerprint
+    /// ([`Persist::alphabet_fingerprint`]; every member of a set shares
+    /// it) is checked against the service's alphabet, as
+    /// [`from_artifact_bytes`](DecisionService::from_artifact_bytes) does —
+    /// a set compiled over the wrong alphabet is a
+    /// [`MultiSubmitError::AlphabetMismatch`], not out-of-range table
+    /// indexing inside a worker. Then every event symbol is checked against
+    /// the alphabet exactly as in [`submit`](DecisionService::submit), with
+    /// unknown symbols reported as [`MultiSubmitError::Input`].
     pub fn submit_multi(&self, events: Vec<TaggedSymbol>) -> Result<MultiHandle, MultiSubmitError> {
         let expected = fingerprint_alphabet(self.alphabet.len());
-        for (query, found) in self
-            .shared
-            .artifact
-            .member_alphabet_fingerprints()
-            .into_iter()
-            .enumerate()
-        {
-            if found != expected {
-                return Err(MultiSubmitError::QueryAlphabetMismatch {
-                    query,
-                    expected,
-                    found,
-                });
-            }
+        let found = self.shared.artifact.alphabet_fingerprint();
+        if found != expected {
+            return Err(MultiSubmitError::AlphabetMismatch { expected, found });
         }
         self.check_symbols(&events)
             .map_err(MultiSubmitError::Input)?;
@@ -874,9 +856,8 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
                 .iter()
                 .map(|(events, _)| events.as_slice())
                 .collect();
-            // The trait entry point, so per-model overrides apply
-            // (CompiledNwa's register-resident slice loop rather than the
-            // generic stored-lane loop). Caught unwinding keeps the
+            // The trait entry point, so per-model overrides apply (the
+            // tagged DFA's four-lane kernel). Caught unwinding keeps the
             // fulfilment guarantee: a kernel panic (submission validation
             // makes one unlikely, not impossible — an artifact bug
             // suffices) must not strand the batch's handles in
@@ -1354,7 +1335,8 @@ mod tests {
 
     #[test]
     fn submit_multi_returns_every_member_verdict() {
-        use nwa::{QuerySet, QuerySetBackend};
+        use nwa::QuerySet;
+        use nwa_xml::queries::depth_at_most_nwa;
 
         let a = Symbol(0);
         let even = even_len_nwa();
@@ -1367,7 +1349,10 @@ mod tests {
                 some_call.set_return(q, h, a, q);
             }
         }
-        let queries = [even.clone(), some_call.clone()];
+        // The members as they are compile to one product engine; with a
+        // 259-state pad appended, to one engine per query.
+        let members = vec![even.clone(), some_call.clone()];
+        let padded = vec![even, some_call, depth_at_most_nwa(256, 1)];
         let streams: Vec<Vec<TaggedSymbol>> = (0..10usize)
             .map(|i| {
                 (0..i)
@@ -1379,9 +1364,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
+        for (queries, engines) in [(members, 1), (padded, 3)] {
+            let set = QuerySet::compile(&queries);
+            assert_eq!(set.num_engines(), engines);
             let service = DecisionService::new(
-                QuerySet::with_backend(&queries, backend),
+                set,
                 Alphabet::from_names(["a"]),
                 ServiceConfig {
                     workers: 2,
@@ -1394,10 +1381,10 @@ mod tests {
                 .collect();
             for (stream, handle) in streams.iter().zip(&handles) {
                 let outcomes = handle.wait().unwrap();
-                assert_eq!(outcomes.len(), 2);
+                assert_eq!(outcomes.len(), queries.len());
                 for (query, outcome) in queries.iter().zip(&outcomes) {
                     let expected = query::run_stream(query, stream.iter().copied());
-                    assert_eq!(*outcome, expected, "{backend:?}");
+                    assert_eq!(*outcome, expected, "{engines} engines");
                 }
                 // Waiting twice returns the same verdicts.
                 assert_eq!(handle.wait().unwrap(), outcomes);
@@ -1411,10 +1398,7 @@ mod tests {
             let single = service.submit(streams[4].clone()).unwrap();
             assert_eq!(
                 single.wait().unwrap(),
-                query::run_stream(
-                    &QuerySet::with_backend(&queries, backend),
-                    streams[4].iter().copied()
-                )
+                query::run_stream(&QuerySet::compile(&queries), streams[4].iter().copied())
             );
             let stats = service.stats();
             assert_eq!(stats.submitted, 11);
@@ -1428,8 +1412,7 @@ mod tests {
 
         // The set's members were compiled over a 3-symbol alphabet, but the
         // service holds a 2-name alphabet: every submission is refused with
-        // a typed error naming the first offending query, and nothing is
-        // ever queued.
+        // a typed error, and nothing is ever queued.
         let mut wide = Nwa::new(1, 3, 0);
         wide.set_accepting(0, true);
         for s in 0..3 {
@@ -1449,10 +1432,7 @@ mod tests {
         let err = service
             .submit_multi(vec![TaggedSymbol::Internal(Symbol(0))])
             .unwrap_err();
-        assert!(matches!(
-            err,
-            MultiSubmitError::QueryAlphabetMismatch { query: 0, .. }
-        ));
+        assert!(matches!(err, MultiSubmitError::AlphabetMismatch { .. }));
         assert_eq!(service.stats().submitted, 0);
 
         // With a matching artifact, out-of-alphabet events are still typed

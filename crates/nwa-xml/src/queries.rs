@@ -209,8 +209,8 @@ pub fn run_streaming(nwa: &Nwa, document: &NestedWord) -> StreamingOutcome {
 /// automaton per [`StreamRun::step_slice`] call in
 /// [`run_streaming_reader`]. Large enough to amortize the per-slice
 /// bookkeeping of the compiled engines' register-resident loops, small
-/// enough that the buffer (8 bytes per event) stays cache-resident; paired
-/// with the reader-side chunk size [`crate::scan::SCAN_CHUNK`].
+/// enough that the buffer (4 bytes per event, 16 KiB) stays cache-resident;
+/// paired with the reader-side chunk size [`crate::scan::SCAN_CHUNK`].
 pub const EVENT_SLICE: usize = 4 * 1024;
 
 /// Runs a streaming acceptor directly over the SAX events of an XML-ish

@@ -73,13 +73,13 @@ use std::sync::RwLock;
 /// rather than stored: the **inert** symbols, whose internal transition is
 /// the identity in every state, and the **absorbing** states, which every
 /// transition maps back to themselves. The slice loop drops inert
-/// internals before stepping (see [`CompiledNwa::run_tagged`]), and a
+/// internals before stepping (see [`BatchAcceptor::lane_step_slice`]), and a
 /// [`QuerySet`](crate::QuerySet) retires members that reach an absorbing
 /// state.
 ///
 /// Build one with [`Compile::compile`] (or `query::compile`) and drive it
 /// through [`StreamAcceptor`], or hand a whole slice to
-/// [`CompiledNwa::run_tagged`]; it accepts exactly the streams the source
+/// [`BatchAcceptor::run_tagged`]; it accepts exactly the streams the source
 /// [`Nwa`] accepts. A symbol outside its alphabet panics, as in the source
 /// [`Nwa`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,7 +253,12 @@ impl CompiledNwa {
 
     /// Whether `lane` sits in an absorbing state.
     pub(crate) fn lane_settled(&self, lane: &CompiledNwaLane) -> bool {
-        self.absorbing[(lane.state / self.stride) as usize]
+        self.absorbing[self.lane_state(lane)]
+    }
+
+    /// The state `lane` sits in, as an index into the per-state vectors.
+    pub(crate) fn lane_state(&self, lane: &CompiledNwaLane) -> usize {
+        (lane.state / self.stride) as usize
     }
 
     /// The register loop over events that must all be stepped: hoists the
@@ -301,15 +306,15 @@ impl CompiledNwa {
         (self.table.len() + self.push.len()) * std::mem::size_of::<u32>()
     }
 
-    /// Runs a whole pre-materialized event slice through the fused table
-    /// and reports the outcome — the bulk entry point of the compiled
-    /// engine, and the reason the Σ̂ layout exists.
+    /// The branch-free event step on explicit locals. `inline(always)` so
+    /// the callers' locals stay register-promoted: the slice loop of
+    /// [`BatchAcceptor::lane_step_slice`] keeps the whole lane state in
+    /// registers for the duration of a slice, and the stored-lane
+    /// [`BatchAcceptor::lane_step`] reuses the same body.
     ///
-    /// Language-equivalent to driving [`StreamAcceptor::start`] event by
-    /// event (property-tested in `tests/compile.rs`), but the inner loop is
-    /// **branch-free on the event kind**: real event streams mix calls,
-    /// internals and returns unpredictably, so any per-kind dispatch —
-    /// including the arithmetic-per-arm `match` inside
+    /// The step is **branch-free on the event kind**: real event streams
+    /// mix calls, internals and returns unpredictably, so any per-kind
+    /// dispatch — including the arithmetic-per-arm `match` inside
     /// [`TaggedSymbol::tagged_index`] — mispredicts constantly and
     /// dominates the interpreted runner's budget. Here every event
     ///
@@ -324,27 +329,6 @@ impl CompiledNwa {
     /// A sentinel slot holding the initial state's return base sits below
     /// the stack, so a pending return (pop on an empty stack) resolves
     /// against the §3.1 hierarchical-initial row with no special case.
-    /// State, stack pointer and peak stay in registers for the whole slice.
-    ///
-    /// The loop runs on a compacted copy of the events: each block of up to
-    /// 1024 is first copied into a stack buffer without its internals on
-    /// inert symbols — every event is written, the cursor advances only
-    /// past kept ones, so the copy does not branch either. An inert
-    /// internal changes neither the state nor the stack, so skipping it is
-    /// exact. On documents where half the events are text words no query
-    /// reads, that halves the steps. The outcome still counts every event
-    /// read.
-    pub fn run_tagged(&self, events: &[TaggedSymbol]) -> StreamOutcome {
-        let mut lane = self.lane_start();
-        self.lane_step_slice(&mut lane, events);
-        self.lane_outcome(&lane)
-    }
-
-    /// The branch-free event step on explicit locals. `inline(always)` so
-    /// the callers' locals stay register-promoted: the slice loop of
-    /// [`BatchAcceptor::lane_step_slice`] keeps the whole lane state in
-    /// registers for the duration of a slice, and the stored-lane
-    /// [`BatchAcceptor::lane_step`] reuses the same body.
     #[inline(always)]
     fn step_local(
         &self,
@@ -465,14 +449,21 @@ impl BatchAcceptor for CompiledNwa {
         lane.steps += 1;
     }
 
-    /// The compacted slice loop: each block of at most 1024 events is
-    /// first copied into a stack buffer without its inert internals
-    /// (branch-free — every event is written, the cursor advances only past
-    /// kept ones), then the kept events run through the register loop
-    /// (see [`CompiledNwa::run_tagged`] for the step's anatomy). Skipping
-    /// an internal leaves the stack untouched, so the lane — and any
-    /// snapshot of it — is exactly what stepping every event leaves.
-    /// `steps` grows by the whole slice: it counts events read.
+    /// The compacted slice loop, the bulk entry point of the compiled
+    /// engine: each block of at most 1024 events is first copied into a
+    /// stack buffer without its inert internals (branch-free — every event
+    /// is written, the cursor advances only past kept ones), then the kept
+    /// events run through the register loop (see `step_local` for the
+    /// step's anatomy), with state, cached top, stack pointer and peak in
+    /// registers for the whole block. An inert internal changes neither
+    /// the state nor the stack, so skipping it is exact: the lane — and any
+    /// snapshot of it — is exactly what stepping every event leaves. On
+    /// documents where half the events are text words no query reads, that
+    /// halves the steps. `steps` grows by the whole slice: it counts events
+    /// read.
+    ///
+    /// Language-equivalent to driving [`StreamAcceptor::start`] event by
+    /// event (property-tested in `tests/compile.rs`).
     fn lane_step_slice(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
         let mut kept = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
         for block in events.chunks(BLOCK) {
@@ -483,7 +474,7 @@ impl BatchAcceptor for CompiledNwa {
     }
 
     fn lane_accepting(&self, lane: &CompiledNwaLane) -> bool {
-        self.accepting[(lane.state / self.stride) as usize]
+        self.accepting[self.lane_state(lane)]
     }
 
     fn lane_stack_height(&self, lane: &CompiledNwaLane) -> usize {
@@ -496,22 +487,6 @@ impl BatchAcceptor for CompiledNwa {
             events: lane.steps,
             peak_memory: (lane.max_sp - 1) as usize,
         }
-    }
-
-    /// Overrides the generic lockstep to run each stream back to back with
-    /// the register-resident slice loop ([`CompiledNwa::run_tagged`]) — deliberately
-    /// *not* interleaved. The fused NWA step is issue-width-bound, not
-    /// load-latency-bound: besides the table load it decodes the kind,
-    /// spills the cached top, maintains the stack pointer and tracks the
-    /// peak, which together keep the core's ports busy through the load's
-    /// latency. Interleaving lanes therefore buys no overlap, and the extra
-    /// lanes' state (~8 live values each against 15 usable x86-64 GPRs)
-    /// spills to the stack and *loses* 15–30% to the sequential engine —
-    /// measured on the lockstep kernel this override replaced. Flat
-    /// automata, whose step is a pure add-and-load, are the opposite case:
-    /// see `CompiledTaggedDfa::run_batch` in `word-automata`.
-    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
-        streams.iter().map(|s| self.run_tagged(s)).collect()
     }
 }
 

@@ -30,10 +30,10 @@
 //!   [`decision`]);
 //! * compiled multi-query sets ([`multi`]) behind the `automata-core`
 //!   [`MultiCompile`](automata_core::MultiCompile) trait: [`QuerySet`]
-//!   decides M queries per event in one pass — a shared product table with
-//!   per-state accept masks for small sets, M engines in lockstep past the
-//!   table-size cap — and round-trips through `Persist` like any compiled
-//!   artifact;
+//!   decides M queries per event in one pass — compiled engines with
+//!   per-state verdict masks: one shared product engine for small sets, one
+//!   engine per query past the table-size cap — and round-trips through
+//!   `Persist` like any compiled artifact;
 //! * the restricted classes of §3.3–§3.6 and the constructions of
 //!   Theorems 1, 4 and 7: [`weak`], [`flat`], [`bottom_up`], [`joinless`];
 //! * state reduction by congruence refinement ([`minimize`]), behind the
@@ -75,5 +75,5 @@ pub use automaton::{Nwa, StreamingRun};
 pub use builder::{NnwaBuilder, NwaBuilder};
 pub use compile::{CompiledNwa, CompiledSummary};
 pub use joinless::{JoinlessNwa, JoinlessStreamingRun};
-pub use multi::{QuerySet, QuerySetBackend, QuerySetLane};
+pub use multi::{QuerySet, QuerySetLane};
 pub use nondet::{Nnwa, NnwaStreamingRun};

@@ -4,22 +4,27 @@
 //! [`QuerySet`] is the reference implementation of the
 //! `automata_core::{MultiCompile, MultiAcceptor, QuerySetRun}` capability.
 //! It compiles a set of M queries over a common alphabet into one artifact
-//! with two interchangeable backends:
+//! with one representation: a list of compiled engines, each with a
+//! per-state **verdict mask** — `masks[e][q]` holds the verdict bits engine
+//! `e` contributes in state `q`. A lane steps every engine, and the set's
+//! verdicts are the OR of the engines' masks at their current states.
 //!
-//! * **Product** — the member automata are folded into one product NWA
-//!   (componentwise `δc`/`δi`/`δr`, the [`crate::boolean::product`]
-//!   construction) and compiled into a single dense table, plus a per-state
-//!   **accept mask**: `masks[q]` has bit `i` set iff query `i`'s component
-//!   of product state `q` is accepting. One table lookup per event answers
-//!   all M queries; the trade is table size, which multiplies across
-//!   members (`∏ nᵢ` states, and the compiled fused table is quadratic in
-//!   that).
-//! * **Lockstep** — the members compile individually and their lanes
-//!   advance back to back per event slice. Linear space, and up to M
-//!   dependent table lookups per event — only up to, because of the two
-//!   skips below.
+//! [`QuerySet::compile`] gives that representation one of two shapes:
 //!
-//! Both backends step only what can change. Each compiled engine knows its
+//! * **Product** — the members fold into one product NWA (componentwise
+//!   `δc`/`δi`/`δr`, the [`crate::boolean::product`] construction) compiled
+//!   into a single dense table, whose masks decode each product state back
+//!   into its members' acceptance. One table lookup per event answers all M
+//!   queries; the trade is table size, which multiplies across members
+//!   (`∏ nᵢ` states, and the compiled fused table is quadratic in that).
+//!   The product is taken exactly when its fused table would stay within
+//!   [`PRODUCT_TABLE_BYTE_CAP`].
+//! * **Per query** — anything bigger, or overflowing, compiles each member
+//!   to its own engine, whose mask is its acceptance shifted to its bit.
+//!   Linear space, and up to M dependent table lookups per event — only up
+//!   to, because of the two skips below.
+//!
+//! Every engine steps only what can change. Each compiled engine knows its
 //! **inert** symbols (`δi(q, a) = q` in every state) and its **absorbing**
 //! states (every transition lands back on the state). The set's slice loop
 //! compacts each block of events once against the set-wide inert symbols —
@@ -31,19 +36,10 @@
 //! members settle early, the two skips cut the set's step cost from ~108 to
 //! ~3 ns per event (perfbench `multi.ns_per_event`, 2-vCPU Xeon VM).
 //!
-//! [`QuerySet::compile`] picks by a size heuristic: the product backend is
-//! taken exactly when its fused table would stay within
-//! [`PRODUCT_TABLE_BYTE_CAP`] (so the hot table stays cache-resident and
-//! construction stays trivial); anything bigger — or overflowing — runs
-//! lockstep. [`QuerySet::with_backend`] forces a backend, which is how the
-//! backend-equivalence properties in `tests/multiquery.rs` pin that both
-//! answer identically on the same seeds.
-//!
-//! Either way a set's lane is one [`CompiledNwaLane`] per engine (one for
-//! the product, M for lockstep), and the set implements the single-verdict
-//! traits (`StreamAcceptor`/`BatchAcceptor`) as the **conjunction view**:
-//! the set accepts iff every member accepts — the intersection language —
-//! so one `QuerySet` can sit behind every existing single-verdict layer
+//! The set implements the single-verdict traits
+//! (`StreamAcceptor`/`BatchAcceptor`) as the **conjunction view**: the set
+//! accepts iff every member accepts — the intersection language — so one
+//! `QuerySet` can sit behind every existing single-verdict layer
 //! (`DecisionService`, `query::run_batch`) while
 //! [`DecisionService::submit_multi`](../nwa_service/struct.DecisionService.html)
 //! and `query::run_multi` read the per-query verdicts off the same lane.
@@ -62,38 +58,13 @@ use automata_core::{
 };
 use nested_words::{Symbol, TaggedSymbol};
 
-/// Ceiling on the product backend's fused-table footprint, in bytes.
+/// Ceiling on the product shape's fused-table footprint, in bytes.
 ///
 /// The compiled product table holds `(n + n²)·3σ` `u32` entries for
 /// `n = ∏ nᵢ` product states; past ~1 MiB it stops fitting alongside the
 /// scanner's working set in L2 and the single-lookup advantage erodes, so
-/// [`QuerySet::compile`] switches to the lockstep backend there.
+/// [`QuerySet::compile`] compiles one engine per query there.
 pub const PRODUCT_TABLE_BYTE_CAP: u64 = 1 << 20;
-
-/// Which representation a [`QuerySet`] runs on. [`QuerySet::compile`]
-/// chooses automatically; [`QuerySet::with_backend`] forces one (used by
-/// the backend-equivalence property tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuerySetBackend {
-    /// One product automaton with per-state accept masks: a single table
-    /// lookup per event decides all member queries.
-    Product,
-    /// M individually compiled engines advanced back to back per event.
-    Lockstep,
-}
-
-/// The backing representation plus its compiled data.
-#[derive(Debug, PartialEq)]
-enum Backend {
-    Product {
-        engine: CompiledNwa,
-        /// Per product state: bit `i` set iff query `i`'s component accepts.
-        masks: Vec<u64>,
-    },
-    Lockstep {
-        engines: Vec<CompiledNwa>,
-    },
-}
 
 /// A compiled set of M deterministic NWA queries over one common alphabet,
 /// stepped once per event for all M verdicts.
@@ -106,10 +77,13 @@ enum Backend {
 pub struct QuerySet {
     num_queries: usize,
     sigma: u32,
-    backend: Backend,
-    /// `inert[a]`: `a` is inert in every engine the set steps — the ∧ of
-    /// their inert sets, so an internal `a` changes no member and the slice
-    /// loop drops it once for all of them. Derived, never serialized.
+    /// The engines a lane steps: the one product engine, or one per member.
+    engines: Vec<CompiledNwa>,
+    /// `masks[e][q]`: the verdict bits engine `e` contributes in state `q`.
+    masks: Vec<Vec<u64>>,
+    /// `inert[a]`: `a` is inert in every engine — the ∧ of their inert
+    /// sets, so an internal `a` changes no member and the slice loop drops
+    /// it once for all of them. Derived, never serialized.
     inert: Vec<bool>,
 }
 
@@ -123,7 +97,7 @@ fn full_mask(m: usize) -> u64 {
     }
 }
 
-/// The product backend's fused-table footprint in bytes, or `None` on
+/// The product shape's fused-table footprint in bytes, or `None` on
 /// overflow: `(n + n²)·3σ·4` for `n = ∏ nᵢ`.
 fn product_table_bytes(queries: &[Nwa]) -> Option<u64> {
     let mut n: u64 = 1;
@@ -138,32 +112,15 @@ fn product_table_bytes(queries: &[Nwa]) -> Option<u64> {
 }
 
 impl QuerySet {
-    /// Compiles `queries` into one multi-query artifact, selecting the
-    /// backend by size: the shared product table (one lookup per event) when
-    /// its footprint stays within [`PRODUCT_TABLE_BYTE_CAP`], otherwise M
-    /// engines in lockstep.
+    /// Compiles `queries` into one multi-query artifact, shaped by size: one
+    /// product engine (one lookup per event) when its fused table stays
+    /// within [`PRODUCT_TABLE_BYTE_CAP`], otherwise one engine per query.
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty, holds more than
-    /// [`MAX_QUERIES`] members, or mixes
-    /// alphabet sizes.
+    /// Panics if `queries` is empty, holds more than [`MAX_QUERIES`]
+    /// members, or mixes alphabet sizes.
     pub fn compile(queries: &[Nwa]) -> QuerySet {
-        assert!(!queries.is_empty(), "a query set needs at least one query");
-        let backend =
-            if product_table_bytes(queries).is_some_and(|bytes| bytes <= PRODUCT_TABLE_BYTE_CAP) {
-                QuerySetBackend::Product
-            } else {
-                QuerySetBackend::Lockstep
-            };
-        QuerySet::with_backend(queries, backend)
-    }
-
-    /// Compiles `queries` on a forced backend, bypassing the size heuristic.
-    /// Same panics as [`QuerySet::compile`]; additionally, forcing
-    /// [`QuerySetBackend::Product`] on a set whose product table overflows
-    /// the dense engine's `u32` offset space panics in the table builder.
-    pub fn with_backend(queries: &[Nwa], backend: QuerySetBackend) -> QuerySet {
         assert!(!queries.is_empty(), "a query set needs at least one query");
         assert!(
             queries.len() <= MAX_QUERIES,
@@ -175,64 +132,64 @@ impl QuerySet {
         for q in queries {
             assert_eq!(q.sigma(), sigma, "query sets require a common alphabet");
         }
-        let num_queries = queries.len();
-        let backend = match backend {
-            QuerySetBackend::Product => {
+        let fits = product_table_bytes(queries).is_some_and(|b| b <= PRODUCT_TABLE_BYTE_CAP);
+        // Each engine is the product of a run of consecutive members: all
+        // of them, or one each.
+        let group = if fits { queries.len() } else { 1 };
+        let (engines, masks) = queries
+            .chunks(group)
+            .enumerate()
+            .map(|(g, members)| {
                 // Left-fold of the pairwise product: state encoding
                 // `((q₁·n₂ + q₂)·n₃ + q₃)…`, acceptance folded with ∧ so the
                 // product automaton itself is the conjunction view.
-                let mut product = queries[0].clone();
-                for q in &queries[1..] {
-                    product = boolean::intersect(&product, q);
-                }
-                // Per-state accept masks, by decoding each product state
-                // back into its member components (rightmost query is the
+                let product = members[1..]
+                    .iter()
+                    .fold(members[0].clone(), |p, q| boolean::intersect(&p, q));
+                // Per-state verdict masks, by decoding each product state
+                // back into its member components (rightmost member is the
                 // fastest-varying digit of the mixed-radix encoding).
                 let masks = (0..product.num_states())
                     .map(|mut s| {
                         let mut mask = 0u64;
-                        for (i, q) in queries.iter().enumerate().rev() {
-                            if q.is_accepting(s % q.num_states()) {
-                                mask |= 1 << i;
-                            }
+                        for (i, q) in members.iter().enumerate().rev() {
+                            mask |=
+                                u64::from(q.is_accepting(s % q.num_states())) << (g * group + i);
                             s /= q.num_states();
                         }
                         mask
                     })
                     .collect();
-                Backend::Product {
-                    engine: product.compile(),
-                    masks,
-                }
-            }
-            QuerySetBackend::Lockstep => Backend::Lockstep {
-                engines: queries.iter().map(Compile::compile).collect(),
-            },
-        };
-        QuerySet::assemble(num_queries, sigma as u32, backend)
+                (product.compile(), masks)
+            })
+            .unzip();
+        QuerySet::assemble(queries.len(), sigma as u32, engines, masks)
     }
 
-    /// The set around compiled engines, with its set-wide inert symbols
-    /// derived from theirs.
-    fn assemble(num_queries: usize, sigma: u32, backend: Backend) -> QuerySet {
-        let mut set = QuerySet {
+    /// The set around compiled engines and their masks, with its set-wide
+    /// inert symbols derived from the engines'.
+    fn assemble(
+        num_queries: usize,
+        sigma: u32,
+        engines: Vec<CompiledNwa>,
+        masks: Vec<Vec<u64>>,
+    ) -> QuerySet {
+        let inert = (0..sigma as usize)
+            .map(|a| engines.iter().all(|e| e.inert[a]))
+            .collect();
+        QuerySet {
             num_queries,
             sigma,
-            backend,
-            inert: Vec::new(),
-        };
-        set.inert = (0..sigma as usize)
-            .map(|a| set.engines().iter().all(|e| e.inert[a]))
-            .collect();
-        set
+            engines,
+            masks,
+            inert,
+        }
     }
 
-    /// Which backend the set compiled to.
-    pub fn backend(&self) -> QuerySetBackend {
-        match self.backend {
-            Backend::Product { .. } => QuerySetBackend::Product,
-            Backend::Lockstep { .. } => QuerySetBackend::Lockstep,
-        }
+    /// Number of compiled engines a lane steps: 1 for the product shape,
+    /// [`num_queries`](QuerySet::num_queries) for one engine per query.
+    pub fn num_engines(&self) -> usize {
+        self.engines.len()
     }
 
     /// Number of member queries.
@@ -245,25 +202,15 @@ impl QuerySet {
         self.sigma as usize
     }
 
-    /// Total dense-table footprint in bytes: the product table, or the sum
-    /// of the member engines' tables.
+    /// Total dense-table footprint of the engines, in bytes.
     pub fn table_bytes(&self) -> usize {
-        self.engines().iter().map(CompiledNwa::table_bytes).sum()
+        self.engines.iter().map(CompiledNwa::table_bytes).sum()
     }
 
     /// Whether symbol `a` is inert for the whole set: an internal `a`
     /// changes no engine's state, so the set's slice loop drops it.
     pub fn is_inert(&self, a: Symbol) -> bool {
         self.inert[a.index()]
-    }
-
-    /// The compiled engines a lane steps: the one product engine, or the
-    /// M member engines.
-    fn engines(&self) -> &[CompiledNwa] {
-        match &self.backend {
-            Backend::Product { engine, .. } => std::slice::from_ref(engine),
-            Backend::Lockstep { engines } => engines,
-        }
     }
 }
 
@@ -272,8 +219,7 @@ impl QuerySet {
 // --------------------------------------------------------------------------
 
 /// One owned per-stream lane of a [`QuerySet`]: one [`CompiledNwaLane`] per
-/// engine the set steps (the product engine, or every member), so it is
-/// `Send` and borrows nothing.
+/// engine, so it is `Send` and borrows nothing.
 ///
 /// An engine that reaches an absorbing state *retires*: its bit leaves
 /// `live` and its lane is never stepped again, its state — and so its
@@ -283,7 +229,7 @@ impl QuerySet {
 #[derive(Debug, Clone)]
 pub struct QuerySetLane {
     lanes: Vec<CompiledNwaLane>,
-    /// Bit `i` set iff engine `i` has not retired.
+    /// Bit `e` set iff engine `e` has not retired.
     live: u64,
     height: usize,
     peak: usize,
@@ -294,14 +240,13 @@ impl QuerySet {
     /// Steps every live engine over `kept` (events already known to need
     /// stepping) and retires the engines that end it in an absorbing state.
     fn step_live(&self, lane: &mut QuerySetLane, kept: &[TaggedSymbol]) {
-        let engines = self.engines();
         let mut live = lane.live;
         while live != 0 {
-            let i = live.trailing_zeros() as usize;
+            let e = live.trailing_zeros() as usize;
             live &= live - 1;
-            engines[i].step_kept(&mut lane.lanes[i], kept);
-            if engines[i].lane_settled(&lane.lanes[i]) {
-                lane.live &= !(1 << i);
+            self.engines[e].step_kept(&mut lane.lanes[e], kept);
+            if self.engines[e].lane_settled(&lane.lanes[e]) {
+                lane.live &= !(1 << e);
             }
         }
     }
@@ -331,18 +276,15 @@ impl BatchAcceptor for QuerySet {
     type Lane = QuerySetLane;
 
     fn lane_start(&self) -> QuerySetLane {
-        let lanes: Vec<CompiledNwaLane> = self
-            .engines()
-            .iter()
-            .map(BatchAcceptor::lane_start)
-            .collect();
+        let lanes: Vec<CompiledNwaLane> =
+            self.engines.iter().map(BatchAcceptor::lane_start).collect();
         let live = self
-            .engines()
+            .engines
             .iter()
             .zip(&lanes)
             .enumerate()
-            .fold(0u64, |acc, (i, (engine, lane))| {
-                acc | (u64::from(!engine.lane_settled(lane)) << i)
+            .fold(0u64, |acc, (e, (engine, lane))| {
+                acc | (u64::from(!engine.lane_settled(lane)) << e)
             });
         QuerySetLane {
             lanes,
@@ -384,13 +326,9 @@ impl BatchAcceptor for QuerySet {
     }
 
     /// The conjunction view: `true` iff **every** member query accepts the
-    /// prefix read so far (the product automaton folds acceptance with ∧,
-    /// so both backends answer identically).
+    /// prefix read so far.
     fn lane_accepting(&self, lane: &QuerySetLane) -> bool {
-        self.engines()
-            .iter()
-            .zip(&lane.lanes)
-            .all(|(engine, lane)| engine.lane_accepting(lane))
+        self.lane_verdicts(lane) == full_mask(self.num_queries)
     }
 
     /// Stack height is a function of the event stream alone (one frame per
@@ -407,21 +345,6 @@ impl BatchAcceptor for QuerySet {
             peak_memory: lane.peak,
         }
     }
-
-    /// Lanes drain sequentially, one stream at a time: the fused NWA step
-    /// is issue-width-bound and interleaved lanes spill (the measurement
-    /// behind `CompiledNwa`'s identical override), and a lockstep set
-    /// already advances M engines per event.
-    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
-        streams
-            .iter()
-            .map(|stream| {
-                let mut lane = self.lane_start();
-                self.lane_step_slice(&mut lane, stream);
-                self.lane_outcome(&lane)
-            })
-            .collect()
-    }
 }
 
 impl MultiAcceptor for QuerySet {
@@ -429,26 +352,16 @@ impl MultiAcceptor for QuerySet {
         self.num_queries
     }
 
+    /// The OR of every engine's mask at its current state, retired engines
+    /// included.
     fn lane_verdicts(&self, lane: &QuerySetLane) -> u64 {
-        match &self.backend {
-            Backend::Product { engine, masks } => {
-                masks[(lane.lanes[0].state / engine.stride) as usize]
-            }
-            Backend::Lockstep { engines } => engines
-                .iter()
-                .zip(&lane.lanes)
-                .enumerate()
-                .fold(0u64, |acc, (i, (engine, lane))| {
-                    acc | (u64::from(engine.lane_accepting(lane)) << i)
-                }),
-        }
-    }
-
-    fn member_alphabet_fingerprints(&self) -> Vec<u64> {
-        // Every member shares the set's alphabet by construction, so the
-        // fingerprints coincide — but serving layers validate each entry,
-        // so the contract stays per-query.
-        vec![fingerprint_alphabet(self.sigma as usize); self.num_queries]
+        self.engines
+            .iter()
+            .zip(&self.masks)
+            .zip(&lane.lanes)
+            .fold(0u64, |acc, ((engine, masks), lane)| {
+                acc | masks[engine.lane_state(lane)]
+            })
     }
 }
 
@@ -464,34 +377,25 @@ impl MultiCompile for Nwa {
 // Persist
 // --------------------------------------------------------------------------
 
-/// Backend tags on the wire.
-const TAG_PRODUCT: u32 = 0;
-const TAG_LOCKSTEP: u32 = 1;
+/// The leading layout word of a saved set. Words `0` and `1` were earlier
+/// layouts, with one wire format per representation; they no longer load.
+const LAYOUT: u32 = 2;
 
 impl QuerySet {
-    /// Serializes the set: backend tag, member count, σ, then the backend's
-    /// compiled data — the member/product engines ride as complete framed
-    /// [`CompiledNwa`] images (header, checksum and all), so their loader
-    /// revalidates every table entry on decode.
+    /// Serializes the set: layout word, member count, σ, engine count, then
+    /// per engine its complete framed [`CompiledNwa`] image (header,
+    /// checksum and all, so its loader revalidates every table entry on
+    /// decode) followed by its masks.
     fn write_payload(&self, w: &mut Writer) {
-        w.put_u32(match self.backend {
-            Backend::Product { .. } => TAG_PRODUCT,
-            Backend::Lockstep { .. } => TAG_LOCKSTEP,
-        });
+        w.put_u32(LAYOUT);
         w.put_u32(self.num_queries as u32);
         w.put_u32(self.sigma);
-        match &self.backend {
-            Backend::Product { engine, masks } => {
-                w.put_bytes(&engine.save());
-                w.put_u64(masks.len() as u64);
-                for &mask in masks {
-                    w.put_u64(mask);
-                }
-            }
-            Backend::Lockstep { engines } => {
-                for engine in engines {
-                    w.put_bytes(&engine.save());
-                }
+        w.put_u32(self.engines.len() as u32);
+        for (engine, masks) in self.engines.iter().zip(&self.masks) {
+            w.put_bytes(&engine.save());
+            w.put_u64(masks.len() as u64);
+            for &mask in masks {
+                w.put_u64(mask);
             }
         }
     }
@@ -508,7 +412,11 @@ impl Persist for QuerySet {
 
     fn load(bytes: &[u8]) -> Result<Self, PersistError> {
         let (alphabet, mut r) = Reader::open(bytes, Self::KIND)?;
-        let tag = r.get_u32()?;
+        if r.get_u32()? != LAYOUT {
+            return Err(PersistError::Malformed {
+                context: "query-set layout word is not 2 (saved by an older build?)",
+            });
+        }
         let num_queries = r.get_u32()? as usize;
         let sigma = r.get_u32()?;
         expect_alphabet(alphabet, sigma as usize)?;
@@ -517,59 +425,52 @@ impl Persist for QuerySet {
                 context: "query count outside 1..=64",
             });
         }
-        let load_engine = |r: &mut Reader<'_>| -> Result<CompiledNwa, PersistError> {
+        let count = r.get_u32()? as usize;
+        if count != 1 && count != num_queries {
+            return Err(PersistError::Malformed {
+                context: "engine count is neither 1 nor the query count",
+            });
+        }
+        let full = full_mask(num_queries);
+        let (mut engines, mut masks) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        for e in 0..count {
+            // A lone engine owns every verdict bit; otherwise engine `e`
+            // owns bit `e`.
+            let owned = if count == 1 { full } else { 1 << e };
             let engine = CompiledNwa::load(&r.get_bytes()?)?;
             if engine.sigma() != sigma as usize {
                 return Err(PersistError::Malformed {
                     context: "member engine alphabet disagrees with the set's",
                 });
             }
-            Ok(engine)
-        };
-        let backend = match tag {
-            TAG_PRODUCT => {
-                let engine = load_engine(&mut r)?;
-                let count = r.get_u64()?;
-                if count != engine.num_states() as u64 {
-                    return Err(PersistError::Malformed {
-                        context: "accept mask count disagrees with the product state count",
-                    });
-                }
-                let full = full_mask(num_queries);
-                let masks = (0..count)
-                    .map(|_| r.get_u64())
-                    .collect::<Result<Vec<u64>, _>>()?;
-                for (q, &mask) in masks.iter().enumerate() {
-                    if mask & !full != 0 {
-                        return Err(PersistError::Malformed {
-                            context: "accept mask has bits beyond the query count",
-                        });
-                    }
-                    // The product engine's acceptance is the ∧-fold of the
-                    // masks by construction; a disagreement means the bytes
-                    // do not describe one artifact.
-                    if engine.accepting[q] != (mask == full) {
-                        return Err(PersistError::Malformed {
-                            context: "accept mask disagrees with the conjunction acceptance",
-                        });
-                    }
-                }
-                Backend::Product { engine, masks }
-            }
-            TAG_LOCKSTEP => {
-                let engines = (0..num_queries)
-                    .map(|_| load_engine(&mut r))
-                    .collect::<Result<Vec<CompiledNwa>, _>>()?;
-                Backend::Lockstep { engines }
-            }
-            _ => {
+            if r.get_u64()? != engine.num_states() as u64 {
                 return Err(PersistError::Malformed {
-                    context: "unknown query-set backend tag",
+                    context: "verdict mask count disagrees with the engine's state count",
                 });
             }
-        };
+            let engine_masks = (0..engine.num_states())
+                .map(|_| r.get_u64())
+                .collect::<Result<Vec<u64>, _>>()?;
+            for (q, &mask) in engine_masks.iter().enumerate() {
+                if mask & !owned != 0 {
+                    return Err(PersistError::Malformed {
+                        context: "verdict mask sets a bit its engine does not own",
+                    });
+                }
+                // An engine accepts exactly where it contributes all its
+                // bits by construction; a disagreement means the bytes do
+                // not describe one artifact.
+                if engine.accepting[q] != (mask == owned) {
+                    return Err(PersistError::Malformed {
+                        context: "verdict mask disagrees with the engine's acceptance",
+                    });
+                }
+            }
+            engines.push(engine);
+            masks.push(engine_masks);
+        }
         r.finish()?;
-        Ok(QuerySet::assemble(num_queries, sigma, backend))
+        Ok(QuerySet::assemble(num_queries, sigma, engines, masks))
     }
 
     fn fingerprint(&self) -> u64 {
@@ -623,6 +524,46 @@ mod tests {
         b.build()
     }
 
+    /// Deterministic NWA counting calls mod `n`, accepting at a multiple
+    /// of `n`: with `n = 300` its product with any members overflows
+    /// [`PRODUCT_TABLE_BYTE_CAP`], so appending it forces one engine per
+    /// query.
+    fn calls_mod_nwa(n: usize, sigma: usize) -> Nwa {
+        let mut b = NwaBuilder::new(n, sigma, 0).accepting(0);
+        for q in 0..n {
+            for a in 0..sigma {
+                let a = Symbol(a as u16);
+                b = b.internal(q, a, q).call(q, a, (q + 1) % n, q);
+                for h in 0..n {
+                    b = b.ret(q, h, a, q);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Both shapes over the same members, each with the members it
+    /// answers for: `members` as they are (one product engine), and
+    /// `members` plus a [`calls_mod_nwa`] pad (one engine per query).
+    fn shapes(members: &[Nwa]) -> [(QuerySet, Vec<Nwa>); 2] {
+        let product = QuerySet::compile(members);
+        assert_eq!(product.num_engines(), 1);
+        let mut padded = members.to_vec();
+        padded.push(calls_mod_nwa(300, members[0].sigma()));
+        let per_query = QuerySet::compile(&padded);
+        assert_eq!(per_query.num_engines(), padded.len());
+        [(product, members.to_vec()), (per_query, padded)]
+    }
+
+    /// The verdict mask of standalone runs of `members` over `events`.
+    fn solo_verdicts(members: &[Nwa], events: &[TaggedSymbol]) -> u64 {
+        members.iter().enumerate().fold(0, |mask, (i, q)| {
+            let mut run = q.start();
+            events.iter().for_each(|&e| run.step(e));
+            mask | u64::from(run.is_accepting()) << i
+        })
+    }
+
     fn sample_events() -> Vec<TaggedSymbol> {
         let a = Symbol(0);
         vec![
@@ -636,10 +577,8 @@ mod tests {
 
     #[test]
     fn both_backends_agree_with_sequential_runs_at_every_prefix() {
-        let queries = [even_len_nwa(1), some_call_nwa(1)];
-        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-            let set = QuerySet::with_backend(&queries, backend);
-            assert_eq!(set.backend(), backend);
+        for (set, queries) in shapes(&[even_len_nwa(1), some_call_nwa(1)]) {
+            let engines = set.num_engines();
             let mut run = set.start_set();
             let mut solo: Vec<_> = queries.iter().map(|q| q.start()).collect();
             for (k, &event) in sample_events().iter().enumerate() {
@@ -651,7 +590,7 @@ mod tests {
                     assert_eq!(
                         run.verdicts() & (1 << i) != 0,
                         s.is_accepting(),
-                        "{backend:?}, query {i}, prefix {k}"
+                        "{engines} engines, query {i}, prefix {k}"
                     );
                 }
                 assert_eq!(run.stack_height(), solo[0].stack_height());
@@ -659,7 +598,7 @@ mod tests {
                 assert_eq!(run.steps(), k + 1);
             }
             let outcomes = run.outcomes();
-            assert_eq!(outcomes.len(), 2);
+            assert_eq!(outcomes.len(), queries.len());
             for (outcome, s) in outcomes.iter().zip(&solo) {
                 assert_eq!(outcome.accepted, s.is_accepting());
                 assert_eq!(outcome.events, s.steps());
@@ -676,19 +615,17 @@ mod tests {
     #[test]
     fn heuristic_prefers_product_small_and_lockstep_large() {
         let small = QuerySet::compile(&[even_len_nwa(1), some_call_nwa(1)]);
-        assert_eq!(small.backend(), QuerySetBackend::Product);
+        assert_eq!(small.num_engines(), 1);
         // 16 two-state queries: 2^16 product states blow the table cap.
         let queries: Vec<Nwa> = (0..16).map(|_| even_len_nwa(1)).collect();
         let large = QuerySet::compile(&queries);
-        assert_eq!(large.backend(), QuerySetBackend::Lockstep);
+        assert_eq!(large.num_engines(), 16);
         assert_eq!(large.num_queries(), 16);
     }
 
     #[test]
     fn persist_round_trips_both_backends() {
-        let queries = [even_len_nwa(2), some_call_nwa(2)];
-        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-            let set = QuerySet::with_backend(&queries, backend);
+        for (set, _) in shapes(&[even_len_nwa(2), some_call_nwa(2)]) {
             let bytes = set.save();
             let back = QuerySet::load(&bytes).unwrap();
             assert_eq!(back, set);
@@ -719,36 +656,111 @@ mod tests {
 
     #[test]
     fn engines_retire_in_absorbing_states_and_only_there() {
-        let queries = [settles_on_call_nwa(2), even_len_nwa(2)];
         let a = Symbol(0);
-        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-            let set = QuerySet::with_backend(&queries, backend);
-            let all = full_mask(set.engines().len());
+        let mut events = vec![TaggedSymbol::Internal(a); 3];
+        for (set, members) in shapes(&[settles_on_call_nwa(2), even_len_nwa(2)]) {
+            let engines = set.num_engines();
+            let all = full_mask(engines);
             let mut lane = set.lane_start();
-            assert_eq!(lane.live, all, "{backend:?}");
-            set.lane_step_slice(&mut lane, &[TaggedSymbol::Internal(a); 3]);
-            assert_eq!(lane.live, all, "{backend:?}");
+            assert_eq!(lane.live, all, "{engines} engines");
+            set.lane_step_slice(&mut lane, &events[..3]);
+            assert_eq!(lane.live, all, "{engines} engines");
             set.lane_step_slice(&mut lane, &[TaggedSymbol::Call(a)]);
-            // Lockstep retires the settled member; the product's state
-            // still moves with the even-length component.
-            let expected = match backend {
-                QuerySetBackend::Product => all,
-                QuerySetBackend::Lockstep => 0b10,
-            };
-            assert_eq!(lane.live, expected, "{backend:?}");
-            assert_eq!(set.lane_verdicts(&lane), 0b11, "{backend:?}");
+            events.truncate(3);
+            events.push(TaggedSymbol::Call(a));
+            // One engine per query retires the settled member (the other
+            // members still move); the product's state still moves with
+            // the even-length component.
+            let expected = if engines == 1 { all } else { all & !1 };
+            assert_eq!(lane.live, expected, "{engines} engines");
+            assert_eq!(set.lane_verdicts(&lane) & 0b11, 0b11, "{engines} engines");
+            assert_eq!(set.lane_verdicts(&lane), solo_verdicts(&members, &events));
             set.lane_step(&mut lane, TaggedSymbol::Internal(a));
-            assert_eq!(set.lane_verdicts(&lane), 0b01, "{backend:?}");
+            events.push(TaggedSymbol::Internal(a));
+            assert_eq!(set.lane_verdicts(&lane) & 0b11, 0b01, "{engines} engines");
+            assert_eq!(set.lane_verdicts(&lane), solo_verdicts(&members, &events));
             assert_eq!(set.lane_outcome(&lane).events, 5);
         }
         // Once every engine has retired, the set lane still counts the
         // stack.
-        let set = QuerySet::with_backend(&[settles_on_call_nwa(2)], QuerySetBackend::Lockstep);
+        let set = QuerySet::compile(&[settles_on_call_nwa(2)]);
         let mut lane = set.lane_start();
         set.lane_step_slice(&mut lane, &[TaggedSymbol::Call(a), TaggedSymbol::Call(a)]);
         assert_eq!(lane.live, 0);
         assert_eq!(set.lane_stack_height(&lane), 2);
         assert_eq!(set.lane_outcome(&lane).peak_memory, 2);
+    }
+
+    /// A set image from explicit parts, sealed like [`Persist::save`]
+    /// seals one.
+    fn image(
+        layout: u32,
+        num_queries: usize,
+        engines: &[CompiledNwa],
+        masks: &[Vec<u64>],
+    ) -> Vec<u8> {
+        let sigma = engines[0].sigma();
+        let mut w = Writer::new();
+        w.put_u32(layout);
+        w.put_u32(num_queries as u32);
+        w.put_u32(sigma as u32);
+        w.put_u32(engines.len() as u32);
+        for (engine, masks) in engines.iter().zip(masks) {
+            w.put_bytes(&engine.save());
+            w.put_u64(masks.len() as u64);
+            for &mask in masks {
+                w.put_u64(mask);
+            }
+        }
+        w.seal(QuerySet::KIND, fingerprint_alphabet(sigma))
+    }
+
+    #[test]
+    fn persist_rejects_old_layouts_and_inconsistent_masks() {
+        // The typed error a hand-built image loads to, by its context.
+        let rejection = |bytes: &[u8]| match QuerySet::load(bytes) {
+            Err(PersistError::Malformed { context }) => context,
+            other => panic!("expected a malformed-image error, got {other:?}"),
+        };
+        for (set, _) in shapes(&[even_len_nwa(2), some_call_nwa(2)]) {
+            let (m, engines) = (set.num_queries(), &set.engines);
+            let ctx = format!("{} engines", engines.len());
+            let with_masks = |masks: &[Vec<u64>]| image(LAYOUT, m, engines, masks);
+            // The hand-built image is the saved one.
+            assert_eq!(with_masks(&set.masks), set.save(), "{ctx}");
+            // The layouts before engines and masks became one.
+            for old in [0, 1] {
+                let context = rejection(&image(old, m, engines, &set.masks));
+                assert!(context.contains("layout word"), "{ctx}: {context}");
+            }
+            // One mask too few or too many for engine 0's states.
+            let states = set.masks[0].len();
+            for len in [states - 1, states + 1] {
+                let mut masks = set.masks.clone();
+                masks[0].resize(len, 0);
+                let context = rejection(&with_masks(&masks));
+                assert!(context.contains("mask count"), "{ctx}: {context}");
+            }
+            // A bit engine 0 does not own: bit 1 belongs to engine 1 when
+            // each query has its own engine, and bit M to nobody.
+            let foreign = if engines.len() == 1 { 1 << m } else { 0b10 };
+            let mut masks = set.masks.clone();
+            masks[0][0] |= foreign;
+            let context = rejection(&with_masks(&masks));
+            assert!(context.contains("does not own"), "{ctx}: {context}");
+            // A mask that disagrees with its engine's acceptance: clear a
+            // bit where the engine accepts.
+            let owned = if engines.len() == 1 { full_mask(m) } else { 1 };
+            let q = set.masks[0].iter().position(|&mask| mask == owned).unwrap();
+            let mut masks = set.masks.clone();
+            masks[0][q] &= !1;
+            let context = rejection(&with_masks(&masks));
+            assert!(context.contains("acceptance"), "{ctx}: {context}");
+        }
+        // An engine count that is neither 1 nor M.
+        let [_, (set, _)] = shapes(&[even_len_nwa(2), some_call_nwa(2)]);
+        let context = rejection(&image(LAYOUT, 3, &set.engines[..2], &set.masks[..2]));
+        assert!(context.contains("engine count"), "{context}");
     }
 
     #[test]

@@ -122,15 +122,6 @@ impl CompiledTaggedDfa {
         Ok(())
     }
 
-    /// Runs a whole pre-materialized event slice through the array and
-    /// reports the outcome — one fresh lane through the register-resident
-    /// [`BatchAcceptor::lane_step_slice`] loop.
-    pub fn run_tagged(&self, events: &[TaggedSymbol]) -> StreamOutcome {
-        let mut lane = self.lane_start();
-        self.lane_step_slice(&mut lane, events);
-        self.lane_outcome(&lane)
-    }
-
     /// One step, `δ(state, event)`: one add-and-load. The event kind enters
     /// the address as its discriminant: a `match` whose arms yield exactly
     /// the discriminant values compiles to one load of the tag, where the
@@ -262,13 +253,17 @@ impl BatchAcceptor for CompiledTaggedDfa {
         }
     }
 
-    /// Overrides the generic stored-lane lockstep with the
-    /// register-resident kernel (`run_lockstep`):
-    /// streams run four lanes at a time, each lane one `u32` of register
-    /// state, so the four `state → table → state` chains overlap instead of
-    /// serializing — this is the entry point the batched-vs-sequential bar
-    /// of `bench/service.rs` is measured on. A remainder of fewer than four
-    /// streams runs back to back with [`CompiledTaggedDfa::run_tagged`].
+    /// Overrides the back-to-back default with the register-resident
+    /// kernel (`run_lockstep`). One stream's per-event cost is dominated by
+    /// the load-to-use chain `state → table → state`: the next lookup
+    /// cannot issue before the previous one retires, and a flat step has no
+    /// other work to hide that latency behind. Here streams run four lanes
+    /// at a time, each lane one `u32` of register state; the lanes' chains
+    /// are mutually independent, so lane B's table load executes in the
+    /// shadow of lane A's instead of serializing — this is the entry point
+    /// the batched-vs-sequential bar of `bench/service.rs` is measured on.
+    /// A remainder of fewer than four streams runs back to back with
+    /// [`BatchAcceptor::run_tagged`].
     fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
         let mut out = Vec::with_capacity(streams.len());
         let mut chunks = streams.chunks_exact(4);

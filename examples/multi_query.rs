@@ -1,11 +1,13 @@
 //! Multi-query execution: author a set of document queries with the
 //! combinator layer (`query::expr`), compile all of them into **one**
-//! artifact (`query::compile_set` — a `QuerySet` picking between a shared
-//! product table and lockstep engines by size), and decide every query in
+//! artifact (`query::compile_set` — a `QuerySet` of compiled engines with
+//! per-state verdict masks: one shared product engine for a small set, one
+//! engine per query past a table-size cap), and decide every query in
 //! a single tokenization pass over the byte stream
 //! (`query::run_multi_streaming_reader`). The same set then serves
 //! concurrent callers through `DecisionService::submit_multi`, and ships
-//! as versioned bytes through the persistence verbs.
+//! as versioned bytes through the persistence verbs: the saved image is
+//! written to `target/artifacts/query_set.nwsa`.
 //!
 //! Run with `cargo run --release --example multi_query`.
 
@@ -51,12 +53,13 @@ fn main() {
     ];
     let lowered: Vec<Nwa> = authored.iter().map(|(_, e)| e.lower(sigma)).collect();
 
-    // One artifact for the whole set; the backend is picked by table size.
+    // One artifact for the whole set; its engine count is picked by table
+    // size.
     let set = query::compile_set(&lowered);
     println!(
-        "compiled {} queries into one {:?}-backend set ({} bytes of tables)",
+        "compiled {} queries into one set of {} engine(s) ({} bytes of tables)",
         set.num_queries(),
-        set.backend(),
+        set.num_engines(),
         set.table_bytes(),
     );
 
@@ -81,16 +84,21 @@ fn main() {
 
     // The set is a Persist artifact like any compiled engine: save, ship,
     // reload byte-exactly, and serve.
-    let bytes = query::save(&set);
+    let dir = std::path::Path::new("target/artifacts");
+    std::fs::create_dir_all(dir).expect("create target/artifacts");
+    let path = dir.join("query_set.nwsa");
+    std::fs::write(&path, query::save(&set)).expect("write artifact bytes");
+    let bytes = std::fs::read(&path).expect("read artifact bytes");
     let reloaded: QuerySet = query::load(&bytes).unwrap();
     assert_eq!(reloaded, set);
     println!(
-        "round-tripped the set through {} artifact bytes",
-        bytes.len()
+        "round-tripped the set through {} artifact bytes ({})",
+        bytes.len(),
+        path.display()
     );
 
-    // Serving: one submission, one queue slot, all verdicts — with every
-    // member query's alphabet fingerprint validated before queueing.
+    // Serving: one submission, one queue slot, all verdicts — with the
+    // set's alphabet fingerprint validated before queueing.
     let service = DecisionService::new(reloaded, ab.clone(), ServiceConfig::default());
     let handle = service
         .submit_multi(doc.to_tagged())

@@ -28,8 +28,8 @@
 //!   [`query::run_streaming_text`] that drives any stream acceptor
 //!   straight from an [`std::io::Read`] through the bulk structural
 //!   scanner ([`nwa_xml::scan`]), the batched verb
-//!   [`query::run_batch`] that advances many independent streams in
-//!   software-pipelined lockstep over one shared compiled artifact
+//!   [`query::run_batch`] that advances many independent streams over one
+//!   shared compiled artifact
 //!   ([`prelude::BatchAcceptor`]; the [`nwa_service`] crate builds its
 //!   concurrent decision service on it), the
 //!   multi-query verbs [`query::compile_set`] / [`query::run_multi`] /
@@ -126,7 +126,7 @@ pub mod prelude {
     };
     pub use nwa::{
         CompiledNwa, CompiledSummary, JoinlessNwa, JoinlessStreamingRun, Nnwa, NnwaBuilder,
-        NnwaStreamingRun, Nwa, NwaBuilder, QuerySet, QuerySetBackend, StreamingRun,
+        NnwaStreamingRun, Nwa, NwaBuilder, QuerySet, StreamingRun,
     };
     pub use nwa_pushdown::{Pnwa, PnwaMode};
     pub use nwa_service::{

@@ -10,6 +10,7 @@
 #![allow(dead_code)]
 
 use nested_words_suite::nested_words::rng::Prng;
+use nested_words_suite::nwa_xml::queries::depth_at_most_nwa;
 use nested_words_suite::prelude::*;
 
 /// Iteration budget for the Prng property suites: `base` scaled by the
@@ -112,6 +113,27 @@ pub fn chunk_lengths(total: usize, rng: &mut Prng) -> Vec<usize> {
         left -= len.min(left);
     }
     lengths
+}
+
+/// The two `QuerySet` shapes over the same members, each with the members
+/// it answers for: `members` as they are, which must compile to one
+/// product engine, and `members` plus a `depth_at_most_nwa(256, σ)` pad
+/// (259 states, enough to push the product table past
+/// `PRODUCT_TABLE_BYTE_CAP` even at σ = 1), which must compile to one
+/// engine per query. The engine counts are asserted, so a moved cap fails
+/// loudly instead of testing one shape twice.
+pub fn both_shapes(members: &[Nwa]) -> [(QuerySet, Vec<Nwa>); 2] {
+    let product = QuerySet::compile(members);
+    assert_eq!(product.num_engines(), 1, "members fit one product table");
+    let mut padded = members.to_vec();
+    padded.push(depth_at_most_nwa(256, members[0].sigma()));
+    let per_query = QuerySet::compile(&padded);
+    assert_eq!(
+        per_query.num_engines(),
+        padded.len(),
+        "the pad pushes the product table past the cap"
+    );
+    [(product, members.to_vec()), (per_query, padded)]
 }
 
 /// A random complete DFA.

@@ -12,7 +12,8 @@
 mod common;
 
 use common::{
-    chunk_lengths, prop_iters, random_det_nwa, random_nnwa_with_transitions, skip_path_nwa,
+    both_shapes, chunk_lengths, prop_iters, random_det_nwa, random_nnwa_with_transitions,
+    skip_path_nwa,
 };
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::path;
@@ -385,22 +386,23 @@ fn inert_symbols_and_absorbing_states_on_the_zoo() {
     assert!(!partly.is_inert(a));
     assert!(!partly.is_absorbing(0) && !partly.is_absorbing(1));
 
-    // A set's inert symbols are the ∧ of its members', on both backends;
-    // a product table derives the same set from its own rows.
+    // A set's inert symbols are the ∧ of its members', in both shapes; a
+    // product table derives the same set from its own rows.
     let members = [
         contains_tag_nwa(o, sigma),
         within_nwa(o, w, sigma),
         patterns_in_order_nwa(&[Symbol(2)], sigma),
     ];
-    let compiled: Vec<CompiledNwa> = members.iter().map(query::compile).collect();
-    for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-        let set = QuerySet::with_backend(&members, backend);
+    let [product, per_query] = both_shapes(&members);
+    for (set, members) in [&product, &per_query] {
+        let compiled: Vec<CompiledNwa> = members.iter().map(query::compile).collect();
         for a in symbols() {
             let all = compiled.iter().all(|c| c.is_inert(a));
-            assert_eq!(set.is_inert(a), all, "{backend:?}, {a:?}");
+            let engines = set.num_engines();
+            assert_eq!(set.is_inert(a), all, "{engines} engines, {a:?}");
         }
     }
-    assert!(QuerySet::with_backend(&members, QuerySetBackend::Product).is_inert(Symbol(0)));
+    assert!(product.0.is_inert(Symbol(0)));
 
     // Derived, not stored: a loaded artifact re-derives both facts.
     let back: CompiledNwa = query::load(&query::save(&within)).unwrap();

@@ -1,26 +1,30 @@
 //! Property tests for the multi-query subsystem: a compiled query set must
 //! be *indistinguishable* from running its member queries one at a time —
-//! at every prefix, on both backends, through serialization, and through
-//! the combinator layer.
+//! at every prefix, in both shapes, through serialization, and through the
+//! combinator layer.
 //!
 //! The laws pinned here are the `automata_core::MultiAcceptor` contract:
 //!
 //! 1. **set ≡ sequential** — bit `i` of the set's verdict mask equals what
 //!    a standalone run of query `i` observes, at every prefix, pending
 //!    calls and pending returns included;
-//! 2. **representation-free** — the product-table backend and the lockstep
-//!    backend agree on the same seeds;
-//! 3. **persistence** — `load(save(set)) == set` for both backends;
+//! 2. **representation-free** — the product shape (one engine) and the
+//!    per-query shape (one engine per member) agree on the same members;
+//! 3. **persistence** — `load(save(set)) == set` in both shapes;
 //! 4. **combinators** — lowering an `expr::Query` tree respects boolean
 //!    semantics: `lower(a ∧ b)` accepts exactly when `lower(a)` and
 //!    `lower(b)` both accept, and likewise for `∨` / `¬`.
+//!
+//! Each law runs its members in both shapes through `common::both_shapes`:
+//! as they are (one product engine), and with a pad member appended that
+//! pushes the product table past the cap (one engine per query).
 //!
 //! Cases are drawn from the suite's seeded generators (no crates.io access,
 //! so no proptest); every failure is reproducible from the printed seed.
 
 mod common;
 
-use common::{chunk_lengths, prop_iters, random_det_nwa, skip_path_nwa};
+use common::{both_shapes, chunk_lengths, prop_iters, random_det_nwa, skip_path_nwa};
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa_xml::expr::Query;
@@ -53,17 +57,15 @@ fn random_words(count: usize, base_seed: u64) -> Vec<NestedWord> {
         .collect()
 }
 
-/// Law 1 (and law 2 via the shared loop): on both backends, the set's
+/// Law 1 (and law 2 via the shared loop): in both shapes, the set's
 /// verdict mask, conjunction view and final outcomes match per-query
 /// standalone runs at every prefix of every word.
 #[test]
 fn set_verdicts_match_sequential_runs_at_every_prefix() {
     for seed in 0..prop_iters(6) as u64 {
-        let queries = random_queries(5, seed);
         let words = random_words(8, seed);
-        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-            let set = QuerySet::with_backend(&queries, backend);
-            assert_eq!(set.backend(), backend);
+        for (set, queries) in both_shapes(&random_queries(5, seed)) {
+            let engines = set.num_engines();
             assert_eq!(MultiAcceptor::num_queries(&set), queries.len());
             for (wi, w) in words.iter().enumerate() {
                 let events: Vec<TaggedSymbol> = w.to_tagged();
@@ -79,12 +81,12 @@ fn set_verdicts_match_sequential_runs_at_every_prefix() {
                     assert_eq!(
                         run.verdicts(),
                         expected_mask,
-                        "seed {seed}, {backend:?}, word {wi}, prefix {k}"
+                        "seed {seed}, {engines} engines, word {wi}, prefix {k}"
                     );
                     assert_eq!(
                         run.is_accepting(),
                         solo.iter().all(|s| s.is_accepting()),
-                        "seed {seed}, {backend:?}, word {wi}, prefix {k}"
+                        "seed {seed}, {engines} engines, word {wi}, prefix {k}"
                     );
                     assert_eq!(run.stack_height(), solo[0].stack_height());
                     assert_eq!(run.peak_memory(), solo[0].peak_memory());
@@ -95,7 +97,7 @@ fn set_verdicts_match_sequential_runs_at_every_prefix() {
                     let expected = query::run_stream(q, events.iter().copied());
                     assert_eq!(
                         outcomes[i], expected,
-                        "seed {seed}, {backend:?}, word {wi}, query {i}"
+                        "seed {seed}, {engines} engines, word {wi}, query {i}"
                     );
                 }
             }
@@ -103,30 +105,45 @@ fn set_verdicts_match_sequential_runs_at_every_prefix() {
     }
 }
 
-/// Law 2, head to head: the two backends compiled from the same queries
-/// produce identical verdict-mask traces — and `query::run_multi` over
-/// the heuristic choice (`query::compile_set`) agrees with both.
+/// Law 2, head to head: the two shapes compiled from the same queries
+/// produce identical verdict-mask traces on the shared members, the pad's
+/// bit follows its own standalone run — and `query::run_multi` over
+/// `query::compile_set` agrees with both.
 #[test]
 fn product_and_lockstep_backends_agree_on_the_same_seeds() {
     for seed in 0..prop_iters(8) as u64 {
         let queries = random_queries(4, seed);
-        let product = QuerySet::with_backend(&queries, QuerySetBackend::Product);
-        let lockstep = QuerySet::with_backend(&queries, QuerySetBackend::Lockstep);
+        let [(product, _), (per_query, padded)] = both_shapes(&queries);
+        let shared = (1u64 << queries.len()) - 1;
+        let pad = &padded[queries.len()];
         let heuristic = query::compile_set(&queries);
         for (wi, w) in random_words(6, seed ^ 0xA5A5).iter().enumerate() {
             let events: Vec<TaggedSymbol> = w.to_tagged();
             let mut p = product.start_set();
-            let mut l = lockstep.start_set();
+            let mut l = per_query.start_set();
+            let mut solo_pad = pad.start();
             for (k, &event) in events.iter().enumerate() {
                 p.step(event);
                 l.step(event);
+                solo_pad.step(event);
                 assert_eq!(
                     p.verdicts(),
-                    l.verdicts(),
+                    l.verdicts() & shared,
+                    "seed {seed}, word {wi}, prefix {k}"
+                );
+                assert_eq!(
+                    l.verdicts() >> queries.len(),
+                    u64::from(solo_pad.is_accepting()),
                     "seed {seed}, word {wi}, prefix {k}"
                 );
             }
-            assert_eq!(p.outcomes(), l.outcomes(), "seed {seed}, word {wi}");
+            let mut padded_outcomes = l.outcomes();
+            assert_eq!(
+                padded_outcomes.pop(),
+                Some(query::run_stream(pad, events.iter().copied())),
+                "seed {seed}, word {wi}"
+            );
+            assert_eq!(p.outcomes(), padded_outcomes, "seed {seed}, word {wi}");
             assert_eq!(
                 query::run_multi(&heuristic, events.iter().copied()),
                 p.outcomes(),
@@ -136,32 +153,31 @@ fn product_and_lockstep_backends_agree_on_the_same_seeds() {
     }
 }
 
-/// Law 3: a set survives the facade's persistence verbs byte-exactly, on
-/// both backends, and corruption is a typed error.
+/// Law 3: a set survives the facade's persistence verbs byte-exactly, in
+/// both shapes, and corruption is a typed error.
 #[test]
 fn query_sets_round_trip_through_save_and_load() {
     for seed in 0..prop_iters(10) as u64 {
-        let queries = random_queries(3, seed);
-        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-            let set = QuerySet::with_backend(&queries, backend);
+        for (set, _) in both_shapes(&random_queries(3, seed)) {
+            let engines = set.num_engines();
             let bytes = query::save(&set);
             let back: QuerySet = query::load(&bytes).unwrap_or_else(|e| {
-                panic!("seed {seed}, {backend:?}: load failed: {e}");
+                panic!("seed {seed}, {engines} engines: load failed: {e}");
             });
-            assert_eq!(back, set, "seed {seed}, {backend:?}");
+            assert_eq!(back, set, "seed {seed}, {engines} engines");
             assert_eq!(back.fingerprint(), set.fingerprint());
             // The reloaded set answers identically.
             let events: Vec<TaggedSymbol> = random_words(1, seed)[0].to_tagged();
             assert_eq!(
                 query::run_multi(&back, events.iter().copied()),
                 query::run_multi(&set, events.iter().copied()),
-                "seed {seed}, {backend:?}"
+                "seed {seed}, {engines} engines"
             );
             // Truncation at any tail offset is a typed error, never a panic.
             for cut in [1usize, 7, 16] {
                 assert!(
                     QuerySet::load(&bytes[..bytes.len().saturating_sub(cut)]).is_err(),
-                    "seed {seed}, {backend:?}, cut {cut}"
+                    "seed {seed}, {engines} engines, cut {cut}"
                 );
             }
         }
@@ -242,7 +258,7 @@ fn expr_lowering_matches_boolean_composition() {
 /// The skip paths of a set's slice loop — events dropped as inert for the
 /// whole set, members retired in absorbing states, the set lane's own
 /// stack accounting — are exact: fed through `step_slice` in chunkings
-/// that straddle the 1024-event compaction block, both backends report at
+/// that straddle the 1024-event compaction block, every shape reports at
 /// every slice boundary the verdicts, stack height, peak and step count of
 /// per-query runs stepped event by event. Members are built to have inert,
 /// partly inert and random symbols and a reachable sink, or drawn from the
@@ -265,12 +281,15 @@ fn skip_paths_match_per_query_runs_at_every_slice_boundary() {
             patterns_in_order_nwa(&[s1, s2], sigma),
         ]);
         // Syms 0 and 3 are inert in every member (`within` moves on its
-        // outer symbol's calls only); some member reads syms 1 and 2.
-        let lockstep = QuerySet::with_backend(&queries, QuerySetBackend::Lockstep);
-        assert!(lockstep.is_inert(s0) && lockstep.is_inert(Symbol(3)));
-        assert!(!lockstep.is_inert(s1) && !lockstep.is_inert(s2));
+        // outer symbol's calls only); some member reads syms 1 and 2. All
+        // eight members are too many for one product table.
+        let all = QuerySet::compile(&queries);
+        assert_eq!(all.num_engines(), queries.len());
+        assert!(all.is_inert(s0) && all.is_inert(Symbol(3)));
+        assert!(!all.is_inert(s1) && !all.is_inert(s2));
         let product_members = [queries[0].clone(), queries[3].clone(), queries[4].clone()];
-        let product = QuerySet::with_backend(&product_members, QuerySetBackend::Product);
+        let mut sets = vec![(all, queries)];
+        sets.extend(both_shapes(&product_members));
         let config = NestedWordConfig {
             len: 9000 + rng.below(4000),
             allow_pending: true,
@@ -278,7 +297,7 @@ fn skip_paths_match_per_query_runs_at_every_slice_boundary() {
         };
         let events = random_nested_word(&ab, config, seed ^ 0xD0C).to_tagged();
         let lengths = chunk_lengths(events.len(), &mut rng);
-        for (set, members) in [(&lockstep, &queries[..]), (&product, &product_members[..])] {
+        for (set, members) in &sets {
             let mut run = set.start_set();
             let mut solo: Vec<_> = members.iter().map(|q| q.start()).collect();
             let mut at = 0;
@@ -295,7 +314,10 @@ fn skip_paths_match_per_query_runs_at_every_slice_boundary() {
                     .iter()
                     .enumerate()
                     .fold(0u64, |m, (i, s)| m | u64::from(s.is_accepting()) << i);
-                let ctx = format!("seed {seed}, {:?}, after {at} events", set.backend());
+                let ctx = format!(
+                    "seed {seed}, {} engines, after {at} events",
+                    set.num_engines()
+                );
                 assert_eq!(run.verdicts(), expected, "{ctx}");
                 assert_eq!(run.stack_height(), solo[0].stack_height(), "{ctx}");
                 assert_eq!(run.peak_memory(), solo[0].peak_memory(), "{ctx}");
@@ -310,8 +332,8 @@ fn skip_paths_match_per_query_runs_at_every_slice_boundary() {
 
 /// Members that settle early stop stepping, yet the set still measures the
 /// stream: after both `contains` members sit in their absorbing state, a
-/// 5,000-deep nesting must still report its full height and peak, on both
-/// backends and through both the slice and the per-event entry.
+/// 5,000-deep nesting must still report its full height and peak, in both
+/// shapes and through both the slice and the per-event entry.
 #[test]
 fn retired_members_leave_stack_accounting_exact() {
     let sigma = 3;
@@ -329,8 +351,11 @@ fn retired_members_leave_stack_accounting_exact() {
     events.extend(std::iter::repeat_n(TaggedSymbol::Internal(c), 10));
     events.extend(std::iter::repeat_n(TaggedSymbol::Return(c), 5_000));
     let deepest = settled + 5_000;
-    for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
-        let set = QuerySet::with_backend(&queries, backend);
+    for (set, members) in both_shapes(&queries) {
+        // The pad (depth ≤ 256) has died by the deepest point.
+        let expected = members.iter().enumerate().fold(0u64, |m, (i, q)| {
+            m | u64::from(query::contains_stream(q, events[..deepest].iter().copied())) << i
+        });
         for sliced in [true, false] {
             let mut run = set.start_set();
             for part in [&events[..settled], &events[settled..deepest]] {
@@ -340,15 +365,16 @@ fn retired_members_leave_stack_accounting_exact() {
                     part.iter().for_each(|&e| run.step(e));
                 }
             }
-            let ctx = format!("{backend:?}, sliced {sliced}");
-            assert_eq!(run.verdicts(), 0b11, "{ctx}");
+            let ctx = format!("{} engines, sliced {sliced}", set.num_engines());
+            assert_eq!(run.verdicts() & 0b11, 0b11, "{ctx}");
+            assert_eq!(run.verdicts(), expected, "{ctx}");
             assert_eq!(run.stack_height(), 5_000, "{ctx}");
             assert_eq!(run.peak_memory(), 5_000, "{ctx}");
             run.step_slice(&events[deepest..]);
             assert_eq!(run.stack_height(), 0, "{ctx}");
             assert_eq!(run.peak_memory(), 5_000, "{ctx}");
             assert_eq!(run.steps(), events.len(), "{ctx}");
-            for (outcome, q) in run.outcomes().iter().zip(&queries) {
+            for (outcome, q) in run.outcomes().iter().zip(&members) {
                 assert_eq!(
                     *outcome,
                     query::run_stream(q, events.iter().copied()),
