@@ -85,6 +85,18 @@ pub trait StreamAcceptor {
 
     /// Starts a fresh run in the initial configuration with an empty stack.
     fn start(&self) -> Self::Run<'_>;
+
+    /// The acceptor's **projection**: `inert_symbols()[a]` is `true` when an
+    /// internal event of symbol `a` cannot change any run (`δi(q, a) = q`
+    /// in every state), so a scanner may drop it before it is ever
+    /// emitted. Calls and returns always reach the run. Symbols at or past
+    /// the slice's length are not known to be inert; the default, an empty
+    /// slice, drops nothing. Compiled engines return the inert set they
+    /// already derive at compile time, and
+    /// `nwa_xml::queries::run_streaming_reader` hands it to the scanner.
+    fn inert_symbols(&self) -> &[bool] {
+        &[]
+    }
 }
 
 /// Batched execution: advancing many independent event streams over one
@@ -251,7 +263,10 @@ pub struct StreamOutcome {
     pub accepted: bool,
     /// Number of events read, including those the engine had no need to
     /// step (compiled engines skip internals that cannot change their
-    /// state).
+    /// state) and those a projected scanner dropped before the engine saw
+    /// them (`nwa_xml::queries::run_streaming_reader` adds the text words
+    /// its scan dropped as [`StreamAcceptor::inert_symbols`], so the count
+    /// does not depend on the projection).
     pub events: usize,
     /// Maximum stack height used: proportional to the nesting depth of the
     /// input, not to its length.

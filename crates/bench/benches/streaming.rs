@@ -22,8 +22,8 @@ use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, open_depth_at_most_nwa, run_streaming, run_streaming_reader,
     run_streaming_text, EVENT_SLICE,
 };
-use nested_words_suite::nwa_xml::sax::{parse_document, to_xml, FrozenByteTokenizer};
-use nested_words_suite::nwa_xml::scan;
+use nested_words_suite::nwa_xml::sax::{parse_document, to_xml, FrozenByteTokenizer, Projection};
+use nested_words_suite::nwa_xml::scan::{self, BulkLexer};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 use std::time::Duration;
@@ -192,11 +192,30 @@ fn tokenize_only(xml: &str, ab: &Alphabet) -> usize {
     }
 }
 
+/// The scan layer alone under a compiled query's projection: the bytes
+/// through a projected `BulkLexer::fill` in `EVENT_SLICE` slices, no
+/// engine. For `contains_tag_nwa` every text word is inert, so this is the
+/// drop-all scan `run_streaming_reader` runs. Returns the events read,
+/// dropped ones included.
+fn tokenize_projected(xml: &str, ab: &Alphabet, inert: &[bool]) -> usize {
+    let mut tok = BulkLexer::new(xml.as_bytes(), Projection::new(ab, inert));
+    let mut slice = Vec::with_capacity(EVENT_SLICE);
+    let mut events = 0;
+    loop {
+        slice.clear();
+        tok.fill(&mut slice, EVENT_SLICE).unwrap();
+        if slice.is_empty() {
+            return events + tok.dropped();
+        }
+        events += slice.len();
+    }
+}
+
 /// E15c layer table: the 1M-event document through UTF-8 validation alone,
-/// the scanner alone and the whole bytes→verdict pipeline, each on the
-/// SWAR-pinned and the detected stage-1 backend, in ns/event and ns/byte
-/// (fastest of ten passes; the criterion rows below are the recorded
-/// numbers).
+/// the scanner alone (unprojected, and projected through the query's inert
+/// symbols) and the whole bytes→verdict pipeline, each on the SWAR-pinned
+/// and the detected stage-1 backend, in ns/event and ns/byte (fastest of
+/// ten passes; the criterion rows below are the recorded numbers).
 fn print_layer_table() {
     let (ab, doc) = generate_document(
         DocumentConfig {
@@ -239,6 +258,12 @@ fn print_layer_table() {
             &format!("tokenize_only ({backend:?})"),
             fastest(&|| {
                 black_box(tokenize_only(&xml, &ab));
+            }),
+        );
+        row(
+            &format!("tokenize_projected ({backend:?})"),
+            fastest(&|| {
+                black_box(tokenize_projected(&xml, &ab, cq.inert_symbols()));
             }),
         );
         row(
@@ -339,8 +364,10 @@ fn bench_compiled(c: &mut Criterion) {
 
     // Bytes in, verdict out: the full byte-level pipeline (chunked UTF-8
     // validation → structural scan → automaton), interpreted and compiled,
-    // next to its first two layers alone (`utf8_only`, `tokenize_only`) and
-    // to parsing the whole document before running (`materialize_then_run`).
+    // next to its first two layers alone (`utf8_only`, `tokenize_only`), the
+    // scan under the compiled query's projection (`tokenize_projected`, the
+    // scan `bytes_compiled` runs) and parsing the whole document before
+    // running (`materialize_then_run`).
     // The plain rows are pinned to the portable SWAR backend and the
     // `_simd` rows run on the runtime-detected wide backend, so one run
     // records both sides of the comparison CI gates on.
@@ -380,6 +407,11 @@ fn bench_compiled(c: &mut Criterion) {
                 |b, xml| b.iter(|| tokenize_only(xml, &ab)),
             );
             group.bench_with_input(
+                BenchmarkId::new(&format!("tokenize_projected{suffix}"), events),
+                &xml,
+                |b, xml| b.iter(|| tokenize_projected(xml, &ab, cq.inert_symbols())),
+            );
+            group.bench_with_input(
                 BenchmarkId::new(&format!("bytes_interpreted{suffix}"), events),
                 &xml,
                 |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
@@ -408,6 +440,63 @@ fn bench_compiled(c: &mut Criterion) {
         scan::auto_scan_backend();
     }
     group.finish();
+
+    // Prose-heavy XML: every text run outlasts a stage-1 pass, the case a
+    // drop-all scan must still consume pass by pass instead of handing it
+    // to the scalar arm. The unprojected and projected scans of the same
+    // bytes, under `contains_tag_nwa` (every text word inert), per backend.
+    let mut group = c.benchmark_group("e15d_long_text_scan");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    let (ab, _) = generate_document(DocumentConfig::default(), 7);
+    let cq = query::compile(&contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len()));
+    let paragraphs = 128;
+    let xml = long_text_document(&ab, paragraphs);
+    group.throughput(Throughput::Bytes(xml.len() as u64));
+    let mut backends = vec![(scan::ScanBackend::Swar, "")];
+    if wide != scan::ScanBackend::Swar {
+        backends.push((wide, "_simd"));
+    }
+    for (backend, suffix) in backends {
+        assert!(scan::force_scan_backend(backend));
+        group.bench_with_input(
+            BenchmarkId::new(&format!("unprojected{suffix}"), paragraphs),
+            &xml,
+            |b, xml| b.iter(|| tokenize_only(xml, &ab)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new(&format!("projected{suffix}"), paragraphs),
+            &xml,
+            |b, xml| b.iter(|| tokenize_projected(xml, &ab, cq.inert_symbols())),
+        );
+    }
+    scan::auto_scan_backend();
+    group.finish();
+}
+
+/// `paragraphs` `<t0>` elements, each holding about 8 KiB of the text
+/// words of `ab` (`w0`, `w1`, …) and nothing else.
+fn long_text_document(ab: &Alphabet, paragraphs: usize) -> String {
+    let words: Vec<String> = (0..)
+        .map(|i| format!("w{i}"))
+        .take_while(|w| ab.lookup(w).is_some())
+        .collect();
+    let mut xml = String::new();
+    for p in 0..paragraphs {
+        xml.push_str("<t0>");
+        let start = xml.len();
+        for w in words.iter().cycle().skip(p) {
+            if xml.len() - start >= 8192 {
+                break;
+            }
+            xml.push_str(w);
+            xml.push(' ');
+        }
+        xml.push_str("</t0>\n");
+    }
+    xml
 }
 
 fn bench_streaming(c: &mut Criterion) {

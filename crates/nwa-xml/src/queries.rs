@@ -11,7 +11,8 @@
 //!   ≤ d" / "the document nests deeper than d", which genuinely use the
 //!   hierarchical structure.
 
-use crate::sax::{FrozenByteTokenizer, SaxError};
+use crate::sax::{Projection, SaxError};
+use crate::scan::BulkLexer;
 use automata_core::{query, MultiAcceptor, QuerySetRun, StreamAcceptor, StreamRun};
 use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol};
 use nwa::automaton::Nwa;
@@ -218,11 +219,19 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 /// without ever materializing a string, a tagged word or a nested word:
 /// the bytes-in → verdict-out single-pass pipeline of §1. The bytes are
 /// swept in [`crate::scan::SCAN_CHUNK`]-sized chunks by the bulk
-/// structural scanner ([`FrozenByteTokenizer`]), and the resulting events
-/// are buffered into [`EVENT_SLICE`]-long runs handed to the acceptor's
+/// structural scanner ([`BulkLexer`]), and the resulting events are
+/// buffered into [`EVENT_SLICE`]-long runs handed to the acceptor's
 /// [`StreamRun::step_slice`] bulk entry; memory is the scanner's chunk
 /// window, the event buffer, and a stack proportional to the nesting
 /// depth.
+///
+/// The scanner is projected through the acceptor's
+/// [`inert_symbols`](StreamAcceptor::inert_symbols) (see [`Projection`]):
+/// a text word the acceptor cannot be moved by is read and counted, but
+/// never emitted or stepped. For a compiled `contains_tag_nwa` that is
+/// every text word. Acceptors that keep the default empty projection
+/// (interpreted models) see every event. The outcome's `events` counts
+/// every event read, dropped ones included, so it is the same either way.
 ///
 /// Every tag and text symbol of the stream must already be interned in
 /// `alphabet`, and the automaton must be compiled against that alphabet
@@ -232,18 +241,23 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 /// [`SaxError::Syntax`]) rather than silently interned past the automaton's
 /// alphabet, where it would index out of the transition tables; `alphabet`
 /// itself is never mutated, so the guard holds across repeated calls with
-/// the same query. Invalid or truncated UTF-8 and I/O failures surface as
-/// the corresponding typed [`SaxError`]s.
+/// the same query. The one exception is a *drop-all* acceptor, for which
+/// every symbol of `alphabet` is inert: it resolves no text word at all,
+/// so an unknown text word is dropped like a known one instead of failing
+/// (an unknown tag still fails). Invalid or truncated UTF-8 and I/O
+/// failures surface as the corresponding typed [`SaxError`]s.
 pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
     a: &A,
     reader: R,
     alphabet: &Alphabet,
 ) -> Result<StreamingOutcome, SaxError> {
     let mut run = a.start();
-    for_each_slice(reader, alphabet, |events| run.step_slice(events))?;
+    let dropped = for_each_slice(reader, alphabet, a.inert_symbols(), |events| {
+        run.step_slice(events)
+    })?;
     Ok(StreamingOutcome {
         accepted: run.is_accepting(),
-        events: run.steps(),
+        events: run.steps() + dropped,
         peak_memory: run.peak_memory(),
     })
 }
@@ -257,40 +271,61 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
 /// the bytes-to-verdict pipeline, so M queries answered off one scan cost
 /// barely more than one — where M sequential [`run_streaming_reader`] calls
 /// would re-scan (and re-validate) the same bytes M times. Alphabet
-/// discipline is identical to the single-query path: every name must already
+/// discipline and projection are identical to the single-query path: the
+/// scanner drops the text words inert in *every* member (the set's
+/// [`inert_symbols`](StreamAcceptor::inert_symbols)), every outcome's
+/// `events` still counts every event read, every other name must already
 /// be interned in `alphabet`, unknown names surface as
-/// [`NestedWordError::UnknownSymbol`] without mutating `alphabet`, and the
-/// set must be compiled with `sigma = alphabet.len()`.
+/// [`NestedWordError::UnknownSymbol`] without mutating `alphabet` (text
+/// words of a drop-all set excepted), and the set must be compiled with
+/// `sigma = alphabet.len()`.
 pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
     set: &S,
     reader: R,
     alphabet: &Alphabet,
 ) -> Result<Vec<StreamingOutcome>, SaxError> {
     let mut run = set.start_set();
-    for_each_slice(reader, alphabet, |events| run.step_slice(events))?;
-    Ok(run.outcomes())
+    let dropped = for_each_slice(reader, alphabet, set.inert_symbols(), |events| {
+        run.step_slice(events)
+    })?;
+    let mut outcomes = run.outcomes();
+    for outcome in &mut outcomes {
+        outcome.events += dropped;
+    }
+    Ok(outcomes)
 }
 
 /// The one bytes → event-slice loop behind [`run_streaming_reader`],
 /// [`run_multi_streaming_reader`] and `nwa-service`'s `submit_bytes`:
-/// sweeps `reader` with a [`FrozenByteTokenizer`] against the read-only
-/// `alphabet` and hands every buffered run of at most [`EVENT_SLICE`]
-/// events to `sink`, in stream order. Stops at the first error, which is
-/// returned after the events lexed before it have been handed over.
+/// sweeps `reader` with a [`BulkLexer`] looking names up in the read-only
+/// `alphabet` under the projection `inert` (see [`Projection`]; an empty
+/// slice drops nothing, as a [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer)
+/// would) and hands every buffered run of at most [`EVENT_SLICE`] events
+/// to `sink`, in stream order.
+///
+/// Returns the number of text words the projection dropped: read from the
+/// stream, never handed to `sink`. Events read = events handed over +
+/// that count. Text words are dropped only when `inert` marks their symbol;
+/// when it marks every symbol of `alphabet`, no text word is resolved, so an
+/// unknown one is dropped instead of failing. Stops at the first error,
+/// which is returned after the events lexed before it have been handed
+/// over.
 pub fn for_each_slice<R: io::Read>(
     reader: R,
     alphabet: &Alphabet,
+    inert: &[bool],
     mut sink: impl FnMut(&[TaggedSymbol]),
-) -> Result<(), SaxError> {
-    let mut tokenizer = FrozenByteTokenizer::new(reader, alphabet);
+) -> Result<usize, SaxError> {
+    let mut tokenizer = BulkLexer::new(reader, Projection::new(alphabet, inert));
     let mut buffer: Vec<TaggedSymbol> = Vec::with_capacity(EVENT_SLICE);
     loop {
-        tokenizer.fill(&mut buffer, EVENT_SLICE)?;
+        let filled = tokenizer.fill(&mut buffer, EVENT_SLICE);
         if buffer.is_empty() {
-            return Ok(());
+            return filled.map(|()| tokenizer.dropped());
         }
         sink(&buffer);
         buffer.clear();
+        filled?;
     }
 }
 

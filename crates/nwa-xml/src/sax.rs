@@ -26,6 +26,11 @@
 //!   copied or mutated — the serving-path front end, where the alphabet
 //!   must stay aligned with a compiled artifact.
 //!
+//! A third policy, [`Projection`], is read-only lookup under a compiled
+//! artifact's inert symbols: the lexer drops the text words the artifact
+//! cannot be moved by instead of emitting them. It is what
+//! `queries::run_streaming_reader` scans with.
+//!
 //! Neither front end materializes a [`TaggedWord`] or [`NestedWord`];
 //! feeding one straight into `query::run_stream` evaluates a document query
 //! in one pass with memory proportional to the nesting depth. [`tokenize`]
@@ -119,7 +124,7 @@ impl SaxError {
 /// How the lexer maps lexed names (tag names, text tokens) to
 /// [`Symbol`]s.
 ///
-/// Two policies exist:
+/// Two alphabet policies exist:
 ///
 /// * `&mut Alphabet` — **interning**: a name seen for the first time is
 ///   added to the alphabet ([`Alphabet::try_intern`]); this is what the
@@ -130,9 +135,39 @@ impl SaxError {
 ///   this is what [`FrozenByteTokenizer`] uses on the serving path, where
 ///   the alphabet is fixed by an already-compiled automaton and must not
 ///   drift (and must not be cloned per document just to protect it).
+///
+/// A policy may also carry a *projection* ([`Projection`]): text words it
+/// marks inert are dropped by the lexer instead of emitted. Both alphabet
+/// policies drop nothing.
 pub trait ResolveName {
     /// Maps one lexed name to a symbol, or fails with a typed error.
     fn resolve(&mut self, name: &str) -> Result<Symbol, NestedWordError>;
+
+    /// Whether a text word resolving to `sym` is dropped rather than
+    /// emitted. The default drops nothing.
+    fn drops(&self, sym: Symbol) -> bool {
+        let _ = sym;
+        false
+    }
+
+    /// How the lexer treats text words under this policy, fixed for the
+    /// whole stream. The default, [`TextMode::EmitAll`], drops nothing.
+    fn text_mode(&self) -> TextMode {
+        TextMode::EmitAll
+    }
+}
+
+/// What a [`ResolveName`] policy's projection does with text words; the
+/// lexer runs one text path per mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TextMode {
+    /// Every text word is resolved and emitted: no projection.
+    EmitAll,
+    /// **Keep bit**: every text word is resolved, and those whose symbol
+    /// [`ResolveName::drops`] marks are dropped.
+    KeepBit,
+    /// **Drop-all**: no text word is resolved or emitted.
+    DropAll,
 }
 
 impl ResolveName for &mut Alphabet {
@@ -147,6 +182,84 @@ impl ResolveName for &Alphabet {
             .ok_or_else(|| NestedWordError::UnknownSymbol {
                 name: name.to_string(),
             })
+    }
+}
+
+/// Read-only lookup (as `&Alphabet`) under an artifact's projection: a text
+/// word whose symbol the artifact marks inert
+/// ([`StreamAcceptor::inert_symbols`](automata_core::StreamAcceptor::inert_symbols))
+/// is read, counted in [`BulkLexer::dropped`], and never emitted. Tags are
+/// always emitted.
+///
+/// The [`TextMode`] follows from the inert bits:
+///
+/// * **drop-all** — the slice is non-empty, covers the whole alphabet, and
+///   every alphabet symbol is inert: no text word is resolved at all, so a
+///   text word outside the alphabet is dropped like any other instead of
+///   failing with [`NestedWordError::UnknownSymbol`];
+/// * **keep bit** — some alphabet symbol is inert: every text word is
+///   resolved as usual (an unknown one still fails) and dropped only if its
+///   symbol is inert;
+/// * **emit-all** — no alphabet symbol is inert (an empty slice, say): the
+///   lexer runs exactly as for `&Alphabet`.
+///
+/// Symbols past the slice's end are never inert.
+///
+/// ```
+/// use nested_words::{Alphabet, TaggedSymbol};
+/// use nwa_xml::sax::Projection;
+/// use nwa_xml::scan::BulkLexer;
+///
+/// let ab = Alphabet::from_names(["doc", "w"]);
+/// let text = "<doc>w unseen</doc>";
+/// let mut lexer = BulkLexer::new(text.as_bytes(), Projection::new(&ab, &[true, true]));
+/// let mut events = Vec::new();
+/// lexer.fill(&mut events, 16).unwrap();
+/// let doc = ab.lookup("doc").unwrap();
+/// assert_eq!(events, [TaggedSymbol::Call(doc), TaggedSymbol::Return(doc)]);
+/// assert_eq!(lexer.dropped(), 2);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Projection<'a> {
+    alphabet: &'a Alphabet,
+    inert: &'a [bool],
+    mode: TextMode,
+}
+
+impl<'a> Projection<'a> {
+    /// Projects lookups in `alphabet` through `inert` (one bit per symbol,
+    /// as [`StreamAcceptor::inert_symbols`](automata_core::StreamAcceptor::inert_symbols)
+    /// returns it).
+    pub fn new(alphabet: &'a Alphabet, inert: &'a [bool]) -> Self {
+        let known = &inert[..inert.len().min(alphabet.len())];
+        let mode = if !inert.is_empty() && inert.len() >= alphabet.len() && known.iter().all(|&b| b)
+        {
+            TextMode::DropAll
+        } else if known.contains(&true) {
+            TextMode::KeepBit
+        } else {
+            TextMode::EmitAll
+        };
+        Projection {
+            alphabet,
+            inert,
+            mode,
+        }
+    }
+}
+
+impl ResolveName for Projection<'_> {
+    fn resolve(&mut self, name: &str) -> Result<Symbol, NestedWordError> {
+        let mut lookup = self.alphabet;
+        lookup.resolve(name)
+    }
+
+    fn drops(&self, sym: Symbol) -> bool {
+        self.inert.get(sym.index()).copied().unwrap_or(false)
+    }
+
+    fn text_mode(&self) -> TextMode {
+        self.mode
     }
 }
 

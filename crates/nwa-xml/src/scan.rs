@@ -28,6 +28,24 @@
 //!    direct-mapped name cache (whose slots hold all three event forms),
 //!    and the event is appended to the caller's slice.
 //!
+//!    A lexer built on a [`Projection`](crate::sax::Projection) — the
+//!    compiled artifact's inert symbols — emits only what the artifact
+//!    reads. In **drop-all** mode (every alphabet symbol inert) stage 1
+//!    puts only tags on the tape and marks text-word starts in one mask
+//!    per block; text words are never resolved. A pass consumes up to its
+//!    last tag, or past the complete text words after it when its budget
+//!    did not cut it (so a long text run never falls to the scalar arm),
+//!    and the dropped count is the popcount of those masks up to there
+//!    (whatever resumes later re-scans the rest). In **keep-bit** mode
+//!    each name-cache slot carries a keep bit per event form (tags always
+//!    set), and stage 2 writes every event branch-free but advances only
+//!    past kept ones. An unprojected lexer runs its own instance of the
+//!    fill loop, which never reads a keep bit. Either way the scalar arm
+//!    and CDATA sections drop by the same rule, [`BulkLexer::dropped`]
+//!    counts what was dropped, and the `fill` budget counts events
+//!    *written*, so a fill that appends nothing still means the stream
+//!    has ended.
+//!
 //! Every token is lexed either by the tape or by the one scalar token step
 //! (`step_token`: word-at-a-time SWAR sweeps to the token's end, then the
 //! one byte-level tag classifier), which takes whatever stage 1 rejects —
@@ -57,7 +75,7 @@
 //! byte comes out and a token still in progress is discarded in favor of
 //! the error.
 
-use crate::sax::{ResolveName, SaxError};
+use crate::sax::{ResolveName, SaxError, TextMode};
 use kernel::{BlockClassifier, EventSink, BLOCK};
 use nested_words::{NestedWordError, Symbol, TaggedSymbol};
 use std::io;
@@ -335,27 +353,36 @@ mod backend {
 // --------------------------------------------------------------------------
 
 /// The name-to-event builder of the lexer: the [`ResolveName`] policy
-/// behind a direct-mapped name cache, and the one classifier of tag bodies.
+/// behind a direct-mapped name cache, the one classifier of tag bodies, and
+/// the policy's projection with its count of dropped text words.
 #[derive(Debug)]
 struct LexerCore<N: ResolveName> {
     names: N,
     /// Direct-mapped memo of recent name resolutions (see
     /// [`LexerCore::resolve_bytes`]).
     cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
+    /// What the policy's projection does with text words
+    /// ([`ResolveName::text_mode`]).
+    text: TextMode,
+    /// Text words the projection dropped so far.
+    dropped: usize,
 }
 
 /// One slot of the name-resolution memo: the name's bytes zero-padded into
 /// two words plus its length — an *exact* key (equal key ⇔ equal bytes), so
 /// a hit needs no hashing, no string compare and no allocation — and the
 /// resolved symbol in all three event forms, indexed in place by
-/// [`FORM_INTERNAL`] / [`FORM_CALL`] / [`FORM_RETURN`]. `len` is
-/// `EMPTY_SLOT` for never-filled slots; names longer than 16 bytes are not
-/// cached (they fall through to the policy every time).
+/// [`FORM_INTERNAL`] / [`FORM_CALL`] / [`FORM_RETURN`], with one keep bit
+/// per form (bit `form` of `keep`: tags always, the text form unless the
+/// projection drops it). `len` is `EMPTY_SLOT` for never-filled slots;
+/// names longer than 16 bytes are not cached (they fall through to the
+/// policy every time).
 #[derive(Debug, Clone, Copy)]
 struct NameCacheEntry {
     w0: u64,
     w1: u64,
-    len: u32,
+    len: u16,
+    keep: u16,
     forms: [TaggedSymbol; 3],
 }
 
@@ -375,7 +402,10 @@ fn forms(sym: Symbol) -> [TaggedSymbol; 3] {
     ]
 }
 
-const EMPTY_SLOT: u32 = u32::MAX;
+const EMPTY_SLOT: u16 = u16::MAX;
+
+/// The keep bits of the two tag forms, which are never dropped.
+const KEEP_TAGS: u16 = 1 << FORM_CALL | 1 << FORM_RETURN;
 
 /// Slots in the name memo. Documents draw their names from a small, heavily
 /// repeated set (element vocabularies, recurring words), so even a small
@@ -420,16 +450,41 @@ fn resolve_with<N: ResolveName>(names: &mut N, name: &[u8]) -> Result<Symbol, Sa
 impl<N: ResolveName> LexerCore<N> {
     fn new(names: N) -> Self {
         LexerCore {
+            text: names.text_mode(),
             names,
             cache: Box::new(
                 [NameCacheEntry {
                     w0: 0,
                     w1: 0,
                     len: EMPTY_SLOT,
+                    keep: KEEP_TAGS,
                     forms: forms(Symbol(0)),
                 }; NAME_CACHE_SLOTS],
             ),
+            dropped: 0,
         }
+    }
+
+    /// Whether a text word of `sym` is emitted under the projection.
+    #[inline(always)]
+    fn keeps_text(&self, sym: Symbol) -> bool {
+        !self.names.drops(sym)
+    }
+
+    /// Lexes one text word under the projection: pushes its event and
+    /// returns `true`, or counts it dropped and returns `false`. In
+    /// drop-all mode the word is not even resolved.
+    #[inline]
+    fn text_word(&mut self, name: &[u8], out: &mut Vec<TaggedSymbol>) -> Result<bool, SaxError> {
+        if self.text != TextMode::DropAll {
+            let sym = self.resolve_bytes(name)?;
+            if self.keeps_text(sym) {
+                out.push(TaggedSymbol::Internal(sym));
+                return Ok(true);
+            }
+        }
+        self.dropped += 1;
+        Ok(false)
     }
 
     /// Maps one lexed name (valid UTF-8 bytes of the validated window) to a
@@ -448,14 +503,15 @@ impl<N: ResolveName> LexerCore<N> {
         }
         let (w0, w1) = pack_name(name);
         let len = name.len() as u32;
-        if let Some(t) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
+        if let Some((t, _)) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
             return Ok(t.symbol());
         }
         let sym = resolve_with(&mut self.names, name)?;
         self.cache[slot_of(w0, w1, len)] = NameCacheEntry {
             w0,
             w1,
-            len,
+            len: len as u16,
+            keep: KEEP_TAGS | u16::from(self.keeps_text(sym)),
             forms: forms(sym),
         };
         Ok(sym)
@@ -464,11 +520,13 @@ impl<N: ResolveName> LexerCore<N> {
     /// The cache probe alone: the event form `form` (`FORM_*`) of the name
     /// with exact key `(w0, w1, len)` — the value [`pack_name`] produces,
     /// which the scanner's stage 2 builds from two masked word loads of its
-    /// window — read in place from its slot, or `None` on a miss.
+    /// window — read in place from its slot with its keep bit, or `None` on
+    /// a miss.
     #[inline(always)]
-    fn cached_form(&self, w0: u64, w1: u64, len: u32, form: usize) -> Option<TaggedSymbol> {
+    fn cached_form(&self, w0: u64, w1: u64, len: u32, form: usize) -> Option<(TaggedSymbol, bool)> {
         let slot = &self.cache[slot_of(w0, w1, len)];
-        (slot.w0 == w0 && slot.w1 == w1 && slot.len == len).then(|| slot.forms[form])
+        (slot.w0 == w0 && slot.w1 == w1 && u32::from(slot.len) == len)
+            .then(|| (slot.forms[form], slot.keep >> form & 1 != 0))
     }
 
     /// Classifies one tag body — the bytes between `<` and `>` — into its
@@ -527,11 +585,14 @@ const TAPE_CAP: usize = TAPE_BYTES + BLOCK;
 
 /// Stage 1's output: token `i` spans `from + starts[i] .. from + ends[i]`
 /// of the window, where `from` is the pass start. Tags span `<` through
-/// `>`; text tokens span the word.
+/// `>`; text tokens span the word. A pass that drops text puts only tags
+/// on the tape and marks each text word's first byte in `text_starts`, one
+/// mask per block of the pass.
 #[derive(Debug)]
 struct Tape {
     starts: Vec<u16>,
     ends: Vec<u16>,
+    text_starts: [u64; TAPE_CAP / BLOCK],
 }
 
 impl Tape {
@@ -539,14 +600,40 @@ impl Tape {
         Tape {
             starts: vec![0; TAPE_CAP],
             ends: vec![0; TAPE_CAP],
+            text_starts: [0; TAPE_CAP / BLOCK],
         }
+    }
+
+    /// Text words starting before pass offset `end`: the popcount of the
+    /// `text_starts` masks below it.
+    fn text_words_before(&self, end: usize) -> usize {
+        let (full, rest) = (end / BLOCK, end % BLOCK);
+        let below: u32 = self.text_starts[..full]
+            .iter()
+            .map(|m| m.count_ones())
+            .sum();
+        let partial = match rest {
+            0 => 0,
+            r => (self.text_starts[full] & ((1u64 << r) - 1)).count_ones(),
+        };
+        (below + partial) as usize
     }
 }
 
 /// What one stage-1 pass produced.
 struct Pass {
-    /// Complete tokens on the tape, capped at the pass budget.
+    /// Complete tokens on the tape, capped at the pass budget: only tags
+    /// when the pass drops text.
     tokens: usize,
+    /// Pass offset just past what the pass consumed, where the next one
+    /// resumes: the end of the last tape token or, when the pass drops text
+    /// and its budget did not cut it, of the last complete text word if
+    /// that is later. 0 when the pass consumed nothing.
+    end: usize,
+    /// Text words a text-dropping pass read before `end`. Those after it
+    /// are lexed again by whatever resumes there, so they are not counted
+    /// here.
+    dropped: usize,
     /// The scalar arm must lex up to this window offset before stage 1 is
     /// retried: the end of the block that failed the simplicity check, the
     /// window end (`usize::MAX`) for the short tail, or 0 when the pass
@@ -595,7 +682,10 @@ fn flatten(mut bits: u64, off: usize, out: &mut [u16], n: &mut usize) {
 /// simple blocks on `tape`, stopping after about [`TAPE_BYTES`], once
 /// `budget` tokens are complete, at the first block it cannot prove simple,
 /// or where a block (plus stage 2's 16-byte name loads) would leave the
-/// window.
+/// window. With `DROP_TEXT` only tags count as tokens: text words are
+/// marked in `tape.text_starts` and counted, never resolved, and a pass
+/// whose text runs past its last tag (or that holds no tag at all) still
+/// consumes the complete words there.
 ///
 /// A block is *simple* when every byte is ASCII and not a control byte, and
 /// every tag in it is `<name>` or `</name>`: a `<` only outside a tag, a `>`
@@ -605,7 +695,7 @@ fn flatten(mut bits: u64, off: usize, out: &mut [u16], n: &mut usize) {
 /// run from `<` to `>`, text words are the maximal runs of bytes outside
 /// tags that are neither `>` nor whitespace.
 #[inline(always)]
-fn build_tape<C: BlockClassifier>(
+fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
     cls: C,
     tape: &mut Tape,
     data: &[u8],
@@ -614,6 +704,8 @@ fn build_tape<C: BlockClassifier>(
 ) -> Pass {
     let last_block = data.len().checked_sub(BLOCK + 16);
     let (mut starts, mut ends) = (0usize, 0usize);
+    // Pass offset just past the last complete text word (`DROP_TEXT` only).
+    let mut word_end = 0usize;
     let mut carry = Carry::default();
     let mut bb = from;
     let scalar_until = loop {
@@ -621,9 +713,9 @@ fn build_tape<C: BlockClassifier>(
             break usize::MAX;
         }
         if bb - from >= TAPE_BYTES || ends >= budget {
-            // A token longer than the whole pass leaves the tape empty:
+            // A token longer than the whole pass leaves nothing consumed:
             // the scalar arm takes it.
-            break if ends == 0 { bb } else { 0 };
+            break if ends == 0 && word_end == 0 { bb } else { 0 };
         }
         let m = cls.classify(data, bb);
         let inside = prefix_xor(m.lt | m.gt) ^ carry.inside;
@@ -641,19 +733,24 @@ fn build_tape<C: BlockClassifier>(
         }
         let text = !(inside | m.gt | m.ws);
         let text_before = (text << 1) | carry.text;
+        let (text_start, text_end) = (text & !text_before, !text & text_before);
         let off = bb - from;
-        flatten(
-            m.lt | (text & !text_before),
-            off,
-            &mut tape.starts,
-            &mut starts,
-        );
-        flatten(
-            (m.gt << 1) | carry.gt | (!text & text_before),
-            off,
-            &mut tape.ends,
-            &mut ends,
-        );
+        if DROP_TEXT {
+            tape.text_starts[off / BLOCK] = text_start;
+            if text_end != 0 {
+                word_end = off + 63 - text_end.leading_zeros() as usize;
+            }
+            flatten(m.lt, off, &mut tape.starts, &mut starts);
+            flatten((m.gt << 1) | carry.gt, off, &mut tape.ends, &mut ends);
+        } else {
+            flatten(m.lt | text_start, off, &mut tape.starts, &mut starts);
+            flatten(
+                (m.gt << 1) | carry.gt | text_end,
+                off,
+                &mut tape.ends,
+                &mut ends,
+            );
+        }
         carry = Carry {
             inside: 0u64.wrapping_sub(inside >> 63),
             lt: m.lt >> 63,
@@ -663,8 +760,22 @@ fn build_tape<C: BlockClassifier>(
         };
         bb += BLOCK;
     };
+    let tokens = ends.min(budget);
+    let mut end = match tokens {
+        0 => 0,
+        n => usize::from(tape.ends[n - 1]),
+    };
+    let mut dropped = 0;
+    if DROP_TEXT {
+        if ends <= budget {
+            end = end.max(word_end);
+        }
+        dropped = tape.text_words_before(end);
+    }
     Pass {
-        tokens: ends.min(budget),
+        tokens,
+        end,
+        dropped,
         scalar_until,
     }
 }
@@ -674,13 +785,18 @@ fn build_tape<C: BlockClassifier>(
 // --------------------------------------------------------------------------
 
 /// Stage 2: resolves and emits the first `tokens` tape entries of the pass
-/// that started at `from`, returning the window offset just past the last
-/// one. On a resolution failure the events before it stay in `out` and the
-/// error comes back with the failing token's start.
+/// that started at `from`, returning the number of events written. On a
+/// resolution failure the events before it stay in `out` and the error
+/// comes back with the failing token's start.
 ///
 /// The inner loop runs over cache hits; a miss (or a name longer than a
 /// cache key) leaves it for one policy resolution, then the loop resumes.
-fn emit_tape<N: ResolveName>(
+/// With `FILTER` (keep-bit mode) every token's event is written
+/// branch-free, and the append cursor advances past it only if its slot's
+/// keep bit is set: a text word the projection drops costs a store, and is
+/// counted in `core.dropped`. Without it every event is kept, and the keep
+/// bits are never read.
+fn emit_tape<N: ResolveName, const FILTER: bool>(
     core: &mut LexerCore<N>,
     tape: &Tape,
     data: &[u8],
@@ -688,6 +804,7 @@ fn emit_tape<N: ResolveName>(
     tokens: usize,
     out: &mut Vec<TaggedSymbol>,
 ) -> Result<usize, (SaxError, usize)> {
+    let before = out.len();
     let mut sink = EventSink::new(out, tokens);
     let mut i = 0;
     while i < tokens {
@@ -697,10 +814,10 @@ fn emit_tape<N: ResolveName>(
                 break;
             }
             let (w0, w1) = pack_short(data, s + form, len);
-            let Some(t) = core.cached_form(w0, w1, len as u32, form) else {
+            let Some((t, keep)) = core.cached_form(w0, w1, len as u32, form) else {
                 break;
             };
-            sink.push(t);
+            sink.push_if(t, !FILTER || keep);
             i += 1;
         }
         if i == tokens {
@@ -708,12 +825,17 @@ fn emit_tape<N: ResolveName>(
         }
         let (s, form, len) = tape_token(tape, data, from, i);
         match core.resolve_bytes(&data[s + form..s + form + len]) {
-            Ok(sym) => sink.push(forms(sym)[form]),
+            Ok(sym) => sink.push_if(
+                forms(sym)[form],
+                !FILTER || form != FORM_INTERNAL || core.keeps_text(sym),
+            ),
             Err(err) => return Err((err, s)),
         }
         i += 1;
     }
-    Ok(from + usize::from(tape.ends[tokens - 1]))
+    let written = sink.len() - before;
+    core.dropped += tokens - written;
+    Ok(written)
 }
 
 /// Tape token `i` of the pass that started at `from`, as its window start,
@@ -1058,8 +1180,9 @@ const ITER_BATCH: usize = 1024;
 
 /// What one [`step_token`] call did with the window.
 enum StepOutcome {
-    /// One event (plus a self-closing tag's return) was emitted; the cursor
-    /// is now at the contained position.
+    /// One token was lexed — its event (plus a self-closing tag's return)
+    /// emitted, or a text word dropped; the cursor is now at the contained
+    /// position.
     Emitted(usize),
     /// The next token cannot be decided inside the window: it may continue
     /// past the window's end, or it is a directive. Consume up to the
@@ -1073,8 +1196,9 @@ enum StepOutcome {
 
 /// One scalar token step: skip inter-token whitespace from `pos`, then
 /// classify and emit the next token if it completes inside `data`, charging
-/// `budget` per event. With `eof` the window's end is the stream's end: a
-/// text word ends there, and an open `<…` is an unterminated tag.
+/// `budget` per event written (a text word the projection drops is read
+/// and counted, not charged). With `eof` the window's end is the stream's
+/// end: a text word ends there, and an open `<…` is an unterminated tag.
 ///
 /// This is the scanner's one token rule besides the tape. It lexes every
 /// token stage 1 could not prove simple and the short window tail, and —
@@ -1103,11 +1227,10 @@ fn step_token<N: ResolveName>(
             None if eof => n,
             None => return StepOutcome::Window(pos),
         };
-        match core.resolve_bytes(&data[pos..end]) {
-            Ok(sym) => out.push(TaggedSymbol::Internal(sym)),
+        match core.text_word(&data[pos..end], out) {
+            Ok(written) => *budget -= usize::from(written),
             Err(e) => return StepOutcome::Fail(e, pos),
         }
-        *budget -= 1;
         return StepOutcome::Emitted(end);
     }
     // A tag the window cuts: undecided, or unterminated at the stream's end.
@@ -1160,7 +1283,8 @@ fn step_token<N: ResolveName>(
 impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// Creates a lexer over a byte stream, resolving symbol names through
     /// `names`: `&mut Alphabet` interns them, `&Alphabet` looks them up
-    /// read-only.
+    /// read-only, and a [`Projection`](crate::sax::Projection) looks them
+    /// up and drops the text words its artifact marks inert.
     pub fn new(reader: R, names: N) -> Self {
         BulkLexer {
             window: ChunkWindow::new(reader),
@@ -1171,6 +1295,13 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             pending_err: None,
             failed: false,
         }
+    }
+
+    /// Text words read so far that the policy's projection dropped instead
+    /// of emitting; always 0 for the alphabet policies. Tokens read are
+    /// the events emitted plus this count.
+    pub fn dropped(&self) -> usize {
+        self.core.dropped
     }
 
     /// Ensures at least `pos + 1` unread validated bytes are windowed;
@@ -1196,7 +1327,9 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// the stream ends — the slice-producing entry the bytes-in →
     /// verdict-out pipeline feeds to the engines' bulk stepping (behind
     /// `queries::run_streaming_reader`), and the source of the per-event
-    /// iterator.
+    /// iterator. `max` bounds the events *written*: text words a projection
+    /// drops are read past without counting against it, so a call that
+    /// appends nothing means the stream has ended.
     ///
     /// The hot loop sweeps the *current* window with a local cursor: no
     /// per-event `Result` plumbing, no window bookkeeping, no method
@@ -1271,25 +1404,44 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// bytes of the events emitted, and returns `Ok(true)` when `out`
     /// reached `max` (`Ok(false)` hands the undecided token to the caller).
     fn fill_window(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<bool, SaxError> {
+        match self.core.text {
+            TextMode::EmitAll => self.fill_window_on::<false, false>(out, max),
+            TextMode::KeepBit => self.fill_window_on::<false, true>(out, max),
+            TextMode::DropAll => self.fill_window_on::<true, false>(out, max),
+        }
+    }
+
+    /// [`Self::fill_window`] with the text mode fixed at compile time —
+    /// `DROP_TEXT` for drop-all, `FILTER` for keep-bit — dispatched on the
+    /// backend.
+    fn fill_window_on<const DROP_TEXT: bool, const FILTER: bool>(
+        &mut self,
+        out: &mut Vec<TaggedSymbol>,
+        max: usize,
+    ) -> Result<bool, SaxError> {
         match scan_backend() {
             #[cfg(target_arch = "x86_64")]
             ScanBackend::Avx2 => {
                 if let Some(kernel) = kernel::Avx2::detect() {
-                    return self.fill_window_with(kernel, out, max);
+                    return self.fill_window_with::<_, DROP_TEXT, FILTER>(kernel, out, max);
                 }
             }
             #[cfg(target_arch = "aarch64")]
-            ScanBackend::Neon => return self.fill_window_with(kernel::Neon::new(), out, max),
+            ScanBackend::Neon => {
+                return self.fill_window_with::<_, DROP_TEXT, FILTER>(kernel::Neon::new(), out, max)
+            }
             _ => {}
         }
-        self.fill_window_with(kernel::Swar, out, max)
+        self.fill_window_with::<_, DROP_TEXT, FILTER>(kernel::Swar, out, max)
     }
 
     /// The one window-fill loop: stage-1 passes build the tape and stage 2
     /// emits it, while the scalar arm ([`step_token`]) lexes what a pass
     /// could not prove simple — one token per step, up to the end of the
-    /// rejected block — and the short window tail.
-    fn fill_window_with<C: BlockClassifier>(
+    /// rejected block — and the short window tail. The budget counts
+    /// events written, so a window of dropped text words never ends the
+    /// fill early.
+    fn fill_window_with<C: BlockClassifier, const DROP_TEXT: bool, const FILTER: bool>(
         &mut self,
         cls: C,
         out: &mut Vec<TaggedSymbol>,
@@ -1308,17 +1460,27 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
                 break true;
             }
             if pos >= scalar_until {
-                let pass = cls.stage1(&mut self.tape, data, pos, budget);
+                let pass = cls.stage1::<DROP_TEXT>(&mut self.tape, data, pos, budget);
                 scalar_until = pass.scalar_until;
-                if pass.tokens > 0 {
-                    match emit_tape(&mut self.core, &self.tape, data, pos, pass.tokens, out) {
-                        Ok(next) => pos = next,
-                        Err((e, at)) => {
-                            self.window.consume(at);
-                            return Err(e);
+                if pass.end > 0 {
+                    if pass.tokens > 0 {
+                        match emit_tape::<N, FILTER>(
+                            &mut self.core,
+                            &self.tape,
+                            data,
+                            pos,
+                            pass.tokens,
+                            out,
+                        ) {
+                            Ok(written) => budget -= written,
+                            Err((e, at)) => {
+                                self.window.consume(at);
+                                return Err(e);
+                            }
                         }
                     }
-                    budget -= pass.tokens;
+                    pos += pass.end;
+                    self.core.dropped += pass.dropped;
                     continue;
                 }
             }
@@ -1463,10 +1625,11 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
 
     /// Lexes a CDATA section, with the cursor just past `<![CDATA[`: one
     /// sweep to the `]]>` terminator, then the content's whitespace-separated
-    /// words are resolved straight into `out`. Unlike the other directives
-    /// the content is needed whole — a resolution failure truncates the
-    /// section's words off `out` again, so nothing is half-emitted — so the
-    /// sweep grows the window instead of consuming.
+    /// words go straight into `out` as text words, under the projection
+    /// like any other. Unlike the other directives the content is needed
+    /// whole — a resolution failure truncates the section's words off `out`
+    /// again (and un-counts its dropped ones), so nothing is half-emitted —
+    /// so the sweep grows the window instead of consuming.
     fn lex_cdata(&mut self, tag_start: usize, out: &mut Vec<TaggedSymbol>) -> Result<(), SaxError> {
         let mut pos = 0usize;
         let end = 'scan: loop {
@@ -1483,16 +1646,14 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             }
         };
         let content = &self.window.data()[..end];
-        let mark = out.len();
+        let (mark, dropped) = (out.len(), self.core.dropped);
         let mut word = run_end(content, 0, true);
         while word < content.len() {
             let word_end = run_end(content, word, false);
-            match self.core.resolve_bytes(&content[word..word_end]) {
-                Ok(sym) => out.push(TaggedSymbol::Internal(sym)),
-                Err(e) => {
-                    out.truncate(mark);
-                    return Err(e);
-                }
+            if let Err(e) = self.core.text_word(&content[word..word_end], out) {
+                out.truncate(mark);
+                self.core.dropped = dropped;
+                return Err(e);
             }
             word = run_end(content, word_end, true);
         }
@@ -1604,7 +1765,7 @@ mod tests {
         let mut tape = Tape::new();
         let (mut spans, mut pos) = (Vec::new(), 0usize);
         loop {
-            let pass = cls.stage1(&mut tape, data, pos, usize::MAX);
+            let pass = cls.stage1::<false>(&mut tape, data, pos, usize::MAX);
             for i in 0..pass.tokens {
                 spans.push((
                     pos + usize::from(tape.starts[i]),
@@ -1633,11 +1794,10 @@ mod tests {
         check("neon", &|d| tape_spans(kernel::Neon::new(), d));
     }
 
-    #[test]
-    fn tape_covers_a_simple_document_in_full() {
-        let doc = "<t1>w1 w22</t1>  <t3>\tw3\n</t3><t4>w4<t5>w5</t5></t4>".repeat(40);
-        // The bytes a spec-level split finds: tags whole, words between.
-        let mut expected = Vec::new();
+    /// The token spans a spec-level split of a simple document finds: tags
+    /// whole, words between.
+    fn spec_tokens(doc: &str) -> Vec<(usize, usize)> {
+        let mut tokens = Vec::new();
         let bytes = doc.as_bytes();
         let mut i = 0;
         while i < bytes.len() {
@@ -1652,8 +1812,16 @@ mod tests {
                     i += 1;
                 }
             }
-            expected.push((start, i));
+            tokens.push((start, i));
         }
+        tokens
+    }
+
+    #[test]
+    fn tape_covers_a_simple_document_in_full() {
+        let doc = "<t1>w1 w22</t1>  <t3>\tw3\n</t3><t4>w4<t5>w5</t5></t4>".repeat(40);
+        let expected = spec_tokens(&doc);
+        let bytes = doc.as_bytes();
         // Stage 1 stops a block plus 16 bytes short of the window end.
         let covered = |spans: &[(usize, usize)]| {
             expected
@@ -1668,6 +1836,77 @@ mod tests {
             assert!(covered(&spans), "{name}: the tape stopped early");
             assert_eq!(spans, expected[..spans.len()], "{name}");
         });
+    }
+
+    /// Text-dropping stage-1 passes over a simple `data` with a tag
+    /// `budget`, each resuming where the last one ended, as the fill loop
+    /// runs them: the tag spans taken, the offset consumed to and the text
+    /// words dropped. No pass may hand anything to the scalar arm.
+    fn dropping_spans<C: BlockClassifier>(
+        cls: C,
+        data: &[u8],
+        budget: usize,
+    ) -> (Vec<(usize, usize)>, usize, usize) {
+        let mut tape = Tape::new();
+        let (mut spans, mut pos, mut dropped) = (Vec::new(), 0usize, 0usize);
+        loop {
+            let pass = cls.stage1::<true>(&mut tape, data, pos, budget);
+            assert!(matches!(pass.scalar_until, 0 | usize::MAX), "simple data");
+            if pass.end == 0 {
+                return (spans, pos, dropped);
+            }
+            for i in 0..pass.tokens {
+                spans.push((
+                    pos + usize::from(tape.starts[i]),
+                    pos + usize::from(tape.ends[i]),
+                ));
+            }
+            dropped += pass.dropped;
+            pos += pass.end;
+        }
+    }
+
+    #[test]
+    fn text_dropping_tape_takes_the_tags_and_counts_the_words_before_them() {
+        // Text runs spanning many blocks, one of them no whole pass (so
+        // budget cuts land before, between and after words) and two longer
+        // than a pass — one leading the document — which passes holding no
+        // tag must still consume.
+        let doc = "long text ".repeat(700)
+            + &"<t1>w1 w22</t1> <t3>\tw3\n</t3><t4>w4<t5>w5</t5></t4>".repeat(60)
+            + &"long text ".repeat(300)
+            + "<b>"
+            + &"longer text ".repeat(900)
+            + &"<a>x</a>".repeat(100);
+        let bytes = doc.as_bytes();
+        let (tags, words): (Vec<_>, Vec<_>) = spec_tokens(&doc)
+            .into_iter()
+            .partition(|&(s, _)| bytes[s] == b'<');
+        let check = |name: &str, (spans, end, dropped): (Vec<(usize, usize)>, usize, usize)| {
+            assert!(end + 2 * BLOCK + 16 > bytes.len(), "{name}: stopped early");
+            let taken: Vec<_> = tags.iter().copied().filter(|&(_, e)| e <= end).collect();
+            assert_eq!(spans, taken, "{name}");
+            let before = words.iter().filter(|&&(_, e)| e <= end).count();
+            assert_eq!(dropped, before, "{name}");
+        };
+        for budget in [usize::MAX, 1, 7, 100] {
+            check(
+                &format!("swar, budget {budget}"),
+                dropping_spans(kernel::Swar, bytes, budget),
+            );
+            #[cfg(target_arch = "x86_64")]
+            if let Some(k) = kernel::Avx2::detect() {
+                check(
+                    &format!("avx2, budget {budget}"),
+                    dropping_spans(k, bytes, budget),
+                );
+            }
+            #[cfg(target_arch = "aarch64")]
+            check(
+                &format!("neon, budget {budget}"),
+                dropping_spans(kernel::Neon::new(), bytes, budget),
+            );
+        }
     }
 
     #[test]

@@ -43,8 +43,14 @@ pub(super) trait BlockClassifier: Copy {
     /// One stage-1 pass ([`build_tape`]) with this kernel's ISA enabled
     /// for the whole pass, so `classify` inlines into the block loop.
     #[inline(always)]
-    fn stage1(self, tape: &mut Tape, data: &[u8], from: usize, budget: usize) -> Pass {
-        build_tape(self, tape, data, from, budget)
+    fn stage1<const DROP_TEXT: bool>(
+        self,
+        tape: &mut Tape,
+        data: &[u8],
+        from: usize,
+        budget: usize,
+    ) -> Pass {
+        build_tape::<_, DROP_TEXT>(self, tape, data, from, budget)
     }
 }
 
@@ -137,9 +143,15 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn stage1(self, tape: &mut Tape, data: &[u8], from: usize, budget: usize) -> Pass {
+        fn stage1<const DROP_TEXT: bool>(
+            self,
+            tape: &mut Tape,
+            data: &[u8],
+            from: usize,
+            budget: usize,
+        ) -> Pass {
             // SAFETY: `self` exists only when AVX2 was detected on this CPU.
-            unsafe { stage1_avx2(self, tape, data, from, budget) }
+            unsafe { stage1_avx2::<DROP_TEXT>(self, tape, data, from, budget) }
         }
     }
 
@@ -149,14 +161,14 @@ mod x86 {
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn stage1_avx2(
+    unsafe fn stage1_avx2<const DROP_TEXT: bool>(
         cls: Avx2,
         tape: &mut Tape,
         data: &[u8],
         from: usize,
         budget: usize,
     ) -> Pass {
-        build_tape(cls, tape, data, from, budget)
+        build_tape::<_, DROP_TEXT>(cls, tape, data, from, budget)
     }
 
     /// Two 32-byte lanes; each class is a byte compare (or the
@@ -323,15 +335,23 @@ impl<'a, T: Copy> EventSink<'a, T> {
         EventSink { vec, len }
     }
 
+    /// Writes `t` at the cursor and advances past it only if `keep`: a
+    /// dropped element costs one store, which the next push overwrites,
+    /// and no branch.
     #[inline(always)]
-    pub(super) fn push(&mut self, t: T) {
+    pub(super) fn push_if(&mut self, t: T, keep: bool) {
         assert!(self.len < self.vec.capacity(), "EventSink overflow");
         // SAFETY: the assert keeps the write below the capacity; `T: Copy`
         // means no drop obligations for `set_len` on Drop.
         unsafe {
             self.vec.as_mut_ptr().add(self.len).write(t);
         }
-        self.len += 1;
+        self.len += usize::from(keep);
+    }
+
+    /// The vector's length with the pushes kept so far.
+    pub(super) fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -393,8 +413,9 @@ mod tests {
         let mut v = vec![1u32];
         {
             let mut sink = EventSink::new(&mut v, 3);
-            sink.push(2);
-            sink.push(3);
+            sink.push_if(2, true);
+            sink.push_if(9, false);
+            sink.push_if(3, true);
         }
         assert_eq!(v, [1, 2, 3]);
     }

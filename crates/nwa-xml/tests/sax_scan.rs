@@ -17,6 +17,11 @@
 //! All-simple documents of the benchmark's shape exercise the structural
 //! tape itself, and one case per fast-path rejection reason, placed at
 //! block offsets 0, 63 and 64, exercises the hand-over to the scalar arm.
+//!
+//! A projected lexer (one built on a [`Projection`]) must emit exactly the
+//! interning tokenizer's stream with the projection's inert text words
+//! removed, and count exactly those in `dropped`, in both the drop-all and
+//! the keep-bit mode, on SWAR and on the detected backend.
 
 mod oracle;
 
@@ -25,8 +30,10 @@ use std::io;
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
 use nwa_xml::generate::{generate_document, DocumentConfig};
-use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, SaxError};
-use nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend, SCAN_CHUNK};
+use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, Projection, SaxError};
+use nwa_xml::scan::{
+    auto_scan_backend, force_scan_backend, scan_backend, BulkLexer, ScanBackend, SCAN_CHUNK,
+};
 use oracle::{EventLexer, Utf8Chars};
 
 // --------------------------------------------------------------------------
@@ -870,5 +877,154 @@ fn simd_matches_swar_token_for_token() {
                 );
             }
         }
+    }
+}
+
+// --------------------------------------------------------------------------
+// Projection: inert text words dropped at the source
+// --------------------------------------------------------------------------
+
+/// A projected run: the events up to the first error, the error, and the
+/// lexer's dropped count at that point.
+type Projected = (Drained, usize);
+
+/// The projected lexer's outcome via `fill`, pulled in `batch`-sized
+/// calls until one appends nothing, which must mean the stream ended.
+fn projected_fill(
+    data: &[u8],
+    chunk: usize,
+    batch: usize,
+    ab: &Alphabet,
+    inert: &[bool],
+) -> Projected {
+    let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), Projection::new(ab, inert));
+    let mut events = Vec::new();
+    let err = loop {
+        let before = events.len();
+        match lexer.fill(&mut events, before + batch) {
+            Ok(()) if events.len() == before => break None,
+            Ok(()) => {}
+            Err(e) => break Some(format!("{e:?}")),
+        }
+    };
+    ((events, err), lexer.dropped())
+}
+
+/// The projected lexer's outcome via its per-event iterator.
+fn projected_iter(data: &[u8], chunk: usize, ab: &Alphabet, inert: &[bool]) -> Projected {
+    let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), Projection::new(ab, inert));
+    let drained = drain(&mut lexer);
+    (drained, lexer.dropped())
+}
+
+/// The reference for a projection: the interning tokenizer's stream (which
+/// also builds the alphabet) with every text word whose symbol `inert`
+/// marks removed, and the number removed.
+fn projected_reference(data: &[u8], inert_of: InertOf) -> (Alphabet, Vec<bool>, Projected) {
+    let mut ab = Alphabet::new();
+    let (events, err) = drain(ByteTokenizer::new(data, &mut ab));
+    let inert = inert_of(ab.len());
+    let dropped = |t: &TaggedSymbol| matches!(t, TaggedSymbol::Internal(s) if inert.get(s.index()).copied().unwrap_or(false));
+    let removed = events.iter().filter(|t| dropped(t)).count();
+    let kept = events.into_iter().filter(|t| !dropped(t)).collect();
+    (ab, inert, ((kept, err), removed))
+}
+
+/// A projection's inert bits for an alphabet of the given size.
+type InertOf = fn(usize) -> Vec<bool>;
+
+/// The two projection modes: every symbol inert (drop-all, nothing
+/// resolved), and every third symbol inert (keep bits, tags included,
+/// which must still be emitted).
+const PROJECTIONS: [(&str, InertOf); 2] = [
+    ("drop-all", |n| vec![true; n]),
+    ("every third", |n| (0..n).map(|a| a % 3 == 0).collect()),
+];
+
+/// Asserts the projected lexer equals [`projected_reference`] on `data` for
+/// both projections, every read granularity and every fill batch.
+fn assert_projection_filters(data: &[u8], label: &str) {
+    for (mode, inert_of) in PROJECTIONS {
+        let (ab, inert, expected) = projected_reference(data, inert_of);
+        for chunk in [1, 3, 7, 64, 4096, data.len().max(1)] {
+            for batch in [1, 5, 4096] {
+                assert_eq!(
+                    projected_fill(data, chunk, batch, &ab, &inert),
+                    expected,
+                    "{label}, {mode}: fill diverged at chunk={chunk} batch={batch}"
+                );
+            }
+            assert_eq!(
+                projected_iter(data, chunk, &ab, &inert),
+                expected,
+                "{label}, {mode}: iterator diverged at chunk={chunk}"
+            );
+        }
+    }
+}
+
+/// The projection property on the SWAR-pinned and the detected backend:
+/// random documents with attributes, directives and CDATA, all-simple
+/// documents shifted across the 64-byte block grid, and a document whose
+/// whole first scan window (and more) is text, so a drop-all fill must
+/// read on through it instead of returning an empty slice.
+#[test]
+fn projected_stream_is_the_filtered_stream() {
+    let mut docs: Vec<(String, String)> = (0..prop_iters(12) as u64)
+        .map(|seed| (format!("seed {seed}"), generate(seed)))
+        .collect();
+    let simple = simple_document(1_500, 3);
+    for shift in [0, 1, 63, 64] {
+        docs.push((format!("simple shift {shift}"), shifted(&simple, shift)));
+    }
+    let text_window = format!(
+        "{}<doc>w0 <t1>w1</t1></doc>",
+        "w0 w2 ".repeat(SCAN_CHUNK / 5)
+    );
+    docs.push(("text window".into(), text_window));
+
+    let detected = {
+        auto_scan_backend();
+        scan_backend()
+    };
+    for backend in [ScanBackend::Swar, detected] {
+        assert!(force_scan_backend(backend));
+        for (label, doc) in &docs {
+            assert_projection_filters(doc.as_bytes(), &format!("{backend:?} {label}"));
+        }
+    }
+    auto_scan_backend();
+}
+
+/// Under drop-all no text word is resolved, so one outside the alphabet
+/// is dropped like any other; a keep-bit projection still resolves text
+/// and fails on it, and an unknown tag fails in both modes after the same
+/// events.
+#[test]
+fn drop_all_skips_unknown_text_but_not_unknown_tags() {
+    let ab = Alphabet::from_names(["doc", "w"]);
+    let unknown = |name: &str| {
+        format!(
+            "{:?}",
+            SaxError::Syntax(NestedWordError::UnknownSymbol { name: name.into() })
+        )
+    };
+    let doc = ab.lookup("doc").unwrap();
+    let (calls, err) = (vec![TaggedSymbol::Call(doc)], unknown("stranger"));
+    let text = b"<doc>w stranger w</doc>";
+    assert_eq!(
+        projected_fill(text, text.len(), 16, &ab, &[true, true]),
+        ((vec![calls[0], TaggedSymbol::Return(doc)], None), 3)
+    );
+    assert_eq!(
+        projected_fill(text, text.len(), 16, &ab, &[false, true]),
+        ((calls.clone(), Some(err)), 1)
+    );
+    let tag = b"<doc>w <intruder/> w</doc>";
+    for inert in [[true, true], [false, true]] {
+        assert_eq!(
+            projected_fill(tag, tag.len(), 16, &ab, &inert),
+            ((calls.clone(), Some(unknown("intruder"))), 1)
+        );
     }
 }

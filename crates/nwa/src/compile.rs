@@ -378,6 +378,12 @@ impl StreamAcceptor for CompiledNwa {
     fn start(&self) -> LaneRun<'_, CompiledNwa> {
         LaneRun::new(self)
     }
+
+    /// The inert symbols the slice loop already skips, so a scanner can
+    /// drop their text words at the source.
+    fn inert_symbols(&self) -> &[bool] {
+        &self.inert
+    }
 }
 
 /// One stream's worth of batched-execution state for a [`CompiledNwa`]:

@@ -29,9 +29,12 @@
 //! states (every transition lands back on the state). The set's slice loop
 //! compacts each block of events once against the set-wide inert symbols —
 //! the ∧ of its engines' — so a text word no member reads is dropped before
-//! any engine sees it. An engine that lands in an absorbing state
-//! **retires**: its verdict is fixed, so it is never stepped again, and the
-//! set lane counts stack height, peak and events itself. On the
+//! any engine sees it. Engines whose own inert set is wider (a text-blind
+//! member of a set that also reads text) share one further compaction per
+//! distinct inert set, so each engine steps only what can change it. An
+//! engine that lands in an absorbing state **retires**: its verdict is
+//! fixed, so it is never stepped again, and the set lane counts stack
+//! height, peak and events itself. On the
 //! sixteen-query E19 pool, where half the events are inert text and most
 //! members settle early, the two skips cut the set's step cost from ~108 to
 //! ~3 ns per event (perfbench `multi.ns_per_event`, 2-vCPU Xeon VM).
@@ -85,6 +88,21 @@ pub struct QuerySet {
     /// sets, so an internal `a` changes no member and the slice loop drops
     /// it once for all of them. Derived, never serialized.
     inert: Vec<bool>,
+    /// The engines grouped by equal inert sets. Derived, never serialized.
+    classes: Vec<InertClass>,
+}
+
+/// Engines of a [`QuerySet`] sharing one inert set, stepped over one
+/// compaction of the events against it.
+#[derive(Debug, PartialEq)]
+struct InertClass {
+    /// Bit `e` set iff engine `e` is in the class.
+    engines: u64,
+    /// An engine of the class, whose inert set is the class's.
+    rep: usize,
+    /// The class's inert set is wider than the set-wide one, so the events
+    /// the set keeps are compacted again for it.
+    compacts: bool,
 }
 
 /// The conjunction bitmask of an M-query set: the low `m` bits.
@@ -167,22 +185,37 @@ impl QuerySet {
     }
 
     /// The set around compiled engines and their masks, with its set-wide
-    /// inert symbols derived from the engines'.
+    /// inert symbols and its inert classes derived from the engines'.
     fn assemble(
         num_queries: usize,
         sigma: u32,
         engines: Vec<CompiledNwa>,
         masks: Vec<Vec<u64>>,
     ) -> QuerySet {
-        let inert = (0..sigma as usize)
+        let inert: Vec<bool> = (0..sigma as usize)
             .map(|a| engines.iter().all(|e| e.inert[a]))
             .collect();
+        let mut classes: Vec<InertClass> = Vec::new();
+        for (e, engine) in engines.iter().enumerate() {
+            match classes
+                .iter_mut()
+                .find(|c| engines[c.rep].inert == engine.inert)
+            {
+                Some(class) => class.engines |= 1 << e,
+                None => classes.push(InertClass {
+                    engines: 1 << e,
+                    rep: e,
+                    compacts: engine.inert != inert,
+                }),
+            }
+        }
         QuerySet {
             num_queries,
             sigma,
             engines,
             masks,
             inert,
+            classes,
         }
     }
 
@@ -237,14 +270,15 @@ pub struct QuerySetLane {
 }
 
 impl QuerySet {
-    /// Steps every live engine over `kept` (events already known to need
-    /// stepping) and retires the engines that end it in an absorbing state.
-    fn step_live(&self, lane: &mut QuerySetLane, kept: &[TaggedSymbol]) {
-        let mut live = lane.live;
+    /// Steps the live engines among `engines` (a bit per engine) over
+    /// `events`, which they must step in order, and retires those that end
+    /// it in an absorbing state.
+    fn step_engines(&self, lane: &mut QuerySetLane, engines: u64, events: &[TaggedSymbol]) {
+        let mut live = lane.live & engines;
         while live != 0 {
             let e = live.trailing_zeros() as usize;
             live &= live - 1;
-            self.engines[e].step_kept(&mut lane.lanes[e], kept);
+            self.engines[e].step_kept(&mut lane.lanes[e], events);
             if self.engines[e].lane_settled(&lane.lanes[e]) {
                 lane.live &= !(1 << e);
             }
@@ -269,6 +303,11 @@ impl StreamAcceptor for QuerySet {
     /// multi-verdict [`MultiAcceptor::start_set`] run.
     fn start(&self) -> LaneRun<'_, QuerySet> {
         LaneRun::new(self)
+    }
+
+    /// The set-wide inert symbols (inert in every engine).
+    fn inert_symbols(&self) -> &[bool] {
+        &self.inert
     }
 }
 
@@ -301,24 +340,38 @@ impl BatchAcceptor for QuerySet {
         lane.peak = lane.peak.max(lane.height);
         lane.steps += 1;
         if keep {
-            self.step_live(lane, &[event]);
+            self.step_engines(lane, u64::MAX, &[event]);
         }
     }
 
     /// Compacts each block of at most 1024 events once against the
     /// set-wide inert symbols, counting stack height and peak on the way,
-    /// then gives each live engine the register-resident slice loop over
-    /// the kept events (engines outer, events inner). Engines that settle
-    /// in an absorbing state retire at the block's end.
+    /// and once more per inert class wider than that, then gives each live
+    /// engine the register-resident slice loop over its class's kept events
+    /// (engines outer, events inner). Engines that settle in an absorbing
+    /// state retire at the block's end.
     fn lane_step_slice(&self, lane: &mut QuerySetLane, events: &[TaggedSymbol]) {
         let mut kept = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
+        let mut own = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
         let (mut height, mut peak) = (lane.height, lane.peak);
         for block in events.chunks(BLOCK) {
             let n = compact(&self.inert, block, &mut kept, |event| {
                 height = next_height(height, event);
                 peak = peak.max(height);
             });
-            self.step_live(lane, &kept[..n]);
+            for class in &self.classes {
+                if lane.live & class.engines == 0 {
+                    continue;
+                }
+                let kept = if class.compacts {
+                    let inert = &self.engines[class.rep].inert;
+                    let m = compact(inert, &kept[..n], &mut own, |_| {});
+                    &own[..m]
+                } else {
+                    &kept[..n]
+                };
+                self.step_engines(lane, class.engines, kept);
+            }
         }
         lane.height = height;
         lane.peak = peak;

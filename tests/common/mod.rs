@@ -10,7 +10,11 @@
 #![allow(dead_code)]
 
 use nested_words_suite::nested_words::rng::Prng;
-use nested_words_suite::nwa_xml::queries::depth_at_most_nwa;
+use nested_words_suite::nwa_xml::generate::{generate_document, DocumentConfig};
+use nested_words_suite::nwa_xml::queries::{
+    contains_tag_nwa, depth_at_most_nwa, patterns_in_order_nwa, within_nwa,
+};
+use nested_words_suite::nwa_xml::sax::to_xml;
 use nested_words_suite::prelude::*;
 
 /// Iteration budget for the Prng property suites: `base` scaled by the
@@ -205,4 +209,46 @@ pub fn random_nnwa_with_transitions(
         }
     }
     n
+}
+
+/// Generated XML documents (tags `t0..t7`, text words `w0..w15`, depth
+/// up to 8) with the alphabet each was generated over.
+pub fn xml_documents(count: usize, base_seed: u64) -> Vec<(Alphabet, String)> {
+    (0..count as u64)
+        .map(|s| {
+            let config = DocumentConfig {
+                events: 2_000,
+                max_depth: 8,
+                ..Default::default()
+            };
+            let (ab, doc) = generate_document(config, base_seed.wrapping_add(s));
+            let xml = to_xml(&doc, &ab);
+            (ab, xml)
+        })
+        .collect()
+}
+
+/// Document queries over an [`xml_documents`] alphabet, named. Compiled,
+/// the first two leave every text word inert (a drop-all projection); the
+/// last two read `w0` or `w1` (a keep-bit projection).
+pub fn xml_queries(ab: &Alphabet) -> Vec<(&'static str, Nwa)> {
+    let sym = |name: &str| ab.lookup(name).expect("generated name");
+    let sigma = ab.len();
+    vec![
+        ("contains t1", contains_tag_nwa(sym("t1"), sigma)),
+        ("depth <= 6", depth_at_most_nwa(6, sigma)),
+        ("w0 within t0", within_nwa(sym("t0"), sym("w0"), sigma)),
+        (
+            "t2 then w1",
+            patterns_in_order_nwa(&[sym("t2"), sym("w1")], sigma),
+        ),
+    ]
+}
+
+/// `xml` with `text` spliced in, space-separated, right after the first
+/// tag that ends in its second half.
+pub fn with_text_midway(xml: &str, text: &str) -> String {
+    let half = xml.len() / 2;
+    let at = half + xml[half..].find('>').expect("a tag") + 1;
+    format!("{} {text} {}", &xml[..at], &xml[at..])
 }

@@ -24,13 +24,18 @@
 
 mod common;
 
-use common::{both_shapes, chunk_lengths, prop_iters, random_det_nwa, skip_path_nwa};
+use common::{
+    both_shapes, chunk_lengths, prop_iters, random_det_nwa, skip_path_nwa, with_text_midway,
+    xml_documents, xml_queries,
+};
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa_xml::expr::Query;
 use nested_words_suite::nwa_xml::queries::{
-    contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa, within_nwa,
+    contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa,
+    run_multi_streaming_reader, run_streaming_reader, within_nwa,
 };
+use nested_words_suite::nwa_xml::sax::SaxError;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -379,6 +384,54 @@ fn retired_members_leave_stack_accounting_exact() {
                     *outcome,
                     query::run_stream(q, events.iter().copied()),
                     "{ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// The one-pass set reader projects through the set-wide inert symbols and
+/// still reports, per member, what that member's interpreted (unprojected)
+/// bytes→verdict run reports — verdict, events read and peak stack — in a
+/// drop-all set (the two text-blind members, one product engine) and a
+/// keep-bit set (all four members, one engine each). Under the drop-all
+/// set an unknown text word decides like a known one; under the keep-bit
+/// set, whose members read text, it is still an `UnknownSymbol`.
+#[test]
+fn projected_set_reader_matches_unprojected_member_runs() {
+    for (d, (ab, xml)) in xml_documents(prop_iters(4), 90).iter().enumerate() {
+        let queries: Vec<Nwa> = xml_queries(ab).into_iter().map(|(_, q)| q).collect();
+        let stranger = with_text_midway(xml, "stranger");
+        let renamed = with_text_midway(xml, "w0");
+        for members in [&queries[..2], &queries[..]] {
+            let set = QuerySet::compile(members);
+            let drop_all = set.inert_symbols().iter().all(|&inert| inert);
+            assert_eq!(drop_all, members.len() == 2, "document {d}");
+            let engines = if drop_all { 1 } else { members.len() };
+            assert_eq!(set.num_engines(), engines, "document {d}");
+            let sequential = |xml: &str| -> Vec<StreamOutcome> {
+                members
+                    .iter()
+                    .map(|q| run_streaming_reader(q, xml.as_bytes(), ab).unwrap())
+                    .collect()
+            };
+            let ctx = format!("document {d}, {} members", members.len());
+            assert_eq!(
+                run_multi_streaming_reader(&set, xml.as_bytes(), ab).unwrap(),
+                sequential(xml),
+                "{ctx}"
+            );
+            let unknown = run_multi_streaming_reader(&set, stranger.as_bytes(), ab);
+            if drop_all {
+                assert_eq!(unknown.unwrap(), sequential(&renamed), "{ctx}");
+            } else {
+                assert!(
+                    matches!(
+                        unknown,
+                        Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
+                            if name == "stranger"
+                    ),
+                    "{ctx}: {unknown:?}"
                 );
             }
         }

@@ -9,11 +9,16 @@
 
 mod common;
 
-use common::{prop_iters, random_det_nwa, random_nnwa_with_transitions};
+use common::{
+    prop_iters, random_det_nwa, random_nnwa_with_transitions, with_text_midway, xml_documents,
+    xml_queries,
+};
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::flat::tagged_indices;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
+use nested_words_suite::nwa_xml::queries::{for_each_slice, run_streaming_reader};
+use nested_words_suite::nwa_xml::sax::SaxError;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -172,6 +177,87 @@ fn prefix_acceptance_matches_batch() {
                 "word {i}, prefix {j}"
             );
             assert_eq!(run.stack_height(), open, "word {i}, prefix {j}");
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
+// Bytes → verdict under the artifact's projection
+// --------------------------------------------------------------------------
+
+/// `Err(UnknownSymbol { name })` of the byte pipeline, rendered.
+fn unknown_symbol(name: &str) -> String {
+    format!(
+        "{:?}",
+        SaxError::Syntax(NestedWordError::UnknownSymbol { name: name.into() })
+    )
+}
+
+/// A compiled query's bytes→verdict run drops the text words the query
+/// cannot read (every one for drop-all queries, `w0`'s or `w1`'s
+/// complement for the others) and still reports exactly what the
+/// interpreted query, which projects nothing, reports: verdict, events
+/// read and peak stack.
+#[test]
+fn projected_reader_matches_unprojected_interpreted_run() {
+    for (d, (ab, xml)) in xml_documents(prop_iters(6), 40).iter().enumerate() {
+        for (i, (name, q)) in xml_queries(ab).into_iter().enumerate() {
+            let cq = query::compile(&q);
+            let drop_all = cq.inert_symbols().iter().all(|&inert| inert);
+            assert_eq!(drop_all, i < 2, "{name}: projection mode");
+            assert!(q.inert_symbols().is_empty(), "interpreted runs see all");
+            let interpreted = run_streaming_reader(&q, xml.as_bytes(), ab).unwrap();
+            let compiled = run_streaming_reader(&cq, xml.as_bytes(), ab).unwrap();
+            assert_eq!(compiled, interpreted, "document {d}, {name}");
+        }
+    }
+}
+
+/// Under a drop-all artifact no text word is resolved: a document with a
+/// word outside the alphabet decides like the one with that word renamed
+/// to a known word. A query that reads text still rejects the unknown
+/// word, and an unknown *tag* still fails under drop-all, after the same
+/// events.
+#[test]
+fn drop_all_artifacts_decide_unknown_text_like_known_text() {
+    for (d, (ab, xml)) in xml_documents(prop_iters(3), 70).iter().enumerate() {
+        let stranger = with_text_midway(xml, "stranger");
+        let renamed = with_text_midway(xml, "w0");
+        for (name, q) in xml_queries(ab) {
+            let cq = query::compile(&q);
+            let run = |xml: &str| {
+                run_streaming_reader(&cq, xml.as_bytes(), ab).map_err(|e| format!("{e:?}"))
+            };
+            let expected = run_streaming_reader(&q, renamed.as_bytes(), ab).unwrap();
+            if cq.inert_symbols().iter().all(|&inert| inert) {
+                assert_eq!(run(&stranger), Ok(expected), "document {d}, {name}");
+            } else {
+                assert_eq!(
+                    run(&stranger),
+                    Err(unknown_symbol("stranger")),
+                    "document {d}, {name}"
+                );
+            }
+
+            let intruder = with_text_midway(xml, "<intruder/>");
+            let lex = |inert: &[bool]| {
+                let mut events = Vec::new();
+                let err = for_each_slice(intruder.as_bytes(), ab, inert, |slice| {
+                    events.extend_from_slice(slice)
+                })
+                .unwrap_err();
+                (events, format!("{err:?}"))
+            };
+            let (all, err) = lex(&[]);
+            assert_eq!(err, unknown_symbol("intruder"), "document {d}, {name}");
+            let kept: Vec<TaggedSymbol> = all
+                .into_iter()
+                .filter(|t| match t {
+                    TaggedSymbol::Internal(a) => !cq.inert_symbols()[a.index()],
+                    _ => true,
+                })
+                .collect();
+            assert_eq!(lex(cq.inert_symbols()), (kept, err), "document {d}, {name}");
         }
     }
 }
