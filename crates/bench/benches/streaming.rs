@@ -7,8 +7,10 @@
 //!
 //! E15c adds the compiled execution engines (`query::compile`): interpreted
 //! vs dense-table runners for `Nwa`, the tagged `Dfa` and `Nnwa` at
-//! 10k/100k/1M events, plus the bytes-in → verdict-out throughput of the
-//! byte-level SAX pipeline (`run_streaming_reader`). Running this bench
+//! 10k/100k/1M events (with an `_live` `Nwa` pair whose query never
+//! settles, so the table step stays measured), plus the bytes-in →
+//! verdict-out throughput of the byte-level SAX pipeline
+//! (`run_streaming_reader`). Running this bench
 //! with `--format json` emits the measurements as `BENCH_streaming.json`
 //! (see the criterion shim), which CI uploads and gates against the
 //! checked-in baseline `BENCH_streaming.json` at the workspace root.
@@ -316,6 +318,25 @@ fn bench_compiled(c: &mut Criterion) {
             BenchmarkId::new("compiled_nwa", events),
             &tagged,
             |b, evs| b.iter(|| cq.run_tagged(evs)),
+        );
+
+        // `contains_tag` settles within the first events, after which the
+        // compiled run only counts stack height. The live pair keeps the
+        // table step measured: an open-depth bound of 64 on depth-32
+        // documents never reaches its dead state, the only absorbing one.
+        let live = open_depth_at_most_nwa(64, ab.len());
+        let clive = query::compile(&live);
+        assert!((0..=64).all(|q| !clive.is_absorbing(q)));
+        assert!(clive.run_tagged(&tagged).accepted, "the live query settled");
+        group.bench_with_input(
+            BenchmarkId::new("interpreted_nwa_live", events),
+            &tagged,
+            |b, evs| b.iter(|| query::run_stream(&live, evs.iter().copied())),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("compiled_nwa_live", events),
+            &tagged,
+            |b, evs| b.iter(|| clive.run_tagged(evs)),
         );
 
         // The flat view (Theorem 2): the same query as a DFA over Σ̂.

@@ -73,9 +73,10 @@ use std::sync::RwLock;
 /// rather than stored: the **inert** symbols, whose internal transition is
 /// the identity in every state, and the **absorbing** states, which every
 /// transition maps back to themselves. The slice loop drops inert
-/// internals before stepping (see [`BatchAcceptor::lane_step_slice`]), and a
-/// [`QuerySet`](crate::QuerySet) retires members that reach an absorbing
-/// state.
+/// internals before stepping (see [`BatchAcceptor::lane_step_slice`]), and
+/// every lane **settles** once it reaches an absorbing state: from then on
+/// it reads neither table nor stack and only counts stack height, whether
+/// it runs alone or as an engine of a [`QuerySet`](crate::QuerySet).
 ///
 /// Build one with [`Compile::compile`] (or `query::compile`) and drive it
 /// through [`StreamAcceptor`], or hand a whole slice to
@@ -108,10 +109,12 @@ pub struct CompiledNwa {
     /// (never serialized); its length is σ, so looking a symbol up is also
     /// the alphabet check.
     pub(crate) inert: Vec<bool>,
-    /// `absorbing[q]`: every call, internal and return from `q`, for every
-    /// symbol and stack symbol, lands on `q` — a sink whose verdict is
-    /// fixed. Derived from `table`, never serialized.
-    pub(crate) absorbing: Vec<bool>,
+    /// Absorbing states as a bitset over row offsets: bit `q·3σ` is set
+    /// iff every call, internal and return from `q`, for every symbol and
+    /// stack symbol, lands on `q` — a sink whose verdict is fixed. Keyed by
+    /// the row offset a lane holds, so checking a lane takes no division.
+    /// Derived from `table`, never serialized.
+    pub(crate) absorbing: Vec<u64>,
 }
 
 /// Events per compaction block of the slice loops: each block's kept
@@ -157,6 +160,41 @@ pub(crate) fn compact(
         each(event);
     }
     n
+}
+
+/// A stack height after `event`: up one on a call, down one on a return,
+/// except that a pending return (on an empty stack) leaves it at zero.
+#[inline(always)]
+pub(crate) fn next_height(height: usize, event: TaggedSymbol) -> usize {
+    let is_call = usize::from(matches!(event, TaggedSymbol::Call(_)));
+    let is_ret = usize::from(matches!(event, TaggedSymbol::Return(_)));
+    (height + is_call).saturating_sub(is_ret)
+}
+
+/// The step of a settled run, over a whole slice: in an absorbing state
+/// the verdict is fixed and no stack frame can be observed again, so only
+/// the stack height and its peak move. Reads no table and no stack, and
+/// still checks every event's symbol against the `sigma`-symbol alphabet.
+/// The one loop behind a settled [`CompiledNwa`] lane and a
+/// [`QuerySet`](crate::QuerySet) lane whose engines have all retired.
+#[inline]
+pub(crate) fn step_heights(
+    sigma: usize,
+    events: &[TaggedSymbol],
+    height: &mut usize,
+    peak: &mut usize,
+) {
+    let (mut h, mut p) = (*height, *peak);
+    for &event in events {
+        let a = event.symbol().index();
+        if a >= sigma {
+            outside_alphabet(a, sigma);
+        }
+        h = next_height(h, event);
+        p = p.max(h);
+    }
+    *height = h;
+    *peak = p;
 }
 
 impl CompiledNwa {
@@ -224,19 +262,19 @@ impl CompiledNwa {
         self.inert = (0..sigma)
             .map(|a| (0..n).all(|q| self.table[row(q) + sigma + a] == row(q) as u32))
             .collect();
-        self.absorbing = (0..n)
-            .map(|q| {
-                let here = row(q) as u32;
-                let calls_and_internals = &self.table[row(q)..row(q) + 2 * sigma];
-                calls_and_internals.iter().all(|&t| t == here)
-                    && (0..n).all(|h| {
-                        let returns = (n + h * n) * stride + row(q) + 2 * sigma;
-                        self.table[returns..returns + sigma]
-                            .iter()
-                            .all(|&t| t == here)
-                    })
-            })
-            .collect();
+        self.absorbing = vec![0; (n * stride).div_ceil(64)];
+        for q in 0..n {
+            let here = row(q) as u32;
+            let calls_and_internals = &self.table[row(q)..row(q) + 2 * sigma];
+            let absorbing = calls_and_internals.iter().all(|&t| t == here)
+                && (0..n).all(|h| {
+                    let returns = (n + h * n) * stride + row(q) + 2 * sigma;
+                    self.table[returns..returns + sigma]
+                        .iter()
+                        .all(|&t| t == here)
+                });
+            self.absorbing[row(q) / 64] |= u64::from(absorbing) << (row(q) % 64);
+        }
     }
 
     /// Whether symbol `a` is inert: `δi(q, a) = q` in every state `q`, so
@@ -248,12 +286,34 @@ impl CompiledNwa {
     /// Whether state `q` is absorbing: every call, internal and return
     /// from `q` lands on `q`, so a run there has a fixed verdict.
     pub fn is_absorbing(&self, q: usize) -> bool {
-        self.absorbing[q]
+        assert!(q < self.num_states, "state {q} out of range");
+        self.absorbing_row(q as u32 * self.stride)
     }
 
-    /// Whether `lane` sits in an absorbing state.
+    /// Whether the state at row offset `row` is absorbing.
+    #[inline(always)]
+    fn absorbing_row(&self, row: u32) -> bool {
+        self.absorbing[(row / 64) as usize] >> (row % 64) & 1 != 0
+    }
+
+    /// Whether `lane` sits in an absorbing state: it has *settled*, and
+    /// from here on only its stack height moves.
+    #[inline(always)]
     pub(crate) fn lane_settled(&self, lane: &CompiledNwaLane) -> bool {
-        self.absorbing[self.lane_state(lane)]
+        self.absorbing_row(lane.state)
+    }
+
+    /// Steps a settled lane over `events` by [`step_heights`]: `sp` and
+    /// `max_sp` follow the stream while the state, the cached top and the
+    /// spilled stack stay as they are. `sp` may then pass the end of
+    /// `spilled`, which a settled lane never reads again. Leaves `steps`
+    /// alone, like [`step_kept`](CompiledNwa::step_kept).
+    fn step_settled(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
+        let mut height = lane.sp as usize - 1;
+        let mut peak = lane.max_sp as usize - 1;
+        step_heights(self.sigma(), events, &mut height, &mut peak);
+        lane.sp = (height + 1) as u32;
+        lane.max_sp = (peak + 1) as u32;
     }
 
     /// The state `lane` sits in, as an index into the per-state vectors.
@@ -309,8 +369,9 @@ impl CompiledNwa {
     /// The branch-free event step on explicit locals. `inline(always)` so
     /// the callers' locals stay register-promoted: the slice loop of
     /// [`BatchAcceptor::lane_step_slice`] keeps the whole lane state in
-    /// registers for the duration of a slice, and the stored-lane
-    /// [`BatchAcceptor::lane_step`] reuses the same body.
+    /// registers for the duration of a block, and the stored-lane
+    /// [`BatchAcceptor::lane_step`] reuses the same body. Only unsettled
+    /// lanes get here: a settled one takes the height-only loop.
     ///
     /// The step is **branch-free on the event kind**: real event streams
     /// mix calls, internals and returns unpredictably, so any per-kind
@@ -399,7 +460,9 @@ pub struct CompiledNwaLane {
     /// Cached top of the stack (a return-row base).
     pub(crate) top: u32,
     /// Stack pointer into `spilled`; the live height is `sp - 1` because
-    /// `spilled[0]` is the pending-return sentinel.
+    /// `spilled[0]` is the pending-return sentinel. Once the lane has
+    /// settled in an absorbing state only `sp` moves, and it may pass the
+    /// end of `spilled`.
     pub(crate) sp: u32,
     /// Peak `sp` observed.
     pub(crate) max_sp: u32,
@@ -407,7 +470,8 @@ pub struct CompiledNwaLane {
     pub(crate) steps: usize,
     /// The spilled stack; `spilled[sp - 1]` mirrors `top` after each
     /// internal or return step (after a call the register `top` is
-    /// authoritative and the slot is dead).
+    /// authoritative and the slot is dead). Frozen, with `top`, once the
+    /// lane has settled.
     pub(crate) spilled: Vec<u32>,
 }
 
@@ -432,10 +496,18 @@ impl BatchAcceptor for CompiledNwa {
     /// touch only their own state, so interleaved calls on different lanes
     /// are independent dependency chains.
     ///
+    /// A lane that has settled in an absorbing state takes the height-only
+    /// step instead (see [`lane_step_slice`](BatchAcceptor::lane_step_slice)).
+    ///
     /// A symbol outside the alphabet panics, as in the interpreted [`Nwa`]:
     /// `state + σ + a` would otherwise land in the next row's call band.
     #[inline]
     fn lane_step(&self, lane: &mut CompiledNwaLane, event: TaggedSymbol) {
+        lane.steps += 1;
+        if self.lane_settled(lane) {
+            self.step_settled(lane, &[event]);
+            return;
+        }
         let a = event.symbol().index();
         if a >= self.sigma() {
             outside_alphabet(a, self.sigma());
@@ -452,7 +524,6 @@ impl BatchAcceptor for CompiledNwa {
         );
         lane.sp = sp as u32;
         lane.max_sp = max_sp as u32;
-        lane.steps += 1;
     }
 
     /// The compacted slice loop, the bulk entry point of the compiled
@@ -462,19 +533,29 @@ impl BatchAcceptor for CompiledNwa {
     /// events run through the register loop (see `step_local` for the
     /// step's anatomy), with state, cached top, stack pointer and peak in
     /// registers for the whole block. An inert internal changes neither
-    /// the state nor the stack, so skipping it is exact: the lane — and any
-    /// snapshot of it — is exactly what stepping every event leaves. On
-    /// documents where half the events are text words no query reads, that
-    /// halves the steps. `steps` grows by the whole slice: it counts events
-    /// read.
+    /// the state nor the stack, so skipping it is exact. On documents where
+    /// half the events are text words no query reads, that halves the
+    /// steps. `steps` grows by the whole slice: it counts events read.
+    ///
+    /// A lane that starts a block in an absorbing state has **settled**: its
+    /// verdict is fixed and its stack frames can no longer be observed, so
+    /// the block runs the height-only loop instead — no table, no stack,
+    /// only the stack height, its peak and the alphabet check. The check
+    /// costs one lookup per block. Observables are exactly what stepping
+    /// every event leaves, and snapshots of settled lanes are canonical
+    /// (see `Suspend for CompiledNwa`), so they agree too.
     ///
     /// Language-equivalent to driving [`StreamAcceptor::start`] event by
     /// event (property-tested in `tests/compile.rs`).
     fn lane_step_slice(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
         let mut kept = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
         for block in events.chunks(BLOCK) {
-            let n = compact(&self.inert, block, &mut kept, |_| {});
-            self.step_kept(lane, &kept[..n]);
+            if self.lane_settled(lane) {
+                self.step_settled(lane, block);
+            } else {
+                let n = compact(&self.inert, block, &mut kept, |_| {});
+                self.step_kept(lane, &kept[..n]);
+            }
         }
         lane.steps += events.len();
     }
@@ -1054,5 +1135,44 @@ mod tests {
         let outcome = c.run_tagged(&deep);
         assert_eq!(outcome, query::run_stream(&m, deep.iter().copied()));
         assert_eq!(outcome.peak_memory, 500);
+    }
+
+    /// A settled lane counts the stack without storing it: 10⁵-deep
+    /// nesting after settling grows no spilled stack, through the slice
+    /// loop or the per-event step, while height and peak stay exact.
+    #[test]
+    fn settled_lanes_do_not_grow_the_spilled_stack() {
+        let (a, b) = (Symbol(0), Symbol(1));
+        // Accepts once a call `a` has been read, in the absorbing state 1.
+        let mut m = Nwa::new(2, 2, 0);
+        m.set_accepting(1, true);
+        m.set_all_transitions_to(1, 1);
+        for sym in [a, b] {
+            m.set_internal(0, sym, 0);
+            m.set_call(0, sym, usize::from(sym == a), 0);
+            for h in 0..2 {
+                m.set_return(0, h, sym, 0);
+            }
+        }
+        let c = m.compile();
+        let deep = 100_000;
+        let nest: Vec<TaggedSymbol> = std::iter::repeat_n(TaggedSymbol::Call(b), deep).collect();
+        for sliced in [true, false] {
+            let mut lane = c.lane_start();
+            c.lane_step_slice(&mut lane, &[TaggedSymbol::Call(b), TaggedSymbol::Call(a)]);
+            assert!(c.lane_settled(&lane));
+            let spilled = lane.spilled.len();
+            if sliced {
+                c.lane_step_slice(&mut lane, &nest);
+            } else {
+                nest.iter().for_each(|&e| c.lane_step(&mut lane, e));
+            }
+            assert_eq!(lane.spilled.len(), spilled, "sliced {sliced}");
+            assert_eq!(c.lane_stack_height(&lane), deep + 2, "sliced {sliced}");
+            let outcome = c.lane_outcome(&lane);
+            assert!(outcome.accepted);
+            assert_eq!(outcome.peak_memory, deep + 2, "sliced {sliced}");
+            assert_eq!(outcome.events, deep + 2, "sliced {sliced}");
+        }
     }
 }

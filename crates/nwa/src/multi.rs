@@ -32,12 +32,16 @@
 //! any engine sees it. Engines whose own inert set is wider (a text-blind
 //! member of a set that also reads text) share one further compaction per
 //! distinct inert set, so each engine steps only what can change it. An
-//! engine that lands in an absorbing state **retires**: its verdict is
-//! fixed, so it is never stepped again, and the set lane counts stack
-//! height, peak and events itself. On the
-//! sixteen-query E19 pool, where half the events are inert text and most
-//! members settle early, the two skips cut the set's step cost from ~108 to
-//! ~3 ns per event (perfbench `multi.ns_per_event`, 2-vCPU Xeon VM).
+//! engine that lands in an absorbing state **retires** — it has settled,
+//! as any compiled lane does there: its verdict is fixed, so it is never
+//! stepped again, and the set lane counts stack height, peak and events
+//! itself. Once every engine has retired, the set lane runs the same
+//! height-only loop as a settled lone [`CompiledNwa`], with no compaction.
+//! On the sixteen-query E19 pool, where half the events are inert text and
+//! all sixteen members settle within the first 149–263 tag events of the
+//! perfbench documents (seeds 1–3), the two skips cut the set's step cost
+//! from ~108 to ~3 ns per event (perfbench `multi.ns_per_event`, 2-vCPU
+//! Xeon VM).
 //!
 //! The set implements the single-verdict traits
 //! (`StreamAcceptor`/`BatchAcceptor`) as the **conjunction view**: the set
@@ -49,7 +53,9 @@
 
 use crate::automaton::Nwa;
 use crate::boolean;
-use crate::compile::{compact, keeps, CompiledNwa, CompiledNwaLane, BLOCK};
+use crate::compile::{
+    compact, keeps, next_height, step_heights, CompiledNwa, CompiledNwaLane, BLOCK,
+};
 use automata_core::multi::MAX_QUERIES;
 use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
@@ -286,15 +292,6 @@ impl QuerySet {
     }
 }
 
-/// A stack height after `event`: up one on a call, down one on a return,
-/// except that a pending return (on an empty stack) leaves it at zero.
-#[inline(always)]
-fn next_height(height: usize, event: TaggedSymbol) -> usize {
-    let is_call = usize::from(matches!(event, TaggedSymbol::Call(_)));
-    let is_ret = usize::from(matches!(event, TaggedSymbol::Return(_)));
-    (height + is_call).saturating_sub(is_ret)
-}
-
 impl StreamAcceptor for QuerySet {
     type Run<'a> = LaneRun<'a, QuerySet>;
 
@@ -335,11 +332,9 @@ impl BatchAcceptor for QuerySet {
     }
 
     fn lane_step(&self, lane: &mut QuerySetLane, event: TaggedSymbol) {
-        let keep = keeps(&self.inert, event);
-        lane.height = next_height(lane.height, event);
-        lane.peak = lane.peak.max(lane.height);
+        step_heights(self.sigma(), &[event], &mut lane.height, &mut lane.peak);
         lane.steps += 1;
-        if keep {
+        if lane.live != 0 && keeps(&self.inert, event) {
             self.step_engines(lane, u64::MAX, &[event]);
         }
     }
@@ -349,12 +344,18 @@ impl BatchAcceptor for QuerySet {
     /// and once more per inert class wider than that, then gives each live
     /// engine the register-resident slice loop over its class's kept events
     /// (engines outer, events inner). Engines that settle in an absorbing
-    /// state retire at the block's end.
+    /// state retire at the block's end. Once every engine has retired, the
+    /// set lane has settled like a lone engine's: its blocks run the same
+    /// height-only loop, with no compaction.
     fn lane_step_slice(&self, lane: &mut QuerySetLane, events: &[TaggedSymbol]) {
         let mut kept = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
         let mut own = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
         let (mut height, mut peak) = (lane.height, lane.peak);
         for block in events.chunks(BLOCK) {
+            if lane.live == 0 {
+                step_heights(self.sigma(), block, &mut height, &mut peak);
+                continue;
+            }
             let n = compact(&self.inert, block, &mut kept, |event| {
                 height = next_height(height, event);
                 peak = peak.max(height);

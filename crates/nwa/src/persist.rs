@@ -256,15 +256,26 @@ impl Persist for CompiledNwa {
 }
 
 impl Suspend for CompiledNwa {
+    /// A settled lane (one in an absorbing state) suspends to its
+    /// canonical snapshot: `height` frames, all `pending_row`. No frame of
+    /// a settled run can be observed again, and its spilled stack stopped
+    /// following the stream when it settled — at a block's end on the
+    /// slice path, at the event on the per-event path — so the canonical
+    /// frames are what makes the two paths' snapshots agree.
     fn suspend_lane(&self, lane: &CompiledNwaLane) -> Snapshot {
         let sp = lane.sp as usize;
-        // The logical stack is spilled[1..sp] — minus the sentinel — except
-        // that after a call the register `top` is authoritative and the
-        // top slot is stale, so overwrite it.
-        let mut stack = lane.spilled[1..sp].to_vec();
-        if let Some(top_slot) = stack.last_mut() {
-            *top_slot = lane.top;
-        }
+        let stack = if self.lane_settled(lane) {
+            vec![self.pending_row; sp - 1]
+        } else {
+            // The logical stack is spilled[1..sp] — minus the sentinel —
+            // except that after a call the register `top` is authoritative
+            // and the top slot is stale, so overwrite it.
+            let mut stack = lane.spilled[1..sp].to_vec();
+            if let Some(top_slot) = stack.last_mut() {
+                *top_slot = lane.top;
+            }
+            stack
+        };
         Snapshot {
             fingerprint: self.fingerprint,
             state: lane.state,

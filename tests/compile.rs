@@ -343,6 +343,123 @@ fn symbols_outside_the_alphabet_panic_in_every_engine() {
     }
 }
 
+/// A lone compiled engine that has settled stops stepping its table, yet
+/// still measures the stream: after `contains_tag` sits in its absorbing
+/// state, a 5,000-deep nesting must still report its full height and peak,
+/// through both the slice and the per-event entry, exactly as the
+/// interpreted automaton does.
+#[test]
+fn settled_lone_engine_keeps_stack_accounting_exact() {
+    let sigma = 3;
+    let (a, b, c) = (Symbol(0), Symbol(1), Symbol(2));
+    let m = contains_tag_nwa(a, sigma);
+    let compiled = query::compile(&m);
+    let mut events = vec![
+        TaggedSymbol::Call(b),
+        TaggedSymbol::Return(b),
+        TaggedSymbol::Call(a),
+        TaggedSymbol::Internal(c),
+        TaggedSymbol::Return(a),
+        TaggedSymbol::Return(c), // pending return
+    ];
+    let settled = events.len();
+    events.extend(std::iter::repeat_n(TaggedSymbol::Call(c), 5_000));
+    events.extend(std::iter::repeat_n(TaggedSymbol::Internal(b), 10));
+    events.extend(std::iter::repeat_n(TaggedSymbol::Return(c), 5_000));
+    let deepest = settled + 5_000;
+    let mut interpreted = m.start();
+    events[..deepest].iter().for_each(|&e| interpreted.step(e));
+    assert_eq!(interpreted.stack_height(), 5_000);
+    for sliced in [true, false] {
+        let ctx = format!("sliced {sliced}");
+        let mut run = compiled.start();
+        for part in [&events[..settled], &events[settled..deepest]] {
+            if sliced {
+                run.step_slice(part);
+            } else {
+                part.iter().for_each(|&e| run.step(e));
+            }
+        }
+        assert!(run.is_accepting(), "{ctx}");
+        assert_eq!(run.stack_height(), interpreted.stack_height(), "{ctx}");
+        assert_eq!(run.peak_memory(), interpreted.peak_memory(), "{ctx}");
+        assert_eq!(run.steps(), interpreted.steps(), "{ctx}");
+        if sliced {
+            run.step_slice(&events[deepest..]);
+        } else {
+            events[deepest..].iter().for_each(|&e| run.step(e));
+        }
+        let outcome = query::run_stream(&m, events.iter().copied());
+        assert_eq!(outcome.peak_memory, 5_000, "{ctx}");
+        assert_eq!(run.stack_height(), 0, "{ctx}");
+        assert_eq!(run.is_accepting(), outcome.accepted, "{ctx}");
+        assert_eq!(run.peak_memory(), outcome.peak_memory, "{ctx}");
+        assert_eq!(run.steps(), outcome.events, "{ctx}");
+        assert_eq!(compiled.run_tagged(&events), outcome, "{ctx}");
+    }
+}
+
+/// A run that has settled — `contains_tag(0)` after its first call, alone
+/// or as every member of a set — takes the height-only step, which still
+/// refuses a symbol outside the two-symbol alphabet, through the slice
+/// entry and through the per-event one.
+fn settled_contains_tag() -> CompiledNwa {
+    query::compile(&contains_tag_nwa(Symbol(0), 2))
+}
+
+fn retired_set() -> QuerySet {
+    let member = contains_tag_nwa(Symbol(0), 2);
+    query::compile_set(&[member.clone(), member])
+}
+
+const SETTLE: TaggedSymbol = TaggedSymbol::Call(Symbol(0));
+
+#[test]
+#[should_panic(expected = "outside the automaton")]
+fn settled_lone_engine_slice_still_checks_the_alphabet() {
+    let c = settled_contains_tag();
+    let mut run = c.start();
+    run.step_slice(&[SETTLE]);
+    assert!(run.is_accepting());
+    run.step_slice(&[
+        TaggedSymbol::Call(Symbol(1)),
+        TaggedSymbol::Return(Symbol(2)),
+    ]);
+}
+
+#[test]
+#[should_panic(expected = "outside the automaton")]
+fn settled_lone_engine_step_still_checks_the_alphabet() {
+    let c = settled_contains_tag();
+    let mut run = c.start();
+    run.step(SETTLE);
+    assert!(run.is_accepting());
+    run.step(TaggedSymbol::Internal(Symbol(9)));
+}
+
+#[test]
+#[should_panic(expected = "outside the automaton")]
+fn retired_query_set_slice_still_checks_the_alphabet() {
+    let set = retired_set();
+    let mut run = set.start_set();
+    run.step_slice(&[SETTLE]);
+    assert_eq!(run.verdicts(), 0b11);
+    run.step_slice(&[
+        TaggedSymbol::Internal(Symbol(1)),
+        TaggedSymbol::Call(Symbol(2)),
+    ]);
+}
+
+#[test]
+#[should_panic(expected = "outside the automaton")]
+fn retired_query_set_step_still_checks_the_alphabet() {
+    let set = retired_set();
+    let mut run = set.start_set();
+    run.step(SETTLE);
+    assert_eq!(run.verdicts(), 0b11);
+    run.step(TaggedSymbol::Return(Symbol(3)));
+}
+
 /// The two facts the compiled engines derive from their tables, on the
 /// query zoo: which symbols are inert (`δi(q, a) = q` in every state) and
 /// which states are absorbing (every transition from `q` lands on `q`).

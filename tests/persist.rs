@@ -25,6 +25,7 @@ use nested_words_suite::nested_words::generate::{
     random_nested_word, random_tree, NestedWordConfig,
 };
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
+use nested_words_suite::nwa_xml::queries::contains_tag_nwa;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -100,8 +101,12 @@ fn check_suspend_everywhere<A: Suspend>(artifact: &A, events: &[TaggedSymbol], c
 /// by the `step_slice` bulk loop) and a lane stepped event by event suspend
 /// to the same snapshot, and the snapshot resumed as a run continues
 /// exactly like it resumed as a lane.
-fn check_run_lane_interchange<A: Suspend>(artifact: &A, events: &[TaggedSymbol], ctx: &str) {
-    let cut = events.len() / 2;
+fn check_run_lane_interchange<A: Suspend>(
+    artifact: &A,
+    events: &[TaggedSymbol],
+    cut: usize,
+    ctx: &str,
+) {
     let mut run = LaneRun::new(artifact);
     let mut lane = artifact.lane_start();
     run.step_slice(&events[..cut]);
@@ -158,7 +163,51 @@ fn compiled_nwa_round_trips_and_resumes_everywhere() {
         assert_eq!(reloaded, compiled, "seed {seed}");
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(&compiled, events, &format!("nwa seed {seed}, stream {i}"));
-            check_run_lane_interchange(&compiled, events, &format!("nwa seed {seed}, stream {i}"));
+            check_run_lane_interchange(
+                &compiled,
+                events,
+                events.len() / 2,
+                &format!("nwa seed {seed}, stream {i}"),
+            );
+        }
+    }
+}
+
+/// Streams over `{a, b}` on which `contains_tag(a)` settles mid-stream:
+/// no call `a` before position `settle`, one there, random events after.
+/// The settling points straddle the slice loop's 1024-event blocks, so a
+/// sliced run settles at a block's end while a per-event run settles at
+/// the event itself.
+fn settling_streams(len: usize, settle_at: &[usize]) -> Vec<Vec<TaggedSymbol>> {
+    let (a, b) = (Symbol(0), Symbol(1));
+    random_streams(settle_at.len(), len)
+        .into_iter()
+        .zip(settle_at)
+        .map(|(mut events, &settle)| {
+            for event in &mut events[..settle] {
+                if *event == TaggedSymbol::Call(a) {
+                    *event = TaggedSymbol::Call(b);
+                }
+            }
+            events.insert(settle, TaggedSymbol::Call(a));
+            events
+        })
+        .collect()
+}
+
+/// A settled lane's snapshot is canonical, so both laws hold across the
+/// settling point, cut at every prefix: the lane resumed from any cut
+/// finishes like the uninterrupted one, and a sliced run and an
+/// event-by-event lane suspend to the same snapshot wherever they are cut.
+#[test]
+fn settled_lanes_suspend_canonically_at_every_prefix() {
+    let compiled = contains_tag_nwa(Symbol(0), 2).compile();
+    let streams = settling_streams(1_300, &[3, 700, 1_100]);
+    for (i, events) in streams.iter().enumerate() {
+        let ctx = format!("settling stream {i}");
+        check_suspend_everywhere(&compiled, events, &ctx);
+        for cut in 0..=events.len() {
+            check_run_lane_interchange(&compiled, events, cut, &format!("{ctx}, cut {cut}"));
         }
     }
 }
@@ -171,7 +220,12 @@ fn compiled_summary_engines_round_trip_and_resume_everywhere() {
         let compiled = nnwa.compile();
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(&compiled, events, &format!("nnwa seed {seed}, stream {i}"));
-            check_run_lane_interchange(&compiled, events, &format!("nnwa seed {seed}, stream {i}"));
+            check_run_lane_interchange(
+                &compiled,
+                events,
+                events.len() / 2,
+                &format!("nnwa seed {seed}, stream {i}"),
+            );
         }
         // After the runs above the memo cache is warm; the warm cache is
         // part of the artifact and of its structural equality.
@@ -202,7 +256,12 @@ fn compiled_tagged_dfa_round_trips_and_resumes_everywhere() {
         assert_eq!(reloaded, compiled, "seed {seed}");
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(&compiled, events, &format!("dfa seed {seed}, stream {i}"));
-            check_run_lane_interchange(&compiled, events, &format!("dfa seed {seed}, stream {i}"));
+            check_run_lane_interchange(
+                &compiled,
+                events,
+                events.len() / 2,
+                &format!("dfa seed {seed}, stream {i}"),
+            );
         }
     }
 }
@@ -227,6 +286,7 @@ fn compiled_stepwise_ta_round_trips_and_resumes_everywhere() {
             check_run_lane_interchange(
                 &compiled,
                 events,
+                events.len() / 2,
                 &format!("stepwise seed {seed}, stream {i}"),
             );
         }
