@@ -19,10 +19,11 @@
 //!
 //! * `Nwa` → `nwa::compile::CompiledNwa` — premultiplied `u32` tables for
 //!   the three transition functions, stack of `u32` return-row offsets;
-//! * `Nnwa` / `JoinlessNwa` → `nwa::compile::CompiledSummary` — the
-//!   summary-set subset construction over interned state-pair sets with a
-//!   memoized transition cache, so repeated event patterns hit precomputed
-//!   rows instead of re-deriving the subset step;
+//! * `Nnwa` → `nwa::compile::CompiledSummary` — the summary-set subset
+//!   construction over interned state-pair sets with a memoized transition
+//!   cache, so repeated event patterns hit precomputed rows instead of
+//!   re-deriving the subset step; `JoinlessNwa` compiles to the same
+//!   engine through its exact `to_nnwa` expansion;
 //! * `Dfa` (over the tagged alphabet Σ̂) →
 //!   `word_automata::compile::CompiledTaggedDfa` — one flat `states × Σ̂`
 //!   next-state array.

@@ -59,10 +59,15 @@ pub const HEADER_LEN: usize = 32;
 pub mod kind {
     /// `nwa::CompiledNwa` — fused premultiplied deterministic table.
     pub const COMPILED_NWA: u16 = 1;
-    /// `nwa::CompiledSummary<Nnwa>` — memoized summary subset engine.
+    /// `nwa::CompiledSummary` — memoized summary subset engine over an
+    /// `Nnwa`. A `JoinlessNwa` compiles to the same engine, through its
+    /// `to_nnwa` expansion, and saves under this code too.
+    ///
+    /// Code 3 is retired: it named a second summary engine over the
+    /// joinless relations. No loader accepts it (such images fail with
+    /// [`WrongKind`](super::PersistError::WrongKind)), and it is never
+    /// reused.
     pub const COMPILED_SUMMARY_NNWA: u16 = 2;
-    /// `nwa::CompiledSummary<JoinlessNwa>` — mode-split summary engine.
-    pub const COMPILED_SUMMARY_JOINLESS: u16 = 3;
     /// `word_automata::CompiledTaggedDfa` — flat tagged-alphabet table.
     pub const COMPILED_TAGGED_DFA: u16 = 4;
     /// `tree_automata::CompiledStepwiseTA` — flat stepwise tree-event table.
@@ -475,6 +480,22 @@ impl<'a> Reader<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, PersistError> {
         let len = self.get_len()?;
         Ok(self.take(len)?.to_vec())
+    }
+
+    /// Reads a `u64` element count for a section whose elements each take
+    /// `elem_bytes` bytes. The count is bounded by the remaining payload
+    /// before anything is allocated, so a hostile count is a typed
+    /// [`PersistError::Truncated`], never an oversized allocation.
+    pub fn get_count(&mut self, elem_bytes: usize) -> Result<usize, PersistError> {
+        let len = self.get_len()?;
+        let remaining = self.payload.len() - self.pos;
+        match len.checked_mul(elem_bytes) {
+            Some(needed) if needed <= remaining => Ok(len),
+            needed => Err(PersistError::Truncated {
+                expected: needed.unwrap_or(usize::MAX),
+                got: remaining,
+            }),
+        }
     }
 
     fn get_len(&mut self) -> Result<usize, PersistError> {

@@ -66,7 +66,7 @@ fn summary_fixture() -> (Nnwa, Vec<TaggedSymbol>) {
 /// Cold start from source: compile the summary engine and warm its memo
 /// cache on the training corpus. Returns the engine so the timed closure
 /// has an observable result.
-fn compile_and_warm(nnwa: &Nnwa, train: &[TaggedSymbol]) -> CompiledSummary<Nnwa> {
+fn compile_and_warm(nnwa: &Nnwa, train: &[TaggedSymbol]) -> CompiledSummary {
     let compiled = query::compile(nnwa);
     query::run_stream(&compiled, train.iter().copied());
     compiled
@@ -103,7 +103,7 @@ fn print_lifecycle_table() {
     let from_source = compile_and_warm(&nnwa, &train);
     let t_compile = t.elapsed();
     let t = std::time::Instant::now();
-    let from_bytes: CompiledSummary<Nnwa> = query::load(&bytes).expect("saved bytes load");
+    let from_bytes: CompiledSummary = query::load(&bytes).expect("saved bytes load");
     let t_load = t.elapsed();
     assert_eq!(
         from_bytes, from_source,
@@ -166,7 +166,7 @@ fn bench_cold_start(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("load_summary", train.len()),
         &bytes,
-        |b, bytes| b.iter(|| query::load::<CompiledSummary<Nnwa>>(bytes).expect("bytes load")),
+        |b, bytes| b.iter(|| query::load::<CompiledSummary>(bytes).expect("bytes load")),
     );
     group.finish();
 

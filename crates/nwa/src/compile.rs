@@ -22,7 +22,10 @@
 //!   cache**: each distinct (summary, symbol) step is derived once from the
 //!   nondeterministic relations and afterwards answered by a hash lookup,
 //!   so streams with repeated event patterns run at deterministic-automaton
-//!   speed after warm-up.
+//!   speed after warm-up. It is the crate's only summary-set
+//!   construction: it runs an [`Nnwa`], a [`JoinlessNwa`] compiles through
+//!   [`JoinlessNwa::to_nnwa`], its four steps share one memo path, and
+//!   [`Nnwa::determinize`] drives the same memo to a fixpoint.
 //!
 //! The trade-off is memory: `CompiledNwa` materializes the full
 //! `states² × 3σ` return block in `u32`s up front (compilation fails on
@@ -40,6 +43,7 @@ use crate::summary::{Summary, SummarySemantics};
 use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamOutcome};
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::RwLock;
 
 // --------------------------------------------------------------------------
@@ -133,9 +137,10 @@ pub(crate) fn keeps(inert: &[bool], event: TaggedSymbol) -> bool {
     !(inert && matches!(event, TaggedSymbol::Internal(_)))
 }
 
-/// The panic of an event symbol outside the alphabet, shared by the
-/// interpreted [`Nwa`] and the compiled engine: the symbol's column would
-/// otherwise fall in a neighbouring row of the flat tables.
+/// The panic of an event symbol outside the alphabet, shared by every
+/// interpreted and compiled engine: the symbol's column would otherwise
+/// fall in a neighbouring row of the flat tables, or its summary step
+/// would be memoized under a symbol no saved image can hold.
 #[cold]
 #[inline(never)]
 pub(crate) fn outside_alphabet(a: usize, sigma: usize) -> ! {
@@ -629,7 +634,7 @@ pub(crate) fn summary_key(s: &Summary) -> Vec<u64> {
 }
 
 impl SummaryCache {
-    fn intern<A: SummarySemantics>(&mut self, automaton: &A, summary: Summary) -> u32 {
+    fn intern(&mut self, automaton: &Nnwa, summary: Summary) -> u32 {
         let key = summary_key(&summary);
         if let Some(&id) = self.index.get(&key) {
             return id;
@@ -640,6 +645,11 @@ impl SummaryCache {
         self.summaries.push(InternedSummary { summary, accepting });
         id
     }
+
+    /// The interned summary with id `id`.
+    fn summary(&self, id: u32) -> &Summary {
+        &self.summaries[id as usize].summary
+    }
 }
 
 /// The summary-set subset construction of §3.2 compiled on the fly: state
@@ -648,27 +658,30 @@ impl SummaryCache {
 /// hash cache. Streams with repeated event patterns — the common case for
 /// document queries — run almost entirely on precomputed rows.
 ///
-/// Generic over [`SummarySemantics`], so one engine serves both
-/// [`Nnwa`] (ordinary return relation) and [`JoinlessNwa`] (mode-split
-/// return relation). The cache is interior-mutable behind an [`RwLock`] and
-/// shared by every run started from the same compiled artifact — warm-up
-/// amortizes across runs *and* across threads: the artifact is
-/// `Send + Sync` (asserted in the test suite), so one `Arc`'d engine can
-/// serve every worker of a decision service, with the steady state (cache
-/// hits) taking only the uncontended read lock.
+/// Runs an [`Nnwa`]; a [`JoinlessNwa`] compiles through
+/// [`JoinlessNwa::to_nnwa`], which has identical runs. The cache is
+/// interior-mutable behind an [`RwLock`] and shared by every run started
+/// from the same compiled artifact — warm-up amortizes across runs *and*
+/// across threads: the artifact is `Send + Sync` (asserted in the test
+/// suite), so one `Arc`'d engine can serve every worker of a decision
+/// service, with the steady state (cache hits) taking only the uncontended
+/// read lock.
 ///
 /// This is in effect determinization restricted to the reachable,
 /// actually-visited part of the `2^{s²}` summary-set automaton — the memory
 /// trade-off is the cache, which grows with the number of distinct
-/// summaries visited, not with the stream length.
+/// summaries visited, not with the stream length. [`Nnwa::determinize`]
+/// drives this same memo to a fixpoint. A symbol outside the alphabet
+/// panics before any lookup, as in the interpreted run, so it never enters
+/// the memo.
 #[derive(Debug)]
-pub struct CompiledSummary<A: SummarySemantics> {
-    pub(crate) automaton: A,
+pub struct CompiledSummary {
+    pub(crate) automaton: Nnwa,
     pub(crate) initial: u32,
     pub(crate) cache: RwLock<SummaryCache>,
 }
 
-impl<A: SummarySemantics + PartialEq> PartialEq for CompiledSummary<A> {
+impl PartialEq for CompiledSummary {
     /// Structural equality over the automaton, the initial id *and* the
     /// memoization cache — `load(save(a)) == a` asserts that the warmed
     /// rows shipped with the artifact, not just the relations.
@@ -679,9 +692,9 @@ impl<A: SummarySemantics + PartialEq> PartialEq for CompiledSummary<A> {
     }
 }
 
-impl<A: SummarySemantics + Eq> Eq for CompiledSummary<A> {}
+impl Eq for CompiledSummary {}
 
-impl<A: SummarySemantics + Clone> Clone for CompiledSummary<A> {
+impl Clone for CompiledSummary {
     fn clone(&self) -> Self {
         CompiledSummary {
             automaton: self.automaton.clone(),
@@ -691,9 +704,9 @@ impl<A: SummarySemantics + Clone> Clone for CompiledSummary<A> {
     }
 }
 
-impl<A: SummarySemantics> CompiledSummary<A> {
+impl CompiledSummary {
     /// Compiles the engine around (an owned copy of) the automaton.
-    pub fn new(automaton: A) -> Self {
+    pub fn new(automaton: Nnwa) -> Self {
         let mut cache = SummaryCache::default();
         let initial = cache.intern(&automaton, automaton.initial_summary());
         CompiledSummary {
@@ -710,7 +723,7 @@ impl<A: SummarySemantics> CompiledSummary<A> {
         self.lock_read().summaries.len()
     }
 
-    fn lock_read(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
+    pub(crate) fn lock_read(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
         self.cache.read().expect("summary cache lock poisoned")
     }
 
@@ -718,89 +731,88 @@ impl<A: SummarySemantics> CompiledSummary<A> {
         self.cache.write().expect("summary cache lock poisoned")
     }
 
+    /// Interns `summary`, returning its id.
+    pub(crate) fn intern(&self, summary: Summary) -> u32 {
+        self.lock_write().intern(&self.automaton, summary)
+    }
+
     fn accepting(&self, id: u32) -> bool {
         self.lock_read().summaries[id as usize].accepting
     }
 
-    fn step_internal(&self, id: u32, a: Symbol) -> u32 {
-        // Steady state: one shared (uncontended-read) lock per event. Only
-        // a miss — once per distinct (summary, symbol) for the lifetime of
-        // the artifact — takes the write lock to derive and memoize.
-        if let Some(&hit) = self.lock_read().internal.get(&(id, a.0)) {
+    /// The one memo path behind every step: the row `key` of the table
+    /// `rows` (with `rows_mut` its mutable projection), derived by `derive`
+    /// from the interned summaries on a miss. Steady state: one shared
+    /// (uncontended-read) lock per event. Only a miss — once per distinct
+    /// row for the lifetime of the artifact — takes the write lock,
+    /// re-checks, derives, interns the result and memoizes it. Generic, so
+    /// each step monomorphizes to a lookup in its own typed map.
+    #[inline(always)]
+    fn memo<K: Copy + Eq + Hash>(
+        &self,
+        rows: impl Fn(&SummaryCache) -> &HashMap<K, u32>,
+        rows_mut: impl FnOnce(&mut SummaryCache) -> &mut HashMap<K, u32>,
+        key: K,
+        derive: impl FnOnce(&SummaryCache) -> Summary,
+    ) -> u32 {
+        if let Some(&hit) = rows(&self.lock_read()).get(&key) {
             return hit;
         }
         let mut cache = self.lock_write();
-        if let Some(&hit) = cache.internal.get(&(id, a.0)) {
+        if let Some(&hit) = rows(&cache).get(&key) {
             return hit;
         }
-        let next = self
-            .automaton
-            .summary_internal(&cache.summaries[id as usize].summary, a);
+        let next = derive(&cache);
         let next_id = cache.intern(&self.automaton, next);
-        cache.internal.insert((id, a.0), next_id);
+        rows_mut(&mut cache).insert(key, next_id);
         next_id
     }
 
-    fn step_call(&self, id: u32, a: Symbol) -> u32 {
-        if let Some(&hit) = self.lock_read().call.get(&(id, a.0)) {
-            return hit;
-        }
-        let mut cache = self.lock_write();
-        if let Some(&hit) = cache.call.get(&(id, a.0)) {
-            return hit;
-        }
-        let next = self
-            .automaton
-            .summary_call(&cache.summaries[id as usize].summary, a);
-        let next_id = cache.intern(&self.automaton, next);
-        cache.call.insert((id, a.0), next_id);
-        next_id
+    pub(crate) fn step_internal(&self, id: u32, a: Symbol) -> u32 {
+        self.memo(
+            |c| &c.internal,
+            |c| &mut c.internal,
+            (id, a.0),
+            |c| self.automaton.summary_internal(c.summary(id), a),
+        )
     }
 
-    fn step_matched(&self, outer: u32, call_symbol: Symbol, inner: u32, a: Symbol) -> u32 {
-        let key = (outer, call_symbol.0, inner, a.0);
-        if let Some(&hit) = self.lock_read().matched.get(&key) {
-            return hit;
-        }
-        let mut cache = self.lock_write();
-        if let Some(&hit) = cache.matched.get(&key) {
-            return hit;
-        }
-        let next = self.automaton.summary_matched_return(
-            &cache.summaries[outer as usize].summary,
-            call_symbol,
-            &cache.summaries[inner as usize].summary,
-            a,
-        );
-        let next_id = cache.intern(&self.automaton, next);
-        cache.matched.insert(key, next_id);
-        next_id
+    pub(crate) fn step_call(&self, id: u32, a: Symbol) -> u32 {
+        self.memo(
+            |c| &c.call,
+            |c| &mut c.call,
+            (id, a.0),
+            |c| self.automaton.summary_call(c.summary(id), a),
+        )
     }
 
-    fn step_pending(&self, id: u32, a: Symbol) -> u32 {
-        if let Some(&hit) = self.lock_read().pending.get(&(id, a.0)) {
-            return hit;
-        }
-        let mut cache = self.lock_write();
-        if let Some(&hit) = cache.pending.get(&(id, a.0)) {
-            return hit;
-        }
-        let next = self
-            .automaton
-            .summary_pending_return(&cache.summaries[id as usize].summary, a);
-        let next_id = cache.intern(&self.automaton, next);
-        cache.pending.insert((id, a.0), next_id);
-        next_id
+    pub(crate) fn step_matched(&self, outer: u32, call: Symbol, inner: u32, a: Symbol) -> u32 {
+        let key = (outer, call.0, inner, a.0);
+        self.memo(
+            |c| &c.matched,
+            |c| &mut c.matched,
+            key,
+            |c| {
+                self.automaton
+                    .summary_matched_return(c.summary(outer), call, c.summary(inner), a)
+            },
+        )
+    }
+
+    pub(crate) fn step_pending(&self, id: u32, a: Symbol) -> u32 {
+        self.memo(
+            |c| &c.pending,
+            |c| &mut c.pending,
+            (id, a.0),
+            |c| self.automaton.summary_pending_return(c.summary(id), a),
+        )
     }
 }
 
-impl<A: SummarySemantics> StreamAcceptor for CompiledSummary<A> {
-    type Run<'a>
-        = LaneRun<'a, CompiledSummary<A>>
-    where
-        Self: 'a;
+impl StreamAcceptor for CompiledSummary {
+    type Run<'a> = LaneRun<'a, CompiledSummary>;
 
-    fn start(&self) -> LaneRun<'_, CompiledSummary<A>> {
+    fn start(&self) -> LaneRun<'_, CompiledSummary> {
         LaneRun::new(self)
     }
 }
@@ -819,7 +831,7 @@ pub struct CompiledSummaryLane {
     pub(crate) steps: usize,
 }
 
-impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
+impl BatchAcceptor for CompiledSummary {
     type Lane = CompiledSummaryLane;
 
     fn lane_start(&self) -> CompiledSummaryLane {
@@ -831,10 +843,16 @@ impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
         }
     }
 
+    /// One memo lookup per event (a derivation on a miss). A symbol outside
+    /// the alphabet panics, as in the interpreted run, before any lookup:
+    /// memoized, its row would name a symbol the saved image cannot hold.
     #[inline]
     fn lane_step(&self, lane: &mut CompiledSummaryLane, event: TaggedSymbol) {
-        lane.steps += 1;
         let a = event.symbol();
+        if a.index() >= self.automaton.sigma() {
+            outside_alphabet(a.index(), self.automaton.sigma());
+        }
+        lane.steps += 1;
         match event.kind() {
             PositionKind::Internal => {
                 lane.current = self.step_internal(lane.current, a);
@@ -874,22 +892,22 @@ impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
 }
 
 impl Compile for Nnwa {
-    type Compiled = CompiledSummary<Nnwa>;
+    type Compiled = CompiledSummary;
 
     /// The memoized summary subset engine ([`CompiledSummary`]) around an
     /// owned copy of the automaton.
-    fn compile(&self) -> CompiledSummary<Nnwa> {
+    fn compile(&self) -> CompiledSummary {
         CompiledSummary::new(self.clone())
     }
 }
 
 impl Compile for JoinlessNwa {
-    type Compiled = CompiledSummary<JoinlessNwa>;
+    type Compiled = CompiledSummary;
 
     /// The memoized summary subset engine ([`CompiledSummary`]) over the
-    /// mode-split return relation, around an owned copy of the automaton.
-    fn compile(&self) -> CompiledSummary<JoinlessNwa> {
-        CompiledSummary::new(self.clone())
+    /// exact [`JoinlessNwa::to_nnwa`] expansion, which has identical runs.
+    fn compile(&self) -> CompiledSummary {
+        CompiledSummary::new(self.to_nnwa())
     }
 }
 
@@ -1025,8 +1043,7 @@ mod tests {
     fn compiled_artifacts_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledNwa>();
-        assert_send_sync::<CompiledSummary<Nnwa>>();
-        assert_send_sync::<CompiledSummary<JoinlessNwa>>();
+        assert_send_sync::<CompiledSummary>();
         // Lanes migrate into worker threads on their own.
         fn assert_send<T: Send>() {}
         assert_send::<CompiledNwaLane>();

@@ -471,6 +471,10 @@ impl JoinlessNwa {
 pub type JoinlessStreamingRun<'a> = SummaryStreamingRun<'a, JoinlessNwa>;
 
 impl SummarySemantics for JoinlessNwa {
+    fn sigma(&self) -> usize {
+        self.sigma
+    }
+
     fn initial_summary(&self) -> Summary {
         self.initial.iter().map(|&q| (q, q)).collect()
     }

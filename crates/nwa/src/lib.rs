@@ -24,8 +24,10 @@
 //! * compiled execution engines ([`compile`]) behind the `automata-core`
 //!   [`Compile`](automata_core::Compile) trait: [`CompiledNwa`] lowers a
 //!   deterministic NWA into premultiplied dense `u32` tables, and
-//!   [`CompiledSummary`] runs the nondeterministic models through a
-//!   memoized summary-set subset engine;
+//!   [`CompiledSummary`] runs the nondeterministic models through one
+//!   memoized summary-set subset engine (over [`Nnwa`]; [`JoinlessNwa`]
+//!   through its [`JoinlessNwa::to_nnwa`] expansion), whose memo
+//!   [`Nnwa::determinize`] drives to a fixpoint;
 //! * boolean operations, emptiness, inclusion and equivalence ([`boolean`],
 //!   [`decision`]);
 //! * compiled multi-query sets ([`multi`]) behind the `automata-core`

@@ -3,9 +3,10 @@
 //! construction.
 
 use crate::automaton::Nwa;
+use crate::compile::CompiledSummary;
 use crate::summary::{Summary, SummarySemantics, SummaryStreamingRun};
 use nested_words::{NestedWord, Symbol, TaggedSymbol};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 
 /// A nondeterministic nested word automaton.
 ///
@@ -123,88 +124,6 @@ impl Nnwa {
         out
     }
 
-    // --- summary simulation -------------------------------------------------
-
-    /// One summary: the set of pairs `(anchor, current)` where `anchor` is
-    /// the state the run was in right after the innermost currently-open
-    /// call, and `current` is the state now. At top level the anchor is the
-    /// run's initial state.
-    fn initial_summary(&self) -> BTreeSet<(usize, usize)> {
-        self.initial.iter().map(|&q| (q, q)).collect()
-    }
-
-    fn step_internal(&self, s: &BTreeSet<(usize, usize)>, a: Symbol) -> BTreeSet<(usize, usize)> {
-        let mut out = BTreeSet::new();
-        for &(anchor, cur) in s {
-            for &(q, sym, t) in &self.internals {
-                if q == cur && sym == a {
-                    out.insert((anchor, t));
-                }
-            }
-        }
-        out
-    }
-
-    fn step_call_linear(
-        &self,
-        s: &BTreeSet<(usize, usize)>,
-        a: Symbol,
-    ) -> BTreeSet<(usize, usize)> {
-        let mut out = BTreeSet::new();
-        for &(_, cur) in s {
-            for &(q, sym, ql, _qh) in &self.calls {
-                if q == cur && sym == a {
-                    out.insert((ql, ql));
-                }
-            }
-        }
-        out
-    }
-
-    fn step_matched_return(
-        &self,
-        outer: &BTreeSet<(usize, usize)>,
-        call_symbol: Symbol,
-        inner: &BTreeSet<(usize, usize)>,
-        a: Symbol,
-    ) -> BTreeSet<(usize, usize)> {
-        let mut out = BTreeSet::new();
-        for &(anchor, before_call) in outer {
-            for &(q, sym, ql, qh) in &self.calls {
-                if q != before_call || sym != call_symbol {
-                    continue;
-                }
-                for &(start, cur) in inner {
-                    if start != ql {
-                        continue;
-                    }
-                    for &(rl, rh, rsym, t) in &self.returns {
-                        if rl == cur && rh == qh && rsym == a {
-                            out.insert((anchor, t));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn step_pending_return(
-        &self,
-        s: &BTreeSet<(usize, usize)>,
-        a: Symbol,
-    ) -> BTreeSet<(usize, usize)> {
-        let mut out = BTreeSet::new();
-        for &(anchor, cur) in s {
-            for &(rl, rh, rsym, t) in &self.returns {
-                if rl == cur && rsym == a && self.initial.contains(&rh) {
-                    out.insert((anchor, t));
-                }
-            }
-        }
-        out
-    }
-
     /// Membership test for nondeterministic NWAs: simulates the summary-set
     /// determinization on the fly, using a stack whose height equals the
     /// nesting depth of the word. Polynomial in `|A|` and linear in `ℓ`.
@@ -229,168 +148,78 @@ impl Nnwa {
     /// additionally remember the call symbol, for a worst-case bound of
     /// `2^{s²}·(|Σ|+1)` states. Only reachable deterministic states are
     /// materialized.
+    ///
+    /// The construction is the memo of a fresh [`CompiledSummary`] driven to
+    /// a fixpoint, then read off as a table:
+    ///
+    /// * linear states are the interned summary ids, the initial one first;
+    /// * hierarchical states are the `(id, call symbol)` pairs;
+    /// * returns come from the matched rows for hierarchical pairs and from
+    ///   the pending rows at the initial id (§3.1: only the initial state
+    ///   labels the hierarchical edge of a pending return), while every
+    ///   other linear id used as a hierarchical state returns to `∅`.
+    ///
+    /// `∅` is interned once at least two linear summaries exist, since only
+    /// then does a non-initial linear id label a hierarchical edge.
+    /// Hierarchical states have no outgoing rows of their own.
     pub fn determinize(&self) -> Nwa {
-        type Summary = BTreeSet<(usize, usize)>;
-        #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        enum DetState {
-            Linear(Summary),
-            Hier(Summary, Symbol),
-        }
-
-        let mut index: HashMap<DetState, usize> = HashMap::new();
-        let mut states: Vec<DetState> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let intern = |st: DetState,
-                      states: &mut Vec<DetState>,
-                      queue: &mut VecDeque<usize>,
-                      index: &mut HashMap<DetState, usize>|
-         -> usize {
-            if let Some(&i) = index.get(&st) {
-                return i;
+        let engine = CompiledSummary::new(self.clone());
+        let symbols = || (0..self.sigma).map(|a| Symbol(a as u16));
+        // Exhaust the rows id by id: each (outer, inner) pair is derived
+        // when the larger of the two is reached, so newly interned ids are
+        // picked up until the memo is closed.
+        let mut empty = None;
+        let mut id = 0;
+        while id < engine.cached_summaries() as u32 {
+            // A second summary is a non-initial linear id, which can label
+            // a hierarchical edge: its returns go to ∅.
+            if id == 1 {
+                empty = Some(engine.intern(Summary::new()));
             }
-            let i = states.len();
-            index.insert(st.clone(), i);
-            states.push(st);
-            queue.push_back(i);
-            i
-        };
-
-        let initial_idx = intern(
-            DetState::Linear(self.initial_summary()),
-            &mut states,
-            &mut queue,
-            &mut index,
-        );
-
-        // Transition tables built during exploration, keyed by state index.
-        let mut internal_tab: HashMap<(usize, Symbol), usize> = HashMap::new();
-        let mut call_tab: HashMap<(usize, Symbol), (usize, usize)> = HashMap::new();
-        // Return transitions are completed after exploration because they
-        // pair every linear state with every hierarchical state.
-
-        while let Some(idx) = queue.pop_front() {
-            let summary = match &states[idx] {
-                DetState::Linear(s) => s.clone(),
-                DetState::Hier(..) => continue, // hierarchical-only states have no outgoing edges
-            };
-            for a in 0..self.sigma {
-                let a = Symbol(a as u16);
-                let int_next = self.step_internal(&summary, a);
-                let int_idx = intern(
-                    DetState::Linear(int_next),
-                    &mut states,
-                    &mut queue,
-                    &mut index,
-                );
-                internal_tab.insert((idx, a), int_idx);
-
-                let call_linear = self.step_call_linear(&summary, a);
-                let lin_idx = intern(
-                    DetState::Linear(call_linear),
-                    &mut states,
-                    &mut queue,
-                    &mut index,
-                );
-                let hier_idx = intern(
-                    DetState::Hier(summary.clone(), a),
-                    &mut states,
-                    &mut queue,
-                    &mut index,
-                );
-                call_tab.insert((idx, a), (lin_idx, hier_idx));
-            }
-        }
-
-        // Returns can create new linear states; iterate to closure.
-        let mut return_tab: HashMap<(usize, usize, Symbol), usize> = HashMap::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            let snapshot = states.len();
-            for lin_i in 0..snapshot {
-                let inner = match &states[lin_i] {
-                    DetState::Linear(s) => s.clone(),
-                    DetState::Hier(..) => continue,
-                };
-                for hier_i in 0..snapshot {
-                    for a in 0..self.sigma {
-                        let a = Symbol(a as u16);
-                        if return_tab.contains_key(&(lin_i, hier_i, a)) {
-                            continue;
+            for a in symbols() {
+                engine.step_internal(id, a);
+                engine.step_call(id, a);
+                engine.step_pending(id, a);
+                for other in 0..=id {
+                    for c in symbols() {
+                        engine.step_matched(id, c, other, a);
+                        if other != id {
+                            engine.step_matched(other, c, id, a);
                         }
-                        let next = match &states[hier_i] {
-                            DetState::Hier(outer, call_symbol) => {
-                                self.step_matched_return(outer, *call_symbol, &inner, a)
-                            }
-                            DetState::Linear(_) => {
-                                // Only the initial deterministic state can label a
-                                // hierarchical edge of a pending return (§3.1).
-                                if hier_i == initial_idx {
-                                    self.step_pending_return(&inner, a)
-                                } else {
-                                    BTreeSet::new()
-                                }
-                            }
-                        };
-                        let next_idx =
-                            intern(DetState::Linear(next), &mut states, &mut queue, &mut index);
-                        return_tab.insert((lin_i, hier_i, a), next_idx);
-                        changed = true;
                     }
                 }
             }
-            // Newly interned linear states need their internal/call rows too.
-            while let Some(idx) = queue.pop_front() {
-                let summary = match &states[idx] {
-                    DetState::Linear(s) => s.clone(),
-                    DetState::Hier(..) => continue,
-                };
-                for a in 0..self.sigma {
-                    let a = Symbol(a as u16);
-                    if internal_tab.contains_key(&(idx, a)) {
-                        continue;
-                    }
-                    let int_next = self.step_internal(&summary, a);
-                    let int_idx = intern(
-                        DetState::Linear(int_next),
-                        &mut states,
-                        &mut queue,
-                        &mut index,
-                    );
-                    internal_tab.insert((idx, a), int_idx);
-                    let call_linear = self.step_call_linear(&summary, a);
-                    let lin_idx = intern(
-                        DetState::Linear(call_linear),
-                        &mut states,
-                        &mut queue,
-                        &mut index,
-                    );
-                    let hier_idx = intern(
-                        DetState::Hier(summary.clone(), a),
-                        &mut states,
-                        &mut queue,
-                        &mut index,
-                    );
-                    call_tab.insert((idx, a), (lin_idx, hier_idx));
-                }
-                changed = true;
-            }
+            id += 1;
         }
 
-        let mut det = Nwa::new(states.len(), self.sigma, initial_idx);
-        for (i, st) in states.iter().enumerate() {
-            if let DetState::Linear(s) = st {
-                det.set_accepting(i, s.iter().any(|&(_, q)| self.accepting.contains(&q)));
+        let cache = engine.lock_read();
+        let linear = cache.summaries.len();
+        let hier = |id: u32, c: u16| linear + id as usize * self.sigma + c as usize;
+        let initial = engine.initial as usize;
+        let mut det = Nwa::new(linear * (1 + self.sigma), self.sigma, initial);
+        for (q, s) in cache.summaries.iter().enumerate() {
+            det.set_accepting(q, s.accepting);
+        }
+        for (&(q, a), &t) in &cache.internal {
+            det.set_internal(q as usize, Symbol(a), t as usize);
+        }
+        for (&(q, a), &t) in &cache.call {
+            det.set_call(q as usize, Symbol(a), t as usize, hier(q, a));
+        }
+        for (&(outer, c, inner, a), &t) in &cache.matched {
+            det.set_return(inner as usize, hier(outer, c), Symbol(a), t as usize);
+        }
+        for (&(q, a), &t) in &cache.pending {
+            det.set_return(q as usize, initial, Symbol(a), t as usize);
+        }
+        if let Some(empty) = empty {
+            for q in 0..linear {
+                for h in (0..linear).filter(|&h| h != initial) {
+                    for a in symbols() {
+                        det.set_return(q, h, a, empty as usize);
+                    }
+                }
             }
-        }
-        for (&(q, a), &t) in &internal_tab {
-            det.set_internal(q, a, t);
-        }
-        for (&(q, a), &(l, h)) in &call_tab {
-            det.set_call(q, a, l, h);
-        }
-        for (&(l, h, a), &t) in &return_tab {
-            det.set_return(l, h, a, t);
         }
         det
     }
@@ -403,16 +232,36 @@ impl Nnwa {
 pub type NnwaStreamingRun<'a> = SummaryStreamingRun<'a, Nnwa>;
 
 impl SummarySemantics for Nnwa {
+    fn sigma(&self) -> usize {
+        self.sigma
+    }
+
     fn initial_summary(&self) -> Summary {
-        Nnwa::initial_summary(self)
+        self.initial.iter().map(|&q| (q, q)).collect()
     }
 
     fn summary_internal(&self, s: &Summary, a: Symbol) -> Summary {
-        self.step_internal(s, a)
+        let mut out = Summary::new();
+        for &(anchor, cur) in s {
+            for &(q, sym, t) in &self.internals {
+                if q == cur && sym == a {
+                    out.insert((anchor, t));
+                }
+            }
+        }
+        out
     }
 
     fn summary_call(&self, s: &Summary, a: Symbol) -> Summary {
-        self.step_call_linear(s, a)
+        let mut out = Summary::new();
+        for &(_, cur) in s {
+            for &(q, sym, ql, _qh) in &self.calls {
+                if q == cur && sym == a {
+                    out.insert((ql, ql));
+                }
+            }
+        }
+        out
     }
 
     fn summary_matched_return(
@@ -422,11 +271,37 @@ impl SummarySemantics for Nnwa {
         inner: &Summary,
         a: Symbol,
     ) -> Summary {
-        self.step_matched_return(outer, call_symbol, inner, a)
+        let mut out = Summary::new();
+        for &(anchor, before_call) in outer {
+            for &(q, sym, ql, qh) in &self.calls {
+                if q != before_call || sym != call_symbol {
+                    continue;
+                }
+                for &(start, cur) in inner {
+                    if start != ql {
+                        continue;
+                    }
+                    for &(rl, rh, rsym, t) in &self.returns {
+                        if rl == cur && rh == qh && rsym == a {
+                            out.insert((anchor, t));
+                        }
+                    }
+                }
+            }
+        }
+        out
     }
 
     fn summary_pending_return(&self, s: &Summary, a: Symbol) -> Summary {
-        self.step_pending_return(s, a)
+        let mut out = Summary::new();
+        for &(anchor, cur) in s {
+            for &(rl, rh, rsym, t) in &self.returns {
+                if rl == cur && rsym == a && self.initial.contains(&rh) {
+                    out.insert((anchor, t));
+                }
+            }
+        }
+        out
     }
 
     fn summary_accepting(&self, s: &Summary) -> bool {

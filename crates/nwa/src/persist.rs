@@ -6,10 +6,15 @@
 //!   (linear states must be in-range row offsets, pushed values must be
 //!   return-block bases) so that a successfully loaded artifact can never
 //!   index out of its own tables.
-//! * [`CompiledSummary`] persists the automaton *and* its memoization cache:
+//! * [`CompiledSummary`] persists its [`Nnwa`] *and* its memoization cache:
 //!   the interned summary universe in id order plus every memoized
 //!   transition row, so a warmed engine ships warm (`load(save(a)) == a`
-//!   compares the cache too). Ids are range-checked on load; the rows
+//!   compares the cache too). A compiled `JoinlessNwa` is the same engine
+//!   over its `to_nnwa` expansion, so it saves under the same kind; the
+//!   retired joinless kind is refused as a wrong kind. The four memo
+//!   sections (internal, call, pending, matched) share one row codec, and
+//!   each declared row count is bounded by the remaining payload before
+//!   anything is allocated. Ids are range-checked on load; the rows
 //!   themselves are trusted content guarded by the payload checksum —
 //!   re-deriving them would be re-compiling, which is exactly what loading
 //!   exists to avoid.
@@ -27,9 +32,8 @@ use crate::compile::{
     summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane,
     InternedSummary, SummaryCache,
 };
-use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
-use crate::summary::{Summary, SummarySemantics};
+use crate::summary::Summary;
 use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, fnv1a_words, kind,
     Reader, Writer,
@@ -37,6 +41,8 @@ use automata_core::persist::{
 use automata_core::suspend::decode_steps;
 use automata_core::{Persist, PersistError, Snapshot, Suspend};
 use nested_words::Symbol;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::RwLock;
 
 // --------------------------------------------------------------------------
@@ -317,28 +323,6 @@ impl Suspend for CompiledNwa {
 // CompiledSummary: the subset engine, cache included
 // --------------------------------------------------------------------------
 
-/// A [`SummarySemantics`] whose automaton can ride inside a
-/// [`CompiledSummary`] payload: a kind code, the alphabet size for header
-/// validation, and an encode/decode pair for the nondeterministic relations.
-pub trait PersistableSemantics: SummarySemantics + PartialEq + Sized {
-    /// The artifact kind code of `CompiledSummary<Self>`.
-    const KIND: u16;
-
-    /// Number of states — the range bound for decoded summary pairs.
-    fn num_states(&self) -> usize;
-
-    /// Alphabet size — the range bound for decoded symbols, and what the
-    /// header's alphabet fingerprint hashes.
-    fn sigma(&self) -> usize;
-
-    /// Appends the automaton's relations to a payload.
-    fn encode(&self, w: &mut Writer);
-
-    /// Decodes what [`encode`](PersistableSemantics::encode) wrote,
-    /// range-checking every state and symbol.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError>;
-}
-
 /// Decodes a `u64` length already bounded by the payload into a `usize`.
 fn decode_count(v: u64, context: &'static str) -> Result<usize, PersistError> {
     usize::try_from(v).map_err(|_| PersistError::Malformed { context })
@@ -367,11 +351,71 @@ fn decode_symbol(v: u32, sigma: usize) -> Result<Symbol, PersistError> {
     }
 }
 
-/// Shared head of the [`Nnwa`] / [`JoinlessNwa`] codecs: state count,
-/// alphabet size and the initial/accepting flag arrays.
-fn decode_automaton_head(
-    r: &mut Reader<'_>,
-) -> Result<(usize, usize, Vec<bool>, Vec<bool>), PersistError> {
+/// Range-checks one decoded summary id.
+fn decode_id(v: u32, count: usize) -> Result<u32, PersistError> {
+    if (v as usize) < count {
+        Ok(v)
+    } else {
+        Err(PersistError::Malformed {
+            context: "memo row references a summary out of range",
+        })
+    }
+}
+
+fn state_word(q: usize) -> u32 {
+    u32::try_from(q).expect("state id fits u32")
+}
+
+/// Appends the automaton: state count, alphabet size, the initial and
+/// accepting flag arrays, then the call, internal and return relations as
+/// flat `u32` tuples.
+fn put_nnwa(w: &mut Writer, a: &Nnwa) {
+    let n = a.num_states();
+    w.put_u64(n as u64);
+    w.put_u64(a.sigma() as u64);
+    let mut initial = vec![false; n];
+    for q in a.initial_states() {
+        initial[q] = true;
+    }
+    w.put_bools(&initial);
+    let accepting: Vec<bool> = (0..n).map(|q| a.is_accepting(q)).collect();
+    w.put_bools(&accepting);
+    let calls: Vec<u32> = a
+        .calls()
+        .iter()
+        .flat_map(|&(q, s, linear, hier)| {
+            [
+                state_word(q),
+                u32::from(s.0),
+                state_word(linear),
+                state_word(hier),
+            ]
+        })
+        .collect();
+    w.put_u32_slice(&calls);
+    let internals: Vec<u32> = a
+        .internals()
+        .iter()
+        .flat_map(|&(q, s, target)| [state_word(q), u32::from(s.0), state_word(target)])
+        .collect();
+    w.put_u32_slice(&internals);
+    let returns: Vec<u32> = a
+        .returns()
+        .iter()
+        .flat_map(|&(linear, hier, s, target)| {
+            [
+                state_word(linear),
+                state_word(hier),
+                u32::from(s.0),
+                state_word(target),
+            ]
+        })
+        .collect();
+    w.put_u32_slice(&returns);
+}
+
+/// Decodes what [`put_nnwa`] wrote, range-checking every state and symbol.
+fn get_nnwa(r: &mut Reader<'_>) -> Result<Nnwa, PersistError> {
     let n = decode_count(r.get_u64()?, "state count overflows")?;
     let sigma = decode_count(r.get_u64()?, "alphabet size overflows")?;
     if sigma > usize::from(u16::MAX) + 1 {
@@ -386,324 +430,106 @@ fn decode_automaton_head(
             context: "state flag array length disagrees with the state count",
         });
     }
-    Ok((n, sigma, initial, accepting))
+    let mut a = Nnwa::new(n, sigma);
+    for q in 0..n {
+        if initial[q] {
+            a.add_initial(q);
+        }
+        if accepting[q] {
+            a.add_accepting(q);
+        }
+    }
+    let calls = r.get_u32_vec()?;
+    if calls.len() % 4 != 0 {
+        return Err(PersistError::Malformed {
+            context: "call relation truncated mid-transition",
+        });
+    }
+    for t in calls.chunks_exact(4) {
+        a.add_call(
+            decode_state(t[0], n)?,
+            decode_symbol(t[1], sigma)?,
+            decode_state(t[2], n)?,
+            decode_state(t[3], n)?,
+        );
+    }
+    let internals = r.get_u32_vec()?;
+    if internals.len() % 3 != 0 {
+        return Err(PersistError::Malformed {
+            context: "internal relation truncated mid-transition",
+        });
+    }
+    for t in internals.chunks_exact(3) {
+        a.add_internal(
+            decode_state(t[0], n)?,
+            decode_symbol(t[1], sigma)?,
+            decode_state(t[2], n)?,
+        );
+    }
+    let returns = r.get_u32_vec()?;
+    if returns.len() % 4 != 0 {
+        return Err(PersistError::Malformed {
+            context: "return relation truncated mid-transition",
+        });
+    }
+    for t in returns.chunks_exact(4) {
+        a.add_return(
+            decode_state(t[0], n)?,
+            decode_state(t[1], n)?,
+            decode_symbol(t[2], sigma)?,
+            decode_state(t[3], n)?,
+        );
+    }
+    Ok(a)
 }
 
-fn state_word(q: usize) -> u32 {
-    u32::try_from(q).expect("state id fits u32")
-}
-
-impl PersistableSemantics for Nnwa {
-    const KIND: u16 = kind::COMPILED_SUMMARY_NNWA;
-
-    fn num_states(&self) -> usize {
-        Nnwa::num_states(self)
-    }
-
-    fn sigma(&self) -> usize {
-        Nnwa::sigma(self)
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        let n = Nnwa::num_states(self);
-        w.put_u64(n as u64);
-        w.put_u64(Nnwa::sigma(self) as u64);
-        let mut initial = vec![false; n];
-        for q in self.initial_states() {
-            initial[q] = true;
+/// The one codec for the four memo sections. A section is its row count,
+/// then each row sorted by key: the key's `P` (summary id, symbol) pairs,
+/// then the target id, every field a `u32`. `pairs` flattens a key and
+/// `key` rebuilds it.
+fn put_rows<K: Copy + Ord, const P: usize>(
+    w: &mut Writer,
+    rows: &HashMap<K, u32>,
+    pairs: impl Fn(K) -> [(u32, u16); P],
+) {
+    let mut sorted: Vec<(K, u32)> = rows.iter().map(|(&k, &v)| (k, v)).collect();
+    sorted.sort_unstable();
+    w.put_u64(sorted.len() as u64);
+    for (k, v) in sorted {
+        for (id, a) in pairs(k) {
+            w.put_u32(id);
+            w.put_u32(u32::from(a));
         }
-        w.put_bools(&initial);
-        let accepting: Vec<bool> = (0..n).map(|q| self.is_accepting(q)).collect();
-        w.put_bools(&accepting);
-        let calls: Vec<u32> = self
-            .calls()
-            .iter()
-            .flat_map(|&(q, a, linear, hier)| {
-                [
-                    state_word(q),
-                    u32::from(a.0),
-                    state_word(linear),
-                    state_word(hier),
-                ]
-            })
-            .collect();
-        w.put_u32_slice(&calls);
-        let internals: Vec<u32> = self
-            .internals()
-            .iter()
-            .flat_map(|&(q, a, target)| [state_word(q), u32::from(a.0), state_word(target)])
-            .collect();
-        w.put_u32_slice(&internals);
-        let returns: Vec<u32> = self
-            .returns()
-            .iter()
-            .flat_map(|&(linear, hier, a, target)| {
-                [
-                    state_word(linear),
-                    state_word(hier),
-                    u32::from(a.0),
-                    state_word(target),
-                ]
-            })
-            .collect();
-        w.put_u32_slice(&returns);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Nnwa, PersistError> {
-        let (n, sigma, initial, accepting) = decode_automaton_head(r)?;
-        let mut a = Nnwa::new(n, sigma);
-        for (q, &flag) in initial.iter().enumerate() {
-            if flag {
-                a.add_initial(q);
-            }
-        }
-        for (q, &flag) in accepting.iter().enumerate() {
-            if flag {
-                a.add_accepting(q);
-            }
-        }
-        let calls = r.get_u32_vec()?;
-        if calls.len() % 4 != 0 {
-            return Err(PersistError::Malformed {
-                context: "call relation truncated mid-transition",
-            });
-        }
-        for t in calls.chunks_exact(4) {
-            a.add_call(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-                decode_state(t[3], n)?,
-            );
-        }
-        let internals = r.get_u32_vec()?;
-        if internals.len() % 3 != 0 {
-            return Err(PersistError::Malformed {
-                context: "internal relation truncated mid-transition",
-            });
-        }
-        for t in internals.chunks_exact(3) {
-            a.add_internal(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-            );
-        }
-        let returns = r.get_u32_vec()?;
-        if returns.len() % 4 != 0 {
-            return Err(PersistError::Malformed {
-                context: "return relation truncated mid-transition",
-            });
-        }
-        for t in returns.chunks_exact(4) {
-            a.add_return(
-                decode_state(t[0], n)?,
-                decode_state(t[1], n)?,
-                decode_symbol(t[2], sigma)?,
-                decode_state(t[3], n)?,
-            );
-        }
-        Ok(a)
-    }
-}
-
-impl PersistableSemantics for JoinlessNwa {
-    const KIND: u16 = kind::COMPILED_SUMMARY_JOINLESS;
-
-    fn num_states(&self) -> usize {
-        JoinlessNwa::num_states(self)
-    }
-
-    fn sigma(&self) -> usize {
-        JoinlessNwa::sigma(self)
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        let n = JoinlessNwa::num_states(self);
-        w.put_u64(n as u64);
-        w.put_u64(JoinlessNwa::sigma(self) as u64);
-        let mut initial = vec![false; n];
-        for q in self.initial_states() {
-            initial[q] = true;
-        }
-        w.put_bools(&initial);
-        let accepting: Vec<bool> = (0..n).map(|q| self.is_accepting(q)).collect();
-        w.put_bools(&accepting);
-        let linear: Vec<bool> = (0..n).map(|q| self.is_linear(q)).collect();
-        w.put_bools(&linear);
-        let calls: Vec<u32> = self
-            .calls()
-            .iter()
-            .flat_map(|&(q, a, linear, hier)| {
-                [
-                    state_word(q),
-                    u32::from(a.0),
-                    state_word(linear),
-                    state_word(hier),
-                ]
-            })
-            .collect();
-        w.put_u32_slice(&calls);
-        let internals: Vec<u32> = self
-            .internals()
-            .iter()
-            .flat_map(|&(q, a, target)| [state_word(q), u32::from(a.0), state_word(target)])
-            .collect();
-        w.put_u32_slice(&internals);
-        let returns: Vec<u32> = self
-            .returns()
-            .iter()
-            .flat_map(|&(q, a, target)| [state_word(q), u32::from(a.0), state_word(target)])
-            .collect();
-        w.put_u32_slice(&returns);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<JoinlessNwa, PersistError> {
-        let (n, sigma, initial, accepting) = decode_automaton_head(r)?;
-        let linear = r.get_bool_vec()?;
-        if linear.len() != n {
-            return Err(PersistError::Malformed {
-                context: "state flag array length disagrees with the state count",
-            });
-        }
-        let mut a = JoinlessNwa::new(n, sigma);
-        for (q, &flag) in linear.iter().enumerate() {
-            a.set_linear(q, flag);
-        }
-        for (q, &flag) in initial.iter().enumerate() {
-            if flag {
-                a.add_initial(q);
-            }
-        }
-        for (q, &flag) in accepting.iter().enumerate() {
-            if flag {
-                a.add_accepting(q);
-            }
-        }
-        let calls = r.get_u32_vec()?;
-        if calls.len() % 4 != 0 {
-            return Err(PersistError::Malformed {
-                context: "call relation truncated mid-transition",
-            });
-        }
-        for t in calls.chunks_exact(4) {
-            a.add_call(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-                decode_state(t[3], n)?,
-            );
-        }
-        let internals = r.get_u32_vec()?;
-        if internals.len() % 3 != 0 {
-            return Err(PersistError::Malformed {
-                context: "internal relation truncated mid-transition",
-            });
-        }
-        for t in internals.chunks_exact(3) {
-            a.add_internal(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-            );
-        }
-        let returns = r.get_u32_vec()?;
-        if returns.len() % 3 != 0 {
-            return Err(PersistError::Malformed {
-                context: "return relation truncated mid-transition",
-            });
-        }
-        for t in returns.chunks_exact(3) {
-            a.add_return(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-            );
-        }
-        Ok(a)
-    }
-}
-
-/// Emits a 2-key memo map sorted by key (deterministic bytes).
-fn put_map2(w: &mut Writer, map: &std::collections::HashMap<(u32, u16), u32>) {
-    let mut entries: Vec<(u32, u16, u32)> = map.iter().map(|(&(q, a), &v)| (q, a, v)).collect();
-    entries.sort_unstable();
-    w.put_u64(entries.len() as u64);
-    for (q, a, v) in entries {
-        w.put_u32(q);
-        w.put_u32(u32::from(a));
         w.put_u32(v);
     }
 }
 
-/// Emits the 4-key matched-return memo map sorted by key.
-fn put_map4(w: &mut Writer, map: &std::collections::HashMap<(u32, u16, u32, u16), u32>) {
-    let mut entries: Vec<(u32, u16, u32, u16, u32)> = map
-        .iter()
-        .map(|(&(outer, ca, inner, a), &v)| (outer, ca, inner, a, v))
-        .collect();
-    entries.sort_unstable();
-    w.put_u64(entries.len() as u64);
-    for (outer, ca, inner, a, v) in entries {
-        w.put_u32(outer);
-        w.put_u32(u32::from(ca));
-        w.put_u32(inner);
-        w.put_u32(u32::from(a));
-        w.put_u32(v);
-    }
-}
-
-/// Range-checks one decoded summary id.
-fn decode_id(v: u32, count: usize) -> Result<u32, PersistError> {
-    if (v as usize) < count {
-        Ok(v)
-    } else {
-        Err(PersistError::Malformed {
-            context: "memo row references a summary out of range",
-        })
-    }
-}
-
-fn get_map2(
+/// Decodes a section [`put_rows`] wrote, range-checking every id against
+/// the `count` interned summaries and every symbol against σ. The declared
+/// row count is bounded by the remaining payload before anything is
+/// allocated.
+fn get_rows<K: Eq + Hash, const P: usize>(
     r: &mut Reader<'_>,
     count: usize,
     sigma: usize,
-) -> Result<std::collections::HashMap<(u32, u16), u32>, PersistError> {
-    let len = decode_count(r.get_u64()?, "memo map length overflows")?;
-    let mut map = std::collections::HashMap::with_capacity(len);
+    key: impl Fn([(u32, u16); P]) -> K,
+) -> Result<HashMap<K, u32>, PersistError> {
+    let len = r.get_count((2 * P + 1) * 4)?;
+    let mut rows = HashMap::with_capacity(len);
     for _ in 0..len {
-        let q = decode_id(r.get_u32()?, count)?;
-        let a = decode_symbol(r.get_u32()?, sigma)?;
+        let mut pairs = [(0, 0); P];
+        for pair in &mut pairs {
+            let id = decode_id(r.get_u32()?, count)?;
+            *pair = (id, decode_symbol(r.get_u32()?, sigma)?.0);
+        }
         let v = decode_id(r.get_u32()?, count)?;
-        if map.insert((q, a.0), v).is_some() {
+        if rows.insert(key(pairs), v).is_some() {
             return Err(PersistError::Malformed {
                 context: "duplicate memo row",
             });
         }
     }
-    Ok(map)
-}
-
-/// The matched-return memo rows: `(outer, call symbol, inner, symbol) →
-/// summary id`, the four-key analogue of [`get_map2`]'s layout.
-type Map4 = std::collections::HashMap<(u32, u16, u32, u16), u32>;
-
-fn get_map4(r: &mut Reader<'_>, count: usize, sigma: usize) -> Result<Map4, PersistError> {
-    let len = decode_count(r.get_u64()?, "memo map length overflows")?;
-    let mut map = std::collections::HashMap::with_capacity(len);
-    for _ in 0..len {
-        let outer = decode_id(r.get_u32()?, count)?;
-        let ca = decode_symbol(r.get_u32()?, sigma)?;
-        let inner = decode_id(r.get_u32()?, count)?;
-        let a = decode_symbol(r.get_u32()?, sigma)?;
-        let v = decode_id(r.get_u32()?, count)?;
-        if map.insert((outer, ca.0, inner, a.0), v).is_some() {
-            return Err(PersistError::Malformed {
-                context: "duplicate memo row",
-            });
-        }
-    }
-    Ok(map)
+    Ok(rows)
 }
 
 /// A validated subset-engine snapshot, decoded against one artifact's
@@ -711,11 +537,7 @@ fn get_map4(r: &mut Reader<'_>, count: usize, sigma: usize) -> Result<Map4, Pers
 /// call symbol), peak, steps)`.
 type DecodedSnapshot = (u32, Vec<(u32, Symbol)>, usize, usize);
 
-impl<A: PersistableSemantics> CompiledSummary<A> {
-    fn read_cache(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
-        self.cache.read().expect("summary cache lock poisoned")
-    }
-
+impl CompiledSummary {
     /// The integrity word of a subset-engine snapshot: a content hash of
     /// the summaries it references (current first, then each stack frame's
     /// outer summary, bottom to top). Interned ids are only meaningful
@@ -744,7 +566,7 @@ impl<A: PersistableSemantics> CompiledSummary<A> {
                 context: "subset-engine snapshot stack must hold (summary, symbol) pairs",
             });
         }
-        let cache = self.read_cache();
+        let cache = self.lock_read();
         let count = cache.summaries.len();
         let current = decode_id(snapshot.state, count).map_err(|_| PersistError::Malformed {
             context: "snapshot references a summary this artifact has not interned",
@@ -776,13 +598,13 @@ impl<A: PersistableSemantics> CompiledSummary<A> {
     }
 }
 
-impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
-    const KIND: u16 = A::KIND;
+impl Persist for CompiledSummary {
+    const KIND: u16 = kind::COMPILED_SUMMARY_NNWA;
 
     fn save(&self) -> Vec<u8> {
-        let cache = self.read_cache();
+        let cache = self.lock_read();
         let mut w = Writer::new();
-        self.automaton.encode(&mut w);
+        put_nnwa(&mut w, &self.automaton);
         w.put_u32(self.initial);
         // The interned summary universe, in id order — the warm cache ships
         // with the artifact.
@@ -797,16 +619,16 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
                 .collect();
             w.put_u32_slice(&pairs);
         }
-        put_map2(&mut w, &cache.internal);
-        put_map2(&mut w, &cache.call);
-        put_map2(&mut w, &cache.pending);
-        put_map4(&mut w, &cache.matched);
+        put_rows(&mut w, &cache.internal, |(q, a)| [(q, a)]);
+        put_rows(&mut w, &cache.call, |(q, a)| [(q, a)]);
+        put_rows(&mut w, &cache.pending, |(q, a)| [(q, a)]);
+        put_rows(&mut w, &cache.matched, |(o, c, i, a)| [(o, c), (i, a)]);
         w.seal(Self::KIND, self.alphabet_fingerprint())
     }
 
     fn load(bytes: &[u8]) -> Result<Self, PersistError> {
         let (alphabet, mut r) = Reader::open(bytes, Self::KIND)?;
-        let automaton = A::decode(&mut r)?;
+        let automaton = get_nnwa(&mut r)?;
         expect_alphabet(alphabet, automaton.sigma())?;
         let n = automaton.num_states();
         let initial = r.get_u32()?;
@@ -854,10 +676,10 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
             });
         }
         let sigma = automaton.sigma();
-        cache.internal = get_map2(&mut r, count, sigma)?;
-        cache.call = get_map2(&mut r, count, sigma)?;
-        cache.pending = get_map2(&mut r, count, sigma)?;
-        cache.matched = get_map4(&mut r, count, sigma)?;
+        cache.internal = get_rows(&mut r, count, sigma, |[(q, a)]| (q, a))?;
+        cache.call = get_rows(&mut r, count, sigma, |[(q, a)]| (q, a))?;
+        cache.pending = get_rows(&mut r, count, sigma, |[(q, a)]| (q, a))?;
+        cache.matched = get_rows(&mut r, count, sigma, |[(o, c), (i, a)]| (o, c, i, a))?;
         r.finish()?;
         Ok(CompiledSummary {
             automaton,
@@ -871,9 +693,9 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
     /// engine (the [`Snapshot::check`] word guards the id mapping).
     fn fingerprint(&self) -> u64 {
         let mut w = Writer::new();
-        self.automaton.encode(&mut w);
+        put_nnwa(&mut w, &self.automaton);
         w.put_u32(self.initial);
-        fingerprint_payload(A::KIND, checksum_bytes(w.payload()))
+        fingerprint_payload(Self::KIND, checksum_bytes(w.payload()))
     }
 
     fn alphabet_fingerprint(&self) -> u64 {
@@ -881,9 +703,9 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
     }
 }
 
-impl<A: PersistableSemantics> Suspend for CompiledSummary<A> {
+impl Suspend for CompiledSummary {
     fn suspend_lane(&self, lane: &CompiledSummaryLane) -> Snapshot {
-        let cache = self.read_cache();
+        let cache = self.lock_read();
         let mut stack = Vec::with_capacity(lane.stack.len() * 2);
         for &(outer, sym) in &lane.stack {
             stack.push(outer);
@@ -989,7 +811,7 @@ mod tests {
         }
         drop(run);
         assert!(engine.cached_summaries() > 1);
-        let back = CompiledSummary::<Nnwa>::load(&engine.save()).unwrap();
+        let back = CompiledSummary::load(&engine.save()).unwrap();
         assert_eq!(back, engine);
         assert_eq!(back.cached_summaries(), engine.cached_summaries());
     }

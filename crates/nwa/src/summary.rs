@@ -11,6 +11,7 @@
 //! counting — is identical and lives here once, in
 //! [`SummaryStreamingRun`].
 
+use crate::compile::outside_alphabet;
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::BTreeSet;
 
@@ -26,6 +27,9 @@ pub type Summary = BTreeSet<(usize, usize)>;
 /// construction is exact: it simulates all nondeterministic runs at once
 /// with a stack whose height equals the number of open calls.
 pub trait SummarySemantics {
+    /// Alphabet size: an event symbol at or past it panics.
+    fn sigma(&self) -> usize;
+
     /// The summary before any event: `{(q, q) : q initial}`.
     fn initial_summary(&self) -> Summary;
 
@@ -80,10 +84,14 @@ impl<'a, A: SummarySemantics> SummaryStreamingRun<'a, A> {
         }
     }
 
-    /// Consumes one tagged-symbol event.
+    /// Consumes one tagged-symbol event. A symbol outside the automaton's
+    /// alphabet panics, as in every other engine.
     pub fn step(&mut self, event: TaggedSymbol) {
-        self.steps += 1;
         let a = event.symbol();
+        if a.index() >= self.automaton.sigma() {
+            outside_alphabet(a.index(), self.automaton.sigma());
+        }
+        self.steps += 1;
         match event.kind() {
             PositionKind::Internal => {
                 self.current = self.automaton.summary_internal(&self.current, a);

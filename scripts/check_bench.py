@@ -14,8 +14,10 @@ default `compiled_*` pairs with `interpreted_*`), the *speedup* (gated
 per_sec / sibling per_sec, both measured on the same machine in the same
 run) is compared between baseline and fresh run. A fresh speedup more than
 the tolerance below the baseline speedup fails, as does a gated benchmark
-disappearing. Gated rows without a sibling fall back to the absolute
-per_sec comparison. A --filter that matches no baseline id at all is a
+disappearing, or its sibling disappearing from the fresh run while the
+baseline has it (the ratio, and any --min-speedup floor on it, could not
+be checked). Gated rows without a sibling in the baseline fall back to the
+absolute per_sec comparison. A --filter that matches no baseline id at all is a
 hard failure: a gate that checks zero rows is broken, not green.
 
 --min-speedup adds an *absolute* floor on top of the baseline-relative
@@ -111,7 +113,12 @@ def main(argv=None):
             continue
         base_speedup = speedup(base, bench_id, pair)
         new_speedup = speedup(new, bench_id, pair)
-        if base_speedup is not None and new_speedup is not None:
+        if base_speedup is not None and new_speedup is None:
+            # Falling back to per_sec here would silently turn a ratio
+            # gate into an absolute one and skip its --min-speedup floor.
+            failures.append(f"{bench_id}: sibling missing from the fresh run")
+            continue
+        if base_speedup is not None:
             metric, base_v, new_v = "speedup", base_speedup, new_speedup
         else:
             # No interpreted sibling: absolute throughput is all we have.

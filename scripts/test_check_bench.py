@@ -105,6 +105,22 @@ class SiblingPairing(CheckBenchCase):
         new = [row("g/compiled_solo/1", 100.0)]
         self.assertEqual(self.run_gate(new, base, "--filter", "compiled"), 1)
 
+    def test_sibling_missing_from_fresh_run_fails(self):
+        # The baseline pairs the gated row with its sibling; a fresh run
+        # without the sibling must not fall back to an absolute check that
+        # skips the ratio floor.
+        base = [row("g/load_x/1", 600.0), row("g/compile_x/1", 100.0)]
+        new = [row("g/load_x/1", 600.0)]
+        self.assertEqual(
+            self.run_gate(
+                new, base,
+                "--filter", "load",
+                "--sibling", "load=compile",
+                "--min-speedup", "5",
+            ),
+            1,
+        )
+
     def test_trailing_slash_filter_excludes_suffixed_ids(self):
         # `bytes_compiled/` gates only the SWAR rows; the `_simd` rows have
         # their own gate with a higher floor. A fresh run missing the simd

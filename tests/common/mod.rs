@@ -30,6 +30,30 @@ pub fn prop_iters(base: usize) -> usize {
         .map_or(base, |m| base * m)
 }
 
+/// The nondeterministic "some matched b-block" automaton over {a, b}: it
+/// accepts the nested words with a matched call/return pair both labelled
+/// `b`, guessing which call it is. States: 0 searching, 1 the hierarchical
+/// marker of the guessed call, 2 found.
+pub fn some_b_block() -> Nnwa {
+    let (a, b) = (Symbol(0), Symbol(1));
+    let mut n = Nnwa::new(3, 2);
+    n.add_initial(0);
+    n.add_accepting(2);
+    for sym in [a, b] {
+        n.add_internal(0, sym, 0);
+        n.add_internal(2, sym, 2);
+        n.add_call(0, sym, 0, 0);
+        n.add_call(2, sym, 2, 0);
+        for h in [0usize, 1] {
+            n.add_return(0, h, sym, 0);
+            n.add_return(2, h, sym, 2);
+        }
+    }
+    n.add_call(0, b, 0, 1);
+    n.add_return(0, 1, b, 2);
+    n
+}
+
 /// A random complete deterministic NWA: every transition drawn uniformly,
 /// every state accepting with probability 1/2.
 pub fn random_det_nwa(num_states: usize, sigma: usize, seed: u64) -> Nwa {

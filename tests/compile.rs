@@ -13,11 +13,12 @@ mod common;
 
 use common::{
     both_shapes, chunk_lengths, prop_iters, random_det_nwa, random_nnwa_with_transitions,
-    skip_path_nwa,
+    skip_path_nwa, some_b_block,
 };
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::path;
 use nested_words_suite::nested_words::rng::Prng;
+use nested_words_suite::nwa::decision;
 use nested_words_suite::nwa::families::{path_family_nwa, path_family_tagged_dfa};
 use nested_words_suite::nwa::flat::to_tagged_dfa;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
@@ -96,8 +97,8 @@ fn compiled_nnwa_equals_interpreted_on_random_words() {
     }
 }
 
-/// Compiled ≡ interpreted for joinless NWAs (the same memoized engine over
-/// the mode-split return relation).
+/// Compiled ≡ interpreted for joinless NWAs (the memoized summary engine
+/// over the `to_nnwa` expansion, against the mode-split interpreted run).
 #[test]
 fn compiled_joinless_equals_interpreted_on_random_words() {
     let words = random_words(prop_iters(40));
@@ -317,8 +318,12 @@ fn symbols_outside_the_alphabet_panic_in_every_engine() {
     let dfa = to_tagged_dfa(&m);
     let cdfa = query::compile(&dfa);
     let set = query::compile_set(&[m.clone(), contains_tag_nwa(Symbol(1), sigma)]);
+    let n = Nnwa::from_deterministic(&m);
+    let cn = query::compile(&n);
+    let j = joinless_from_nwa(&n);
+    let cj = query::compile(&j);
     type Run<'a> = (&'static str, Box<dyn Fn(&[TaggedSymbol]) + 'a>);
-    let runs: [Run; 8] = [
+    let runs: [Run; 14] = [
         ("nwa", Box::new(|e| step_each(m.start(), e))),
         ("compiled nwa", Box::new(|e| step_each(c.start(), e))),
         ("compiled nwa slice", Box::new(|e| c.start().step_slice(e))),
@@ -330,6 +335,18 @@ fn symbols_outside_the_alphabet_panic_in_every_engine() {
         ),
         ("set", Box::new(|e| step_each(set.start_set(), e))),
         ("set slice", Box::new(|e| set.start_set().step_slice(e))),
+        ("nnwa", Box::new(|e| step_each(n.start(), e))),
+        ("compiled nnwa", Box::new(|e| step_each(cn.start(), e))),
+        (
+            "compiled nnwa slice",
+            Box::new(|e| cn.start().step_slice(e)),
+        ),
+        ("joinless", Box::new(|e| step_each(j.start(), e))),
+        ("compiled joinless", Box::new(|e| step_each(cj.start(), e))),
+        (
+            "compiled joinless slice",
+            Box::new(|e| cj.start().step_slice(e)),
+        ),
     ];
     for event in [
         TaggedSymbol::Internal(Symbol(5)),
@@ -340,6 +357,51 @@ fn symbols_outside_the_alphabet_panic_in_every_engine() {
         for (name, run) in &runs {
             assert!(panics(|| run(&events)), "{name}, {event:?}");
         }
+    }
+}
+
+/// `determinize` reads its automaton off the summary engine's memo; the
+/// state counts stay those of the former stand-alone construction (linear
+/// summaries plus one hierarchical state per summary and call symbol), and
+/// each result is equivalent to its source.
+#[test]
+fn determinize_keeps_its_state_counts() {
+    // A deterministic "some matched b-block": 2 is the marker pushed by a
+    // b-call made while searching, 1 the found sink.
+    let (a, b) = (Symbol(0), Symbol(1));
+    let mut b_block = Nwa::new(3, 2, 0);
+    b_block.set_accepting(1, true);
+    b_block.set_all_transitions_to(1, 1);
+    b_block.set_all_transitions_to(2, 1);
+    for sym in [a, b] {
+        b_block.set_internal(0, sym, 0);
+        b_block.set_call(0, sym, 0, if sym == b { 2 } else { 0 });
+        for h in 0..3 {
+            let found = h == 2 && sym == b;
+            b_block.set_return(0, h, sym, usize::from(found || h == 1));
+        }
+    }
+    let d = some_b_block().determinize();
+    assert_eq!(d.num_states(), 15, "some_b_block");
+    assert!(decision::equivalent(&d, &b_block), "some_b_block");
+
+    let cases = [
+        ("contains_tag(a)", contains_tag_nwa(a, 2), 12),
+        ("contains_tag(b), σ = 3", contains_tag_nwa(b, 3), 16),
+        ("within(a, b)", within_nwa(a, b, 2), 21),
+        ("depth_at_most(2)", depth_at_most_nwa(2, 2), 27),
+        ("open_depth_at_most(3)", open_depth_at_most_nwa(3, 2), 39),
+        (
+            "patterns_in_order(a, b)",
+            patterns_in_order_nwa(&[a, b], 2),
+            21,
+        ),
+        ("path_family(3)", path_family_nwa(3), 39),
+    ];
+    for (name, m, states) in cases {
+        let d = Nnwa::from_deterministic(&m).determinize();
+        assert_eq!(d.num_states(), states, "{name}");
+        assert!(decision::equivalent(&d, &m), "{name}");
     }
 }
 

@@ -20,7 +20,9 @@ mod common;
 
 use common::{
     prop_iters, random_det_nwa, random_dfa, random_nnwa_with_transitions, random_stepwise,
+    some_b_block,
 };
+use nested_words_suite::automata_core::persist::{checksum_bytes, HEADER_LEN};
 use nested_words_suite::nested_words::generate::{
     random_nested_word, random_tree, NestedWordConfig,
 };
@@ -28,6 +30,7 @@ use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::nwa_xml::queries::contains_tag_nwa;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn random_streams(count: usize, len: usize) -> Vec<Vec<TaggedSymbol>> {
     let ab = Alphabet::ab();
@@ -229,7 +232,7 @@ fn compiled_summary_engines_round_trip_and_resume_everywhere() {
         }
         // After the runs above the memo cache is warm; the warm cache is
         // part of the artifact and of its structural equality.
-        let reloaded: CompiledSummary<Nnwa> = query::load(&query::save(&compiled)).unwrap();
+        let reloaded: CompiledSummary = query::load(&query::save(&compiled)).unwrap();
         assert_eq!(reloaded, compiled, "nnwa seed {seed}");
 
         let joinless = joinless_from_nwa(&nnwa);
@@ -241,7 +244,7 @@ fn compiled_summary_engines_round_trip_and_resume_everywhere() {
                 &format!("joinless seed {seed}, stream {i}"),
             );
         }
-        let reloaded: CompiledSummary<JoinlessNwa> = query::load(&query::save(&compiled)).unwrap();
+        let reloaded: CompiledSummary = query::load(&query::save(&compiled)).unwrap();
         assert_eq!(reloaded, compiled, "joinless seed {seed}");
     }
 }
@@ -309,6 +312,79 @@ fn corrupt_bytes_are_typed_errors_for_every_engine() {
     }
     check_corruption_rejected(&compiled, "compiled summary (warm cache)");
     check_corruption_rejected(&joinless_from_nwa(&nnwa).compile(), "compiled joinless");
+
+    // A well-formed summary image whose internal memo section declares 2⁴⁰
+    // rows, resealed so the (forgeable) checksum passes: the count must be
+    // refused against the remaining payload, not handed to an allocator.
+    let mut tiny = Nnwa::new(1, 1);
+    tiny.add_initial(0);
+    let mut bytes = query::save(&tiny.compile());
+    // A cold engine ends in four empty memo sections (internal, call,
+    // pending, matched), one u64 row count each.
+    let internal_count = bytes.len() - 32;
+    assert_eq!(bytes[internal_count..], [0; 32]);
+    bytes[internal_count..internal_count + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let checksum = checksum_bytes(&bytes[HEADER_LEN..]);
+    bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+    assert!(bytes.len() < 200, "{} bytes", bytes.len());
+    assert!(matches!(
+        query::load::<CompiledSummary>(&bytes),
+        Err(PersistError::Truncated { .. })
+    ));
+}
+
+/// A summary image saved by an earlier build (the `some_b_block` engine
+/// warmed on the first eight streams below) still loads, re-saves byte for
+/// byte, equals an engine warmed the same way now, and decides the same:
+/// the image format is fixed, so images already shipped keep working.
+#[test]
+fn a_previously_saved_summary_image_loads_unchanged() {
+    const IMAGE: &[u8] = include_bytes!("fixtures/summary_some_b_block.nwsa");
+    let ab = Alphabet::ab();
+    let cfg = NestedWordConfig {
+        len: 24,
+        allow_pending: true,
+        ..Default::default()
+    };
+    let streams: Vec<Vec<TaggedSymbol>> = (0..12u64)
+        .map(|seed| random_nested_word(&ab, cfg, seed).to_tagged())
+        .collect();
+    let n = some_b_block();
+    let warm = n.compile();
+    for events in &streams[..8] {
+        query::run_stream(&warm, events.iter().copied());
+    }
+    let loaded: CompiledSummary = query::load(IMAGE).unwrap();
+    assert_eq!(query::save(&loaded), IMAGE);
+    assert_eq!(query::save(&warm), IMAGE);
+    assert_eq!(loaded, warm);
+    let verdicts: Vec<bool> = streams
+        .iter()
+        .map(|events| query::contains_stream(&loaded, events.iter().copied()))
+        .collect();
+    let expected = [
+        true, true, true, false, false, true, true, true, false, true, false, true,
+    ];
+    assert_eq!(verdicts, expected);
+    for (events, &verdict) in streams.iter().zip(&expected) {
+        assert_eq!(query::contains_stream(&n, events.iter().copied()), verdict);
+    }
+}
+
+/// An event outside the alphabet panics before the memo is touched, so the
+/// engine's own image still loads afterwards.
+#[test]
+fn an_out_of_alphabet_event_leaves_the_summary_image_loadable() {
+    let nnwa = some_b_block();
+    for compiled in [nnwa.compile(), joinless_from_nwa(&nnwa).compile()] {
+        let mut lane = compiled.lane_start();
+        compiled.lane_step(&mut lane, TaggedSymbol::Call(Symbol(1)));
+        let outside = TaggedSymbol::Internal(Symbol(5));
+        let caught = catch_unwind(AssertUnwindSafe(|| compiled.lane_step(&mut lane, outside)));
+        assert!(caught.is_err());
+        let reloaded: CompiledSummary = query::load(&query::save(&compiled)).unwrap();
+        assert_eq!(reloaded, compiled);
+    }
 }
 
 #[test]
@@ -324,6 +400,17 @@ fn artifacts_reject_foreign_bytes_and_foreign_snapshots() {
     assert!(matches!(
         query::load::<CompiledNwa>(&query::save(&dfa_artifact)),
         Err(PersistError::WrongKind { .. })
+    ));
+    // Kind 3, the retired joinless summary engine, is refused by the one
+    // summary loader.
+    let mut joinless_kind = query::save(&some_b_block().compile());
+    joinless_kind[6..8].copy_from_slice(&3u16.to_le_bytes());
+    assert!(matches!(
+        query::load::<CompiledSummary>(&joinless_kind),
+        Err(PersistError::WrongKind {
+            expected: 2,
+            found: 3
+        })
     ));
 
     // A snapshot parked by one artifact does not resume on a different
