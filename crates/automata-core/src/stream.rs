@@ -68,6 +68,18 @@ pub trait StreamRun {
     /// Number of events consumed so far — every event read, whether or
     /// not the engine had to step it.
     fn steps(&self) -> usize;
+
+    /// Whether a text word (an internal event) could still change this
+    /// run. Once it returns `false` it never returns `true` again: every
+    /// later internal event is inert, whatever its symbol, and only calls
+    /// and returns still matter (for stack height and peak), so a scanner
+    /// may stop resolving text words and only count them
+    /// (`nwa_xml::queries::run_streaming_reader` narrows its scan to tags
+    /// then). The default, `true`, never narrows; [`LaneRun`] forwards to
+    /// [`BatchAcceptor::lane_reads_text`].
+    fn reads_text(&self) -> bool {
+        true
+    }
 }
 
 /// An automaton that can run incrementally over a stream of
@@ -157,6 +169,15 @@ pub trait BatchAcceptor: StreamAcceptor {
     /// The lane's completed-run observables: acceptance, events consumed,
     /// peak stack height.
     fn lane_outcome(&self, lane: &Self::Lane) -> StreamOutcome;
+
+    /// Whether a text word could still change the lane: the
+    /// [`StreamRun::reads_text`] observable, one-way like it. The default,
+    /// `true`, suits every model; compiled engines return `false` once the
+    /// lane has settled where no internal event can move it.
+    fn lane_reads_text(&self, lane: &Self::Lane) -> bool {
+        let _ = lane;
+        true
+    }
 
     /// Runs one whole stream through a fresh lane — [`lane_start`],
     /// then [`lane_step_slice`], then [`lane_outcome`] — and reports its
@@ -253,6 +274,10 @@ impl<A: BatchAcceptor> StreamRun for LaneRun<'_, A> {
     fn steps(&self) -> usize {
         self.artifact.lane_outcome(&self.lane).events
     }
+
+    fn reads_text(&self) -> bool {
+        self.artifact.lane_reads_text(&self.lane)
+    }
 }
 
 /// Summary of a completed streaming evaluation, as reported by
@@ -265,7 +290,8 @@ pub struct StreamOutcome {
     /// step (compiled engines skip internals that cannot change their
     /// state) and those a projected scanner dropped before the engine saw
     /// them (`nwa_xml::queries::run_streaming_reader` adds the text words
-    /// its scan dropped as [`StreamAcceptor::inert_symbols`], so the count
+    /// its scan dropped, as [`StreamAcceptor::inert_symbols`] or after the
+    /// run stopped [reading text](StreamRun::reads_text), so the count
     /// does not depend on the projection).
     pub events: usize,
     /// Maximum stack height used: proportional to the nesting depth of the

@@ -22,7 +22,7 @@ use nested_words_suite::nwa_xml::generate::{
 };
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, open_depth_at_most_nwa, run_streaming, run_streaming_reader,
-    run_streaming_text, EVENT_SLICE,
+    run_streaming_text, within_nwa, EVENT_SLICE,
 };
 use nested_words_suite::nwa_xml::sax::{parse_document, to_xml, FrozenByteTokenizer, Projection};
 use nested_words_suite::nwa_xml::scan::{self, BulkLexer};
@@ -213,11 +213,27 @@ fn tokenize_projected(xml: &str, ab: &Alphabet, inert: &[bool]) -> usize {
     }
 }
 
+/// A compiled `within(t0, t1)`: it reads text (`t1` is not inert, so its
+/// projection is keep-bit) and settles on the first `t1` inside a `t0`,
+/// early in every generated document, after which
+/// `run_streaming_reader` narrows its scan to tags. Asserts that it
+/// settles on `xml`.
+fn settling_query(xml: &str, ab: &Alphabet) -> CompiledNwa {
+    let t = |name: &str| ab.lookup(name).unwrap();
+    let cq = query::compile(&within_nwa(t("t0"), t("t1"), ab.len()));
+    assert!(!cq.inert_symbols().iter().all(|&inert| inert), "reads text");
+    let outcome = run_streaming_reader(&cq, xml.as_bytes(), ab).unwrap();
+    assert!(outcome.accepted, "the settling query never settled");
+    cq
+}
+
 /// E15c layer table: the 1M-event document through UTF-8 validation alone,
 /// the scanner alone (unprojected, and projected through the query's inert
-/// symbols) and the whole bytes→verdict pipeline, each on the SWAR-pinned
-/// and the detected stage-1 backend, in ns/event and ns/byte (fastest of
-/// ten passes; the criterion rows below are the recorded numbers).
+/// symbols), the whole bytes→verdict pipeline, and that pipeline under a
+/// query that reads text until it settles (`bytes_settling_reader`), each
+/// on the SWAR-pinned and the detected stage-1 backend, in ns/event and
+/// ns/byte (fastest of ten passes; the criterion rows below are the
+/// recorded numbers).
 fn print_layer_table() {
     let (ab, doc) = generate_document(
         DocumentConfig {
@@ -229,6 +245,7 @@ fn print_layer_table() {
     );
     let cq = query::compile(&contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len()));
     let xml = to_xml(&doc, &ab);
+    let settling = settling_query(&xml, &ab);
     let (events, bytes) = (doc.len() as f64, xml.len() as f64);
     let fastest = |f: &dyn Fn()| {
         (0..10)
@@ -266,6 +283,12 @@ fn print_layer_table() {
             &format!("tokenize_projected ({backend:?})"),
             fastest(&|| {
                 black_box(tokenize_projected(&xml, &ab, cq.inert_symbols()));
+            }),
+        );
+        row(
+            &format!("bytes_settling_reader ({backend:?})"),
+            fastest(&|| {
+                black_box(run_streaming_reader(&settling, xml.as_bytes(), &ab).unwrap());
             }),
         );
         row(
@@ -387,8 +410,10 @@ fn bench_compiled(c: &mut Criterion) {
     // validation → structural scan → automaton), interpreted and compiled,
     // next to its first two layers alone (`utf8_only`, `tokenize_only`), the
     // scan under the compiled query's projection (`tokenize_projected`, the
-    // scan `bytes_compiled` runs) and parsing the whole document before
-    // running (`materialize_then_run`).
+    // scan `bytes_compiled` runs), parsing the whole document before
+    // running (`materialize_then_run`), and a compiled query that reads
+    // text until it settles early, after which its scan narrows to tags
+    // (`bytes_settling_reader`, ungated).
     // The plain rows are pinned to the portable SWAR backend and the
     // `_simd` rows run on the runtime-detected wide backend, so one run
     // records both sides of the comparison CI gates on.
@@ -411,6 +436,7 @@ fn bench_compiled(c: &mut Criterion) {
         let q = contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len());
         let cq = query::compile(&q);
         let xml = to_xml(&doc, &ab);
+        let settling = settling_query(&xml, &ab);
         let mut parse_ab = ab.clone();
         group.throughput(Throughput::Bytes(xml.len() as u64));
         group.bench_with_input(BenchmarkId::new("utf8_only", events), &xml, |b, xml| {
@@ -456,6 +482,11 @@ fn bench_compiled(c: &mut Criterion) {
                 BenchmarkId::new(&format!("bytes_compiled{suffix}"), events),
                 &xml,
                 |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(&format!("bytes_settling_reader{suffix}"), events),
+                &xml,
+                |b, xml| b.iter(|| run_streaming_reader(&settling, xml.as_bytes(), &ab).unwrap()),
             );
         }
         scan::auto_scan_backend();

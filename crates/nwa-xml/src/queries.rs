@@ -229,22 +229,28 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 /// [`inert_symbols`](StreamAcceptor::inert_symbols) (see [`Projection`]):
 /// a text word the acceptor cannot be moved by is read and counted, but
 /// never emitted or stepped. For a compiled `contains_tag_nwa` that is
-/// every text word. Acceptors that keep the default empty projection
+/// every text word. The projection also follows the live run: at the
+/// first slice boundary where the run no longer
+/// [`reads_text`](StreamRun::reads_text) (a compiled engine that has
+/// settled in an absorbing state), the scan narrows to tags for the rest
+/// of the stream, and every later text word is counted, never resolved.
+/// Acceptors that keep the default empty projection and always read text
 /// (interpreted models) see every event. The outcome's `events` counts
 /// every event read, dropped ones included, so it is the same either way.
 ///
-/// Every tag and text symbol of the stream must already be interned in
-/// `alphabet`, and the automaton must be compiled against that alphabet
-/// (the usual flow: tokenize once, compile the query with
-/// `sigma = alphabet.len()`, then stream). A name not in `alphabet` is
-/// reported as [`NestedWordError::UnknownSymbol`] (wrapped in
-/// [`SaxError::Syntax`]) rather than silently interned past the automaton's
-/// alphabet, where it would index out of the transition tables; `alphabet`
-/// itself is never mutated, so the guard holds across repeated calls with
-/// the same query. The one exception is a *drop-all* acceptor, for which
-/// every symbol of `alphabet` is inert: it resolves no text word at all,
-/// so an unknown text word is dropped like a known one instead of failing
-/// (an unknown tag still fails). Invalid or truncated UTF-8 and I/O
+/// Every tag symbol of the stream must already be interned in `alphabet`,
+/// and the automaton must be compiled against that alphabet (the usual
+/// flow: tokenize once, compile the query with `sigma = alphabet.len()`,
+/// then stream). A tag not in `alphabet` is reported as
+/// [`NestedWordError::UnknownSymbol`] (wrapped in [`SaxError::Syntax`])
+/// rather than silently interned past the automaton's alphabet, where it
+/// would index out of the transition tables; `alphabet` itself is never
+/// mutated, so the guard holds across repeated calls with the same query.
+/// A text word not in `alphabet` fails the same way under the empty
+/// projection, but under any other it is inert — no artifact can read a
+/// symbol outside its alphabet — so it is dropped and counted, and the
+/// outcome is that of the document with the word renamed to an inert
+/// one, wherever the scan narrows. Invalid or truncated UTF-8 and I/O
 /// failures surface as the corresponding typed [`SaxError`]s.
 pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
     a: &A,
@@ -253,7 +259,8 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
 ) -> Result<StreamingOutcome, SaxError> {
     let mut run = a.start();
     let dropped = for_each_slice(reader, alphabet, a.inert_symbols(), |events| {
-        run.step_slice(events)
+        run.step_slice(events);
+        run.reads_text()
     })?;
     Ok(StreamingOutcome {
         accepted: run.is_accepting(),
@@ -273,12 +280,13 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
 /// would re-scan (and re-validate) the same bytes M times. Alphabet
 /// discipline and projection are identical to the single-query path: the
 /// scanner drops the text words inert in *every* member (the set's
-/// [`inert_symbols`](StreamAcceptor::inert_symbols)), every outcome's
-/// `events` still counts every event read, every other name must already
-/// be interned in `alphabet`, unknown names surface as
-/// [`NestedWordError::UnknownSymbol`] without mutating `alphabet` (text
-/// words of a drop-all set excepted), and the set must be compiled with
-/// `sigma = alphabet.len()`.
+/// [`inert_symbols`](StreamAcceptor::inert_symbols)) and text words
+/// outside `alphabet`, narrows to tags once the last member that reads
+/// text has settled (text-blind members such as depth bounds may still be
+/// live), every outcome's `events` still counts every event read, every
+/// tag must already be interned in `alphabet`, unknown tags surface as
+/// [`NestedWordError::UnknownSymbol`] without mutating `alphabet`, and the
+/// set must be compiled with `sigma = alphabet.len()`.
 pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
     set: &S,
     reader: R,
@@ -286,7 +294,8 @@ pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
 ) -> Result<Vec<StreamingOutcome>, SaxError> {
     let mut run = set.start_set();
     let dropped = for_each_slice(reader, alphabet, set.inert_symbols(), |events| {
-        run.step_slice(events)
+        run.step_slice(events);
+        run.reads_text()
     })?;
     let mut outcomes = run.outcomes();
     for outcome in &mut outcomes {
@@ -303,18 +312,23 @@ pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
 /// would) and hands every buffered run of at most [`EVENT_SLICE`] events
 /// to `sink`, in stream order.
 ///
-/// Returns the number of text words the projection dropped: read from the
-/// stream, never handed to `sink`. Events read = events handed over +
-/// that count. Text words are dropped only when `inert` marks their symbol;
-/// when it marks every symbol of `alphabet`, no text word is resolved, so an
-/// unknown one is dropped instead of failing. Stops at the first error,
-/// which is returned after the events lexed before it have been handed
-/// over.
+/// `sink` returns whether its consumer still reads text. The first time it
+/// returns `false`, the scan narrows to tags for the rest of the stream:
+/// from the next slice on, every text word is dropped unresolved, as under
+/// a drop-all projection. The switch is one-way, and a sink that always
+/// returns `true` keeps the projection fixed.
+///
+/// Returns the number of text words dropped: read from the stream, never
+/// handed to `sink`. Events read = events handed over + that count. A
+/// non-empty projection drops the text words `inert` marks and those
+/// outside `alphabet`; when it marks every symbol of `alphabet`, no text
+/// word is resolved at all. Stops at the first error, which is returned
+/// after the events lexed before it have been handed over.
 pub fn for_each_slice<R: io::Read>(
     reader: R,
     alphabet: &Alphabet,
     inert: &[bool],
-    mut sink: impl FnMut(&[TaggedSymbol]),
+    mut sink: impl FnMut(&[TaggedSymbol]) -> bool,
 ) -> Result<usize, SaxError> {
     let mut tokenizer = BulkLexer::new(reader, Projection::new(alphabet, inert));
     let mut buffer: Vec<TaggedSymbol> = Vec::with_capacity(EVENT_SLICE);
@@ -323,7 +337,9 @@ pub fn for_each_slice<R: io::Read>(
         if buffer.is_empty() {
             return filled.map(|()| tokenizer.dropped());
         }
-        sink(&buffer);
+        if !sink(&buffer) {
+            tokenizer.narrow_to_tags();
+        }
         buffer.clear();
         filled?;
     }

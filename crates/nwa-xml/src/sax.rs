@@ -28,8 +28,9 @@
 //!
 //! A third policy, [`Projection`], is read-only lookup under a compiled
 //! artifact's inert symbols: the lexer drops the text words the artifact
-//! cannot be moved by instead of emitting them. It is what
-//! `queries::run_streaming_reader` scans with.
+//! cannot be moved by, those outside the alphabet included, instead of
+//! emitting them. It is what `queries::run_streaming_reader` scans with,
+//! narrowing it to tags once its run stops reading text.
 //!
 //! Neither front end materializes a [`TaggedWord`] or [`NestedWord`];
 //! feeding one straight into `query::run_stream` evaluates a document query
@@ -143,6 +144,14 @@ pub trait ResolveName {
     /// Maps one lexed name to a symbol, or fails with a typed error.
     fn resolve(&mut self, name: &str) -> Result<Symbol, NestedWordError>;
 
+    /// Maps one lexed text word to a symbol, or to `None` when the policy
+    /// drops the word unresolved (a projection drops a word outside its
+    /// alphabet: no artifact can read it). The default is
+    /// [`resolve`](ResolveName::resolve), which never drops.
+    fn resolve_text(&mut self, name: &str) -> Result<Option<Symbol>, NestedWordError> {
+        self.resolve(name).map(Some)
+    }
+
     /// Whether a text word resolving to `sym` is dropped rather than
     /// emitted. The default drops nothing.
     fn drops(&self, sym: Symbol) -> bool {
@@ -150,8 +159,8 @@ pub trait ResolveName {
         false
     }
 
-    /// How the lexer treats text words under this policy, fixed for the
-    /// whole stream. The default, [`TextMode::EmitAll`], drops nothing.
+    /// How the lexer starts out treating text words under this policy.
+    /// The default, [`TextMode::EmitAll`], drops nothing.
     fn text_mode(&self) -> TextMode {
         TextMode::EmitAll
     }
@@ -159,12 +168,19 @@ pub trait ResolveName {
 
 /// What a [`ResolveName`] policy's projection does with text words; the
 /// lexer runs one text path per mode.
+///
+/// A lexer starts in its policy's mode and may narrow once, to
+/// [`DropAll`](TextMode::DropAll), never back:
+/// `queries::run_streaming_reader` narrows it at the first slice boundary
+/// where its run can no longer be moved by any text word
+/// ([`StreamRun::reads_text`](automata_core::StreamRun::reads_text)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TextMode {
     /// Every text word is resolved and emitted: no projection.
     EmitAll,
-    /// **Keep bit**: every text word is resolved, and those whose symbol
-    /// [`ResolveName::drops`] marks are dropped.
+    /// **Keep bit**: every text word is looked up, and those whose symbol
+    /// [`ResolveName::drops`] marks are dropped, as are those outside the
+    /// alphabet.
     KeepBit,
     /// **Drop-all**: no text word is resolved or emitted.
     DropAll,
@@ -191,19 +207,21 @@ impl ResolveName for &Alphabet {
 /// is read, counted in [`BulkLexer::dropped`], and never emitted. Tags are
 /// always emitted.
 ///
-/// The [`TextMode`] follows from the inert bits:
+/// A text word outside the alphabet is inert under any projection: no
+/// artifact can read a symbol it was not compiled with. The [`TextMode`]
+/// follows from the inert bits:
 ///
 /// * **drop-all** — the slice is non-empty, covers the whole alphabet, and
-///   every alphabet symbol is inert: no text word is resolved at all, so a
-///   text word outside the alphabet is dropped like any other instead of
-///   failing with [`NestedWordError::UnknownSymbol`];
-/// * **keep bit** — some alphabet symbol is inert: every text word is
-///   resolved as usual (an unknown one still fails) and dropped only if its
-///   symbol is inert;
-/// * **emit-all** — no alphabet symbol is inert (an empty slice, say): the
-///   lexer runs exactly as for `&Alphabet`.
+///   every alphabet symbol is inert: no text word is resolved at all;
+/// * **keep bit** — any other non-empty slice: every text word is looked
+///   up, and dropped if its symbol is inert or it has none (an unknown word
+///   is dropped and counted, not an error, and costs no allocation);
+/// * **emit-all** — an empty slice, no projection: the lexer runs exactly
+///   as for `&Alphabet`, and an unknown text word fails with
+///   [`NestedWordError::UnknownSymbol`].
 ///
-/// Symbols past the slice's end are never inert.
+/// Symbols past the slice's end are never inert. Unknown tags fail in
+/// every mode.
 ///
 /// ```
 /// use nested_words::{Alphabet, TaggedSymbol};
@@ -218,6 +236,14 @@ impl ResolveName for &Alphabet {
 /// let doc = ab.lookup("doc").unwrap();
 /// assert_eq!(events, [TaggedSymbol::Call(doc), TaggedSymbol::Return(doc)]);
 /// assert_eq!(lexer.dropped(), 2);
+///
+/// // Keep-bit: `w` is read, so it is kept; `unseen` is still dropped.
+/// let mut lexer = BulkLexer::new(text.as_bytes(), Projection::new(&ab, &[true, false]));
+/// let mut events = Vec::new();
+/// lexer.fill(&mut events, 16).unwrap();
+/// let w = TaggedSymbol::Internal(ab.lookup("w").unwrap());
+/// assert_eq!(events, [TaggedSymbol::Call(doc), w, TaggedSymbol::Return(doc)]);
+/// assert_eq!(lexer.dropped(), 1);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Projection<'a> {
@@ -231,14 +257,12 @@ impl<'a> Projection<'a> {
     /// as [`StreamAcceptor::inert_symbols`](automata_core::StreamAcceptor::inert_symbols)
     /// returns it).
     pub fn new(alphabet: &'a Alphabet, inert: &'a [bool]) -> Self {
-        let known = &inert[..inert.len().min(alphabet.len())];
-        let mode = if !inert.is_empty() && inert.len() >= alphabet.len() && known.iter().all(|&b| b)
-        {
-            TextMode::DropAll
-        } else if known.contains(&true) {
-            TextMode::KeepBit
-        } else {
+        let mode = if inert.is_empty() {
             TextMode::EmitAll
+        } else if inert.len() >= alphabet.len() && inert[..alphabet.len()].iter().all(|&b| b) {
+            TextMode::DropAll
+        } else {
+            TextMode::KeepBit
         };
         Projection {
             alphabet,
@@ -252,6 +276,13 @@ impl ResolveName for Projection<'_> {
     fn resolve(&mut self, name: &str) -> Result<Symbol, NestedWordError> {
         let mut lookup = self.alphabet;
         lookup.resolve(name)
+    }
+
+    fn resolve_text(&mut self, name: &str) -> Result<Option<Symbol>, NestedWordError> {
+        match self.mode {
+            TextMode::EmitAll => self.resolve(name).map(Some),
+            _ => Ok(self.alphabet.lookup(name)),
+        }
     }
 
     fn drops(&self, sym: Symbol) -> bool {
@@ -388,7 +419,7 @@ pub fn to_xml(word: &NestedWord, alphabet: &Alphabet) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nested_words::tree::is_tree_word;
 
@@ -655,14 +686,14 @@ mod tests {
 
     /// A reader that hands out at most `chunk` bytes per `read` call —
     /// adversarial for multi-byte sequences spanning call boundaries.
-    struct SplitReader<'a> {
+    pub(crate) struct SplitReader<'a> {
         data: &'a [u8],
         pos: usize,
         chunk: usize,
     }
 
     impl<'a> SplitReader<'a> {
-        fn new(data: &'a [u8], chunk: usize) -> Self {
+        pub(crate) fn new(data: &'a [u8], chunk: usize) -> Self {
             SplitReader {
                 data,
                 pos: 0,

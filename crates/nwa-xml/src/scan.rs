@@ -44,7 +44,12 @@
 //!    and CDATA sections drop by the same rule, [`BulkLexer::dropped`]
 //!    counts what was dropped, and the `fill` budget counts events
 //!    *written*, so a fill that appends nothing still means the stream
-//!    has ended.
+//!    has ended. Under either mode a text word outside the alphabet is
+//!    looked up, found missing and dropped, never an error. A lexer may
+//!    narrow once, between two fills, to drop-all (crate-private
+//!    `narrow_to_tags`): `queries::for_each_slice` narrows it when its
+//!    consumer can no longer be moved by any text word, and each window
+//!    fill dispatches on the current mode.
 //!
 //! Every token is lexed either by the tape or by the one scalar token step
 //! (`step_token`: word-at-a-time SWAR sweeps to the token's end, then the
@@ -359,10 +364,11 @@ mod backend {
 struct LexerCore<N: ResolveName> {
     names: N,
     /// Direct-mapped memo of recent name resolutions (see
-    /// [`LexerCore::resolve_bytes`]).
+    /// [`LexerCore::resolve_name`]).
     cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
-    /// What the policy's projection does with text words
-    /// ([`ResolveName::text_mode`]).
+    /// What the policy's projection does with text words: it starts as
+    /// [`ResolveName::text_mode`] and may narrow once, to drop-all
+    /// ([`BulkLexer::narrow_to_tags`]).
     text: TextMode,
     /// Text words the projection dropped so far.
     dropped: usize,
@@ -440,11 +446,21 @@ fn slot_of(w0: u64, w1: u64, len: u32) -> usize {
 }
 
 /// The policy call itself, kept out of the inlined probe: per distinct
-/// short name it runs once, while the probe runs per event.
+/// short name it runs once, while the probe runs per event. A text word
+/// goes through [`ResolveName::resolve_text`], which may drop it
+/// unresolved (`None`); a tag name always resolves or fails.
 #[cold]
-fn resolve_with<N: ResolveName>(names: &mut N, name: &[u8]) -> Result<Symbol, SaxError> {
+fn resolve_with<N: ResolveName>(
+    names: &mut N,
+    name: &[u8],
+    text: bool,
+) -> Result<Option<Symbol>, SaxError> {
     let name = std::str::from_utf8(name).expect("lexed names are valid UTF-8");
-    Ok(names.resolve(name)?)
+    Ok(if text {
+        names.resolve_text(name)?
+    } else {
+        Some(names.resolve(name)?)
+    })
 }
 
 impl<N: ResolveName> LexerCore<N> {
@@ -477,36 +493,50 @@ impl<N: ResolveName> LexerCore<N> {
     #[inline]
     fn text_word(&mut self, name: &[u8], out: &mut Vec<TaggedSymbol>) -> Result<bool, SaxError> {
         if self.text != TextMode::DropAll {
-            let sym = self.resolve_bytes(name)?;
-            if self.keeps_text(sym) {
-                out.push(TaggedSymbol::Internal(sym));
-                return Ok(true);
+            if let Some(sym) = self.resolve_name(name, true)? {
+                if self.keeps_text(sym) {
+                    out.push(TaggedSymbol::Internal(sym));
+                    return Ok(true);
+                }
             }
         }
         self.dropped += 1;
         Ok(false)
     }
 
-    /// Maps one lexed name (valid UTF-8 bytes of the validated window) to a
-    /// symbol through the policy, memoized in a direct-mapped cache:
-    /// resolution is the per-event step the scanner cannot batch, and the
-    /// policy's `HashMap` lookup (SipHash, probe, `str` re-validation) would
-    /// otherwise dominate the whole tokenizer on short names. Both policies
-    /// are idempotent per name — interning returns the same symbol it first
-    /// assigned, frozen lookup never changes — so a cached hit is exactly the
-    /// policy's answer. Failures (unknown name, alphabet full) are not
-    /// cached and always re-consult the policy.
+    /// Maps one lexed tag name to its symbol (see
+    /// [`resolve_name`](Self::resolve_name)).
     #[inline]
     fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
+        Ok(self
+            .resolve_name(name, false)?
+            .expect("a tag name resolves or fails"))
+    }
+
+    /// Maps one lexed name (valid UTF-8 bytes of the validated window) to a
+    /// symbol through the policy — as a text word when `text`, which the
+    /// policy may drop unresolved (`None`) — memoized in a direct-mapped
+    /// cache: resolution is the per-event step the scanner cannot batch,
+    /// and the policy's `HashMap` lookup (SipHash, probe, `str`
+    /// re-validation) would otherwise dominate the whole tokenizer on short
+    /// names. Both policies are idempotent per name — interning returns the
+    /// same symbol it first assigned, frozen lookup never changes — so a
+    /// cached hit is exactly the policy's answer. Failures and unresolved
+    /// text words (unknown names, alphabet full) are not cached and always
+    /// re-consult the policy.
+    #[inline]
+    fn resolve_name(&mut self, name: &[u8], text: bool) -> Result<Option<Symbol>, SaxError> {
         if name.len() > 16 {
-            return resolve_with(&mut self.names, name);
+            return resolve_with(&mut self.names, name, text);
         }
         let (w0, w1) = pack_name(name);
         let len = name.len() as u32;
         if let Some((t, _)) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
-            return Ok(t.symbol());
+            return Ok(Some(t.symbol()));
         }
-        let sym = resolve_with(&mut self.names, name)?;
+        let Some(sym) = resolve_with(&mut self.names, name, text)? else {
+            return Ok(None);
+        };
         self.cache[slot_of(w0, w1, len)] = NameCacheEntry {
             w0,
             w1,
@@ -514,7 +544,7 @@ impl<N: ResolveName> LexerCore<N> {
             keep: KEEP_TAGS | u16::from(self.keeps_text(sym)),
             forms: forms(sym),
         };
-        Ok(sym)
+        Ok(Some(sym))
     }
 
     /// The cache probe alone: the event form `form` (`FORM_*`) of the name
@@ -824,11 +854,13 @@ fn emit_tape<N: ResolveName, const FILTER: bool>(
             break;
         }
         let (s, form, len) = tape_token(tape, data, from, i);
-        match core.resolve_bytes(&data[s + form..s + form + len]) {
-            Ok(sym) => sink.push_if(
+        match core.resolve_name(&data[s + form..s + form + len], form == FORM_INTERNAL) {
+            Ok(Some(sym)) => sink.push_if(
                 forms(sym)[form],
                 !FILTER || form != FORM_INTERNAL || core.keeps_text(sym),
             ),
+            // A text word the policy drops unresolved.
+            Ok(None) => {}
             Err(err) => return Err((err, s)),
         }
         i += 1;
@@ -1304,6 +1336,15 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         self.core.dropped
     }
 
+    /// Narrows the lexer to drop-all for the rest of the stream: from the
+    /// next [`fill`](Self::fill) on, text words are counted in
+    /// [`dropped`](Self::dropped) but never resolved or emitted, and only
+    /// tags reach the tape. One-way. `queries::for_each_slice` calls it
+    /// once its consumer can no longer be moved by a text word.
+    pub(crate) fn narrow_to_tags(&mut self) {
+        self.core.text = TextMode::DropAll;
+    }
+
     /// Ensures at least `pos + 1` unread validated bytes are windowed;
     /// `false` means the stream ends first.
     fn ensure(&mut self, pos: usize) -> Result<bool, SaxError> {
@@ -1697,6 +1738,11 @@ impl<R: io::Read, N: ResolveName> Iterator for BulkLexer<R, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queries::EVENT_SLICE;
+    use crate::sax::tests::SplitReader;
+    use crate::sax::{ByteTokenizer, Projection};
+    use nested_words::rng::Prng;
+    use nested_words::Alphabet;
 
     #[test]
     fn validator_matches_std_on_valid_prefixes() {
@@ -1940,5 +1986,167 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// One lexer run that narrows to drop-all before fill number `switch`:
+    /// the events the fills before it appended, the dropped count at the
+    /// switch, the events the fills after it appended, the final dropped
+    /// count and the error. `None` when the stream ended before the switch.
+    type Narrowed = (
+        Vec<TaggedSymbol>,
+        usize,
+        Vec<TaggedSymbol>,
+        usize,
+        Option<String>,
+    );
+
+    fn narrowed_run(
+        data: &[u8],
+        chunk: usize,
+        max: usize,
+        names: Projection<'_>,
+        switch: usize,
+    ) -> Option<Narrowed> {
+        let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), names);
+        let (mut before, mut after, mut at_switch) = (Vec::new(), Vec::new(), None);
+        let mut fills = 0;
+        let err = loop {
+            if fills == switch {
+                lexer.narrow_to_tags();
+                at_switch = Some(lexer.dropped());
+            }
+            let out = if fills < switch {
+                &mut before
+            } else {
+                &mut after
+            };
+            let len = out.len();
+            match lexer.fill(out, len + max) {
+                Ok(()) if out.len() == len => break None,
+                Ok(()) => fills += 1,
+                Err(e) => break Some(format!("{e:?}")),
+            }
+        };
+        at_switch.map(|d| (before, d, after, lexer.dropped(), err))
+    }
+
+    /// Documents that take every lexing path: CDATA, comments, PIs,
+    /// DOCTYPE subsets, attributes, self-closing and pending tags,
+    /// non-ASCII text and whitespace, and the lexical errors.
+    fn edge_documents() -> Vec<Vec<u8>> {
+        let mut docs: Vec<Vec<u8>> = [
+            "<doc>w0 <a>w1 w2</a> w0<b/>w2</doc>",
+            "<doc><![CDATA[w0 <x> w1]]> w2 <![CDATA[]]>w1</doc>",
+            "<!DOCTYPE d [<!ENTITY e \"x>\">]><doc>w0<!-- c -- > -->w1<?pi w0?>w2</doc>",
+            "<doc a=\"1>\" b='2'>héllo w0\u{a0}wörld w1 𐍈</doc>\u{2003}w2</x></doc>",
+            "w0 w1 <a> w2",
+            "<doc>w0 w1 <t",
+            "<doc>w0 <!-- never closed",
+            "<doc>w0 w1</ ></doc>",
+        ]
+        .iter()
+        .map(|d| d.as_bytes().to_vec())
+        .collect();
+        docs.push(b"<doc>w0 w1 \xFF w2</doc>".to_vec());
+        docs.push(b"<doc>w0 w1 \xE2\x82".to_vec());
+        docs
+    }
+
+    /// A seeded document of simple and edge constructs, past three event
+    /// slices long, so drop-all fills cross window seams and growth.
+    fn long_document(seed: u64) -> Vec<u8> {
+        let mut rng = Prng::new(seed);
+        let mut doc = String::new();
+        while doc.len() < 24 * EVENT_SLICE {
+            match rng.below(12) {
+                0..=2 => doc.push_str(&format!("<t{}>", rng.below(5))),
+                3..=4 => doc.push_str(&format!("</t{}>", rng.below(5))),
+                5 => doc.push_str("<a x=\"1\"/>"),
+                6 => doc.push_str("<![CDATA[w1 w7]]>"),
+                7 => doc.push_str("<!-- c --><?p?>"),
+                8 => doc.push_str(" héllo "),
+                _ => doc.push_str(&format!(" w{} ", rng.below(8))),
+            }
+        }
+        doc.into_bytes()
+    }
+
+    /// Narrowing to drop-all between any two `fill` calls: the events are
+    /// the keep-bit (or emit-all) stream up to the switch, then the
+    /// tags-only stream; emitted plus dropped is every token read; the
+    /// error, if any, is the same at the same offset. On every backend,
+    /// one-byte and wider reads, and fill sizes 1..=7 and `EVENT_SLICE`.
+    #[test]
+    fn narrowing_to_tags_between_fills_keeps_the_stream_exact() {
+        let mut docs: Vec<(Vec<u8>, Vec<usize>)> = edge_documents()
+            .into_iter()
+            .map(|d| (d, (1..=7).chain([EVENT_SLICE]).collect()))
+            .collect();
+        docs.push((long_document(3), vec![EVENT_SLICE]));
+        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+            for (d, (data, maxes)) in docs.iter().enumerate() {
+                let mut ab = Alphabet::new();
+                let mut reference = ByteTokenizer::new(&data[..], &mut ab);
+                let mut tokens = Vec::new();
+                let err = loop {
+                    let len = tokens.len();
+                    match reference.fill(&mut tokens, len + 1024) {
+                        Ok(()) if tokens.len() == len => break None,
+                        Ok(()) => {}
+                        Err(e) => break Some(format!("{e:?}")),
+                    }
+                };
+                if data.len() > SCAN_CHUNK {
+                    assert!(tokens.len() >= 3 * EVENT_SLICE, "switches fall mid-stream");
+                }
+                let every_third: Vec<bool> = (0..ab.len()).map(|a| a % 3 == 0).collect();
+                for inert in [&every_third[..], &[]] {
+                    let kept = |t: &&TaggedSymbol| match t {
+                        TaggedSymbol::Internal(a) => {
+                            !inert.get(a.index()).copied().unwrap_or(false)
+                        }
+                        _ => true,
+                    };
+                    let tag = |t: &&TaggedSymbol| !matches!(t, TaggedSymbol::Internal(_));
+                    for &max in maxes {
+                        for chunk in [1, 7, data.len()] {
+                            let ctx = format!(
+                                "{backend:?}, document {d}, {} inert, max {max}, chunk {chunk}",
+                                inert.len()
+                            );
+                            let mut switch = 0;
+                            while let Some((before, at_switch, after, dropped, got_err)) =
+                                narrowed_run(
+                                    &data[..],
+                                    chunk,
+                                    max,
+                                    Projection::new(&ab, inert),
+                                    switch,
+                                )
+                            {
+                                let ctx = format!("{ctx}, switch before fill {switch}");
+                                let read = before.len() + at_switch;
+                                assert!(read <= tokens.len(), "{ctx}");
+                                let (head, tail) = tokens.split_at(read);
+                                let head: Vec<_> = head.iter().filter(kept).copied().collect();
+                                let tail: Vec<_> = tail.iter().filter(tag).copied().collect();
+                                assert_eq!(before, head, "{ctx}");
+                                assert_eq!(after, tail, "{ctx}");
+                                assert_eq!(
+                                    before.len() + after.len() + dropped,
+                                    tokens.len(),
+                                    "{ctx}"
+                                );
+                                assert_eq!(got_err, err, "{ctx}");
+                                switch += 1;
+                            }
+                            assert!(switch > 0, "{ctx}: never switched");
+                        }
+                    }
+                }
+            }
+        }
+        auto_scan_backend();
     }
 }

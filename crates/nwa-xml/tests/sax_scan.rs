@@ -997,9 +997,9 @@ fn projected_stream_is_the_filtered_stream() {
 }
 
 /// Under drop-all no text word is resolved, so one outside the alphabet
-/// is dropped like any other; a keep-bit projection still resolves text
-/// and fails on it, and an unknown tag fails in both modes after the same
-/// events.
+/// is dropped like any other; a keep-bit projection looks it up and drops
+/// it too, unresolved. The unprojected lexer still fails on it, and an
+/// unknown tag fails in every mode after the same events.
 #[test]
 fn drop_all_skips_unknown_text_but_not_unknown_tags() {
     let ab = Alphabet::from_names(["doc", "w"]);
@@ -1016,15 +1016,38 @@ fn drop_all_skips_unknown_text_but_not_unknown_tags() {
         projected_fill(text, text.len(), 16, &ab, &[true, true]),
         ((vec![calls[0], TaggedSymbol::Return(doc)], None), 3)
     );
+    let w = ab.lookup("w").unwrap();
     assert_eq!(
-        projected_fill(text, text.len(), 16, &ab, &[false, true]),
-        ((calls.clone(), Some(err)), 1)
+        projected_fill(text, text.len(), 16, &ab, &[false, false]),
+        (
+            (
+                vec![
+                    calls[0],
+                    TaggedSymbol::Internal(w),
+                    TaggedSymbol::Internal(w),
+                    TaggedSymbol::Return(doc)
+                ],
+                None
+            ),
+            1
+        )
+    );
+    let up_to_w = vec![calls[0], TaggedSymbol::Internal(w)];
+    assert_eq!(
+        projected_fill(text, text.len(), 16, &ab, &[]),
+        ((up_to_w.clone(), Some(err)), 0)
     );
     let tag = b"<doc>w <intruder/> w</doc>";
     for inert in [[true, true], [false, true]] {
         assert_eq!(
             projected_fill(tag, tag.len(), 16, &ab, &inert),
             ((calls.clone(), Some(unknown("intruder"))), 1)
+        );
+    }
+    for inert in [&[false, false][..], &[]] {
+        assert_eq!(
+            projected_fill(tag, tag.len(), 16, &ab, inert),
+            ((up_to_w.clone(), Some(unknown("intruder"))), 0)
         );
     }
 }

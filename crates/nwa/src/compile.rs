@@ -580,6 +580,12 @@ impl BatchAcceptor for CompiledNwa {
             peak_memory: (lane.max_sp - 1) as usize,
         }
     }
+
+    /// A settled lane reads no text: in an absorbing state every internal
+    /// event lands back on the state.
+    fn lane_reads_text(&self, lane: &CompiledNwaLane) -> bool {
+        !self.lane_settled(lane)
+    }
 }
 
 impl Compile for Nwa {

@@ -43,6 +43,19 @@
 //! from ~108 to ~3 ns per event (perfbench `multi.ns_per_event`, 2-vCPU
 //! Xeon VM).
 //!
+//! Settling also narrows the scan. The set derives which engines read
+//! text (those whose inert set does not cover the alphabet), and a lane
+//! reads text only while one of them is live
+//! ([`BatchAcceptor::lane_reads_text`]). Once the last text reader
+//! retires — text-blind members such as depth bounds may still be live —
+//! `nwa_xml::queries::run_multi_streaming_reader` switches its lexer to
+//! drop-all for the rest of the stream: text words are counted, never
+//! resolved. On the E19 pool, whose four `within` members read text, that
+//! happens after the first 4,096-event slice, and the perfbench
+//! `stream_16q` pass went from 8.98 to 6.37 ms (p50) per 3.69 MB
+//! document, `verdict_mb_s` 410.8 → 579.0 (medians of ten alternating
+//! pairs, same 2-vCPU VM).
+//!
 //! The set implements the single-verdict traits
 //! (`StreamAcceptor`/`BatchAcceptor`) as the **conjunction view**: the set
 //! accepts iff every member accepts — the intersection language — so one
@@ -96,6 +109,10 @@ pub struct QuerySet {
     inert: Vec<bool>,
     /// The engines grouped by equal inert sets. Derived, never serialized.
     classes: Vec<InertClass>,
+    /// Bit `e` set iff engine `e` reads text: its inert set does not cover
+    /// the alphabet. A lane reads text while one of these is live. Derived,
+    /// never serialized.
+    text_readers: u64,
 }
 
 /// Engines of a [`QuerySet`] sharing one inert set, stepped over one
@@ -191,7 +208,8 @@ impl QuerySet {
     }
 
     /// The set around compiled engines and their masks, with its set-wide
-    /// inert symbols and its inert classes derived from the engines'.
+    /// inert symbols, its inert classes and its text readers derived from
+    /// the engines'.
     fn assemble(
         num_queries: usize,
         sigma: u32,
@@ -215,6 +233,9 @@ impl QuerySet {
                 }),
             }
         }
+        let text_readers = engines.iter().enumerate().fold(0u64, |acc, (e, engine)| {
+            acc | u64::from(!engine.inert.iter().all(|&b| b)) << e
+        });
         QuerySet {
             num_queries,
             sigma,
@@ -222,6 +243,7 @@ impl QuerySet {
             masks,
             inert,
             classes,
+            text_readers,
         }
     }
 
@@ -398,6 +420,12 @@ impl BatchAcceptor for QuerySet {
             events: lane.steps,
             peak_memory: lane.peak,
         }
+    }
+
+    /// The lane reads text while a live engine does: it stops once the
+    /// last text reader retires, text-blind members live or not.
+    fn lane_reads_text(&self, lane: &QuerySetLane) -> bool {
+        lane.live & self.text_readers != 0
     }
 }
 

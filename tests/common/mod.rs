@@ -238,10 +238,15 @@ pub fn random_nnwa_with_transitions(
 /// Generated XML documents (tags `t0..t7`, text words `w0..w15`, depth
 /// up to 8) with the alphabet each was generated over.
 pub fn xml_documents(count: usize, base_seed: u64) -> Vec<(Alphabet, String)> {
+    xml_documents_of(count, 2_000, base_seed)
+}
+
+/// [`xml_documents`] of about `events` events each.
+pub fn xml_documents_of(count: usize, events: usize, base_seed: u64) -> Vec<(Alphabet, String)> {
     (0..count as u64)
         .map(|s| {
             let config = DocumentConfig {
-                events: 2_000,
+                events,
                 max_depth: 8,
                 ..Default::default()
             };
@@ -272,7 +277,12 @@ pub fn xml_queries(ab: &Alphabet) -> Vec<(&'static str, Nwa)> {
 /// `xml` with `text` spliced in, space-separated, right after the first
 /// tag that ends in its second half.
 pub fn with_text_midway(xml: &str, text: &str) -> String {
-    let half = xml.len() / 2;
-    let at = half + xml[half..].find('>').expect("a tag") + 1;
+    with_text_after(xml, xml.len() / 2, text)
+}
+
+/// `xml` with `text` spliced in, space-separated, right after the first
+/// tag that ends at or past byte `from`.
+pub fn with_text_after(xml: &str, from: usize, text: &str) -> String {
+    let at = from + xml[from..].find('>').expect("a tag") + 1;
     format!("{} {text} {}", &xml[..at], &xml[at..])
 }

@@ -461,6 +461,53 @@ fn settled_lone_engine_keeps_stack_accounting_exact() {
     }
 }
 
+/// `reads_text` on a lone compiled lane is `false` exactly when the lane
+/// sits in an absorbing state, per event and per slice, and once `false`
+/// it never turns `true` again: on skip-path automata, which settle at
+/// scattered points, and on `contains_tag`, which settles on its first
+/// matching call. An interpreted run always reads text.
+#[test]
+fn lone_lane_reads_text_until_it_settles() {
+    let sigma = 4;
+    let ab = Alphabet::with_size(sigma);
+    let mut settled_runs = 0;
+    for seed in 0..prop_iters(9) as u64 {
+        let mut rng = Prng::new(seed ^ 0x7E27);
+        let m = if seed % 3 == 0 {
+            contains_tag_nwa(Symbol(1), sigma)
+        } else {
+            skip_path_nwa(4, sigma, seed)
+        };
+        let c = query::compile(&m);
+        let config = NestedWordConfig {
+            len: 3000,
+            allow_pending: true,
+            ..Default::default()
+        };
+        let events = random_nested_word(&ab, config, seed ^ 0x5E).to_tagged();
+        let (mut reference, mut stepped, mut sliced) = (m.start(), c.start(), c.start());
+        let mut reads = true;
+        let mut at = 0;
+        for len in chunk_lengths(events.len(), &mut rng) {
+            for &event in &events[at..at + len] {
+                reference.step(event);
+                stepped.step(event);
+                let ctx = format!("seed {seed}, after {} events", reference.steps());
+                assert!(reference.reads_text(), "{ctx}: interpreted");
+                let expected = !c.is_absorbing(reference.current_state());
+                assert_eq!(stepped.reads_text(), expected, "{ctx}");
+                assert!(reads || !expected, "{ctx}: read text again");
+                reads = expected;
+            }
+            sliced.step_slice(&events[at..at + len]);
+            at += len;
+            assert_eq!(sliced.reads_text(), reads, "seed {seed}, after {at} events");
+        }
+        settled_runs += usize::from(!reads);
+    }
+    assert!(settled_runs > 0, "no run settled");
+}
+
 /// A run that has settled — `contains_tag(0)` after its first call, alone
 /// or as every member of a set — takes the height-only step, which still
 /// refuses a symbol outside the two-symbol alphabet, through the slice

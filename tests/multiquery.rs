@@ -390,19 +390,119 @@ fn retired_members_leave_stack_accounting_exact() {
     }
 }
 
+/// Counts the internal events labelled `w`, modulo 2, accepting at zero:
+/// it reads `w` in every state and has no absorbing state.
+fn word_parity(w: Symbol, sigma: usize) -> Nwa {
+    let mut m = Nwa::new(2, sigma, 0);
+    m.set_accepting(0, true);
+    for q in 0..2 {
+        for a in (0..sigma).map(|a| Symbol(a as u16)) {
+            m.set_internal(q, a, if a == w { 1 - q } else { q });
+            m.set_call(q, a, q, q);
+            for h in 0..2 {
+                m.set_return(q, h, a, q);
+            }
+        }
+    }
+    m
+}
+
+/// A set lane reads text while one of its live engines does. One engine
+/// per query: it stops reading once the last member that reads text has
+/// settled, while text-blind members (`depth <= 6`, the depth pad) may
+/// still be live. One product engine: it reads text until the product
+/// settles. Once `false` it stays `false`. A set holding a member that
+/// never settles and reads text (a word parity, as in the `live16` bench
+/// pool) reads text to the end.
+#[test]
+fn set_lane_reads_text_until_its_last_text_reader_retires() {
+    let documents = xml_documents(prop_iters(4), 130);
+    // Every generated document shares one alphabet: compile once.
+    let ab = &documents[0].0;
+    let sym = |name: &str| ab.lookup(name).unwrap();
+    let sigma = ab.len();
+    let members = [
+        within_nwa(sym("t0"), sym("w0"), sigma),
+        depth_at_most_nwa(6, sigma),
+        contains_tag_nwa(sym("t1"), sigma),
+    ];
+    let parity = [
+        word_parity(sym("w3"), sigma),
+        contains_tag_nwa(sym("t1"), sigma),
+    ];
+    let shapes: Vec<_> = both_shapes(&members)
+        .into_iter()
+        .map(|(set, members)| (set, members, false))
+        .chain(
+            both_shapes(&parity)
+                .into_iter()
+                .map(|(set, members)| (set, members, true)),
+        )
+        .map(|(set, members, never_settles)| {
+            let lone: Vec<CompiledNwa> = members.iter().map(query::compile).collect();
+            let readers: Vec<bool> = lone
+                .iter()
+                .map(|c| !c.inert_symbols().iter().all(|&inert| inert))
+                .collect();
+            (set, lone, readers, never_settles)
+        })
+        .collect();
+    let mut flipped_with_blind_live = 0;
+    for (d, (doc_ab, xml)) in documents.iter().enumerate() {
+        assert_eq!(doc_ab, ab, "document {d}");
+        let events = nested_words_suite::nwa_xml::sax::tokenize(xml, &mut ab.clone()).unwrap();
+        let lengths = chunk_lengths(events.len(), &mut Prng::new(d as u64));
+        for (set, lone, readers, never_settles) in &shapes {
+            let mut runs: Vec<_> = lone.iter().map(|c| c.start()).collect();
+            let mut run = set.start_set();
+            let mut reads = true;
+            let mut at = 0;
+            for &len in &lengths {
+                let slice = &events[at..at + len];
+                at += len;
+                run.step_slice(slice);
+                runs.iter_mut().for_each(|r| r.step_slice(slice));
+                let live = |i: usize| runs[i].reads_text();
+                let expected = if set.num_engines() == 1 {
+                    readers.contains(&true) && (0..runs.len()).any(live)
+                } else {
+                    (0..runs.len()).any(|i| readers[i] && live(i))
+                };
+                let ctx = format!(
+                    "document {d}, {} engines, after {at} events",
+                    set.num_engines()
+                );
+                assert_eq!(run.reads_text(), expected, "{ctx}");
+                assert!(reads || !expected, "{ctx}: read text again");
+                if *never_settles {
+                    assert!(expected, "{ctx}: the parity set stopped reading");
+                }
+                if reads && !expected && (0..runs.len()).any(|i| !readers[i] && live(i)) {
+                    flipped_with_blind_live += 1;
+                }
+                reads = expected;
+            }
+        }
+    }
+    assert!(
+        flipped_with_blind_live > 0,
+        "no set narrowed with text-blind members live"
+    );
+}
+
 /// The one-pass set reader projects through the set-wide inert symbols and
 /// still reports, per member, what that member's interpreted (unprojected)
 /// bytes→verdict run reports — verdict, events read and peak stack — in a
 /// drop-all set (the two text-blind members, one product engine) and a
-/// keep-bit set (all four members, one engine each). Under the drop-all
-/// set an unknown text word decides like a known one; under the keep-bit
-/// set, whose members read text, it is still an `UnknownSymbol`.
+/// keep-bit set (all four members, one engine each). Under either set a
+/// text word outside the alphabet decides like `w2`, a known word no
+/// member reads; an unknown tag is still an `UnknownSymbol`.
 #[test]
 fn projected_set_reader_matches_unprojected_member_runs() {
     for (d, (ab, xml)) in xml_documents(prop_iters(4), 90).iter().enumerate() {
         let queries: Vec<Nwa> = xml_queries(ab).into_iter().map(|(_, q)| q).collect();
         let stranger = with_text_midway(xml, "stranger");
-        let renamed = with_text_midway(xml, "w0");
+        let renamed = with_text_midway(xml, "w2");
         for members in [&queries[..2], &queries[..]] {
             let set = QuerySet::compile(members);
             let drop_all = set.inert_symbols().iter().all(|&inert| inert);
@@ -421,19 +521,22 @@ fn projected_set_reader_matches_unprojected_member_runs() {
                 sequential(xml),
                 "{ctx}"
             );
-            let unknown = run_multi_streaming_reader(&set, stranger.as_bytes(), ab);
-            if drop_all {
-                assert_eq!(unknown.unwrap(), sequential(&renamed), "{ctx}");
-            } else {
-                assert!(
-                    matches!(
-                        unknown,
-                        Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
-                            if name == "stranger"
-                    ),
-                    "{ctx}: {unknown:?}"
-                );
-            }
+            assert!(set.is_inert(ab.lookup("w2").unwrap()), "{ctx}");
+            assert_eq!(
+                run_multi_streaming_reader(&set, stranger.as_bytes(), ab).unwrap(),
+                sequential(&renamed),
+                "{ctx}"
+            );
+            let intruder = with_text_midway(xml, "<intruder/>");
+            let unknown = run_multi_streaming_reader(&set, intruder.as_bytes(), ab);
+            assert!(
+                matches!(
+                    unknown,
+                    Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
+                        if name == "intruder"
+                ),
+                "{ctx}: {unknown:?}"
+            );
         }
     }
 }

@@ -10,15 +10,17 @@
 mod common;
 
 use common::{
-    prop_iters, random_det_nwa, random_nnwa_with_transitions, with_text_midway, xml_documents,
-    xml_queries,
+    prop_iters, random_det_nwa, random_nnwa_with_transitions, with_text_after, with_text_midway,
+    xml_documents, xml_documents_of, xml_queries,
 };
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::flat::tagged_indices;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
-use nested_words_suite::nwa_xml::queries::{for_each_slice, run_streaming_reader};
-use nested_words_suite::nwa_xml::sax::SaxError;
+use nested_words_suite::nwa_xml::queries::{
+    for_each_slice, run_multi_streaming_reader, run_streaming_reader, EVENT_SLICE,
+};
+use nested_words_suite::nwa_xml::sax::{tokenize, SaxError};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -213,37 +215,39 @@ fn projected_reader_matches_unprojected_interpreted_run() {
     }
 }
 
-/// Under a drop-all artifact no text word is resolved: a document with a
-/// word outside the alphabet decides like the one with that word renamed
-/// to a known word. A query that reads text still rejects the unknown
-/// word, and an unknown *tag* still fails under drop-all, after the same
-/// events.
+/// A text word outside the alphabet is inert under every artifact's
+/// projection: no compiled query can read it. A document with such a word
+/// decides like the one with that word renamed to `w2`, a known word no
+/// query reads, under drop-all and keep-bit projections alike. An unknown
+/// *tag* still fails under every projection, after the same events.
 #[test]
 fn drop_all_artifacts_decide_unknown_text_like_known_text() {
     for (d, (ab, xml)) in xml_documents(prop_iters(3), 70).iter().enumerate() {
         let stranger = with_text_midway(xml, "stranger");
-        let renamed = with_text_midway(xml, "w0");
+        let renamed = with_text_midway(xml, "w2");
+        let w2 = ab.lookup("w2").expect("generated name");
         for (name, q) in xml_queries(ab) {
             let cq = query::compile(&q);
-            let run = |xml: &str| {
-                run_streaming_reader(&cq, xml.as_bytes(), ab).map_err(|e| format!("{e:?}"))
-            };
+            assert!(cq.is_inert(w2), "{name} must not read w2");
             let expected = run_streaming_reader(&q, renamed.as_bytes(), ab).unwrap();
-            if cq.inert_symbols().iter().all(|&inert| inert) {
-                assert_eq!(run(&stranger), Ok(expected), "document {d}, {name}");
-            } else {
-                assert_eq!(
-                    run(&stranger),
-                    Err(unknown_symbol("stranger")),
-                    "document {d}, {name}"
-                );
-            }
+            assert_eq!(
+                run_streaming_reader(&cq, stranger.as_bytes(), ab).unwrap(),
+                expected,
+                "document {d}, {name}"
+            );
+            // The interpreted query projects nothing: the word is unknown.
+            assert_eq!(
+                run_streaming_reader(&q, stranger.as_bytes(), ab).map_err(|e| format!("{e:?}")),
+                Err(unknown_symbol("stranger")),
+                "document {d}, {name}"
+            );
 
             let intruder = with_text_midway(xml, "<intruder/>");
             let lex = |inert: &[bool]| {
                 let mut events = Vec::new();
                 let err = for_each_slice(intruder.as_bytes(), ab, inert, |slice| {
-                    events.extend_from_slice(slice)
+                    events.extend_from_slice(slice);
+                    true
                 })
                 .unwrap_err();
                 (events, format!("{err:?}"))
@@ -260,4 +264,109 @@ fn drop_all_artifacts_decide_unknown_text_like_known_text() {
             assert_eq!(lex(cq.inert_symbols()), (kept, err), "document {d}, {name}");
         }
     }
+}
+
+/// Accepts once `k` internal events labelled `w` have been read, in an
+/// absorbing state: it reads `w` until then, so it settles wherever the
+/// `k`-th `w` falls.
+fn word_count_at_least(w: Symbol, k: usize, sigma: usize) -> Nwa {
+    let mut m = Nwa::new(k + 1, sigma, 0);
+    m.set_accepting(k, true);
+    m.set_all_transitions_to(k, k);
+    for q in 0..k {
+        for a in (0..sigma).map(|a| Symbol(a as u16)) {
+            m.set_internal(q, a, if a == w { q + 1 } else { q });
+            m.set_call(q, a, q, q);
+            for h in 0..=k {
+                m.set_return(q, h, a, q);
+            }
+        }
+    }
+    m
+}
+
+/// Bytes→verdict with the scan narrowing mid-stream. On documents of more
+/// than three event slices, with a text word outside the alphabet before
+/// the first tag (before any query settles), midway and near the end
+/// (after the queries that settle have), every compiled query and set
+/// returns what the interpreted run returns on the document with those
+/// words renamed to `w2`, which no query reads: verdict, events read and
+/// peak stack. The queries that read text settle in the first slice or,
+/// counting 300 `w3`s, two slices in. An unknown tag near the end, past
+/// the switch, still fails.
+#[test]
+fn narrowed_scans_decide_like_the_renamed_document() {
+    let (mut settled_early, mut settled_late) = (0, 0);
+    for (d, (ab, xml)) in xml_documents_of(prop_iters(2), 4 * EVENT_SLICE, 150)
+        .iter()
+        .enumerate()
+    {
+        let near_end = xml.len() - 200;
+        let spliced = |text: &str| {
+            let midway = with_text_midway(&format!("{text} {xml}"), text);
+            with_text_after(&midway, near_end, text)
+        };
+        let (stranger, renamed) = (spliced("stranger"), spliced("w2"));
+        let intruder = with_text_after(&stranger, near_end, "<intruder/>");
+        let events = tokenize(&renamed, &mut ab.clone()).unwrap();
+        assert!(events.len() > 3 * EVENT_SLICE, "document {d}");
+        let mut queries = xml_queries(ab);
+        let w3 = ab.lookup("w3").unwrap();
+        queries.push(("300 w3", word_count_at_least(w3, 300, ab.len())));
+        let interpreted: Vec<StreamOutcome> = queries
+            .iter()
+            .map(|(_, q)| run_streaming_reader(q, renamed.as_bytes(), ab).unwrap())
+            .collect();
+        for ((name, q), expected) in queries.iter().zip(&interpreted) {
+            let cq = query::compile(q);
+            let ctx = format!("document {d}, {name}");
+            assert_eq!(
+                run_streaming_reader(&cq, stranger.as_bytes(), ab).unwrap(),
+                *expected,
+                "{ctx}"
+            );
+            assert_eq!(
+                run_streaming_reader(&cq, intruder.as_bytes(), ab).map_err(|e| format!("{e:?}")),
+                Err(unknown_symbol("intruder")),
+                "{ctx}"
+            );
+            if cq.inert_symbols().iter().all(|&inert| inert) {
+                continue;
+            }
+            let mut run = cq.start();
+            run.step_slice(&events[..EVENT_SLICE]);
+            let early = !run.reads_text();
+            run.step_slice(&events[EVENT_SLICE..]);
+            settled_early += usize::from(early);
+            settled_late += usize::from(!early && !run.reads_text());
+        }
+        let members: Vec<Nwa> = queries.into_iter().map(|(_, q)| q).collect();
+        for picks in [&[0, 1, 2, 3, 4][..], &[2, 3]] {
+            let set = QuerySet::compile(
+                &picks
+                    .iter()
+                    .map(|&i| members[i].clone())
+                    .collect::<Vec<_>>(),
+            );
+            let ctx = format!("document {d}, members {picks:?}");
+            let engines = if picks.len() == 2 { 1 } else { picks.len() };
+            assert_eq!(set.num_engines(), engines, "{ctx}: both shapes");
+            let expected: Vec<StreamOutcome> = picks.iter().map(|&i| interpreted[i]).collect();
+            assert_eq!(
+                run_multi_streaming_reader(&set, stranger.as_bytes(), ab).unwrap(),
+                expected,
+                "{ctx}"
+            );
+            assert!(
+                matches!(
+                    run_multi_streaming_reader(&set, intruder.as_bytes(), ab),
+                    Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
+                        if name == "intruder"
+                ),
+                "{ctx}"
+            );
+        }
+    }
+    assert!(settled_early > 0, "no query settled in the first slice");
+    assert!(settled_late > 0, "no query settled after the first slice");
 }
