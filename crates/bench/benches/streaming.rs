@@ -491,6 +491,34 @@ fn bench_compiled(c: &mut Criterion) {
         }
         scan::auto_scan_backend();
     }
+    // The unprojected scan over a vocabulary far larger than the scanner's
+    // token cache, the 4,096 words `service_open` draws from: a cache that
+    // loses on large vocabularies shows in these rows (ungated).
+    let events = 100_000;
+    let (ab, doc) = generate_document(
+        DocumentConfig {
+            events,
+            max_depth: 32,
+            words: 4096,
+            ..Default::default()
+        },
+        7,
+    );
+    let xml = to_xml(&doc, &ab);
+    group.throughput(Throughput::Bytes(xml.len() as u64));
+    let mut backends = vec![(scan::ScanBackend::Swar, "")];
+    if wide != scan::ScanBackend::Swar {
+        backends.push((wide, "_simd"));
+    }
+    for (backend, suffix) in backends {
+        assert!(scan::force_scan_backend(backend));
+        group.bench_with_input(
+            BenchmarkId::new(&format!("tokenize_only_vocab4096{suffix}"), events),
+            &xml,
+            |b, xml| b.iter(|| tokenize_only(xml, &ab)),
+        );
+    }
+    scan::auto_scan_backend();
     group.finish();
 
     // Prose-heavy XML: every text run outlasts a stage-1 pass, the case a

@@ -19,14 +19,18 @@
 //!    control bytes). Bit arithmetic over those masks — a prefix-XOR of
 //!    `<`/`>` tracks "inside a tag", carried across blocks — yields every
 //!    token's `(start, end)` offsets, appended to an L1-sized tape of about
-//!    4 KiB of input per pass. A block the masks cannot prove *simple*
+//!    4 KiB of input per pass without a branch per bit: each mask is
+//!    flattened eight offsets at a time into the tape's slack. A block the masks cannot prove *simple*
 //!    (only `<name>`, `</name>`, text words and ASCII whitespace) stops the
 //!    pass.
-//! 2. **Stage 2 — resolve and emit.** One loop walks the tape: the token's
-//!    first two bytes give its kind without a branch, the name is packed
-//!    into an exact cache key and resolved through `LexerCore`'s
-//!    direct-mapped name cache (whose slots hold all three event forms),
-//!    and the event is appended to the caller's slice.
+//! 2. **Stage 2 — resolve and emit.** One loop walks the tape. A simple
+//!    token is its own canonical form — `name`, `<name>` or `</name>` — so
+//!    its bytes, loaded as masked words, are the exact key of `LexerCore`'s
+//!    direct-mapped token cache, whose slot holds the token's one event: a
+//!    hit appends it to the caller's slice with no decoding at all. Only a
+//!    miss reads the token's form off its first two bytes and hands the
+//!    name to the policy. The scalar arm keys the same cache by the same
+//!    canonical form, so `<a k="v"/>` hits the slots of `<a>` and `</a>`.
 //!
 //!    A lexer built on a [`Projection`](crate::sax::Projection) — the
 //!    compiled artifact's inert symbols — emits only what the artifact
@@ -37,9 +41,9 @@
 //!    did not cut it (so a long text run never falls to the scalar arm),
 //!    and the dropped count is the popcount of those masks up to there
 //!    (whatever resumes later re-scans the rest). In **keep-bit** mode
-//!    each name-cache slot carries a keep bit per event form (tags always
-//!    set), and stage 2 writes every event branch-free but advances only
-//!    past kept ones. An unprojected lexer runs its own instance of the
+//!    each token-cache slot carries one keep bit (always set for a tag),
+//!    and stage 2 writes every event branch-free but advances only past
+//!    kept ones. An unprojected lexer runs its own instance of the
 //!    fill loop, which never reads a keep bit. Either way the scalar arm
 //!    and CDATA sections drop by the same rule, [`BulkLexer::dropped`]
 //!    counts what was dropped, and the `fill` budget counts events
@@ -256,14 +260,15 @@ pub enum ScanBackend {
     /// Portable 8-byte SWAR words: the fallback on CPUs without a wide
     /// kernel, and the pinned baseline of the benches and tests.
     Swar,
-    /// 64-byte AVX2 block classification (`x86_64`, runtime-detected).
+    /// 64-byte AVX2 block classification (`x86_64`, runtime-detected
+    /// together with the BMI1 and POPCNT that every AVX2 core has).
     Avx2,
     /// 64-byte NEON block classification (`aarch64`, baseline ISA).
     Neon,
 }
 
-/// The backend the next window fill will use: the CPU is probed once (AVX2
-/// on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally on
+/// The backend the next window fill will use: the CPU is probed once (AVX2,
+/// BMI1 and POPCNT on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally on
 /// `aarch64` where it is baseline) and the answer cached; anything else
 /// gets [`ScanBackend::Swar`]. Benches and docs use this to report which
 /// path actually ran.
@@ -308,7 +313,7 @@ mod backend {
         match b {
             ScanBackend::Swar => true,
             #[cfg(target_arch = "x86_64")]
-            ScanBackend::Avx2 => is_x86_feature_detected!("avx2"),
+            ScanBackend::Avx2 => super::kernel::Avx2::detect().is_some(),
             #[cfg(target_arch = "aarch64")]
             ScanBackend::Neon => true,
             #[allow(unreachable_patterns)]
@@ -318,7 +323,7 @@ mod backend {
 
     fn detect() -> ScanBackend {
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
+        if super::kernel::Avx2::detect().is_some() {
             return ScanBackend::Avx2;
         }
         #[cfg(target_arch = "aarch64")]
@@ -358,14 +363,14 @@ mod backend {
 // --------------------------------------------------------------------------
 
 /// The name-to-event builder of the lexer: the [`ResolveName`] policy
-/// behind a direct-mapped name cache, the one classifier of tag bodies, and
-/// the policy's projection with its count of dropped text words.
+/// behind a direct-mapped token cache, the one classifier of tag bodies,
+/// and the policy's projection with its count of dropped text words.
 #[derive(Debug)]
 struct LexerCore<N: ResolveName> {
     names: N,
-    /// Direct-mapped memo of recent name resolutions (see
-    /// [`LexerCore::resolve_name`]).
-    cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
+    /// Direct-mapped memo of recent token resolutions, keyed by each
+    /// token's canonical bytes (see [`LexerCore::resolve_token`]).
+    cache: Box<[TokenSlot; NAME_CACHE_SLOTS]>,
     /// What the policy's projection does with text words: it starts as
     /// [`ResolveName::text_mode`] and may narrow once, to drop-all
     /// ([`BulkLexer::narrow_to_tags`]).
@@ -374,79 +379,139 @@ struct LexerCore<N: ResolveName> {
     dropped: usize,
 }
 
-/// One slot of the name-resolution memo: the name's bytes zero-padded into
-/// two words plus its length — an *exact* key (equal key ⇔ equal bytes), so
-/// a hit needs no hashing, no string compare and no allocation — and the
-/// resolved symbol in all three event forms, indexed in place by
-/// [`FORM_INTERNAL`] / [`FORM_CALL`] / [`FORM_RETURN`], with one keep bit
-/// per form (bit `form` of `keep`: tags always, the text form unless the
-/// projection drops it). `len` is `EMPTY_SLOT` for never-filled slots;
-/// names longer than 16 bytes are not cached (they fall through to the
-/// policy every time).
+/// The exact cache key of one token in its canonical form — `name` for a
+/// text word, `<name>` for an open tag, `</name>` for a close tag: its
+/// bytes zero-padded into three little-endian words, with its length in
+/// the top byte of the last. Equal keys mean equal tokens, so a hit needs
+/// no hashing of the name, no string compare and no allocation. A simple
+/// tape token *is* its canonical form, so stage 2 builds the key straight
+/// from the window ([`token_key`]); every other path builds it from the
+/// name and its form ([`canonical_key`]).
+type TokenKey = [u64; 3];
+
+/// The longest canonical token a [`TokenKey`] holds: 23 bytes, the 24th
+/// being the length. That caches every name of up to 20 bytes in all three
+/// forms (a close tag adds three bytes), and text words of up to 23.
+const KEY_BYTES: usize = 23;
+
+/// Bytes [`token_key`] loads from a token's start: stage 1 stops this far
+/// (plus a block) short of the window end, so the loads stay in bounds.
+const KEY_LOAD: usize = std::mem::size_of::<TokenKey>();
+
+/// `KEY_MASKS[len]` keeps the first `len` bytes of a 24-byte load.
+const KEY_MASKS: [TokenKey; KEY_BYTES + 1] = {
+    let mut masks = [[0u64; 3]; KEY_BYTES + 1];
+    let mut len = 0;
+    while len <= KEY_BYTES {
+        let mut byte = 0;
+        while byte < len {
+            masks[len][byte / 8] |= 0xFF << (8 * (byte % 8));
+            byte += 1;
+        }
+        len += 1;
+    }
+    masks
+};
+
+/// One slot of the token memo: the token's [`TokenKey`] (all zero for a
+/// never-filled slot, which no token's key is — every key carries a
+/// non-zero length), its event, and its keep bit (tags always, a text word
+/// unless the projection drops it). 32 bytes, two to a cache line.
 #[derive(Debug, Clone, Copy)]
-struct NameCacheEntry {
-    w0: u64,
-    w1: u64,
-    len: u16,
-    keep: u16,
-    forms: [TaggedSymbol; 3],
+#[repr(align(32))]
+struct TokenSlot {
+    key: TokenKey,
+    event: TaggedSymbol,
+    keep: bool,
 }
 
-/// Index of the text-word form in a name-cache slot.
+impl TokenSlot {
+    /// Whether this slot caches the token with key `key`, compared word by
+    /// word: an array compare is lowered through memory, spilling the key
+    /// out of its registers on every probe.
+    #[inline(always)]
+    fn holds(&self, key: &TokenKey) -> bool {
+        (self.key[0] ^ key[0]) | (self.key[1] ^ key[1]) | (self.key[2] ^ key[2]) == 0
+    }
+}
+
+/// Index of the text-word form; also the name's offset in the token.
 const FORM_INTERNAL: usize = 0;
-/// Index of the open-tag form in a name-cache slot.
+/// Index of the open-tag form (`<` precedes the name).
 const FORM_CALL: usize = 1;
-/// Index of the close-tag form in a name-cache slot.
+/// Index of the close-tag form (`</` precedes the name).
 const FORM_RETURN: usize = 2;
 
-/// A symbol's three event forms, in `FORM_*` order.
-fn forms(sym: Symbol) -> [TaggedSymbol; 3] {
+/// The event of `sym` in form `form` (`FORM_*`).
+fn event_of(sym: Symbol, form: usize) -> TaggedSymbol {
+    match form {
+        FORM_CALL => TaggedSymbol::Call(sym),
+        FORM_RETURN => TaggedSymbol::Return(sym),
+        _ => TaggedSymbol::Internal(sym),
+    }
+}
+
+/// Slots in the token memo. Documents draw their tokens from a small,
+/// heavily repeated set (element vocabularies, recurring words), so even a
+/// small direct-mapped table converges to all-hits. A tag name takes two
+/// slots (its open and close form) and a word one; 512 slots × 32 bytes
+/// keep the table L1-resident beside the stage-1 tape.
+const NAME_CACHE_SLOTS: usize = 512;
+
+/// The cache slot of a token key. Any mix is fine — a slot collision costs
+/// a policy call, not a wrong answer (the key compare is exact).
+#[inline(always)]
+fn slot_of(key: &TokenKey) -> usize {
+    let mix = (key[0] ^ key[1].rotate_left(21) ^ key[2].rotate_left(42))
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mix >> (u64::BITS - NAME_CACHE_SLOTS.trailing_zeros())) as usize
+}
+
+/// The key of the 1..=[`KEY_BYTES`]-byte token at `data[at..]`: three raw
+/// word loads, masked to the token, plus its length. Callers guarantee
+/// `at + KEY_LOAD <= data.len()` (stage 1 stops short of the window end
+/// for this).
+#[inline(always)]
+fn token_key(data: &[u8], at: usize, len: usize) -> TokenKey {
+    let bytes: &[u8; KEY_LOAD] = data[at..at + KEY_LOAD].try_into().expect("a key load");
+    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("a word"));
+    let mask = &KEY_MASKS[len];
     [
-        TaggedSymbol::Internal(sym),
-        TaggedSymbol::Call(sym),
-        TaggedSymbol::Return(sym),
+        word(0) & mask[0],
+        word(1) & mask[1],
+        word(2) & mask[2] | (len as u64) << 56,
     ]
 }
 
-const EMPTY_SLOT: u16 = u16::MAX;
-
-/// The keep bits of the two tag forms, which are never dropped.
-const KEEP_TAGS: u16 = 1 << FORM_CALL | 1 << FORM_RETURN;
-
-/// Slots in the name memo. Documents draw their names from a small, heavily
-/// repeated set (element vocabularies, recurring words), so even a small
-/// direct-mapped table converges to all-hits; 256 slots × 32 bytes keep it
-/// L1-resident.
-const NAME_CACHE_SLOTS: usize = 256;
-
-/// Packs up to 16 name bytes into two little-endian words, zero-padded.
-/// Built with shift-or rather than a copy into a padded buffer: names are
-/// typically 2–10 bytes, where a dynamic-length `memcpy` call would cost
-/// more than the whole cache probe.
-#[inline(always)]
-fn pack_name(bytes: &[u8]) -> (u64, u64) {
-    let mut w0 = 0u64;
-    let mut w1 = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        if i < 8 {
-            w0 |= u64::from(b) << (8 * i);
-        } else {
-            w1 |= u64::from(b) << (8 * (i - 8));
-        }
+/// The key of `name` in form `form` (`FORM_*`): the [`token_key`] of its
+/// canonical token, built byte by byte, or `None` when that token is longer
+/// than [`KEY_BYTES`] or does not read back as `form` the way
+/// [`tape_token`] decodes a token. Two names do not: a text word starting
+/// with `<`, which only a CDATA section yields (`<![CDATA[<a>]]>` holds the
+/// word `<a>`, the canonical form of the open tag `a`), and an open tag
+/// named from `/`, which only leading whitespace yields (`< /a>` spells the
+/// close tag `</a>`). Keeping those uncached keeps the three forms' keys
+/// disjoint.
+fn canonical_key(name: &[u8], form: usize) -> Option<TokenKey> {
+    let (open, close) = (&b"</"[..form], &b">"[..form.min(1)]);
+    let len = open.len() + name.len() + close.len();
+    let reads_back = match form {
+        FORM_INTERNAL => name.first() != Some(&b'<'),
+        FORM_CALL => name.first() != Some(&b'/'),
+        _ => true,
+    };
+    if len > KEY_BYTES || !reads_back {
+        return None;
     }
-    (w0, w1)
-}
-
-/// The cache slot of an exact name key. Any mix is fine — a slot collision
-/// costs a policy call, not a wrong answer (the key compare is exact).
-#[inline(always)]
-fn slot_of(w0: u64, w1: u64, len: u32) -> usize {
-    let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1)
+    let mut key = [0u64, 0, (len as u64) << 56];
+    for (i, &b) in open.iter().chain(name).chain(close).enumerate() {
+        key[i / 8] |= u64::from(b) << (8 * (i % 8));
+    }
+    Some(key)
 }
 
 /// The policy call itself, kept out of the inlined probe: per distinct
-/// short name it runs once, while the probe runs per event. A text word
+/// short token it runs once, while the probe runs per event. A text word
 /// goes through [`ResolveName::resolve_text`], which may drop it
 /// unresolved (`None`); a tag name always resolves or fails.
 #[cold]
@@ -469,22 +534,14 @@ impl<N: ResolveName> LexerCore<N> {
             text: names.text_mode(),
             names,
             cache: Box::new(
-                [NameCacheEntry {
-                    w0: 0,
-                    w1: 0,
-                    len: EMPTY_SLOT,
-                    keep: KEEP_TAGS,
-                    forms: forms(Symbol(0)),
+                [TokenSlot {
+                    key: [0; 3],
+                    event: TaggedSymbol::Internal(Symbol(0)),
+                    keep: false,
                 }; NAME_CACHE_SLOTS],
             ),
             dropped: 0,
         }
-    }
-
-    /// Whether a text word of `sym` is emitted under the projection.
-    #[inline(always)]
-    fn keeps_text(&self, sym: Symbol) -> bool {
-        !self.names.drops(sym)
     }
 
     /// Lexes one text word under the projection: pushes its event and
@@ -493,31 +550,31 @@ impl<N: ResolveName> LexerCore<N> {
     #[inline]
     fn text_word(&mut self, name: &[u8], out: &mut Vec<TaggedSymbol>) -> Result<bool, SaxError> {
         if self.text != TextMode::DropAll {
-            if let Some(sym) = self.resolve_name(name, true)? {
-                if self.keeps_text(sym) {
-                    out.push(TaggedSymbol::Internal(sym));
-                    return Ok(true);
-                }
+            if let Some((event, true)) = self.resolve_token(name, FORM_INTERNAL)? {
+                out.push(event);
+                return Ok(true);
             }
         }
         self.dropped += 1;
         Ok(false)
     }
 
-    /// Maps one lexed tag name to its symbol (see
-    /// [`resolve_name`](Self::resolve_name)).
+    /// The event of one lexed tag name (see
+    /// [`resolve_token`](Self::resolve_token)) in form `form`.
     #[inline]
-    fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
+    fn tag_event(&mut self, name: &[u8], form: usize) -> Result<TaggedSymbol, SaxError> {
         Ok(self
-            .resolve_name(name, false)?
-            .expect("a tag name resolves or fails"))
+            .resolve_token(name, form)?
+            .expect("a tag name resolves or fails")
+            .0)
     }
 
-    /// Maps one lexed name (valid UTF-8 bytes of the validated window) to a
-    /// symbol through the policy — as a text word when `text`, which the
-    /// policy may drop unresolved (`None`) — memoized in a direct-mapped
-    /// cache: resolution is the per-event step the scanner cannot batch,
-    /// and the policy's `HashMap` lookup (SipHash, probe, `str`
+    /// Maps one lexed name (valid UTF-8 bytes of the validated window) in
+    /// form `form` (`FORM_*`) to its event and keep bit through the policy
+    /// — as a text word for [`FORM_INTERNAL`], which the policy may drop
+    /// unresolved (`None`) — memoized in a direct-mapped cache keyed by the
+    /// canonical token: resolution is the per-event step the scanner cannot
+    /// batch, and the policy's `HashMap` lookup (SipHash, probe, `str`
     /// re-validation) would otherwise dominate the whole tokenizer on short
     /// names. Both policies are idempotent per name — interning returns the
     /// same symbol it first assigned, frozen lookup never changes — so a
@@ -525,38 +582,45 @@ impl<N: ResolveName> LexerCore<N> {
     /// text words (unknown names, alphabet full) are not cached and always
     /// re-consult the policy.
     #[inline]
-    fn resolve_name(&mut self, name: &[u8], text: bool) -> Result<Option<Symbol>, SaxError> {
-        if name.len() > 16 {
-            return resolve_with(&mut self.names, name, text);
+    fn resolve_token(
+        &mut self,
+        name: &[u8],
+        form: usize,
+    ) -> Result<Option<(TaggedSymbol, bool)>, SaxError> {
+        let key = canonical_key(name, form);
+        match key.as_ref().and_then(|key| self.cached(key)) {
+            Some(hit) => Ok(Some(hit)),
+            None => self.resolve_miss(name, form, key),
         }
-        let (w0, w1) = pack_name(name);
-        let len = name.len() as u32;
-        if let Some((t, _)) = self.cached_form(w0, w1, len, FORM_INTERNAL) {
-            return Ok(Some(t.symbol()));
-        }
-        let Some(sym) = resolve_with(&mut self.names, name, text)? else {
-            return Ok(None);
-        };
-        self.cache[slot_of(w0, w1, len)] = NameCacheEntry {
-            w0,
-            w1,
-            len: len as u16,
-            keep: KEEP_TAGS | u16::from(self.keeps_text(sym)),
-            forms: forms(sym),
-        };
-        Ok(Some(sym))
     }
 
-    /// The cache probe alone: the event form `form` (`FORM_*`) of the name
-    /// with exact key `(w0, w1, len)` — the value [`pack_name`] produces,
-    /// which the scanner's stage 2 builds from two masked word loads of its
-    /// window — read in place from its slot with its keep bit, or `None` on
-    /// a miss.
+    /// [`resolve_token`](Self::resolve_token) after its probe missed: the
+    /// policy's answer, cached under `key`, the token's key if it has one.
+    fn resolve_miss(
+        &mut self,
+        name: &[u8],
+        form: usize,
+        key: Option<TokenKey>,
+    ) -> Result<Option<(TaggedSymbol, bool)>, SaxError> {
+        let Some(sym) = resolve_with(&mut self.names, name, form == FORM_INTERNAL)? else {
+            return Ok(None);
+        };
+        let event = event_of(sym, form);
+        let keep = form != FORM_INTERNAL || !self.names.drops(sym);
+        if let Some(key) = key {
+            self.cache[slot_of(&key)] = TokenSlot { key, event, keep };
+        }
+        Ok(Some((event, keep)))
+    }
+
+    /// The cache probe alone: the event and keep bit of the token with key
+    /// `key` — the value [`canonical_key`] produces, which the scanner's
+    /// stage 2 builds from masked word loads of its window — or `None` on a
+    /// miss.
     #[inline(always)]
-    fn cached_form(&self, w0: u64, w1: u64, len: u32, form: usize) -> Option<(TaggedSymbol, bool)> {
-        let slot = &self.cache[slot_of(w0, w1, len)];
-        (slot.w0 == w0 && slot.w1 == w1 && u32::from(slot.len) == len)
-            .then(|| (slot.forms[form], slot.keep >> form & 1 != 0))
+    fn cached(&self, key: &TokenKey) -> Option<(TaggedSymbol, bool)> {
+        let slot = &self.cache[slot_of(key)];
+        slot.holds(key).then_some((slot.event, slot.keep))
     }
 
     /// Classifies one tag body — the bytes between `<` and `>` — into its
@@ -589,15 +653,17 @@ impl<N: ResolveName> LexerCore<N> {
         if start == end {
             return Err(parse_error(tag_start, "empty tag name"));
         }
-        let sym = self.resolve_bytes(&inner[start..end])?;
-        Ok(if close {
-            (TaggedSymbol::Return(sym), None)
+        let name = &inner[start..end];
+        if close {
+            return Ok((self.tag_event(name, FORM_RETURN)?, None));
+        }
+        let open = self.tag_event(name, FORM_CALL)?;
+        let twin = if self_closing {
+            Some(self.tag_event(name, FORM_RETURN)?)
         } else {
-            (
-                TaggedSymbol::Call(sym),
-                self_closing.then_some(TaggedSymbol::Return(sym)),
-            )
-        })
+            None
+        };
+        Ok((open, twin))
     }
 }
 
@@ -612,6 +678,11 @@ const TAPE_BYTES: usize = 4096;
 
 /// Offsets a tape side can hold: one per byte of the largest pass.
 const TAPE_CAP: usize = TAPE_BYTES + BLOCK;
+
+/// Entries past [`TAPE_CAP`] on each tape side: [`flatten`] writes a whole
+/// block's worth of offsets at the cursor, of which only the popcount
+/// count.
+const TAPE_SLACK: usize = BLOCK;
 
 /// Stage 1's output: token `i` spans `from + starts[i] .. from + ends[i]`
 /// of the window, where `from` is the pass start. Tags span `<` through
@@ -628,8 +699,8 @@ struct Tape {
 impl Tape {
     fn new() -> Self {
         Tape {
-            starts: vec![0; TAPE_CAP],
-            ends: vec![0; TAPE_CAP],
+            starts: vec![0; TAPE_CAP + TAPE_SLACK],
+            ends: vec![0; TAPE_CAP + TAPE_SLACK],
             text_starts: [0; TAPE_CAP / BLOCK],
         }
     }
@@ -697,25 +768,39 @@ fn prefix_xor(mut x: u64) -> u64 {
 }
 
 /// Appends the offset of every set bit of `bits` (plus `off`) to `out` at
-/// `*n`, lowest first.
+/// `*n`, lowest first, the way simdjson flattens its structural masks:
+/// eight offsets per step, written unconditionally, for as many steps as
+/// the popcount needs. The entries written past the popcount are garbage
+/// the next call overwrites, so the loop's only branch is the step count,
+/// not every bit; `out` needs [`TAPE_SLACK`] entries past `*n`.
 #[inline(always)]
 fn flatten(mut bits: u64, off: usize, out: &mut [u16], n: &mut usize) {
-    while bits != 0 {
-        out[*n] = (off + bits.trailing_zeros() as usize) as u16;
-        *n += 1;
-        bits &= bits - 1;
+    let count = bits.count_ones() as usize;
+    let dst: &mut [u16; TAPE_SLACK] = (&mut out[*n..*n + TAPE_SLACK])
+        .try_into()
+        .expect("tape slack");
+    let off = off as u16;
+    for (step, eight) in dst.chunks_exact_mut(8).enumerate() {
+        for at in eight {
+            *at = off.wrapping_add(bits.trailing_zeros() as u16);
+            bits &= bits.wrapping_sub(1);
+        }
+        if 8 * (step + 1) >= count {
+            break;
+        }
     }
+    *n += count;
 }
 
 /// Stage 1: classifies `data` in 64-byte blocks from `from` — a token
 /// boundary outside any tag — and records every token that completes in the
 /// simple blocks on `tape`, stopping after about [`TAPE_BYTES`], once
 /// `budget` tokens are complete, at the first block it cannot prove simple,
-/// or where a block (plus stage 2's 16-byte name loads) would leave the
-/// window. With `DROP_TEXT` only tags count as tokens: text words are
-/// marked in `tape.text_starts` and counted, never resolved, and a pass
-/// whose text runs past its last tag (or that holds no tag at all) still
-/// consumes the complete words there.
+/// or where a block (plus stage 2's [`KEY_LOAD`]-byte key loads) would
+/// leave the window. With `DROP_TEXT` only tags count as tokens: text
+/// words are marked in `tape.text_starts` and counted, never resolved, and
+/// a pass whose text runs past its last tag (or that holds no tag at all)
+/// still consumes the complete words there.
 ///
 /// A block is *simple* when every byte is ASCII and not a control byte, and
 /// every tag in it is `<name>` or `</name>`: a `<` only outside a tag, a `>`
@@ -732,7 +817,7 @@ fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
     from: usize,
     budget: usize,
 ) -> Pass {
-    let last_block = data.len().checked_sub(BLOCK + 16);
+    let last_block = data.len().checked_sub(BLOCK + KEY_LOAD);
     let (mut starts, mut ends) = (0usize, 0usize);
     // Pass offset just past the last complete text word (`DROP_TEXT` only).
     let mut word_end = 0usize;
@@ -819,13 +904,16 @@ fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
 /// resolution failure the events before it stay in `out` and the error
 /// comes back with the failing token's start.
 ///
-/// The inner loop runs over cache hits; a miss (or a name longer than a
-/// cache key) leaves it for one policy resolution, then the loop resumes.
-/// With `FILTER` (keep-bit mode) every token's event is written
-/// branch-free, and the append cursor advances past it only if its slot's
-/// keep bit is set: a text word the projection drops costs a store, and is
-/// counted in `core.dropped`. Without it every event is kept, and the keep
-/// bits are never read.
+/// The inner loop runs over cache hits: a simple tape token is its own
+/// canonical form, so a hit is one masked key load ([`token_key`]), one
+/// slot compare and one push — no form decode, no name offsets. A miss (or
+/// a token longer than a key) leaves it for one policy resolution, which
+/// decodes the token's form, then the loop resumes. With `FILTER`
+/// (keep-bit mode) every token's event is written branch-free, and the
+/// append cursor advances past it only if its slot's keep bit is set: a
+/// text word the projection drops costs a store, and is counted in
+/// `core.dropped`. Without it every event is kept, and the keep bits are
+/// never read.
 fn emit_tape<N: ResolveName, const FILTER: bool>(
     core: &mut LexerCore<N>,
     tape: &Tape,
@@ -836,32 +924,21 @@ fn emit_tape<N: ResolveName, const FILTER: bool>(
 ) -> Result<usize, (SaxError, usize)> {
     let before = out.len();
     let mut sink = EventSink::new(out, tokens);
+    let window = &data[from..];
     let mut i = 0;
-    while i < tokens {
-        while i < tokens {
-            let (s, form, len) = tape_token(tape, data, from, i);
-            if len > 16 {
-                break;
-            }
-            let (w0, w1) = pack_short(data, s + form, len);
-            let Some((t, keep)) = core.cached_form(w0, w1, len as u32, form) else {
-                break;
-            };
-            sink.push_if(t, !FILTER || keep);
-            i += 1;
-        }
+    loop {
+        i += emit_hits::<N, FILTER>(
+            core,
+            &tape.starts[i..tokens],
+            &tape.ends[i..tokens],
+            window,
+            &mut sink,
+        );
         if i == tokens {
             break;
         }
-        let (s, form, len) = tape_token(tape, data, from, i);
-        match core.resolve_name(&data[s + form..s + form + len], form == FORM_INTERNAL) {
-            Ok(Some(sym)) => sink.push_if(
-                forms(sym)[form],
-                !FILTER || form != FORM_INTERNAL || core.keeps_text(sym),
-            ),
-            // A text word the policy drops unresolved.
-            Ok(None) => {}
-            Err(err) => return Err((err, s)),
+        if let Some((t, keep)) = resolve_tape_token(core, tape, data, from, i)? {
+            sink.push_if(t, !FILTER || keep);
         }
         i += 1;
     }
@@ -870,39 +947,64 @@ fn emit_tape<N: ResolveName, const FILTER: bool>(
     Ok(written)
 }
 
+/// The hit loop of [`emit_tape`]: emits the tape tokens spanning
+/// `window[starts[i]..ends[i]]` while each one's key is cached, returning
+/// how many it emitted.
+#[inline(always)]
+fn emit_hits<N: ResolveName, const FILTER: bool>(
+    core: &LexerCore<N>,
+    starts: &[u16],
+    ends: &[u16],
+    window: &[u8],
+    sink: &mut EventSink<'_, TaggedSymbol>,
+) -> usize {
+    for (i, (&start, &end)) in starts.iter().zip(ends).enumerate() {
+        let len = usize::from(end - start);
+        if len > KEY_BYTES {
+            return i;
+        }
+        let Some((t, keep)) = core.cached(&token_key(window, usize::from(start), len)) else {
+            return i;
+        };
+        sink.push_if(t, !FILTER || keep);
+    }
+    starts.len()
+}
+
+/// The miss path of [`emit_tape`], kept out of its loop: tape token `i`
+/// resolved through the policy ([`LexerCore::resolve_miss`]), which fills
+/// the slot of the key the loop just probed. A failure comes back with the
+/// token's start.
+#[inline(never)]
+fn resolve_tape_token<N: ResolveName>(
+    core: &mut LexerCore<N>,
+    tape: &Tape,
+    data: &[u8],
+    from: usize,
+    i: usize,
+) -> Result<Option<(TaggedSymbol, bool)>, (SaxError, usize)> {
+    let (s, form, len) = tape_token(tape, data, from, i);
+    let token = usize::from(tape.ends[i] - tape.starts[i]);
+    let key = (token <= KEY_BYTES).then(|| token_key(data, s, token));
+    core.resolve_miss(&data[s + form..s + form + len], form, key)
+        .map_err(|err| (err, s))
+}
+
 /// Tape token `i` of the pass that started at `from`, as its window start,
-/// its event form and its name length. The form is read off the token's
-/// first two bytes without a branch — a tag adds one for `<` and one more
-/// for `</` — and doubles as the name's offset in the token: `FORM_INTERNAL`
-/// 0 for a text word, `FORM_CALL` 1 for `<name>`, `FORM_RETURN` 2 for
-/// `</name>`.
+/// its event form and its name length: the miss path's decode. The form is
+/// read off the token's first two bytes without a branch — a tag adds one
+/// for `<` and one more for `</` — and doubles as the name's offset in the
+/// token: `FORM_INTERNAL` 0 for a text word, `FORM_CALL` 1 for `<name>`,
+/// `FORM_RETURN` 2 for `</name>`.
 #[inline(always)]
 fn tape_token(tape: &Tape, data: &[u8], from: usize, i: usize) -> (usize, usize, usize) {
-    const _: () = assert!(FORM_CALL == 1 && FORM_RETURN == 2);
+    const _: () = assert!(FORM_INTERNAL == 0 && FORM_CALL == 1 && FORM_RETURN == 2);
     let s = from + usize::from(tape.starts[i]);
     let e = from + usize::from(tape.ends[i]);
     let [b0, b1]: [u8; 2] = data[s..s + 2].try_into().expect("two bytes");
     let tag = usize::from(b0 == b'<');
     let form = tag + (tag & usize::from(b1 == b'/'));
     (s, form, e - tag - s - form)
-}
-
-/// Packs a 1..=16-byte name starting at `from` into its exact cache key —
-/// the same `(w0, w1)` value the byte-loop [`pack_name`] produces, built
-/// from two raw word loads and a mask instead. Callers guarantee
-/// `from + 16 <= data.len()` (stage 1 stops 16 bytes short of the window
-/// end for this), so the overread-free loads stay in bounds.
-#[inline(always)]
-fn pack_short(data: &[u8], from: usize, len: usize) -> (u64, u64) {
-    debug_assert!((1..=16).contains(&len) && from + 16 <= data.len());
-    let w0 = load_word(data, from);
-    if len <= 8 {
-        // `!0 >> (64 - 8·len)` keeps the low `len` lanes; len = 8 is the
-        // identity shift, so no branch for it.
-        return (w0 & (!0u64 >> (64 - 8 * len)), 0);
-    }
-    let w1 = load_word(data, from + 8);
-    (w0, w1 & (!0u64 >> (128 - 8 * len)))
 }
 
 // --------------------------------------------------------------------------
@@ -1287,12 +1389,9 @@ fn step_token<N: ResolveName>(
         // `</name>` and `<name>` with nothing but name material between the
         // brackets skip the classifier: the sweep's simple verdict
         // certifies the slice is the name.
-        match core.resolve_bytes(&data[body_at..gt]) {
-            Ok(sym) => out.push(if lead == b'/' {
-                TaggedSymbol::Return(sym)
-            } else {
-                TaggedSymbol::Call(sym)
-            }),
+        let form = if lead == b'/' { FORM_RETURN } else { FORM_CALL };
+        match core.tag_event(&data[body_at..gt], form) {
+            Ok(event) => out.push(event),
             Err(e) => return StepOutcome::Fail(e, pos),
         }
         *budget -= 1;
@@ -1791,15 +1890,70 @@ mod tests {
     }
 
     #[test]
-    fn pack_short_builds_the_cache_key_of_the_byte_packer() {
-        let data: Vec<u8> = (1..=40u8).collect();
-        for from in 0..8 {
-            for len in 1..=16 {
-                assert_eq!(
-                    pack_short(&data, from, len),
-                    pack_name(&data[from..from + len]),
-                    "from {from} len {len}"
-                );
+    fn window_keys_equal_the_canonical_keys_of_every_form() {
+        for name_len in 1..=KEY_BYTES {
+            let name: Vec<u8> = (0..name_len).map(|i| b'a' + (i % 26) as u8).collect();
+            let mut keys = Vec::new();
+            for (form, token) in [
+                (FORM_INTERNAL, name.clone()),
+                (FORM_CALL, [b"<", &name[..], b">"].concat()),
+                (FORM_RETURN, [b"</", &name[..], b">"].concat()),
+            ] {
+                let key = canonical_key(&name, form);
+                assert_eq!(key.is_some(), token.len() <= KEY_BYTES, "{token:?}");
+                let Some(key) = key else { continue };
+                for at in 0..8 {
+                    // Non-zero bytes around the token, which the masks drop.
+                    let mut data = vec![b'#'; at + KEY_LOAD];
+                    data[at..at + token.len()].copy_from_slice(&token);
+                    assert_eq!(token_key(&data, at, token.len()), key, "{token:?} at {at}");
+                }
+                keys.push(key);
+            }
+            let forms = keys.len();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), forms, "the forms of a name share no key");
+        }
+        // Every name of up to 20 bytes is cached in every form.
+        assert!(canonical_key(&[b'n'; 20], FORM_RETURN).is_some());
+        assert!(canonical_key(&[b'n'; 21], FORM_RETURN).is_none());
+        // Names whose canonical token would spell another form's.
+        assert!(canonical_key(b"<a>", FORM_INTERNAL).is_none());
+        assert!(canonical_key(b"/a", FORM_CALL).is_none());
+    }
+
+    /// `flatten` writes exactly the offsets of the set bits, lowest first,
+    /// leaves the entries before the cursor alone, and stays inside the
+    /// tape's slack even from the last cursor a full pass can reach.
+    #[test]
+    fn flatten_matches_the_bit_by_bit_offsets() {
+        let mut rng = Prng::new(21);
+        let mut masks: Vec<u64> = [0usize, 1, 7, 8, 9, 16, 63, 64]
+            .iter()
+            .map(|&ones| {
+                // `ones` set bits, scattered.
+                let mut bits = if ones == 64 { !0 } else { (1u64 << ones) - 1 };
+                bits = bits.rotate_left(rng.below(64) as u32);
+                bits
+            })
+            .collect();
+        masks.extend((0..200).map(|_| rng.next_u64() & rng.next_u64()));
+        masks.extend((0..200).map(|_| rng.next_u64() | rng.next_u64()));
+        for bits in masks {
+            let count = bits.count_ones() as usize;
+            let offsets: Vec<u16> = (0..64)
+                .filter(|&b| bits >> b & 1 != 0)
+                .map(|b| 4000 + b as u16)
+                .collect();
+            for start in [0, TAPE_CAP - count - 1, TAPE_CAP - count] {
+                let mut tape = Tape::new();
+                tape.starts.fill(7);
+                let mut n = start;
+                flatten(bits, 4000, &mut tape.starts, &mut n);
+                assert_eq!(n, start + count, "{bits:#x}");
+                assert_eq!(tape.starts[start..n], offsets[..], "{bits:#x}");
+                assert!(tape.starts[..start].iter().all(|&o| o == 7), "{bits:#x}");
             }
         }
     }
@@ -1868,11 +2022,11 @@ mod tests {
         let doc = "<t1>w1 w22</t1>  <t3>\tw3\n</t3><t4>w4<t5>w5</t5></t4>".repeat(40);
         let expected = spec_tokens(&doc);
         let bytes = doc.as_bytes();
-        // Stage 1 stops a block plus 16 bytes short of the window end.
+        // Stage 1 stops a block plus a key load short of the window end.
         let covered = |spans: &[(usize, usize)]| {
             expected
                 .iter()
-                .take_while(|&&(_, e)| e + BLOCK + 16 <= bytes.len())
+                .take_while(|&&(_, e)| e + BLOCK + KEY_LOAD <= bytes.len())
                 .count()
                 <= spans.len()
         };
@@ -1929,7 +2083,10 @@ mod tests {
             .into_iter()
             .partition(|&(s, _)| bytes[s] == b'<');
         let check = |name: &str, (spans, end, dropped): (Vec<(usize, usize)>, usize, usize)| {
-            assert!(end + 2 * BLOCK + 16 > bytes.len(), "{name}: stopped early");
+            assert!(
+                end + 2 * BLOCK + KEY_LOAD > bytes.len(),
+                "{name}: stopped early"
+            );
             let taken: Vec<_> = tags.iter().copied().filter(|&(_, e)| e <= end).collect();
             assert_eq!(spans, taken, "{name}");
             let before = words.iter().filter(|&&(_, e)| e <= end).count();

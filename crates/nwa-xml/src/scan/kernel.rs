@@ -121,15 +121,21 @@ mod x86 {
     use super::{build_tape, BlockClassifier, BlockMasks, Pass, Tape, BLOCK};
     use core::arch::x86_64::*;
 
-    /// Proof-of-AVX2 token (see [`BlockClassifier`]).
+    /// Proof-of-AVX2 token (see [`BlockClassifier`]): AVX2 for the block
+    /// classes, plus the BMI1 and POPCNT every AVX2 core ships with, so
+    /// `flatten`'s bit counts and lowest-bit steps are one instruction each.
     #[derive(Clone, Copy)]
     pub(in crate::scan) struct Avx2(());
 
     impl Avx2 {
-        /// `Some` iff this CPU has AVX2 (std caches the probe).
+        /// `Some` iff this CPU has AVX2, BMI1 and POPCNT (std caches the
+        /// probes).
         #[inline]
         pub(in crate::scan) fn detect() -> Option<Self> {
-            is_x86_feature_detected!("avx2").then_some(Avx2(()))
+            let present = is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("bmi1")
+                && is_x86_feature_detected!("popcnt");
+            present.then_some(Avx2(()))
         }
     }
 
@@ -150,17 +156,19 @@ mod x86 {
             from: usize,
             budget: usize,
         ) -> Pass {
-            // SAFETY: `self` exists only when AVX2 was detected on this CPU.
+            // SAFETY: `self` exists only when AVX2, BMI1 and POPCNT were
+            // detected on this CPU.
             unsafe { stage1_avx2::<DROP_TEXT>(self, tape, data, from, budget) }
         }
     }
 
-    /// [`build_tape`] compiled with AVX2 enabled, so the kernel inlines
-    /// into the block loop instead of being called per block.
+    /// [`build_tape`] compiled with AVX2, BMI1 and POPCNT enabled, so the
+    /// kernel inlines into the block loop instead of being called per
+    /// block.
     ///
     /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
+    /// The CPU must support AVX2, BMI1 and POPCNT.
+    #[target_feature(enable = "avx2,bmi1,popcnt")]
     unsafe fn stage1_avx2<const DROP_TEXT: bool>(
         cls: Avx2,
         tape: &mut Tape,

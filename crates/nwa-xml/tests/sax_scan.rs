@@ -30,6 +30,7 @@ use std::io;
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
 use nwa_xml::generate::{generate_document, DocumentConfig};
+use nwa_xml::queries::{for_each_slice, EVENT_SLICE};
 use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, Projection, SaxError};
 use nwa_xml::scan::{
     auto_scan_backend, force_scan_backend, scan_backend, BulkLexer, ScanBackend, SCAN_CHUNK,
@@ -1050,4 +1051,176 @@ fn drop_all_skips_unknown_text_but_not_unknown_tags() {
             ((up_to_w.clone(), Some(unknown("intruder"))), 0)
         );
     }
+}
+
+// --------------------------------------------------------------------------
+// The token cache under pressure
+// --------------------------------------------------------------------------
+
+/// Name lengths on both sides of every word boundary of a token key and of
+/// the longest keyed token in each form (text 23, open 21, close 20).
+const PRESSURE_LENGTHS: &[usize] = &[1, 7, 8, 9, 13, 14, 15, 16, 17, 20, 21, 22, 23, 24];
+
+/// Over a thousand distinct ASCII names, lengths cycling through
+/// [`PRESSURE_LENGTHS`]: a letter, then the index in base 36, padded.
+/// Far more tokens than the lexer's cache has slots, so slots collide.
+fn pressure_vocabulary() -> Vec<String> {
+    const DIGITS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
+    let mut names: Vec<String> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut i = 0usize;
+    while names.len() < 1_100 {
+        let len = PRESSURE_LENGTHS[i % PRESSURE_LENGTHS.len()];
+        let mut name = vec![b'a' + (i % 26) as u8];
+        let mut rest = i / 26;
+        while rest > 0 {
+            name.push(DIGITS[rest % 36]);
+            rest /= 36;
+        }
+        while name.len() < len {
+            name.push(b"_.-x"[name.len() % 4]);
+        }
+        name.truncate(len);
+        let name = String::from_utf8(name).expect("ASCII");
+        if seen.insert(name.clone()) {
+            names.push(name);
+        }
+        i += 1;
+    }
+    names
+}
+
+/// A seeded document over [`pressure_vocabulary`], every name in every
+/// form: a text word, `<n>`, `</n>`, `<n/>` and `<n k="v">`, plus the two
+/// spellings whose name starts like another form's token: CDATA words
+/// `<n>` and `</n>` (text), and `< /n>` (an open tag named `/n`).
+fn pressure_document(seed: u64, tokens: usize) -> String {
+    let names = pressure_vocabulary();
+    let mut rng = Prng::new(seed);
+    let mut doc = String::new();
+    for _ in 0..tokens {
+        let name = &names[rng.below(names.len())];
+        match rng.below(7) {
+            0 => doc.push_str(&format!("{name} ")),
+            1 => doc.push_str(&format!("<{name}>")),
+            2 => doc.push_str(&format!("</{name}>")),
+            3 => doc.push_str(&format!("<{name}/>")),
+            4 => doc.push_str(&format!("<{name} k=\"v\">")),
+            5 => doc.push_str(&format!("<![CDATA[<{name}> </{name}>]]>")),
+            _ => doc.push_str(&format!("< /{name}>")),
+        }
+        if rng.below(3) == 0 {
+            doc.push('\n');
+        }
+    }
+    doc
+}
+
+/// The oracle's events for `data`, in the alphabet it interned into.
+fn oracle_events(data: &[u8]) -> (Alphabet, Vec<TaggedSymbol>) {
+    let mut ab = Alphabet::new();
+    let (events, err) = drain(EventLexer::new(Utf8Chars::new(data), &mut ab));
+    assert_eq!(err, None, "the pressure document is well formed");
+    (ab, events)
+}
+
+/// One `for_each_slice` run whose sink asks to narrow to tags at slice
+/// `narrow_at`: the events before and after the narrowing, and the dropped
+/// count.
+fn narrowed_slices(
+    data: &[u8],
+    ab: &Alphabet,
+    inert: &[bool],
+    narrow_at: usize,
+) -> (Vec<TaggedSymbol>, Vec<TaggedSymbol>, usize) {
+    let (mut before, mut after, mut slices) = (Vec::new(), Vec::new(), 0);
+    let dropped = for_each_slice(SplitReader::new(data, 4099), ab, inert, |events| {
+        let side = if slices <= narrow_at {
+            &mut before
+        } else {
+            &mut after
+        };
+        side.extend_from_slice(events);
+        slices += 1;
+        slices <= narrow_at
+    })
+    .expect("the pressure document is well formed");
+    (before, after, dropped)
+}
+
+/// Over a thousand names in every form, at every key-length boundary, so
+/// the token cache's slots collide constantly: the scanner equals the
+/// oracle on every backend — unprojected, under a keep-bit projection
+/// (every third symbol inert), under drop-all, and narrowed to tags
+/// mid-stream.
+#[test]
+fn token_cache_under_pressure_matches_char_lexer() {
+    let doc = pressure_document(17, 16_000);
+    let data = doc.as_bytes();
+    let (ab, events) = oracle_events(data);
+    assert!(ab.len() >= 1_024, "a vocabulary past the cache");
+    assert!(
+        events.len() >= 3 * EVENT_SLICE,
+        "narrowing falls mid-stream"
+    );
+    let expected = reference(data, data.len());
+    let is_tag = |t: &TaggedSymbol| !matches!(t, TaggedSymbol::Internal(_));
+    let every_third: Vec<bool> = (0..ab.len()).map(|a| a % 3 == 0).collect();
+    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+        for chunk in [data.len(), 4099, 7] {
+            let ctx = format!("{backend:?}, chunk {chunk}");
+            assert_eq!(bulk_iter(data, chunk), expected, "{ctx}: iterator");
+            assert_eq!(bulk_fill(data, chunk, 1024), expected, "{ctx}: fill");
+            for (mode, inert) in [
+                ("emit-all", Vec::new()),
+                ("keep-bit", every_third.clone()),
+                ("drop-all", vec![true; ab.len()]),
+            ] {
+                let dropped = |t: &TaggedSymbol| match t {
+                    TaggedSymbol::Internal(a) => inert.get(a.index()).copied().unwrap_or(false),
+                    _ => false,
+                };
+                let kept: Vec<TaggedSymbol> =
+                    events.iter().copied().filter(|t| !dropped(t)).collect();
+                assert_eq!(
+                    projected_fill(data, chunk, 1024, &ab, &inert),
+                    (
+                        (kept, None),
+                        events.len() - events.iter().filter(|t| !dropped(t)).count()
+                    ),
+                    "{ctx}: {mode}"
+                );
+            }
+        }
+        for inert in [Vec::new(), every_third.clone()] {
+            let keeps = |t: &TaggedSymbol| match t {
+                TaggedSymbol::Internal(a) => !inert.get(a.index()).copied().unwrap_or(false),
+                _ => true,
+            };
+            for narrow_at in 0..3 {
+                let ctx = format!(
+                    "{backend:?}, {} inert, narrowed after slice {narrow_at}",
+                    inert.len()
+                );
+                let (before, after, dropped) = narrowed_slices(data, &ab, &inert, narrow_at);
+                // The fills before the switch end on a kept event: `p`
+                // oracle events were read by then.
+                let p = events
+                    .iter()
+                    .scan(0, |kept, t| {
+                        *kept += usize::from(keeps(t));
+                        Some(*kept)
+                    })
+                    .position(|kept| kept == before.len())
+                    .map_or(0, |i| i + 1);
+                let head: Vec<_> = events[..p].iter().copied().filter(|t| keeps(t)).collect();
+                let tail: Vec<_> = events[p..].iter().copied().filter(is_tag).collect();
+                assert_eq!(before, head, "{ctx}");
+                assert_eq!(after, tail, "{ctx}");
+                assert_eq!(before.len() + after.len() + dropped, events.len(), "{ctx}");
+            }
+        }
+    }
+    auto_scan_backend();
 }
