@@ -85,6 +85,6 @@ pub use compile::Compile;
 pub use ids::StateId;
 pub use multi::{MultiAcceptor, MultiCompile, QuerySetRun};
 pub use persist::{Persist, PersistError};
-pub use stream::{BatchAcceptor, LaneRun, StreamAcceptor, StreamOutcome, StreamRun};
+pub use stream::{BatchAcceptor, Forms, LaneRun, StreamAcceptor, StreamOutcome, StreamRun};
 pub use suspend::{Snapshot, Suspend};
 pub use traits::{Acceptor, BooleanOps, Decide, Emptiness, Minimize, Witness};

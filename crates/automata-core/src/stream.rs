@@ -80,6 +80,100 @@ pub trait StreamRun {
     fn reads_text(&self) -> bool {
         true
     }
+
+    /// Whether a tag name could still change this run. Once it returns
+    /// `false` it never returns `true` again: the verdict is fixed and only
+    /// the stack height moves, so only each tag's form — call, return, or
+    /// a self-closing pair — still matters, and a scanner may stop
+    /// resolving names and hand over [`Forms`] instead
+    /// ([`step_forms`](StreamRun::step_forms);
+    /// `nwa_xml::queries::run_streaming_reader` narrows its scan to
+    /// structure then). `false` implies `reads_text() == false`. The
+    /// default, `true`, never narrows; [`LaneRun`] forwards to
+    /// [`BatchAcceptor::lane_reads_names`].
+    fn reads_names(&self) -> bool {
+        true
+    }
+
+    /// Consumes a window of tag events known only by their [`Forms`]: the
+    /// events are counted, the stack height follows their ±1 walk, and the
+    /// peak its highest point. Only a run that no longer
+    /// [`reads_names`](StreamRun::reads_names) may be handed forms; the
+    /// default, for runs that always read names, panics. [`LaneRun`]
+    /// forwards to [`BatchAcceptor::lane_step_forms`].
+    fn step_forms(&mut self, forms: Forms) {
+        let _ = forms;
+        panic!("a run that reads names cannot step tag forms");
+    }
+}
+
+/// An exact summary of a window of tag events that keeps only their forms
+/// (call or return), never their names: what a run that no longer
+/// [reads names](StreamRun::reads_names) needs of the window.
+///
+/// Stack height under calls and returns is a saturating ±1 walk — a
+/// return on an empty stack is pending and leaves the height at zero. The
+/// summary keeps the plain ±1 walk from 0 instead: where it ends (`net`),
+/// its lowest and highest points (`low`, `rise`), and the highest the
+/// saturating walk from 0 climbs (`top`). Saturation is the distance
+/// above the lowest point so far, so a window maps a height `h` to
+/// `max(h + net, net - low)` and a peak `p` to `max(p, h + rise, top)`
+/// ([`apply`](Forms::apply)). The scanner builds the summary without
+/// knowing the run's height, and two summaries compose
+/// ([`then`](Forms::then)): the summary of a concatenation is the
+/// composition of its parts'. A window counts its calls and returns as
+/// `events`; a self-closing tag is a call then a return.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Forms {
+    /// Tag events in the window.
+    pub events: usize,
+    /// Calls minus returns.
+    pub net: isize,
+    /// The lowest `net` of any prefix of the window, the empty one
+    /// included: never above 0.
+    pub low: isize,
+    /// The highest `net` of any prefix of the window, the empty one
+    /// included.
+    pub rise: usize,
+    /// The peak height of the window when it starts at height 0.
+    pub top: usize,
+}
+
+impl Forms {
+    /// Appends one tag event: a call if `call`, else a return. Branch-free.
+    #[inline(always)]
+    pub fn push(&mut self, call: bool) {
+        self.events += 1;
+        self.net += 2 * isize::from(call) - 1;
+        self.low = self.low.min(self.net);
+        self.rise = self.rise.max(self.net.max(0) as usize);
+        self.top = self.top.max((self.net - self.low) as usize);
+    }
+
+    /// The summary of this window followed by `next`.
+    #[inline(always)]
+    pub fn then(self, next: Forms) -> Forms {
+        Forms {
+            events: self.events + next.events,
+            net: self.net + next.net,
+            low: self.low.min(self.net + next.low),
+            rise: self
+                .rise
+                .max((self.net + next.rise as isize).max(0) as usize),
+            top: self
+                .top
+                .max(next.top)
+                .max((self.net - self.low) as usize + next.rise),
+        }
+    }
+
+    /// Walks a run's stack `height` and its `peak` through the window.
+    #[inline]
+    pub fn apply(&self, height: &mut usize, peak: &mut usize) {
+        let h = *height;
+        *peak = (*peak).max(h + self.rise).max(self.top);
+        *height = (h as isize + self.net).max(self.net - self.low) as usize;
+    }
 }
 
 /// An automaton that can run incrementally over a stream of
@@ -177,6 +271,24 @@ pub trait BatchAcceptor: StreamAcceptor {
     fn lane_reads_text(&self, lane: &Self::Lane) -> bool {
         let _ = lane;
         true
+    }
+
+    /// Whether a tag name could still change the lane: the
+    /// [`StreamRun::reads_names`] observable, one-way like it. The default,
+    /// `true`, suits every model; compiled engines return `false` once no
+    /// live engine of the lane can be moved by any event.
+    fn lane_reads_names(&self, lane: &Self::Lane) -> bool {
+        let _ = lane;
+        true
+    }
+
+    /// Advances a lane that no longer [reads names](BatchAcceptor::lane_reads_names)
+    /// through a window of tag events known only by their [`Forms`]: the
+    /// [`StreamRun::step_forms`] entry. The default, for lanes that always
+    /// read names, panics.
+    fn lane_step_forms(&self, lane: &mut Self::Lane, forms: Forms) {
+        let _ = (lane, forms);
+        panic!("a lane that reads names cannot step tag forms");
     }
 
     /// Runs one whole stream through a fresh lane — [`lane_start`],
@@ -278,6 +390,14 @@ impl<A: BatchAcceptor> StreamRun for LaneRun<'_, A> {
     fn reads_text(&self) -> bool {
         self.artifact.lane_reads_text(&self.lane)
     }
+
+    fn reads_names(&self) -> bool {
+        self.artifact.lane_reads_names(&self.lane)
+    }
+
+    fn step_forms(&mut self, forms: Forms) {
+        self.artifact.lane_step_forms(&mut self.lane, forms);
+    }
 }
 
 /// Summary of a completed streaming evaluation, as reported by
@@ -297,4 +417,63 @@ pub struct StreamOutcome {
     /// Maximum stack height used: proportional to the nesting depth of the
     /// input, not to its length.
     pub peak_memory: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Forms;
+
+    /// Height and peak after walking `calls` (`true` a call, `false` a
+    /// return) one event at a time from `height`, pending returns
+    /// included.
+    fn walk(calls: &[bool], mut height: usize, mut peak: usize) -> (usize, usize) {
+        for &call in calls {
+            height = if call {
+                height + 1
+            } else {
+                height.saturating_sub(1)
+            };
+            peak = peak.max(height);
+        }
+        (height, peak)
+    }
+
+    fn forms_of(calls: &[bool]) -> Forms {
+        let mut forms = Forms::default();
+        calls.iter().for_each(|&call| forms.push(call));
+        forms
+    }
+
+    /// Every call/return word up to length 10: applying its summary equals
+    /// the event-by-event walk from every start, and the summary of every
+    /// split's two halves composes to the whole word's.
+    #[test]
+    fn forms_summarize_the_saturating_walk_exactly() {
+        for len in 0..=10 {
+            for bits in 0..1u32 << len {
+                let calls: Vec<bool> = (0..len).map(|i| bits >> i & 1 != 0).collect();
+                let forms = forms_of(&calls);
+                assert_eq!(forms.events, len);
+                for height in 0..4 {
+                    for peak in [height, height + 2, 20] {
+                        let (mut h, mut p) = (height, peak);
+                        forms.apply(&mut h, &mut p);
+                        assert_eq!(
+                            (h, p),
+                            walk(&calls, height, peak),
+                            "{calls:?} from {height}"
+                        );
+                    }
+                }
+                for cut in 0..=len {
+                    let (head, tail) = calls.split_at(cut);
+                    assert_eq!(
+                        forms_of(head).then(forms_of(tail)),
+                        forms,
+                        "{calls:?} at {cut}"
+                    );
+                }
+            }
+        }
+    }
 }

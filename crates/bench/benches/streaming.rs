@@ -227,13 +227,27 @@ fn settling_query(xml: &str, ab: &Alphabet) -> CompiledNwa {
     cq
 }
 
+/// A compiled one-state NWA that accepts everything: its only state is
+/// absorbing, so the run has settled before the first byte and
+/// `run_streaming_reader` scans the whole document in structure mode —
+/// stage 1 and the form walk, no name resolved.
+fn settled_query(ab: &Alphabet) -> CompiledNwa {
+    let mut all = Nwa::new(1, ab.len(), 0);
+    all.set_accepting(0, true);
+    all.set_all_transitions_to(0, 0);
+    let cq = query::compile(&all);
+    assert!(!cq.start().reads_names(), "settled at the start");
+    cq
+}
+
 /// E15c layer table: the 1M-event document through UTF-8 validation alone,
 /// the scanner alone (unprojected, and projected through the query's inert
-/// symbols), the whole bytes→verdict pipeline, and that pipeline under a
-/// query that reads text until it settles (`bytes_settling_reader`), each
-/// on the SWAR-pinned and the detected stage-1 backend, in ns/event and
-/// ns/byte (fastest of ten passes; the criterion rows below are the
-/// recorded numbers).
+/// symbols), the structure-only scan of a run settled from the start
+/// (`bytes_settled_at_start`), the whole bytes→verdict pipeline, and that
+/// pipeline under a query that reads text until it settles
+/// (`bytes_settling_reader`), each on the SWAR-pinned and the detected
+/// stage-1 backend, in ns/event and ns/byte (fastest of ten passes; the
+/// criterion rows below are the recorded numbers).
 fn print_layer_table() {
     let (ab, doc) = generate_document(
         DocumentConfig {
@@ -246,6 +260,7 @@ fn print_layer_table() {
     let cq = query::compile(&contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len()));
     let xml = to_xml(&doc, &ab);
     let settling = settling_query(&xml, &ab);
+    let settled = settled_query(&ab);
     let (events, bytes) = (doc.len() as f64, xml.len() as f64);
     let fastest = |f: &dyn Fn()| {
         (0..10)
@@ -261,9 +276,9 @@ fn print_layer_table() {
     println!(
         "== E15c: per-layer cost, 1M events, {bytes} bytes (detected backend: {detected:?}) =="
     );
-    println!("{:>28} {:>12} {:>12}", "layer", "ns/event", "ns/byte");
+    println!("{:>30} {:>12} {:>12}", "layer", "ns/event", "ns/byte");
     let row = |label: &str, ns: f64| {
-        println!("{label:>28} {:>12.2} {:>12.3}", ns / events, ns / bytes);
+        println!("{label:>30} {:>12.2} {:>12.3}", ns / events, ns / bytes);
     };
     row(
         "utf8_only",
@@ -283,6 +298,12 @@ fn print_layer_table() {
             &format!("tokenize_projected ({backend:?})"),
             fastest(&|| {
                 black_box(tokenize_projected(&xml, &ab, cq.inert_symbols()));
+            }),
+        );
+        row(
+            &format!("bytes_settled_at_start ({backend:?})"),
+            fastest(&|| {
+                black_box(run_streaming_reader(&settled, xml.as_bytes(), &ab).unwrap());
             }),
         );
         row(
@@ -411,9 +432,12 @@ fn bench_compiled(c: &mut Criterion) {
     // next to its first two layers alone (`utf8_only`, `tokenize_only`), the
     // scan under the compiled query's projection (`tokenize_projected`, the
     // scan `bytes_compiled` runs), parsing the whole document before
-    // running (`materialize_then_run`), and a compiled query that reads
-    // text until it settles early, after which its scan narrows to tags
-    // (`bytes_settling_reader`, ungated).
+    // running (`materialize_then_run`), a compiled query that reads text
+    // until it settles early, after which its scan narrows to tags and then
+    // to structure (`bytes_settling_reader`, ungated), and a run settled
+    // from the start, which scans the whole document in structure mode
+    // (`bytes_settled_at_start`; its `_simd` row is gated against
+    // `tokenize_projected_simd`, so falling back to name resolution fails).
     // The plain rows are pinned to the portable SWAR backend and the
     // `_simd` rows run on the runtime-detected wide backend, so one run
     // records both sides of the comparison CI gates on.
@@ -437,6 +461,7 @@ fn bench_compiled(c: &mut Criterion) {
         let cq = query::compile(&q);
         let xml = to_xml(&doc, &ab);
         let settling = settling_query(&xml, &ab);
+        let settled = settled_query(&ab);
         let mut parse_ab = ab.clone();
         group.throughput(Throughput::Bytes(xml.len() as u64));
         group.bench_with_input(BenchmarkId::new("utf8_only", events), &xml, |b, xml| {
@@ -487,6 +512,11 @@ fn bench_compiled(c: &mut Criterion) {
                 BenchmarkId::new(&format!("bytes_settling_reader{suffix}"), events),
                 &xml,
                 |b, xml| b.iter(|| run_streaming_reader(&settling, xml.as_bytes(), &ab).unwrap()),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(&format!("bytes_settled_at_start{suffix}"), events),
+                &xml,
+                |b, xml| b.iter(|| run_streaming_reader(&settled, xml.as_bytes(), &ab).unwrap()),
             );
         }
         scan::auto_scan_backend();

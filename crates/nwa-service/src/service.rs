@@ -49,7 +49,7 @@ use automata_core::{
     StreamRun, Suspend,
 };
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
-use nwa_xml::queries::for_each_slice;
+use nwa_xml::queries::{for_each_slice, Reads, Slice};
 use nwa_xml::sax::SaxError;
 
 /// Why a submitted stream ended without a verdict.
@@ -620,20 +620,25 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     /// the corresponding typed [`SaxError`]s before anything is queued.
     ///
     /// The scan here is unprojected: it hands [`for_each_slice`] an empty
-    /// projection and a sink that always reads text, so every text word is
-    /// resolved and queued, even those the artifact's slice loop will skip
-    /// or a settled lane would never read, and an unknown text word fails
-    /// here for every artifact. Moving the scan into the worker pool
-    /// (ROADMAP item 2, "scan in the worker pool") is where the artifact's
+    /// projection and a sink that always reads text, so every text word and
+    /// tag name is resolved and queued, even those the artifact's slice
+    /// loop will skip or a settled lane would never read, and an unknown
+    /// text word or tag fails here for every artifact. Moving the scan into
+    /// the worker pool (ROADMAP item 2, "scan in the worker pool") is where
+    /// the artifact's
     /// [`inert_symbols`](automata_core::StreamAcceptor::inert_symbols)
     /// projection and its lanes'
     /// [`lane_reads_text`](automata_core::BatchAcceptor::lane_reads_text)
+    /// and [`lane_reads_names`](automata_core::BatchAcceptor::lane_reads_names)
     /// should be adopted.
     pub fn submit_bytes<R: io::Read>(&self, reader: R) -> Result<DecisionHandle, SaxError> {
         let mut events = Vec::new();
         for_each_slice(reader, &self.alphabet, &[], |slice| {
-            events.extend_from_slice(slice);
-            true
+            // A sink that reads text is only ever handed events.
+            if let Slice::Events(slice) = slice {
+                events.extend_from_slice(slice);
+            }
+            Reads::Text
         })?;
         // Read-only resolution means every symbol is in the alphabet, so
         // queue directly — re-validating would find nothing.

@@ -13,7 +13,7 @@
 
 use crate::sax::{Projection, SaxError};
 use crate::scan::BulkLexer;
-use automata_core::{query, MultiAcceptor, QuerySetRun, StreamAcceptor, StreamRun};
+use automata_core::{query, Forms, MultiAcceptor, QuerySetRun, StreamAcceptor, StreamRun};
 use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol};
 use nwa::automaton::Nwa;
 use nwa::flat::from_tagged_dfa;
@@ -229,38 +229,47 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 /// [`inert_symbols`](StreamAcceptor::inert_symbols) (see [`Projection`]):
 /// a text word the acceptor cannot be moved by is read and counted, but
 /// never emitted or stepped. For a compiled `contains_tag_nwa` that is
-/// every text word. The projection also follows the live run: at the
-/// first slice boundary where the run no longer
-/// [`reads_text`](StreamRun::reads_text) (a compiled engine that has
-/// settled in an absorbing state), the scan narrows to tags for the rest
-/// of the stream, and every later text word is counted, never resolved.
-/// Acceptors that keep the default empty projection and always read text
-/// (interpreted models) see every event. The outcome's `events` counts
-/// every event read, dropped ones included, so it is the same either way.
+/// every text word. The projection also follows the live run
+/// ([`for_each_slice`]): once the run no longer
+/// [`reads_text`](StreamRun::reads_text), the scan narrows to tags, and
+/// once it no longer [`reads_names`](StreamRun::reads_names) (a compiled
+/// engine that has settled in an absorbing state), to structure: tags are
+/// read by form alone and handed over as [`Forms`]
+/// ([`StreamRun::step_forms`]). Acceptors that keep the default empty
+/// projection and always read names (interpreted models) see every event.
+/// The outcome's `events` counts every event read, dropped ones included,
+/// so it is the same either way.
 ///
-/// Every tag symbol of the stream must already be interned in `alphabet`,
-/// and the automaton must be compiled against that alphabet (the usual
-/// flow: tokenize once, compile the query with `sigma = alphabet.len()`,
-/// then stream). A tag not in `alphabet` is reported as
-/// [`NestedWordError::UnknownSymbol`] (wrapped in [`SaxError::Syntax`])
-/// rather than silently interned past the automaton's alphabet, where it
-/// would index out of the transition tables; `alphabet` itself is never
-/// mutated, so the guard holds across repeated calls with the same query.
-/// A text word not in `alphabet` fails the same way under the empty
-/// projection, but under any other it is inert — no artifact can read a
-/// symbol outside its alphabet — so it is dropped and counted, and the
-/// outcome is that of the document with the word renamed to an inert
-/// one, wherever the scan narrows. Invalid or truncated UTF-8 and I/O
-/// failures surface as the corresponding typed [`SaxError`]s.
+/// The automaton must be compiled against `alphabet` (the usual flow:
+/// tokenize once, compile the query with `sigma = alphabet.len()`, then
+/// stream); `alphabet` is only read, never mutated, so the guards below
+/// hold across repeated calls with the same query. A name outside it
+/// would index out of the transition tables, so:
+///
+/// * an unknown **tag** fails with [`NestedWordError::UnknownSymbol`]
+///   (wrapped in [`SaxError::Syntax`]) exactly when it is read while the
+///   run still reads names — an interpreted run always does, so it fails
+///   on every unknown tag. After the run has settled, such a tag is read
+///   by form, and the outcome is that of the document with the tag renamed
+///   to any alphabet tag. Whether a document errors therefore depends only
+///   on where the run settles, not on slice boundaries, read sizes or the
+///   scan backend;
+/// * an unknown **text word** fails the same way under the empty
+///   projection, but under any other it is inert — no artifact can read a
+///   symbol outside its alphabet — so it is dropped and counted, and the
+///   outcome is that of the document with the word renamed to an inert
+///   one, wherever the scan narrows.
+///
+/// Invalid or truncated UTF-8, the lexical errors and I/O failures surface
+/// as the corresponding typed [`SaxError`]s in every mode.
 pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
     a: &A,
     reader: R,
     alphabet: &Alphabet,
 ) -> Result<StreamingOutcome, SaxError> {
     let mut run = a.start();
-    let dropped = for_each_slice(reader, alphabet, a.inert_symbols(), |events| {
-        run.step_slice(events);
-        run.reads_text()
+    let dropped = for_each_slice(reader, alphabet, a.inert_symbols(), |slice| {
+        feed(&mut run, slice)
     })?;
     Ok(StreamingOutcome {
         accepted: run.is_accepting(),
@@ -283,19 +292,20 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
 /// [`inert_symbols`](StreamAcceptor::inert_symbols)) and text words
 /// outside `alphabet`, narrows to tags once the last member that reads
 /// text has settled (text-blind members such as depth bounds may still be
-/// live), every outcome's `events` still counts every event read, every
-/// tag must already be interned in `alphabet`, unknown tags surface as
-/// [`NestedWordError::UnknownSymbol`] without mutating `alphabet`, and the
-/// set must be compiled with `sigma = alphabet.len()`.
+/// live), and to structure once every member has. Every outcome's
+/// `events` still counts every event read, `alphabet` is never mutated, an
+/// unknown tag read before every member has settled surfaces as
+/// [`NestedWordError::UnknownSymbol`] (after that it decides like any
+/// alphabet tag), and the set must be compiled with
+/// `sigma = alphabet.len()`.
 pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
     set: &S,
     reader: R,
     alphabet: &Alphabet,
 ) -> Result<Vec<StreamingOutcome>, SaxError> {
     let mut run = set.start_set();
-    let dropped = for_each_slice(reader, alphabet, set.inert_symbols(), |events| {
-        run.step_slice(events);
-        run.reads_text()
+    let dropped = for_each_slice(reader, alphabet, set.inert_symbols(), |slice| {
+        feed(&mut run, slice)
     })?;
     let mut outcomes = run.outcomes();
     for outcome in &mut outcomes {
@@ -304,43 +314,127 @@ pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
     Ok(outcomes)
 }
 
+/// Hands one [`for_each_slice`] slice to `run` and reports what it reads
+/// now.
+fn feed<S: StreamRun>(run: &mut S, slice: Slice<'_>) -> Reads {
+    match slice {
+        Slice::Events(events) => run.step_slice(events),
+        Slice::Forms(forms) => run.step_forms(forms),
+    }
+    Reads::of(run)
+}
+
+/// How much of the stream a [`for_each_slice`] consumer still reads. It
+/// only ever narrows, in this order: a later answer wider than an earlier
+/// one is ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Reads {
+    /// Every event the projection keeps, text words included.
+    Text,
+    /// Tags only: every text word is dropped unresolved, as under a
+    /// drop-all projection.
+    Tags,
+    /// Tag forms only: no name is resolved, and the consumer is handed
+    /// [`Slice::Forms`] from then on.
+    Structure,
+}
+
+impl Reads {
+    /// What `run` still reads: its [`reads_names`](StreamRun::reads_names)
+    /// and [`reads_text`](StreamRun::reads_text) observables.
+    pub fn of<S: StreamRun + ?Sized>(run: &S) -> Reads {
+        if !run.reads_names() {
+            Reads::Structure
+        } else if !run.reads_text() {
+            Reads::Tags
+        } else {
+            Reads::Text
+        }
+    }
+}
+
+/// One run of the stream that [`for_each_slice`] hands its consumer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slice<'a> {
+    /// Up to [`EVENT_SLICE`] events, in stream order.
+    Events(&'a [TaggedSymbol]),
+    /// Up to about [`EVENT_SLICE`] tag events known by their forms alone,
+    /// once the consumer reads [`Reads::Structure`].
+    Forms(Forms),
+}
+
 /// The one bytes → event-slice loop behind [`run_streaming_reader`],
 /// [`run_multi_streaming_reader`] and `nwa-service`'s `submit_bytes`:
 /// sweeps `reader` with a [`BulkLexer`] looking names up in the read-only
 /// `alphabet` under the projection `inert` (see [`Projection`]; an empty
 /// slice drops nothing, as a [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer)
-/// would) and hands every buffered run of at most [`EVENT_SLICE`] events
-/// to `sink`, in stream order.
+/// would) and hands the stream to `sink` in stream order, as runs of at
+/// most [`EVENT_SLICE`] events.
 ///
-/// `sink` returns whether its consumer still reads text. The first time it
-/// returns `false`, the scan narrows to tags for the rest of the stream:
-/// from the next slice on, every text word is dropped unresolved, as under
-/// a drop-all projection. The switch is one-way, and a sink that always
-/// returns `true` keeps the projection fixed.
+/// `sink` returns what its consumer still [`Reads`]. It is first called
+/// with an empty slice, before anything is read, and after that once per
+/// run. Its answers narrow the scan, one way, from the next run on:
+///
+/// * [`Reads::Tags`]: every text word is dropped unresolved, as under a
+///   drop-all projection;
+/// * [`Reads::Structure`]: no name is resolved either. Stage 1 classifies
+///   as in drop-all and folds each tag's form (call or return) into a
+///   [`Forms`] summary as it goes, with no tape, no name lookup and no
+///   event, and `sink` is handed [`Slice::Forms`] instead of events.
+///
+/// A sink that always returns [`Reads::Text`] keeps the projection fixed
+/// and is only ever handed events.
+///
+/// **Unknown tags.** A tag outside `alphabet` fails the scan with
+/// [`NestedWordError::UnknownSymbol`] iff it is read while `sink` still
+/// reads names. At such a tag the scan hands over the events before it,
+/// asks `sink` again, and, if the answer is [`Reads::Structure`], resumes
+/// at that same tag in structure mode instead of failing: the outcome does
+/// not depend on slice boundaries, read sizes or the scan backend. Every
+/// other error is final, and each mode keeps every syntax check.
 ///
 /// Returns the number of text words dropped: read from the stream, never
-/// handed to `sink`. Events read = events handed over + that count. A
-/// non-empty projection drops the text words `inert` marks and those
-/// outside `alphabet`; when it marks every symbol of `alphabet`, no text
-/// word is resolved at all. Stops at the first error, which is returned
-/// after the events lexed before it have been handed over.
+/// handed to `sink`. Events read are the events handed over, plus the
+/// forms' events, plus that count. A non-empty projection drops the text
+/// words `inert` marks and those outside `alphabet`; when it marks every
+/// symbol of `alphabet`, no text word is resolved at all. Stops at the
+/// first final error, which is returned after what was lexed before it
+/// has been handed over.
 pub fn for_each_slice<R: io::Read>(
     reader: R,
     alphabet: &Alphabet,
     inert: &[bool],
-    mut sink: impl FnMut(&[TaggedSymbol]) -> bool,
+    mut sink: impl FnMut(Slice<'_>) -> Reads,
 ) -> Result<usize, SaxError> {
     let mut tokenizer = BulkLexer::new(reader, Projection::new(alphabet, inert));
     let mut buffer: Vec<TaggedSymbol> = Vec::with_capacity(EVENT_SLICE);
-    loop {
+    let mut reads = sink(Slice::Events(&[]));
+    while reads != Reads::Structure {
+        if reads == Reads::Tags {
+            tokenizer.narrow_to_tags();
+        }
         let filled = tokenizer.fill(&mut buffer, EVENT_SLICE);
         if buffer.is_empty() {
             return filled.map(|()| tokenizer.dropped());
         }
-        if !sink(&buffer) {
-            tokenizer.narrow_to_tags();
-        }
+        reads = reads.max(sink(Slice::Events(&buffer)));
         buffer.clear();
+        if let Err(e) = filled {
+            // Only an unknown tag met while names were still read can be
+            // read past, and only once they no longer are.
+            if reads != Reads::Structure || !tokenizer.narrow_to_structure() {
+                return Err(e);
+            }
+        }
+    }
+    tokenizer.narrow_to_structure();
+    loop {
+        let mut forms = Forms::default();
+        let filled = tokenizer.fill_forms(&mut forms, EVENT_SLICE);
+        if forms.events == 0 {
+            return filled.map(|()| tokenizer.dropped());
+        }
+        sink(Slice::Forms(forms));
         filled?;
     }
 }

@@ -173,7 +173,10 @@ pub trait ResolveName {
 /// [`DropAll`](TextMode::DropAll), never back:
 /// `queries::run_streaming_reader` narrows it at the first slice boundary
 /// where its run can no longer be moved by any text word
-/// ([`StreamRun::reads_text`](automata_core::StreamRun::reads_text)).
+/// ([`StreamRun::reads_text`](automata_core::StreamRun::reads_text)), and
+/// past drop-all to structure, where no name is resolved at all, once it
+/// can no longer be moved by any name
+/// ([`StreamRun::reads_names`](automata_core::StreamRun::reads_names)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TextMode {
     /// Every text word is resolved and emitted: no projection.
@@ -220,8 +223,13 @@ impl ResolveName for &Alphabet {
 ///   as for `&Alphabet`, and an unknown text word fails with
 ///   [`NestedWordError::UnknownSymbol`].
 ///
-/// Symbols past the slice's end are never inert. Unknown tags fail in
-/// every mode.
+/// Symbols past the slice's end are never inert. A lexer reading events
+/// fails on an unknown tag in every mode. The unknown-tag rule of
+/// [`for_each_slice`](crate::queries::for_each_slice) builds on that: an
+/// unknown tag fails a scan iff it is read while the scan's consumer still
+/// [reads names](automata_core::StreamRun::reads_names); once it does not,
+/// the lexer reads tags by form alone and the tag decides like any
+/// alphabet tag.
 ///
 /// ```
 /// use nested_words::{Alphabet, TaggedSymbol};

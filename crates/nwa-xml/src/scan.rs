@@ -55,6 +55,24 @@
 //!    consumer can no longer be moved by any text word, and each window
 //!    fill dispatches on the current mode.
 //!
+//!    A third, last narrowing reads **structure** only (crate-private
+//!    `narrow_to_structure`, then `fill_forms`): `queries::for_each_slice`
+//!    takes it once its consumer can no longer be moved by any name, i.e.
+//!    every engine has settled and only the stack height moves. No name is
+//!    resolved and no event is built. Stage 1 classifies as in drop-all
+//!    but keeps no tape: each simple block folds its tags straight into an
+//!    [`automata_core::Forms`] summary of their ±1 walk — a close tag's
+//!    `>` is found by subtracting the `</` marks from the `>` marks, the
+//!    kernel packs the block's forms into stream order (one `pext` on
+//!    AVX2), and a table folds them eight at a time — and counts its text
+//!    words from their end marks. The scalar arm and the directives run
+//!    exactly as in the other modes, with every syntax check, and only
+//!    skip the name; a self-closing tag is a call and a return. A lexer
+//!    fused on a tag whose name the policy could not resolve resumes at
+//!    that tag when it narrows to structure, which then reads it by form:
+//!    that is how an unknown tag read after the consumer settled decides
+//!    like any alphabet tag, wherever the fills fall.
+//!
 //! Every token is lexed either by the tape or by the one scalar token step
 //! (`step_token`: word-at-a-time SWAR sweeps to the token's end, then the
 //! one byte-level tag classifier), which takes whatever stage 1 rejects —
@@ -85,7 +103,8 @@
 //! the error.
 
 use crate::sax::{ResolveName, SaxError, TextMode};
-use kernel::{BlockClassifier, EventSink, BLOCK};
+use automata_core::Forms;
+use kernel::{BlockClassifier, BlockMasks, EventSink, BLOCK};
 use nested_words::{NestedWordError, Symbol, TaggedSymbol};
 use std::io;
 
@@ -261,15 +280,15 @@ pub enum ScanBackend {
     /// kernel, and the pinned baseline of the benches and tests.
     Swar,
     /// 64-byte AVX2 block classification (`x86_64`, runtime-detected
-    /// together with the BMI1 and POPCNT that every AVX2 core has).
+    /// together with the BMI1, BMI2 and POPCNT that every AVX2 core has).
     Avx2,
     /// 64-byte NEON block classification (`aarch64`, baseline ISA).
     Neon,
 }
 
 /// The backend the next window fill will use: the CPU is probed once (AVX2,
-/// BMI1 and POPCNT on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally on
-/// `aarch64` where it is baseline) and the answer cached; anything else
+/// BMI1, BMI2 and POPCNT on `x86_64` via `is_x86_feature_detected!`, NEON
+/// unconditionally on `aarch64` where it is baseline) and the answer cached; anything else
 /// gets [`ScanBackend::Swar`]. Benches and docs use this to report which
 /// path actually ran.
 pub fn scan_backend() -> ScanBackend {
@@ -377,6 +396,10 @@ struct LexerCore<N: ResolveName> {
     text: TextMode,
     /// Text words the projection dropped so far.
     dropped: usize,
+    /// Whether the last name the policy was asked for was a tag's and it
+    /// failed: the one error a lexer narrowing to structure resumes from
+    /// ([`BulkLexer::narrow_to_structure`]).
+    tag_miss: bool,
 }
 
 /// The exact cache key of one token in its canonical form — `name` for a
@@ -541,6 +564,7 @@ impl<N: ResolveName> LexerCore<N> {
                 }; NAME_CACHE_SLOTS],
             ),
             dropped: 0,
+            tag_miss: false,
         }
     }
 
@@ -602,7 +626,9 @@ impl<N: ResolveName> LexerCore<N> {
         form: usize,
         key: Option<TokenKey>,
     ) -> Result<Option<(TaggedSymbol, bool)>, SaxError> {
-        let Some(sym) = resolve_with(&mut self.names, name, form == FORM_INTERNAL)? else {
+        let resolved = resolve_with(&mut self.names, name, form == FORM_INTERNAL);
+        self.tag_miss = form != FORM_INTERNAL && resolved.is_err();
+        let Some(sym) = resolved? else {
             return Ok(None);
         };
         let event = event_of(sym, form);
@@ -622,49 +648,36 @@ impl<N: ResolveName> LexerCore<N> {
         let slot = &self.cache[slot_of(key)];
         slot.holds(key).then_some((slot.event, slot.keep))
     }
+}
 
-    /// Classifies one tag body — the bytes between `<` and `>` — into its
-    /// event, plus the return of a self-closing tag:
-    ///
-    /// * a leading `/` is a close tag, named by the first
-    ///   whitespace-separated token of the rest (attributes ignored);
-    /// * otherwise the tag self-closes when its last non-whitespace scalar
-    ///   is `/`, and is named by the first token before that `/` — so
-    ///   `<sec a="1">`, `<sec/>` and `</sec>` name the *same* symbol;
-    /// * a body with no name at all is the typed `empty tag name` error at
-    ///   the tag's opening offset.
-    ///
-    /// Whitespace is `char::is_whitespace`, judged inline on ASCII and by
-    /// decoding on high bytes, as everywhere in the scanner.
-    fn tag_events(
-        &mut self,
-        body: &[u8],
-        tag_start: usize,
-    ) -> Result<(TaggedSymbol, Option<TaggedSymbol>), SaxError> {
-        let (inner, close, self_closing) = match body {
-            [b'/', rest @ ..] => (rest, true, false),
-            _ => match &body[..trim_end(body)] {
-                [inner @ .., b'/'] => (inner, false, true),
-                trimmed => (trimmed, false, false),
-            },
-        };
-        let start = run_end(inner, 0, true);
-        let end = run_end(inner, start, false);
-        if start == end {
-            return Err(parse_error(tag_start, "empty tag name"));
-        }
-        let name = &inner[start..end];
-        if close {
-            return Ok((self.tag_event(name, FORM_RETURN)?, None));
-        }
-        let open = self.tag_event(name, FORM_CALL)?;
-        let twin = if self_closing {
-            Some(self.tag_event(name, FORM_RETURN)?)
-        } else {
-            None
-        };
-        Ok((open, twin))
+/// Classifies one tag body — the bytes between `<` and `>` — into its
+/// name, its form, and whether it self-closes, without resolving the name:
+///
+/// * a leading `/` is a close tag ([`FORM_RETURN`]), named by the first
+///   whitespace-separated token of the rest (attributes ignored);
+/// * otherwise it is an open tag ([`FORM_CALL`]), which self-closes when
+///   its last non-whitespace scalar is `/`, and is named by the first token
+///   before that `/` — so `<sec a="1">`, `<sec/>` and `</sec>` name the
+///   *same* symbol;
+/// * a body with no name at all is the typed `empty tag name` error at the
+///   tag's opening offset.
+///
+/// Whitespace is `char::is_whitespace`, judged inline on ASCII and by
+/// decoding on high bytes, as everywhere in the scanner.
+fn tag_parts(body: &[u8], tag_start: usize) -> Result<(&[u8], usize, bool), SaxError> {
+    let (inner, form, self_closing) = match body {
+        [b'/', rest @ ..] => (rest, FORM_RETURN, false),
+        _ => match &body[..trim_end(body)] {
+            [inner @ .., b'/'] => (inner, FORM_CALL, true),
+            trimmed => (trimmed, FORM_CALL, false),
+        },
+    };
+    let start = run_end(inner, 0, true);
+    let end = run_end(inner, start, false);
+    if start == end {
+        return Err(parse_error(tag_start, "empty tag name"));
     }
+    Ok((&inner[start..end], form, self_closing))
 }
 
 // --------------------------------------------------------------------------
@@ -754,6 +767,58 @@ struct Carry {
     text: u64,
 }
 
+/// The token marks of a block stage 1 proved simple ([`Carry::simple`]).
+struct Simple {
+    /// The `/` of every `</`: one per close tag.
+    close: u64,
+    /// Bytes just past a `>`, where a tag token ends.
+    after_gt: u64,
+    /// First bytes of text words.
+    text_start: u64,
+    /// Bytes just past a text word: a word ending on the block's last byte
+    /// is marked in the next block.
+    text_end: u64,
+}
+
+impl Carry {
+    /// Stage 1's simplicity check of the classified block `m` that follows
+    /// the block this carry left: `None` if `m` is not simple (see
+    /// [`build_tape`]), otherwise its token marks, and the carry moves past
+    /// `m`. The one check behind both [`build_tape`] and [`walk_forms`].
+    #[inline(always)]
+    fn simple(&mut self, m: &BlockMasks) -> Option<Simple> {
+        let inside = prefix_xor(m.lt | m.gt) ^ self.inside;
+        let after_lt = (m.lt << 1) | self.lt;
+        let close = m.slash & after_lt;
+        let complex = m.other
+            | (m.lt & !inside)
+            | (m.gt & inside)
+            | ((m.ws | m.quote) & inside)
+            | (m.slash & inside & !after_lt)
+            | (after_lt & (m.lead | m.gt))
+            | (((close << 1) | self.close) & m.gt);
+        if complex != 0 {
+            return None;
+        }
+        let text = !(inside | m.gt | m.ws);
+        let text_before = (text << 1) | self.text;
+        let simple = Simple {
+            close,
+            after_gt: (m.gt << 1) | self.gt,
+            text_start: text & !text_before,
+            text_end: !text & text_before,
+        };
+        *self = Carry {
+            inside: 0u64.wrapping_sub(inside >> 63),
+            lt: m.lt >> 63,
+            close: close >> 63,
+            gt: m.gt >> 63,
+            text: text >> 63,
+        };
+        Some(simple)
+    }
+}
+
 /// Bit `i` of the result is the XOR of bits `0..=i` of `x`: over the `<`/`>`
 /// marks, "inside a tag" — set from a `<` up to (not including) its `>`.
 #[inline(always)]
@@ -833,46 +898,26 @@ fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
             break if ends == 0 && word_end == 0 { bb } else { 0 };
         }
         let m = cls.classify(data, bb);
-        let inside = prefix_xor(m.lt | m.gt) ^ carry.inside;
-        let after_lt = (m.lt << 1) | carry.lt;
-        let close = m.slash & after_lt;
-        let complex = m.other
-            | (m.lt & !inside)
-            | (m.gt & inside)
-            | ((m.ws | m.quote) & inside)
-            | (m.slash & inside & !after_lt)
-            | (after_lt & (m.lead | m.gt))
-            | (((close << 1) | carry.close) & m.gt);
-        if complex != 0 {
+        let Some(simple) = carry.simple(&m) else {
             break bb + BLOCK;
-        }
-        let text = !(inside | m.gt | m.ws);
-        let text_before = (text << 1) | carry.text;
-        let (text_start, text_end) = (text & !text_before, !text & text_before);
+        };
         let off = bb - from;
         if DROP_TEXT {
-            tape.text_starts[off / BLOCK] = text_start;
-            if text_end != 0 {
-                word_end = off + 63 - text_end.leading_zeros() as usize;
+            tape.text_starts[off / BLOCK] = simple.text_start;
+            if simple.text_end != 0 {
+                word_end = off + 63 - simple.text_end.leading_zeros() as usize;
             }
             flatten(m.lt, off, &mut tape.starts, &mut starts);
-            flatten((m.gt << 1) | carry.gt, off, &mut tape.ends, &mut ends);
+            flatten(simple.after_gt, off, &mut tape.ends, &mut ends);
         } else {
-            flatten(m.lt | text_start, off, &mut tape.starts, &mut starts);
+            flatten(m.lt | simple.text_start, off, &mut tape.starts, &mut starts);
             flatten(
-                (m.gt << 1) | carry.gt | text_end,
+                simple.after_gt | simple.text_end,
                 off,
                 &mut tape.ends,
                 &mut ends,
             );
         }
-        carry = Carry {
-            inside: 0u64.wrapping_sub(inside >> 63),
-            lt: m.lt >> 63,
-            close: close >> 63,
-            gt: m.gt >> 63,
-            text: text >> 63,
-        };
         bb += BLOCK;
     };
     let tokens = ends.min(budget);
@@ -895,14 +940,163 @@ fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
     }
 }
 
+/// What one structure pass ([`walk_forms`]) read.
+struct FormsPass {
+    /// The tags that completed before `end`, by form.
+    forms: Forms,
+    /// Text words that completed before `end`: read, never resolved.
+    words: usize,
+    /// Pass offset just past the last complete token, where the next pass
+    /// or the scalar arm resumes; 0 when the pass consumed nothing.
+    end: usize,
+    /// As [`Pass::scalar_until`].
+    scalar_until: usize,
+}
+
+/// What one stage-1 pass and its stage 2 did with the window
+/// ([`FillOut::sweep`]).
+struct Swept {
+    /// As [`Pass::end`].
+    end: usize,
+    /// As [`Pass::scalar_until`].
+    scalar_until: usize,
+    /// Items written: events, or tag events folded into forms.
+    written: usize,
+}
+
+/// The [`Forms`] of every run of at most eight tags, as `[net, low,
+/// rise, top]`: row `n`, column `seq` summarizes the first `n` tags of
+/// `seq`, tag `i` a call iff bit `i` is set. 9 KiB.
+static FORMS8: [[[i8; 4]; 256]; 9] = {
+    let mut table = [[[0i8; 4]; 256]; 9];
+    let mut n = 0;
+    while n <= 8 {
+        let mut seq = 0;
+        while seq < 256 {
+            let (mut net, mut low, mut rise, mut top) = (0i8, 0i8, 0i8, 0i8);
+            let mut i = 0;
+            while i < n {
+                net += if (seq >> i) & 1 == 1 { 1 } else { -1 };
+                low = if net < low { net } else { low };
+                rise = if net > rise { net } else { rise };
+                top = if net - low > top { net - low } else { top };
+                i += 1;
+            }
+            table[n][seq] = [net, low, rise, top];
+            seq += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+/// Folds the first `n ≤ 64` tags of `seq` into `forms`, tag `i` a call iff
+/// bit `i` is set, eight at a time through [`FORMS8`]. A simple block
+/// ends at most 22 tags (`<a>` is three bytes), so the two unconditional
+/// folds cover nearly every block without a data-dependent branch.
+#[inline(always)]
+fn fold_forms(forms: &mut Forms, seq: u64, n: usize) {
+    let fold8 = |forms: &mut Forms, seq: u64, n: usize| {
+        let [net, low, rise, top] = FORMS8[n][(seq & 0xFF) as usize];
+        *forms = forms.then(Forms {
+            events: n,
+            net: isize::from(net),
+            low: isize::from(low),
+            rise: rise as usize,
+            top: top as usize,
+        });
+    };
+    fold8(forms, seq, n.min(8));
+    fold8(forms, seq >> 8, n.saturating_sub(8).min(8));
+    let (mut seq, mut n) = (seq >> 16, n.saturating_sub(16));
+    while n > 0 {
+        fold8(forms, seq, n.min(8));
+        (seq, n) = (seq >> 8, n.saturating_sub(8));
+    }
+}
+
+/// Stage 1 in **structure** mode: classifies `data` in 64-byte blocks from
+/// `from` — a token boundary outside any tag — under exactly
+/// [`build_tape`]'s simplicity check, but keeps no tape. Each tag is
+/// folded into the pass's [`Forms`] at its `>`, as a call or a return,
+/// and each text word is counted at its end; nothing is resolved. The pass
+/// stops once about `budget` tag events are folded, at the first block it
+/// cannot prove simple, or where a block would leave the window, and ends
+/// just past its last complete token: a tag or word still open there is
+/// neither folded nor counted, and is read again by whatever resumes at
+/// its start.
+///
+/// A simple block's `/` inside a tag is a close tag's, straight after its
+/// `<`, and its tags alternate `<`…`>`, so subtracting the close marks
+/// from the `>` marks borrows each close mark through to its own `>` and
+/// clears exactly that bit: the `>`s left set end open tags. A close tag
+/// cut by the block seam carries its borrow into the next block. The
+/// kernel's [`compress`](BlockClassifier::compress) packs the forms of the
+/// block's tags into stream order, and [`fold_forms`] folds them eight at
+/// a time.
+#[inline(always)]
+fn walk_forms<C: BlockClassifier>(cls: C, data: &[u8], from: usize, budget: usize) -> FormsPass {
+    let last_block = data.len().checked_sub(BLOCK);
+    let mut carry = Carry::default();
+    let mut borrow = 0u64;
+    // Pass offsets of the last `<` and the last text word's first byte.
+    let (mut last_lt, mut last_word) = (0usize, 0usize);
+    let mut forms = Forms::default();
+    let mut words = 0usize;
+    let mut bb = from;
+    let scalar_until = loop {
+        if last_block.is_none_or(|last| bb > last) {
+            break usize::MAX;
+        }
+        if forms.events >= budget {
+            break 0;
+        }
+        let m = cls.classify(data, bb);
+        let Some(simple) = carry.simple(&m) else {
+            break bb + BLOCK;
+        };
+        words += simple.text_end.count_ones() as usize;
+        let (rest, cut) = m.gt.overflowing_sub(simple.close);
+        let (rest, cut_before) = rest.overflowing_sub(borrow);
+        borrow = u64::from(cut | cut_before);
+        fold_forms(
+            &mut forms,
+            cls.compress(m.gt & rest, m.gt),
+            m.gt.count_ones() as usize,
+        );
+        let off = bb - from;
+        if m.lt != 0 {
+            last_lt = off + 63 - m.lt.leading_zeros() as usize;
+        }
+        if simple.text_start != 0 {
+            last_word = off + 63 - simple.text_start.leading_zeros() as usize;
+        }
+        bb += BLOCK;
+    };
+    let end = if carry.inside != 0 {
+        last_lt
+    } else if carry.text != 0 {
+        last_word
+    } else {
+        bb - from
+    };
+    FormsPass {
+        forms,
+        words,
+        end,
+        scalar_until,
+    }
+}
+
 // --------------------------------------------------------------------------
 // Stage 2: resolve and emit
 // --------------------------------------------------------------------------
 
 /// Stage 2: resolves and emits the first `tokens` tape entries of the pass
 /// that started at `from`, returning the number of events written. On a
-/// resolution failure the events before it stay in `out` and the error
-/// comes back with the failing token's start.
+/// resolution failure the events before it stay in `out`, the tokens
+/// before it that were dropped are counted, and the error comes back with
+/// the failing token's start.
 ///
 /// The inner loop runs over cache hits: a simple tape token is its own
 /// canonical form, so a hit is one masked key load ([`token_key`]), one
@@ -926,7 +1120,7 @@ fn emit_tape<N: ResolveName, const FILTER: bool>(
     let mut sink = EventSink::new(out, tokens);
     let window = &data[from..];
     let mut i = 0;
-    loop {
+    let failure = loop {
         i += emit_hits::<N, FILTER>(
             core,
             &tape.starts[i..tokens],
@@ -935,16 +1129,18 @@ fn emit_tape<N: ResolveName, const FILTER: bool>(
             &mut sink,
         );
         if i == tokens {
-            break;
+            break None;
         }
-        if let Some((t, keep)) = resolve_tape_token(core, tape, data, from, i)? {
-            sink.push_if(t, !FILTER || keep);
+        match resolve_tape_token(core, tape, data, from, i) {
+            Ok(Some((t, keep))) => sink.push_if(t, !FILTER || keep),
+            Ok(None) => {}
+            Err(failure) => break Some(failure),
         }
         i += 1;
-    }
+    };
     let written = sink.len() - before;
-    core.dropped += tokens - written;
-    Ok(written)
+    core.dropped += i - written;
+    failure.map_or(Ok(written), Err)
 }
 
 /// The hit loop of [`emit_tape`]: emits the tape tokens spanning
@@ -1005,6 +1201,193 @@ fn tape_token(tape: &Tape, data: &[u8], from: usize, i: usize) -> (usize, usize,
     let tag = usize::from(b0 == b'<');
     let form = tag + (tag & usize::from(b1 == b'/'));
     (s, form, e - tag - s - form)
+}
+
+// --------------------------------------------------------------------------
+// What a fill writes: events, or tag forms
+// --------------------------------------------------------------------------
+
+/// What a window fill writes: events, or — in **structure** mode — only
+/// each tag's form, folded into a [`Forms`] walk. The fill loop, the scalar
+/// arm and the directives are generic over it, so both keep one token rule
+/// and every syntax check; only name resolution differs.
+trait FillOut {
+    /// Whether names are resolved. Without them (structure mode) no text
+    /// word is resolved either, and no tape is built.
+    const NAMES: bool;
+
+    /// Items written so far: what a fill's budget counts.
+    fn written(&self) -> usize;
+
+    /// One text word: written (`true`), or counted dropped (`false`).
+    fn text<N: ResolveName>(
+        &mut self,
+        core: &mut LexerCore<N>,
+        word: &[u8],
+    ) -> Result<bool, SaxError>;
+
+    /// One tag named `name` in form `form` (`FORM_*`), followed by its
+    /// return when it self-closes; returns the items written.
+    fn tag<N: ResolveName>(
+        &mut self,
+        core: &mut LexerCore<N>,
+        name: &[u8],
+        form: usize,
+        self_closing: bool,
+    ) -> Result<usize, SaxError>;
+
+    /// One stage-1 pass from window offset `from` (a token boundary outside
+    /// any tag) with its stage 2: at most about `budget` items written,
+    /// and the text words it drops counted in `core.dropped`. An error
+    /// comes back with the failing token's start, the items and dropped
+    /// words before it accounted for.
+    fn sweep<C: BlockClassifier, N: ResolveName, const DROP_TEXT: bool, const FILTER: bool>(
+        &mut self,
+        cls: C,
+        core: &mut LexerCore<N>,
+        tape: &mut Tape,
+        data: &[u8],
+        from: usize,
+        budget: usize,
+    ) -> Result<Swept, (SaxError, usize)>;
+
+    /// Drops what was written past the first `len` items.
+    fn truncate(&mut self, len: usize);
+}
+
+impl FillOut for Vec<TaggedSymbol> {
+    const NAMES: bool = true;
+
+    fn written(&self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn text<N: ResolveName>(
+        &mut self,
+        core: &mut LexerCore<N>,
+        word: &[u8],
+    ) -> Result<bool, SaxError> {
+        core.text_word(word, self)
+    }
+
+    /// Resolves both events of a self-closing tag before writing either,
+    /// so a failure writes nothing.
+    #[inline(always)]
+    fn tag<N: ResolveName>(
+        &mut self,
+        core: &mut LexerCore<N>,
+        name: &[u8],
+        form: usize,
+        self_closing: bool,
+    ) -> Result<usize, SaxError> {
+        let open = core.tag_event(name, form)?;
+        let twin = match self_closing {
+            true => Some(core.tag_event(name, FORM_RETURN)?),
+            false => None,
+        };
+        self.push(open);
+        self.extend(twin);
+        Ok(1 + usize::from(self_closing))
+    }
+
+    /// Stage 1 builds the tape and stage 2 ([`emit_tape`]) resolves it.
+    #[inline(always)]
+    fn sweep<C: BlockClassifier, N: ResolveName, const DROP_TEXT: bool, const FILTER: bool>(
+        &mut self,
+        cls: C,
+        core: &mut LexerCore<N>,
+        tape: &mut Tape,
+        data: &[u8],
+        from: usize,
+        budget: usize,
+    ) -> Result<Swept, (SaxError, usize)> {
+        let pass = cls.stage1::<DROP_TEXT>(tape, data, from, budget);
+        let mut written = 0;
+        if pass.tokens > 0 {
+            written = emit_tape::<N, FILTER>(core, tape, data, from, pass.tokens, self).map_err(
+                |(e, at)| {
+                    // The text words before the failing tag were read:
+                    // count them, so a lexer that resumes there counts
+                    // each word once.
+                    if DROP_TEXT {
+                        core.dropped += tape.text_words_before(at - from);
+                    }
+                    (e, at)
+                },
+            )?;
+        }
+        core.dropped += pass.dropped;
+        Ok(Swept {
+            end: pass.end,
+            scalar_until: pass.scalar_until,
+            written,
+        })
+    }
+
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+}
+
+/// Structure mode: no name is read, so nothing fails but the syntax.
+impl FillOut for Forms {
+    const NAMES: bool = false;
+
+    fn written(&self) -> usize {
+        self.events
+    }
+
+    #[inline(always)]
+    fn text<N: ResolveName>(
+        &mut self,
+        core: &mut LexerCore<N>,
+        _word: &[u8],
+    ) -> Result<bool, SaxError> {
+        core.dropped += 1;
+        Ok(false)
+    }
+
+    #[inline(always)]
+    fn tag<N: ResolveName>(
+        &mut self,
+        _core: &mut LexerCore<N>,
+        _name: &[u8],
+        form: usize,
+        self_closing: bool,
+    ) -> Result<usize, SaxError> {
+        self.push(form == FORM_CALL);
+        if self_closing {
+            self.push(false);
+        }
+        Ok(1 + usize::from(self_closing))
+    }
+
+    /// The structure pass ([`walk_forms`]) in place of both stages: no
+    /// tape, no key load, no cache probe, no event.
+    #[inline(always)]
+    fn sweep<C: BlockClassifier, N: ResolveName, const DROP_TEXT: bool, const FILTER: bool>(
+        &mut self,
+        cls: C,
+        core: &mut LexerCore<N>,
+        _tape: &mut Tape,
+        data: &[u8],
+        from: usize,
+        budget: usize,
+    ) -> Result<Swept, (SaxError, usize)> {
+        let pass = cls.forms_pass(data, from, budget);
+        *self = self.then(pass.forms);
+        core.dropped += pass.words;
+        Ok(Swept {
+            end: pass.end,
+            scalar_until: pass.scalar_until,
+            written: pass.forms.events,
+        })
+    }
+
+    fn truncate(&mut self, len: usize) {
+        debug_assert_eq!(len, self.events, "structure mode writes no text");
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -1338,15 +1721,16 @@ enum StepOutcome {
 /// token stage 1 could not prove simple and the short window tail, and —
 /// re-run on a grown window — every token cut by the window's end, with the
 /// word-at-a-time sweeps of [`find_tag_close`] / [`find_text_end`] and the
-/// tag classifier [`LexerCore::tag_events`].
+/// tag classifier [`tag_parts`]. In structure mode (`out` a [`Forms`]) it
+/// runs the same sweeps and checks and only skips resolving the name.
 #[inline(always)]
-fn step_token<N: ResolveName>(
+fn step_token<N: ResolveName, O: FillOut>(
     core: &mut LexerCore<N>,
     data: &[u8],
     base: usize,
     pos: usize,
     eof: bool,
-    out: &mut Vec<TaggedSymbol>,
+    out: &mut O,
     budget: &mut usize,
 ) -> StepOutcome {
     let n = data.len();
@@ -1361,7 +1745,7 @@ fn step_token<N: ResolveName>(
             None if eof => n,
             None => return StepOutcome::Window(pos),
         };
-        match core.text_word(&data[pos..end], out) {
+        match out.text(core, &data[pos..end]) {
             Ok(written) => *budget -= usize::from(written),
             Err(e) => return StepOutcome::Fail(e, pos),
         }
@@ -1385,28 +1769,21 @@ fn step_token<N: ResolveName>(
     let Some((gt, simple)) = find_tag_close(data, body_at) else {
         return cut();
     };
-    if simple && gt > body_at {
+    let (name, form, self_closing) = if simple && gt > body_at {
         // `</name>` and `<name>` with nothing but name material between the
         // brackets skip the classifier: the sweep's simple verdict
         // certifies the slice is the name.
         let form = if lead == b'/' { FORM_RETURN } else { FORM_CALL };
-        match core.tag_event(&data[body_at..gt], form) {
-            Ok(event) => out.push(event),
-            Err(e) => return StepOutcome::Fail(e, pos),
-        }
-        *budget -= 1;
+        (&data[body_at..gt], form, false)
     } else {
-        match core.tag_events(&data[pos + 1..gt], base + pos) {
-            Ok((event, twin)) => {
-                out.push(event);
-                *budget -= 1;
-                if let Some(t) = twin {
-                    out.push(t);
-                    *budget = budget.saturating_sub(1);
-                }
-            }
+        match tag_parts(&data[pos + 1..gt], base + pos) {
+            Ok(parts) => parts,
             Err(e) => return StepOutcome::Fail(e, pos),
         }
+    };
+    match out.tag(core, name, form, self_closing) {
+        Ok(written) => *budget = budget.saturating_sub(written),
+        Err(e) => return StepOutcome::Fail(e, pos),
     }
     StepOutcome::Emitted(gt + 1)
 }
@@ -1442,6 +1819,23 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// once its consumer can no longer be moved by a text word.
     pub(crate) fn narrow_to_tags(&mut self) {
         self.core.text = TextMode::DropAll;
+    }
+
+    /// Narrows the lexer to **structure** for the rest of the stream: from
+    /// here on the caller lexes with [`fill_forms`](Self::fill_forms),
+    /// which reads no name. One-way, and it implies drop-all. If the lexer
+    /// fused on a tag whose name the policy could not resolve, it resumes
+    /// at that same tag, which is then read by form alone: the name was
+    /// never needed. Returns whether the lexer can go on, i.e. is not
+    /// fused on any other error. `queries::for_each_slice` calls it once
+    /// its consumer can no longer be moved by any name.
+    pub(crate) fn narrow_to_structure(&mut self) -> bool {
+        self.narrow_to_tags();
+        if self.failed && self.core.tag_miss {
+            self.failed = false;
+        }
+        self.core.tag_miss = false;
+        !self.failed
     }
 
     /// Ensures at least `pos + 1` unread validated bytes are windowed;
@@ -1494,6 +1888,28 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         filled
     }
 
+    /// [`fill`](Self::fill) in structure mode (see
+    /// [`narrow_to_structure`](Self::narrow_to_structure)): folds the form
+    /// of every tag lexed into `forms` until `forms.events` reaches about
+    /// `max` or the stream ends, and counts every text word dropped. The
+    /// structure pass ([`walk_forms`]) replaces both stages: it classifies
+    /// as drop-all's stage 1 does and folds each tag's form as it goes, with
+    /// no tape. The scalar arm and the directives keep every syntax check;
+    /// only names are
+    /// never resolved, so no name can fail. The forms of the tags lexed
+    /// before an error stay in `forms`, and the lexer fuses as `fill` does.
+    pub(crate) fn fill_forms(&mut self, forms: &mut Forms, max: usize) -> Result<(), SaxError> {
+        debug_assert!(
+            self.ready_pos == self.ready.len(),
+            "no event lexed ahead is pending"
+        );
+        let filled = self.fill_into(forms, max);
+        if filled.is_err() {
+            self.failed = true;
+        }
+        filled
+    }
+
     /// The body of [`Self::fill`], free to exit on any error with `?`.
     fn fill_events(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
         // Events the iterator view lexed ahead (and a deferred error) come
@@ -1508,6 +1924,11 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
+        self.fill_into(out, max)
+    }
+
+    /// The window loop of [`Self::fill`] and [`Self::fill_forms`].
+    fn fill_into<O: FillOut>(&mut self, out: &mut O, max: usize) -> Result<(), SaxError> {
         if self.failed {
             return Ok(());
         }
@@ -1543,36 +1964,43 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// every event that completes inside the window, consumes exactly the
     /// bytes of the events emitted, and returns `Ok(true)` when `out`
     /// reached `max` (`Ok(false)` hands the undecided token to the caller).
-    fn fill_window(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<bool, SaxError> {
+    fn fill_window<O: FillOut>(&mut self, out: &mut O, max: usize) -> Result<bool, SaxError> {
+        if !O::NAMES {
+            return self.fill_window_on::<O, true, false>(out, max);
+        }
         match self.core.text {
-            TextMode::EmitAll => self.fill_window_on::<false, false>(out, max),
-            TextMode::KeepBit => self.fill_window_on::<false, true>(out, max),
-            TextMode::DropAll => self.fill_window_on::<true, false>(out, max),
+            TextMode::EmitAll => self.fill_window_on::<O, false, false>(out, max),
+            TextMode::KeepBit => self.fill_window_on::<O, false, true>(out, max),
+            TextMode::DropAll => self.fill_window_on::<O, true, false>(out, max),
         }
     }
 
     /// [`Self::fill_window`] with the text mode fixed at compile time —
-    /// `DROP_TEXT` for drop-all, `FILTER` for keep-bit — dispatched on the
-    /// backend.
-    fn fill_window_on<const DROP_TEXT: bool, const FILTER: bool>(
+    /// `DROP_TEXT` for drop-all and structure, `FILTER` for keep-bit —
+    /// dispatched on the backend.
+    fn fill_window_on<O: FillOut, const DROP_TEXT: bool, const FILTER: bool>(
         &mut self,
-        out: &mut Vec<TaggedSymbol>,
+        out: &mut O,
         max: usize,
     ) -> Result<bool, SaxError> {
         match scan_backend() {
             #[cfg(target_arch = "x86_64")]
             ScanBackend::Avx2 => {
                 if let Some(kernel) = kernel::Avx2::detect() {
-                    return self.fill_window_with::<_, DROP_TEXT, FILTER>(kernel, out, max);
+                    return self.fill_window_with::<_, O, DROP_TEXT, FILTER>(kernel, out, max);
                 }
             }
             #[cfg(target_arch = "aarch64")]
             ScanBackend::Neon => {
-                return self.fill_window_with::<_, DROP_TEXT, FILTER>(kernel::Neon::new(), out, max)
+                return self.fill_window_with::<_, O, DROP_TEXT, FILTER>(
+                    kernel::Neon::new(),
+                    out,
+                    max,
+                )
             }
             _ => {}
         }
-        self.fill_window_with::<_, DROP_TEXT, FILTER>(kernel::Swar, out, max)
+        self.fill_window_with::<_, O, DROP_TEXT, FILTER>(kernel::Swar, out, max)
     }
 
     /// The one window-fill loop: stage-1 passes build the tape and stage 2
@@ -1581,10 +2009,15 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// rejected block — and the short window tail. The budget counts
     /// events written, so a window of dropped text words never ends the
     /// fill early.
-    fn fill_window_with<C: BlockClassifier, const DROP_TEXT: bool, const FILTER: bool>(
+    fn fill_window_with<
+        C: BlockClassifier,
+        O: FillOut,
+        const DROP_TEXT: bool,
+        const FILTER: bool,
+    >(
         &mut self,
         cls: C,
-        out: &mut Vec<TaggedSymbol>,
+        out: &mut O,
         max: usize,
     ) -> Result<bool, SaxError> {
         let base = self.window.abs_offset();
@@ -1593,35 +2026,34 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         let data: &[u8] = &self.window.buf[self.window.start..self.window.end];
         let mut pos = 0usize;
         // Counted down instead of re-reading `out.len()` every event.
-        let mut budget = max.saturating_sub(out.len());
+        let mut budget = max.saturating_sub(out.written());
         let mut scalar_until = 0usize;
         let full = loop {
             if budget == 0 {
                 break true;
             }
             if pos >= scalar_until {
-                let pass = cls.stage1::<DROP_TEXT>(&mut self.tape, data, pos, budget);
-                scalar_until = pass.scalar_until;
-                if pass.end > 0 {
-                    if pass.tokens > 0 {
-                        match emit_tape::<N, FILTER>(
-                            &mut self.core,
-                            &self.tape,
-                            data,
-                            pos,
-                            pass.tokens,
-                            out,
-                        ) {
-                            Ok(written) => budget -= written,
-                            Err((e, at)) => {
-                                self.window.consume(at);
-                                return Err(e);
-                            }
+                let swept = out.sweep::<C, N, DROP_TEXT, FILTER>(
+                    cls,
+                    &mut self.core,
+                    &mut self.tape,
+                    data,
+                    pos,
+                    budget,
+                );
+                match swept {
+                    Ok(swept) => {
+                        scalar_until = swept.scalar_until;
+                        if swept.end > 0 {
+                            budget = budget.saturating_sub(swept.written);
+                            pos += swept.end;
+                            continue;
                         }
                     }
-                    pos += pass.end;
-                    self.core.dropped += pass.dropped;
-                    continue;
+                    Err((e, at)) => {
+                        self.window.consume(at);
+                        return Err(e);
+                    }
                 }
             }
             match step_token(&mut self.core, data, base, pos, eof, out, &mut budget) {
@@ -1646,11 +2078,11 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// the differential oracle): `<!-` with no second dash falls through to
     /// the bracket scan, and a partial `CDATA[` marker leaves the consumed
     /// `[` as one open bracket level.
-    fn lex_directive(
+    fn lex_directive<O: FillOut>(
         &mut self,
         tag_start: usize,
         lead: u8,
-        out: &mut Vec<TaggedSymbol>,
+        out: &mut O,
     ) -> Result<(), SaxError> {
         if lead == b'!' && self.peek_byte()? == Some(b'-') {
             self.window.consume(1);
@@ -1770,7 +2202,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// whole — a resolution failure truncates the section's words off `out`
     /// again (and un-counts its dropped ones), so nothing is half-emitted —
     /// so the sweep grows the window instead of consuming.
-    fn lex_cdata(&mut self, tag_start: usize, out: &mut Vec<TaggedSymbol>) -> Result<(), SaxError> {
+    fn lex_cdata<O: FillOut>(&mut self, tag_start: usize, out: &mut O) -> Result<(), SaxError> {
         let mut pos = 0usize;
         let end = 'scan: loop {
             let data = self.window.data();
@@ -1786,11 +2218,11 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             }
         };
         let content = &self.window.data()[..end];
-        let (mark, dropped) = (out.len(), self.core.dropped);
+        let (mark, dropped) = (out.written(), self.core.dropped);
         let mut word = run_end(content, 0, true);
         while word < content.len() {
             let word_end = run_end(content, word, false);
-            if let Err(e) = self.core.text_word(&content[word..word_end], out) {
+            if let Err(e) = out.text(&mut self.core, &content[word..word_end]) {
                 out.truncate(mark);
                 self.core.dropped = dropped;
                 return Err(e);
@@ -2302,6 +2734,203 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+        auto_scan_backend();
+    }
+
+    /// Height and peak after walking the tags of `events` from `(height,
+    /// peak)` one event at a time: pending returns leave the height at 0.
+    fn walk_events(events: &[TaggedSymbol], mut height: usize, mut peak: usize) -> (usize, usize) {
+        for event in events {
+            match event {
+                TaggedSymbol::Call(_) => height += 1,
+                TaggedSymbol::Return(_) => height = height.saturating_sub(1),
+                TaggedSymbol::Internal(_) => {}
+            }
+            peak = peak.max(height);
+        }
+        (height, peak)
+    }
+
+    /// One lexer run that narrows to structure before fill `switch`: the
+    /// events before, the tokens read by then, the forms of every later
+    /// fill in order, the final dropped count and the error.
+    type Structured = (Vec<TaggedSymbol>, usize, Vec<Forms>, usize, Option<String>);
+
+    fn structured_run(
+        data: &[u8],
+        chunk: usize,
+        max: usize,
+        names: Projection<'_>,
+        switch: usize,
+    ) -> Option<Structured> {
+        let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), names);
+        let (mut before, mut windows, mut at_switch) = (Vec::new(), Vec::new(), None);
+        let mut fills = 0;
+        let err = loop {
+            if fills == switch {
+                assert!(lexer.narrow_to_structure(), "an unfused lexer goes on");
+                at_switch = Some(before.len() + lexer.dropped());
+            }
+            let filled = if fills < switch {
+                let len = before.len();
+                let filled = lexer.fill(&mut before, len + max);
+                if filled.is_ok() && before.len() == len {
+                    break None;
+                }
+                filled
+            } else {
+                let mut forms = Forms::default();
+                let filled = lexer.fill_forms(&mut forms, max);
+                if forms.events > 0 {
+                    windows.push(forms);
+                } else if filled.is_ok() {
+                    break None;
+                }
+                filled
+            };
+            match filled {
+                Ok(()) => fills += 1,
+                Err(e) => break Some(format!("{e:?}")),
+            }
+        };
+        at_switch.map(|read| (before, read, windows, lexer.dropped(), err))
+    }
+
+    /// Narrowing to structure before any `fill`: the events up to the
+    /// switch are the projected stream, and the forms of every later fill,
+    /// applied in order from several starting heights and peaks, walk
+    /// exactly as the full event stream does from the same point: events,
+    /// height and peak, pending returns included. Events handed over plus
+    /// form events plus dropped words is every token read, and the error,
+    /// if any, is the same at the same offset. On every backend, one-byte,
+    /// 7-byte and whole-document reads, and fill sizes 1..=7 and
+    /// `EVENT_SLICE`, over the edge documents, a document that opens with
+    /// pending returns, and one past three event slices.
+    #[test]
+    fn narrowing_to_structure_between_fills_walks_the_stream_exactly() {
+        let mut docs: Vec<(Vec<u8>, Vec<usize>)> = edge_documents()
+            .into_iter()
+            .chain([b"</a></b> w0 <c k='v'>w1<d/></c></e> <f>".to_vec()])
+            .map(|d| (d, (1..=7).chain([EVENT_SLICE]).collect()))
+            .collect();
+        docs.push((long_document(5), vec![EVENT_SLICE]));
+        // Simple blocks only, so the structure pass, not the scalar arm,
+        // reads nearly all of it, and tags of every length cross block
+        // seams.
+        let mut rng = Prng::new(11);
+        let mut simple = String::new();
+        while simple.len() < 24 * EVENT_SLICE {
+            let name = "t".repeat(1 + rng.below(9));
+            match rng.below(3) {
+                0 => simple.push_str(&format!("<{name}>")),
+                1 => simple.push_str(&format!("</{name}>")),
+                _ => simple.push_str(&format!("{} ", "w".repeat(1 + rng.below(5)))),
+            }
+        }
+        docs.push((simple.into_bytes(), vec![EVENT_SLICE]));
+        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+            for (d, (data, maxes)) in docs.iter().enumerate() {
+                let mut ab = Alphabet::new();
+                let mut reference = ByteTokenizer::new(&data[..], &mut ab);
+                let mut tokens = Vec::new();
+                let err = loop {
+                    let len = tokens.len();
+                    match reference.fill(&mut tokens, len + 1024) {
+                        Ok(()) if tokens.len() == len => break None,
+                        Ok(()) => {}
+                        Err(e) => break Some(format!("{e:?}")),
+                    }
+                };
+                let every_third: Vec<bool> = (0..ab.len()).map(|a| a % 3 == 0).collect();
+                for inert in [&every_third[..], &[]] {
+                    for &max in maxes {
+                        for chunk in [1, 7, data.len()] {
+                            let ctx = format!(
+                                "{backend:?}, document {d}, {} inert, max {max}, chunk {chunk}",
+                                inert.len()
+                            );
+                            let mut switch = 0;
+                            while let Some((before, read, windows, dropped, got_err)) =
+                                structured_run(
+                                    &data[..],
+                                    chunk,
+                                    max,
+                                    Projection::new(&ab, inert),
+                                    switch,
+                                )
+                            {
+                                let ctx = format!("{ctx}, switch before fill {switch}");
+                                assert!(read <= tokens.len(), "{ctx}");
+                                let tail = &tokens[read..];
+                                let tags = tail
+                                    .iter()
+                                    .filter(|t| !matches!(t, TaggedSymbol::Internal(_)))
+                                    .count();
+                                let events: usize = windows.iter().map(|f| f.events).sum();
+                                assert_eq!(events, tags, "{ctx}");
+                                for (height, peak) in [(0, 0), (2, 2), (1, 9)] {
+                                    let (mut h, mut p) = (height, peak);
+                                    windows.iter().for_each(|f| f.apply(&mut h, &mut p));
+                                    assert_eq!((h, p), walk_events(tail, height, peak), "{ctx}");
+                                }
+                                assert_eq!(before.len() + events + dropped, tokens.len(), "{ctx}");
+                                assert_eq!(got_err, err, "{ctx}");
+                                switch += 1;
+                            }
+                            assert!(switch > 0, "{ctx}: never switched");
+                        }
+                    }
+                }
+            }
+        }
+        auto_scan_backend();
+    }
+
+    /// A frozen lexer fused on a tag outside its alphabet resumes at that
+    /// very tag once narrowed to structure, which then reads it by form;
+    /// one fused on any other error stays fused. On every backend, in
+    /// the scalar arm (attributes, self-closing) and on the tape.
+    #[test]
+    fn structure_resumes_at_an_unknown_tag_only() {
+        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+        let pad = "<a>w0</a> ".repeat(20);
+        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+            for (intruder, events) in [("<x>", 1), ("</x>", 1), ("<x k='v'/>", 2)] {
+                let doc = format!("{pad}<a>w0 {intruder} w0</a>{pad}");
+                let mut ab = Alphabet::new();
+                let full = crate::sax::tokenize(&doc.replace(intruder, ""), &mut ab).unwrap();
+                let inert = vec![true; ab.len()];
+                let ctx = format!("{backend:?}, {intruder}");
+                let mut lexer = BulkLexer::new(doc.as_bytes(), Projection::new(&ab, &inert));
+                let mut before = Vec::new();
+                let err = lexer.fill(&mut before, usize::MAX).unwrap_err();
+                assert!(
+                    matches!(err, SaxError::Syntax(NestedWordError::UnknownSymbol { .. })),
+                    "{ctx}: {err:?}"
+                );
+                assert!(lexer.narrow_to_structure(), "{ctx}");
+                let mut forms = Forms::default();
+                lexer.fill_forms(&mut forms, usize::MAX).unwrap();
+                let tags = full
+                    .iter()
+                    .filter(|t| !matches!(t, TaggedSymbol::Internal(_)));
+                assert_eq!(before.len() + forms.events, tags.count() + events, "{ctx}");
+                assert_eq!(
+                    lexer.dropped(),
+                    full.len() - before.len() - (forms.events - events),
+                    "{ctx}"
+                );
+
+                let broken = format!("{pad}<a>w0 </> {intruder}</a>");
+                let mut lexer = BulkLexer::new(broken.as_bytes(), Projection::new(&ab, &inert));
+                assert!(lexer.fill(&mut Vec::new(), usize::MAX).is_err(), "{ctx}");
+                assert!(
+                    !lexer.narrow_to_structure(),
+                    "{ctx}: a lexical error is final"
+                );
             }
         }
         auto_scan_backend();

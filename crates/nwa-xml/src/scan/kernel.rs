@@ -5,7 +5,7 @@
 //! [`Neon`] (`aarch64`, baseline) are vector intrinsics whose ISA presence
 //! is proven by construction of their zero-sized token types.
 
-use super::{build_tape, Pass, Tape, HIGHS, ONES};
+use super::{build_tape, walk_forms, FormsPass, Pass, Tape, HIGHS, ONES};
 
 /// Bytes classified per [`BlockClassifier::classify`] call.
 pub(super) const BLOCK: usize = 64;
@@ -51,6 +51,27 @@ pub(super) trait BlockClassifier: Copy {
         budget: usize,
     ) -> Pass {
         build_tape::<_, DROP_TEXT>(self, tape, data, from, budget)
+    }
+
+    /// One structure pass ([`walk_forms`]) with this kernel's ISA enabled
+    /// for the whole pass.
+    #[inline(always)]
+    fn forms_pass(self, data: &[u8], from: usize, budget: usize) -> FormsPass {
+        walk_forms(self, data, from, budget)
+    }
+
+    /// The bits of `bits` at the set positions of `mask`, packed low in
+    /// order: a parallel bit extract. Portable: one step per bit of
+    /// `mask`.
+    #[inline(always)]
+    fn compress(self, bits: u64, mask: u64) -> u64 {
+        let (mut packed, mut mask, mut i) = (0u64, mask, 0);
+        while mask != 0 {
+            packed |= ((bits >> mask.trailing_zeros()) & 1) << i;
+            mask &= mask - 1;
+            i += 1;
+        }
+        packed
     }
 }
 
@@ -118,22 +139,27 @@ pub(super) use x86::Avx2;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{build_tape, BlockClassifier, BlockMasks, Pass, Tape, BLOCK};
+    use super::{
+        build_tape, walk_forms, BlockClassifier, BlockMasks, FormsPass, Pass, Tape, BLOCK,
+    };
     use core::arch::x86_64::*;
 
     /// Proof-of-AVX2 token (see [`BlockClassifier`]): AVX2 for the block
-    /// classes, plus the BMI1 and POPCNT every AVX2 core ships with, so
-    /// `flatten`'s bit counts and lowest-bit steps are one instruction each.
+    /// classes, plus the BMI1, BMI2 and POPCNT every AVX2 core ships with,
+    /// so `flatten`'s bit counts and lowest-bit steps and the structure
+    /// pass's [`compress`](BlockClassifier::compress) are one instruction
+    /// each.
     #[derive(Clone, Copy)]
     pub(in crate::scan) struct Avx2(());
 
     impl Avx2 {
-        /// `Some` iff this CPU has AVX2, BMI1 and POPCNT (std caches the
-        /// probes).
+        /// `Some` iff this CPU has AVX2, BMI1, BMI2 and POPCNT (std caches
+        /// the probes).
         #[inline]
         pub(in crate::scan) fn detect() -> Option<Self> {
             let present = is_x86_feature_detected!("avx2")
                 && is_x86_feature_detected!("bmi1")
+                && is_x86_feature_detected!("bmi2")
                 && is_x86_feature_detected!("popcnt");
             present.then_some(Avx2(()))
         }
@@ -156,9 +182,22 @@ mod x86 {
             from: usize,
             budget: usize,
         ) -> Pass {
-            // SAFETY: `self` exists only when AVX2, BMI1 and POPCNT were
-            // detected on this CPU.
+            // SAFETY: `self` exists only when AVX2, BMI1, BMI2 and POPCNT
+            // were detected on this CPU.
             unsafe { stage1_avx2::<DROP_TEXT>(self, tape, data, from, budget) }
+        }
+
+        #[inline(always)]
+        fn forms_pass(self, data: &[u8], from: usize, budget: usize) -> FormsPass {
+            // SAFETY: as for `stage1`.
+            unsafe { forms_pass_avx2(self, data, from, budget) }
+        }
+
+        /// One `pext`.
+        #[inline(always)]
+        fn compress(self, bits: u64, mask: u64) -> u64 {
+            // SAFETY: `self` exists only when BMI2 was detected.
+            unsafe { _pext_u64(bits, mask) }
         }
     }
 
@@ -177,6 +216,16 @@ mod x86 {
         budget: usize,
     ) -> Pass {
         build_tape::<_, DROP_TEXT>(cls, tape, data, from, budget)
+    }
+
+    /// [`walk_forms`] compiled like [`stage1_avx2`], plus BMI2 for
+    /// `compress`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, BMI1, BMI2 and POPCNT.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    unsafe fn forms_pass_avx2(cls: Avx2, data: &[u8], from: usize, budget: usize) -> FormsPass {
+        walk_forms(cls, data, from, budget)
     }
 
     /// Two 32-byte lanes; each class is a byte compare (or the

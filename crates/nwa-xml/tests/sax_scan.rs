@@ -27,10 +27,11 @@ mod oracle;
 
 use std::io;
 
+use automata_core::Forms;
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
 use nwa_xml::generate::{generate_document, DocumentConfig};
-use nwa_xml::queries::{for_each_slice, EVENT_SLICE};
+use nwa_xml::queries::{for_each_slice, Reads, Slice, EVENT_SLICE};
 use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, Projection, SaxError};
 use nwa_xml::scan::{
     auto_scan_backend, force_scan_backend, scan_backend, BulkLexer, ScanBackend, SCAN_CHUNK,
@@ -1134,7 +1135,14 @@ fn narrowed_slices(
     narrow_at: usize,
 ) -> (Vec<TaggedSymbol>, Vec<TaggedSymbol>, usize) {
     let (mut before, mut after, mut slices) = (Vec::new(), Vec::new(), 0);
-    let dropped = for_each_slice(SplitReader::new(data, 4099), ab, inert, |events| {
+    let dropped = for_each_slice(SplitReader::new(data, 4099), ab, inert, |slice| {
+        let Slice::Events(events) = slice else {
+            unreachable!("a sink that reads tags is only handed events")
+        };
+        if events.is_empty() {
+            // The call before anything is read.
+            return Reads::Text;
+        }
         let side = if slices <= narrow_at {
             &mut before
         } else {
@@ -1142,7 +1150,11 @@ fn narrowed_slices(
         };
         side.extend_from_slice(events);
         slices += 1;
-        slices <= narrow_at
+        if slices <= narrow_at {
+            Reads::Text
+        } else {
+            Reads::Tags
+        }
     })
     .expect("the pressure document is well formed");
     (before, after, dropped)
@@ -1219,6 +1231,126 @@ fn token_cache_under_pressure_matches_char_lexer() {
                 assert_eq!(before, head, "{ctx}");
                 assert_eq!(after, tail, "{ctx}");
                 assert_eq!(before.len() + after.len() + dropped, events.len(), "{ctx}");
+            }
+        }
+    }
+    auto_scan_backend();
+}
+
+// --------------------------------------------------------------------------
+// Structure mode: tag forms instead of events
+// --------------------------------------------------------------------------
+
+/// One `for_each_slice` run whose sink narrows to structure when it is
+/// called for the `narrow_at`-th time (0 is the call before anything is
+/// read): the events handed over before, the forms handed over after, and
+/// the outcome.
+fn structured_slices(
+    reader: SplitReader,
+    ab: &Alphabet,
+    inert: &[bool],
+    narrow_at: usize,
+) -> (Vec<TaggedSymbol>, Vec<Forms>, Option<String>) {
+    let (mut events, mut windows, mut calls) = (Vec::new(), Vec::new(), 0);
+    let outcome = for_each_slice(reader, ab, inert, |slice| {
+        match slice {
+            Slice::Events(slice) => events.extend_from_slice(slice),
+            Slice::Forms(forms) => windows.push(forms),
+        }
+        calls += 1;
+        if calls > narrow_at {
+            Reads::Structure
+        } else {
+            Reads::Text
+        }
+    });
+    (events, windows, outcome.err().map(|e| format!("{e:?}")))
+}
+
+/// Height and peak after walking the tags of `events` from 0, one event at
+/// a time, pending returns included.
+fn walk_events(events: &[TaggedSymbol]) -> (usize, usize) {
+    let (mut height, mut peak) = (0usize, 0usize);
+    for event in events {
+        match event {
+            TaggedSymbol::Call(_) => height += 1,
+            TaggedSymbol::Return(_) => height = height.saturating_sub(1),
+            TaggedSymbol::Internal(_) => {}
+        }
+        peak = peak.max(height);
+    }
+    (height, peak)
+}
+
+/// A bytes→slices run narrowed to structure at any slice hands over the
+/// oracle's projected events up to the switch, then forms that walk
+/// exactly as the oracle's remaining events do — events, height and peak,
+/// pending returns included — and ends in the oracle's error at the same
+/// offset. On every backend, at 1-byte, 7-byte and whole-document reads,
+/// under drop-all and keep-bit projections, on the edge cases, random
+/// documents with attributes, self-closing tags, comments, CDATA and PIs,
+/// a document that opens with pending returns, and the pressure document
+/// (over three event slices).
+#[test]
+fn structure_slices_walk_like_the_char_lexer() {
+    let mut docs: Vec<Vec<u8>> = EDGE_CASES.iter().map(|d| d.to_vec()).collect();
+    docs.extend((0..prop_iters(4) as u64).map(|seed| generate(seed).into_bytes()));
+    docs.push(b"</a></b> w <c k='v'>w<d/></c></e> <f>".to_vec());
+    docs.push(pressure_document(5, 16_000).into_bytes());
+    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+        for (d, data) in docs.iter().enumerate() {
+            for chunk in [1, 7, data.len()] {
+                let mut ab = Alphabet::new();
+                let (oracle, err) = drain(EventLexer::new(
+                    Utf8Chars::new(SplitReader::new(data, chunk)),
+                    &mut ab,
+                ));
+                let every_other: Vec<bool> = (0..ab.len()).map(|a| a % 2 == 0).collect();
+                let slices = oracle.len() / EVENT_SLICE + 2;
+                for (mode, inert) in [
+                    ("drop-all", vec![true; ab.len()]),
+                    ("keep-bit", every_other),
+                ] {
+                    let keeps = |t: &TaggedSymbol| match t {
+                        TaggedSymbol::Internal(a) => !inert[a.index()],
+                        _ => true,
+                    };
+                    for narrow_at in 0..slices.min(4) {
+                        let ctx = format!(
+                            "{backend:?}, document {d}, chunk {chunk}, {mode}, narrowed at call {narrow_at}"
+                        );
+                        let reader = SplitReader::new(data, chunk);
+                        let (before, windows, got_err) =
+                            structured_slices(reader, &ab, &inert, narrow_at);
+                        let p = match before.len() {
+                            0 => 0,
+                            kept => {
+                                oracle
+                                    .iter()
+                                    .scan(0, |n, t| {
+                                        *n += usize::from(keeps(t));
+                                        Some(*n)
+                                    })
+                                    .position(|n| n == kept)
+                                    .expect("the kept prefix")
+                                    + 1
+                            }
+                        };
+                        let head: Vec<_> = oracle[..p].iter().copied().filter(keeps).collect();
+                        assert_eq!(before, head, "{ctx}");
+                        let tail = &oracle[p..];
+                        let tags = tail
+                            .iter()
+                            .filter(|t| !matches!(t, TaggedSymbol::Internal(_)));
+                        let events: usize = windows.iter().map(|f| f.events).sum();
+                        assert_eq!(events, tags.count(), "{ctx}");
+                        let (mut height, mut peak) = (0, 0);
+                        windows.iter().for_each(|f| f.apply(&mut height, &mut peak));
+                        assert_eq!((height, peak), walk_events(tail), "{ctx}");
+                        assert_eq!(got_err, err, "{ctx}");
+                    }
+                }
             }
         }
     }

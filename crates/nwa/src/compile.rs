@@ -40,7 +40,7 @@ use crate::automaton::Nwa;
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
 use crate::summary::{Summary, SummarySemantics};
-use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamOutcome};
+use automata_core::{BatchAcceptor, Compile, Forms, LaneRun, StreamAcceptor, StreamOutcome};
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -585,6 +585,28 @@ impl BatchAcceptor for CompiledNwa {
     /// event lands back on the state.
     fn lane_reads_text(&self, lane: &CompiledNwaLane) -> bool {
         !self.lane_settled(lane)
+    }
+
+    /// A settled lane reads no name either: in an absorbing state every
+    /// event lands back on the state, so only the stack height moves.
+    fn lane_reads_names(&self, lane: &CompiledNwaLane) -> bool {
+        !self.lane_settled(lane)
+    }
+
+    /// The height-only step of a settled lane over a window known by its
+    /// forms: `sp` and `max_sp` follow the walk, as in `step_settled`, and
+    /// `steps` counts the window's events. Forms carry no symbols, so
+    /// unlike `step_heights` on the slice path there is no alphabet to
+    /// check: a tag outside it reaches a lane only this way, by form, after
+    /// the lane settled. Panics on a lane that has not settled.
+    fn lane_step_forms(&self, lane: &mut CompiledNwaLane, forms: Forms) {
+        assert!(self.lane_settled(lane), "tag forms for an unsettled lane");
+        let mut height = lane.sp as usize - 1;
+        let mut peak = lane.max_sp as usize - 1;
+        forms.apply(&mut height, &mut peak);
+        lane.sp = (height + 1) as u32;
+        lane.max_sp = (peak + 1) as u32;
+        lane.steps += forms.events;
     }
 }
 

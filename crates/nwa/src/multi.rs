@@ -75,7 +75,7 @@ use automata_core::persist::{
     Writer,
 };
 use automata_core::{
-    BatchAcceptor, Compile, LaneRun, MultiAcceptor, MultiCompile, Persist, PersistError,
+    BatchAcceptor, Compile, Forms, LaneRun, MultiAcceptor, MultiCompile, Persist, PersistError,
     StreamAcceptor, StreamOutcome,
 };
 use nested_words::{Symbol, TaggedSymbol};
@@ -426,6 +426,22 @@ impl BatchAcceptor for QuerySet {
     /// last text reader retires, text-blind members live or not.
     fn lane_reads_text(&self, lane: &QuerySetLane) -> bool {
         lane.live & self.text_readers != 0
+    }
+
+    /// The lane reads names while any engine is live, name-blind ones
+    /// such as depth bounds included: a live engine steps its table on
+    /// every event, which takes the event's symbol.
+    fn lane_reads_names(&self, lane: &QuerySetLane) -> bool {
+        lane.live != 0
+    }
+
+    /// Once every engine has retired, the set lane counts the window's
+    /// events and walks its own height and peak through the forms. Panics
+    /// while an engine is live.
+    fn lane_step_forms(&self, lane: &mut QuerySetLane, forms: Forms) {
+        assert_eq!(lane.live, 0, "tag forms for a set lane with live engines");
+        forms.apply(&mut lane.height, &mut lane.peak);
+        lane.steps += forms.events;
     }
 }
 

@@ -115,7 +115,7 @@ pub use word_automata;
 /// the unified traits.
 pub mod prelude {
     pub use automata_core::{
-        Acceptor, BatchAcceptor, BooleanOps, Builder, Compile, Decide, Emptiness, LaneRun,
+        Acceptor, BatchAcceptor, BooleanOps, Builder, Compile, Decide, Emptiness, Forms, LaneRun,
         Minimize, MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun, Snapshot,
         StateId, StreamAcceptor, StreamOutcome, StreamRun, Suspend, Witness,
     };

@@ -286,3 +286,73 @@ pub fn with_text_after(xml: &str, from: usize, text: &str) -> String {
     let at = from + xml[from..].find('>').expect("a tag") + 1;
     format!("{} {text} {}", &xml[..at], &xml[at..])
 }
+
+/// The three spellings of a tag outside every generated alphabet, each
+/// with its rename to `t0`, a generated tag: an unknown tag read after a
+/// run has settled decides like the renamed one.
+pub const INTRUDERS: [(&str, &str); 3] = [
+    ("<intruder>", "<t0>"),
+    ("</intruder>", "</t0>"),
+    ("<intruder/>", "<t0/>"),
+];
+
+/// `events` rendered as XML over `ab`, one token per space-separated
+/// field, with `splice` inserted before event `at`.
+pub fn render_with(events: &[TaggedSymbol], ab: &Alphabet, at: usize, splice: &str) -> String {
+    let token = |t: &TaggedSymbol| {
+        let name = ab.name(t.symbol()).expect("an alphabet symbol");
+        match t {
+            TaggedSymbol::Call(_) => format!("<{name}>"),
+            TaggedSymbol::Return(_) => format!("</{name}>"),
+            TaggedSymbol::Internal(_) => name.to_string(),
+        }
+    };
+    let mut fields: Vec<String> = events.iter().map(token).collect();
+    fields.insert(at, splice.to_string());
+    fields.join(" ")
+}
+
+/// How many events `run` reads, one at a time, before it stops reading
+/// names, or `None` if it reads names to the end.
+pub fn names_settle<R: StreamRun>(mut run: R, events: &[TaggedSymbol]) -> Option<usize> {
+    if !run.reads_names() {
+        return Some(0);
+    }
+    for (i, &event) in events.iter().enumerate() {
+        run.step(event);
+        if !run.reads_names() {
+            return Some(i + 1);
+        }
+    }
+    None
+}
+
+/// Event offsets within 2 of `settle` and of every slice boundary a
+/// bytes→verdict scan of `events` may draw: every `slice` events counted
+/// over all events, over tags only, and over the events the projection
+/// `inert` keeps.
+pub fn splice_offsets(
+    events: &[TaggedSymbol],
+    inert: &[bool],
+    settle: Option<usize>,
+    slice: usize,
+) -> Vec<usize> {
+    let mut centres: Vec<usize> = settle.into_iter().collect();
+    let (mut tags, mut kept) = (0, 0);
+    for (i, event) in events.iter().enumerate() {
+        let internal = matches!(event, TaggedSymbol::Internal(_));
+        tags += usize::from(!internal);
+        kept +=
+            usize::from(!internal || !inert.get(event.symbol().index()).copied().unwrap_or(false));
+        if (i + 1) % slice == 0 || (!internal && tags % slice == 0) || kept % slice == 0 {
+            centres.push(i + 1);
+        }
+    }
+    let mut offsets: Vec<usize> = centres
+        .into_iter()
+        .flat_map(|c| c.saturating_sub(2)..=(c + 2).min(events.len()))
+        .collect();
+    offsets.sort_unstable();
+    offsets.dedup();
+    offsets
+}

@@ -461,11 +461,12 @@ fn settled_lone_engine_keeps_stack_accounting_exact() {
     }
 }
 
-/// `reads_text` on a lone compiled lane is `false` exactly when the lane
-/// sits in an absorbing state, per event and per slice, and once `false`
-/// it never turns `true` again: on skip-path automata, which settle at
-/// scattered points, and on `contains_tag`, which settles on its first
-/// matching call. An interpreted run always reads text.
+/// `reads_text` and `reads_names` on a lone compiled lane are both `false`
+/// exactly when the lane sits in an absorbing state, per event and per
+/// slice, and once `false` they never turn `true` again: on skip-path
+/// automata, which settle at scattered points, and on `contains_tag`,
+/// which settles on its first matching call. An interpreted run always
+/// reads text and names.
 #[test]
 fn lone_lane_reads_text_until_it_settles() {
     let sigma = 4;
@@ -494,18 +495,164 @@ fn lone_lane_reads_text_until_it_settles() {
                 stepped.step(event);
                 let ctx = format!("seed {seed}, after {} events", reference.steps());
                 assert!(reference.reads_text(), "{ctx}: interpreted");
+                assert!(reference.reads_names(), "{ctx}: interpreted");
                 let expected = !c.is_absorbing(reference.current_state());
                 assert_eq!(stepped.reads_text(), expected, "{ctx}");
+                assert_eq!(stepped.reads_names(), expected, "{ctx}");
                 assert!(reads || !expected, "{ctx}: read text again");
                 reads = expected;
             }
             sliced.step_slice(&events[at..at + len]);
             at += len;
-            assert_eq!(sliced.reads_text(), reads, "seed {seed}, after {at} events");
+            let ctx = format!("seed {seed}, after {at} events");
+            assert_eq!(sliced.reads_text(), reads, "{ctx}");
+            assert_eq!(sliced.reads_names(), reads, "{ctx}");
         }
         settled_runs += usize::from(!reads);
     }
     assert!(settled_runs > 0, "no run settled");
+}
+
+/// The forms of `events`: what a structure scan hands a settled run.
+fn forms_of(events: &[TaggedSymbol]) -> Forms {
+    let mut forms = Forms::default();
+    for event in events {
+        match event {
+            TaggedSymbol::Call(_) => forms.push(true),
+            TaggedSymbol::Return(_) => forms.push(false),
+            TaggedSymbol::Internal(_) => {}
+        }
+    }
+    forms
+}
+
+/// Every model without a settled lane reads names for good: the
+/// interpreted NWA, nondeterministic and joinless runs and the DFA, and
+/// the compiled summary, DFA and stepwise engines, on every prefix.
+#[test]
+fn models_without_settled_lanes_always_read_names() {
+    fn check<A: StreamAcceptor>(name: &str, a: &A, events: &[TaggedSymbol]) {
+        let mut run = a.start();
+        assert!(run.reads_names(), "{name}: at the start");
+        for (i, &event) in events.iter().enumerate() {
+            run.step(event);
+            assert!(run.reads_names(), "{name}: after {} events", i + 1);
+        }
+    }
+    let sigma = 2;
+    let ab = Alphabet::with_size(sigma);
+    let config = NestedWordConfig {
+        len: 200,
+        allow_pending: true,
+        ..Default::default()
+    };
+    let all = {
+        let mut m = Nwa::new(1, sigma, 0);
+        m.set_accepting(0, true);
+        m.set_all_transitions_to(0, 0);
+        m
+    };
+    for seed in 0..prop_iters(3) as u64 {
+        let events = random_nested_word(&ab, config, seed).to_tagged();
+        let n = random_nnwa_with_transitions(3, sigma, 6, seed);
+        let mut dfa = Dfa::new(1, 3 * sigma, 0);
+        dfa.set_accepting(0, true);
+        (0..3 * sigma).for_each(|a| dfa.set_transition(0, a, 0));
+        check("interpreted NWA", &all, &events);
+        check("interpreted NNWA", &n, &events);
+        check("joinless", &joinless_from_nwa(&n), &events);
+        check("interpreted DFA", &dfa, &events);
+        check("compiled summary", &query::compile(&n), &events);
+        check("compiled DFA", &query::compile(&dfa), &events);
+        check(
+            "compiled stepwise",
+            &query::compile(&common::random_stepwise(3, sigma, seed)),
+            &events,
+        );
+    }
+}
+
+/// A settled lane stepped by forms ends where the same lane stepped by
+/// the events ends — verdict, stack height, peak, and events read but for
+/// the internal ones, which forms leave to the scanner's dropped count —
+/// from the point it settles, for random splits of the rest into form
+/// windows, pending returns included; a lane that has not settled refuses
+/// forms.
+#[test]
+fn settled_lanes_step_forms_like_events() {
+    let sigma = 3;
+    let ab = Alphabet::with_size(sigma);
+    let c = query::compile(&contains_tag_nwa(Symbol(1), sigma));
+    let set = query::compile_set(&[
+        contains_tag_nwa(Symbol(1), sigma),
+        contains_tag_nwa(Symbol(2), sigma),
+    ]);
+    let mut checked = 0;
+    for seed in 0..prop_iters(12) as u64 {
+        let config = NestedWordConfig {
+            len: 400,
+            allow_pending: true,
+            ..Default::default()
+        };
+        let events = random_nested_word(&ab, config, seed).to_tagged();
+        let mut rng = Prng::new(seed ^ 0xF0);
+        let settle = |reads: &dyn Fn(&[TaggedSymbol]) -> bool| {
+            (0..=events.len()).find(|&i| !reads(&events[..i]))
+        };
+        let lone_at = settle(&|prefix| {
+            let mut run = c.start();
+            run.step_slice(prefix);
+            run.reads_names()
+        });
+        let set_at = settle(&|prefix| {
+            let mut run = set.start_set();
+            run.step_slice(prefix);
+            run.reads_names()
+        });
+        let internals = |from: usize| {
+            events[from..]
+                .iter()
+                .filter(|e| matches!(e, TaggedSymbol::Internal(_)))
+                .count()
+        };
+        if let Some(at) = lone_at {
+            let (mut by_events, mut by_forms) = (c.start(), c.start());
+            by_events.step_slice(&events);
+            by_forms.step_slice(&events[..at]);
+            let mut from = at;
+            for len in chunk_lengths(events.len() - at, &mut rng) {
+                by_forms.step_forms(forms_of(&events[from..from + len]));
+                from += len;
+                assert!(!by_forms.reads_names(), "seed {seed}: read names again");
+            }
+            let ctx = format!("seed {seed}, lone, settled at {at}");
+            assert_eq!(by_forms.is_accepting(), by_events.is_accepting(), "{ctx}");
+            assert_eq!(by_forms.stack_height(), by_events.stack_height(), "{ctx}");
+            assert_eq!(by_forms.peak_memory(), by_events.peak_memory(), "{ctx}");
+            assert_eq!(by_forms.steps() + internals(at), by_events.steps(), "{ctx}");
+            checked += 1;
+        }
+        if let Some(at) = set_at {
+            let (mut by_events, mut by_forms) = (set.start_set(), set.start_set());
+            by_events.step_slice(&events);
+            by_forms.step_slice(&events[..at]);
+            let mut from = at;
+            for len in chunk_lengths(events.len() - at, &mut rng) {
+                by_forms.step_forms(forms_of(&events[from..from + len]));
+                from += len;
+            }
+            let ctx = format!("seed {seed}, set, settled at {at}");
+            assert_eq!(by_forms.verdicts(), by_events.verdicts(), "{ctx}");
+            let mut outcomes = by_forms.outcomes();
+            outcomes.iter_mut().for_each(|o| o.events += internals(at));
+            assert_eq!(outcomes, by_events.outcomes(), "{ctx}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no lane settled");
+    let mut live = c.start();
+    let refused = catch_unwind(AssertUnwindSafe(|| live.step_forms(forms_of(&[SETTLE]))));
+    assert!(refused.is_err(), "an unsettled lane took forms");
 }
 
 /// A run that has settled — `contains_tag(0)` after its first call, alone

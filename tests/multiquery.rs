@@ -25,17 +25,19 @@
 mod common;
 
 use common::{
-    both_shapes, chunk_lengths, prop_iters, random_det_nwa, skip_path_nwa, with_text_midway,
-    xml_documents, xml_queries,
+    both_shapes, chunk_lengths, names_settle, prop_iters, random_det_nwa, render_with,
+    skip_path_nwa, splice_offsets, with_text_midway, xml_documents, xml_documents_of, xml_queries,
+    INTRUDERS,
 };
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa_xml::expr::Query;
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa,
-    run_multi_streaming_reader, run_streaming_reader, within_nwa,
+    run_multi_streaming_reader, run_streaming_reader, within_nwa, EVENT_SLICE,
 };
-use nested_words_suite::nwa_xml::sax::SaxError;
+use nested_words_suite::nwa_xml::sax::{tokenize, SaxError};
+use nested_words_suite::nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -411,9 +413,11 @@ fn word_parity(w: Symbol, sigma: usize) -> Nwa {
 /// per query: it stops reading once the last member that reads text has
 /// settled, while text-blind members (`depth <= 6`, the depth pad) may
 /// still be live. One product engine: it reads text until the product
-/// settles. Once `false` it stays `false`. A set holding a member that
-/// never settles and reads text (a word parity, as in the `live16` bench
-/// pool) reads text to the end.
+/// settles. A set lane reads names while any engine is live, so a live
+/// text-blind member keeps it reading names after it stopped reading
+/// text; it stops only once every member has settled. Once `false` either
+/// stays `false`. A set holding a member that never settles and reads text
+/// (a word parity, as in the `live16` bench pool) reads both to the end.
 #[test]
 fn set_lane_reads_text_until_its_last_text_reader_retires() {
     let documents = xml_documents(prop_iters(4), 130);
@@ -447,7 +451,7 @@ fn set_lane_reads_text_until_its_last_text_reader_retires() {
             (set, lone, readers, never_settles)
         })
         .collect();
-    let mut flipped_with_blind_live = 0;
+    let (mut flipped_with_blind_live, mut names_with_blind_live) = (0, 0);
     for (d, (doc_ab, xml)) in documents.iter().enumerate() {
         assert_eq!(doc_ab, ab, "document {d}");
         let events = nested_words_suite::nwa_xml::sax::tokenize(xml, &mut ab.clone()).unwrap();
@@ -455,7 +459,7 @@ fn set_lane_reads_text_until_its_last_text_reader_retires() {
         for (set, lone, readers, never_settles) in &shapes {
             let mut runs: Vec<_> = lone.iter().map(|c| c.start()).collect();
             let mut run = set.start_set();
-            let mut reads = true;
+            let (mut reads, mut names) = (true, true);
             let mut at = 0;
             for &len in &lengths {
                 let slice = &events[at..at + len];
@@ -481,12 +485,25 @@ fn set_lane_reads_text_until_its_last_text_reader_retires() {
                     flipped_with_blind_live += 1;
                 }
                 reads = expected;
+                let expected = runs.iter().any(|r| r.reads_names());
+                assert_eq!(run.reads_names(), expected, "{ctx}: names");
+                assert!(names || !expected, "{ctx}: read names again");
+                assert!(expected || !reads, "{ctx}: reads text, not names");
+                if *never_settles {
+                    assert!(expected, "{ctx}: the parity set stopped reading names");
+                }
+                names_with_blind_live += usize::from(expected && !reads);
+                names = expected;
             }
         }
     }
     assert!(
         flipped_with_blind_live > 0,
         "no set narrowed with text-blind members live"
+    );
+    assert!(
+        names_with_blind_live > 0,
+        "no live text-blind member kept a set reading names"
     );
 }
 
@@ -496,9 +513,12 @@ fn set_lane_reads_text_until_its_last_text_reader_retires() {
 /// drop-all set (the two text-blind members, one product engine) and a
 /// keep-bit set (all four members, one engine each). Under either set a
 /// text word outside the alphabet decides like `w2`, a known word no
-/// member reads; an unknown tag is still an `UnknownSymbol`.
+/// member reads. An unknown tag is an `UnknownSymbol` iff the set still
+/// reads names where it stands (at the start it always does); after every
+/// member has settled it decides like the tag renamed to `t0`.
 #[test]
 fn projected_set_reader_matches_unprojected_member_runs() {
+    let mut outcomes = [0, 0];
     for (d, (ab, xml)) in xml_documents(prop_iters(4), 90).iter().enumerate() {
         let queries: Vec<Nwa> = xml_queries(ab).into_iter().map(|(_, q)| q).collect();
         let stranger = with_text_midway(xml, "stranger");
@@ -527,16 +547,91 @@ fn projected_set_reader_matches_unprojected_member_runs() {
                 sequential(&renamed),
                 "{ctx}"
             );
-            let intruder = with_text_midway(xml, "<intruder/>");
-            let unknown = run_multi_streaming_reader(&set, intruder.as_bytes(), ab);
-            assert!(
-                matches!(
-                    unknown,
-                    Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
-                        if name == "intruder"
-                ),
-                "{ctx}: {unknown:?}"
-            );
+            for intruder in [
+                format!("<intruder/> {xml}"),
+                with_text_midway(xml, "<intruder/>"),
+            ] {
+                let at = intruder.find("<intruder/>").unwrap();
+                let mut run = set.start_set();
+                run.step_slice(&tokenize(&intruder[..at], &mut ab.clone()).unwrap());
+                let got = run_multi_streaming_reader(&set, intruder.as_bytes(), ab);
+                if run.reads_names() {
+                    assert!(
+                        matches!(
+                            got,
+                            Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
+                                if name == "intruder"
+                        ),
+                        "{ctx}: {got:?}"
+                    );
+                    outcomes[0] += 1;
+                } else {
+                    let renamed = intruder.replace("<intruder/>", "<t0/>");
+                    assert_eq!(got.unwrap(), sequential(&renamed), "{ctx}");
+                    outcomes[1] += 1;
+                }
+            }
         }
     }
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "failed, decided: {outcomes:?}"
+    );
+}
+
+/// The unknown-tag rule for sets, exactly: `<intruder>`, `</intruder>` or
+/// `<intruder/>` spliced before event `k` fails the set's bytes→verdict
+/// run iff `k` comes before the event after which its last live member
+/// settles (the set stops reading names); spliced anywhere later, every
+/// member decides like the document with the tag renamed to `t0`.
+/// Offsets: within 2 events of the set's settle point and of every slice
+/// boundary, on every backend, for a drop-all set (one product engine) and
+/// a keep-bit set (one engine per member).
+#[test]
+fn set_unknown_tags_fail_iff_read_before_the_set_settles() {
+    let (mut failed, mut decided) = (0, 0);
+    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+    for (d, (ab, xml)) in xml_documents_of(1, 4 * EVENT_SLICE, 246).iter().enumerate() {
+        let events = tokenize(xml, &mut ab.clone()).unwrap();
+        let queries: Vec<Nwa> = xml_queries(ab).into_iter().map(|(_, q)| q).collect();
+        for members in [&queries[..2], &queries[..]] {
+            let set = QuerySet::compile(members);
+            let settle = names_settle(set.start_set(), &events);
+            for at in splice_offsets(&events, set.inert_symbols(), settle, EVENT_SLICE) {
+                for (intruder, renamed) in INTRUDERS {
+                    let spliced = render_with(&events, ab, at, intruder);
+                    let expected = if settle.is_some_and(|s| s <= at) {
+                        decided += 1;
+                        let renamed = render_with(&events, ab, at, renamed);
+                        Ok(members
+                            .iter()
+                            .map(|q| run_streaming_reader(q, renamed.as_bytes(), ab).unwrap())
+                            .collect::<Vec<_>>())
+                    } else {
+                        failed += 1;
+                        Err(format!(
+                            "{:?}",
+                            SaxError::Syntax(NestedWordError::UnknownSymbol {
+                                name: "intruder".into()
+                            })
+                        ))
+                    };
+                    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+                        let ctx = format!(
+                            "document {d}, {} members, {intruder} at {at}, settled at {settle:?}, {backend:?}",
+                            members.len()
+                        );
+                        let got = run_multi_streaming_reader(&set, spliced.as_bytes(), ab)
+                            .map_err(|e| format!("{e:?}"));
+                        assert_eq!(got, expected, "{ctx}");
+                    }
+                    auto_scan_backend();
+                }
+            }
+        }
+    }
+    assert!(
+        failed > 0 && decided > 0,
+        "{failed} failed, {decided} decided"
+    );
 }

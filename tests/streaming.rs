@@ -10,17 +10,19 @@
 mod common;
 
 use common::{
-    prop_iters, random_det_nwa, random_nnwa_with_transitions, with_text_after, with_text_midway,
-    xml_documents, xml_documents_of, xml_queries,
+    names_settle, prop_iters, random_det_nwa, random_nnwa_with_transitions, render_with,
+    splice_offsets, with_text_after, with_text_midway, xml_documents, xml_documents_of,
+    xml_queries, INTRUDERS,
 };
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::flat::tagged_indices;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::nwa_xml::queries::{
-    for_each_slice, run_multi_streaming_reader, run_streaming_reader, EVENT_SLICE,
+    for_each_slice, run_multi_streaming_reader, run_streaming_reader, Reads, Slice, EVENT_SLICE,
 };
 use nested_words_suite::nwa_xml::sax::{tokenize, SaxError};
+use nested_words_suite::nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -219,9 +221,13 @@ fn projected_reader_matches_unprojected_interpreted_run() {
 /// projection: no compiled query can read it. A document with such a word
 /// decides like the one with that word renamed to `w2`, a known word no
 /// query reads, under drop-all and keep-bit projections alike. An unknown
-/// *tag* still fails under every projection, after the same events.
+/// *tag* fails a scan whose consumer reads names under every projection,
+/// after the same events; a compiled run fails on it iff it still reads
+/// names there, and otherwise decides like the document with the tag
+/// renamed to `t0`.
 #[test]
 fn drop_all_artifacts_decide_unknown_text_like_known_text() {
+    let mut outcomes = [0, 0];
     for (d, (ab, xml)) in xml_documents(prop_iters(3), 70).iter().enumerate() {
         let stranger = with_text_midway(xml, "stranger");
         let renamed = with_text_midway(xml, "w2");
@@ -243,11 +249,22 @@ fn drop_all_artifacts_decide_unknown_text_like_known_text() {
             );
 
             let intruder = with_text_midway(xml, "<intruder/>");
+            for doc in [format!("<intruder/> {xml}"), intruder.clone()] {
+                let expected = expect_intruder(&q, &cq, &doc, ab);
+                assert_eq!(
+                    run_streaming_reader(&cq, doc.as_bytes(), ab).map_err(|e| format!("{e:?}")),
+                    expected,
+                    "document {d}, {name}"
+                );
+                outcomes[usize::from(expected.is_ok())] += 1;
+            }
             let lex = |inert: &[bool]| {
                 let mut events = Vec::new();
                 let err = for_each_slice(intruder.as_bytes(), ab, inert, |slice| {
-                    events.extend_from_slice(slice);
-                    true
+                    if let Slice::Events(slice) = slice {
+                        events.extend_from_slice(slice);
+                    }
+                    Reads::Text
                 })
                 .unwrap_err();
                 (events, format!("{err:?}"))
@@ -264,6 +281,32 @@ fn drop_all_artifacts_decide_unknown_text_like_known_text() {
             assert_eq!(lex(cq.inert_symbols()), (kept, err), "document {d}, {name}");
         }
     }
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "failed, decided: {outcomes:?}"
+    );
+}
+
+/// What a compiled run of `cq` (compiled from `q`) returns on `doc`, which
+/// holds one `<intruder/>` and maybe `stranger` words: `UnknownSymbol` if
+/// the run still reads names where the tag stands, else the interpreted
+/// outcome on the document with the tag renamed to `t0` and the words to
+/// `w2`.
+fn expect_intruder<A: StreamAcceptor>(
+    q: &A,
+    cq: &CompiledNwa,
+    doc: &str,
+    ab: &Alphabet,
+) -> Result<StreamOutcome, String> {
+    let renamed = doc.replace("stranger", "w2");
+    let at = renamed.find("<intruder/>").expect("one intruder");
+    let mut run = cq.start();
+    run.step_slice(&tokenize(&renamed[..at], &mut ab.clone()).unwrap());
+    if run.reads_names() {
+        return Err(unknown_symbol("intruder"));
+    }
+    let renamed = renamed.replace("<intruder/>", "<t0/>");
+    Ok(run_streaming_reader(q, renamed.as_bytes(), ab).unwrap())
 }
 
 /// Accepts once `k` internal events labelled `w` have been read, in an
@@ -292,11 +335,13 @@ fn word_count_at_least(w: Symbol, k: usize, sigma: usize) -> Nwa {
 /// returns what the interpreted run returns on the document with those
 /// words renamed to `w2`, which no query reads: verdict, events read and
 /// peak stack. The queries that read text settle in the first slice or,
-/// counting 300 `w3`s, two slices in. An unknown tag near the end, past
-/// the switch, still fails.
+/// counting 300 `w3`s, two slices in. An unknown tag near the end fails
+/// a run that still reads names there; a run that has settled reads it
+/// by form and decides like the document with the tag renamed to `t0`.
 #[test]
 fn narrowed_scans_decide_like_the_renamed_document() {
     let (mut settled_early, mut settled_late) = (0, 0);
+    let mut outcomes = [0, 0];
     for (d, (ab, xml)) in xml_documents_of(prop_iters(2), 4 * EVENT_SLICE, 150)
         .iter()
         .enumerate()
@@ -325,11 +370,13 @@ fn narrowed_scans_decide_like_the_renamed_document() {
                 *expected,
                 "{ctx}"
             );
+            let expected = expect_intruder(q, &cq, &intruder, ab);
             assert_eq!(
                 run_streaming_reader(&cq, intruder.as_bytes(), ab).map_err(|e| format!("{e:?}")),
-                Err(unknown_symbol("intruder")),
+                expected,
                 "{ctx}"
             );
+            outcomes[usize::from(expected.is_ok())] += 1;
             if cq.inert_symbols().iter().all(|&inert| inert) {
                 continue;
             }
@@ -357,16 +404,71 @@ fn narrowed_scans_decide_like_the_renamed_document() {
                 expected,
                 "{ctx}"
             );
-            assert!(
-                matches!(
-                    run_multi_streaming_reader(&set, intruder.as_bytes(), ab),
-                    Err(SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }))
-                        if name == "intruder"
-                ),
+            // The set reads names while any member does.
+            let expected: Result<Vec<StreamOutcome>, String> = picks
+                .iter()
+                .map(|&i| expect_intruder(&members[i], &query::compile(&members[i]), &intruder, ab))
+                .collect();
+            assert_eq!(
+                run_multi_streaming_reader(&set, intruder.as_bytes(), ab)
+                    .map_err(|e| format!("{e:?}")),
+                expected,
                 "{ctx}"
             );
+            outcomes[usize::from(expected.is_ok())] += 1;
         }
     }
     assert!(settled_early > 0, "no query settled in the first slice");
     assert!(settled_late > 0, "no query settled after the first slice");
+    assert!(outcomes[1] > 0, "failed, decided: {outcomes:?}");
+}
+
+/// The unknown-tag rule, exactly: `<intruder>`, `</intruder>` or
+/// `<intruder/>` spliced before event `k` of a document past three event
+/// slices fails a compiled run with `UnknownSymbol` iff `k` comes before
+/// the event after which the run stops reading names; spliced anywhere
+/// later, the run decides like the same document with the tag renamed to
+/// `t0`. Offsets: within 2 events of the settle point and of every slice
+/// boundary, on every backend, for every query (one never settles on some
+/// documents, so every splice into it fails).
+#[test]
+fn unknown_tags_fail_iff_read_before_the_run_settles() {
+    let (mut failed, mut decided) = (0, 0);
+    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+    for (d, (ab, xml)) in xml_documents_of(1, 4 * EVENT_SLICE, 240).iter().enumerate() {
+        let events = tokenize(xml, &mut ab.clone()).unwrap();
+        let mut queries = xml_queries(ab);
+        let w3 = ab.lookup("w3").unwrap();
+        queries.push(("300 w3", word_count_at_least(w3, 300, ab.len())));
+        for (name, q) in &queries {
+            let cq = query::compile(q);
+            let settle = names_settle(cq.start(), &events);
+            for at in splice_offsets(&events, cq.inert_symbols(), settle, EVENT_SLICE) {
+                for (intruder, renamed) in INTRUDERS {
+                    let spliced = render_with(&events, ab, at, intruder);
+                    let expected = if settle.is_some_and(|s| s <= at) {
+                        decided += 1;
+                        let renamed = render_with(&events, ab, at, renamed);
+                        Ok(run_streaming_reader(q, renamed.as_bytes(), ab).unwrap())
+                    } else {
+                        failed += 1;
+                        Err(unknown_symbol("intruder"))
+                    };
+                    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+                        let ctx = format!(
+                            "document {d}, {name}, {intruder} at {at}, settled at {settle:?}, {backend:?}"
+                        );
+                        let got = run_streaming_reader(&cq, spliced.as_bytes(), ab)
+                            .map_err(|e| format!("{e:?}"));
+                        assert_eq!(got, expected, "{ctx}");
+                    }
+                    auto_scan_backend();
+                }
+            }
+        }
+    }
+    assert!(
+        failed > 0 && decided > 0,
+        "{failed} failed, {decided} decided"
+    );
 }
