@@ -64,7 +64,7 @@
 //!    [`automata_core::Forms`] summary of their ±1 walk — a close tag's
 //!    `>` is found by subtracting the `</` marks from the `>` marks, the
 //!    kernel packs the block's forms into stream order (one `pext` on
-//!    AVX2), and a table folds them eight at a time — and counts its text
+//!    AVX2 with BMI2, a bit loop elsewhere), and a table folds them eight at a time — and counts its text
 //!    words from their end marks. The scalar arm and the directives run
 //!    exactly as in the other modes, with every syntax check, and only
 //!    skip the name; a self-closing tag is a call and a return. A lexer
@@ -280,15 +280,16 @@ pub enum ScanBackend {
     /// kernel, and the pinned baseline of the benches and tests.
     Swar,
     /// 64-byte AVX2 block classification (`x86_64`, runtime-detected
-    /// together with the BMI1, BMI2 and POPCNT that every AVX2 core has).
+    /// together with the BMI1 and POPCNT that every AVX2 core has; the
+    /// structure pass also uses BMI2's `pext` where the CPU has it).
     Avx2,
     /// 64-byte NEON block classification (`aarch64`, baseline ISA).
     Neon,
 }
 
 /// The backend the next window fill will use: the CPU is probed once (AVX2,
-/// BMI1, BMI2 and POPCNT on `x86_64` via `is_x86_feature_detected!`, NEON
-/// unconditionally on `aarch64` where it is baseline) and the answer cached; anything else
+/// BMI1 and POPCNT on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally on
+/// `aarch64` where it is baseline) and the answer cached; anything else
 /// gets [`ScanBackend::Swar`]. Benches and docs use this to report which
 /// path actually ran.
 pub fn scan_backend() -> ScanBackend {

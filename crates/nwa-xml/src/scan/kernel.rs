@@ -145,23 +145,48 @@ mod x86 {
     use core::arch::x86_64::*;
 
     /// Proof-of-AVX2 token (see [`BlockClassifier`]): AVX2 for the block
-    /// classes, plus the BMI1, BMI2 and POPCNT every AVX2 core ships with,
-    /// so `flatten`'s bit counts and lowest-bit steps and the structure
-    /// pass's [`compress`](BlockClassifier::compress) are one instruction
-    /// each.
+    /// classes, plus the BMI1 and POPCNT every AVX2 core ships with, so
+    /// `flatten`'s bit counts and lowest-bit steps are one instruction each.
     #[derive(Clone, Copy)]
     pub(in crate::scan) struct Avx2(());
 
     impl Avx2 {
-        /// `Some` iff this CPU has AVX2, BMI1, BMI2 and POPCNT (std caches
-        /// the probes).
+        /// `Some` iff this CPU has AVX2, BMI1 and POPCNT (std caches the
+        /// probes).
         #[inline]
         pub(in crate::scan) fn detect() -> Option<Self> {
             let present = is_x86_feature_detected!("avx2")
                 && is_x86_feature_detected!("bmi1")
-                && is_x86_feature_detected!("bmi2")
                 && is_x86_feature_detected!("popcnt");
             present.then_some(Avx2(()))
+        }
+    }
+
+    /// Proof-of-BMI2 token on top of [`Avx2`]: the structure pass's
+    /// [`compress`](BlockClassifier::compress) is one `pext`. Only
+    /// [`Avx2::forms_pass`] asks for it, so a CPU without BMI2 keeps the
+    /// AVX2 kernel everywhere and packs forms with the provided bit loop.
+    #[derive(Clone, Copy)]
+    pub(in crate::scan) struct Pext(Avx2);
+
+    impl Pext {
+        /// `Some` iff this CPU also has BMI2 (std caches the probe).
+        #[inline]
+        pub(in crate::scan) fn detect(avx2: Avx2) -> Option<Self> {
+            is_x86_feature_detected!("bmi2").then_some(Pext(avx2))
+        }
+    }
+
+    impl BlockClassifier for Pext {
+        #[inline(always)]
+        fn classify(self, data: &[u8], at: usize) -> BlockMasks {
+            self.0.classify(data, at)
+        }
+
+        #[inline(always)]
+        fn compress(self, bits: u64, mask: u64) -> u64 {
+            // SAFETY: `self` exists only when BMI2 was detected.
+            unsafe { _pext_u64(bits, mask) }
         }
     }
 
@@ -182,22 +207,22 @@ mod x86 {
             from: usize,
             budget: usize,
         ) -> Pass {
-            // SAFETY: `self` exists only when AVX2, BMI1, BMI2 and POPCNT
-            // were detected on this CPU.
+            // SAFETY: `self` exists only when AVX2, BMI1 and POPCNT were
+            // detected on this CPU.
             unsafe { stage1_avx2::<DROP_TEXT>(self, tape, data, from, budget) }
         }
 
+        /// With BMI2 the pass packs forms by [`Pext`], else by the
+        /// provided bit loop.
         #[inline(always)]
         fn forms_pass(self, data: &[u8], from: usize, budget: usize) -> FormsPass {
-            // SAFETY: as for `stage1`.
-            unsafe { forms_pass_avx2(self, data, from, budget) }
-        }
-
-        /// One `pext`.
-        #[inline(always)]
-        fn compress(self, bits: u64, mask: u64) -> u64 {
-            // SAFETY: `self` exists only when BMI2 was detected.
-            unsafe { _pext_u64(bits, mask) }
+            match Pext::detect(self) {
+                // SAFETY: `Pext` exists only when AVX2, BMI1, POPCNT and
+                // BMI2 were detected on this CPU.
+                Some(pext) => unsafe { forms_pass_pext(pext, data, from, budget) },
+                // SAFETY: as for `stage1`.
+                None => unsafe { forms_pass_avx2(self, data, from, budget) },
+            }
         }
     }
 
@@ -218,13 +243,32 @@ mod x86 {
         build_tape::<_, DROP_TEXT>(cls, tape, data, from, budget)
     }
 
+    /// [`walk_forms`] compiled like [`stage1_avx2`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, BMI1 and POPCNT.
+    #[target_feature(enable = "avx2,bmi1,popcnt")]
+    pub(in crate::scan) unsafe fn forms_pass_avx2(
+        cls: Avx2,
+        data: &[u8],
+        from: usize,
+        budget: usize,
+    ) -> FormsPass {
+        walk_forms(cls, data, from, budget)
+    }
+
     /// [`walk_forms`] compiled like [`stage1_avx2`], plus BMI2 for
-    /// `compress`.
+    /// [`Pext`]'s `compress`.
     ///
     /// # Safety
     /// The CPU must support AVX2, BMI1, BMI2 and POPCNT.
     #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
-    unsafe fn forms_pass_avx2(cls: Avx2, data: &[u8], from: usize, budget: usize) -> FormsPass {
+    pub(in crate::scan) unsafe fn forms_pass_pext(
+        cls: Pext,
+        data: &[u8],
+        from: usize,
+        budget: usize,
+    ) -> FormsPass {
         walk_forms(cls, data, from, budget)
     }
 
@@ -462,6 +506,46 @@ mod tests {
             }
             #[cfg(target_arch = "aarch64")]
             assert_eq!(Neon::new().classify(&data, at), expected, "neon at {at}");
+        }
+    }
+
+    /// The AVX2 structure pass reads the same with and without `pext`: the
+    /// differential suites only reach the kernel the host picks.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pext_packs_forms_like_the_bit_loop() {
+        let (Some(avx2), Some(pext)) = (Avx2::detect(), Avx2::detect().and_then(x86::Pext::detect))
+        else {
+            return;
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..10_000 {
+            let (bits, mask) = (next(), next() & next());
+            assert_eq!(pext.compress(bits, mask), Swar.compress(bits, mask));
+        }
+        let tokens = ["<a>", "</a>", "<bb>", "</bb>", "w", "word ", " ", "\n"];
+        let mut doc = Vec::new();
+        while doc.len() < 8 * 1024 {
+            doc.extend_from_slice(tokens[(next() % 8) as usize].as_bytes());
+        }
+        for from in [0, 1, 5, 64, 100] {
+            for budget in [1, 7, 64, usize::MAX] {
+                // SAFETY: the tokens prove AVX2, BMI1, POPCNT and BMI2.
+                let (a, b) = unsafe {
+                    (
+                        x86::forms_pass_avx2(avx2, &doc, from, budget),
+                        x86::forms_pass_pext(pext, &doc, from, budget),
+                    )
+                };
+                let read = |p: &FormsPass| (p.forms, p.words, p.end, p.scalar_until);
+                assert_eq!(read(&a), read(&b), "from {from}, budget {budget}");
+            }
         }
     }
 
