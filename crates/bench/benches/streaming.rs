@@ -28,6 +28,7 @@ use nested_words_suite::nwa_xml::sax::{parse_document, to_xml, FrozenByteTokeniz
 use nested_words_suite::nwa_xml::scan::{self, BulkLexer};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
+use std::io;
 use std::time::Duration;
 
 fn print_tables() {
@@ -240,10 +241,29 @@ fn settled_query(ab: &Alphabet) -> CompiledNwa {
     cq
 }
 
+/// A byte source that implements only `io::Read`, as a file or a socket
+/// does: the scanner takes it through `BufReader::with_capacity(SCAN_CHUNK,
+/// _)`: its first buffer is a copy the reader made, lexed in place, and
+/// after the token that buffer's end cuts, the source is read straight
+/// into the scanner's carried window (`_buffered` rows).
+struct ReadOnly<'a>(&'a [u8]);
+
+impl io::Read for ReadOnly<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+/// `xml` through a [`ReadOnly`] source in `SCAN_CHUNK` buffers.
+fn buffered(xml: &str) -> io::BufReader<ReadOnly<'_>> {
+    io::BufReader::with_capacity(scan::SCAN_CHUNK, ReadOnly(xml.as_bytes()))
+}
+
 /// E15c layer table: the 1M-event document through UTF-8 validation alone,
 /// the scanner alone (unprojected, and projected through the query's inert
 /// symbols), the structure-only scan of a run settled from the start
-/// (`bytes_settled_at_start`), the whole bytes→verdict pipeline, and that
+/// (`bytes_settled_at_start`, and `_buffered` through a [`ReadOnly`]
+/// source in `SCAN_CHUNK` buffers), the whole bytes→verdict pipeline, and that
 /// pipeline under a query that reads text until it settles
 /// (`bytes_settling_reader`), each on the SWAR-pinned and the detected
 /// stage-1 backend, in ns/event and ns/byte (fastest of ten passes; the
@@ -304,6 +324,12 @@ fn print_layer_table() {
             &format!("bytes_settled_at_start ({backend:?})"),
             fastest(&|| {
                 black_box(run_streaming_reader(&settled, xml.as_bytes(), &ab).unwrap());
+            }),
+        );
+        row(
+            &format!("bytes_settled_at_start_buffered ({backend:?})"),
+            fastest(&|| {
+                black_box(run_streaming_reader(&settled, buffered(&xml), &ab).unwrap());
             }),
         );
         row(
@@ -437,7 +463,9 @@ fn bench_compiled(c: &mut Criterion) {
     // to structure (`bytes_settling_reader`, ungated), and a run settled
     // from the start, which scans the whole document in structure mode
     // (`bytes_settled_at_start`; its `_simd` row is gated against
-    // `tokenize_projected_simd`, so falling back to name resolution fails).
+    // `tokenize_projected_simd`, so falling back to name resolution fails),
+    // also through a read-only source in `SCAN_CHUNK` buffers at 1M events
+    // (`bytes_settled_at_start_buffered`, ungated).
     // The plain rows are pinned to the portable SWAR backend and the
     // `_simd` rows run on the runtime-detected wide backend, so one run
     // records both sides of the comparison CI gates on.
@@ -518,6 +546,15 @@ fn bench_compiled(c: &mut Criterion) {
                 &xml,
                 |b, xml| b.iter(|| run_streaming_reader(&settled, xml.as_bytes(), &ab).unwrap()),
             );
+            if events == 1_000_000 {
+                // The same structure scan from a source that only reads
+                // (ungated): the carried path stays measured.
+                group.bench_with_input(
+                    BenchmarkId::new(&format!("bytes_settled_at_start_buffered{suffix}"), events),
+                    &xml,
+                    |b, xml| b.iter(|| run_streaming_reader(&settled, buffered(xml), &ab).unwrap()),
+                );
+            }
         }
         scan::auto_scan_backend();
     }

@@ -604,11 +604,12 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
 
     /// Submits a raw XML-ish byte stream: tokenizes it on the calling thread
     /// through the SAX `FrozenByteTokenizer` (the
-    /// [`for_each_slice`] loop) — which sweeps the reader in
-    /// [`nwa_xml::scan::SCAN_CHUNK`]-sized chunks with the bulk structural
-    /// scanner, validating UTF-8 per chunk instead of per char — then queues
-    /// the tagged events. This is the bytes-in → verdict-out external API of
-    /// §1.
+    /// [`for_each_slice`] loop) — which lexes each buffer the reader lends
+    /// where it lies with the bulk structural scanner, validating UTF-8
+    /// only where the structural pass cannot prove a block ASCII — then
+    /// queues the tagged events. This is the bytes-in → verdict-out external
+    /// API of §1. An in-memory `&[u8]` goes in as is; a file or a socket
+    /// goes in behind a `BufReader` of [`nwa_xml::scan::SCAN_CHUNK`] bytes.
     ///
     /// Every tag and text symbol must already be interned in the service's
     /// alphabet (the one the artifact was compiled against); the frozen
@@ -631,7 +632,7 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     /// [`lane_reads_text`](automata_core::BatchAcceptor::lane_reads_text)
     /// and [`lane_reads_names`](automata_core::BatchAcceptor::lane_reads_names)
     /// should be adopted.
-    pub fn submit_bytes<R: io::Read>(&self, reader: R) -> Result<DecisionHandle, SaxError> {
+    pub fn submit_bytes<R: io::BufRead>(&self, reader: R) -> Result<DecisionHandle, SaxError> {
         let mut events = Vec::new();
         for_each_slice(reader, &self.alphabet, &[], |slice| {
             // A sink that reads text is only ever handed events.

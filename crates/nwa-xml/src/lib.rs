@@ -9,12 +9,13 @@
 //! The crate provides
 //!
 //! * SAX-style tokenizers from a lightweight XML-ish syntax to nested words
-//!   ([`sax`]): byte-level over any `io::Read` ([`sax::ByteTokenizer`],
+//!   ([`sax`]): byte-level over any `io::BufRead` ([`sax::ByteTokenizer`],
 //!   plus [`sax::FrozenByteTokenizer`] for lexing against a read-only
 //!   alphabet pinned by a compiled automaton) and the batch conveniences
 //!   [`sax::tokenize`] / [`sax::parse_document`] over a `&str`, all running
-//!   on the one bulk structural scanner of [`scan`] (chunked reads,
-//!   per-chunk UTF-8 validation, whole-run classification),
+//!   on the one bulk structural scanner of [`scan`] (each buffer lexed in
+//!   place, UTF-8 validated only where a block is not proven ASCII,
+//!   whole-run classification),
 //! * a synthetic document generator with controllable size and depth
 //!   ([`generate`]),
 //! * document queries (patterns in document order, tag containment, depth

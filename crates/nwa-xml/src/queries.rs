@@ -210,20 +210,22 @@ pub fn run_streaming(nwa: &Nwa, document: &NestedWord) -> StreamingOutcome {
 /// automaton per [`StreamRun::step_slice`] call in
 /// [`run_streaming_reader`]. Large enough to amortize the per-slice
 /// bookkeeping of the compiled engines' register-resident loops, small
-/// enough that the buffer (4 bytes per event, 16 KiB) stays cache-resident;
-/// paired with the reader-side chunk size [`crate::scan::SCAN_CHUNK`].
+/// enough that the buffer (4 bytes per event, 16 KiB) stays cache-resident
+/// beside the reader's buffer ([`crate::scan::SCAN_CHUNK`] for a file).
 pub const EVENT_SLICE: usize = 4 * 1024;
 
 /// Runs a streaming acceptor directly over the SAX events of an XML-ish
-/// byte stream — any [`io::Read`]: a file, a socket, a decompressor —
+/// byte stream — any [`io::BufRead`]: an in-memory `&[u8]`, or a file, a
+/// socket or a decompressor behind a [`io::BufReader`] (of
+/// [`crate::scan::SCAN_CHUNK`] bytes, which the scanner is tuned for) —
 /// without ever materializing a string, a tagged word or a nested word:
-/// the bytes-in → verdict-out single-pass pipeline of §1. The bytes are
-/// swept in [`crate::scan::SCAN_CHUNK`]-sized chunks by the bulk
-/// structural scanner ([`BulkLexer`]), and the resulting events are
-/// buffered into [`EVENT_SLICE`]-long runs handed to the acceptor's
-/// [`StreamRun::step_slice`] bulk entry; memory is the scanner's chunk
-/// window, the event buffer, and a stack proportional to the nesting
-/// depth.
+/// the bytes-in → verdict-out single-pass pipeline of §1. The bulk
+/// structural scanner ([`BulkLexer`]) lexes each buffer the reader lends
+/// where it lies, copying only a token a buffer's end cuts, and the
+/// resulting events are buffered into [`EVENT_SLICE`]-long runs handed to
+/// the acceptor's [`StreamRun::step_slice`] bulk entry; memory is the
+/// reader's buffer, the carried token, the event buffer, and a stack
+/// proportional to the nesting depth.
 ///
 /// The scanner is projected through the acceptor's
 /// [`inert_symbols`](StreamAcceptor::inert_symbols) (see [`Projection`]):
@@ -262,7 +264,7 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 ///
 /// Invalid or truncated UTF-8, the lexical errors and I/O failures surface
 /// as the corresponding typed [`SaxError`]s in every mode.
-pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
+pub fn run_streaming_reader<A: StreamAcceptor, R: io::BufRead>(
     a: &A,
     reader: R,
     alphabet: &Alphabet,
@@ -286,7 +288,7 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
 /// This is the point of the multi-query subsystem: tokenization dominates
 /// the bytes-to-verdict pipeline, so M queries answered off one scan cost
 /// barely more than one — where M sequential [`run_streaming_reader`] calls
-/// would re-scan (and re-validate) the same bytes M times. Alphabet
+/// would re-scan the same bytes M times. Alphabet
 /// discipline and projection are identical to the single-query path: the
 /// scanner drops the text words inert in *every* member (the set's
 /// [`inert_symbols`](StreamAcceptor::inert_symbols)) and text words
@@ -298,7 +300,7 @@ pub fn run_streaming_reader<A: StreamAcceptor, R: io::Read>(
 /// [`NestedWordError::UnknownSymbol`] (after that it decides like any
 /// alphabet tag), and the set must be compiled with
 /// `sigma = alphabet.len()`.
-pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::Read>(
+pub fn run_multi_streaming_reader<S: MultiAcceptor, R: io::BufRead>(
     set: &S,
     reader: R,
     alphabet: &Alphabet,
@@ -400,7 +402,7 @@ pub enum Slice<'a> {
 /// symbol of `alphabet`, no text word is resolved at all. Stops at the
 /// first final error, which is returned after what was lexed before it
 /// has been handed over.
-pub fn for_each_slice<R: io::Read>(
+pub fn for_each_slice<R: io::BufRead>(
     reader: R,
     alphabet: &Alphabet,
     inert: &[bool],
@@ -659,18 +661,32 @@ mod tests {
         let q = contains_tag_nwa(ab.lookup("sec").unwrap(), ab.len());
 
         let from_text = run_streaming_text(&q, text, &ab).unwrap();
-        let from_bytes = run_streaming_reader(&q, OneByteReader(text.as_bytes(), 0), &ab).unwrap();
+        let from_bytes = run_streaming_reader(
+            &q,
+            std::io::BufReader::with_capacity(1, OneByteReader(text.as_bytes(), 0)),
+            &ab,
+        )
+        .unwrap();
         assert_eq!(from_bytes, from_text);
         assert!(from_bytes.accepted);
 
         // The compiled artifact runs the same byte pipeline.
         let compiled = q.compile();
-        let from_compiled =
-            run_streaming_reader(&compiled, OneByteReader(text.as_bytes(), 0), &ab).unwrap();
+        let from_compiled = run_streaming_reader(
+            &compiled,
+            std::io::BufReader::with_capacity(1, OneByteReader(text.as_bytes(), 0)),
+            &ab,
+        )
+        .unwrap();
         assert_eq!(from_compiled, from_text);
 
         // Broken bytes surface as typed errors, not panics.
-        let err = run_streaming_reader(&q, OneByteReader(b"<doc>\xFF</doc>", 0), &ab).unwrap_err();
+        let err = run_streaming_reader(
+            &q,
+            std::io::BufReader::with_capacity(1, OneByteReader(b"<doc>\xFF</doc>", 0)),
+            &ab,
+        )
+        .unwrap_err();
         assert!(matches!(err, crate::sax::SaxError::InvalidUtf8 { .. }));
     }
 

@@ -15,11 +15,13 @@
 //! on a grown window. The lexer is generic over the [`ResolveName`] policy,
 //! and this module names its two instances:
 //!
-//! * [`ByteTokenizer`] — one SAX event at a time from any [`std::io::Read`],
-//!   swept chunk-at-a-time (UTF-8 validated per chunk, multi-byte sequences
-//!   split across `read` calls carried over the seam, invalid or truncated
-//!   sequences surfacing as typed [`SaxError`]s) without ever materializing
-//!   the document — the bytes-in → events-out pipeline of §1;
+//! * [`ByteTokenizer`] — one SAX event at a time from any
+//!   [`std::io::BufRead`], each buffer lexed where it lies (UTF-8 validated
+//!   wherever the structural pass cannot prove a block ASCII, tokens and
+//!   multi-byte sequences split across buffers carried over the seam,
+//!   invalid or truncated sequences surfacing as typed [`SaxError`]s)
+//!   without ever materializing the document — the bytes-in → events-out
+//!   pipeline of §1;
 //! * [`FrozenByteTokenizer`] — the same lexer against a *read-only*
 //!   alphabet: names are looked up instead of interned, an unknown name is
 //!   a typed [`NestedWordError::UnknownSymbol`], and the alphabet is never
@@ -303,16 +305,18 @@ impl ResolveName for Projection<'_> {
 }
 
 /// The byte-level SAX front end: an incremental lexer over any
-/// [`io::Read`], yielding one [`TaggedSymbol`] event at a time — no
-/// materialized document, memory proportional to the scan window plus the
-/// current token — and interning names into the borrowed alphabet as it
-/// goes.
+/// [`io::BufRead`], yielding one [`TaggedSymbol`] event at a time — no
+/// materialized document, memory proportional to the reader's buffer plus
+/// the current token — and interning names into the borrowed alphabet as it
+/// goes. A file or a socket goes in through a [`io::BufReader`], ideally
+/// of [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK) bytes; an in-memory
+/// `&[u8]` is read in place.
 ///
 /// It is the bulk structural scanner ([`BulkLexer`]) with the interning
-/// policy: bytes are pulled in
-/// [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks, UTF-8 is
-/// validated a chunk at a time (multi-byte sequences split across `read`
-/// calls are carried over the seam), and tags, text runs, CDATA sections
+/// policy: each buffer the reader lends is lexed where it lies, UTF-8 is
+/// validated wherever the structural pass cannot prove a block ASCII
+/// (tokens and multi-byte sequences split across buffers are carried over
+/// the seam), and tags, text runs, CDATA sections
 /// and directives are classified with whole-run byte sweeps instead of
 /// per-character dispatch. [`BulkLexer::fill`] lexes events in bulk for the
 /// engines' slice stepping. Lexical rules:
@@ -330,8 +334,8 @@ impl ResolveName for Projection<'_> {
 ///   tokens;
 /// * `<tag/>` yields a call immediately followed by a return.
 ///
-/// Invalid UTF-8, sequences truncated by EOF (or split across `read` calls
-/// and never completed) and I/O failures surface as typed [`SaxError`]s;
+/// Invalid UTF-8, sequences truncated by EOF (or split across buffers and
+/// never completed) and I/O failures surface as typed [`SaxError`]s;
 /// after any error the iterator is fused.
 ///
 /// ```
@@ -430,6 +434,7 @@ pub fn to_xml(word: &NestedWord, alphabet: &Alphabet) -> String {
 pub(crate) mod tests {
     use super::*;
     use nested_words::tree::is_tree_word;
+    use std::io::BufReader;
 
     #[test]
     fn well_formed_document_roundtrip() {
@@ -731,10 +736,12 @@ pub(crate) mod tests {
         // the chunked reads produce the identical event stream and alphabet.
         for chunk in 1..=7 {
             let mut chunked_ab = Alphabet::new();
-            let chunked: Vec<_> =
-                ByteTokenizer::new(SplitReader::new(text.as_bytes(), chunk), &mut chunked_ab)
-                    .collect::<Result<_, _>>()
-                    .unwrap();
+            let chunked: Vec<_> = ByteTokenizer::new(
+                BufReader::with_capacity(chunk, SplitReader::new(text.as_bytes(), chunk)),
+                &mut chunked_ab,
+            )
+            .collect::<Result<_, _>>()
+            .unwrap();
             assert_eq!(chunked, whole, "chunk size {chunk}");
             assert_eq!(chunked_ab, whole_ab, "chunk size {chunk}");
         }
@@ -757,7 +764,10 @@ pub(crate) mod tests {
         for &(data, want_offset) in cases {
             for chunk in 1..=4 {
                 let mut ab = Alphabet::new();
-                let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
+                let mut tok = ByteTokenizer::new(
+                    BufReader::with_capacity(chunk, SplitReader::new(data, chunk)),
+                    &mut ab,
+                );
                 // first event: the <doc> call
                 assert!(tok.next().unwrap().is_ok());
                 let err = loop {
@@ -786,7 +796,10 @@ pub(crate) mod tests {
         let data: &[u8] = b"<doc>\xE2\x89"; // first two bytes of '≤'
         for chunk in 1..=4 {
             let mut ab = Alphabet::new();
-            let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
+            let mut tok = ByteTokenizer::new(
+                BufReader::with_capacity(chunk, SplitReader::new(data, chunk)),
+                &mut ab,
+            );
             assert!(tok.next().unwrap().is_ok());
             let err = tok.next().expect("error must surface").unwrap_err();
             assert!(
@@ -811,7 +824,7 @@ pub(crate) mod tests {
             }
         }
         let mut ab = Alphabet::new();
-        let mut tok = ByteTokenizer::new(FailingReader(3), &mut ab);
+        let mut tok = ByteTokenizer::new(BufReader::with_capacity(1, FailingReader(3)), &mut ab);
         let err = tok.next().expect("error must surface").unwrap_err();
         assert!(matches!(err, SaxError::Io(_)), "got {err:?}");
         assert!(tok.next().is_none());
@@ -841,11 +854,14 @@ pub(crate) mod tests {
         }
         let mut ab = Alphabet::new();
         let events: Result<Vec<_>, _> = ByteTokenizer::new(
-            InterruptingReader {
-                data: b"<a>x</a>",
-                pos: 0,
-                interrupt_next: true,
-            },
+            BufReader::with_capacity(
+                1,
+                InterruptingReader {
+                    data: b"<a>x</a>",
+                    pos: 0,
+                    interrupt_next: true,
+                },
+            ),
             &mut ab,
         )
         .collect();
@@ -864,10 +880,12 @@ pub(crate) mod tests {
             .unwrap();
         let before = ab.clone();
         for chunk in 1..=5 {
-            let frozen: Vec<_> =
-                FrozenByteTokenizer::new(SplitReader::new(text.as_bytes(), chunk), &ab)
-                    .collect::<Result<_, _>>()
-                    .unwrap();
+            let frozen: Vec<_> = FrozenByteTokenizer::new(
+                BufReader::with_capacity(chunk, SplitReader::new(text.as_bytes(), chunk)),
+                &ab,
+            )
+            .collect::<Result<_, _>>()
+            .unwrap();
             assert_eq!(frozen, interned, "chunk size {chunk}");
         }
         assert_eq!(ab, before);

@@ -6,12 +6,22 @@
 //!
 //! Every per-byte decision is moved to a per-*block* decision, the way
 //! continuous-readout pipelines move validation from per-sample to
-//! per-chunk. Bytes are pulled through a `ChunkWindow`, a reusable buffer
-//! of [`SCAN_CHUNK`] bytes refilled from the reader and **UTF-8-validated a
-//! chunk at a time** by one `std::str::from_utf8` call per refill (a
-//! multi-byte sequence split across a refill seam is carried over and
-//! re-validated when its tail arrives). Each window is then lexed in two
-//! stages, the structural-index design of simdjson:
+//! per-chunk. The source is an [`io::BufRead`], and each buffer its
+//! `fill_buf` lends is **lexed where it lies**: an in-memory `&[u8]` is one
+//! buffer and is never copied. Only a token cut by the end of a buffer is
+//! carried into an owned window, and the source is then read into that
+//! window until lexing there ends on a token boundary (see
+//! [`SCAN_CHUNK`]). **UTF-8 is
+//! validated only where stage 1 cannot prove ASCII**: a block stage 1
+//! accepts as simple holds no byte at or above 0x80, so it is valid UTF-8
+//! with no further check, in every mode. Every other byte — in a block
+//! stage 1 rejects, in the short tail of the bytes at hand, in a directive
+//! or a CDATA section — is validated by one `std::str::from_utf8` call per
+//! span, from a validated-to mark on, before anything reads it as text.
+//! simdjson validates inside its stage 1 for the same reason (Keiser &
+//! Lemire, "Validating UTF-8 In Less Than One Instruction Per Byte", 2021).
+//! The bytes are lexed in two stages, the structural-index design of
+//! simdjson:
 //!
 //! 1. **Stage 1 — the structural tape.** A block kernel classifies each
 //!    64-byte block into per-class bitmasks (`<`, `>`, whitespace, `/`,
@@ -77,26 +87,28 @@
 //! (`step_token`: word-at-a-time SWAR sweeps to the token's end, then the
 //! one byte-level tag classifier), which takes whatever stage 1 rejects —
 //! attributes, quotes, self-closing tags, directives, `<>`, `</>`, a stray
-//! `>`, control bytes, non-ASCII — and the short window tail. A token cut
-//! by the window's end takes that same step again once the window has
-//! grown: the window at least doubles per retry, so the re-sweeps stay
-//! linear in the token's length whatever the read size. Only directives
-//! leave the step: comments, PIs, DOCTYPEs and CDATA sections are swept as
-//! they stream past. The char-at-a-time lexer lives on only as the
+//! `>`, control bytes, non-ASCII — and the short tail of the bytes at hand.
+//! A token cut by the end of what is validated takes that same step again
+//! once the validation reaches at least twice as far, and one cut by the
+//! end of a buffer once the carried window has at least doubled, so the
+//! re-sweeps stay linear in the token's length whatever the buffer size.
+//! Only directives leave the step: comments, PIs, DOCTYPEs and CDATA
+//! sections are swept as they stream past. The char-at-a-time lexer lives on only as the
 //! differential oracle of `tests/sax_scan.rs`, which holds this scanner
-//! token-for-token and error-for-error equal to it under adversarial read
-//! granularities and block alignments.
+//! token-for-token and error-for-error equal to it under adversarial buffer
+//! sizes and block alignments.
 //!
-//! **Backends.** There is one window-fill loop; the three stage-1 kernels
+//! **Backends.** There is one fill loop; the three stage-1 kernels
 //! differ only in classification. Portable SWAR words ([`ScanBackend::Swar`])
 //! run everywhere; AVX2 ([`ScanBackend::Avx2`]) is compiled on every
 //! `x86_64` build and chosen at runtime when the CPU has it; NEON
 //! ([`ScanBackend::Neon`]) is the `aarch64` baseline. [`scan_backend`]
 //! reports the choice and [`force_scan_backend`] pins one.
 //!
-//! Whatever stops the reader — invalid or truncated UTF-8 found by the
-//! chunk validator, or a failed `read` — is *held*: the window simply ends
-//! at the last valid scalar before it, and the typed [`SaxError`] surfaces
+//! Whatever stops the stream — an invalid sequence met by validation, a
+//! sequence the stream ends inside, or a failed `fill_buf` — is *held*: the
+//! bytes at hand simply end at the last valid scalar before it, nothing
+//! past an invalid sequence is read, and the typed [`SaxError`] surfaces
 //! exactly when lexing reaches that offset — the same observable order as
 //! an incremental decoder, where every token that completes before the bad
 //! byte comes out and a token still in progress is discarded in favor of
@@ -113,14 +125,17 @@ use std::io;
 #[allow(unsafe_code)]
 mod kernel;
 
-/// Default size, in bytes, of the bulk scanning window: the unit reads are
-/// requested in, UTF-8 validation runs over, and structural runs are swept
-/// from. Shared by [`ByteTokenizer`](crate::sax::ByteTokenizer) /
-/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer) (hence by
-/// `queries::run_streaming_reader` and `nwa-service`'s `submit_bytes`,
-/// which ride them). 64 KiB: comfortably past the point where per-chunk
-/// costs (one `read` call, one validation sweep, one compaction memmove)
-/// amortize to noise, while staying L2-resident on every current core.
+/// The buffer capacity to give a file or socket source:
+/// `BufReader::with_capacity(SCAN_CHUNK, file)`, and the size of each read
+/// into the owned window. The lexer reads each `fill_buf` buffer where it
+/// lies, so an in-memory `&[u8]` is one buffer and is never copied. A token
+/// cut by the end of a buffer is copied into the owned window, and the
+/// source is then `read` into the window `SCAN_CHUNK` bytes at a time (a
+/// `BufReader` of this capacity hands a read that large to its source
+/// unbuffered, so each byte is still copied once): per 64 KiB, one `read`
+/// call, one copied cut token and one scalar-arm tail of under a hundred
+/// bytes, costs that amortize to noise while the window stays L2-resident
+/// on every current core.
 pub const SCAN_CHUNK: usize = 64 * 1024;
 
 /// What ended a chunk validation sweep.
@@ -1540,143 +1555,295 @@ fn find_text_end(data: &[u8], start: usize) -> Option<usize> {
     }
 }
 
-/// A reusable window of reader bytes, validated chunk-at-a-time.
-///
-/// Layout: `buf[start..end]` is unread *validated* data, `buf[end..raw_end]`
-/// is a carried multi-byte tail split by the last refill seam (re-validated
-/// once its continuation arrives), and `offset_base` is the absolute stream
-/// offset of `buf[0]`. Whatever stops the reader — clean EOF, an I/O error,
-/// invalid or truncated UTF-8 — sets `eof`, and an error is *held* in
-/// `pending`: the window behaves as if the stream ended at the last valid
-/// scalar before it, and the typed error is handed out when the lexer
-/// actually reaches that end.
-#[derive(Debug)]
-struct ChunkWindow<R> {
-    reader: R,
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    raw_end: usize,
-    offset_base: usize,
-    eof: bool,
-    pending: Option<SaxError>,
+/// Bytes a directive or CDATA sweep validates ahead of what it has read,
+/// per step ([`Window::grow`]).
+const UTF8_SPAN: usize = 4096;
+
+/// Validates `data` from `*valid` on to at least `to` — up to three bytes
+/// more, so a scalar straddling `to` is taken whole, and less at the end of
+/// `data` — moving `*valid` past the whole valid scalars found. Returns
+/// whether it stopped at an invalid sequence, which then starts at
+/// `*valid`. `*valid` must sit on a scalar boundary.
+fn validate_to(data: &[u8], valid: &mut usize, to: usize) -> bool {
+    let upto = to.saturating_add(3).min(data.len());
+    if upto <= *valid {
+        return false;
+    }
+    let (len, stop) = utf8_prefix(&data[*valid..upto]);
+    *valid += len;
+    matches!(stop, Utf8Stop::Invalid)
 }
 
-impl<R: io::Read> ChunkWindow<R> {
-    fn new(reader: R) -> Self {
-        ChunkWindow {
-            reader,
-            buf: vec![0; SCAN_CHUNK],
-            start: 0,
-            end: 0,
-            raw_end: 0,
-            offset_base: 0,
-            eof: false,
-            pending: None,
-        }
-    }
-
-    /// The unread validated bytes.
-    #[inline(always)]
-    fn data(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
-    }
-
+/// The lexer's view of its [`io::BufRead`] source: the bytes are lexed
+/// where the reader's buffer holds them, and an owned window exists only
+/// for a token cut by the end of one buffer.
+///
+/// **In place.** `data()` is the unconsumed part of the reader's current
+/// `fill_buf()` buffer, so an in-memory `&[u8]` is one buffer that is never
+/// copied; once a buffer is consumed whole, the next `data()` asks the
+/// reader for the next one.
+///
+/// **Carried.** A token still undecided at the end of a buffer is copied
+/// into `carry` and the buffer consumed; the reader is then `read` straight
+/// into the carry's room, at least [`SCAN_CHUNK`] bytes at a time (a
+/// `BufReader` hands a read that large to its source unbuffered), until the
+/// carry holds the size it was asked to grow to — the lexer asks for at
+/// least twice the undecided bytes, so the re-sweeps of one token stay
+/// linear in its length. Lexing goes on in the carry, and `data()` goes
+/// back to the reader's buffers once the carry runs out on a token
+/// boundary.
+///
+/// **UTF-8.** `valid_to` marks how far the bytes are proven valid UTF-8:
+/// by `utf8_prefix`, or by stage 1 consuming them, since a block stage 1
+/// accepts as simple is all ASCII. Only stage 1 reads bytes past the mark;
+/// everything else reads validated bytes only — [`text`](Self::text), or
+/// the prefix the fill loop validates for the scalar arm — and extends the
+/// mark with [`validate`](Self::validate), [`grow`](Self::grow) or
+/// [`checked`](Self::checked). Whatever stops the
+/// stream — an invalid sequence, a failed read, EOF inside a sequence — is
+/// *held*: `end` becomes the offset of the last valid scalar before it,
+/// `data()` ends there, and the typed error waits in `pending` until
+/// lexing reaches that end. Nothing past an invalid sequence is read.
+#[derive(Debug)]
+struct Window<R> {
+    reader: R,
+    /// Unconsumed length of the reader's current buffer while lexing in
+    /// place; 0 means the next `data()` asks the reader again.
+    avail: usize,
+    /// The owned window: `carry[start..filled]` is unread while `carrying`,
+    /// and the rest is room to fill.
+    carry: Vec<u8>,
+    start: usize,
+    filled: usize,
+    carrying: bool,
     /// Absolute stream offset of `data()[0]`.
-    #[inline(always)]
-    fn abs_offset(&self) -> usize {
-        self.offset_base + self.start
+    offset: usize,
+    /// Absolute offset up to which the bytes are proven valid UTF-8.
+    valid_to: usize,
+    /// Absolute offset where a held error ends the stream; `usize::MAX`
+    /// while none is known.
+    end: usize,
+    /// The reader has reported its end, failed, or delivered an invalid
+    /// sequence: no new buffer is asked for.
+    done: bool,
+    /// The held error.
+    pending: Option<SaxError>,
+    /// Bytes copied into the carry so far.
+    carried: usize,
+}
+
+impl<R: io::BufRead> Window<R> {
+    fn new(reader: R) -> Self {
+        Window {
+            reader,
+            avail: 0,
+            carry: Vec::new(),
+            start: 0,
+            filled: 0,
+            carrying: false,
+            offset: 0,
+            valid_to: 0,
+            end: usize::MAX,
+            done: false,
+            pending: None,
+            carried: 0,
+        }
     }
 
-    /// Marks `n` leading bytes of `data()` as consumed.
-    #[inline(always)]
+    /// The unread bytes, up to `end`: the carry's, or the reader's current
+    /// buffer — asked for anew once the last one is consumed, and once the
+    /// carry is.
+    fn data(&mut self) -> &[u8] {
+        let limit = self.end - self.offset;
+        if self.carrying {
+            if self.start < self.filled {
+                let unread = &self.carry[self.start..self.filled];
+                return &unread[..unread.len().min(limit)];
+            }
+            // The reader stands right after the carry's last byte.
+            (self.start, self.filled, self.carrying) = (0, 0, false);
+        }
+        if self.avail == 0 && !self.done {
+            self.avail = self.refill();
+        }
+        if self.avail == 0 {
+            return &[];
+        }
+        // The buffer is not empty, so this is no read.
+        match self.reader.fill_buf() {
+            Ok(buf) => &buf[..self.avail.min(buf.len()).min(limit)],
+            Err(e) => {
+                self.pending = Some(SaxError::Io(e));
+                (self.avail, self.end, self.done) = (0, self.offset, true);
+                &[]
+            }
+        }
+    }
+
+    /// The unread bytes proven valid UTF-8: all any lexing step but stage 1
+    /// may read.
+    fn text(&mut self) -> &[u8] {
+        let valid = self.valid_len();
+        let data = self.data();
+        &data[..valid.min(data.len())]
+    }
+
+    /// Unread bytes proven valid UTF-8.
+    fn valid_len(&self) -> usize {
+        self.valid_to - self.offset
+    }
+
+    /// Marks `n` leading bytes of `data()` consumed.
     fn consume(&mut self, n: usize) {
-        debug_assert!(self.start + n <= self.end);
-        self.start += n;
+        self.offset += n;
+        self.valid_to = self.valid_to.max(self.offset);
+        if self.carrying {
+            self.start += n;
+        } else {
+            self.reader.consume(n);
+            self.avail -= n;
+        }
     }
 
-    /// Pulls one more `read` past the window's end: compacts the consumed
-    /// prefix, reads, and validates the new bytes (plus any carried seam
-    /// tail). Returns whether the reader may have more; once it has stopped
-    /// it is never read again.
-    ///
-    /// Because compaction moves only the *unconsumed* suffix to the front,
-    /// positions relative to `data()` survive the refill — a token spanning
-    /// any number of seams stays addressable as one contiguous slice, at
-    /// the cost of growing the buffer only when a single token outgrows it
-    /// (memory proportional to the longest token).
-    fn read_more(&mut self) -> bool {
-        if self.eof {
-            return false;
-        }
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.raw_end, 0);
-            self.offset_base += self.start;
-            self.end -= self.start;
-            self.raw_end -= self.start;
-            self.start = 0;
-        }
-        if self.raw_end == self.buf.len() {
-            self.buf.resize(self.buf.len() * 2, 0);
-        }
+    /// Asks the reader for its next buffer, retrying interrupted reads, and
+    /// returns its length; an empty one or a failure stops the reader.
+    fn refill(&mut self) -> usize {
         loop {
-            match self.reader.read(&mut self.buf[self.raw_end..]) {
-                Ok(0) => {
-                    self.eof = true;
-                    if self.raw_end > self.end {
-                        // The stream ends inside a multi-byte sequence.
-                        self.pending = Some(SaxError::TruncatedUtf8 {
-                            offset: self.offset_base + self.end,
-                        });
-                    }
-                }
+            match self.reader.fill_buf() {
+                Ok(buf) if !buf.is_empty() => return buf.len(),
+                Ok(_) => self.stop(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => self.stop(Some(SaxError::Io(e))),
+            }
+            return 0;
+        }
+    }
+
+    /// The reader has ended (`None`) or failed: validates what is left
+    /// unread to find where lexing stops, and holds the error there — an
+    /// invalid sequence first, else the failure, else `TruncatedUtf8` if
+    /// the stream ends inside a sequence.
+    fn stop(&mut self, failure: Option<SaxError>) {
+        self.done = true;
+        let n = self.data().len();
+        self.validate(n);
+        if self.pending.is_some() {
+            return;
+        }
+        let valid = self.valid_to;
+        self.pending = match failure {
+            Some(e) => Some(e),
+            None if self.valid_len() < n => Some(SaxError::TruncatedUtf8 { offset: valid }),
+            None => return,
+        };
+        self.end = valid;
+    }
+
+    /// Validates the unread bytes on to at least `to`.
+    fn validate(&mut self, to: usize) {
+        let mut valid = self.valid_len();
+        let invalid = validate_to(self.data(), &mut valid, to);
+        self.checked(self.offset + valid, invalid);
+    }
+
+    /// Records bytes up to absolute offset `to` as valid UTF-8 and, if an
+    /// invalid sequence starts there, holds its error: the stream ends at
+    /// `to`.
+    fn checked(&mut self, to: usize, invalid: bool) {
+        self.valid_to = self.valid_to.max(to);
+        if invalid {
+            self.end = self.valid_to;
+            self.pending = Some(SaxError::InvalidUtf8 { offset: self.end });
+            self.done = true;
+        }
+    }
+
+    /// Makes at least `want` bytes unread, or as many as the stream still
+    /// has: the unread bytes move into the carry (unless they already are
+    /// there), which the reader is then read into. Nothing moves when
+    /// `data()` already holds `want`.
+    fn pull(&mut self, want: usize) {
+        let unread = self.data().len();
+        if unread >= want || self.done {
+            return;
+        }
+        if self.carrying {
+            self.carry.copy_within(self.start..self.filled, 0);
+            (self.filled, self.start) = (self.filled - self.start, 0);
+        } else {
+            // The buffer is not empty, so this is no read.
+            let Ok(buf) = self.reader.fill_buf() else {
+                return;
+            };
+            if self.carry.len() < unread {
+                self.carry = vec![0; unread];
+            }
+            self.carry[..unread].copy_from_slice(&buf[..unread]);
+            self.reader.consume(unread);
+            (self.start, self.filled, self.avail) = (0, unread, 0);
+            self.carrying = true;
+            self.carried += unread;
+        }
+        while self.filled < want && !self.done {
+            self.read_into_carry();
+        }
+    }
+
+    /// Makes the carry at least `len` bytes long, keeping what it holds.
+    fn room(&mut self, len: usize) {
+        if self.carry.len() < len {
+            let mut carry = vec![0; len.max(2 * self.carry.len())];
+            carry[..self.filled].copy_from_slice(&self.carry[..self.filled]);
+            self.carry = carry;
+        }
+    }
+
+    /// One `read` straight into the carry's room, at least [`SCAN_CHUNK`]
+    /// bytes of it.
+    fn read_into_carry(&mut self) {
+        self.room(self.filled + SCAN_CHUNK);
+        loop {
+            match self.reader.read(&mut self.carry[self.filled..]) {
+                Ok(0) => self.stop(None),
                 Ok(n) => {
-                    self.raw_end += n;
-                    let (valid, stop) = utf8_prefix(&self.buf[self.end..self.raw_end]);
-                    self.end += valid;
-                    if matches!(stop, Utf8Stop::Invalid) {
-                        // Nothing past the error is ever examined.
-                        self.pending = Some(SaxError::InvalidUtf8 {
-                            offset: self.offset_base + self.end,
-                        });
-                        self.eof = true;
-                    }
+                    self.filled += n;
+                    self.carried += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.pending = Some(SaxError::Io(e));
-                    self.eof = true;
-                }
+                Err(e) => self.stop(Some(SaxError::Io(e))),
             }
-            return !self.eof;
+            return;
         }
     }
 
-    /// Extends the window by at least one whole scalar. `Ok(false)` is
-    /// clean EOF; a held error, now reached, is `Err`.
+    /// Extends the validated unread bytes by at least one scalar: validates
+    /// further into the bytes at hand, or pulls more from the reader.
+    /// `Ok(false)` is a clean end; a held error, now reached, is `Err`.
     fn grow(&mut self) -> Result<bool, SaxError> {
-        let len = self.data().len();
+        let len = self.valid_len();
         loop {
-            let more = self.read_more();
-            if self.data().len() > len {
+            self.validate(len + UTF8_SPAN);
+            if self.valid_len() > len {
                 return Ok(true);
             }
-            if !more {
+            if self.done {
                 return self.pending.take().map_or(Ok(false), Err);
             }
+            let unread = self.data().len();
+            self.pull(2 * unread);
         }
     }
 }
 
-/// The bulk lexer over one byte stream: a `ChunkWindow` on the reader,
+/// The bulk lexer over one byte stream: a `Window` on the reader,
 /// the name resolver, the stage-1 tape, and the lex-ahead buffer of the
 /// per-event [`Iterator`] view. It is generic over the [`ResolveName`]
 /// policy; [`ByteTokenizer`](crate::sax::ByteTokenizer) (interning) and
 /// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer) (read-only
 /// lookup) name its two instances, and their docs give the lexical rules.
 #[derive(Debug)]
-pub struct BulkLexer<R: io::Read, N: ResolveName> {
-    window: ChunkWindow<R>,
+pub struct BulkLexer<R: io::BufRead, N: ResolveName> {
+    window: Window<R>,
     core: LexerCore<N>,
     /// Stage 1's output, reused across passes.
     tape: Tape,
@@ -1713,7 +1880,8 @@ enum StepOutcome {
 }
 
 /// One scalar token step: skip inter-token whitespace from `pos`, then
-/// classify and emit the next token if it completes inside `data`, charging
+/// classify and emit the next token if it completes inside `data` (bytes
+/// proven valid UTF-8, so every scalar it decodes is whole), charging
 /// `budget` per event written (a text word the projection drops is read
 /// and counted, not charged). With `eof` the window's end is the stream's
 /// end: a text word ends there, and an open `<…` is an unterminated tag.
@@ -1789,14 +1957,17 @@ fn step_token<N: ResolveName, O: FillOut>(
     StepOutcome::Emitted(gt + 1)
 }
 
-impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
+impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
     /// Creates a lexer over a byte stream, resolving symbol names through
     /// `names`: `&mut Alphabet` interns them, `&Alphabet` looks them up
     /// read-only, and a [`Projection`](crate::sax::Projection) looks them
-    /// up and drops the text words its artifact marks inert.
+    /// up and drops the text words its artifact marks inert. Each buffer
+    /// `reader` lends is lexed in place: pass an in-memory `&[u8]` as is,
+    /// and a file or a socket behind a `BufReader` of [`SCAN_CHUNK`]
+    /// bytes.
     pub fn new(reader: R, names: N) -> Self {
         BulkLexer {
-            window: ChunkWindow::new(reader),
+            window: Window::new(reader),
             core: LexerCore::new(names),
             tape: Tape::new(),
             ready: Vec::new(),
@@ -1811,6 +1982,17 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// the events emitted plus this count.
     pub fn dropped(&self) -> usize {
         self.core.dropped
+    }
+
+    /// Bytes copied into the owned window so far: the tokens cut by the
+    /// end of a `fill_buf` buffer, and what was read into the window after
+    /// them.
+    /// An in-memory `&[u8]` is one buffer, so it carries only a text word
+    /// (or a truncated tag or scalar) that ends the stream: only the next
+    /// `fill_buf` can say that nothing follows it.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn carried(&self) -> usize {
+        self.window.carried
     }
 
     /// Narrows the lexer to drop-all for the rest of the stream: from the
@@ -1842,7 +2024,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// Ensures at least `pos + 1` unread validated bytes are windowed;
     /// `false` means the stream ends first.
     fn ensure(&mut self, pos: usize) -> Result<bool, SaxError> {
-        while self.window.data().len() <= pos {
+        while self.window.valid_len() <= pos {
             if !self.window.grow()? {
                 return Ok(false);
             }
@@ -1852,7 +2034,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
 
     fn peek_byte(&mut self) -> Result<Option<u8>, SaxError> {
         if self.ensure(0)? {
-            Ok(Some(self.window.data()[0]))
+            Ok(Some(self.window.text()[0]))
         } else {
             Ok(None)
         }
@@ -1934,38 +2116,43 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
             return Ok(());
         }
         loop {
-            if self.fill_window(out, max)? {
+            let Some(cut) = self.fill_window(out, max)? else {
                 return Ok(());
-            }
+            };
             // `fill_window` consumed everything before the token it could
-            // not decide.
-            let data = self.window.data();
-            if let [b'<', lead @ (b'!' | b'?'), ..] = *data {
-                let tag_start = self.window.abs_offset();
+            // not decide, which spans the `cut` bytes left.
+            if let [b'<', lead @ (b'!' | b'?'), ..] = *self.window.text() {
+                let tag_start = self.window.offset;
                 self.window.consume(2);
                 self.lex_directive(tag_start, lead, out)?;
-            } else if self.window.eof {
-                // The reader has stopped: at a clean end nothing is left,
+            } else if self.window.done {
+                // The stream has stopped: at a clean end nothing is left,
                 // otherwise the error it stopped on is reached now.
                 return self.window.pending.take().map_or(Ok(()), Err);
             } else {
-                // A token cut by the window's end: grow the window until it
-                // at least doubles or the reader stops, then step the same
-                // token again. Doubling keeps the re-sweeps of one token
-                // linear in its length, whatever the read size; an error
-                // met while growing waits until the tokens before it are out.
-                let want = (2 * data.len()).max(1);
-                while self.window.read_more() && self.window.data().len() < want {}
+                // A token cut by the end of the bytes at hand: pull until
+                // they at least double (nothing moves if lexing is back in
+                // the reader's buffer, which holds that much already), then
+                // step the same token again. Doubling keeps the re-sweeps
+                // of one token linear in its length, whatever the buffer
+                // size; an error met while pulling waits until the tokens
+                // before it are out.
+                self.window.pull((2 * cut).max(1));
             }
         }
     }
 
-    /// The register-resident sweep of [`Self::fill`] over the bytes already
-    /// windowed, on the [`scan_backend`]-selected stage-1 kernel: emits
-    /// every event that completes inside the window, consumes exactly the
-    /// bytes of the events emitted, and returns `Ok(true)` when `out`
-    /// reached `max` (`Ok(false)` hands the undecided token to the caller).
-    fn fill_window<O: FillOut>(&mut self, out: &mut O, max: usize) -> Result<bool, SaxError> {
+    /// The register-resident sweep of [`Self::fill`] over the bytes at
+    /// hand, on the [`scan_backend`]-selected stage-1 kernel: emits every
+    /// event that completes inside them, consumes exactly the bytes of the
+    /// events emitted, and returns `Ok(None)` when `out` reached `max`, or
+    /// hands the caller the undecided token as `Ok(Some(bytes))`, the bytes
+    /// left from its start.
+    fn fill_window<O: FillOut>(
+        &mut self,
+        out: &mut O,
+        max: usize,
+    ) -> Result<Option<usize>, SaxError> {
         if !O::NAMES {
             return self.fill_window_on::<O, true, false>(out, max);
         }
@@ -1983,7 +2170,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         &mut self,
         out: &mut O,
         max: usize,
-    ) -> Result<bool, SaxError> {
+    ) -> Result<Option<usize>, SaxError> {
         match scan_backend() {
             #[cfg(target_arch = "x86_64")]
             ScanBackend::Avx2 => {
@@ -2007,9 +2194,18 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// The one window-fill loop: stage-1 passes build the tape and stage 2
     /// emits it, while the scalar arm ([`step_token`]) lexes what a pass
     /// could not prove simple — one token per step, up to the end of the
-    /// rejected block — and the short window tail. The budget counts
-    /// events written, so a window of dropped text words never ends the
+    /// rejected block — and the short tail of the bytes at hand. The budget
+    /// counts events written, so a run of dropped text words never ends the
     /// fill early.
+    ///
+    /// Stage 1 reads the bytes unvalidated: a block it accepts as simple is
+    /// all ASCII, so what it consumes needs no other proof. The scalar arm
+    /// reads only validated bytes: on entry it validates from where it
+    /// starts through the block stage 1 rejected (or to the end of the
+    /// bytes at hand), and a token cut by the validated end is stepped
+    /// again once the validation has reached at least twice as far. An
+    /// invalid sequence ends the bytes the scalar arm sees, and is held
+    /// until lexing reaches it.
     fn fill_window_with<
         C: BlockClassifier,
         O: FillOut,
@@ -2020,18 +2216,23 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         cls: C,
         out: &mut O,
         max: usize,
-    ) -> Result<bool, SaxError> {
-        let base = self.window.abs_offset();
-        // Does the window end where the stream ends cleanly?
-        let eof = self.window.eof && self.window.pending.is_none();
-        let data: &[u8] = &self.window.buf[self.window.start..self.window.end];
+    ) -> Result<Option<usize>, SaxError> {
+        let base = self.window.offset;
+        let mut valid = self.window.valid_len();
+        // Asks for the next buffer if need be, so `done` is current: do the
+        // bytes at hand end where the stream ends cleanly?
+        self.window.data();
+        let eof = self.window.done && self.window.pending.is_none();
+        let data: &[u8] = self.window.data();
+        let n = data.len();
+        let mut invalid = false;
         let mut pos = 0usize;
         // Counted down instead of re-reading `out.len()` every event.
         let mut budget = max.saturating_sub(out.written());
         let mut scalar_until = 0usize;
-        let full = loop {
+        let outcome = loop {
             if budget == 0 {
-                break true;
+                break Ok(None);
             }
             if pos >= scalar_until {
                 let swept = out.sweep::<C, N, DROP_TEXT, FILTER>(
@@ -2052,25 +2253,48 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
                         }
                     }
                     Err((e, at)) => {
-                        self.window.consume(at);
-                        return Err(e);
+                        pos = at;
+                        break Err(e);
                     }
                 }
             }
-            match step_token(&mut self.core, data, base, pos, eof, out, &mut budget) {
+            // Stage 1 proved everything before `pos` ASCII.
+            valid = valid.max(pos);
+            if !invalid && valid < scalar_until.min(n) {
+                invalid = validate_to(data, &mut valid, scalar_until);
+            }
+            let clean_end = eof && valid == n;
+            match step_token(
+                &mut self.core,
+                &data[..valid],
+                base,
+                pos,
+                clean_end,
+                out,
+                &mut budget,
+            ) {
                 StepOutcome::Emitted(next) => pos = next,
-                StepOutcome::Window(consumed) => {
-                    pos = consumed;
-                    break false;
+                StepOutcome::Window(at) => {
+                    pos = at;
+                    let directive = matches!(data[at..valid], [b'<', b'!' | b'?', ..]);
+                    if !directive && !invalid && valid < n {
+                        let seen = valid;
+                        invalid = validate_to(data, &mut valid, seen + (seen - at).max(BLOCK));
+                        if valid > seen {
+                            continue;
+                        }
+                    }
+                    break Ok(Some(n - at));
                 }
                 StepOutcome::Fail(e, at) => {
-                    self.window.consume(at);
-                    return Err(e);
+                    pos = at;
+                    break Err(e);
                 }
             }
         };
+        self.window.checked(base + valid, invalid);
         self.window.consume(pos);
-        Ok(full)
+        outcome
     }
 
     /// Skips or lexes one directive, with the window cursor just past the
@@ -2122,7 +2346,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     fn scan_comment(&mut self, tag_start: usize) -> Result<(), SaxError> {
         let mut dashes = 0usize;
         loop {
-            let data = self.window.data();
+            let data = self.window.text();
             let n = data.len();
             let mut i = 0;
             while i < n {
@@ -2149,7 +2373,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     fn scan_pi(&mut self, tag_start: usize) -> Result<(), SaxError> {
         let mut prev_question = false;
         loop {
-            let data = self.window.data();
+            let data = self.window.text();
             let n = data.len();
             let mut i = 0;
             while i < n {
@@ -2173,7 +2397,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     /// depth crosses seams.
     fn scan_doctype(&mut self, tag_start: usize, mut depth: usize) -> Result<(), SaxError> {
         loop {
-            let data = self.window.data();
+            let data = self.window.text();
             let n = data.len();
             let mut i = 0;
             while i < n {
@@ -2206,7 +2430,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     fn lex_cdata<O: FillOut>(&mut self, tag_start: usize, out: &mut O) -> Result<(), SaxError> {
         let mut pos = 0usize;
         let end = 'scan: loop {
-            let data = self.window.data();
+            let data = self.window.text();
             let n = data.len();
             while pos < n {
                 if data[pos] == b'>' && pos >= 2 && data[pos - 1] == b']' && data[pos - 2] == b']' {
@@ -2218,7 +2442,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
                 return Err(parse_error(tag_start, "unterminated CDATA section"));
             }
         };
-        let content = &self.window.data()[..end];
+        let content = &self.window.text()[..end];
         let (mark, dropped) = (out.written(), self.core.dropped);
         let mut word = run_end(content, 0, true);
         while word < content.len() {
@@ -2235,7 +2459,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 }
 
-impl<R: io::Read, N: ResolveName> Iterator for BulkLexer<R, N> {
+impl<R: io::BufRead, N: ResolveName> Iterator for BulkLexer<R, N> {
     type Item = Result<TaggedSymbol, SaxError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -2597,7 +2821,10 @@ mod tests {
         names: Projection<'_>,
         switch: usize,
     ) -> Option<Narrowed> {
-        let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), names);
+        let mut lexer = BulkLexer::new(
+            io::BufReader::with_capacity(chunk, SplitReader::new(data, chunk)),
+            names,
+        );
         let (mut before, mut after, mut at_switch) = (Vec::new(), Vec::new(), None);
         let mut fills = 0;
         let err = loop {
@@ -2766,7 +2993,10 @@ mod tests {
         names: Projection<'_>,
         switch: usize,
     ) -> Option<Structured> {
-        let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), names);
+        let mut lexer = BulkLexer::new(
+            io::BufReader::with_capacity(chunk, SplitReader::new(data, chunk)),
+            names,
+        );
         let (mut before, mut windows, mut at_switch) = (Vec::new(), Vec::new(), None);
         let mut fills = 0;
         let err = loop {
@@ -2935,5 +3165,96 @@ mod tests {
             }
         }
         auto_scan_backend();
+    }
+
+    /// Lexes `lexer` to its end in the mode its policy sets, or in
+    /// structure mode, and returns the tokens read (events written, or tag
+    /// events folded, plus text words dropped) and the bytes it carried.
+    fn lexed<R: io::BufRead, N: ResolveName>(
+        mut lexer: BulkLexer<R, N>,
+        structure: bool,
+    ) -> (usize, usize) {
+        let mut read = 0;
+        if structure {
+            assert!(lexer.narrow_to_structure());
+            loop {
+                let mut forms = Forms::default();
+                lexer.fill_forms(&mut forms, EVENT_SLICE).unwrap();
+                if forms.events == 0 {
+                    break;
+                }
+                read += forms.events;
+            }
+        } else {
+            let mut events = Vec::new();
+            loop {
+                events.clear();
+                lexer.fill(&mut events, EVENT_SLICE).unwrap();
+                if events.is_empty() {
+                    break;
+                }
+                read += events.len();
+            }
+        }
+        (read + lexer.dropped(), lexer.carried())
+    }
+
+    /// An in-memory document is one `fill_buf` buffer, lexed where it lies:
+    /// a 1M-event document carries no byte into the owned window in any
+    /// mode (emit-all, keep-bit, drop-all, structure). Only a text word
+    /// that ends the stream is carried, since only the next `fill_buf` can
+    /// say that nothing follows it. A source of `SCAN_CHUNK` buffers, or of
+    /// one byte at a time, carries.
+    #[test]
+    fn in_memory_documents_are_lexed_with_no_byte_carried() {
+        let (mut ab, doc) = crate::generate::generate_document(
+            crate::generate::DocumentConfig {
+                events: 1_000_000,
+                max_depth: 32,
+                ..Default::default()
+            },
+            7,
+        );
+        let xml = crate::sax::to_xml(&doc, &ab);
+        assert!(xml.ends_with('>'), "the document closes its elements");
+        ab.intern("tail");
+        let every_third: Vec<bool> = (0..ab.len()).map(|a| a % 3 == 0).collect();
+        let all = vec![true; ab.len()];
+        for (text, word) in [(xml.clone(), 0), (format!("{xml} tail"), "tail".len())] {
+            let bytes = text.as_bytes();
+            let modes = [
+                ("emit-all", lexed(BulkLexer::new(bytes, &ab), false)),
+                (
+                    "keep-bit",
+                    lexed(
+                        BulkLexer::new(bytes, Projection::new(&ab, &every_third)),
+                        false,
+                    ),
+                ),
+                (
+                    "drop-all",
+                    lexed(BulkLexer::new(bytes, Projection::new(&ab, &all)), false),
+                ),
+                (
+                    "structure",
+                    lexed(BulkLexer::new(bytes, Projection::new(&ab, &all)), true),
+                ),
+            ];
+            for (mode, (read, carried)) in modes {
+                assert_eq!(read, doc.len() + usize::from(word > 0), "{mode}");
+                assert_eq!(carried, word, "{mode}, {word}-byte last word");
+            }
+        }
+
+        let buffers =
+            io::BufReader::with_capacity(SCAN_CHUNK, SplitReader::new(xml.as_bytes(), SCAN_CHUNK));
+        let (read, carried) = lexed(BulkLexer::new(buffers, Projection::new(&ab, &all)), true);
+        assert_eq!(read, doc.len());
+        assert!(carried > 0, "`SCAN_CHUNK` buffers carry");
+
+        let small = &xml[..=xml[..4096].rfind('>').expect("a tag")];
+        let lender = io::BufReader::with_capacity(1, SplitReader::new(small.as_bytes(), 1));
+        let (_, carried) = lexed(BulkLexer::new(lender, Projection::new(&ab, &all)), false);
+        assert!(carried > 0, "a one-byte lender carries");
     }
 }

@@ -25,14 +25,14 @@
 
 mod oracle;
 
-use std::io;
+use std::io::{self, BufReader};
 
 use automata_core::Forms;
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
 use nwa_xml::generate::{generate_document, DocumentConfig};
 use nwa_xml::queries::{for_each_slice, Reads, Slice, EVENT_SLICE};
-use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, Projection, SaxError};
+use nwa_xml::sax::{to_xml, ByteTokenizer, FrozenByteTokenizer, Projection, ResolveName, SaxError};
 use nwa_xml::scan::{
     auto_scan_backend, force_scan_backend, scan_backend, BulkLexer, ScanBackend, SCAN_CHUNK,
 };
@@ -123,6 +123,13 @@ fn reference_from(reader: SplitReader) -> Outcome {
     named(drained, &ab)
 }
 
+/// `reader` behind a `BufReader` of its own granularity, capped at
+/// `SCAN_CHUNK`, the size a source is read in after a seam: a document
+/// longer than that crosses a buffer seam at that offset.
+fn buffered(reader: SplitReader) -> BufReader<SplitReader> {
+    BufReader::with_capacity(reader.chunk.min(SCAN_CHUNK), reader)
+}
+
 /// Subject outcome via the `Iterator` entry point.
 fn bulk_iter(data: &[u8], chunk: usize) -> Outcome {
     bulk_iter_from(SplitReader::new(data, chunk))
@@ -130,7 +137,7 @@ fn bulk_iter(data: &[u8], chunk: usize) -> Outcome {
 
 fn bulk_iter_from(reader: SplitReader) -> Outcome {
     let mut ab = Alphabet::new();
-    let drained = drain(ByteTokenizer::new(reader, &mut ab));
+    let drained = drain(ByteTokenizer::new(buffered(reader), &mut ab));
     named(drained, &ab)
 }
 
@@ -142,7 +149,7 @@ fn bulk_fill(data: &[u8], chunk: usize, batch: usize) -> Outcome {
 
 fn bulk_fill_from(reader: SplitReader, batch: usize) -> Outcome {
     let mut ab = Alphabet::new();
-    let mut tok = ByteTokenizer::new(reader, &mut ab);
+    let mut tok = ByteTokenizer::new(buffered(reader), &mut ab);
     let mut events = Vec::new();
     let drained = loop {
         let before = events.len();
@@ -564,7 +571,7 @@ fn frozen_tokenizer_matches_mutable() {
         let expected = drain(ByteTokenizer::new(doc.as_bytes(), &mut ab));
         for chunk in [1, 4, doc.len().max(1)] {
             let got = drain(FrozenByteTokenizer::new(
-                SplitReader::new(doc.as_bytes(), chunk),
+                BufReader::with_capacity(chunk, SplitReader::new(doc.as_bytes(), chunk)),
                 &ab,
             ));
             assert_eq!(got, expected, "frozen diverged: seed {seed}, chunk={chunk}");
@@ -658,9 +665,15 @@ fn fill_stays_stopped_after_an_error() {
             for batch in [1, 1024] {
                 let label = format!("{data:?}, chunk {chunk}, batch {batch}");
                 let mut fresh = Alphabet::new();
-                let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut fresh);
+                let mut tok = ByteTokenizer::new(
+                    BufReader::with_capacity(chunk, SplitReader::new(data, chunk)),
+                    &mut fresh,
+                );
                 assert_fill_fused(|out| tok.fill(out, out.len() + batch), &label);
-                let mut tok = FrozenByteTokenizer::new(SplitReader::new(data, chunk), &ab);
+                let mut tok = FrozenByteTokenizer::new(
+                    BufReader::with_capacity(chunk, SplitReader::new(data, chunk)),
+                    &ab,
+                );
                 assert_fill_fused(|out| tok.fill(out, out.len() + batch), &label);
             }
         }
@@ -899,7 +912,10 @@ fn projected_fill(
     ab: &Alphabet,
     inert: &[bool],
 ) -> Projected {
-    let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), Projection::new(ab, inert));
+    let mut lexer = BulkLexer::new(
+        buffered(SplitReader::new(data, chunk)),
+        Projection::new(ab, inert),
+    );
     let mut events = Vec::new();
     let err = loop {
         let before = events.len();
@@ -914,7 +930,10 @@ fn projected_fill(
 
 /// The projected lexer's outcome via its per-event iterator.
 fn projected_iter(data: &[u8], chunk: usize, ab: &Alphabet, inert: &[bool]) -> Projected {
-    let mut lexer = BulkLexer::new(SplitReader::new(data, chunk), Projection::new(ab, inert));
+    let mut lexer = BulkLexer::new(
+        buffered(SplitReader::new(data, chunk)),
+        Projection::new(ab, inert),
+    );
     let drained = drain(&mut lexer);
     (drained, lexer.dropped())
 }
@@ -1135,7 +1154,8 @@ fn narrowed_slices(
     narrow_at: usize,
 ) -> (Vec<TaggedSymbol>, Vec<TaggedSymbol>, usize) {
     let (mut before, mut after, mut slices) = (Vec::new(), Vec::new(), 0);
-    let dropped = for_each_slice(SplitReader::new(data, 4099), ab, inert, |slice| {
+    let reader = BufReader::with_capacity(4099, SplitReader::new(data, 4099));
+    let dropped = for_each_slice(reader, ab, inert, |slice| {
         let Slice::Events(events) = slice else {
             unreachable!("a sink that reads tags is only handed events")
         };
@@ -1252,7 +1272,7 @@ fn structured_slices(
     narrow_at: usize,
 ) -> (Vec<TaggedSymbol>, Vec<Forms>, Option<String>) {
     let (mut events, mut windows, mut calls) = (Vec::new(), Vec::new(), 0);
-    let outcome = for_each_slice(reader, ab, inert, |slice| {
+    let outcome = for_each_slice(buffered(reader), ab, inert, |slice| {
         match slice {
             Slice::Events(slice) => events.extend_from_slice(slice),
             Slice::Forms(forms) => windows.push(forms),
@@ -1355,4 +1375,273 @@ fn structure_slices_walk_like_the_char_lexer() {
         }
     }
     auto_scan_backend();
+}
+
+// --------------------------------------------------------------------------
+// Lent buffers: bad bytes at block boundaries and buffer seams
+// --------------------------------------------------------------------------
+
+/// A `BufRead` source that lends `k` bytes per `fill_buf`: its buffers are
+/// the `k`-byte runs of `data` (the last one shorter), so every multiple of
+/// `k` is a seam the lexer must carry a token across.
+struct Lender<'a> {
+    data: &'a [u8],
+    pos: usize,
+    k: usize,
+}
+
+impl io::Read for Lender<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let lent = io::BufRead::fill_buf(self)?;
+        let n = lent.len().min(buf.len());
+        buf[..n].copy_from_slice(&lent[..n]);
+        io::BufRead::consume(self, n);
+        Ok(n)
+    }
+}
+
+impl io::BufRead for Lender<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        let seam = (self.pos / self.k + 1) * self.k;
+        Ok(&self.data[self.pos..seam.min(self.data.len())])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+    }
+}
+
+/// What a lexer read through `fill`: the events written, the text words
+/// dropped and the error.
+type Lexed = (Vec<TaggedSymbol>, usize, Option<String>);
+
+fn lexed_from<N: ResolveName>(reader: Lender, names: N) -> Lexed {
+    let mut lexer = BulkLexer::new(reader, names);
+    let mut events = Vec::new();
+    let err = loop {
+        let before = events.len();
+        match lexer.fill(&mut events, before + 1024) {
+            Ok(()) if events.len() == before => break None,
+            Ok(()) => {}
+            Err(e) => break Some(format!("{e:?}")),
+        }
+    };
+    (events, lexer.dropped(), err)
+}
+
+/// What a `for_each_slice` run settled from the start read: tag events,
+/// the height and peak of their walk from 0, and the error.
+fn structure_from(
+    reader: Lender,
+    ab: &Alphabet,
+    inert: &[bool],
+) -> (usize, (usize, usize), Option<String>) {
+    let (mut events, mut height, mut peak) = (0, 0, 0);
+    let outcome = for_each_slice(reader, ab, inert, |slice| {
+        if let Slice::Forms(forms) = slice {
+            events += forms.events;
+            forms.apply(&mut height, &mut peak);
+        }
+        Reads::Structure
+    });
+    (
+        events,
+        (height, peak),
+        outcome.err().map(|e| format!("{e:?}")),
+    )
+}
+
+/// The bytes the tests below insert: four invalid sequences (a bad leading
+/// byte, an overlong NUL, a lone continuation byte, a surrogate half), and
+/// a sequence the stream then ends inside.
+const BAD_BYTES: [&[u8]; 4] = [b"\xFF", b"\xC0\x80", b"\x80", b"\xED\xA0\x80"];
+const TRUNCATED: &[u8] = b"\xE2\x82";
+
+/// Offsets within two bytes of a multiple of `step` (0 excluded), inside
+/// `0..=len`.
+fn near_multiples(step: usize, len: usize) -> impl Iterator<Item = usize> {
+    (1..=len / step + 1)
+        .flat_map(move |m| (m * step).saturating_sub(2)..=m * step + 2)
+        .filter(move |&o| o <= len)
+}
+
+/// Lexes `bytes` lent `k` bytes per `fill_buf` in all four modes —
+/// emit-all, keep-bit (every third symbol of `ab` inert), drop-all, and
+/// structure through a `for_each_slice` sink settled from the start — on
+/// every backend this host has, and asserts each equals the char-level
+/// oracle: the same events (those the mode keeps), the same text words
+/// dropped, the same tag walk, and the same error at the same offset.
+/// Returns the oracle's error. Every name in `bytes` must be in `ab`.
+fn assert_lent_modes_match(bytes: &[u8], k: usize, ab: &Alphabet, label: &str) -> Option<String> {
+    let mut oracle_ab = ab.clone();
+    let (events, err) = drain(EventLexer::new(Utf8Chars::new(bytes), &mut oracle_ab));
+    assert_eq!(
+        oracle_ab.len(),
+        ab.len(),
+        "{label}: a name outside the alphabet"
+    );
+    let every_third: Vec<bool> = (0..ab.len()).map(|a| a % 3 == 0).collect();
+    let all = vec![true; ab.len()];
+    let tags: Vec<_> = events
+        .iter()
+        .copied()
+        .filter(|t| !matches!(t, TaggedSymbol::Internal(_)))
+        .collect();
+    let lend = || Lender {
+        data: bytes,
+        pos: 0,
+        k,
+    };
+    for backend in [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon] {
+        if !force_scan_backend(backend) {
+            continue;
+        }
+        let ctx = format!("{backend:?}, {label}, k {k}");
+        assert_eq!(
+            lexed_from(lend(), ab),
+            (events.clone(), 0, err.clone()),
+            "{ctx}, emit-all"
+        );
+        for (mode, inert) in [("keep-bit", &every_third), ("drop-all", &all)] {
+            let (dropped, kept): (Vec<_>, Vec<_>) = events
+                .iter()
+                .partition(|t| matches!(t, TaggedSymbol::Internal(a) if inert[a.index()]));
+            assert_eq!(
+                lexed_from(lend(), Projection::new(ab, inert)),
+                (kept, dropped.len(), err.clone()),
+                "{ctx}, {mode}"
+            );
+        }
+        assert_eq!(
+            structure_from(lend(), ab, &all),
+            (tags.len(), walk_events(&tags), err.clone()),
+            "{ctx}, structure"
+        );
+    }
+    auto_scan_backend();
+    err
+}
+
+/// `doc` with each invalid sequence inserted at `at`, and cut at `at` by a
+/// sequence the stream ends inside.
+fn spoiled(doc: &[u8], at: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let inserted = BAD_BYTES
+        .iter()
+        .map(move |bad| [&doc[..at], bad, &doc[at..]].concat());
+    inserted.chain([[&doc[..at], TRUNCATED].concat()])
+}
+
+/// The alphabet the oracle interns from `doc`, which must be well formed.
+fn alphabet_of(doc: &[u8]) -> Alphabet {
+    let mut ab = Alphabet::new();
+    assert_eq!(drain(EventLexer::new(Utf8Chars::new(doc), &mut ab)).1, None);
+    ab
+}
+
+/// A document with every construct: simple tags and words, attributes, a
+/// comment, a self-closing tag, CDATA, a PI, non-ASCII text and Unicode
+/// whitespace, repeated `times` inside one `<doc>`.
+fn lent_document(times: usize) -> String {
+    let body = "<t1>w1 w22</t1> <t3>\tw3\n</t3><t4>w4<t5>w5</t5></t4><t1>w1 w22</t1> \
+                <t3>w3</t3><a k='v>'>héllo wörld</a><!-- c --><b/><![CDATA[x y]]><?p?> \
+                <t1>w1</t1><t4>w4 w4</t4> 𝄞 w5\u{a0}w1 ";
+    format!("<doc>{}</doc>", body.repeat(times))
+}
+
+/// Bytes of the body [`lent_document`] repeats.
+fn body_len() -> usize {
+    lent_document(1).len() - "<doc></doc>".len()
+}
+
+/// How far apart the offsets [`sampled`] keeps are: every fourth by
+/// default, all of them once `NWA_PROP_ITERS` is 4 or more.
+fn sample_stride() -> usize {
+    (4 / prop_iters(1)).max(1)
+}
+
+/// Every [`sample_stride`]-th of `offsets`, starting at a `rotation` that
+/// callers vary, so that different sweeps keep different offsets.
+fn sampled(offsets: &[usize], rotation: usize) -> impl Iterator<Item = usize> + '_ {
+    let stride = sample_stride();
+    offsets
+        .iter()
+        .enumerate()
+        .filter(move |(i, _)| (i + rotation).is_multiple_of(stride))
+        .map(|(_, &at)| at)
+}
+
+/// Every invalid sequence inserted at offsets within two bytes of a
+/// 64-byte block boundary or of a seam of a `k`-byte lender, and every
+/// truncated sequence ending the stream there, for `k` in 1, 2, 7, 63, 64,
+/// 65, 4096 and the whole document: the lexer equals the char-level oracle
+/// in all four modes on every backend ([`assert_lent_modes_match`]). A
+/// 4.4 KB document puts a 4096-byte seam inside it. The offsets are
+/// [`sampled`], rotated by `k`; every `k` and every sequence runs.
+#[test]
+fn bad_bytes_at_block_boundaries_and_lend_seams_match_char_lexer() {
+    let short = lent_document(1);
+    let long = lent_document(4096 / body_len() + 1);
+    assert!(long.len() > 4096, "a 4096-byte seam inside");
+    let ab = alphabet_of(long.as_bytes());
+    let cases: [(&str, &[usize]); 2] = [
+        (&short, &[1, 2, 7, 63, 64, 65, 4096, usize::MAX]),
+        (&long, &[4096]),
+    ];
+    let mut checked = 0;
+    for (doc, ks) in cases {
+        let doc = doc.as_bytes();
+        for &k in ks {
+            let k = k.min(doc.len());
+            let mut offsets: Vec<usize> = near_multiples(64, doc.len())
+                .chain(near_multiples(k, doc.len()))
+                .collect();
+            offsets.sort_unstable();
+            offsets.dedup();
+            for at in sampled(&offsets, k) {
+                for bytes in spoiled(doc, at) {
+                    let label = format!("{:?} at {at}", &bytes[at..(at + 3).min(bytes.len())]);
+                    let err = assert_lent_modes_match(&bytes, k, &ab, &label);
+                    assert!(err.is_some_and(|e| e.contains("Utf8")), "{label}");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked * sample_stride() > 3000, "{checked} cases");
+}
+
+/// A document over two `SCAN_CHUNK` buffers long, lent in `SCAN_CHUNK`-byte
+/// buffers: the token the first seam cuts is carried, the source is then
+/// read into the carried window, and the window's own end cuts tokens in
+/// turn. Shifted by every ninth offset in 0..64, the document's constructs
+/// cross both seams; and each invalid and truncated sequence at offsets
+/// within two bytes of each seam. The shifts and offsets are [`sampled`];
+/// all four modes, every backend.
+#[test]
+fn scan_chunk_buffers_carry_cut_tokens_like_the_char_lexer() {
+    let doc = lent_document(2 * SCAN_CHUNK / body_len() + 1);
+    assert!(doc.len() > 2 * SCAN_CHUNK, "two seams inside");
+    let ab = alphabet_of(doc.as_bytes());
+    let shifts: Vec<usize> = (0..64).step_by(9).collect();
+    for shift in sampled(&shifts, 0) {
+        let shifted = format!("{}{doc}", " ".repeat(shift));
+        let err = assert_lent_modes_match(
+            shifted.as_bytes(),
+            SCAN_CHUNK,
+            &ab,
+            &format!("shift {shift}"),
+        );
+        assert_eq!(err, None, "shift {shift}");
+    }
+    let doc = doc.as_bytes();
+    let offsets: Vec<usize> = near_multiples(SCAN_CHUNK, doc.len())
+        .filter(|&at| at < doc.len())
+        .collect();
+    for at in sampled(&offsets, 1) {
+        for bytes in spoiled(doc, at) {
+            let label = format!("{:?} at {at}", &bytes[at..(at + 3).min(bytes.len())]);
+            let err = assert_lent_modes_match(&bytes, SCAN_CHUNK, &ab, &label);
+            assert!(err.is_some_and(|e| e.contains("Utf8")), "{label}");
+        }
+    }
 }

@@ -91,12 +91,13 @@ fn main() {
     );
 
     // The byte-level pipeline: the same query driven straight off an
-    // `io::Read` (here an in-memory reader; a file or socket works the
-    // same) through the bulk structural scanner — bytes in, verdict out.
+    // `io::BufRead` (here the in-memory bytes, lexed in place; a file or
+    // socket goes in behind a `BufReader`) through the bulk structural
+    // scanner — bytes in, verdict out.
     let from_bytes = run_streaming_reader(&q, xml.as_bytes(), &gen_ab).unwrap();
     assert_eq!(from_bytes, incremental);
     println!(
-        "byte-level pass (bulk scanner over io::Read): same verdict {}, same peak {}",
+        "byte-level pass (bulk scanner over io::BufRead): same verdict {}, same peak {}",
         from_bytes.accepted, from_bytes.peak_memory
     );
 

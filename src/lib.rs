@@ -26,7 +26,7 @@
 //!   with memory proportional to the nesting depth, the bytes-in →
 //!   verdict-out pipeline [`query::run_streaming_reader`] /
 //!   [`query::run_streaming_text`] that drives any stream acceptor
-//!   straight from an [`std::io::Read`] through the bulk structural
+//!   straight from an [`std::io::BufRead`] through the bulk structural
 //!   scanner ([`nwa_xml::scan`]), the batched verb
 //!   [`query::run_batch`] that advances many independent streams over one
 //!   shared compiled artifact
