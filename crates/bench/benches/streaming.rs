@@ -268,6 +268,14 @@ fn buffered(xml: &str) -> io::BufReader<ReadOnly<'_>> {
 /// (`bytes_settling_reader`), each on the SWAR-pinned and the detected
 /// stage-1 backend, in ns/event and ns/byte (fastest of ten passes; the
 /// criterion rows below are the recorded numbers).
+///
+/// A settled scan of an in-memory rest of at least 2 MiB is folded on
+/// every free core (`nproc` in the JSON header), so the in-memory
+/// structure rows here (`bytes_settled_at_start`, `bytes_compiled`,
+/// `bytes_settling_reader`) may run on several threads.
+/// `bytes_settled_at_start_buffered` reads 64 KiB buffers, below the split
+/// size: it is the single-threaded structure row the layer rows reconcile
+/// against.
 fn print_layer_table() {
     let (ab, doc) = generate_document(
         DocumentConfig {
@@ -465,7 +473,11 @@ fn bench_compiled(c: &mut Criterion) {
     // (`bytes_settled_at_start`; its `_simd` row is gated against
     // `tokenize_projected_simd`, so falling back to name resolution fails),
     // also through a read-only source in `SCAN_CHUNK` buffers at 1M events
-    // (`bytes_settled_at_start_buffered`, ungated).
+    // (`bytes_settled_at_start_buffered`, ungated). At 1M events (3.69 MB)
+    // the in-memory structure scans are folded on every free core (up to
+    // `nproc`); the `_buffered` row's 64 KiB buffers stay below the split
+    // size, so it is the single-threaded structure row the layer table
+    // reconciles against.
     // The plain rows are pinned to the portable SWAR backend and the
     // `_simd` rows run on the runtime-detected wide backend, so one run
     // records both sides of the comparison CI gates on.
@@ -476,6 +488,9 @@ fn bench_compiled(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(800));
     scan::auto_scan_backend();
     let wide = scan::scan_backend();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    criterion::header("nproc", nproc);
+    criterion::header("scan_backend", format!("{wide:?}"));
     for events in [10_000usize, 100_000, 1_000_000] {
         let (ab, doc) = generate_document(
             DocumentConfig {

@@ -42,6 +42,18 @@ struct Record {
 /// Process-wide measurement registry, drained by [`write_json_if_requested`].
 static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
 
+/// Facts about the run, written as the JSON `header` object.
+static HEADER: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
+
+/// Records one fact about the run — the core count, the backend, the
+/// document shape — as `key: value` in the `header` object of
+/// `BENCH_<target>.json`. A later value for the same key replaces it.
+pub fn header(key: &str, value: impl Display) {
+    let mut header = HEADER.lock().unwrap();
+    header.retain(|(k, _)| k != key);
+    header.push((key.into(), value.to_string()));
+}
+
 /// Returns `true` if the process arguments request JSON output
 /// (`--format json` or `--format=json`).
 fn json_requested() -> bool {
@@ -61,7 +73,7 @@ pub fn write_json_if_requested(target: &str) {
         return;
     }
     let records = RECORDS.lock().unwrap();
-    let out = render_json(target, &records);
+    let out = render_json(target, &HEADER.lock().unwrap(), &records);
     let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".into());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{target}.json"));
     match std::fs::write(&path, out) {
@@ -70,12 +82,19 @@ pub fn write_json_if_requested(target: &str) {
     }
 }
 
-/// Renders the JSON document for a set of records.
-fn render_json(target: &str, records: &[Record]) -> String {
+/// Renders the JSON document for a header and a set of records.
+fn render_json(target: &str, header: &[(String, String)], records: &[Record]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"bench\": \"{target}\",\n"));
     out.push_str("  \"format\": 1,\n");
+    if !header.is_empty() {
+        let facts: Vec<String> = header
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": \"{v}\""))
+            .collect();
+        out.push_str(&format!("  \"header\": {{ {} }},\n", facts.join(", ")));
+    }
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };
@@ -402,8 +421,12 @@ mod tests {
         // record must exist and be finite, not necessarily positive.
         assert!(r.mean_ns.is_finite() && r.mean_ns >= 0.0);
 
-        let json = render_json("demo", std::slice::from_ref(r));
+        let json = render_json("demo", &[], std::slice::from_ref(r));
         assert!(json.contains("\"bench\": \"demo\""));
+        assert!(!json.contains("header"));
+        let facts = [("nproc".to_string(), "2".to_string())];
+        let json = render_json("demo", &facts, std::slice::from_ref(r));
+        assert!(json.contains("\"header\": { \"nproc\": \"2\" },"));
         assert!(json.contains("\"id\": \"json_shape/work/1000\""));
         assert!(json.contains("\"unit\": \"elements\""));
         assert!(json.contains("\"per_iter\": 1000"));

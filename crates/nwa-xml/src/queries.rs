@@ -225,7 +225,10 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 /// resulting events are buffered into [`EVENT_SLICE`]-long runs handed to
 /// the acceptor's [`StreamRun::step_slice`] bulk entry; memory is the
 /// reader's buffer, the carried token, the event buffer, and a stack
-/// proportional to the nesting depth.
+/// proportional to the nesting depth. Once the run reads structure only,
+/// the rest of an in-memory buffer past 2 MiB is folded on every free
+/// core (see [`crate::scan`]), which adds a small summary per part and up
+/// to two 256 KiB copies per helper thread at a time.
 ///
 /// The scanner is projected through the acceptor's
 /// [`inert_symbols`](StreamAcceptor::inert_symbols) (see [`Projection`]):

@@ -83,6 +83,21 @@
 //!    that is how an unknown tag read after the consumer settled decides
 //!    like any alphabet tag, wherever the fills fall.
 //!
+//!    `Forms` compose, so a structure scan **splits**: while lexing in
+//!    place, a rest of at least `2 · MIN_PART` bytes is cut at tag starts
+//!    into parts, each folded by a fresh lexer whose stream ends at its
+//!    cut — by the calling thread from the front, and from copies at the
+//!    back by those of the process's helper threads (one per core beyond
+//!    the first) that no other scan keeps busy — and the parts are joined
+//!    in order. With no core free, or after splits that did not pay, the
+//!    scan stays sequential. The calling thread never waits for a helper:
+//!    at the end it folds itself whatever no helper has finished. A part
+//!    is accepted only if it lexed without error after accepted parts,
+//!    which proves its cut a token boundary; at the first other part the
+//!    lexer goes on in sequence, so errors and offsets are the sequential
+//!    scan's. A buffer is split once, so cuts that keep landing inside
+//!    CDATA sections waste one split, not one per cut.
+//!
 //! Every token is lexed either by the tape or by the one scalar token step
 //! (`step_token`: word-at-a-time SWAR sweeps to the token's end, then the
 //! one byte-level tag classifier), which takes whatever stage 1 rejects —
@@ -118,7 +133,10 @@ use crate::sax::{ResolveName, SaxError, TextMode};
 use automata_core::Forms;
 use kernel::{BlockClassifier, BlockMasks, EventSink, BLOCK};
 use nested_words::{NestedWordError, Symbol, TaggedSymbol};
+use std::collections::VecDeque;
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 // The stage-1 kernels and the stage-2 sink: the crate's one module allowed
 // `unsafe` (bounds asserted, ISA presence proven by construction).
@@ -1856,6 +1874,21 @@ pub struct BulkLexer<R: io::BufRead, N: ResolveName> {
     pending_err: Option<SaxError>,
     /// Set after yielding an error; the lexer is fused.
     failed: bool,
+    /// The forms of a split structure scan's accepted parts, in stream
+    /// order, handed out by [`Self::fill_forms`] before it lexes on.
+    queued: VecDeque<Forms>,
+    /// Absolute offset before which no structure scan is split: the end
+    /// of the buffer the last split was made in, which is not split again.
+    split_from: usize,
+    /// Parts of split structure scans accepted, and rejected (see
+    /// [`fold_split`]).
+    parts: (usize, usize),
+    /// Bytes split structure scans folded on this thread or copied out for
+    /// helpers ([`Split::work`]).
+    split_work: usize,
+    /// Set once the lexer has scanned structure: it counts among the scans
+    /// in progress ([`pool::free`]) until it is dropped.
+    scanning: Option<pool::Scan>,
 }
 
 /// How many events the per-event [`Iterator`] view lexes ahead per
@@ -1974,6 +2007,11 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
             ready_pos: 0,
             pending_err: None,
             failed: false,
+            queued: VecDeque::new(),
+            split_from: 0,
+            parts: (0, 0),
+            split_work: 0,
+            scanning: None,
         }
     }
 
@@ -1993,6 +2031,22 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn carried(&self) -> usize {
         self.window.carried
+    }
+
+    /// Parts of split structure scans so far: those accepted, and those
+    /// rejected — a part that failed, and every part after it, which the
+    /// lexer then reads again in sequence ([`fold_split`]).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn parts(&self) -> (usize, usize) {
+        self.parts
+    }
+
+    /// Bytes split structure scans have folded on this thread or copied
+    /// out for helpers so far: a bound on the work a split spent, parts it
+    /// threw away included.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn split_work(&self) -> usize {
+        self.split_work
     }
 
     /// Narrows the lexer to drop-all for the rest of the stream: from the
@@ -2081,16 +2135,104 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
     /// only names are
     /// never resolved, so no name can fail. The forms of the tags lexed
     /// before an error stay in `forms`, and the lexer fuses as `fill` does.
+    ///
+    /// While it lexes in place, a rest of at least `2 · MIN_PART` bytes is
+    /// folded on every free core at once ([`fold_split`]): the first call
+    /// folds what it can of it and queues its forms, and each call hands
+    /// out about `max` events of them before it lexes on.
     pub(crate) fn fill_forms(&mut self, forms: &mut Forms, max: usize) -> Result<(), SaxError> {
+        self.fill_forms_split(forms, max, None, MIN_PART)
+    }
+
+    /// [`fill_forms`](Self::fill_forms), splitting a rest of at least `2 ·
+    /// min_part` unconsumed bytes into `parts` parts on as many threads, or
+    /// as [`split_rest`](Self::split_rest) picks when `None`.
+    pub(crate) fn fill_forms_split(
+        &mut self,
+        forms: &mut Forms,
+        max: usize,
+        parts: Option<usize>,
+        min_part: usize,
+    ) -> Result<(), SaxError> {
         debug_assert!(
             self.ready_pos == self.ready.len(),
             "no event lexed ahead is pending"
         );
+        self.scanning.get_or_insert_with(pool::Scan::start);
+        if self.queued.is_empty() && !self.failed {
+            self.split_rest(max, parts, min_part);
+        }
+        while let Some(&next) = self.queued.front() {
+            if forms.events > 0 && forms.events + next.events > max {
+                return Ok(());
+            }
+            *forms = forms.then(next);
+            self.queued.pop_front();
+        }
         let filled = self.fill_into(forms, max);
         if filled.is_err() {
             self.failed = true;
         }
         filled
+    }
+
+    /// Folds the rest of the reader's current buffer at once ([`fold_split`])
+    /// when lexing in place with at least `2 · min_part` bytes left, past
+    /// `split_from`: in `parts` parts, queued as for `parts − 1` helpers, if
+    /// `Some`; else in parts of [`CLAIM_BYTES`], queued for one helper per
+    /// `min_part` bytes beyond the first, up to the helpers that are free
+    /// ([`pool::free`]). While other scans hold every core, or after splits
+    /// that did not pay ([`pool::Backoff`]), the buffer is not split;
+    /// while only helpers are busy, with parts they will soon finish, the
+    /// next call asks again. Consumes what the accepted parts read, counts
+    /// their text words, and queues their forms. A buffer is split once:
+    /// what the split leaves, after its last accepted part, is lexed in
+    /// sequence, so a buffer whose cuts keep landing inside comments or
+    /// CDATA sections costs at most one wasted split.
+    fn split_rest(&mut self, max: usize, parts: Option<usize>, min_part: usize) {
+        // Asks for the next buffer if need be, so `carrying` is current.
+        self.window.data();
+        if self.window.carrying || self.window.offset < self.split_from {
+            return;
+        }
+        let base = self.window.offset;
+        let data = self.window.data();
+        let by_size = data.len() / min_part.max(1);
+        if by_size < 2 {
+            return;
+        }
+        let forced = parts.is_some();
+        let (parts, threads) = match parts {
+            Some(parts) => (parts.min(by_size), parts.min(by_size)),
+            None => match pool::free() {
+                // Every helper is still busy with earlier parts; they
+                // finish soon, so the next call asks again.
+                Some(0) => return,
+                Some(free) if !pool::BACKOFF.skip() => {
+                    (data.len() / CLAIM_BYTES, (1 + free).min(by_size))
+                }
+                // Other scans hold every core, or the last splits did not
+                // pay ([`pool::Backoff`]): this buffer stays sequential.
+                _ => {
+                    self.split_from = base + data.len();
+                    return;
+                }
+            },
+        };
+        if threads < 2 {
+            return;
+        }
+        self.split_from = base + data.len();
+        let split = fold_split(data, max.max(1), parts, threads);
+        if !forced {
+            pool::BACKOFF.record(split.paid());
+        }
+        self.window.consume(split.end);
+        self.core.dropped += split.words;
+        self.queued.extend(split.forms);
+        self.parts.0 += split.accepted;
+        self.parts.1 += split.rejected;
+        self.split_work += split.work;
     }
 
     /// The body of [`Self::fill`], free to exit on any error with `?`.
@@ -2457,6 +2599,420 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
         self.window.consume(end + 3);
         Ok(())
     }
+}
+
+// --------------------------------------------------------------------------
+// A settled in-memory scan, folded on every core
+// --------------------------------------------------------------------------
+
+/// The fewest bytes per thread of a split structure scan: a rest is split
+/// only when it holds two, and keeps one helper busy per `MIN_PART` beyond
+/// the first, up to the helpers that are free. The AVX2 structure scan reads
+/// ~0.3 ms per MiB, while on a shared 2-vCPU KVM host a sleeping helper
+/// woke 8–58 µs after a job was queued at the median but up to 0.6 ms at
+/// p90: below about 1 MiB a thread the helper often wakes with little left
+/// to take, and each part copied out for it and taken back costs its copy.
+const MIN_PART: usize = 1 << 20;
+
+/// Bytes of one part of a split structure scan. The calling thread folds
+/// parts front to back while its helpers fold copies from the back, one
+/// part at a time, so a late or descheduled helper holds up at most the
+/// one part it has claimed, which the calling thread then folds itself.
+/// In a probe on a shared 2-vCPU host, copying a part out took ~44 µs and
+/// folding one ~150 µs on AVX2; each part also costs a fresh lexer, a few
+/// µs.
+const CLAIM_BYTES: usize = 256 << 10;
+
+/// Copies of parts a split keeps queued per helper. With one, a helper
+/// that finishes a part waits for the calling thread to finish its own
+/// before it is handed the next, so it folds at most half the parts; with
+/// two it runs ahead. On the 3.7 MB document (13 parts) the helper's share
+/// rose from 6 to 7–8 parts and the split's median from 1.38 to 1.11 ms.
+const QUEUED_PER_HELPER: usize = 2;
+
+/// A split whose helpers folded under one in `HELPED_SHARE` of its parts
+/// did not pay ([`Split::paid`]).
+const HELPED_SHARE: usize = 8;
+
+/// The name policy of a part lexer: a structure scan resolves no name, so
+/// it is never asked.
+struct Unnamed;
+
+impl ResolveName for Unnamed {
+    fn resolve(&mut self, _name: &str) -> Result<Symbol, NestedWordError> {
+        unreachable!("a structure scan resolves no name")
+    }
+
+    fn text_mode(&self) -> TextMode {
+        TextMode::DropAll
+    }
+}
+
+/// The helper threads of split structure scans: one per core beyond the
+/// first, started on the first split and kept for the life of the process,
+/// each folding owned copies of parts ([`pool::Job`]) from one queue that
+/// every scan in the process shares.
+///
+/// Helpers are persistent and fed copies, not scoped threads lent the
+/// bytes, so that no scan ever waits for one. On a shared 2-vCPU KVM host
+/// a new scoped helper started 0.23 ms after its spawn at the median and
+/// 5.7 ms at p99 (200 passes), and was at times descheduled while folding
+/// a part; a scope must join it however late it runs, which doubled the
+/// p99 latency of `stream_1q`. A scan instead folds its parts front to
+/// back while its helpers take copies from the back, and at the end takes
+/// back the copies no helper has claimed and folds again any part a
+/// helper has not finished: every scan finishes on its own thread, and a
+/// helper's late result is dropped.
+///
+/// A scan splits only while a core is free ([`free`]): one that starts
+/// while other scans and helpers keep every core busy stays sequential,
+/// so concurrent scans neither copy parts for helpers that cannot take
+/// them nor wake a helper to compete with another scan for a core. With
+/// two callers scanning the 3.7 MB document on a 2-vCPU host, passes per
+/// second matched the sequential scan's (−3% to +9%, eight 8 s runs);
+/// counting only busy helpers, they read 8–17% lower, with 2.4× the p99.
+/// Splits that did not pay make the next ones back off ([`Backoff`]).
+mod pool {
+    use super::Part;
+    use std::collections::VecDeque;
+    use std::num::NonZeroUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::Sender;
+    use std::sync::{Condvar, Mutex, OnceLock};
+
+    /// One part copied out for a helper.
+    pub(super) struct Job {
+        /// The split it belongs to, unique in the process.
+        pub(super) split: usize,
+        /// Its index in that split.
+        pub(super) part: usize,
+        pub(super) bytes: Vec<u8>,
+        /// Forms per chunk.
+        pub(super) max: usize,
+        /// Where the folded part goes; a split that has finished has
+        /// dropped its receiver.
+        pub(super) done: Sender<(usize, Option<Part>)>,
+    }
+
+    static JOBS: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+    static READY: Condvar = Condvar::new();
+    static HELPERS: OnceLock<usize> = OnceLock::new();
+    /// Jobs queued or being folded, in the whole process.
+    static LOAD: AtomicUsize = AtomicUsize::new(0);
+    /// Structure scans in progress in the whole process: lexers that have
+    /// folded structure and are not yet dropped.
+    static SCANS: AtomicUsize = AtomicUsize::new(0);
+
+    /// Whether to skip splits after ones that did not pay
+    /// ([`Split::paid`](super::Split::paid)): after `r` such splits in a
+    /// row, the next `2^r − 1` (at most 63) that could run are skipped.
+    /// Every split of a feed whose CDATA sections hold HTML may land a cut
+    /// inside one and waste a part, and while another process keeps the
+    /// other cores busy the helpers fold little; either way the scans then
+    /// pay for a split only now and then, while one split that did not pay
+    /// among splits that did costs one skipped split.
+    pub(super) struct Backoff {
+        /// Splits still to skip.
+        skip: AtomicUsize,
+        /// Splits in a row that did not pay.
+        unpaid: AtomicUsize,
+    }
+
+    impl Backoff {
+        pub(super) const fn new() -> Backoff {
+            Backoff {
+                skip: AtomicUsize::new(0),
+                unpaid: AtomicUsize::new(0),
+            }
+        }
+
+        /// Whether to skip a split that could run now.
+        pub(super) fn skip(&self) -> bool {
+            self.skip
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_ok()
+        }
+
+        /// Records whether a split that ran paid.
+        pub(super) fn record(&self, paid: bool) {
+            if paid {
+                self.unpaid.store(0, Ordering::Relaxed);
+            } else {
+                let run = self.unpaid.fetch_add(1, Ordering::Relaxed) + 1;
+                self.skip.store((1 << run.min(6)) - 1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The process's [`Backoff`], shared by every scan.
+    pub(super) static BACKOFF: Backoff = Backoff::new();
+
+    /// A structure scan in progress, counted until it is dropped.
+    #[derive(Debug)]
+    pub(super) struct Scan;
+
+    impl Scan {
+        pub(super) fn start() -> Scan {
+            SCANS.fetch_add(1, Ordering::Release);
+            Scan
+        }
+    }
+
+    impl Drop for Scan {
+        fn drop(&mut self) {
+            SCANS.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// The helpers a scan may use: the cores (the helpers and the first
+    /// core) less the threads already busy — the structure scans in
+    /// progress, the asking one included, and the jobs queued or being
+    /// folded — or `None` when the scans alone hold every core. Two scans
+    /// that ask at once may both see the same core free; the later one's
+    /// copies then wait, and it folds them itself.
+    pub(super) fn free() -> Option<usize> {
+        let cores = helpers() + 1;
+        let scans = SCANS.load(Ordering::Acquire);
+        if scans >= cores {
+            return None;
+        }
+        Some((cores - scans).saturating_sub(LOAD.load(Ordering::Acquire)))
+    }
+
+    /// The helpers running, started on the first call: one per core beyond
+    /// the first (`available_parallelism()`, asked once: it reads cgroup
+    /// files), none on a 1-CPU host.
+    pub(super) fn helpers() -> usize {
+        *HELPERS.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            (1..cores)
+                .filter(|_| {
+                    std::thread::Builder::new()
+                        .name("nwa-scan-helper".into())
+                        .spawn(help)
+                        .is_ok()
+                })
+                .count()
+        })
+    }
+
+    /// A helper's loop: fold the next job, send it back.
+    fn help() {
+        loop {
+            let job = {
+                let mut jobs = JOBS
+                    .lock()
+                    .expect("the queue is never locked across a panic");
+                loop {
+                    match jobs.pop_front() {
+                        Some(job) => break job,
+                        None => {
+                            jobs = READY
+                                .wait(jobs)
+                                .expect("the queue is never locked across a panic")
+                        }
+                    }
+                }
+            };
+            let folded = super::fold_part(&job.bytes, job.max);
+            // A split that has finished has dropped its receiver: the part
+            // is no longer needed.
+            let _ = job.done.send((job.part, folded));
+            LOAD.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Queues `job` for the next free helper.
+    pub(super) fn push(job: Job) {
+        let mut jobs = JOBS
+            .lock()
+            .expect("the queue is never locked across a panic");
+        LOAD.fetch_add(1, Ordering::Release);
+        jobs.push_back(job);
+        drop(jobs);
+        READY.notify_one();
+    }
+
+    /// The jobs of `split` still waiting for a helper.
+    pub(super) fn waiting(split: usize) -> usize {
+        let jobs = JOBS
+            .lock()
+            .expect("the queue is never locked across a panic");
+        jobs.iter().filter(|job| job.split == split).count()
+    }
+
+    /// Takes the jobs of `split` that no helper has claimed off the queue.
+    pub(super) fn take_back(split: usize) {
+        let mut jobs = JOBS
+            .lock()
+            .expect("the queue is never locked across a panic");
+        let queued = jobs.len();
+        jobs.retain(|job| job.split != split);
+        LOAD.fetch_sub(queued - jobs.len(), Ordering::Release);
+    }
+}
+
+/// Splits started in the process: each split's id.
+static SPLITS: AtomicUsize = AtomicUsize::new(0);
+
+/// What one part of a split structure scan read.
+struct Part {
+    /// Its forms, in chunks of about `max` events.
+    forms: Vec<Forms>,
+    /// Its text words.
+    words: usize,
+}
+
+/// Folds `bytes` with a fresh structure lexer whose stream ends where
+/// `bytes` do, in chunks of about `max ≥ 1` events; `None` on any error.
+/// A token cut by the end of `bytes` is an error there — an unterminated
+/// tag, directive or CDATA section, or a truncated scalar — so `Some` from
+/// a part that starts on a token boundary proves that its end is one too.
+fn fold_part(bytes: &[u8], max: usize) -> Option<Part> {
+    let mut lexer = BulkLexer::new(bytes, Unnamed);
+    let mut forms = Vec::new();
+    loop {
+        let mut chunk = Forms::default();
+        lexer.fill_into(&mut chunk, max).ok()?;
+        if chunk.events == 0 {
+            return Some(Part {
+                forms,
+                words: lexer.core.dropped,
+            });
+        }
+        forms.push(chunk);
+    }
+}
+
+/// What [`fold_split`] read of its bytes.
+#[derive(Default)]
+struct Split {
+    /// Bytes the accepted parts read, from the start: a token boundary.
+    end: usize,
+    /// The accepted parts' forms, in stream order.
+    forms: Vec<Forms>,
+    /// The accepted parts' text words.
+    words: usize,
+    /// Parts accepted, and rejected.
+    accepted: usize,
+    rejected: usize,
+    /// Accepted parts a helper folded.
+    helped: usize,
+    /// Bytes folded on the calling thread or copied out for helpers.
+    work: usize,
+}
+
+impl Split {
+    /// Whether the split paid for itself: no part was rejected, and the
+    /// helpers folded at least [`HELPED_SHARE`] of the parts — on a host
+    /// whose other cores are busy elsewhere they fold few or none, and the
+    /// calling thread pays for the copies and folds the parts again.
+    fn paid(&self) -> bool {
+        self.rejected == 0 && self.helped * HELPED_SHARE >= self.accepted
+    }
+}
+
+/// Splits `data` — the rest of a buffer, from a token boundary outside any
+/// tag — into at most `parts` parts and folds them ([`fold_part`]): the
+/// calling thread front to back, while [`QUEUED_PER_HELPER`] copies of
+/// parts from the back per helper (`threads − 1`) wait at a time for the
+/// helpers ([`pool`]). Once the two meet, the calling thread takes back
+/// the copies no helper has claimed and folds itself, in order, every part
+/// no helper has finished, so it never waits for a helper; the parts are
+/// then joined in order.
+///
+/// Part `k` starts at the first `<` at or after `k · len / parts`, and the
+/// last ends at the last `<` of `data`, from where the caller lexes on in
+/// sequence. A cut is only a guess at a token boundary (a `<` may sit in a
+/// comment, a CDATA section or a quoted value), so it is verified: a part
+/// is accepted iff it folded without error and every part before it was
+/// accepted, which proves that it started on a token boundary and ends on
+/// one. The first part not accepted and every part after it are rejected,
+/// and the caller lexes them again in sequence, so errors and their
+/// offsets are those of the sequential scan. Nothing past a part known to
+/// have failed is folded on the calling thread, so a split costs it at
+/// most one wasted part beyond the copies it made.
+fn fold_split(data: &[u8], max: usize, parts: usize, threads: usize) -> Split {
+    let Some(last) = data.iter().rposition(|&b| b == b'<') else {
+        return Split::default();
+    };
+    let mut bounds = vec![0];
+    for k in 1..parts {
+        let at = k * data.len() / parts;
+        let next = data
+            .get(at..last)
+            .and_then(|s| s.iter().position(|&b| b == b'<'));
+        bounds.extend(next.map(|i| at + i));
+    }
+    bounds.push(last);
+    bounds.dedup();
+    if bounds.len() < 3 {
+        return Split::default();
+    }
+    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+    let id = SPLITS.fetch_add(1, Ordering::Relaxed);
+    let (done, results) = mpsc::channel();
+    let mut folded: Vec<Option<Option<Part>>> = ranges.iter().map(|_| None).collect();
+    let mut helped = vec![false; ranges.len()];
+    let (mut folded_here, mut copied) = (0, 0);
+    let mut fold = |k: usize| {
+        let (from, to) = ranges[k];
+        folded_here += to - from;
+        fold_part(&data[from..to], max)
+    };
+    // Parts `front..back` are nobody's yet; parts from `back` on were
+    // copied out for the helpers; no part from `failed` on is accepted.
+    let (mut front, mut back, mut failed) = (0, ranges.len(), ranges.len());
+    while front < back.min(failed) {
+        for _ in pool::waiting(id)..QUEUED_PER_HELPER * (threads - 1) {
+            if back - 1 > front {
+                back -= 1;
+                let (from, to) = ranges[back];
+                copied += to - from;
+                pool::push(pool::Job {
+                    split: id,
+                    part: back,
+                    bytes: data[from..to].to_vec(),
+                    max,
+                    done: done.clone(),
+                });
+            }
+        }
+        let part = fold(front);
+        if part.is_none() {
+            failed = front;
+        }
+        folded[front] = Some(part);
+        front += 1;
+        for (k, part) in results.try_iter() {
+            if part.is_none() {
+                failed = failed.min(k);
+            }
+            folded[k] = Some(part);
+            helped[k] = true;
+        }
+    }
+    pool::take_back(id);
+    for (k, part) in results.try_iter() {
+        folded[k] = Some(part);
+        helped[k] = true;
+    }
+    let mut split = Split::default();
+    for (k, slot) in folded.into_iter().enumerate() {
+        // A part taken back, or claimed by a helper that has not finished
+        // it (it may not be running at all), is folded here.
+        let Some(part) = slot.unwrap_or_else(|| fold(k)) else {
+            split.rejected = ranges.len() - k;
+            break;
+        };
+        split.forms.extend(part.forms);
+        split.words += part.words;
+        split.end = ranges[k].1;
+        split.accepted += 1;
+        split.helped += usize::from(helped[k]);
+    }
+    split.work = folded_here + copied;
+    split
 }
 
 impl<R: io::BufRead, N: ResolveName> Iterator for BulkLexer<R, N> {
@@ -3256,5 +3812,318 @@ mod tests {
         let lender = io::BufReader::with_capacity(1, SplitReader::new(small.as_bytes(), 1));
         let (_, carried) = lexed(BulkLexer::new(lender, Projection::new(&ab, &all)), false);
         assert!(carried > 0, "a one-byte lender carries");
+    }
+
+    /// Iteration budget scaled by `NWA_PROP_ITERS`, as in the property
+    /// suites: the sweeps below keep every fourth offset by default, and
+    /// every offset once it is 4 or more.
+    fn sample_stride() -> usize {
+        let iters = std::env::var("NWA_PROP_ITERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&m| m > 0)
+            .unwrap_or(1);
+        (4 / iters).max(1)
+    }
+
+    /// Every [`sample_stride`]-th of `offsets`, from `rotation` on.
+    fn sampled(offsets: impl IntoIterator<Item = usize>, rotation: usize) -> Vec<usize> {
+        let stride = sample_stride();
+        offsets
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| (i + rotation).is_multiple_of(stride))
+            .map(|(_, at)| at)
+            .collect()
+    }
+
+    /// The forms of every fill joined, the text words read, the error, and
+    /// the parts accepted and rejected.
+    type SplitRun = (Forms, usize, Option<String>, (usize, usize));
+
+    /// One structure scan of `data` to its end, split into up to `parts`
+    /// parts of at least `min_part` bytes wherever the rest allows (1 part:
+    /// in sequence), in fills of `max` events.
+    fn split_run(data: &[u8], max: usize, parts: usize, min_part: usize) -> SplitRun {
+        split_scan(data, max, Some(parts), min_part).0
+    }
+
+    /// [`split_run`], with as many parts as the scanner picks when `parts`
+    /// is `None`; also returns the bytes the splits folded or copied
+    /// ([`BulkLexer::split_work`]).
+    fn split_scan(
+        data: &[u8],
+        max: usize,
+        parts: Option<usize>,
+        min_part: usize,
+    ) -> (SplitRun, usize) {
+        scan_on(BulkLexer::new(data, Unnamed), max, parts, min_part)
+    }
+
+    /// [`split_scan`] on from where `lexer` stands.
+    fn scan_on(
+        mut lexer: BulkLexer<&[u8], Unnamed>,
+        max: usize,
+        parts: Option<usize>,
+        min_part: usize,
+    ) -> (SplitRun, usize) {
+        let mut total = Forms::default();
+        let err = loop {
+            let mut forms = Forms::default();
+            let filled = lexer.fill_forms_split(&mut forms, max, parts, min_part);
+            assert!(forms.events <= max + 2 * BLOCK, "about `max` events a fill");
+            total = total.then(forms);
+            match filled {
+                Ok(()) if forms.events == 0 => break None,
+                Ok(()) => {}
+                Err(e) => break Some(format!("{e:?}")),
+            }
+        };
+        let run = (total, lexer.dropped(), err, lexer.parts());
+        (run, lexer.split_work())
+    }
+
+    /// Scans `data` in sequence and split into 2, 3 and 4 parts of at
+    /// least one byte, on every backend, in fills of each of `maxes`
+    /// events, and asserts the split scans equal the sequential one: the
+    /// same joined forms, text words read and error at the same offset.
+    /// Returns the parts each split count accepted and rejected, summed
+    /// over backends and fill sizes.
+    fn assert_splits_match(data: &[u8], maxes: &[usize], label: &str) -> [(usize, usize); 3] {
+        let mut parts = [(0, 0); 3];
+        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+            for &max in maxes {
+                let (forms, words, err, none) = split_run(data, max, 1, 1);
+                assert_eq!(none, (0, 0), "{label}: one part is no split");
+                for (n, counts) in (2..=4).zip(&mut parts) {
+                    let ctx = format!("{backend:?}, {label}, max {max}, {n} parts");
+                    let (split_forms, split_words, split_err, split) = split_run(data, max, n, 1);
+                    assert_eq!(split_forms, forms, "{ctx}");
+                    assert_eq!(split_words, words, "{ctx}");
+                    assert_eq!(split_err, err, "{ctx}");
+                    counts.0 += split.0;
+                    counts.1 += split.1;
+                }
+            }
+        }
+        auto_scan_backend();
+        parts
+    }
+
+    /// Split structure scans equal sequential ones on the edge documents
+    /// (CDATA, comments, PIs, DOCTYPE subsets, attributes, bad and
+    /// truncated UTF-8, unterminated tags and directives), a document that
+    /// opens with pending returns, and seeded long documents; on the
+    /// well-formed long documents, whose every `<` starts a token, every
+    /// part is accepted.
+    #[test]
+    fn split_structure_scans_match_sequential_ones() {
+        let docs = edge_documents()
+            .into_iter()
+            .chain([b"</a></b> w0 <c k='v'>w1<d/></c></e> <f>".to_vec()]);
+        for (d, data) in docs.enumerate() {
+            assert_splits_match(&data, &[1, 3, EVENT_SLICE], &format!("edge document {d}"));
+        }
+        for seed in [3, 5] {
+            let data = long_document(seed);
+            let parts = assert_splits_match(&data, &[7, EVENT_SLICE], &format!("seed {seed}"));
+            for (n, (accepted, rejected)) in (2..=4).zip(parts) {
+                assert!(accepted >= n, "seed {seed}, {n} parts: {accepted} accepted");
+                assert_eq!(rejected, 0, "seed {seed}, {n} parts");
+            }
+        }
+    }
+
+    /// A cut guessed at a `<` inside a comment, a CDATA section, a PI, a
+    /// DOCTYPE internal subset or a quoted attribute value is no token
+    /// boundary: the part before it fails, is rejected with every part
+    /// after it, and is lexed again in sequence, so the scan still equals
+    /// the sequential one. The document is padded so that the middle —
+    /// where a 2-part split looks for its cut — falls on each byte of the
+    /// construct in turn ([`sampled`]); the split rejects a part exactly
+    /// when the cut lands on a `<` inside it.
+    #[test]
+    fn cuts_inside_a_construct_are_rejected_and_lexed_in_sequence() {
+        let constructs = [
+            "<!-- a <b> c -->",
+            "<![CDATA[x <y> z]]>",
+            "<?pi a<b ?>",
+            "<!DOCTYPE d [<!ENTITY e \"x\"><!ENTITY f 'y'>]>",
+            "<a k=\"<b>\" j='>'>",
+            "<a k='x<y' j=\"<\"/>",
+        ];
+        let mut straddled = 0;
+        for (c, construct) in constructs.iter().enumerate() {
+            let tail = construct.len() + 8;
+            for at in sampled(1..construct.len(), c) {
+                // `len / 2` falls `at` bytes into the construct.
+                let pad = 2 * construct.len() + 8 - 2 * at;
+                let doc = format!(
+                    "<p>{}{construct}{}</p>",
+                    " ".repeat(pad - 3),
+                    " ".repeat(tail - 4)
+                );
+                let start = pad;
+                assert_eq!(doc.len() / 2, start + at);
+                let cut = start + at + doc[start + at..].find('<').expect("the closing tag");
+                let inside = cut < start + construct.len();
+                let label = format!("{construct:?}, middle at {at}");
+                assert_splits_match(doc.as_bytes(), &[1, EVENT_SLICE], &label);
+                let (forms, words, err, none) = split_run(doc.as_bytes(), EVENT_SLICE, 1, 1);
+                assert_eq!((none, err), ((0, 0), None), "{label}");
+                let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
+                for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+                    let ctx = format!("{backend:?}, {label}");
+                    let (split_forms, split_words, split_err, (_, rejected)) =
+                        split_run(doc.as_bytes(), EVENT_SLICE, 2, 1);
+                    assert_eq!((split_forms, split_words), (forms, words), "{ctx}");
+                    assert_eq!(split_err, None, "{ctx}");
+                    assert_eq!(rejected > 0, inside, "{ctx}: cut at {cut}");
+                    straddled += usize::from(inside);
+                }
+                auto_scan_backend();
+            }
+        }
+        assert!(straddled > 0, "some cut lands inside a construct");
+    }
+
+    /// Each invalid sequence inserted within two bytes of each cut a 2-,
+    /// 3- or 4-part split of a long document makes, and each truncated
+    /// sequence ending the stream there ([`sampled`]): the split scans
+    /// report the sequential scan's error at the same offset, on every
+    /// backend.
+    #[test]
+    fn bad_bytes_at_the_cuts_fail_like_the_sequential_scan() {
+        const BAD_BYTES: [&[u8]; 4] = [b"\xFF", b"\xC0\x80", b"\x80", b"\xED\xA0\x80"];
+        const TRUNCATED: &[u8] = b"\xE2\x82";
+        let doc = long_document(7);
+        let doc = &doc[..doc.len().min(8 * 1024)];
+        let cuts = (2..=4).flat_map(|parts| {
+            (1..parts).filter_map(move |k| {
+                let at = k * doc.len() / parts;
+                doc[at..].iter().position(|&b| b == b'<').map(|i| at + i)
+            })
+        });
+        let mut offsets: Vec<usize> = cuts.flat_map(|cut| cut - 2..=cut + 2).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        let mut rejected = 0;
+        for at in sampled(offsets, 0) {
+            let spoiled = BAD_BYTES
+                .iter()
+                .map(|bad| [&doc[..at], bad, &doc[at..]].concat())
+                .chain([[&doc[..at], TRUNCATED].concat()]);
+            for (i, bytes) in spoiled.enumerate() {
+                let label = format!("sequence {i} at {at}");
+                let parts = assert_splits_match(&bytes, &[EVENT_SLICE], &label);
+                rejected += parts.iter().map(|p| p.1).sum::<usize>();
+                let (_, _, err, _) = split_run(&bytes, EVENT_SLICE, 1, 1);
+                assert!(err.is_some_and(|e| e.contains("Utf8")), "{label}");
+            }
+        }
+        assert!(rejected > 0, "a part holding a bad byte is rejected");
+    }
+
+    /// `unit` repeated past `bytes` inside `<r>…</r>`.
+    fn repeated_document(unit: &str, bytes: usize) -> Vec<u8> {
+        format!("<r>{}</r>", unit.repeat(bytes / unit.len() + 1)).into_bytes()
+    }
+
+    /// Past twice the split size even after the first fill.
+    const SPLIT_SIZED: usize = 2 * MIN_PART + (64 << 10);
+
+    /// The production path: `fill_forms` on an in-memory document past
+    /// twice `MIN_PART` splits it when a core is free — in parts of
+    /// `CLAIM_BYTES`, every one accepted on a document whose every `<`
+    /// starts a token — and stays sequential on a host with no helper.
+    /// Other tests' scans may keep the cores busy for a while, so a scan is
+    /// started again until two have split — the second only once the
+    /// cores are free again after the first. A split scan equals the
+    /// sequential one.
+    #[test]
+    fn fill_forms_splits_a_large_in_memory_rest_when_a_core_is_free() {
+        let data = repeated_document("<a k='v'> w0 <b/></a>", SPLIT_SIZED);
+        let (sequential, _) = split_scan(&data, EVENT_SLICE, Some(1), MIN_PART);
+        let helpers = pool::helpers();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let (mut tries, mut splits) = (0, 0);
+        while splits < 2 && std::time::Instant::now() < deadline {
+            tries += 1;
+            let mut lexer = BulkLexer::new(&data[..], Unnamed);
+            let mut first = Forms::default();
+            lexer.fill_forms(&mut first, EVENT_SLICE).unwrap();
+            if lexer.parts() == (0, 0) {
+                assert_eq!(lexer.split_work(), 0);
+                if helpers == 0 {
+                    break;
+                }
+                drop(lexer);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                continue;
+            }
+            splits += 1;
+            let ((rest, words, err, (accepted, rejected)), work) =
+                scan_on(lexer, EVENT_SLICE, None, MIN_PART);
+            let ctx = format!("try {tries}: {accepted} accepted, {work} bytes");
+            assert_eq!(first.then(rest), sequential.0, "{ctx}");
+            assert_eq!((words, &err), (sequential.1, &sequential.2), "{ctx}");
+            assert!(accepted >= 2 * MIN_PART / CLAIM_BYTES, "{ctx}");
+            assert_eq!(rejected, 0, "{ctx}");
+            assert!(work <= 2 * data.len(), "{ctx} for {}", data.len());
+        }
+        let expected = if helpers == 0 { 0 } else { 2 };
+        assert_eq!(splits, expected, "{helpers} helpers, {tries} tries");
+    }
+
+    /// A document whose CDATA sections hold most of its `<`s, as a feed
+    /// with HTML in CDATA does: most cuts land inside a section, so a
+    /// split rejects parts. The scan still equals the sequential one, and
+    /// the bytes the splits fold or copy stay within the document's length
+    /// — a buffer is split once, and nothing is folded past a part known
+    /// to have failed — rather than growing with each cut: in 8 parts of a
+    /// 256 KiB document on any host, and through `fill_forms` past the
+    /// split size wherever a core is free.
+    #[test]
+    fn cuts_inside_cdata_cost_at_most_one_split_of_a_buffer() {
+        let unit = "<a><![CDATA[<p>x</p><p>y</p><br/><br/>]]></a>";
+        let small = repeated_document(unit, 256 << 10);
+        for (data, parts, min_part) in [
+            (&small, Some(8), 16 << 10),
+            (&repeated_document(unit, SPLIT_SIZED), None, MIN_PART),
+        ] {
+            let (sequential, _) = split_scan(data, EVENT_SLICE, Some(1), min_part);
+            assert_eq!(sequential.2, None);
+            let (run, work) = split_scan(data, EVENT_SLICE, parts, min_part);
+            let ctx = format!("{parts:?} parts: {:?}, {work} bytes", run.3);
+            assert_eq!(run, (sequential.0, sequential.1, None, run.3), "{ctx}");
+            assert!(work <= data.len(), "{ctx} for {}", data.len());
+            if parts.is_some() {
+                assert!(run.3 .1 > 0, "{ctx}: a cut lands inside CDATA");
+            }
+        }
+        // With no helper to copy parts for, the calling thread folds the
+        // accepted parts and the first one that fails, and nothing after.
+        let split = fold_split(&small, EVENT_SLICE, 8, 1);
+        assert!(split.rejected > 0);
+        let part = small.len() / 8;
+        assert!(split.work < split.end + 2 * part, "{} bytes", split.work);
+    }
+
+    /// After `r` splits in a row do not pay, the next `2^r − 1` splits (at
+    /// most 63) are skipped; a split that pays ends the run.
+    #[test]
+    fn unpaid_splits_back_off_exponentially() {
+        let backoff = pool::Backoff::new();
+        let skipped = |backoff: &pool::Backoff| (0..100).take_while(|_| backoff.skip()).count();
+        assert_eq!(skipped(&backoff), 0);
+        for run in 1..=8 {
+            backoff.record(false);
+            assert_eq!(skipped(&backoff), (1 << run.min(6)) - 1, "run {run}");
+        }
+        backoff.record(true);
+        assert_eq!(skipped(&backoff), 0);
+        backoff.record(false);
+        assert_eq!(skipped(&backoff), 1, "a new run");
     }
 }

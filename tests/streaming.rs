@@ -19,12 +19,16 @@ use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::flat::tagged_indices;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::nwa_xml::queries::{
-    for_each_slice, run_multi_streaming_reader, run_streaming_reader, Reads, Slice, EVENT_SLICE,
+    contains_tag_nwa, for_each_slice, run_multi_streaming_reader, run_streaming_reader, Reads,
+    Slice, EVENT_SLICE,
 };
 use nested_words_suite::nwa_xml::sax::{tokenize, SaxError};
-use nested_words_suite::nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend};
+use nested_words_suite::nwa_xml::scan::{
+    auto_scan_backend, force_scan_backend, ScanBackend, SCAN_CHUNK,
+};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
+use std::io;
 
 /// The peak stack height a nested-word run needs: the maximum number of
 /// simultaneously open calls over all prefixes (pending calls included).
@@ -470,5 +474,84 @@ fn unknown_tags_fail_iff_read_before_the_run_settles() {
     assert!(
         failed > 0 && decided > 0,
         "{failed} failed, {decided} decided"
+    );
+}
+
+/// A settled scan of an in-memory document past twice the split size
+/// (2 MiB) folds the rest of the document on every free core, while the
+/// same bytes behind a `SCAN_CHUNK` `BufReader` are lexed in sequence: a
+/// lone query and a query set decide both alike, on a document with
+/// attributes, comments and CDATA sections holding `<`. Two spoiled
+/// variants report the same error at the same offset both ways: an invalid
+/// byte just past a two-part split's cut, and an unterminated comment that
+/// starts before that cut.
+#[test]
+fn split_in_memory_scans_decide_like_buffered_ones() {
+    let mut rng = Prng::new(24);
+    let mut xml = String::from("<doc><t1><t2>");
+    // The scan settles after its first event slice, which must leave
+    // over 2 MiB.
+    while xml.len() < 5 << 19 {
+        match rng.below(32) {
+            0..=7 => xml.push_str(&format!("<t{} k=\"v{}\">", rng.below(4), rng.below(9))),
+            8..=15 => xml.push_str(&format!("</t{}>", rng.below(4))),
+            16 => xml.push_str("<!-- c <x> -->"),
+            17 => xml.push_str("<![CDATA[w1 <w2>]]>"),
+            _ => xml.push_str(&format!(" w{} ", rng.below(4))),
+        }
+    }
+    xml.push_str("</t2></t1></doc>");
+    let mut ab = Alphabet::new();
+    for name in ["doc", "t0", "t1", "t2", "t3", "w0", "w1", "w2", "w3"] {
+        ab.intern(name);
+    }
+    let sym = |name: &str| ab.lookup(name).unwrap();
+    let lone = query::compile(&contains_tag_nwa(sym("t1"), ab.len()));
+    let set = QuerySet::compile(&[
+        contains_tag_nwa(sym("t1"), ab.len()),
+        contains_tag_nwa(sym("t2"), ab.len()),
+    ]);
+    let decide = |bytes: &[u8]| {
+        let buffered = io::BufReader::with_capacity(SCAN_CHUNK, bytes);
+        let runs = [
+            run_streaming_reader(&lone, bytes, &ab),
+            run_streaming_reader(&lone, buffered, &ab),
+        ]
+        .map(|r| r.map_err(|e| format!("{e:?}")));
+        assert_eq!(runs[0], runs[1]);
+        runs[0].clone()
+    };
+    assert!(
+        decide(xml.as_bytes()).is_ok_and(|o| o.accepted),
+        "the document holds t1"
+    );
+    let buffered = io::BufReader::with_capacity(SCAN_CHUNK, xml.as_bytes());
+    let outcomes = run_multi_streaming_reader(&set, xml.as_bytes(), &ab).unwrap();
+    assert_eq!(outcomes.len(), 2);
+    assert_eq!(
+        run_multi_streaming_reader(&set, buffered, &ab).unwrap(),
+        outcomes
+    );
+
+    let cut = xml.len() / 2 + xml[xml.len() / 2..].find('<').unwrap();
+    let bad = [&xml.as_bytes()[..=cut], b"\xFF", &xml.as_bytes()[cut + 1..]].concat();
+    assert_eq!(
+        decide(&bad),
+        Err(format!("{:?}", SaxError::InvalidUtf8 { offset: cut + 1 }))
+    );
+    // A tag's start: `<t` sits in no comment or CDATA section.
+    let open = cut - 100 + xml[cut - 100..].find("<t").unwrap();
+    assert!(open < cut);
+    let unterminated = format!(
+        "{}<!-- never closed {}",
+        &xml[..open],
+        xml[open..].replace("-->", "- ->")
+    );
+    let outcome = decide(unterminated.as_bytes());
+    assert!(
+        outcome.as_ref().is_err_and(
+            |e| e.contains("unterminated directive") && e.contains(&format!("offset: {open}"))
+        ),
+        "{outcome:?}"
     );
 }
