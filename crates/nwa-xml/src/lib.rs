@@ -30,9 +30,10 @@
 //!   `and`/`or`/`not` and lowered to one deterministic NWA through the
 //!   `automata-core` boolean constructions.
 
-// Unsafe code is denied crate-wide; the scanner's stage-1 kernels and its
-// append sink (`scan`'s `kernel` module) carry the one scoped allow, with a
-// `SAFETY:` comment on every block.
+// Unsafe code is denied crate-wide. Two modules of `scan` carry a scoped
+// allow, with a `SAFETY:` comment on every block: `kernel` (the stage-1
+// kernels and the append sink) and `lend` (a split's parts read in place by
+// the helper threads, only under a claim the lender waits out).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

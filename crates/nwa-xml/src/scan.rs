@@ -86,15 +86,16 @@
 //!    `Forms` compose, so a structure scan **splits**: while lexing in
 //!    place, a rest of at least `2 · MIN_PART` bytes is cut at tag starts
 //!    into parts, each folded by a fresh lexer whose stream ends at its
-//!    cut — by the calling thread from the front, and from copies at the
-//!    back by those of the process's helper threads (one per core beyond
-//!    the first) that no other scan keeps busy — and the parts are joined
-//!    in order. With no core free, or after splits that did not pay, the
-//!    scan stays sequential. The calling thread never waits for a helper:
-//!    at the end it folds itself whatever no helper has finished. A part
-//!    is accepted only if it lexed without error after accepted parts,
-//!    which proves its cut a token boundary; at the first other part the
-//!    lexer goes on in sequence, so errors and offsets are the sequential
+//!    cut, and the parts are joined in order. The parts are lent where
+//!    they lie: the calling thread claims them from the front, and those
+//!    of the process's helper threads (one per core beyond the first) that
+//!    no other scan keeps busy claim them from the back, so each part is
+//!    folded once and none is copied. The calling thread then waits only
+//!    for the parts a helper still holds. With no core free, or after
+//!    splits that did not pay, the scan stays sequential. A part is
+//!    accepted only if it lexed without error after accepted parts, which
+//!    proves its cut a token boundary; at the first other part the lexer
+//!    goes on in sequence, so errors and offsets are the sequential
 //!    scan's. A buffer is split once, so cuts that keep landing inside
 //!    CDATA sections waste one split, not one per cut.
 //!
@@ -135,13 +136,16 @@ use kernel::{BlockClassifier, BlockMasks, EventSink, BLOCK};
 use nested_words::{NestedWordError, Symbol, TaggedSymbol};
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
-// The stage-1 kernels and the stage-2 sink: the crate's one module allowed
-// `unsafe` (bounds asserted, ISA presence proven by construction).
+// The stage-1 kernels and the stage-2 sink: one of the crate's two modules
+// allowed `unsafe` (bounds asserted, ISA presence proven by construction).
 #[allow(unsafe_code)]
 mod kernel;
+
+// The parts of a split lent in place to the helpers: the other module
+// allowed `unsafe` (bytes read only under a claim the lender waits out).
+#[allow(unsafe_code)]
+mod lend;
 
 /// The buffer capacity to give a file or socket source:
 /// `BufReader::with_capacity(SCAN_CHUNK, file)`, and the size of each read
@@ -1883,8 +1887,8 @@ pub struct BulkLexer<R: io::BufRead, N: ResolveName> {
     /// Parts of split structure scans accepted, and rejected (see
     /// [`fold_split`]).
     parts: (usize, usize),
-    /// Bytes split structure scans folded on this thread or copied out for
-    /// helpers ([`Split::work`]).
+    /// Bytes split structure scans folded, by any thread
+    /// ([`Split::work`]).
     split_work: usize,
     /// Set once the lexer has scanned structure: it counts among the scans
     /// in progress ([`pool::free`]) until it is dropped.
@@ -2041,9 +2045,9 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
         self.parts
     }
 
-    /// Bytes split structure scans have folded on this thread or copied
-    /// out for helpers so far: a bound on the work a split spent, parts it
-    /// threw away included.
+    /// Bytes this lexer's split structure scans have folded so far, on
+    /// the calling thread and on helpers: the work the splits spent, parts
+    /// they threw away included.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn split_work(&self) -> usize {
         self.split_work
@@ -2178,8 +2182,8 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
 
     /// Folds the rest of the reader's current buffer at once ([`fold_split`])
     /// when lexing in place with at least `2 · min_part` bytes left, past
-    /// `split_from`: in `parts` parts, queued as for `parts − 1` helpers, if
-    /// `Some`; else in parts of [`CLAIM_BYTES`], queued for one helper per
+    /// `split_from`: in `parts` parts, open to `parts − 1` helpers, if
+    /// `Some`; else in parts of [`CLAIM_BYTES`], open to one helper per
     /// `min_part` bytes beyond the first, up to the helpers that are free
     /// ([`pool::free`]). While other scans hold every core, or after splits
     /// that did not pay ([`pool::Backoff`]), the buffer is not split;
@@ -2205,8 +2209,8 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
         let (parts, threads) = match parts {
             Some(parts) => (parts.min(by_size), parts.min(by_size)),
             None => match pool::free() {
-                // Every helper is still busy with earlier parts; they
-                // finish soon, so the next call asks again.
+                // Every helper is still busy with other parts; they finish
+                // soon, so the next call asks again.
                 Some(0) => return,
                 Some(free) if !pool::BACKOFF.skip() => {
                     (data.len() / CLAIM_BYTES, (1 + free).min(by_size))
@@ -2223,7 +2227,7 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
             return;
         }
         self.split_from = base + data.len();
-        let split = fold_split(data, max.max(1), parts, threads);
+        let split = fold_split(data, max.max(1), parts, threads, Fault::None);
         if !forced {
             pool::BACKOFF.record(split.paid());
         }
@@ -2609,26 +2613,21 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
 /// only when it holds two, and keeps one helper busy per `MIN_PART` beyond
 /// the first, up to the helpers that are free. The AVX2 structure scan reads
 /// ~0.3 ms per MiB, while on a shared 2-vCPU KVM host a sleeping helper
-/// woke 8–58 µs after a job was queued at the median but up to 0.6 ms at
-/// p90: below about 1 MiB a thread the helper often wakes with little left
-/// to take, and each part copied out for it and taken back costs its copy.
+/// woke 8–58 µs after a split was published at the median but up to 0.6 ms
+/// at p90: below about 1 MiB a helper often wakes with little left to
+/// claim.
 const MIN_PART: usize = 1 << 20;
 
-/// Bytes of one part of a split structure scan. The calling thread folds
-/// parts front to back while its helpers fold copies from the back, one
-/// part at a time, so a late or descheduled helper holds up at most the
-/// one part it has claimed, which the calling thread then folds itself.
-/// In a probe on a shared 2-vCPU host, copying a part out took ~44 µs and
-/// folding one ~150 µs on AVX2; each part also costs a fresh lexer, a few
-/// µs.
+/// Bytes of one part of a split structure scan. The calling thread claims
+/// parts front to back while its helpers claim them from the back, one
+/// part at a time, and the calling thread waits at the end for the parts
+/// a helper still holds, so a smaller part shortens that wait; but each
+/// part also costs a fresh lexer and a claim. On a shared 2-vCPU KVM host
+/// (perfbench `stream_1q`, the 3.7 MB document, alternating 10 s runs),
+/// 256 KiB parts read 2336 and 2360 MB/s at the median, 128 KiB 2323 and
+/// 2322, and 64 KiB 2159: the wait, 36–198 µs per split in a probe, does
+/// not pay for the parts that halving the size adds.
 const CLAIM_BYTES: usize = 256 << 10;
-
-/// Copies of parts a split keeps queued per helper. With one, a helper
-/// that finishes a part waits for the calling thread to finish its own
-/// before it is handed the next, so it folds at most half the parts; with
-/// two it runs ahead. On the 3.7 MB document (13 parts) the helper's share
-/// rose from 6 to 7–8 parts and the split's median from 1.38 to 1.11 ms.
-const QUEUED_PER_HELPER: usize = 2;
 
 /// A split whose helpers folded under one in `HELPED_SHARE` of its parts
 /// did not pay ([`Split::paid`]).
@@ -2650,55 +2649,37 @@ impl ResolveName for Unnamed {
 
 /// The helper threads of split structure scans: one per core beyond the
 /// first, started on the first split and kept for the life of the process,
-/// each folding owned copies of parts ([`pool::Job`]) from one queue that
-/// every scan in the process shares.
+/// each claiming parts of the splits every scan in the process publishes
+/// and folding them where they lie ([`lend`]).
 ///
-/// Helpers are persistent and fed copies, not scoped threads lent the
-/// bytes, so that no scan ever waits for one. On a shared 2-vCPU KVM host
-/// a new scoped helper started 0.23 ms after its spawn at the median and
-/// 5.7 ms at p99 (200 passes), and was at times descheduled while folding
-/// a part; a scope must join it however late it runs, which doubled the
-/// p99 latency of `stream_1q`. A scan instead folds its parts front to
-/// back while its helpers take copies from the back, and at the end takes
-/// back the copies no helper has claimed and folds again any part a
-/// helper has not finished: every scan finishes on its own thread, and a
-/// helper's late result is dropped.
+/// Helpers are persistent, not scoped threads started per split: on a
+/// shared 2-vCPU KVM host a new scoped helper started 0.23 ms after its
+/// spawn at the median and 5.7 ms at p99 (200 passes), which doubled the
+/// p99 latency of `stream_1q`. A persistent helper that is late only
+/// claims fewer parts: the calling thread claims the rest itself and
+/// waits only for the parts a helper holds.
 ///
 /// A scan splits only while a core is free ([`free`]): one that starts
 /// while other scans and helpers keep every core busy stays sequential,
-/// so concurrent scans neither copy parts for helpers that cannot take
-/// them nor wake a helper to compete with another scan for a core. With
-/// two callers scanning the 3.7 MB document on a 2-vCPU host, passes per
-/// second matched the sequential scan's (−3% to +9%, eight 8 s runs);
-/// counting only busy helpers, they read 8–17% lower, with 2.4× the p99.
-/// Splits that did not pay make the next ones back off ([`Backoff`]).
+/// so concurrent scans do not wake a helper to compete with another scan
+/// for a core, and a helper stops claiming parts once the scans in
+/// progress and the busy helpers hold every core ([`crowded`]). With two
+/// callers scanning the 3.7 MB document on a 2-vCPU host, counting only
+/// busy helpers read 8–17% fewer passes per second than the sequential
+/// scan, with 2.4× the p99. Splits that did not pay make the next ones
+/// back off ([`Backoff`]).
 mod pool {
-    use super::Part;
-    use std::collections::VecDeque;
+    use super::lend::Lent;
     use std::num::NonZeroUsize;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc::Sender;
-    use std::sync::{Condvar, Mutex, OnceLock};
+    use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
-    /// One part copied out for a helper.
-    pub(super) struct Job {
-        /// The split it belongs to, unique in the process.
-        pub(super) split: usize,
-        /// Its index in that split.
-        pub(super) part: usize,
-        pub(super) bytes: Vec<u8>,
-        /// Forms per chunk.
-        pub(super) max: usize,
-        /// Where the folded part goes; a split that has finished has
-        /// dropped its receiver.
-        pub(super) done: Sender<(usize, Option<Part>)>,
-    }
-
-    static JOBS: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+    /// Splits open to the helpers, each with the helpers it still seats.
+    static OPEN: Mutex<Vec<(Arc<Lent>, usize)>> = Mutex::new(Vec::new());
     static READY: Condvar = Condvar::new();
     static HELPERS: OnceLock<usize> = OnceLock::new();
-    /// Jobs queued or being folded, in the whole process.
-    static LOAD: AtomicUsize = AtomicUsize::new(0);
+    /// Helpers working on a split, in the whole process.
+    static BUSY: AtomicUsize = AtomicUsize::new(0);
     /// Structure scans in progress in the whole process: lexers that have
     /// folded structure and are not yet dropped.
     static SCANS: AtomicUsize = AtomicUsize::new(0);
@@ -2766,17 +2747,23 @@ mod pool {
 
     /// The helpers a scan may use: the cores (the helpers and the first
     /// core) less the threads already busy — the structure scans in
-    /// progress, the asking one included, and the jobs queued or being
-    /// folded — or `None` when the scans alone hold every core. Two scans
-    /// that ask at once may both see the same core free; the later one's
-    /// copies then wait, and it folds them itself.
+    /// progress, the asking one included, and the helpers working on a
+    /// split — or `None` when the scans alone hold every core. Two scans
+    /// that ask at once may both see the same core free; the helper then
+    /// claims parts of one and the other folds its parts itself.
     pub(super) fn free() -> Option<usize> {
         let cores = helpers() + 1;
         let scans = SCANS.load(Ordering::Acquire);
         if scans >= cores {
             return None;
         }
-        Some((cores - scans).saturating_sub(LOAD.load(Ordering::Acquire)))
+        Some((cores - scans).saturating_sub(BUSY.load(Ordering::Acquire)))
+    }
+
+    /// Whether a busy helper should stop claiming parts: the structure
+    /// scans in progress and the other busy helpers hold every core.
+    pub(super) fn crowded() -> bool {
+        SCANS.load(Ordering::Acquire) + BUSY.load(Ordering::Acquire) > helpers() + 1
     }
 
     /// The helpers running, started on the first call: one per core beyond
@@ -2796,64 +2783,71 @@ mod pool {
         })
     }
 
-    /// A helper's loop: fold the next job, send it back.
+    /// Opens `lent` to up to `seats` helpers.
+    pub(super) fn publish(lent: &Arc<Lent>, seats: usize) {
+        if seats == 0 {
+            return;
+        }
+        OPEN.lock()
+            .expect("the open splits are never locked across a panic")
+            .push((Arc::clone(lent), seats));
+        READY.notify_all();
+    }
+
+    /// Closes `lent` to helpers that have not taken a seat on it. Called
+    /// while a lend ends, on unwind too, so it neither panics nor gives up
+    /// on a poisoned lock: every update leaves the list valid.
+    pub(super) fn withdraw(lent: &Lent) {
+        OPEN.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|(open, _)| !std::ptr::eq(&**open, lent));
+    }
+
+    /// A helper's loop: take a seat on a split with parts unclaimed, fold
+    /// parts of it while the cores allow ([`super::help_split`]), and
+    /// look for the next.
     fn help() {
         loop {
-            let job = {
-                let mut jobs = JOBS
+            let lent = {
+                let mut open = OPEN
                     .lock()
-                    .expect("the queue is never locked across a panic");
+                    .expect("the open splits are never locked across a panic");
                 loop {
-                    match jobs.pop_front() {
-                        Some(job) => break job,
-                        None => {
-                            jobs = READY
-                                .wait(jobs)
-                                .expect("the queue is never locked across a panic")
-                        }
+                    let seat = open
+                        .iter_mut()
+                        .find(|(lent, seats)| *seats > 0 && lent.unclaimed());
+                    if let Some((lent, seats)) = seat {
+                        *seats -= 1;
+                        BUSY.fetch_add(1, Ordering::AcqRel);
+                        break Arc::clone(lent);
                     }
+                    open = READY
+                        .wait(open)
+                        .expect("the open splits are never locked across a panic");
                 }
             };
-            let folded = super::fold_part(&job.bytes, job.max);
-            // A split that has finished has dropped its receiver: the part
-            // is no longer needed.
-            let _ = job.done.send((job.part, folded));
-            LOAD.fetch_sub(1, Ordering::Release);
+            // A fold that panics has released its claim while unwinding,
+            // and the lender folds that part itself: the helper lives on.
+            let _ =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| super::help_split(&lent)));
+            BUSY.fetch_sub(1, Ordering::AcqRel);
         }
-    }
-
-    /// Queues `job` for the next free helper.
-    pub(super) fn push(job: Job) {
-        let mut jobs = JOBS
-            .lock()
-            .expect("the queue is never locked across a panic");
-        LOAD.fetch_add(1, Ordering::Release);
-        jobs.push_back(job);
-        drop(jobs);
-        READY.notify_one();
-    }
-
-    /// The jobs of `split` still waiting for a helper.
-    pub(super) fn waiting(split: usize) -> usize {
-        let jobs = JOBS
-            .lock()
-            .expect("the queue is never locked across a panic");
-        jobs.iter().filter(|job| job.split == split).count()
-    }
-
-    /// Takes the jobs of `split` that no helper has claimed off the queue.
-    pub(super) fn take_back(split: usize) {
-        let mut jobs = JOBS
-            .lock()
-            .expect("the queue is never locked across a panic");
-        let queued = jobs.len();
-        jobs.retain(|job| job.split != split);
-        LOAD.fetch_sub(queued - jobs.len(), Ordering::Release);
     }
 }
 
-/// Splits started in the process: each split's id.
-static SPLITS: AtomicUsize = AtomicUsize::new(0);
+/// A fault a test injects into a split's helpers, between a claim and its
+/// fold.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// Outside tests, the only one.
+    None,
+    /// The helper sleeps, so the lender reaches its wait.
+    #[cfg(test)]
+    Slow(std::time::Duration),
+    /// The helper's fold panics.
+    #[cfg(test)]
+    Panic,
+}
 
 /// What one part of a split structure scan read.
 struct Part {
@@ -2884,6 +2878,26 @@ fn fold_part(bytes: &[u8], max: usize) -> Option<Part> {
     }
 }
 
+/// A helper's share of a split: claims parts from the back and folds them
+/// in place until none is left, a part has failed, or the cores are
+/// crowded ([`pool::crowded`]).
+fn help_split(lent: &lend::Lent) {
+    while !pool::crowded() {
+        let Some(claim) = lent.claim_back() else {
+            return;
+        };
+        match lent.fault {
+            Fault::None => {}
+            #[cfg(test)]
+            Fault::Slow(pause) => std::thread::sleep(pause),
+            #[cfg(test)]
+            Fault::Panic => panic!("a fault injected into a helper's fold"),
+        }
+        let part = fold_part(claim.bytes(), lent.max);
+        claim.finish(part);
+    }
+}
+
 /// What [`fold_split`] read of its bytes.
 #[derive(Default)]
 struct Split {
@@ -2898,44 +2912,33 @@ struct Split {
     rejected: usize,
     /// Accepted parts a helper folded.
     helped: usize,
-    /// Bytes folded on the calling thread or copied out for helpers.
+    /// Bytes folded, by any thread.
     work: usize,
+    /// Claims helpers still held when the split returned.
+    #[cfg(test)]
+    held: usize,
+    /// Parts a helper's panicking fold left to the calling thread.
+    #[cfg(test)]
+    refolded: usize,
 }
 
 impl Split {
     /// Whether the split paid for itself: no part was rejected, and the
     /// helpers folded at least [`HELPED_SHARE`] of the parts — on a host
     /// whose other cores are busy elsewhere they fold few or none, and the
-    /// calling thread pays for the copies and folds the parts again.
+    /// calling thread folds the parts alone.
     fn paid(&self) -> bool {
         self.rejected == 0 && self.helped * HELPED_SHARE >= self.accepted
     }
 }
 
-/// Splits `data` — the rest of a buffer, from a token boundary outside any
-/// tag — into at most `parts` parts and folds them ([`fold_part`]): the
-/// calling thread front to back, while [`QUEUED_PER_HELPER`] copies of
-/// parts from the back per helper (`threads − 1`) wait at a time for the
-/// helpers ([`pool`]). Once the two meet, the calling thread takes back
-/// the copies no helper has claimed and folds itself, in order, every part
-/// no helper has finished, so it never waits for a helper; the parts are
-/// then joined in order.
-///
-/// Part `k` starts at the first `<` at or after `k · len / parts`, and the
-/// last ends at the last `<` of `data`, from where the caller lexes on in
-/// sequence. A cut is only a guess at a token boundary (a `<` may sit in a
-/// comment, a CDATA section or a quoted value), so it is verified: a part
-/// is accepted iff it folded without error and every part before it was
-/// accepted, which proves that it started on a token boundary and ends on
-/// one. The first part not accepted and every part after it are rejected,
-/// and the caller lexes them again in sequence, so errors and their
-/// offsets are those of the sequential scan. Nothing past a part known to
-/// have failed is folded on the calling thread, so a split costs it at
-/// most one wasted part beyond the copies it made.
-fn fold_split(data: &[u8], max: usize, parts: usize, threads: usize) -> Split {
-    let Some(last) = data.iter().rposition(|&b| b == b'<') else {
-        return Split::default();
-    };
+/// The parts a split of `data` — the rest of a buffer, from a token
+/// boundary outside any tag — into at most `parts` parts folds: part `k`
+/// starts at the first `<` at or after `k · len / parts`, and the last
+/// ends at the last `<` of `data`, from where the caller lexes on in
+/// sequence. `None` below two parts.
+fn cut(data: &[u8], parts: usize) -> Option<Vec<(usize, usize)>> {
+    let last = data.iter().rposition(|&b| b == b'<')?;
     let mut bounds = vec![0];
     for k in 1..parts {
         let at = k * data.len() / parts;
@@ -2946,72 +2949,88 @@ fn fold_split(data: &[u8], max: usize, parts: usize, threads: usize) -> Split {
     }
     bounds.push(last);
     bounds.dedup();
-    if bounds.len() < 3 {
+    (bounds.len() >= 3).then(|| bounds.windows(2).map(|w| (w[0], w[1])).collect())
+}
+
+/// Splits `data` ([`cut`]) and folds its parts ([`fold_part`]) where they
+/// lie ([`lend`]): the calling thread claims them front to back while up to
+/// `threads − 1` helpers ([`pool`]) claim them from the back, so each part
+/// is folded once, and the calling thread then waits only for the parts a
+/// helper still holds. A part that a helper's panicking fold left behind is
+/// folded here. The parts are joined in order.
+///
+/// A cut is only a guess at a token boundary (a `<` may sit in a comment,
+/// a CDATA section or a quoted value), so it is verified: a part is
+/// accepted iff it folded without error and every part before it was
+/// accepted, which proves that it started on a token boundary and ends on
+/// one. The first part not accepted and every part after it are rejected,
+/// and the caller lexes them again in sequence, so errors and their
+/// offsets are those of the sequential scan. Once a part is known to have
+/// failed no part is claimed on either side, so a split wastes at most one
+/// part per thread beyond the parts folded before the failure was known.
+fn fold_split(data: &[u8], max: usize, parts: usize, threads: usize, fault: Fault) -> Split {
+    let Some(ranges) = cut(data, parts) else {
         return Split::default();
-    }
-    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    let id = SPLITS.fetch_add(1, Ordering::Relaxed);
-    let (done, results) = mpsc::channel();
-    let mut folded: Vec<Option<Option<Part>>> = ranges.iter().map(|_| None).collect();
-    let mut helped = vec![false; ranges.len()];
-    let (mut folded_here, mut copied) = (0, 0);
-    let mut fold = |k: usize| {
-        let (from, to) = ranges[k];
-        folded_here += to - from;
-        fold_part(&data[from..to], max)
     };
-    // Parts `front..back` are nobody's yet; parts from `back` on were
-    // copied out for the helpers; no part from `failed` on is accepted.
-    let (mut front, mut back, mut failed) = (0, ranges.len(), ranges.len());
-    while front < back.min(failed) {
-        for _ in pool::waiting(id)..QUEUED_PER_HELPER * (threads - 1) {
-            if back - 1 > front {
-                back -= 1;
-                let (from, to) = ranges[back];
-                copied += to - from;
-                pool::push(pool::Job {
-                    split: id,
-                    part: back,
-                    bytes: data[from..to].to_vec(),
-                    max,
-                    done: done.clone(),
-                });
+    let (mine, lent) = lend::lend(data, ranges, max, fault, |lent| {
+        pool::publish(lent, threads - 1);
+        let mut mine = Vec::new();
+        while let Some(k) = lent.claim_front() {
+            let (from, to) = lent.range(k);
+            let part = fold_part(&data[from..to], max);
+            let failed = part.is_none();
+            mine.push(part);
+            if failed {
+                lent.close();
             }
         }
-        let part = fold(front);
-        if part.is_none() {
-            failed = front;
-        }
-        folded[front] = Some(part);
-        front += 1;
-        for (k, part) in results.try_iter() {
-            if part.is_none() {
-                failed = failed.min(k);
-            }
-            folded[k] = Some(part);
-            helped[k] = true;
-        }
-    }
-    pool::take_back(id);
-    for (k, part) in results.try_iter() {
+        mine
+    });
+    // The calling thread claimed parts `0..mine.len()`.
+    let mut folded: Vec<Option<Option<Part>>> = mine.into_iter().map(Some).collect();
+    folded.resize_with(lent.parts(), || None);
+    let mut helped = vec![false; lent.parts()];
+    for (k, part) in lent.take_folded() {
         folded[k] = Some(part);
         helped[k] = true;
     }
-    let mut split = Split::default();
+    let len = |k: usize| lent.range(k).1 - lent.range(k).0;
+    let mut split = Split {
+        work: (0..folded.len())
+            .filter(|&k| folded[k].is_some())
+            .map(len)
+            .sum(),
+        #[cfg(test)]
+        held: lent.held(),
+        ..Split::default()
+    };
+    let failed = folded.iter().any(|part| matches!(part, Some(None)));
     for (k, slot) in folded.into_iter().enumerate() {
-        // A part taken back, or claimed by a helper that has not finished
-        // it (it may not be running at all), is folded here.
-        let Some(part) = slot.unwrap_or_else(|| fold(k)) else {
-            split.rejected = ranges.len() - k;
+        let (from, to) = lent.range(k);
+        let part = match slot {
+            Some(part) => part,
+            // Claimed by a helper whose fold panicked.
+            None if !failed => {
+                split.work += to - from;
+                #[cfg(test)]
+                {
+                    split.refolded += 1;
+                }
+                fold_part(&data[from..to], max)
+            }
+            // Never claimed: a part had failed.
+            None => None,
+        };
+        let Some(part) = part else {
+            split.rejected = lent.parts() - k;
             break;
         };
         split.forms.extend(part.forms);
         split.words += part.words;
-        split.end = ranges[k].1;
+        split.end = to;
         split.accepted += 1;
         split.helped += usize::from(helped[k]);
     }
-    split.work = folded_here + copied;
     split
 }
 
@@ -4079,11 +4098,14 @@ mod tests {
     /// A document whose CDATA sections hold most of its `<`s, as a feed
     /// with HTML in CDATA does: most cuts land inside a section, so a
     /// split rejects parts. The scan still equals the sequential one, and
-    /// the bytes the splits fold or copy stay within the document's length
-    /// — a buffer is split once, and nothing is folded past a part known
-    /// to have failed — rather than growing with each cut: in 8 parts of a
+    /// the bytes the splits fold, on any thread, stay within the
+    /// document's length — a buffer is split once and each part is folded
+    /// at most once — rather than growing with each cut: in 8 parts of a
     /// 256 KiB document on any host, and through `fill_forms` past the
-    /// split size wherever a core is free.
+    /// split size wherever a core is free. Once a part fails no thread
+    /// claims another: with no helper the calling thread folds the
+    /// accepted parts and the first one that fails, and a helper slowed
+    /// while it holds a part adds that one part and no more.
     #[test]
     fn cuts_inside_cdata_cost_at_most_one_split_of_a_buffer() {
         let unit = "<a><![CDATA[<p>x</p><p>y</p><br/><br/>]]></a>";
@@ -4102,12 +4124,181 @@ mod tests {
                 assert!(run.3 .1 > 0, "{ctx}: a cut lands inside CDATA");
             }
         }
-        // With no helper to copy parts for, the calling thread folds the
-        // accepted parts and the first one that fails, and nothing after.
-        let split = fold_split(&small, EVENT_SLICE, 8, 1);
+        let ranges = cut(&small, 8).expect("8 parts");
+        let part = ranges
+            .iter()
+            .map(|&(from, to)| to - from)
+            .max()
+            .unwrap_or(0);
+        let split = fold_split(&small, EVENT_SLICE, 8, 1, Fault::None);
         assert!(split.rejected > 0);
-        let part = small.len() / 8;
         assert!(split.work < split.end + 2 * part, "{} bytes", split.work);
+        if pool::helpers() > 0 {
+            // The calling thread folds parts `0..=accepted`; past them, a
+            // helper's part.
+            let helped = move |split: &Split| {
+                let (from, to) = ranges[split.accepted];
+                split.work > split.end + (to - from)
+            };
+            let slow = Fault::Slow(std::time::Duration::from_millis(100));
+            let split = split_until(&small, 8, slow, helped);
+            assert!(split.rejected > 0);
+            assert!(
+                split.work <= split.end + 2 * part,
+                "{} bytes past {}",
+                split.work,
+                split.end
+            );
+        }
+    }
+
+    /// The joined forms and the text words of a split's accepted parts.
+    fn joined(split: &Split) -> (Forms, usize) {
+        let forms = split.forms.iter().fold(Forms::default(), |a, &f| a.then(f));
+        (forms, split.words)
+    }
+
+    /// [`joined`] for `bytes` folded as one part.
+    fn joined_whole(bytes: &[u8]) -> (Forms, usize) {
+        let part = fold_part(bytes, EVENT_SLICE).expect("the bytes fold");
+        let forms = part.forms.iter().fold(Forms::default(), |a, &f| a.then(f));
+        (forms, part.words)
+    }
+
+    /// Splits `data` into `parts` parts, open to one helper with `fault`
+    /// injected, until `helped` says a helper took part (on a host with
+    /// helpers; other tests' scans may keep the cores busy for a while),
+    /// on a thread of its own so that a split that never returns fails the
+    /// test. Asserts of every split that no helper still held a claim when
+    /// it returned, and returns the last.
+    fn split_until(
+        data: &[u8],
+        parts: usize,
+        fault: Fault,
+        helped: impl Fn(&Split) -> bool + Send + Sync + 'static,
+    ) -> Split {
+        use std::time::{Duration, Instant};
+        let data = data.to_vec();
+        let helped = std::sync::Arc::new(helped);
+        let (done, result) = std::sync::mpsc::channel();
+        let helper_took_part = std::sync::Arc::clone(&helped);
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let (mut tries, mut held) = (0, 0);
+            loop {
+                tries += 1;
+                let split = fold_split(&data, EVENT_SLICE, parts, 2, fault);
+                held = held.max(split.held);
+                if helper_took_part(&split) || Instant::now() > deadline {
+                    let _ = done.send((split, tries, held));
+                    return;
+                }
+            }
+        });
+        let (split, tries, held) = result
+            .recv_timeout(Duration::from_secs(90))
+            .expect("every split returns");
+        assert_eq!(held, 0, "a claim outlived its split");
+        assert!(helped(&split), "no helper took part in {tries} tries");
+        split
+    }
+
+    /// A well-formed document of 8 parts of 16 KiB, each accepted.
+    fn lent_document() -> Vec<u8> {
+        repeated_document("<a k='v'> w0 <b/></a>", 128 << 10)
+    }
+
+    /// A helper slowed between its claim and its fold: the calling thread
+    /// folds every other part and waits, parked, for the helper's, and the
+    /// split equals one fold of the same bytes.
+    #[test]
+    fn a_split_waits_for_the_part_a_slow_helper_holds() {
+        if pool::helpers() == 0 {
+            return;
+        }
+        let data = lent_document();
+        let slow = Fault::Slow(std::time::Duration::from_millis(30));
+        let split = split_until(&data, 8, slow, |split| split.helped > 0);
+        assert_eq!((split.accepted, split.rejected), (8, 0));
+        assert_eq!(joined(&split), joined_whole(&data[..split.end]));
+        assert_eq!(split.work, split.end, "each part folded once");
+    }
+
+    /// A front part that fails closes the claims while a slowed helper
+    /// holds a back part: the split waits for it, takes no other part, and
+    /// rejects every part.
+    #[test]
+    fn a_failed_front_part_closes_the_claims_and_waits() {
+        if pool::helpers() == 0 {
+            return;
+        }
+        let mut data = lent_document();
+        data.insert(10, 0xFF);
+        let ranges = cut(&data, 8).expect("8 parts");
+        let len = |(from, to): (usize, usize)| to - from;
+        let front = len(ranges[0]);
+        let part = ranges.iter().copied().map(len).max().unwrap_or(0);
+        let slow = Fault::Slow(std::time::Duration::from_millis(200));
+        // The calling thread folds part 0 alone; past it, a helper's part.
+        let split = split_until(&data, 8, slow, move |split| split.work > front);
+        assert_eq!((split.accepted, split.rejected), (0, 8));
+        assert!(split.work <= front + part, "{} bytes", split.work);
+    }
+
+    /// A helper whose fold panics releases its claim while unwinding: the
+    /// split returns, folds that part on the calling thread, and equals
+    /// one fold of the same bytes.
+    #[test]
+    fn a_panicking_helper_leaves_its_part_to_the_calling_thread() {
+        if pool::helpers() == 0 {
+            return;
+        }
+        let data = lent_document();
+        let split = split_until(&data, 8, Fault::Panic, |split| split.refolded > 0);
+        assert_eq!((split.accepted, split.rejected), (8, 0));
+        assert_eq!(split.work, split.end, "each part folded once");
+        assert_eq!(joined(&split), joined_whole(&data[..split.end]));
+    }
+
+    /// Three callers split their own buffers at once, each overwriting its
+    /// buffer between calls with another document of the same length:
+    /// every split, joined with the rest of the buffer after its last
+    /// part, equals the sequential scan of the bytes its caller held, so
+    /// no part is folded from another split's or a stale buffer.
+    #[test]
+    fn concurrent_callers_each_get_their_own_bytes() {
+        let mut docs = [long_document(3), long_document(5)];
+        let len = docs[0].len().max(docs[1].len());
+        for doc in &mut docs {
+            doc.resize(len, b' ');
+        }
+        let sequential: Vec<_> = docs
+            .iter()
+            .map(|doc| {
+                let (forms, words, err, _) = split_run(doc, EVENT_SLICE, 1, 1);
+                assert_eq!(err, None);
+                (forms, words)
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for caller in 0..3 {
+                let (docs, sequential) = (&docs, &sequential);
+                scope.spawn(move || {
+                    let mut buffer = docs[caller % 2].clone();
+                    for round in 0..24 {
+                        let which = (caller + round) % 2;
+                        buffer.copy_from_slice(&docs[which]);
+                        let split = fold_split(&buffer, EVENT_SLICE, 4, 2, Fault::None);
+                        let ctx = format!("caller {caller}, round {round}");
+                        assert_eq!((split.accepted, split.held), (4, 0), "{ctx}");
+                        let (forms, words) = joined(&split);
+                        let (rest, rest_words) = joined_whole(&buffer[split.end..]);
+                        let scanned = (forms.then(rest), words + rest_words);
+                        assert_eq!(scanned, sequential[which], "{ctx}");
+                    }
+                });
+            }
+        });
     }
 
     /// After `r` splits in a row do not pay, the next `2^r − 1` splits (at

@@ -1,9 +1,10 @@
-//! The scanner's stage-1 block classifiers and its append sink: the only
-//! code in the crate allowed `unsafe`. Every kernel turns one 64-byte block
-//! into the same [`BlockMasks`]; the portable [`Swar`] kernel is plain
-//! word arithmetic, while [`Avx2`] (`x86_64`, runtime-detected) and
-//! [`Neon`] (`aarch64`, baseline) are vector intrinsics whose ISA presence
-//! is proven by construction of their zero-sized token types.
+//! The scanner's stage-1 block classifiers and its append sink: one of the
+//! two modules in the crate allowed `unsafe` (the other is `lend`). Every
+//! kernel turns one 64-byte block into the same [`BlockMasks`]; the
+//! portable [`Swar`] kernel is plain word arithmetic, while [`Avx2`]
+//! (`x86_64`, runtime-detected) and [`Neon`] (`aarch64`, baseline) are
+//! vector intrinsics whose ISA presence is proven by construction of their
+//! zero-sized token types.
 
 use super::{build_tape, walk_forms, FormsPass, Pass, Tape, HIGHS, ONES};
 

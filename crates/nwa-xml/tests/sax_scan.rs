@@ -748,13 +748,16 @@ fn shifted(doc: &str, shift: usize) -> String {
     format!("<pad>{}{doc}</pad>", " ".repeat(shift))
 }
 
-/// Simple documents at every one of the 64 block alignments, and across
-/// the 64 KiB window seam at shifting offsets, equal the oracle.
+/// Simple documents at the 64 block alignments, and across the 64 KiB
+/// window seam at shifting offsets, equal the oracle. The alignments are
+/// [`sampled`], rotated by seed, so the default seeds cover three of every
+/// four; `NWA_PROP_ITERS` ≥ 4 runs all 64 for every seed.
 #[test]
 fn simple_documents_match_char_lexer_at_every_block_alignment() {
+    let shifts: Vec<usize> = (0..64).collect();
     for seed in 0..prop_iters(3) as u64 {
         let doc = simple_document(1_500, seed);
-        for shift in 0..64usize {
+        for shift in sampled(&shifts, seed as usize) {
             let padded = shifted(&doc, shift);
             assert_equivalent_windowed(padded.as_bytes(), &format!("seed {seed} shift {shift}"));
         }
