@@ -1,9 +1,11 @@
 //! Succinctness and construction experiments (E1–E8, E13, E14 of
 //! `DESIGN.md`): every run first prints the state-count tables that mirror
 //! the paper's Theorems 1–8, then times the underlying constructions with
-//! Criterion.
+//! Criterion. The `decision` group times the §3.2 decision procedures on
+//! determinized automata against their sources.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nested_words_suite::nwa::boolean::{complement, intersect};
 use nested_words_suite::nwa::bottom_up::to_bottom_up;
 use nested_words_suite::nwa::families::{
     minimal_states, path_family_nwa, path_family_tagged_dfa, theorem3_sweep, theorem5_sweep,
@@ -12,6 +14,7 @@ use nested_words_suite::nwa::families::{
 use nested_words_suite::nwa::flat::from_tagged_dfa;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::nwa::weak::to_weak;
+use nested_words_suite::nwa_xml::queries::open_depth_at_most_nwa;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 use std::time::Duration;
@@ -244,6 +247,31 @@ fn bench_constructions(c: &mut Criterion) {
             b.iter(|| query::minimize(d))
         });
     }
+    group.finish();
+
+    // Decision procedures: equivalence of the determinized path family
+    // (39 states) with its source, and emptiness of the product
+    // `d ∩ complement(m)` that inclusion builds for the determinized
+    // open-depth bound. Both languages are empty, so the summary engine
+    // saturates.
+    let mut group = c.benchmark_group("decision");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(500));
+    let path = path_family_nwa(3);
+    let path_det = Nnwa::from_deterministic(&path).determinize();
+    assert!(query::equals(&path_det, &path));
+    group.bench_function("equivalent/path_family_3", |b| {
+        b.iter(|| query::equals(&path_det, &path))
+    });
+    let depth = open_depth_at_most_nwa(3, 2);
+    let depth_det = Nnwa::from_deterministic(&depth).determinize();
+    let product = intersect(&depth_det, &complement(&depth));
+    assert!(query::is_empty(&product));
+    group.bench_function("is_empty_det/open_depth_at_most_3", |b| {
+        b.iter(|| query::is_empty(&product))
+    });
     group.finish();
 }
 

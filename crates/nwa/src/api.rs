@@ -74,8 +74,8 @@ impl Witness for Nwa {
     type Input = NestedWord;
 
     /// A shortest accepted nested word (see
-    /// [`crate::witness::shortest_accepted_det`]): the emptiness saturation
-    /// instrumented with backpointers through the summary relation.
+    /// [`crate::witness::shortest_accepted_det`]): the summary saturation
+    /// that decides emptiness, unwound through its backpointers.
     fn witness(&self) -> Option<NestedWord> {
         crate::witness::shortest_accepted_det(self)
     }

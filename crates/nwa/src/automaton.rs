@@ -158,52 +158,6 @@ impl Nwa {
             (1..self.num_states).all(|q| self.call_linear(q, a) == first)
         })
     }
-
-    /// The states reachable from the initial state by any nested word
-    /// (over-approximated structurally: closure under all three transition
-    /// functions, pairing every reachable linear state with every reachable
-    /// hierarchical state at returns).
-    pub fn reachable_states(&self) -> Vec<usize> {
-        let mut reachable = vec![false; self.num_states];
-        reachable[self.initial] = true;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for q in 0..self.num_states {
-                if !reachable[q] {
-                    continue;
-                }
-                for a in 0..self.sigma {
-                    let a = Symbol(a as u16);
-                    for t in [
-                        self.call_linear(q, a),
-                        self.call_hier(q, a),
-                        self.internal(q, a),
-                    ] {
-                        if !reachable[t] {
-                            reachable[t] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            for ql in 0..self.num_states {
-                for qh in 0..self.num_states {
-                    if !reachable[ql] || !reachable[qh] {
-                        continue;
-                    }
-                    for a in 0..self.sigma {
-                        let t = self.ret(ql, qh, Symbol(a as u16));
-                        if !reachable[t] {
-                            reachable[t] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        (0..self.num_states).filter(|&q| reachable[q]).collect()
-    }
 }
 
 /// A streaming run of a deterministic NWA over a stream of tagged symbols
@@ -412,20 +366,6 @@ mod tests {
         assert!(trivial.is_flat());
         assert!(trivial.is_bottom_up());
         assert!(!trivial.is_weak());
-    }
-
-    #[test]
-    fn reachable_states_excludes_unused() {
-        let mut m = Nwa::new(5, 1, 0);
-        let a = Symbol(0);
-        m.set_internal(0, a, 1);
-        m.set_internal(1, a, 0);
-        m.set_call(0, a, 0, 0);
-        m.set_call(1, a, 1, 1);
-        // states 2,3,4 unreachable
-        m.set_internal(2, a, 3);
-        let r = m.reachable_states();
-        assert_eq!(r, vec![0, 1]);
     }
 
     #[test]

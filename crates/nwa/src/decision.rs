@@ -1,9 +1,10 @@
 //! Decision problems for nested word automata (§3.2 of the paper):
 //! emptiness, language inclusion and language equivalence.
 //!
-//! Emptiness runs in polynomial time via saturation of *well-matched
-//! summaries* — the same technique used for pushdown word automata and tree
-//! automata, as the paper notes. Inclusion and equivalence reduce to
+//! Emptiness is the summary saturation of [`crate::witness`], which settles
+//! well-matched summaries and reach facts from a worklist in order of
+//! length and stops at the first accepting reach fact — polynomial time
+//! (the paper quotes cubic). Inclusion and equivalence reduce to
 //! complementation (determinization for nondeterministic input),
 //! intersection and emptiness, and are therefore EXPTIME in the
 //! nondeterministic case.
@@ -11,103 +12,12 @@
 use crate::automaton::Nwa;
 use crate::boolean::{complement, intersect};
 use crate::nondet::Nnwa;
-use std::collections::BTreeSet;
-
-/// The relation `WM(q, q')`: there exists a **well-matched** nested word that
-/// takes the automaton from `q` to `q'`. Computed by saturation:
-///
-/// * `WM(q, q)`;
-/// * internal steps extend summaries;
-/// * a call transition, a summary for the body and a matching return
-///   transition compose into a summary (`call–body–return` rule);
-/// * summaries concatenate.
-pub fn well_matched_summaries(a: &Nnwa) -> BTreeSet<(usize, usize)> {
-    let mut wm: BTreeSet<(usize, usize)> = (0..a.num_states()).map(|q| (q, q)).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // internal extension
-        let snapshot: Vec<(usize, usize)> = wm.iter().copied().collect();
-        for &(q, q1) in &snapshot {
-            for &(p, _sym, t) in a.internals() {
-                if p == q1 && wm.insert((q, t)) {
-                    changed = true;
-                }
-            }
-        }
-        // call–body–return
-        for &(qc, csym, ql, qh) in a.calls() {
-            let _ = csym;
-            let bodies: Vec<usize> = wm
-                .iter()
-                .filter(|&&(s, _)| s == ql)
-                .map(|&(_, e)| e)
-                .collect();
-            for body_end in bodies {
-                for &(rl, rh, _rsym, t) in a.returns() {
-                    if rl == body_end && rh == qh && wm.insert((qc, t)) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        // concatenation
-        let snapshot: Vec<(usize, usize)> = wm.iter().copied().collect();
-        for &(q, q1) in &snapshot {
-            for &(q2, q3) in &snapshot {
-                if q1 == q2 && wm.insert((q, q3)) {
-                    changed = true;
-                }
-            }
-        }
-    }
-    wm
-}
-
-/// The set of states reachable from the initial states by *some* nested word
-/// (possibly with pending calls and pending returns). Returns
-/// `(no_pending_call, with_pending_call)`: states reachable without having
-/// taken any pending call yet, and states reachable after at least one
-/// pending call (pending returns are only legal in the first mode, since a
-/// pending return cannot follow a pending call without crossing).
-pub fn reachable_sets(a: &Nnwa) -> (BTreeSet<usize>, BTreeSet<usize>) {
-    let wm = well_matched_summaries(a);
-    let mut r0: BTreeSet<usize> = a.initial_states().collect();
-    let mut r1: BTreeSet<usize> = BTreeSet::new();
-    let initials: BTreeSet<usize> = a.initial_states().collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // close both sets under well-matched summaries
-        for &(q, q1) in &wm {
-            if r0.contains(&q) && r0.insert(q1) {
-                changed = true;
-            }
-            if r1.contains(&q) && r1.insert(q1) {
-                changed = true;
-            }
-        }
-        // pending returns: only in mode 0, hierarchical state is initial
-        for &(rl, rh, _sym, t) in a.returns() {
-            if r0.contains(&rl) && initials.contains(&rh) && r0.insert(t) {
-                changed = true;
-            }
-        }
-        // pending calls: move to mode 1
-        for &(q, _sym, ql, _qh) in a.calls() {
-            if (r0.contains(&q) || r1.contains(&q)) && r1.insert(ql) {
-                changed = true;
-            }
-        }
-    }
-    (r0, r1)
-}
+use crate::witness::accepts_some;
 
 /// Emptiness for nondeterministic NWAs: `true` iff the automaton accepts no
-/// nested word. Polynomial time (the paper quotes cubic).
+/// nested word.
 pub fn is_empty(a: &Nnwa) -> bool {
-    let (r0, r1) = reachable_sets(a);
-    !r0.iter().chain(r1.iter()).any(|&q| a.is_accepting(q))
+    !accepts_some(a)
 }
 
 /// Emptiness for deterministic NWAs.
@@ -142,7 +52,212 @@ pub fn equivalent_nondet(a: &Nnwa, b: &Nnwa) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nested_words::Symbol;
+    use crate::witness::shortest_accepted;
+    use nested_words::rng::Prng;
+    use nested_words::{NestedWord, Symbol, TaggedSymbol};
+    use std::collections::BTreeSet;
+
+    /// The round-robin saturation the worklist engine replaced, kept as the
+    /// oracle of the differential properties below: the well-matched
+    /// summaries `WM(q, q')` closed under internal extension,
+    /// call–body–return and concatenation, then the initial states closed
+    /// under summaries, pending returns (mode 0, initial hierarchical state)
+    /// and pending calls (into mode 1).
+    fn oracle_is_empty(a: &Nnwa) -> bool {
+        let mut wm: BTreeSet<(usize, usize)> = (0..a.num_states()).map(|q| (q, q)).collect();
+        let mut changed = true;
+        while changed {
+            let before = wm.len();
+            let snapshot: Vec<(usize, usize)> = wm.iter().copied().collect();
+            for &(q, q1) in &snapshot {
+                for &(p, _, t) in a.internals() {
+                    if p == q1 {
+                        wm.insert((q, t));
+                    }
+                }
+                for &(q2, q3) in &snapshot {
+                    if q1 == q2 {
+                        wm.insert((q, q3));
+                    }
+                }
+            }
+            for &(qc, _, ql, qh) in a.calls() {
+                for &(_, end) in snapshot.iter().filter(|&&(s, _)| s == ql) {
+                    for &(rl, rh, _, t) in a.returns() {
+                        if rl == end && rh == qh {
+                            wm.insert((qc, t));
+                        }
+                    }
+                }
+            }
+            changed = wm.len() != before;
+        }
+        let initials: BTreeSet<usize> = a.initial_states().collect();
+        let mut r0 = initials.clone();
+        let mut r1 = BTreeSet::new();
+        changed = true;
+        while changed {
+            let before = r0.len() + r1.len();
+            for &(q, q1) in &wm {
+                if r0.contains(&q) {
+                    r0.insert(q1);
+                }
+                if r1.contains(&q) {
+                    r1.insert(q1);
+                }
+            }
+            for &(rl, rh, _, t) in a.returns() {
+                if r0.contains(&rl) && initials.contains(&rh) {
+                    r0.insert(t);
+                }
+            }
+            for &(q, _, ql, _) in a.calls() {
+                if r0.contains(&q) || r1.contains(&q) {
+                    r1.insert(ql);
+                }
+            }
+            changed = r0.len() + r1.len() != before;
+        }
+        !r0.iter().chain(&r1).any(|&q| a.is_accepting(q))
+    }
+
+    /// Iteration budget scaled by `NWA_PROP_ITERS`, as in the property
+    /// suites.
+    fn prop_iters(base: usize) -> usize {
+        let scale = std::env::var("NWA_PROP_ITERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&m| m > 0)
+            .unwrap_or(1);
+        base * scale
+    }
+
+    /// A random NNWA of 2–5 states with one to three initial states; half
+    /// of the hierarchical states on calls and returns are initial ones, so
+    /// both pending returns and matched-only returns occur, and calls whose
+    /// pushed state no return pops can only stay pending.
+    fn random_nnwa(seed: u64) -> Nnwa {
+        let mut rng = Prng::new(seed);
+        let n = 2 + rng.below(4);
+        let sigma = 1 + rng.below(2);
+        let mut a = Nnwa::new(n, sigma);
+        let initial: Vec<usize> = (0..1 + rng.below(3)).map(|_| rng.below(n)).collect();
+        for &q in &initial {
+            a.add_initial(q);
+        }
+        a.add_accepting(rng.below(n));
+        for _ in 0..n + rng.below(2 * n) {
+            let s = Symbol(rng.below(sigma) as u16);
+            let (q, t) = (rng.below(n), rng.below(n));
+            let h = if rng.bool(0.5) {
+                initial[rng.below(initial.len())]
+            } else {
+                rng.below(n)
+            };
+            match rng.below(3) {
+                0 => a.add_internal(q, s, t),
+                1 => a.add_call(q, s, t, h),
+                _ => a.add_return(q, h, s, t),
+            }
+        }
+        a
+    }
+
+    /// A random complete deterministic NWA of 2–4 states over two symbols.
+    fn random_det_nwa(rng: &mut Prng) -> Nwa {
+        let n = 2 + rng.below(3);
+        let mut m = Nwa::new(n, 2, 0);
+        for q in 0..n {
+            m.set_accepting(q, rng.bool(0.4));
+            for a in [Symbol(0), Symbol(1)] {
+                m.set_internal(q, a, rng.below(n));
+                m.set_call(q, a, rng.below(n), rng.below(n));
+                for h in 0..n {
+                    m.set_return(q, h, a, rng.below(n));
+                }
+            }
+        }
+        m
+    }
+
+    /// Whether `a` accepts some tagged word of exactly `len` positions.
+    fn accepts_some_of_length(a: &Nnwa, len: usize) -> bool {
+        let mut words: Vec<Vec<TaggedSymbol>> = vec![Vec::new()];
+        for _ in 0..len {
+            words = words
+                .iter()
+                .flat_map(|w| {
+                    (0..a.sigma()).flat_map(move |s| {
+                        let s = Symbol(s as u16);
+                        [
+                            TaggedSymbol::Call(s),
+                            TaggedSymbol::Internal(s),
+                            TaggedSymbol::Return(s),
+                        ]
+                        .map(|t| [w.as_slice(), &[t]].concat())
+                    })
+                })
+                .collect();
+        }
+        words.iter().any(|w| a.accepts(&NestedWord::from_tagged(w)))
+    }
+
+    /// The worklist engine decides emptiness exactly as the oracle
+    /// saturation does, and every witness it returns is accepted; no word
+    /// shorter than a witness of up to four positions is accepted.
+    #[test]
+    fn emptiness_agrees_with_oracle_saturation() {
+        let iters = prop_iters(400);
+        let (mut empty, mut pending_calls, mut pending_returns) = (0, 0, 0);
+        for seed in 0..iters as u64 {
+            let a = random_nnwa(seed);
+            assert_eq!(is_empty(&a), oracle_is_empty(&a), "seed {seed}");
+            match shortest_accepted(&a) {
+                None => {
+                    assert!(is_empty(&a), "seed {seed}: no witness, not empty");
+                    empty += 1;
+                }
+                Some(w) => {
+                    assert!(a.accepts(&w), "seed {seed}: witness rejected");
+                    if w.len() <= 4 {
+                        for len in 0..w.len() {
+                            assert!(
+                                !accepts_some_of_length(&a, len),
+                                "seed {seed}: not shortest"
+                            );
+                        }
+                    }
+                    pending_calls += usize::from((0..w.len()).any(|i| w.is_pending_call(i)));
+                    pending_returns += usize::from((0..w.len()).any(|i| w.is_pending_return(i)));
+                }
+            }
+        }
+        assert!(0 < empty && empty < iters, "{empty} of {iters} empty");
+        assert!(pending_calls > 0, "no witness with a pending call");
+        assert!(pending_returns > 0, "no witness with a pending return");
+    }
+
+    /// Inclusion agrees with the oracle on the products it builds: each
+    /// random deterministic NWA against a copy with one acceptance bit
+    /// flipped, in both directions, so both verdicts occur.
+    #[test]
+    fn inclusion_agrees_with_oracle_saturation() {
+        let mut verdicts = [0usize; 2];
+        for seed in 0..prop_iters(60) as u64 {
+            let mut rng = Prng::new(seed);
+            let x = random_det_nwa(&mut rng);
+            let mut y = x.clone();
+            let q = rng.below(x.num_states());
+            y.set_accepting(q, !x.is_accepting(q));
+            for (l, r) in [(&x, &y), (&y, &x)] {
+                let product = Nnwa::from_deterministic(&intersect(l, &complement(r)));
+                let included = included_in(l, r);
+                assert_eq!(included, oracle_is_empty(&product), "seed {seed}");
+                verdicts[usize::from(included)] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&v| v > 0), "verdicts {verdicts:?}");
+    }
 
     /// Nondeterministic NWA accepting rooted words over {a} of even depth ≥ 2
     /// of the shape <a <a ... a> a> (pure nesting, no internals).
@@ -170,15 +285,6 @@ mod tests {
             n.add_return(lin, 0, a, 3);
         }
         n
-    }
-
-    #[test]
-    fn summaries_contain_identity() {
-        let n = even_depth_nest();
-        let wm = well_matched_summaries(&n);
-        for q in 0..n.num_states() {
-            assert!(wm.contains(&(q, q)));
-        }
     }
 
     #[test]

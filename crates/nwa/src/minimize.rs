@@ -65,10 +65,10 @@ pub fn reduce(nwa: &Nwa) -> Nwa {
     // Joint reachability closure. `reachable` collects every state that can
     // appear in a run at all — linearly, or on a hierarchical edge
     // (`is_hier`: the initial state for pending returns, plus the δc^h
-    // images of reachable states). Unlike `Nwa::reachable_states`, returns
-    // are explored only through *realizable* hierarchical arguments, so a
-    // junk entry `δr(q, h, a)` with unrealizable `h` cannot drag otherwise
-    // dead states into the quotient.
+    // images of reachable states). Returns are explored only through
+    // *realizable* hierarchical arguments, so a junk entry `δr(q, h, a)`
+    // with unrealizable `h` cannot drag otherwise dead states into the
+    // quotient.
     let mut reachable = vec![false; nwa.num_states()];
     let mut is_hier = vec![false; nwa.num_states()];
     reachable[nwa.initial()] = true;

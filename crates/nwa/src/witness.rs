@@ -1,19 +1,13 @@
-//! Emptiness witness extraction for nested word automata: a shortest-ish
-//! accepted [`NestedWord`] instead of a bare boolean.
+//! The summary saturation of §3.2, the one fixpoint behind every decision
+//! procedure of this crate: emptiness ([`crate::decision::is_empty`]),
+//! inclusion and equivalence (which reduce to emptiness), and the shortest
+//! accepted [`NestedWord`] this module returns as a witness.
 //!
-//! The emptiness procedure of §3.2 ([`crate::decision`]) saturates the
-//! *well-matched summary* relation `WM(q, q')` and then closes the initial
-//! states under summaries, pending returns and pending calls. This module
-//! runs the same derivation system, but every derived fact carries its
-//! shortest derivation: a length and a backpointer to the rule instance that
-//! produced it. Reaching an accepting state then reconstructs a concrete
-//! accepted nested word — including pending edges — by unwinding the
-//! backpointers through the call/return summary relation.
-//!
-//! The derivation rules mirror [`crate::decision::well_matched_summaries`] /
-//! [`crate::decision::reachable_sets`], restated so that every rule grows
-//! its conclusion strictly (which makes the backpointer graph well-founded
-//! and plain fixpoint iteration sufficient):
+//! The engine derives *well-matched summaries* `SUM(q, q')` (some
+//! well-matched word leads from `q` to `q'`) and two reach modes `R₀(q)`,
+//! `R₁(q)` (before and after the first pending call). Every fact carries
+//! its shortest derivation, a length and a backpointer to the rule instance
+//! that produced it:
 //!
 //! * `SUM(q, q)` by the empty word;
 //! * `SUM(p, q) --a--> SUM(p, t)` for an internal transition `(q, a, t)`;
@@ -25,12 +19,26 @@
 //!   initial state, §3.1); pending calls switch to mode 1, where no pending
 //!   return may follow (edges never cross).
 //!
+//! Facts are settled from a worklist in order of length — Knuth's
+//! generalisation of Dijkstra's algorithm, which applies because each
+//! conclusion is at least as long as each of its premises. A settled fact is
+//! joined only with the rules that can use it: internal steps out of its
+//! target, calls out of its target (as a prefix, against the settled bodies
+//! of the callee), calls into its source (as a body, against the settled
+//! prefixes of the caller, with returns indexed by linear and hierarchical
+//! state), and the reach facts it composes with. Each combination of
+//! prefix, call, body and return is thus visited once, the cubic bound the
+//! paper quotes. The first accepting reach fact settled is a shortest
+//! witness, and the search stops there; an empty language saturates.
+//!
 //! Lengths are minimal over this rule system, so witnesses are shortest
-//! accepted words up to the usual caveat that a shortest derivation of an
+//! accepted words, with the usual caveat that a shortest derivation of an
 //! exponentially long witness is still exponentially long to materialize.
 
 use crate::nondet::Nnwa;
 use nested_words::{NestedWord, Symbol, TaggedSymbol};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How a fact was derived; indices refer to the fact arrays of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +66,63 @@ enum Back {
     ReachPendingCall { reach: usize, sym: Symbol },
 }
 
+/// Groups `(key, value)` pairs into one list per key in `0..keys`.
+fn group<T>(keys: usize, pairs: impl Iterator<Item = (usize, T)>) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..keys).map(|_| Vec::new()).collect();
+    for (k, v) in pairs {
+        out[k].push(v);
+    }
+    out
+}
+
+/// The transition relations of one automaton, indexed for the joins.
+struct Rules {
+    num_states: usize,
+    /// `(a, t)` by source state.
+    internals_from: Vec<Vec<(Symbol, usize)>>,
+    /// `(c, ql, qh)` by source state.
+    calls_from: Vec<Vec<(Symbol, usize, usize)>>,
+    /// `(qc, c, qh)` by linear target.
+    calls_into: Vec<Vec<(usize, Symbol, usize)>>,
+    /// `(linear·n + hier, r, t)`, sorted by the key; the returns of key
+    /// `k` are `returns[starts[k]..starts[k + 1]]`.
+    returns: Vec<(usize, Symbol, usize)>,
+    starts: Vec<usize>,
+}
+
+impl Rules {
+    fn new(a: &Nnwa) -> Rules {
+        let n = a.num_states();
+        let mut returns: Vec<_> = a
+            .returns()
+            .iter()
+            .map(|&(rl, rh, r, t)| (rl * n + rh, r, t))
+            .collect();
+        returns.sort_unstable_by_key(|&(key, ..)| key);
+        let mut starts = vec![0; n * n + 1];
+        for &(key, ..) in &returns {
+            starts[key + 1] += 1;
+        }
+        for key in 0..n * n {
+            starts[key + 1] += starts[key];
+        }
+        Rules {
+            num_states: n,
+            internals_from: group(n, a.internals().iter().map(|&(q, s, t)| (q, (s, t)))),
+            calls_from: group(n, a.calls().iter().map(|&(q, c, l, h)| (q, (c, l, h)))),
+            calls_into: group(n, a.calls().iter().map(|&(q, c, l, h)| (l, (q, c, h)))),
+            returns,
+            starts,
+        }
+    }
+
+    /// The returns `(_, r, t)` out of linear state `linear` popping `hier`.
+    fn returns_at(&self, linear: usize, hier: usize) -> &[(usize, Symbol, usize)] {
+        let key = linear * self.num_states + hier;
+        &self.returns[self.starts[key]..self.starts[key + 1]]
+    }
+}
+
 /// Shortest-derivation engine over the summary relation of one automaton.
 struct Engine {
     /// Fact layout: `SUM(p, q) = p·n + q`, `R₀(q) = n² + q`,
@@ -65,6 +130,8 @@ struct Engine {
     num_states: usize,
     dist: Vec<usize>,
     back: Vec<Back>,
+    /// Facts derived but not settled, by length.
+    queue: BinaryHeap<Reverse<(usize, usize)>>,
 }
 
 impl Engine {
@@ -76,141 +143,123 @@ impl Engine {
         self.num_states * self.num_states + mode * self.num_states + q
     }
 
-    /// Relaxes one fact: records the strictly better derivation if `len`
-    /// improves on the best known one.
-    fn relax(&mut self, fact: usize, len: usize, back: Back) -> bool {
+    /// Relaxes one fact: records and queues the derivation if `len`
+    /// improves on the best known one. Lengths saturate (witnesses can be
+    /// exponentially long), and a saturated length is never stored, since
+    /// `usize::MAX` is the "unreached" sentinel.
+    fn relax(&mut self, fact: usize, len: usize, back: Back) {
         if len < self.dist[fact] {
             self.dist[fact] = len;
             self.back[fact] = back;
-            true
-        } else {
-            false
+            self.queue.push(Reverse((len, fact)));
         }
     }
 
-    /// Saturates the derivation system of `a` to the least fixpoint of
-    /// shortest lengths.
-    fn saturate(a: &Nnwa) -> Engine {
+    /// Settles facts in order of length until the first accepting reach
+    /// fact, which it returns, or until the derivation system of `a` is
+    /// saturated (`None`: the language is empty).
+    fn search(a: &Nnwa) -> (Engine, Option<usize>) {
         let n = a.num_states();
+        let rules = Rules::new(a);
+        let initial: Vec<usize> = a.initial_states().collect();
         let mut e = Engine {
             num_states: n,
             dist: vec![usize::MAX; n * n + 2 * n],
             back: vec![Back::None; n * n + 2 * n],
+            queue: BinaryHeap::new(),
         };
         for q in 0..n {
-            let f = e.sum(q, q);
-            e.relax(f, 0, Back::SumEps);
+            e.relax(e.sum(q, q), 0, Back::SumEps);
         }
-        for q0 in a.initial_states() {
-            let f = e.reach(0, q0);
-            e.relax(f, 0, Back::ReachInit);
+        for &q0 in &initial {
+            e.relax(e.reach(0, q0), 0, Back::ReachInit);
         }
-        let initial: Vec<usize> = a.initial_states().collect();
-        // Return transitions indexed by their hierarchical state, so the
-        // call–body–return rule only pairs a call with the returns that can
-        // consume the state it pushes.
-        let mut returns_by_hier: Vec<Vec<(usize, Symbol, usize)>> = vec![Vec::new(); n];
-        for &(rl, rh, rsym, t) in a.returns() {
-            returns_by_hier[rh].push((rl, rsym, t));
-        }
+        let mut settled = vec![false; n * n + 2 * n];
+        // Settled summaries by source and by target.
+        let mut sums_from: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut sums_into: Vec<Vec<usize>> = vec![Vec::new(); n];
 
-        // Fixpoint iteration. Every rule below adds at least one position
-        // except summary composition, whose zero-length case is the identity
-        // summary `SUM(q, q)` and therefore never a strict improvement — so
-        // each stored backpointer references strictly shorter facts and the
-        // reconstruction below terminates.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            // internal extension of summaries
-            for &(q, sym, t) in a.internals() {
-                for p in 0..n {
-                    let pre = e.sum(p, q);
-                    if e.dist[pre] == usize::MAX {
-                        continue;
-                    }
-                    let len = e.dist[pre] + 1;
-                    let f = e.sum(p, t);
-                    changed |= e.relax(f, len, Back::SumInternal { pre, sym });
-                }
+        while let Some(Reverse((d, f))) = e.queue.pop() {
+            // A fact is queued once per improvement; its first pop carries
+            // its shortest length, later ones are stale.
+            if settled[f] {
+                continue;
             }
-            // call–body–return
-            for &(qc, csym, ql, qh) in a.calls() {
-                for &(rl, rsym, t) in &returns_by_hier[qh] {
-                    let body = e.sum(ql, rl);
-                    if e.dist[body] == usize::MAX {
-                        continue;
-                    }
-                    for p in 0..n {
-                        let pre = e.sum(p, qc);
-                        if e.dist[pre] == usize::MAX {
-                            continue;
-                        }
-                        // Saturate throughout: witness lengths can be
-                        // exponential in the state count, and a saturated
-                        // candidate must never be stored (usize::MAX is the
-                        // "unreached" sentinel, and `relax` only accepts
-                        // strictly smaller values).
-                        let len = e.dist[pre].saturating_add(e.dist[body]).saturating_add(2);
-                        let f = e.sum(p, t);
-                        changed |= e.relax(
-                            f,
-                            len,
-                            Back::SumCallRet {
-                                pre,
-                                call: csym,
+            settled[f] = true;
+            let next = d.saturating_add(1);
+            if f < n * n {
+                let (p, q) = (f / n, f % n);
+                sums_from[p].push(q);
+                sums_into[q].push(p);
+                for &(sym, t) in &rules.internals_from[q] {
+                    e.relax(e.sum(p, t), next, Back::SumInternal { pre: f, sym });
+                }
+                // As a prefix: calls out of `q`, with the callee's settled
+                // bodies and the returns popping the pushed state.
+                for &(call, ql, qh) in &rules.calls_from[q] {
+                    for &end in &sums_from[ql] {
+                        let body = e.sum(ql, end);
+                        let len = d.saturating_add(e.dist[body]).saturating_add(2);
+                        for &(_, ret, t) in rules.returns_at(end, qh) {
+                            let back = Back::SumCallRet {
+                                pre: f,
+                                call,
                                 body,
-                                ret: rsym,
-                            },
-                        );
-                    }
-                }
-            }
-            // reachability composed with summaries
-            for mode in 0..2 {
-                for q in 0..n {
-                    let r = e.reach(mode, q);
-                    if e.dist[r] == usize::MAX {
-                        continue;
-                    }
-                    for t in 0..n {
-                        let s = e.sum(q, t);
-                        if e.dist[s] == usize::MAX {
-                            continue;
+                                ret,
+                            };
+                            e.relax(e.sum(p, t), len, back);
                         }
-                        let len = e.dist[r].saturating_add(e.dist[s]);
-                        let f = e.reach(mode, t);
-                        changed |= e.relax(f, len, Back::ReachSum { reach: r, sum: s });
                     }
                 }
-            }
-            // pending returns (mode 0 only; hierarchical edge is initial)
-            for &(rl, rh, sym, t) in a.returns() {
-                if !initial.contains(&rh) {
-                    continue;
+                // As a body: calls into `p`, with the caller's settled
+                // prefixes.
+                for &(qc, call, qh) in &rules.calls_into[p] {
+                    for &(_, ret, t) in rules.returns_at(q, qh) {
+                        for &start in &sums_into[qc] {
+                            let pre = e.sum(start, qc);
+                            let len = e.dist[pre].saturating_add(d).saturating_add(2);
+                            let back = Back::SumCallRet {
+                                pre,
+                                call,
+                                body: f,
+                                ret,
+                            };
+                            e.relax(e.sum(start, t), len, back);
+                        }
+                    }
                 }
-                let r = e.reach(0, rl);
-                if e.dist[r] == usize::MAX {
-                    continue;
-                }
-                let len = e.dist[r] + 1;
-                let f = e.reach(0, t);
-                changed |= e.relax(f, len, Back::ReachPendingReturn { reach: r, sym });
-            }
-            // pending calls (either mode enters mode 1)
-            for &(q, sym, ql, _qh) in a.calls() {
                 for mode in 0..2 {
-                    let r = e.reach(mode, q);
-                    if e.dist[r] == usize::MAX {
-                        continue;
+                    let reach = e.reach(mode, p);
+                    if settled[reach] {
+                        let len = e.dist[reach].saturating_add(d);
+                        e.relax(e.reach(mode, q), len, Back::ReachSum { reach, sum: f });
                     }
-                    let len = e.dist[r] + 1;
-                    let f = e.reach(1, ql);
-                    changed |= e.relax(f, len, Back::ReachPendingCall { reach: r, sym });
+                }
+            } else {
+                let (mode, q) = ((f - n * n) / n, (f - n * n) % n);
+                if a.is_accepting(q) {
+                    return (e, Some(f));
+                }
+                for &t in &sums_from[q] {
+                    let sum = e.sum(q, t);
+                    let len = d.saturating_add(e.dist[sum]);
+                    e.relax(e.reach(mode, t), len, Back::ReachSum { reach: f, sum });
+                }
+                if mode == 0 {
+                    for &h in &initial {
+                        for &(_, sym, t) in rules.returns_at(q, h) {
+                            let back = Back::ReachPendingReturn { reach: f, sym };
+                            e.relax(e.reach(0, t), next, back);
+                        }
+                    }
+                }
+                for &(sym, ql, _) in &rules.calls_from[q] {
+                    let back = Back::ReachPendingCall { reach: f, sym };
+                    e.relax(e.reach(1, ql), next, back);
                 }
             }
         }
-        e
+        (e, None)
     }
 
     /// Reconstructs the tagged word of a derived fact by unwinding
@@ -264,19 +313,18 @@ impl Engine {
     }
 }
 
+/// Returns `true` iff `a` accepts some nested word: the search of
+/// [`shortest_accepted`], without materializing the witness.
+pub(crate) fn accepts_some(a: &Nnwa) -> bool {
+    Engine::search(a).1.is_some()
+}
+
 /// Returns a shortest accepted nested word of a nondeterministic NWA, or
-/// `None` iff the language is empty (agreeing with
-/// [`crate::decision::is_empty`], whose saturation this instruments with
-/// backpointers). Pending calls and pending returns are produced when they
-/// give a shorter witness.
+/// `None` iff the language is empty. Pending calls and pending returns are
+/// produced when they give a shorter witness.
 pub fn shortest_accepted(a: &Nnwa) -> Option<NestedWord> {
-    let e = Engine::saturate(a);
-    let goal = (0..a.num_states())
-        .filter(|&q| a.is_accepting(q))
-        .flat_map(|q| [e.reach(0, q), e.reach(1, q)])
-        .filter(|&f| e.dist[f] != usize::MAX)
-        .min_by_key(|&f| e.dist[f])?;
-    Some(NestedWord::from_tagged(&e.reconstruct(goal)))
+    let (e, goal) = Engine::search(a);
+    Some(NestedWord::from_tagged(&e.reconstruct(goal?)))
 }
 
 /// Returns a shortest accepted nested word of a deterministic NWA, or

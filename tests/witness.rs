@@ -75,9 +75,11 @@ fn witness_nwa_sound_complete_and_shortest() {
     }
 }
 
-/// The same soundness/completeness for nondeterministic NWAs, directly on
-/// the transition relations (no determinization). The sparse generator
-/// leaves many languages empty, so both sides of the iff are exercised.
+/// The same soundness, completeness and shortest-ness for nondeterministic
+/// NWAs, directly on the transition relations (no determinization). The
+/// sparse generator leaves many languages empty, so both sides of the iff
+/// are exercised. Emptiness and witnesses come from one engine, so the
+/// exhaustive check against every shorter word is what tests its lengths.
 #[test]
 fn witness_nnwa_sound_and_complete() {
     let mut nonempty = 0usize;
@@ -89,6 +91,17 @@ fn witness_nnwa_sound_and_complete() {
                 nonempty += 1;
                 assert!(query::contains(&a, &w), "seed {seed}: witness rejected");
                 assert!(!query::is_empty(&a), "seed {seed}");
+                if w.len() <= 3 {
+                    for shorter_len in 0..w.len() {
+                        for tagged in all_tagged_words(2, shorter_len) {
+                            let cand = NestedWord::from_tagged(&tagged);
+                            assert!(
+                                !query::contains(&a, &cand),
+                                "seed {seed}: accepted word shorter than the witness"
+                            );
+                        }
+                    }
+                }
             }
             None => {
                 empty += 1;
