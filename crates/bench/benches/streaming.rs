@@ -275,7 +275,9 @@ fn buffered(xml: &str) -> io::BufReader<ReadOnly<'_>> {
 /// `bytes_settling_reader`) may run on several threads.
 /// `bytes_settled_at_start_buffered` reads 64 KiB buffers, below the split
 /// size: it is the single-threaded structure row the layer rows reconcile
-/// against.
+/// against. Last come the structure pass's own layers on every kernel
+/// this CPU has (`structure_classify`, `_check`, `_fold`: classification,
+/// then with the simplicity check, then the whole pass), single-threaded.
 fn print_layer_table() {
     let (ab, doc) = generate_document(
         DocumentConfig {
@@ -353,8 +355,37 @@ fn print_layer_table() {
             }),
         );
     }
+    // The structure pass's layers alone, single-threaded, on every kernel
+    // this CPU has: classification, then with the simplicity check, then
+    // with the fold (the whole pass).
+    for backend in scan::ScanBackend::ALL {
+        if !scan::force_scan_backend(backend) {
+            continue;
+        }
+        for layer in STRUCTURE_LAYERS {
+            row(
+                &format!("{} ({backend:?})", layer_row(layer)),
+                fastest(&|| {
+                    black_box(scan::structure_layer(black_box(xml.as_bytes()), layer));
+                }),
+            );
+        }
+    }
     scan::auto_scan_backend();
     println!();
+}
+
+/// The layers of the structure pass the E15c rows time alone.
+const STRUCTURE_LAYERS: [scan::StructureLayer; 3] = [
+    scan::StructureLayer::Classify,
+    scan::StructureLayer::Check,
+    scan::StructureLayer::Fold,
+];
+
+/// The row name of one structure layer: `structure_classify`, `_check` or
+/// `_fold`.
+fn layer_row(layer: scan::StructureLayer) -> String {
+    format!("structure_{layer:?}").to_lowercase()
 }
 
 fn bench_compiled(c: &mut Criterion) {
@@ -569,6 +600,38 @@ fn bench_compiled(c: &mut Criterion) {
                     &xml,
                     |b, xml| b.iter(|| run_streaming_reader(&settled, buffered(xml), &ab).unwrap()),
                 );
+            }
+        }
+        if events == 1_000_000 {
+            // Per kernel, named by it (ungated): the structure pass's
+            // layers alone, single-threaded (`structure_classify`,
+            // `_check`, `_fold`), and on each wide kernel the
+            // single-threaded structure scan, whichever kernel `_simd`
+            // names on this CPU.
+            for backend in scan::ScanBackend::ALL {
+                if !scan::force_scan_backend(backend) {
+                    continue;
+                }
+                let kernel = format!("{backend:?}").to_lowercase();
+                for layer in STRUCTURE_LAYERS {
+                    group.bench_with_input(
+                        BenchmarkId::new(&format!("{}_{kernel}", layer_row(layer)), events),
+                        &xml,
+                        |b, xml| b.iter(|| scan::structure_layer(xml.as_bytes(), layer)),
+                    );
+                }
+                if backend != scan::ScanBackend::Swar {
+                    group.bench_with_input(
+                        BenchmarkId::new(
+                            &format!("bytes_settled_at_start_buffered_{kernel}"),
+                            events,
+                        ),
+                        &xml,
+                        |b, xml| {
+                            b.iter(|| run_streaming_reader(&settled, buffered(xml), &ab).unwrap())
+                        },
+                    );
+                }
             }
         }
         scan::auto_scan_backend();

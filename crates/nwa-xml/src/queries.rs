@@ -206,13 +206,25 @@ pub fn run_streaming(nwa: &Nwa, document: &NestedWord) -> StreamingOutcome {
     )
 }
 
-/// Number of tokenized events buffered between the scanner and the
+/// The most tokenized events buffered between the scanner and the
 /// automaton per [`StreamRun::step_slice`] call in
-/// [`run_streaming_reader`]. Large enough to amortize the per-slice
-/// bookkeeping of the compiled engines' register-resident loops, small
-/// enough that the buffer (4 bytes per event, 16 KiB) stays cache-resident
-/// beside the reader's buffer ([`crate::scan::SCAN_CHUNK`] for a file).
+/// [`run_streaming_reader`], and about the most tag events per
+/// [`Slice::Forms`]. Large enough to amortize the per-slice bookkeeping of
+/// the compiled engines' register-resident loops, small enough that the
+/// buffer (4 bytes per event, 16 KiB) stays cache-resident beside the
+/// reader's buffer ([`crate::scan::SCAN_CHUNK`] for a file). The first
+/// event slices of [`for_each_slice`] are shorter, so a run that settles
+/// early narrows the scan soon after.
 pub const EVENT_SLICE: usize = 4 * 1024;
+
+/// The length of the first event slice [`for_each_slice`] hands over.
+/// Each later one is as long as all before it together, up to
+/// [`EVENT_SLICE`], so a consumer that settles after `k` events is handed
+/// at most `max(FIRST_SLICE, 2k)` events before its scan narrows to
+/// structure, where slices of [`EVENT_SLICE`] from the start would resolve
+/// names for up to 4096 events. Compiled queries over the generated
+/// documents often settle within tens to about a thousand events.
+const FIRST_SLICE: usize = 64;
 
 /// Runs a streaming acceptor directly over the SAX events of an XML-ish
 /// byte stream — any [`io::BufRead`]: an in-memory `&[u8]`, or a file, a
@@ -227,8 +239,8 @@ pub const EVENT_SLICE: usize = 4 * 1024;
 /// reader's buffer, the carried token, the event buffer, and a stack
 /// proportional to the nesting depth. Once the run reads structure only,
 /// the rest of an in-memory buffer past 2 MiB is folded on every free
-/// core (see [`crate::scan`]), which adds a small summary per part and up
-/// to two 256 KiB copies per helper thread at a time.
+/// core (see [`crate::scan`]), which adds a small summary per part; the
+/// parts are read where they lie, never copied.
 ///
 /// The scanner is projected through the acceptor's
 /// [`inert_symbols`](StreamAcceptor::inert_symbols) (see [`Projection`]):
@@ -374,7 +386,10 @@ pub enum Slice<'a> {
 /// `alphabet` under the projection `inert` (see [`Projection`]; an empty
 /// slice drops nothing, as a [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer)
 /// would) and hands the stream to `sink` in stream order, as runs of at
-/// most [`EVENT_SLICE`] events.
+/// most [`EVENT_SLICE`] events. The event runs start at 64 events, and
+/// each is as long as all before it together until it reaches
+/// [`EVENT_SLICE`]: a consumer that settles after `k` events is handed at
+/// most `max(64, 2k)` events before its first [`Slice::Forms`].
 ///
 /// `sink` returns what its consumer still [`Reads`]. It is first called
 /// with an empty slice, before anything is read, and after that once per
@@ -413,15 +428,17 @@ pub fn for_each_slice<R: io::BufRead>(
 ) -> Result<usize, SaxError> {
     let mut tokenizer = BulkLexer::new(reader, Projection::new(alphabet, inert));
     let mut buffer: Vec<TaggedSymbol> = Vec::with_capacity(EVENT_SLICE);
+    let mut handed = 0;
     let mut reads = sink(Slice::Events(&[]));
     while reads != Reads::Structure {
         if reads == Reads::Tags {
             tokenizer.narrow_to_tags();
         }
-        let filled = tokenizer.fill(&mut buffer, EVENT_SLICE);
+        let filled = tokenizer.fill(&mut buffer, handed.clamp(FIRST_SLICE, EVENT_SLICE));
         if buffer.is_empty() {
             return filled.map(|()| tokenizer.dropped());
         }
+        handed += buffer.len();
         reads = reads.max(sink(Slice::Events(&buffer)));
         buffer.clear();
         if let Err(e) = filled {
@@ -462,6 +479,49 @@ mod tests {
     use crate::generate::{generate_deep_document, generate_document, DocumentConfig};
     use crate::sax::parse_document;
     use nested_words::Alphabet;
+
+    /// A consumer that settles after `k` events is handed at most
+    /// `max(64, 2k)` events before its first forms slice, and the events
+    /// and forms together still cover the whole document.
+    #[test]
+    fn a_run_that_settles_early_narrows_soon() {
+        let (ab, doc) = generate_document(
+            DocumentConfig {
+                events: 30_000,
+                ..Default::default()
+            },
+            5,
+        );
+        let xml = crate::sax::to_xml(&doc, &ab);
+        for k in [
+            0, 1, 63, 64, 65, 100, 128, 129, 1000, 4095, 4096, 4097, 9000,
+        ] {
+            let (mut handed, mut folded, mut narrowed) = (0, 0, None);
+            let dropped = for_each_slice(xml.as_bytes(), &ab, &[], |slice| match slice {
+                Slice::Events(events) => {
+                    assert!(events.len() <= EVENT_SLICE);
+                    handed += events.len();
+                    if handed >= k {
+                        Reads::Structure
+                    } else {
+                        Reads::Text
+                    }
+                }
+                Slice::Forms(forms) => {
+                    narrowed.get_or_insert(handed);
+                    folded += forms.events;
+                    Reads::Structure
+                }
+            })
+            .unwrap();
+            let narrowed = narrowed.expect("the document outlasts every settle point");
+            assert!(
+                narrowed <= (2 * k).max(64),
+                "settled at {k}, narrowed at {narrowed}"
+            );
+            assert_eq!(handed + folded + dropped, doc.len(), "settled at {k}");
+        }
+    }
 
     #[test]
     fn patterns_in_order_on_documents() {

@@ -74,8 +74,9 @@
 //!    [`automata_core::Forms`] summary of their ±1 walk — a close tag's
 //!    `>` is found by subtracting the `</` marks from the `>` marks, the
 //!    kernel packs the block's forms into stream order (one `pext` on
-//!    AVX2 with BMI2, a bit loop elsewhere), and a table folds them eight at a time — and counts its text
-//!    words from their end marks. The scalar arm and the directives run
+//!    `x86_64` with BMI2, a bit loop elsewhere), and a table folds them
+//!    eight at a time — and counts its text words from their end marks.
+//!    The scalar arm and the directives run
 //!    exactly as in the other modes, with every syntax check, and only
 //!    skip the name; a self-closing tag is a call and a return. A lexer
 //!    fused on a tag whose name the policy could not resolve resumes at
@@ -114,12 +115,18 @@
 //! token-for-token and error-for-error equal to it under adversarial buffer
 //! sizes and block alignments.
 //!
-//! **Backends.** There is one fill loop; the three stage-1 kernels
-//! differ only in classification. Portable SWAR words ([`ScanBackend::Swar`])
-//! run everywhere; AVX2 ([`ScanBackend::Avx2`]) is compiled on every
-//! `x86_64` build and chosen at runtime when the CPU has it; NEON
-//! ([`ScanBackend::Neon`]) is the `aarch64` baseline. [`scan_backend`]
-//! reports the choice and [`force_scan_backend`] pins one.
+//! **Backends.** There is one fill loop; the four stage-1 kernels
+//! differ only in classification and in two bit steps of the passes.
+//! Portable SWAR words ([`ScanBackend::Swar`]) run everywhere; AVX-512BW
+//! ([`ScanBackend::Avx512`], one compare per class straight into a 64-bit
+//! mask) and AVX2 ([`ScanBackend::Avx2`]) are compiled on every `x86_64`
+//! build and chosen at runtime, widest first, when the CPU has them; NEON
+//! ([`ScanBackend::Neon`]) is the `aarch64` baseline. Where the CPU has
+//! BMI2 and PCLMULQDQ, the `x86_64` passes pack tag forms with `pext` and
+//! take the "inside a tag" prefix XOR with one carry-less multiply
+//! (simdjson's quote-mask step, Langdale & Lemire, VLDB J. 2019).
+//! [`scan_backend`] reports the choice and [`force_scan_backend`] pins
+//! one.
 //!
 //! Whatever stops the stream — an invalid sequence met by validation, a
 //! sequence the stream ends inside, or a failed `fill_buf` — is *held*: the
@@ -317,24 +324,42 @@ pub enum ScanBackend {
     /// kernel, and the pinned baseline of the benches and tests.
     Swar,
     /// 64-byte AVX2 block classification (`x86_64`, runtime-detected
-    /// together with the BMI1 and POPCNT that every AVX2 core has; the
-    /// structure pass also uses BMI2's `pext` where the CPU has it).
+    /// together with the BMI1 and POPCNT that every AVX2 core has; where
+    /// the CPU also has BMI2 and PCLMULQDQ, the passes pack forms with
+    /// `pext` and take the prefix XOR with one carry-less multiply).
     Avx2,
+    /// 64-byte AVX-512BW block classification, one compare per class
+    /// straight into a 64-bit mask (`x86_64`, runtime-detected together
+    /// with the BMI1, BMI2, POPCNT and PCLMULQDQ that every AVX-512BW core
+    /// has): chosen over [`Avx2`](Self::Avx2) where the CPU has it.
+    Avx512,
     /// 64-byte NEON block classification (`aarch64`, baseline ISA).
     Neon,
 }
 
-/// The backend the next window fill will use: the CPU is probed once (AVX2,
-/// BMI1 and POPCNT on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally on
-/// `aarch64` where it is baseline) and the answer cached; anything else
-/// gets [`ScanBackend::Swar`]. Benches and docs use this to report which
-/// path actually ran.
+impl ScanBackend {
+    /// Every backend, the portable one first. A differential suite runs
+    /// each one [`force_scan_backend`] accepts on this CPU.
+    pub const ALL: [ScanBackend; 4] = [
+        ScanBackend::Swar,
+        ScanBackend::Avx2,
+        ScanBackend::Avx512,
+        ScanBackend::Neon,
+    ];
+}
+
+/// The backend the next window fill will use: the CPU is probed once
+/// (AVX-512BW, then AVX2, each with the scalar extensions named on its
+/// variant, via `is_x86_feature_detected!` on `x86_64`; NEON
+/// unconditionally on `aarch64`, where it is baseline) and the answer
+/// cached; anything else gets [`ScanBackend::Swar`]. Benches and docs use
+/// this to report which path actually ran.
 pub fn scan_backend() -> ScanBackend {
     backend::current()
 }
 
 /// Forces the stage-1 backend process-wide — how the benches and the
-/// differential tests run SWAR and the wide kernel side by side in one
+/// differential tests run SWAR and the wide kernels side by side in one
 /// process. Returns `false` (changing nothing) if this CPU does not support
 /// the requested backend; [`auto_scan_backend`] returns to runtime
 /// detection. Safe at any moment: a lexer mid-stream simply fills its next
@@ -352,18 +377,17 @@ mod backend {
     use super::ScanBackend;
     use std::sync::atomic::{AtomicU8, Ordering};
 
-    /// 0 = undecided (probe on first use), else the backend's code below.
-    /// Detection is idempotent, so a startup race costs a duplicate probe,
-    /// never a wrong answer; the value publishes no other data, hence
-    /// `Relaxed`.
+    /// 0 = undecided (probe on first use), else 1 + the backend's index in
+    /// [`ScanBackend::ALL`]. Detection is idempotent, so a startup race
+    /// costs a duplicate probe, never a wrong answer; the value publishes
+    /// no other data, hence `Relaxed`.
     static STATE: AtomicU8 = AtomicU8::new(0);
 
     fn code(b: ScanBackend) -> u8 {
-        match b {
-            ScanBackend::Swar => 1,
-            ScanBackend::Avx2 => 2,
-            ScanBackend::Neon => 3,
-        }
+        1 + ScanBackend::ALL
+            .iter()
+            .position(|&x| x == b)
+            .expect("every backend is listed") as u8
     }
 
     fn available(b: ScanBackend) -> bool {
@@ -371,6 +395,8 @@ mod backend {
             ScanBackend::Swar => true,
             #[cfg(target_arch = "x86_64")]
             ScanBackend::Avx2 => super::kernel::Avx2::detect().is_some(),
+            #[cfg(target_arch = "x86_64")]
+            ScanBackend::Avx512 => super::kernel::Avx512::detect().is_some(),
             #[cfg(target_arch = "aarch64")]
             ScanBackend::Neon => true,
             #[allow(unreachable_patterns)]
@@ -378,27 +404,23 @@ mod backend {
         }
     }
 
+    /// The last backend of [`ScanBackend::ALL`] this CPU has: the widest
+    /// kernel.
     fn detect() -> ScanBackend {
-        #[cfg(target_arch = "x86_64")]
-        if super::kernel::Avx2::detect().is_some() {
-            return ScanBackend::Avx2;
-        }
-        #[cfg(target_arch = "aarch64")]
-        return ScanBackend::Neon;
-        #[allow(unreachable_code)]
-        ScanBackend::Swar
+        ScanBackend::ALL
+            .into_iter()
+            .rfind(|&b| available(b))
+            .expect("SWAR is always available")
     }
 
     pub(super) fn current() -> ScanBackend {
         match STATE.load(Ordering::Relaxed) {
-            1 => ScanBackend::Swar,
-            2 => ScanBackend::Avx2,
-            3 => ScanBackend::Neon,
-            _ => {
+            0 => {
                 let b = detect();
                 STATE.store(code(b), Ordering::Relaxed);
                 b
             }
+            c => ScanBackend::ALL[usize::from(c) - 1],
         }
     }
 
@@ -426,8 +448,10 @@ mod backend {
 struct LexerCore<N: ResolveName> {
     names: N,
     /// Direct-mapped memo of recent token resolutions, keyed by each
-    /// token's canonical bytes (see [`LexerCore::resolve_token`]).
-    cache: Box<[TokenSlot; NAME_CACHE_SLOTS]>,
+    /// token's canonical bytes (see [`LexerCore::resolve_token`]): empty
+    /// until the first fill that reads names ([`LexerCore::ready`]), so a
+    /// structure scan never writes it.
+    cache: Vec<TokenSlot>,
     /// What the policy's projection does with text words: it starts as
     /// [`ResolveName::text_mode`] and may narrow once, to drop-all
     /// ([`BulkLexer::narrow_to_tags`]).
@@ -594,15 +618,21 @@ impl<N: ResolveName> LexerCore<N> {
         LexerCore {
             text: names.text_mode(),
             names,
-            cache: Box::new(
-                [TokenSlot {
-                    key: [0; 3],
-                    event: TaggedSymbol::Internal(Symbol(0)),
-                    keep: false,
-                }; NAME_CACHE_SLOTS],
-            ),
+            cache: Vec::new(),
             dropped: 0,
             tag_miss: false,
+        }
+    }
+
+    /// Sets up the token cache, once, before names are read.
+    fn ready(&mut self) {
+        if self.cache.is_empty() {
+            let empty = TokenSlot {
+                key: [0; 3],
+                event: TaggedSymbol::Internal(Symbol(0)),
+                keep: false,
+            };
+            self.cache = vec![empty; NAME_CACHE_SLOTS];
         }
     }
 
@@ -756,6 +786,23 @@ impl Tape {
         }
     }
 
+    /// A tape with no room yet, sized by [`Tape::ready`] on first use: a
+    /// structure scan keeps none.
+    fn empty() -> Self {
+        Tape {
+            starts: Vec::new(),
+            ends: Vec::new(),
+            text_starts: [0; TAPE_CAP / BLOCK],
+        }
+    }
+
+    /// Gives the tape room for a pass, once.
+    fn ready(&mut self) {
+        if self.starts.is_empty() {
+            *self = Tape::new();
+        }
+    }
+
     /// Text words starting before pass offset `end`: the popcount of the
     /// `text_starts` masks below it.
     fn text_words_before(&self, end: usize) -> usize {
@@ -824,8 +871,8 @@ impl Carry {
     /// [`build_tape`]), otherwise its token marks, and the carry moves past
     /// `m`. The one check behind both [`build_tape`] and [`walk_forms`].
     #[inline(always)]
-    fn simple(&mut self, m: &BlockMasks) -> Option<Simple> {
-        let inside = prefix_xor(m.lt | m.gt) ^ self.inside;
+    fn simple<C: BlockClassifier>(&mut self, cls: C, m: &BlockMasks) -> Option<Simple> {
+        let inside = cls.prefix_xor(m.lt | m.gt) ^ self.inside;
         let after_lt = (m.lt << 1) | self.lt;
         let close = m.slash & after_lt;
         let complex = m.other
@@ -855,19 +902,6 @@ impl Carry {
         };
         Some(simple)
     }
-}
-
-/// Bit `i` of the result is the XOR of bits `0..=i` of `x`: over the `<`/`>`
-/// marks, "inside a tag" — set from a `<` up to (not including) its `>`.
-#[inline(always)]
-fn prefix_xor(mut x: u64) -> u64 {
-    x ^= x << 1;
-    x ^= x << 2;
-    x ^= x << 4;
-    x ^= x << 8;
-    x ^= x << 16;
-    x ^= x << 32;
-    x
 }
 
 /// Appends the offset of every set bit of `bits` (plus `off`) to `out` at
@@ -935,8 +969,9 @@ fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
             // the scalar arm takes it.
             break if ends == 0 && word_end == 0 { bb } else { 0 };
         }
-        let m = cls.classify(data, bb);
-        let Some(simple) = carry.simple(&m) else {
+        let block = data[bb..bb + BLOCK].try_into().expect("a whole block");
+        let m = cls.classify(block);
+        let Some(simple) = carry.simple(cls, &m) else {
             break bb + BLOCK;
         };
         let off = bb - from;
@@ -1029,15 +1064,17 @@ static FORMS8: [[[i8; 4]; 256]; 9] = {
 };
 
 /// Folds the first `n ≤ 64` tags of `seq` into `forms`, tag `i` a call iff
-/// bit `i` is set, eight at a time through [`FORMS8`]. A simple block
-/// ends at most 22 tags (`<a>` is three bytes), so the two unconditional
-/// folds cover nearly every block without a data-dependent branch.
+/// bit `i` is set, eight at a time through [`FORMS8`], leaving
+/// `forms.events` as it is: [`walk_forms`] counts events by its budget. A
+/// simple block ends at most 22 tags (`<a>` is three bytes), so the two
+/// unconditional folds cover nearly every block without a data-dependent
+/// branch.
 #[inline(always)]
 fn fold_forms(forms: &mut Forms, seq: u64, n: usize) {
     let fold8 = |forms: &mut Forms, seq: u64, n: usize| {
         let [net, low, rise, top] = FORMS8[n][(seq & 0xFF) as usize];
         *forms = forms.then(Forms {
-            events: n,
+            events: 0,
             net: isize::from(net),
             low: isize::from(low),
             rise: rise as usize,
@@ -1072,57 +1109,138 @@ fn fold_forms(forms: &mut Forms, seq: u64, n: usize) {
 /// kernel's [`compress`](BlockClassifier::compress) packs the forms of the
 /// block's tags into stream order, and [`fold_forms`] folds them eight at
 /// a time.
+///
+/// The block loop keeps only what the next block needs: the carry, the
+/// borrow, the forms folded (their event count is the budget spent,
+/// counted down) and the words counted. Where the pass ends inside a tag
+/// or a word, the token's start is found once, after the loop, by reading
+/// back from the end to its `<` or to the byte before the word: in simple
+/// blocks no `<` sits inside a tag, and a word follows whitespace, a `>`
+/// or `from`.
 #[inline(always)]
 fn walk_forms<C: BlockClassifier>(cls: C, data: &[u8], from: usize, budget: usize) -> FormsPass {
-    let last_block = data.len().checked_sub(BLOCK);
     let mut carry = Carry::default();
     let mut borrow = 0u64;
-    // Pass offsets of the last `<` and the last text word's first byte.
-    let (mut last_lt, mut last_word) = (0usize, 0usize);
     let mut forms = Forms::default();
+    let budget = budget.min(isize::MAX as usize) as isize;
+    let mut left = budget;
     let mut words = 0usize;
-    let mut bb = from;
+    // The bytes not yet walked: the next block starts them.
+    let mut rest = &data[from..];
     let scalar_until = loop {
-        if last_block.is_none_or(|last| bb > last) {
+        let Some((block, after)) = rest.split_first_chunk::<BLOCK>() else {
             break usize::MAX;
-        }
-        if forms.events >= budget {
+        };
+        if left <= 0 {
             break 0;
         }
-        let m = cls.classify(data, bb);
-        let Some(simple) = carry.simple(&m) else {
-            break bb + BLOCK;
+        let m = cls.classify(block);
+        let Some(simple) = carry.simple(cls, &m) else {
+            break data.len() - after.len();
         };
         words += simple.text_end.count_ones() as usize;
-        let (rest, cut) = m.gt.overflowing_sub(simple.close);
-        let (rest, cut_before) = rest.overflowing_sub(borrow);
+        let (open, cut) = m.gt.overflowing_sub(simple.close);
+        let (open, cut_before) = open.overflowing_sub(borrow);
         borrow = u64::from(cut | cut_before);
-        fold_forms(
-            &mut forms,
-            cls.compress(m.gt & rest, m.gt),
-            m.gt.count_ones() as usize,
-        );
-        let off = bb - from;
-        if m.lt != 0 {
-            last_lt = off + 63 - m.lt.leading_zeros() as usize;
-        }
-        if simple.text_start != 0 {
-            last_word = off + 63 - simple.text_start.leading_zeros() as usize;
-        }
-        bb += BLOCK;
+        let tags = m.gt.count_ones() as usize;
+        fold_forms(&mut forms, cls.compress(m.gt & open, m.gt), tags);
+        left -= tags as isize;
+        rest = after;
     };
+    forms.events = (budget - left) as usize;
+    let walked = &data[from..data.len() - rest.len()];
     let end = if carry.inside != 0 {
-        last_lt
+        walked.iter().rposition(|&b| b == b'<').unwrap_or(0)
     } else if carry.text != 0 {
-        last_word
+        walked
+            .iter()
+            .rposition(|&b| b == b'>' || is_ascii_ws(b))
+            .map_or(0, |i| i + 1)
     } else {
-        bb - from
+        walked.len()
     };
     FormsPass {
         forms,
         words,
         end,
         scalar_until,
+    }
+}
+
+/// A layer of the structure pass, as the E15c layer table times it alone
+/// ([`structure_layer`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StructureLayer {
+    /// Block classification: every class mask of every block.
+    Classify,
+    /// Classification and the simplicity check, counting the text words
+    /// that end in simple blocks.
+    Check,
+    /// The whole structure pass: classification, the check and the fold.
+    Fold,
+}
+
+/// Runs one layer of the structure pass over the whole 64-byte blocks of
+/// `data`, which starts on a token boundary, on the [`scan_backend`]
+/// kernel and the calling thread alone, and returns what it read: the XOR
+/// of every mask, the text words that end in simple blocks, or a digest of
+/// the forms and words folded. For benches: no lexer calls it.
+#[doc(hidden)]
+pub fn structure_layer(data: &[u8], layer: StructureLayer) -> u64 {
+    match scan_backend() {
+        #[cfg(target_arch = "x86_64")]
+        ScanBackend::Avx2 => {
+            if let Some(kernel) = kernel::Avx2::detect() {
+                return kernel.layer(data, layer);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        ScanBackend::Avx512 => {
+            if let Some(kernel) = kernel::Avx512::detect() {
+                return kernel.layer(data, layer);
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        ScanBackend::Neon => return kernel::Neon::new().layer(data, layer),
+        _ => {}
+    }
+    kernel::Swar.layer(data, layer)
+}
+
+/// [`structure_layer`] on the kernel `cls`.
+#[inline(always)]
+fn run_layer<C: BlockClassifier>(cls: C, data: &[u8], layer: StructureLayer) -> u64 {
+    let (blocks, _) = data.as_chunks::<BLOCK>();
+    match layer {
+        StructureLayer::Classify => blocks.iter().fold(0, |digest, block| {
+            let m = cls.classify(block);
+            digest ^ m.lt ^ m.gt ^ m.ws ^ m.slash ^ m.quote ^ m.lead ^ m.other
+        }),
+        StructureLayer::Check => {
+            let mut carry = Carry::default();
+            let mut words = 0;
+            for block in blocks {
+                let Some(simple) = carry.simple(cls, &cls.classify(block)) else {
+                    break;
+                };
+                words += u64::from(simple.text_end.count_ones());
+            }
+            words
+        }
+        StructureLayer::Fold => {
+            let pass = walk_forms(cls, data, 0, usize::MAX);
+            let Forms {
+                events,
+                net,
+                low,
+                rise,
+                top,
+            } = pass.forms;
+            [events, net as usize, low as usize, rise, top, pass.words]
+                .into_iter()
+                .fold(0, |digest, x| digest.rotate_left(11) ^ x as u64)
+        }
     }
 }
 
@@ -1867,7 +1985,8 @@ impl<R: io::BufRead> Window<R> {
 pub struct BulkLexer<R: io::BufRead, N: ResolveName> {
     window: Window<R>,
     core: LexerCore<N>,
-    /// Stage 1's output, reused across passes.
+    /// Stage 1's output, reused across passes: sized by the first fill
+    /// that reads names ([`Tape::ready`]).
     tape: Tape,
     /// Events lexed ahead by [`Self::fill`] for the per-event [`Iterator`]
     /// view, drained from `ready_pos`.
@@ -2006,7 +2125,7 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
         BulkLexer {
             window: Window::new(reader),
             core: LexerCore::new(names),
-            tape: Tape::new(),
+            tape: Tape::empty(),
             ready: Vec::new(),
             ready_pos: 0,
             pending_err: None,
@@ -2302,6 +2421,8 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
         if !O::NAMES {
             return self.fill_window_on::<O, true, false>(out, max);
         }
+        self.core.ready();
+        self.tape.ready();
         match self.core.text {
             TextMode::EmitAll => self.fill_window_on::<O, false, false>(out, max),
             TextMode::KeepBit => self.fill_window_on::<O, false, true>(out, max),
@@ -2321,6 +2442,12 @@ impl<R: io::BufRead, N: ResolveName> BulkLexer<R, N> {
             #[cfg(target_arch = "x86_64")]
             ScanBackend::Avx2 => {
                 if let Some(kernel) = kernel::Avx2::detect() {
+                    return self.fill_window_with::<_, O, DROP_TEXT, FILTER>(kernel, out, max);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            ScanBackend::Avx512 => {
+                if let Some(kernel) = kernel::Avx512::detect() {
                     return self.fill_window_with::<_, O, DROP_TEXT, FILTER>(kernel, out, max);
                 }
             }
@@ -3222,6 +3349,10 @@ mod tests {
         if let Some(k) = kernel::Avx2::detect() {
             check("avx2", &move |d| tape_spans(k, d));
         }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = kernel::Avx512::detect() {
+            check("avx512", &move |d| tape_spans(k, d));
+        }
         #[cfg(target_arch = "aarch64")]
         check("neon", &|d| tape_spans(kernel::Neon::new(), d));
     }
@@ -3475,8 +3606,10 @@ mod tests {
             .map(|d| (d, (1..=7).chain([EVENT_SLICE]).collect()))
             .collect();
         docs.push((long_document(3), vec![EVENT_SLICE]));
-        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
-        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+        for backend in ScanBackend::ALL
+            .into_iter()
+            .filter(|&b| force_scan_backend(b))
+        {
             for (d, (data, maxes)) in docs.iter().enumerate() {
                 let mut ab = Alphabet::new();
                 let mut reference = ByteTokenizer::new(&data[..], &mut ab);
@@ -3636,8 +3769,10 @@ mod tests {
             }
         }
         docs.push((simple.into_bytes(), vec![EVENT_SLICE]));
-        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
-        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+        for backend in ScanBackend::ALL
+            .into_iter()
+            .filter(|&b| force_scan_backend(b))
+        {
             for (d, (data, maxes)) in docs.iter().enumerate() {
                 let mut ab = Alphabet::new();
                 let mut reference = ByteTokenizer::new(&data[..], &mut ab);
@@ -3701,9 +3836,11 @@ mod tests {
     /// the scalar arm (attributes, self-closing) and on the tape.
     #[test]
     fn structure_resumes_at_an_unknown_tag_only() {
-        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
         let pad = "<a>w0</a> ".repeat(20);
-        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+        for backend in ScanBackend::ALL
+            .into_iter()
+            .filter(|&b| force_scan_backend(b))
+        {
             for (intruder, events) in [("<x>", 1), ("</x>", 1), ("<x k='v'/>", 2)] {
                 let doc = format!("{pad}<a>w0 {intruder} w0</a>{pad}");
                 let mut ab = Alphabet::new();
@@ -3910,8 +4047,10 @@ mod tests {
     /// over backends and fill sizes.
     fn assert_splits_match(data: &[u8], maxes: &[usize], label: &str) -> [(usize, usize); 3] {
         let mut parts = [(0, 0); 3];
-        let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
-        for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+        for backend in ScanBackend::ALL
+            .into_iter()
+            .filter(|&b| force_scan_backend(b))
+        {
             for &max in maxes {
                 let (forms, words, err, none) = split_run(data, max, 1, 1);
                 assert_eq!(none, (0, 0), "{label}: one part is no split");
@@ -3991,8 +4130,10 @@ mod tests {
                 assert_splits_match(doc.as_bytes(), &[1, EVENT_SLICE], &label);
                 let (forms, words, err, none) = split_run(doc.as_bytes(), EVENT_SLICE, 1, 1);
                 assert_eq!((none, err), ((0, 0), None), "{label}");
-                let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
-                for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+                for backend in ScanBackend::ALL
+                    .into_iter()
+                    .filter(|&b| force_scan_backend(b))
+                {
                     let ctx = format!("{backend:?}, {label}");
                     let (split_forms, split_words, split_err, (_, rejected)) =
                         split_run(doc.as_bytes(), EVENT_SLICE, 2, 1);

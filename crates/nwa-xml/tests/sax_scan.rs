@@ -831,13 +831,31 @@ fn assert_backends_agree(doc: &[u8], wide: ScanBackend, label: &str) {
     assert_eq!(wide_fill, swar_fill, "{label}: fill path diverged");
 }
 
+/// SWAR runs everywhere, and forcing a kernel this CPU lacks is refused.
+/// Prints the kernels this host runs, so a CI log names the ones every
+/// differential suite here exercised (`cargo test -p nwa-xml --test
+/// sax_scan scan_kernels_on_this_host -- --nocapture`). Reads no backend
+/// state other tests may be forcing at the same time.
+#[test]
+fn scan_kernels_on_this_host() {
+    let (available, missing): (Vec<ScanBackend>, Vec<ScanBackend>) = ScanBackend::ALL
+        .into_iter()
+        .partition(|&b| force_scan_backend(b));
+    auto_scan_backend();
+    eprintln!("scan kernels on this host: {available:?}; absent: {missing:?}");
+    assert_eq!(available.first(), Some(&ScanBackend::Swar));
+    for b in missing {
+        assert!(!force_scan_backend(b), "{b:?} is refused every time");
+    }
+}
+
 /// Every wide backend this host has must be token-for-token and
 /// error-for-error identical to SWAR on the same bytes. The adversarial
 /// inputs are random and all-simple documents whose token boundaries
 /// straddle the kernels' seams: leading whitespace of every length in
 /// `0..64` slides each document across the 64-byte classification blocks
-/// (and the 32-byte halves the AVX2 kernel loads and the 16-byte NEON
-/// lanes), and a text pad pushes a document across the 64 KiB scan-window
+/// (and the 32-byte halves the AVX2 kernel loads, the 64-byte AVX-512 lane
+/// and the 16-byte NEON lanes), and a text pad pushes a document across the 64 KiB scan-window
 /// seam at byte-granular shifts.
 ///
 /// Forcing a backend is process-global, which is safe here: every other
@@ -845,8 +863,9 @@ fn assert_backends_agree(doc: &[u8], wide: ScanBackend, label: &str) {
 /// that holds under either backend.
 #[test]
 fn simd_matches_swar_token_for_token() {
-    let wide: Vec<ScanBackend> = [ScanBackend::Avx2, ScanBackend::Neon]
-        .into_iter()
+    let wide: Vec<ScanBackend> = ScanBackend::ALL[1..]
+        .iter()
+        .copied()
         .filter(|&b| {
             let ok = force_scan_backend(b);
             auto_scan_backend();
@@ -1201,8 +1220,10 @@ fn token_cache_under_pressure_matches_char_lexer() {
     let expected = reference(data, data.len());
     let is_tag = |t: &TaggedSymbol| !matches!(t, TaggedSymbol::Internal(_));
     let every_third: Vec<bool> = (0..ab.len()).map(|a| a % 3 == 0).collect();
-    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
-    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+    for backend in ScanBackend::ALL
+        .into_iter()
+        .filter(|&b| force_scan_backend(b))
+    {
         for chunk in [data.len(), 4099, 7] {
             let ctx = format!("{backend:?}, chunk {chunk}");
             assert_eq!(bulk_iter(data, chunk), expected, "{ctx}: iterator");
@@ -1320,8 +1341,10 @@ fn structure_slices_walk_like_the_char_lexer() {
     docs.extend((0..prop_iters(4) as u64).map(|seed| generate(seed).into_bytes()));
     docs.push(b"</a></b> w <c k='v'>w<d/></c></e> <f>".to_vec());
     docs.push(pressure_document(5, 16_000).into_bytes());
-    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
-    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+    for backend in ScanBackend::ALL
+        .into_iter()
+        .filter(|&b| force_scan_backend(b))
+    {
         for (d, data) in docs.iter().enumerate() {
             for chunk in [1, 7, data.len()] {
                 let mut ab = Alphabet::new();
@@ -1495,7 +1518,7 @@ fn assert_lent_modes_match(bytes: &[u8], k: usize, ab: &Alphabet, label: &str) -
         pos: 0,
         k,
     };
-    for backend in [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon] {
+    for backend in ScanBackend::ALL {
         if !force_scan_backend(backend) {
             continue;
         }

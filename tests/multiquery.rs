@@ -590,7 +590,6 @@ fn projected_set_reader_matches_unprojected_member_runs() {
 #[test]
 fn set_unknown_tags_fail_iff_read_before_the_set_settles() {
     let (mut failed, mut decided) = (0, 0);
-    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
     for (d, (ab, xml)) in xml_documents_of(1, 4 * EVENT_SLICE, 246).iter().enumerate() {
         let events = tokenize(xml, &mut ab.clone()).unwrap();
         let queries: Vec<Nwa> = xml_queries(ab).into_iter().map(|(_, q)| q).collect();
@@ -616,7 +615,10 @@ fn set_unknown_tags_fail_iff_read_before_the_set_settles() {
                             })
                         ))
                     };
-                    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+                    for backend in ScanBackend::ALL
+                        .into_iter()
+                        .filter(|&b| force_scan_backend(b))
+                    {
                         let ctx = format!(
                             "document {d}, {} members, {intruder} at {at}, settled at {settle:?}, {backend:?}",
                             members.len()

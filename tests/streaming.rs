@@ -438,7 +438,6 @@ fn narrowed_scans_decide_like_the_renamed_document() {
 #[test]
 fn unknown_tags_fail_iff_read_before_the_run_settles() {
     let (mut failed, mut decided) = (0, 0);
-    let backends = [ScanBackend::Swar, ScanBackend::Avx2, ScanBackend::Neon];
     for (d, (ab, xml)) in xml_documents_of(1, 4 * EVENT_SLICE, 240).iter().enumerate() {
         let events = tokenize(xml, &mut ab.clone()).unwrap();
         let mut queries = xml_queries(ab);
@@ -458,7 +457,10 @@ fn unknown_tags_fail_iff_read_before_the_run_settles() {
                         failed += 1;
                         Err(unknown_symbol("intruder"))
                     };
-                    for backend in backends.into_iter().filter(|&b| force_scan_backend(b)) {
+                    for backend in ScanBackend::ALL
+                        .into_iter()
+                        .filter(|&b| force_scan_backend(b))
+                    {
                         let ctx = format!(
                             "document {d}, {name}, {intruder} at {at}, settled at {settle:?}, {backend:?}"
                         );

@@ -75,6 +75,64 @@ fn witness_nwa_sound_complete_and_shortest() {
     }
 }
 
+/// A deterministic NWA over one symbol that counts to `k`: `per`
+/// internals, or one call and its matched return, raise the count by one,
+/// and only the count `k` accepts. Every other move enters a dead state.
+/// Its shortest words take the move with fewer positions `k` times:
+/// internals when `per` is 1 (`k` positions), a call and its return when
+/// `per` is 3 (`2k` positions). So an engine that weighs one kind of step
+/// wrong returns a longer word than the shortest.
+fn counter_nwa(k: usize, per: usize) -> Nwa {
+    let (done, helper, dead) = (k * per, k * per + 1, k * per + 2);
+    let a = Symbol(0);
+    let mut m = Nwa::new(dead + 1, 1, 0);
+    m.set_all_transitions_to(dead, dead);
+    for q in 0..dead {
+        m.set_internal(q, a, dead);
+        m.set_call(q, a, dead, dead);
+        for h in 0..=dead {
+            m.set_return(q, h, a, dead);
+        }
+    }
+    m.set_accepting(done, true);
+    for q in 0..done {
+        m.set_internal(q, a, q + 1);
+    }
+    for count in (0..done).step_by(per) {
+        m.set_call(count, a, helper, count);
+        m.set_return(helper, count, a, count + per);
+    }
+    m
+}
+
+/// Witnesses stay shortest where the shortest word is forced past three
+/// positions and a longer one takes the other kind of step: each counter
+/// automaton's witness has the length its construction forces, for the
+/// deterministic engine and the nondeterministic one, and no shorter word
+/// is accepted.
+#[test]
+fn witness_is_shortest_past_three_positions() {
+    for (k, per) in [(4, 1), (5, 1), (6, 1), (2, 3), (3, 3)] {
+        let det = counter_nwa(k, per);
+        let nondet = Nnwa::from_deterministic(&det);
+        let shortest = if per == 1 { k } else { 2 * k };
+        for (engine, w) in [
+            ("nwa", query::witness(&det)),
+            ("nnwa", query::witness(&nondet)),
+        ] {
+            let w = w.expect("the count is reachable");
+            assert!(query::contains(&det, &w), "{engine} k {k} per {per}");
+            assert_eq!(w.len(), shortest, "{engine} k {k} per {per}: {w:?}");
+        }
+        for len in 0..shortest {
+            for tagged in all_tagged_words(1, len) {
+                let cand = NestedWord::from_tagged(&tagged);
+                assert!(!query::contains(&det, &cand), "k {k} per {per}: {tagged:?}");
+            }
+        }
+    }
+}
+
 /// The same soundness, completeness and shortest-ness for nondeterministic
 /// NWAs, directly on the transition relations (no determinization). The
 /// sparse generator leaves many languages empty, so both sides of the iff
