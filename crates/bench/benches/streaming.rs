@@ -278,6 +278,14 @@ fn buffered(xml: &str) -> io::BufReader<ReadOnly<'_>> {
 /// against. Last come the structure pass's own layers on every kernel
 /// this CPU has (`structure_classify`, `_check`, `_fold`: classification,
 /// then with the simplicity check, then the whole pass), single-threaded.
+///
+/// Those rows time passes run back to back, so the 3.69 MB document is in
+/// cache. The `_after_pause` rows (`bytes_settled_at_start` on both
+/// backends, `structure_fold` on every kernel) time each pass after the
+/// calling thread slept [`PAUSE`], by when the document has left the cache
+/// as it has between perfbench passes, and report the median of
+/// [`PAUSED_PASSES`]. The `cache` column says which is which. No row is
+/// gated.
 fn print_layer_table() {
     let (ab, doc) = generate_document(
         DocumentConfig {
@@ -301,15 +309,36 @@ fn print_layer_table() {
             })
             .fold(f64::INFINITY, f64::min)
     };
+    let after_pause = |f: &dyn Fn()| {
+        let mut ns: Vec<f64> = (0..PAUSED_PASSES)
+            .map(|_| {
+                std::thread::sleep(PAUSE);
+                let t = std::time::Instant::now();
+                f();
+                t.elapsed().as_secs_f64() * 1e9
+            })
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    };
     scan::auto_scan_backend();
     let detected = scan::scan_backend();
     println!(
         "== E15c: per-layer cost, 1M events, {bytes} bytes (detected backend: {detected:?}) =="
     );
-    println!("{:>30} {:>12} {:>12}", "layer", "ns/event", "ns/byte");
-    let row = |label: &str, ns: f64| {
-        println!("{label:>30} {:>12.2} {:>12.3}", ns / events, ns / bytes);
+    println!(
+        "{:>44} {:>12} {:>12} {:>7}",
+        "layer", "ns/event", "ns/byte", "cache"
+    );
+    let print = |label: &str, ns: f64, cache: &str| {
+        println!(
+            "{label:>44} {:>12.2} {:>12.3} {cache:>7}",
+            ns / events,
+            ns / bytes
+        );
     };
+    let row = |label: &str, ns: f64| print(label, ns, "cached");
+    let cold_row = |label: &str, ns: f64| print(label, ns, "cold");
     row(
         "utf8_only",
         fastest(&|| {
@@ -330,11 +359,16 @@ fn print_layer_table() {
                 black_box(tokenize_projected(&xml, &ab, cq.inert_symbols()));
             }),
         );
+        let settled_pass = || {
+            black_box(run_streaming_reader(&settled, xml.as_bytes(), &ab).unwrap());
+        };
         row(
             &format!("bytes_settled_at_start ({backend:?})"),
-            fastest(&|| {
-                black_box(run_streaming_reader(&settled, xml.as_bytes(), &ab).unwrap());
-            }),
+            fastest(&settled_pass),
+        );
+        cold_row(
+            &format!("bytes_settled_at_start_after_pause ({backend:?})"),
+            after_pause(&settled_pass),
         );
         row(
             &format!("bytes_settled_at_start_buffered ({backend:?})"),
@@ -370,10 +404,25 @@ fn print_layer_table() {
                 }),
             );
         }
+        let fold = scan::StructureLayer::Fold;
+        cold_row(
+            &format!("{}_after_pause ({backend:?})", layer_row(fold)),
+            after_pause(&|| {
+                black_box(scan::structure_layer(black_box(xml.as_bytes()), fold));
+            }),
+        );
     }
     scan::auto_scan_backend();
     println!();
 }
+
+/// How long the calling thread sleeps before each pass of an
+/// `_after_pause` row: as long as the single-threaded yardstick perfbench
+/// runs before each pass.
+const PAUSE: Duration = Duration::from_millis(50);
+
+/// The passes an `_after_pause` row takes the median of.
+const PAUSED_PASSES: usize = 31;
 
 /// The layers of the structure pass the E15c rows time alone.
 const STRUCTURE_LAYERS: [scan::StructureLayer; 3] = [
@@ -534,6 +583,13 @@ fn bench_compiled(c: &mut Criterion) {
         let q = contains_tag_nwa(ab.lookup("t1").unwrap(), ab.len());
         let cq = query::compile(&q);
         let xml = to_xml(&doc, &ab);
+        if events == 1_000_000 {
+            let (_, text, _) = doc.kind_counts();
+            let per_event = xml.len() as f64 / doc.len() as f64;
+            criterion::header("doc_bytes_per_event", format!("{per_event:.3}"));
+            let text = text as f64 / doc.len() as f64;
+            criterion::header("doc_text_fraction", format!("{text:.3}"));
+        }
         let settling = settling_query(&xml, &ab);
         let settled = settled_query(&ab);
         let mut parse_ab = ab.clone();

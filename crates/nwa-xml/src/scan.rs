@@ -76,6 +76,10 @@
 //!    kernel packs the block's forms into stream order (one `pext` on
 //!    `x86_64` with BMI2, a bit loop elsewhere), and a table folds them
 //!    eight at a time — and counts its text words from their end marks.
+//!    Each block first prefetches the line 4 KiB ahead: a settled pass
+//!    reads every byte once, and after a pause (perfbench runs a 50 ms
+//!    yardstick between passes) the document is no longer cached, so on
+//!    the wide kernels the pass would wait on memory more than it folds.
 //!    The scalar arm and the directives run
 //!    exactly as in the other modes, with every syntax check, and only
 //!    skip the name; a self-closing tag is a call and a return. A lexer
@@ -139,7 +143,7 @@
 
 use crate::sax::{ResolveName, SaxError, TextMode};
 use automata_core::Forms;
-use kernel::{BlockClassifier, BlockMasks, EventSink, BLOCK};
+use kernel::{prefetch, BlockClassifier, BlockMasks, EventSink, BLOCK};
 use nested_words::{NestedWordError, Symbol, TaggedSymbol};
 use std::collections::VecDeque;
 use std::io;
@@ -945,7 +949,8 @@ fn flatten(mut bits: u64, off: usize, out: &mut [u16], n: &mut usize) {
 /// tag except straight after `<`, and no `<!`, `<?`, `<>` or `</>`. On
 /// such blocks the tokens are exactly those the scalar arm would lex: tags
 /// run from `<` to `>`, text words are the maximal runs of bytes outside
-/// tags that are neither `>` nor whitespace.
+/// tags that are neither `>` nor whitespace. Each block first prefetches
+/// the line [`AHEAD`] bytes on, as [`walk_forms`] does.
 #[inline(always)]
 fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
     cls: C,
@@ -969,7 +974,8 @@ fn build_tape<C: BlockClassifier, const DROP_TEXT: bool>(
             // the scalar arm takes it.
             break if ends == 0 && word_end == 0 { bb } else { 0 };
         }
-        let block = data[bb..bb + BLOCK].try_into().expect("a whole block");
+        let block: &[u8; BLOCK] = data[bb..bb + BLOCK].try_into().expect("a whole block");
+        prefetch(block.as_ptr().wrapping_add(AHEAD));
         let m = cls.classify(block);
         let Some(simple) = carry.simple(cls, &m) else {
             break bb + BLOCK;
@@ -1090,6 +1096,21 @@ fn fold_forms(forms: &mut Forms, seq: u64, n: usize) {
     }
 }
 
+/// How far ahead of the block it classifies each stage-1 block loop
+/// prefetches ([`walk_forms`], [`run_layer`], [`build_tape`]). Chosen by a
+/// sweep of 1, 2, 4, 8 and 16 KiB over the E15c document on an AVX-512BW
+/// Xeon (`structure_fold` on each kernel and `bytes_settled_at_start`,
+/// after a 50 ms pause and back to back, medians of two runs of 31 and 41
+/// rounds): every distance cut the wide kernels' passes by 9–32% after a
+/// pause and by 4–26% back to back, and left SWAR, which is
+/// compute-bound, as it was. No distance won throughout; 4 KiB read best
+/// in three of the six wide after-pause rows and within the quartiles of
+/// the best in the other three. The tape pass reads names and is mostly
+/// compute: the prefetch took 3–7% off the drop-all scan's median pass
+/// (E15c `tokenize_projected` on AVX-512, 61 alternating rounds, faster
+/// in two rounds of three).
+const AHEAD: usize = 4 << 10;
+
 /// Stage 1 in **structure** mode: classifies `data` in 64-byte blocks from
 /// `from` — a token boundary outside any tag — under exactly
 /// [`build_tape`]'s simplicity check, but keeps no tape. Each tag is
@@ -1112,7 +1133,14 @@ fn fold_forms(forms: &mut Forms, seq: u64, n: usize) {
 ///
 /// The block loop keeps only what the next block needs: the carry, the
 /// borrow, the forms folded (their event count is the budget spent,
-/// counted down) and the words counted. Where the pass ends inside a tag
+/// counted down) and the words counted. Each block first asks for the
+/// line [`AHEAD`] bytes on ([`prefetch`]): the pass reads each byte once,
+/// so once the document has left the cache — between perfbench passes,
+/// after any pause — the loop would otherwise wait on memory for most
+/// lines, which the hardware prefetcher, stopping at each 4 KiB page,
+/// does not hide. The last blocks ask past the data, which a prefetch
+/// allows. This covers the sequential scan and every part of a split.
+/// Where the pass ends inside a tag
 /// or a word, the token's start is found once, after the loop, by reading
 /// back from the end to its `<` or to the byte before the word: in simple
 /// blocks no `<` sits inside a tag, and a word follows whitespace, a `>`
@@ -1134,6 +1162,7 @@ fn walk_forms<C: BlockClassifier>(cls: C, data: &[u8], from: usize, budget: usiz
         if left <= 0 {
             break 0;
         }
+        prefetch(block.as_ptr().wrapping_add(AHEAD));
         let m = cls.classify(block);
         let Some(simple) = carry.simple(cls, &m) else {
             break data.len() - after.len();
@@ -1214,6 +1243,7 @@ fn run_layer<C: BlockClassifier>(cls: C, data: &[u8], layer: StructureLayer) -> 
     let (blocks, _) = data.as_chunks::<BLOCK>();
     match layer {
         StructureLayer::Classify => blocks.iter().fold(0, |digest, block| {
+            prefetch(block.as_ptr().wrapping_add(AHEAD));
             let m = cls.classify(block);
             digest ^ m.lt ^ m.gt ^ m.ws ^ m.slash ^ m.quote ^ m.lead ^ m.other
         }),
@@ -1221,6 +1251,7 @@ fn run_layer<C: BlockClassifier>(cls: C, data: &[u8], layer: StructureLayer) -> 
             let mut carry = Carry::default();
             let mut words = 0;
             for block in blocks {
+                prefetch(block.as_ptr().wrapping_add(AHEAD));
                 let Some(simple) = carry.simple(cls, &cls.classify(block)) else {
                     break;
                 };
@@ -2751,10 +2782,13 @@ const MIN_PART: usize = 1 << 20;
 /// a helper still holds, so a smaller part shortens that wait; but each
 /// part also costs a fresh lexer and a claim. On a shared 2-vCPU KVM host
 /// (perfbench `stream_1q`, the 3.7 MB document, alternating 10 s runs),
-/// 256 KiB parts read 2336 and 2360 MB/s at the median, 128 KiB 2323 and
-/// 2322, and 64 KiB 2159: the wait, 36–198 µs per split in a probe, does
-/// not pay for the parts that halving the size adds.
-const CLAIM_BYTES: usize = 256 << 10;
+/// 256 KiB parts once read 2336 and 2360 MB/s at the median, 128 KiB 2323
+/// and 2322, and 64 KiB 2159. Since the structure pass prefetches
+/// ([`AHEAD`]) a part folds faster and its fixed cost weighs more: in six
+/// sets of two runs per size, 512 KiB parts read more than 256 KiB ones in
+/// every set (3306–3571 against 3517–3743 MB/s, set means), and 128 KiB
+/// less in all three sets it ran.
+const CLAIM_BYTES: usize = 512 << 10;
 
 /// A split whose helpers folded under one in `HELPED_SHARE` of its parts
 /// did not pay ([`Split::paid`]).

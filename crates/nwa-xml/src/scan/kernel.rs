@@ -13,6 +13,24 @@ use super::{
 /// Bytes classified per [`BlockClassifier::classify`] call.
 pub(super) const BLOCK: usize = 64;
 
+/// Asks the CPU to start loading the cache line that holds `p` into every
+/// cache level, and returns at once. A hint: any address will do, inside
+/// the data or not, null included, and nothing is read architecturally.
+/// One `prefetcht0` on `x86_64`; a no-op elsewhere.
+#[inline(always)]
+pub(super) fn prefetch(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and never reads memory as far as
+    // the program can tell, whatever `p` points at; SSE is baseline on
+    // `x86_64`.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// One bit per block byte, bit 0 = lowest address. Every class is an exact
 /// per-byte predicate, so the kernels agree bit for bit.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -819,6 +837,52 @@ mod tests {
             full > 1000 && rejected > 100,
             "{full} full, {rejected} rejected"
         );
+    }
+
+    /// The lookahead of the last blocks points past the data: a pass over
+    /// bytes that end exactly where their allocation ends reads what the
+    /// SWAR pass reads, with the end at every offset of a block, from the
+    /// start and from each token start of the last 256 bytes.
+    #[test]
+    fn forms_passes_read_like_swar_to_the_end_of_the_allocation() {
+        let passes = forms_passes();
+        let mut next = xorshift(0xD1B5_4A32_D192_ED03);
+        let simple = ["<a>", "</a>", "<bb>", "</bb>", "w", "word ", " ", "\n"];
+        let (mut full, mut starts) = (Vec::new(), Vec::new());
+        while full.len() < 4096 + BLOCK {
+            starts.push(full.len());
+            full.extend_from_slice(simple[(next() % 8) as usize].as_bytes());
+        }
+        let read = |p: &FormsPass| (p.forms, p.words, p.end, p.scalar_until);
+        for cut in 0..BLOCK {
+            let len = full.len() - cut;
+            let data: Box<[u8]> = full[..len].into();
+            let froms = starts
+                .iter()
+                .filter(|&&s| s == 0 || (len > s && len - s <= 256));
+            for &from in froms {
+                for budget in [1, 7, usize::MAX] {
+                    let expected = read(&Swar.forms_pass(&data, from, budget));
+                    for (name, pass) in &passes {
+                        let got = read(&pass(&data, from, budget));
+                        assert_eq!(
+                            got, expected,
+                            "{name}: cut {cut}, from {from}, budget {budget}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A prefetch is a hint, whatever the address.
+    #[test]
+    fn prefetch_never_faults() {
+        let bytes = [0u8; 16];
+        prefetch(std::ptr::null());
+        prefetch(bytes.as_ptr_range().end);
+        prefetch(bytes.as_ptr().wrapping_add(1 << 40));
+        prefetch(std::ptr::without_provenance(usize::MAX - BLOCK));
     }
 
     #[test]
