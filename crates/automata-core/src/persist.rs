@@ -45,6 +45,7 @@
 //! the corrupt-byte fuzzing in `tests/persist.rs`.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The four magic bytes opening every saved artifact.
 pub const MAGIC: [u8; 4] = *b"NWSA";
@@ -242,15 +243,60 @@ pub fn fingerprint_alphabet(len: usize) -> u64 {
 /// The content fingerprint of an artifact whose identity *is* its payload:
 /// the kind code mixed with the payload checksum.
 ///
-/// This is the one-pass idiom every `Persist` impl uses: at save/compile
-/// time the checksum falls out of serializing the payload, and at load time
-/// [`Reader::open`] has already hashed the payload to verify it — exposed as
-/// [`Reader::payload_checksum`] — so deriving the fingerprint from it costs
-/// nothing. No second walk over the tables, and save/load fingerprints agree
+/// This is the one-pass idiom every `Persist` impl uses: on first use
+/// ([`FingerprintCell`]) the checksum falls out of serializing the
+/// payload, and at load time [`Reader::open`] has already hashed the
+/// payload to verify it — exposed as [`Reader::payload_checksum`] — so
+/// deriving the fingerprint from it costs nothing. No second walk over the tables, and save/load fingerprints agree
 /// by construction because both hash the same payload bytes.
 pub fn fingerprint_payload(kind: u16, payload_checksum: u64) -> u64 {
     fnv1a_words([u64::from(kind), payload_checksum])
 }
+
+/// An artifact's content fingerprint, computed on first use.
+///
+/// The fingerprint is a function of the artifact's other fields — the
+/// [`fingerprint_payload`] of its payload — so building an artifact need
+/// not pay for a serialization only a snapshot reads. The cell computes
+/// the value once, on the first [`get_or_hash`](FingerprintCell::get_or_hash)
+/// (threads asking at once get the same value), or starts out
+/// [`known`](FingerprintCell::known) to a loader that has the payload
+/// checksum from [`Reader::payload_checksum`]. It takes no part in
+/// equality, and a clone carries whatever its source holds.
+#[derive(Debug, Default, Clone)]
+pub struct FingerprintCell(OnceLock<u64>);
+
+impl FingerprintCell {
+    /// A cell that computes its value when first asked.
+    pub fn new() -> FingerprintCell {
+        FingerprintCell::default()
+    }
+
+    /// A cell holding `fingerprint` already.
+    pub fn known(fingerprint: u64) -> FingerprintCell {
+        FingerprintCell(OnceLock::from(fingerprint))
+    }
+
+    /// The fingerprint: the held value, or else the [`fingerprint_payload`]
+    /// of kind `kind` over the payload `write` lays out, computed now and
+    /// held from then on.
+    pub fn get_or_hash(&self, kind: u16, write: impl FnOnce(&mut Writer)) -> u64 {
+        *self.0.get_or_init(|| {
+            let mut w = Writer::new();
+            write(&mut w);
+            fingerprint_payload(kind, checksum_bytes(w.payload()))
+        })
+    }
+}
+
+impl PartialEq for FingerprintCell {
+    /// Always equal: the value follows from the fields it sits beside.
+    fn eq(&self, _: &FingerprintCell) -> bool {
+        true
+    }
+}
+
+impl Eq for FingerprintCell {}
 
 /// Checks a header's alphabet fingerprint against an alphabet size, as
 /// every loader does once it has decoded σ from its payload.

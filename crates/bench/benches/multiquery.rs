@@ -10,6 +10,9 @@
 //! onepass --sibling onepass=sequential --min-speedup 2` against the
 //! checked-in `BENCH_multiquery.json`).
 //!
+//! The `e19_setup` rows time what a program pays before its first
+//! document: lowering the sixteen queries, and compiling them into a set.
+//!
 //! The `live16` rows run a second pool of sixteen queries built to bypass
 //! the set's two skips: no member reaches an absorbing state on the
 //! document, so none retires, and word counters read every text word, so
@@ -178,6 +181,21 @@ fn bench_multiquery(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    // Set-up, before the first document: lowering the sixteen queries of
+    // the `16` pool to NWAs, then compiling them into one set. Ungated.
+    let mut group = c.benchmark_group("e19_setup");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    group.bench_with_input(BenchmarkId::new("lower", 16), &ab, |b, ab| {
+        b.iter(|| query_pool(ab))
+    });
+    group.bench_with_input(BenchmarkId::new("compile_set", 16), &pool, |b, pool| {
+        b.iter(|| query::compile_set(pool))
+    });
     group.finish();
 }
 

@@ -18,24 +18,35 @@ use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol};
 use nwa::automaton::Nwa;
 use nwa::flat::from_tagged_dfa;
 use std::io;
-use word_automata::{Dfa, Regex};
+use word_automata::Dfa;
 
-/// Compiles the "patterns appear in this order" query (over document symbol
-/// labels, ignoring position kinds) into a flat deterministic NWA via the
-/// tagged-alphabet regex Σ̂*...; `sigma` is the document alphabet size.
+/// Compiles the "patterns appear in this order" query `Σ* p₁ Σ* … pₖ Σ*`
+/// (over document symbol labels, ignoring position kinds) into a flat
+/// deterministic NWA; `sigma` is the document alphabet size.
+///
+/// The query is lowered straight to its minimal DFA over the tagged
+/// alphabet Σ̂, the (k+1)-state subsequence automaton, and lifted with
+/// [`from_tagged_dfa`] (Theorem 2). State `i` means the first `i` patterns
+/// have been seen in order: a letter labelled `pᵢ₊₁` (as a call, internal
+/// or return) moves it to `i + 1`, every other letter leaves it, and
+/// state `k` accepts and absorbs.
+///
+/// Panics if a pattern symbol is outside the alphabet.
 pub fn patterns_in_order_nwa(patterns: &[Symbol], sigma: usize) -> Nwa {
-    // Over Σ̂ a document label `s` can occur as a call, internal or return, so
-    // each pattern symbol becomes an alternation of its three tagged copies.
-    let tagged_choice = |s: Symbol| {
-        Regex::Symbol(TaggedSymbol::Call(s).tagged_index(sigma))
-            .union(Regex::Symbol(TaggedSymbol::Internal(s).tagged_index(sigma)))
-            .union(Regex::Symbol(TaggedSymbol::Return(s).tagged_index(sigma)))
-    };
-    let mut r = Regex::any_star();
-    for &p in patterns {
-        r = r.concat(tagged_choice(p)).concat(Regex::any_star());
+    let k = patterns.len();
+    assert!(
+        patterns.iter().all(|p| p.index() < sigma),
+        "pattern symbol outside the {sigma}-symbol alphabet"
+    );
+    let mut dfa = Dfa::new(k + 1, 3 * sigma, 0);
+    dfa.set_accepting(k, true);
+    for q in 0..=k {
+        // Σ̂ letter `t` is a call, internal or return of label `t mod σ`.
+        for t in 0..3 * sigma {
+            let seen = patterns.get(q).is_some_and(|p| p.index() == t % sigma);
+            dfa.set_transition(q, t, q + usize::from(seen));
+        }
     }
-    let dfa: Dfa = r.to_min_dfa(3 * sigma);
     from_tagged_dfa(&dfa, sigma)
 }
 

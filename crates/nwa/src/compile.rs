@@ -40,6 +40,7 @@ use crate::automaton::Nwa;
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
 use crate::summary::{Summary, SummarySemantics};
+use automata_core::persist::FingerprintCell;
 use automata_core::{BatchAcceptor, Compile, Forms, LaneRun, StreamAcceptor, StreamOutcome};
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::HashMap;
@@ -106,8 +107,8 @@ pub struct CompiledNwa {
     /// Acceptance by plain state index (`q`, not the row offset).
     pub(crate) accepting: Vec<bool>,
     /// Content hash over the tables (see `persist`), stamped into
-    /// snapshots and validated on resume.
-    pub(crate) fingerprint: u64,
+    /// snapshots and validated on resume. Computed on first use.
+    pub(crate) fingerprint: FingerprintCell,
     /// `inert[a]`: `δi(q, a) = q` in every state, so an internal `a` never
     /// changes a run and the slice loop drops it. Derived from `table`
     /// (never serialized); its length is σ, so looking a symbol up is also
@@ -248,11 +249,10 @@ impl CompiledNwa {
             pending_row: ret_base(nwa.initial()),
             initial: (nwa.initial() * stride) as u32,
             accepting: (0..n).map(|q| nwa.is_accepting(q)).collect(),
-            fingerprint: 0,
+            fingerprint: FingerprintCell::new(),
             inert: Vec::new(),
             absorbing: Vec::new(),
         };
-        compiled.fingerprint = compiled.compute_fingerprint();
         compiled.derive_step_facts();
         compiled
     }
@@ -707,6 +707,9 @@ pub struct CompiledSummary {
     pub(crate) automaton: Nnwa,
     pub(crate) initial: u32,
     pub(crate) cache: RwLock<SummaryCache>,
+    /// Content hash over the automaton and the initial summary (see
+    /// `persist`), computed on first use.
+    pub(crate) fingerprint: FingerprintCell,
 }
 
 impl PartialEq for CompiledSummary {
@@ -728,6 +731,7 @@ impl Clone for CompiledSummary {
             automaton: self.automaton.clone(),
             initial: self.initial,
             cache: RwLock::new(self.lock_read().clone()),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 }
@@ -741,6 +745,7 @@ impl CompiledSummary {
             automaton,
             initial,
             cache: RwLock::new(cache),
+            fingerprint: FingerprintCell::new(),
         }
     }
 

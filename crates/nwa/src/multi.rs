@@ -71,7 +71,7 @@ use crate::compile::{
 };
 use automata_core::multi::MAX_QUERIES;
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
+    expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, FingerprintCell, Reader,
     Writer,
 };
 use automata_core::{
@@ -113,6 +113,8 @@ pub struct QuerySet {
     /// the alphabet. A lane reads text while one of these is live. Derived,
     /// never serialized.
     text_readers: u64,
+    /// Content hash over the serialized set, computed on first use.
+    fingerprint: FingerprintCell,
 }
 
 /// Engines of a [`QuerySet`] sharing one inert set, stepped over one
@@ -244,6 +246,7 @@ impl QuerySet {
             inert,
             classes,
             text_readers,
+            fingerprint: FingerprintCell::new(),
         }
     }
 
@@ -510,6 +513,7 @@ impl Persist for QuerySet {
 
     fn load(bytes: &[u8]) -> Result<Self, PersistError> {
         let (alphabet, mut r) = Reader::open(bytes, Self::KIND)?;
+        let fingerprint = fingerprint_payload(Self::KIND, r.payload_checksum());
         if r.get_u32()? != LAYOUT {
             return Err(PersistError::Malformed {
                 context: "query-set layout word is not 2 (saved by an older build?)",
@@ -568,13 +572,16 @@ impl Persist for QuerySet {
             masks.push(engine_masks);
         }
         r.finish()?;
-        Ok(QuerySet::assemble(num_queries, sigma, engines, masks))
+        let mut set = QuerySet::assemble(num_queries, sigma, engines, masks);
+        set.fingerprint = FingerprintCell::known(fingerprint);
+        Ok(set)
     }
 
+    /// Content hash over the serialized set, computed on first use; a
+    /// loaded set has it from the checksum pass [`Reader::open`] made.
     fn fingerprint(&self) -> u64 {
-        let mut w = Writer::new();
-        self.write_payload(&mut w);
-        fingerprint_payload(Self::KIND, checksum_bytes(w.payload()))
+        self.fingerprint
+            .get_or_hash(Self::KIND, |w| self.write_payload(w))
     }
 
     fn alphabet_fingerprint(&self) -> u64 {

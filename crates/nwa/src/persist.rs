@@ -35,7 +35,7 @@ use crate::compile::{
 use crate::nondet::Nnwa;
 use crate::summary::Summary;
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, fnv1a_words, kind,
+    expect_alphabet, fingerprint_alphabet, fingerprint_payload, fnv1a_words, kind, FingerprintCell,
     Reader, Writer,
 };
 use automata_core::suspend::decode_steps;
@@ -52,8 +52,8 @@ use std::sync::RwLock;
 impl CompiledNwa {
     /// Serializes the scalars and tables — the payload [`Persist::save`]
     /// seals, and the bytes the content fingerprint hashes. One definition
-    /// for both, so the fingerprint computed at compile time equals the one
-    /// a loader derives from [`Reader::payload_checksum`].
+    /// for both, so the fingerprint computed on first use equals the one a
+    /// loader derives from [`Reader::payload_checksum`].
     fn write_payload(&self, w: &mut Writer) {
         w.put_u64(self.num_states as u64);
         w.put_u32(self.sigma);
@@ -62,16 +62,6 @@ impl CompiledNwa {
         w.put_u32_slice(&self.table);
         w.put_u32_slice(&self.push);
         w.put_bools(&self.accepting);
-    }
-
-    /// Content hash over the serialized payload — computed once at compile
-    /// time and stamped into every snapshot. Loaders do *not* call this:
-    /// they fold the fingerprint out of the checksum pass [`Reader::open`]
-    /// already made (one integrity walk, not two).
-    pub(crate) fn compute_fingerprint(&self) -> u64 {
-        let mut w = Writer::new();
-        self.write_payload(&mut w);
-        fingerprint_payload(kind::COMPILED_NWA, checksum_bytes(w.payload()))
     }
 
     /// Length of the linear block — one past the largest valid row offset.
@@ -95,7 +85,7 @@ impl CompiledNwa {
     /// Validation for [`Suspend::resume_lane`]: the snapshot must come from
     /// this artifact and describe a state the tables can actually index.
     fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        s.expect_fingerprint(self.fingerprint)?;
+        s.expect_fingerprint(self.fingerprint())?;
         if !self.is_row(s.state) {
             return Err(PersistError::Malformed {
                 context: "snapshot state is not a row offset of this artifact",
@@ -194,7 +184,7 @@ impl Persist for CompiledNwa {
             pending_row,
             initial,
             accepting,
-            fingerprint,
+            fingerprint: FingerprintCell::known(fingerprint),
             inert: Vec::new(),
             absorbing: Vec::new(),
         };
@@ -252,8 +242,13 @@ impl Persist for CompiledNwa {
         Ok(artifact)
     }
 
+    /// Content hash over the serialized payload, computed on first use and
+    /// stamped into every snapshot. A loaded artifact has it already:
+    /// loaders fold it out of the checksum pass [`Reader::open`] made (one
+    /// integrity walk, not two).
     fn fingerprint(&self) -> u64 {
         self.fingerprint
+            .get_or_hash(Self::KIND, |w| self.write_payload(w))
     }
 
     fn alphabet_fingerprint(&self) -> u64 {
@@ -283,7 +278,7 @@ impl Suspend for CompiledNwa {
             stack
         };
         Snapshot {
-            fingerprint: self.fingerprint,
+            fingerprint: self.fingerprint(),
             state: lane.state,
             stack,
             peak: lane.max_sp - 1,
@@ -685,17 +680,19 @@ impl Persist for CompiledSummary {
             automaton,
             initial,
             cache: RwLock::new(cache),
+            fingerprint: FingerprintCell::new(),
         })
     }
 
     /// Hashes the automaton and the initial summary — *not* the cache, so
     /// snapshots resume across differently warmed copies of the same
     /// engine (the [`Snapshot::check`] word guards the id mapping).
+    /// Computed on first use, then held: every suspend and resume asks.
     fn fingerprint(&self) -> u64 {
-        let mut w = Writer::new();
-        put_nnwa(&mut w, &self.automaton);
-        w.put_u32(self.initial);
-        fingerprint_payload(Self::KIND, checksum_bytes(w.payload()))
+        self.fingerprint.get_or_hash(Self::KIND, |w| {
+            put_nnwa(w, &self.automaton);
+            w.put_u32(self.initial);
+        })
     }
 
     fn alphabet_fingerprint(&self) -> u64 {

@@ -28,7 +28,7 @@
 
 use crate::stepwise::DetStepwiseTA;
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
+    expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, FingerprintCell, Reader,
     Writer,
 };
 use automata_core::suspend::decode_steps;
@@ -77,8 +77,8 @@ pub struct CompiledStepwiseTA {
     /// values with `q` accepting.
     accepting_ext: Vec<bool>,
     /// Content hash over the source tables (see [`Persist`]), stamped into
-    /// snapshots and validated on resume.
-    fingerprint: u64,
+    /// snapshots and validated on resume. Computed on first use.
+    fingerprint: FingerprintCell,
 }
 
 impl CompiledStepwiseTA {
@@ -110,10 +110,9 @@ impl CompiledStepwiseTA {
             accepting,
             combine_ext: Vec::new(),
             accepting_ext: Vec::new(),
-            fingerprint: 0,
+            fingerprint: FingerprintCell::new(),
         };
         compiled.derive_extended();
-        compiled.fingerprint = compiled.compute_fingerprint();
         compiled
     }
 
@@ -177,7 +176,7 @@ impl CompiledStepwiseTA {
     /// Serializes the *source* tables (the extended tables are derived) —
     /// the payload [`Persist::save`] seals, and the bytes the content
     /// fingerprint hashes. One definition for both, so the fingerprint
-    /// computed at compile time equals the one a loader derives from
+    /// computed on first use equals the one a loader derives from
     /// [`Reader::payload_checksum`].
     fn write_payload(&self, w: &mut Writer) {
         w.put_u64(self.num_states as u64);
@@ -185,15 +184,6 @@ impl CompiledStepwiseTA {
         w.put_u32_slice(&self.init);
         w.put_u32_slice(&self.combine);
         w.put_bools(&self.accepting);
-    }
-
-    /// Content hash over the serialized payload — computed once at compile
-    /// time. Loaders fold the fingerprint out of the checksum pass
-    /// [`Reader::open`] already made instead.
-    fn compute_fingerprint(&self) -> u64 {
-        let mut w = Writer::new();
-        self.write_payload(&mut w);
-        fingerprint_payload(kind::COMPILED_STEPWISE_TA, checksum_bytes(w.payload()))
     }
 
     #[inline]
@@ -226,7 +216,7 @@ impl CompiledStepwiseTA {
     /// Validation for [`Suspend::resume_lane`]: every extended state must
     /// index the extended tables.
     fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        s.expect_fingerprint(self.fingerprint)?;
+        s.expect_fingerprint(self.fingerprint())?;
         let m = self.m() as u32;
         if s.state >= m || s.stack.iter().any(|&v| v >= m) {
             return Err(PersistError::Malformed {
@@ -380,14 +370,19 @@ impl Persist for CompiledStepwiseTA {
             accepting,
             combine_ext: Vec::new(),
             accepting_ext: Vec::new(),
-            fingerprint,
+            fingerprint: FingerprintCell::known(fingerprint),
         };
         artifact.derive_extended();
         Ok(artifact)
     }
 
+    /// Content hash over the serialized source tables, computed on first
+    /// use and stamped into every snapshot. A loaded artifact has it
+    /// already: loaders fold it out of the checksum pass [`Reader::open`]
+    /// made.
     fn fingerprint(&self) -> u64 {
         self.fingerprint
+            .get_or_hash(Self::KIND, |w| self.write_payload(w))
     }
 
     fn alphabet_fingerprint(&self) -> u64 {
@@ -398,7 +393,7 @@ impl Persist for CompiledStepwiseTA {
 impl Suspend for CompiledStepwiseTA {
     fn suspend_lane(&self, lane: &CompiledStepwiseLane) -> Snapshot {
         Snapshot {
-            fingerprint: self.fingerprint,
+            fingerprint: self.fingerprint(),
             state: lane.current,
             stack: lane.stack.clone(),
             peak: lane.max_stack as u32,

@@ -4,7 +4,7 @@
 
 use crate::dfa::Dfa;
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
+    expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, FingerprintCell, Reader,
     Writer,
 };
 use automata_core::suspend::decode_steps;
@@ -38,8 +38,8 @@ pub struct CompiledTaggedDfa {
     /// Acceptance by plain state index.
     accepting: Vec<bool>,
     /// Content hash over the table (see [`Persist`]), stamped into
-    /// snapshots and validated on resume.
-    fingerprint: u64,
+    /// snapshots and validated on resume. Computed on first use.
+    fingerprint: FingerprintCell,
 }
 
 impl CompiledTaggedDfa {
@@ -65,22 +65,20 @@ impl CompiledTaggedDfa {
                 next[q * stride + t] = (dfa.next(q, t) * stride) as u32;
             }
         }
-        let mut compiled = CompiledTaggedDfa {
+        CompiledTaggedDfa {
             sigma: stride / 3,
             stride: stride as u32,
             next,
             initial: (dfa.initial() * stride) as u32,
             accepting: (0..n).map(|q| dfa.is_accepting(q)).collect(),
-            fingerprint: 0,
-        };
-        compiled.fingerprint = compiled.compute_fingerprint();
-        compiled
+            fingerprint: FingerprintCell::new(),
+        }
     }
 
     /// Serializes the scalars and the next-state array — the payload
     /// [`Persist::save`] seals, and the bytes the content fingerprint
-    /// hashes. One definition for both, so the fingerprint computed at
-    /// compile time equals the one a loader derives from
+    /// hashes. One definition for both, so the fingerprint computed on
+    /// first use equals the one a loader derives from
     /// [`Reader::payload_checksum`].
     fn write_payload(&self, w: &mut Writer) {
         w.put_u64(self.accepting.len() as u64);
@@ -88,15 +86,6 @@ impl CompiledTaggedDfa {
         w.put_u32(self.initial);
         w.put_u32_slice(&self.next);
         w.put_bools(&self.accepting);
-    }
-
-    /// Content hash over the serialized payload — computed once at compile
-    /// time and stamped into every snapshot. Loaders fold the fingerprint
-    /// out of the checksum pass [`Reader::open`] already made instead.
-    fn compute_fingerprint(&self) -> u64 {
-        let mut w = Writer::new();
-        self.write_payload(&mut w);
-        fingerprint_payload(kind::COMPILED_TAGGED_DFA, checksum_bytes(w.payload()))
     }
 
     /// A valid state row offset: `q·stride` for some `q < n`.
@@ -108,7 +97,7 @@ impl CompiledTaggedDfa {
     /// state — any stack, peak or integrity word is structurally
     /// impossible.
     fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        s.expect_fingerprint(self.fingerprint)?;
+        s.expect_fingerprint(self.fingerprint())?;
         if !self.is_row(s.state) {
             return Err(PersistError::Malformed {
                 context: "snapshot state is not a row offset of this artifact",
@@ -342,7 +331,7 @@ impl Persist for CompiledTaggedDfa {
             next,
             initial,
             accepting,
-            fingerprint,
+            fingerprint: FingerprintCell::known(fingerprint),
         };
         if !artifact.is_row(artifact.initial) {
             return Err(PersistError::Malformed {
@@ -357,8 +346,12 @@ impl Persist for CompiledTaggedDfa {
         Ok(artifact)
     }
 
+    /// Content hash over the serialized payload, computed on first use and
+    /// stamped into every snapshot. A loaded artifact has it already:
+    /// loaders fold it out of the checksum pass [`Reader::open`] made.
     fn fingerprint(&self) -> u64 {
         self.fingerprint
+            .get_or_hash(Self::KIND, |w| self.write_payload(w))
     }
 
     fn alphabet_fingerprint(&self) -> u64 {
@@ -369,7 +362,7 @@ impl Persist for CompiledTaggedDfa {
 impl Suspend for CompiledTaggedDfa {
     fn suspend_lane(&self, lane: &CompiledTaggedDfaLane) -> Snapshot {
         Snapshot {
-            fingerprint: self.fingerprint,
+            fingerprint: self.fingerprint(),
             state: lane.state,
             stack: Vec::new(),
             peak: 0,

@@ -20,7 +20,7 @@ use nested_words_suite::nested_words::path;
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::decision;
 use nested_words_suite::nwa::families::{path_family_nwa, path_family_tagged_dfa};
-use nested_words_suite::nwa::flat::to_tagged_dfa;
+use nested_words_suite::nwa::flat::{from_tagged_dfa, to_tagged_dfa};
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa, within_nwa,
@@ -202,6 +202,47 @@ fn compiled_artifacts_are_self_contained() {
     drop(m);
     for (w, &e) in words.iter().zip(&expected) {
         assert_eq!(query::contains_stream(&c, w.to_tagged()), e);
+    }
+}
+
+/// The "patterns in document order" query by way of a regex over the
+/// tagged alphabet: `Σ̂* p₁ Σ̂* … pₖ Σ̂*`, each pattern the alternation of
+/// its three tagged copies, to a minimal DFA (Thompson NFA, subsets,
+/// Moore), lifted to a flat NWA.
+fn in_order_by_regex(patterns: &[Symbol], sigma: usize) -> Nwa {
+    let tagged_choice = |s: Symbol| {
+        Regex::Symbol(TaggedSymbol::Call(s).tagged_index(sigma))
+            .union(Regex::Symbol(TaggedSymbol::Internal(s).tagged_index(sigma)))
+            .union(Regex::Symbol(TaggedSymbol::Return(s).tagged_index(sigma)))
+    };
+    let mut r = Regex::any_star();
+    for &p in patterns {
+        r = r.concat(tagged_choice(p)).concat(Regex::any_star());
+    }
+    from_tagged_dfa(&r.to_min_dfa(3 * sigma), sigma)
+}
+
+/// `patterns_in_order_nwa` lowers straight to the subsequence automaton;
+/// it is the regex construction's `Nwa` exactly, state numbering
+/// included, so the compiled tables, saved bytes and fingerprints are
+/// too. Pattern lists over small alphabets repeat labels often.
+#[test]
+fn in_order_lowering_equals_the_regex_construction() {
+    let mut rng = Prng::new(0x1_0bde);
+    for case in 0..prop_iters(200) {
+        let sigma = 1 + rng.below(6);
+        let patterns: Vec<Symbol> = (0..rng.below(6))
+            .map(|_| Symbol(rng.below(sigma) as u16))
+            .collect();
+        let ctx = format!("case {case}: sigma {sigma}, patterns {patterns:?}");
+        let direct = patterns_in_order_nwa(&patterns, sigma);
+        let oracle = in_order_by_regex(&patterns, sigma);
+        assert_eq!(direct, oracle, "{ctx}");
+        assert_eq!(
+            query::save(&direct.compile()),
+            query::save(&oracle.compile()),
+            "{ctx}"
+        );
     }
 }
 

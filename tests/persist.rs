@@ -27,7 +27,9 @@ use nested_words_suite::nested_words::generate::{
     random_nested_word, random_tree, NestedWordConfig,
 };
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
-use nested_words_suite::nwa_xml::queries::contains_tag_nwa;
+use nested_words_suite::nwa_xml::queries::{
+    contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa,
+};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -426,4 +428,179 @@ fn artifacts_reject_foreign_bytes_and_foreign_snapshots() {
     // It does resume on a byte-identical reload.
     let reloaded: CompiledNwa = query::load(&query::save(&nwa_artifact)).unwrap();
     assert!(query::resume(&reloaded, &snapshot).is_ok());
+}
+
+// --------------------------------------------------------------------------
+// Fingerprints: computed on first use, bit for bit the saved images' own
+// --------------------------------------------------------------------------
+
+/// Content fingerprints of a few artifacts of every compiled type. Every
+/// snapshot is stamped with its artifact's fingerprint and a saved image's
+/// checksum feeds its loader's, so a change to any of these values
+/// strands every snapshot taken before it.
+const PINNED_NWA: [u64; 4] = [
+    0xa20d_fa08_752c_543d,
+    0x5ba0_d294_283b_65c1,
+    0xea39_7e53_15ba_61e5,
+    0xc8fd_73c7_d72e_0819,
+];
+const PINNED_DFA: [u64; 2] = [0xb92f_b795_9e30_8c3a, 0x5bb1_868a_6439_f39f];
+const PINNED_STEPWISE: [u64; 2] = [0x72c7_b86d_a579_73da, 0x3622_35d3_8387_00d2];
+const PINNED_SUMMARY: [u64; 3] = [
+    0xb627_268f_655d_81d1,
+    0xdb1f_0991_ec4e_0192,
+    0x5612_bc7e_1d20_2092,
+];
+const PINNED_SET: [u64; 2] = [0xdaf9_8039_8638_0e6d, 0xc4ad_e97e_25f6_2680];
+
+fn pinned_nwa(i: usize) -> CompiledNwa {
+    match i {
+        0 | 1 => random_det_nwa(4, 2, i as u64).compile(),
+        2 => contains_tag_nwa(Symbol(0), 2).compile(),
+        _ => patterns_in_order_nwa(&[Symbol(1), Symbol(0)], 2).compile(),
+    }
+}
+
+fn pinned_dfa(i: usize) -> CompiledTaggedDfa {
+    random_dfa(5, 6, i as u64).compile()
+}
+
+fn pinned_stepwise(i: usize) -> CompiledStepwiseTA {
+    random_stepwise(3, 2, i as u64).compile()
+}
+
+fn pinned_summary(i: usize) -> CompiledSummary {
+    match i {
+        0 => some_b_block().compile(),
+        1 => random_nnwa_with_transitions(3, 2, 9, 0).compile(),
+        _ => joinless_from_nwa(&random_nnwa_with_transitions(3, 2, 9, 0)).compile(),
+    }
+}
+
+/// A product-shaped set (one engine) and a per-member one (three engines:
+/// their product table is far over the cap).
+fn pinned_set(i: usize) -> QuerySet {
+    let set = match i {
+        0 => query::compile_set(&[contains_tag_nwa(Symbol(0), 2), random_det_nwa(4, 2, 0)]),
+        _ => query::compile_set(&[
+            open_depth_at_most_nwa(30, 2),
+            depth_at_most_nwa(8, 2),
+            contains_tag_nwa(Symbol(1), 2),
+        ]),
+    };
+    assert_eq!(set.num_engines(), if i == 0 { 1 } else { 3 });
+    set
+}
+
+/// Checks an artifact's fingerprint against its pinned value three ways,
+/// each on artifacts nobody asked for it before: asked once; of the
+/// artifact `load(save(..))` gives back; and asked by two threads at
+/// once.
+fn check_first_use<A: Persist + Sync>(build: impl Fn() -> A, pinned: u64, ctx: &str) {
+    assert_eq!(build().fingerprint(), pinned, "{ctx}: fresh compile");
+    let reloaded: A = query::load(&query::save(&build())).expect(ctx);
+    assert_eq!(reloaded.fingerprint(), pinned, "{ctx}: load(save(..))");
+    let artifact = build();
+    let gate = std::sync::Barrier::new(2);
+    let [a, b] = std::thread::scope(|s| {
+        [(); 2]
+            .map(|()| {
+                s.spawn(|| {
+                    gate.wait();
+                    artifact.fingerprint()
+                })
+            })
+            .map(|h| h.join().expect(ctx))
+    });
+    assert_eq!((a, b), (pinned, pinned), "{ctx}: two threads at once");
+}
+
+/// A clone taken before the first use equals the artifact after it, and
+/// one taken after equals one taken before; all report the same value.
+fn check_clones<A: Persist + Clone + PartialEq + std::fmt::Debug>(artifact: A, ctx: &str) {
+    let before = artifact.clone();
+    let fingerprint = artifact.fingerprint();
+    let after = artifact.clone();
+    assert_eq!(before, artifact, "{ctx}");
+    assert_eq!(after, before, "{ctx}");
+    assert_eq!(before.fingerprint(), fingerprint, "{ctx}");
+    assert_eq!(after.fingerprint(), fingerprint, "{ctx}");
+}
+
+/// Suspends a lane of an artifact nobody asked for its fingerprint,
+/// halfway through `events`, and resumes it on a reload of that artifact
+/// (warm, as a summary engine's ids need), itself not asked either: it
+/// finishes like the uninterrupted run.
+fn check_suspend_before_first_use<A: Suspend>(
+    build: impl Fn() -> A,
+    events: &[TaggedSymbol],
+    ctx: &str,
+) {
+    let reference = query::run_batch(&build(), &[events]).remove(0);
+    let artifact = build();
+    let mut lane = artifact.lane_start();
+    for &event in &events[..events.len() / 2] {
+        artifact.lane_step(&mut lane, event);
+    }
+    let snapshot = query::suspend(&artifact, &lane);
+    let reloaded: A = query::load(&query::save(&artifact)).expect(ctx);
+    let mut resumed = query::resume(&reloaded, &snapshot).expect(ctx);
+    for &event in &events[events.len() / 2..] {
+        reloaded.lane_step(&mut resumed, event);
+    }
+    assert_eq!(reloaded.lane_outcome(&resumed), reference, "{ctx}");
+    assert_eq!(snapshot.fingerprint, build().fingerprint(), "{ctx}");
+}
+
+#[test]
+fn fingerprints_keep_their_pinned_values_on_first_use() {
+    for (i, &pinned) in PINNED_NWA.iter().enumerate() {
+        check_first_use(|| pinned_nwa(i), pinned, &format!("nwa {i}"));
+    }
+    for (i, &pinned) in PINNED_DFA.iter().enumerate() {
+        check_first_use(|| pinned_dfa(i), pinned, &format!("dfa {i}"));
+    }
+    for (i, &pinned) in PINNED_STEPWISE.iter().enumerate() {
+        check_first_use(|| pinned_stepwise(i), pinned, &format!("stepwise {i}"));
+    }
+    for (i, &pinned) in PINNED_SUMMARY.iter().enumerate() {
+        check_first_use(|| pinned_summary(i), pinned, &format!("summary {i}"));
+    }
+    for (i, &pinned) in PINNED_SET.iter().enumerate() {
+        check_first_use(|| pinned_set(i), pinned, &format!("set {i}"));
+    }
+}
+
+#[test]
+fn clones_agree_across_the_first_use() {
+    for i in 0..PINNED_NWA.len() {
+        check_clones(pinned_nwa(i), &format!("nwa {i}"));
+    }
+    for i in 0..PINNED_DFA.len() {
+        check_clones(pinned_dfa(i), &format!("dfa {i}"));
+    }
+    for i in 0..PINNED_STEPWISE.len() {
+        check_clones(pinned_stepwise(i), &format!("stepwise {i}"));
+    }
+    for i in 0..PINNED_SUMMARY.len() {
+        check_clones(pinned_summary(i), &format!("summary {i}"));
+    }
+}
+
+#[test]
+fn lanes_suspend_and_resume_before_the_fingerprint_is_asked_for() {
+    let events = &random_streams(1, 24)[0];
+    let tree = &tree_streams(1)[0];
+    for i in 0..PINNED_NWA.len() {
+        check_suspend_before_first_use(|| pinned_nwa(i), events, &format!("nwa {i}"));
+    }
+    for i in 0..PINNED_DFA.len() {
+        check_suspend_before_first_use(|| pinned_dfa(i), events, &format!("dfa {i}"));
+    }
+    for i in 0..PINNED_STEPWISE.len() {
+        check_suspend_before_first_use(|| pinned_stepwise(i), tree, &format!("stepwise {i}"));
+    }
+    for i in 0..PINNED_SUMMARY.len() {
+        check_suspend_before_first_use(|| pinned_summary(i), events, &format!("summary {i}"));
+    }
 }
