@@ -31,7 +31,11 @@
 //!   ([`query::compile`]): the compiled form runs the same [`StreamAcceptor`]
 //!   protocol with cache-friendly flat tables, trading a one-time
 //!   compilation pass (and, for subset engines, memoized row storage) for
-//!   per-event speed;
+//!   per-event speed. The one engine every deterministic nested-word model
+//!   lowers into, [`CompiledNwa`] (fused premultiplied `u32` tables, lanes
+//!   that settle in absorbing states, `Persist` and `Suspend`), lives here
+//!   too, beneath every model crate: `Nwa` builds it directly, and a
+//!   deterministic stepwise tree automaton through Lemma 1;
 //! * [`Persist`] — versioned, endian-explicit byte formats for compiled
 //!   artifacts ([`query::save`], [`query::load`]): an artifact is plain old
 //!   data, so it can be built (and warmed) once offline and shipped to a
@@ -65,7 +69,8 @@
 //!   ([`query::run_stream`], [`query::contains_stream`]).
 //!
 //! This crate depends only on `nested-words` (for the input types); the
-//! model crates depend on it and implement the traits.
+//! model crates depend on it, implement the traits and lower into its
+//! [`CompiledNwa`] through [`CompiledNwa::from_transitions`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,7 +86,7 @@ pub mod suspend;
 pub mod traits;
 
 pub use build::Builder;
-pub use compile::Compile;
+pub use compile::{Compile, CompiledNwa, CompiledNwaLane};
 pub use ids::StateId;
 pub use multi::{MultiAcceptor, MultiCompile, QuerySetRun};
 pub use persist::{Persist, PersistError};

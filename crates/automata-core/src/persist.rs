@@ -2,8 +2,8 @@
 //! compiled artifacts.
 //!
 //! A compiled artifact (`CompiledNwa`, `CompiledSummary`, `CompiledTaggedDfa`,
-//! `CompiledStepwiseTA`) is plain old data — dense `u32` tables plus a few
-//! scalars — so shipping one to another process is a copy, not a rebuild.
+//! `QuerySet`) is plain old data — dense `u32` tables plus a few scalars —
+//! so shipping one to another process is a copy, not a rebuild.
 //! [`Persist::save`] lays an artifact out as a self-describing byte buffer
 //! and [`Persist::load`] reconstructs it, turning the engines into
 //! build-once/ship-to-a-fleet deployables: compile (and warm up) offline,
@@ -58,7 +58,10 @@ pub const HEADER_LEN: usize = 32;
 
 /// Artifact kind codes stored in the header, one per compiled engine.
 pub mod kind {
-    /// `nwa::CompiledNwa` — fused premultiplied deterministic table.
+    /// [`CompiledNwa`](crate::CompiledNwa) — fused premultiplied
+    /// deterministic table. A deterministic stepwise tree automaton
+    /// compiles to the same engine, through Lemma 1, and saves under this
+    /// code too.
     pub const COMPILED_NWA: u16 = 1;
     /// `nwa::CompiledSummary` — memoized summary subset engine over an
     /// `Nnwa`. A `JoinlessNwa` compiles to the same engine, through its
@@ -70,9 +73,13 @@ pub mod kind {
     /// reused.
     pub const COMPILED_SUMMARY_NNWA: u16 = 2;
     /// `word_automata::CompiledTaggedDfa` — flat tagged-alphabet table.
+    ///
+    /// Code 5 is retired: it named a stepwise tree-event engine of its
+    /// own, before stepwise automata compiled into `CompiledNwa`. No
+    /// loader accepts it (such images fail with
+    /// [`WrongKind`](super::PersistError::WrongKind)), and it is never
+    /// reused.
     pub const COMPILED_TAGGED_DFA: u16 = 4;
-    /// `tree_automata::CompiledStepwiseTA` — flat stepwise tree-event table.
-    pub const COMPILED_STEPWISE_TA: u16 = 5;
     /// `automata_core::Snapshot` — suspended run state (not an automaton).
     pub const SNAPSHOT: u16 = 6;
     /// `nwa::QuerySet` — compiled multi-query artifact (compiled engines,

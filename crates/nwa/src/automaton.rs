@@ -191,7 +191,7 @@ impl<'a> StreamingRun<'a> {
     pub fn step(&mut self, tag: TaggedSymbol) {
         let a = tag.symbol().index();
         if a >= self.nwa.sigma() {
-            crate::compile::outside_alphabet(a, self.nwa.sigma());
+            automata_core::compile::outside_alphabet(a, self.nwa.sigma());
         }
         self.steps += 1;
         match tag.kind() {

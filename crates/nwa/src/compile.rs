@@ -7,16 +7,14 @@
 //! meet the paper's asymptotics — one pass, memory proportional to depth.
 //! Compilation attacks the constant factor:
 //!
-//! * [`CompiledNwa`] fuses the three transition functions of a
-//!   deterministic NWA into **one** flat `u32` table over the tagged
-//!   alphabet Σ̂ with **premultiplied row offsets**: a linear state is
-//!   represented as `q·3σ`, a hierarchical stack entry as the absolute
-//!   base of its block of return rows. Every event then resolves as one
-//!   addition and one array load, and — the part the microbenchmarks say
-//!   matters most — the event kind enters the address as *arithmetic on
-//!   the discriminant* rather than a three-way dispatch, so the
-//!   unpredictable call/internal/return mix of real documents stops
-//!   costing a branch misprediction per event.
+//! * a deterministic [`Nwa`] compiles into [`CompiledNwa`], the dense-table
+//!   engine of `automata-core` (re-exported here): its three transition
+//!   functions fused into **one** flat `u32` table over the tagged
+//!   alphabet Σ̂ with premultiplied row offsets, so every event resolves
+//!   as one addition and one array load, with the event kind entering the
+//!   address as arithmetic on the discriminant rather than a branch. The
+//!   deterministic stepwise tree automata of `tree-automata` lower into
+//!   the same engine (Lemma 1).
 //! * [`CompiledSummary`] executes the summary-set subset construction of
 //!   §3.2 over **interned** state-pair sets with a **memoized transition
 //!   cache**: each distinct (summary, symbol) step is derived once from the
@@ -40,575 +38,18 @@ use crate::automaton::Nwa;
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
 use crate::summary::{Summary, SummarySemantics};
+use automata_core::compile::outside_alphabet;
+pub use automata_core::compile::{CompiledNwa, CompiledNwaLane};
 use automata_core::persist::FingerprintCell;
-use automata_core::{BatchAcceptor, Compile, Forms, LaneRun, StreamAcceptor, StreamOutcome};
+use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamOutcome};
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::RwLock;
 
 // --------------------------------------------------------------------------
-// Deterministic NWAs: premultiplied dense tables
+// Deterministic NWAs: the dense-table engine of `automata-core`
 // --------------------------------------------------------------------------
-
-/// A deterministic NWA lowered into one fused `u32` transition table over
-/// the tagged alphabet Σ̂, with premultiplied row offsets (see the
-/// [module docs](self) for the design rationale).
-///
-/// Internally a linear state `q` is the row offset `q·3σ` and every event
-/// is the in-row offset `kind·σ + a` (calls `0..σ`, internals `σ..2σ`,
-/// returns `2σ..3σ` — exactly [`TaggedSymbol::tagged_index`]). The fused
-/// table `T` concatenates
-///
-/// * the **linear block** (`n·3σ` entries): `T[q·3σ + a] = δc^l(q,a)·3σ`
-///   and `T[q·3σ + σ + a] = δi(q,a)·3σ`, and
-/// * the **return block** (`n·n·3σ` entries): for a return the stack
-///   supplies the absolute base of the hierarchical state's row, so
-///   `T[pop() + q·3σ + (2σ + a)] = δr(q,h,a)·3σ`.
-///
-/// One event is therefore *one* add-and-load wherever it lands: a call
-/// additionally pushes `push[q·3σ + a]` (the matching return-row base), a
-/// return pops (an empty stack pops the initial state's base — the
-/// pending-return rule of §3.1). Crucially the decode `kind·σ + a` is plain
-/// arithmetic on the event discriminant — unlike a three-way dispatch it
-/// never branches on the (unpredictable) event kind, which is where the
-/// interpreted runner's cycles go.
-///
-/// Compilation also derives two facts from the table, recomputed on load
-/// rather than stored: the **inert** symbols, whose internal transition is
-/// the identity in every state, and the **absorbing** states, which every
-/// transition maps back to themselves. The slice loop drops inert
-/// internals before stepping (see [`BatchAcceptor::lane_step_slice`]), and
-/// every lane **settles** once it reaches an absorbing state: from then on
-/// it reads neither table nor stack and only counts stack height, whether
-/// it runs alone or as an engine of a [`QuerySet`](crate::QuerySet).
-///
-/// Build one with [`Compile::compile`] (or `query::compile`) and drive it
-/// through [`StreamAcceptor`], or hand a whole slice to
-/// [`BatchAcceptor::run_tagged`]; it accepts exactly the streams the source
-/// [`Nwa`] accepts. A symbol outside its alphabet panics, as in the source
-/// [`Nwa`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledNwa {
-    /// Row stride of linear states: `max(3σ, 1)`.
-    pub(crate) stride: u32,
-    /// σ itself (`stride / 3`, kept separately for the band offsets).
-    pub(crate) sigma: u32,
-    pub(crate) num_states: usize,
-    /// The fused table: linear block then return block.
-    pub(crate) table: Vec<u32>,
-    /// `push[q·3σ + a]` = absolute base of `δc^h(q, a)`'s block of return
-    /// rows, so a return resolves as `T[pop() + state + 2σ + a]`.
-    pub(crate) push: Vec<u32>,
-    /// The pushed value for the initial state — what a pending return pops.
-    pub(crate) pending_row: u32,
-    /// Initial linear state, as a row offset.
-    pub(crate) initial: u32,
-    /// Acceptance by plain state index (`q`, not the row offset).
-    pub(crate) accepting: Vec<bool>,
-    /// Content hash over the tables (see `persist`), stamped into
-    /// snapshots and validated on resume. Computed on first use.
-    pub(crate) fingerprint: FingerprintCell,
-    /// `inert[a]`: `δi(q, a) = q` in every state, so an internal `a` never
-    /// changes a run and the slice loop drops it. Derived from `table`
-    /// (never serialized); its length is σ, so looking a symbol up is also
-    /// the alphabet check.
-    pub(crate) inert: Vec<bool>,
-    /// Absorbing states as a bitset over row offsets: bit `q·3σ` is set
-    /// iff every call, internal and return from `q`, for every symbol and
-    /// stack symbol, lands on `q` — a sink whose verdict is fixed. Keyed by
-    /// the row offset a lane holds, so checking a lane takes no division.
-    /// Derived from `table`, never serialized.
-    pub(crate) absorbing: Vec<u64>,
-}
-
-/// Events per compaction block of the slice loops: each block's kept
-/// events gather in a stack buffer of this many slots before stepping.
-pub(crate) const BLOCK: usize = 1024;
-
-/// Whether a run must step `event`: `false` exactly for an internal whose
-/// symbol is inert. The `inert` lookup doubles as the alphabet check, so a
-/// symbol outside the automaton's alphabet panics here, on every kind.
-#[inline(always)]
-pub(crate) fn keeps(inert: &[bool], event: TaggedSymbol) -> bool {
-    let a = event.symbol().index();
-    let Some(&inert) = inert.get(a) else {
-        outside_alphabet(a, inert.len())
-    };
-    !(inert && matches!(event, TaggedSymbol::Internal(_)))
-}
-
-/// The panic of an event symbol outside the alphabet, shared by every
-/// interpreted and compiled engine: the symbol's column would otherwise
-/// fall in a neighbouring row of the flat tables, or its summary step
-/// would be memoized under a symbol no saved image can hold.
-#[cold]
-#[inline(never)]
-pub(crate) fn outside_alphabet(a: usize, sigma: usize) -> ! {
-    panic!("event symbol {a} is outside the automaton's {sigma}-symbol alphabet")
-}
-
-/// Copies the events of `block` a run must step into `kept` and returns
-/// how many there are, showing every event read to `each` on the way.
-/// Branch-free: every event is written, and the cursor advances only past
-/// a kept one.
-#[inline(always)]
-pub(crate) fn compact(
-    inert: &[bool],
-    block: &[TaggedSymbol],
-    kept: &mut [TaggedSymbol; BLOCK],
-    mut each: impl FnMut(TaggedSymbol),
-) -> usize {
-    let mut n = 0;
-    for &event in block {
-        kept[n] = event;
-        n += usize::from(keeps(inert, event));
-        each(event);
-    }
-    n
-}
-
-/// A stack height after `event`: up one on a call, down one on a return,
-/// except that a pending return (on an empty stack) leaves it at zero.
-#[inline(always)]
-pub(crate) fn next_height(height: usize, event: TaggedSymbol) -> usize {
-    let is_call = usize::from(matches!(event, TaggedSymbol::Call(_)));
-    let is_ret = usize::from(matches!(event, TaggedSymbol::Return(_)));
-    (height + is_call).saturating_sub(is_ret)
-}
-
-/// The step of a settled run, over a whole slice: in an absorbing state
-/// the verdict is fixed and no stack frame can be observed again, so only
-/// the stack height and its peak move. Reads no table and no stack, and
-/// still checks every event's symbol against the `sigma`-symbol alphabet.
-/// The one loop behind a settled [`CompiledNwa`] lane and a
-/// [`QuerySet`](crate::QuerySet) lane whose engines have all retired.
-#[inline]
-pub(crate) fn step_heights(
-    sigma: usize,
-    events: &[TaggedSymbol],
-    height: &mut usize,
-    peak: &mut usize,
-) {
-    let (mut h, mut p) = (*height, *peak);
-    for &event in events {
-        let a = event.symbol().index();
-        if a >= sigma {
-            outside_alphabet(a, sigma);
-        }
-        h = next_height(h, event);
-        p = p.max(h);
-    }
-    *height = h;
-    *peak = p;
-}
-
-impl CompiledNwa {
-    /// Lowers `nwa` into the fused premultiplied table.
-    ///
-    /// Panics if the table offsets would not fit `u32` (i.e.
-    /// `(states + states²) · 3σ > u32::MAX`); such automata are beyond what
-    /// the dense return block can represent and must use the interpreted
-    /// runner.
-    pub fn new(nwa: &Nwa) -> CompiledNwa {
-        let n = nwa.num_states();
-        let sigma = nwa.sigma();
-        let stride = (3 * sigma).max(1);
-        let table_len = n
-            .checked_add(n.checked_mul(n).expect("table size overflows usize"))
-            .and_then(|x| x.checked_mul(stride))
-            .expect("table size overflows usize");
-        assert!(
-            u32::try_from(table_len).is_ok(),
-            "automaton too large to compile: (states + states^2) * 3*sigma must fit u32"
-        );
-        // Absolute base of hierarchical state h's block of return rows; a
-        // return lands at `base + q·3σ + 2σ + a`.
-        let ret_base = |h: usize| ((n + h * n) * stride) as u32;
-        let mut table = vec![0u32; table_len];
-        let mut push = vec![0u32; n * stride];
-        for q in 0..n {
-            for a in 0..sigma {
-                let sym = Symbol(a as u16);
-                let row = q * stride;
-                table[row + a] = (nwa.call_linear(q, sym) * stride) as u32;
-                table[row + sigma + a] = (nwa.internal(q, sym) * stride) as u32;
-                push[row + a] = ret_base(nwa.call_hier(q, sym));
-                for h in 0..n {
-                    table[(n + h * n) * stride + row + 2 * sigma + a] =
-                        (nwa.ret(q, h, sym) * stride) as u32;
-                }
-            }
-        }
-        let mut compiled = CompiledNwa {
-            stride: stride as u32,
-            sigma: sigma as u32,
-            num_states: n,
-            table,
-            push,
-            pending_row: ret_base(nwa.initial()),
-            initial: (nwa.initial() * stride) as u32,
-            accepting: (0..n).map(|q| nwa.is_accepting(q)).collect(),
-            fingerprint: FingerprintCell::new(),
-            inert: Vec::new(),
-            absorbing: Vec::new(),
-        };
-        compiled.derive_step_facts();
-        compiled
-    }
-
-    /// Derives [`inert`](CompiledNwa::is_inert) symbols and
-    /// [`absorbing`](CompiledNwa::is_absorbing) states from the fused
-    /// table, in O(n²σ) — the cost of building it. Run at compile time and
-    /// again by `Persist::load` once the tables are validated.
-    pub(crate) fn derive_step_facts(&mut self) {
-        let (n, sigma, stride) = (self.num_states, self.sigma(), self.stride as usize);
-        let row = |q: usize| q * stride;
-        self.inert = (0..sigma)
-            .map(|a| (0..n).all(|q| self.table[row(q) + sigma + a] == row(q) as u32))
-            .collect();
-        self.absorbing = vec![0; (n * stride).div_ceil(64)];
-        for q in 0..n {
-            let here = row(q) as u32;
-            let calls_and_internals = &self.table[row(q)..row(q) + 2 * sigma];
-            let absorbing = calls_and_internals.iter().all(|&t| t == here)
-                && (0..n).all(|h| {
-                    let returns = (n + h * n) * stride + row(q) + 2 * sigma;
-                    self.table[returns..returns + sigma]
-                        .iter()
-                        .all(|&t| t == here)
-                });
-            self.absorbing[row(q) / 64] |= u64::from(absorbing) << (row(q) % 64);
-        }
-    }
-
-    /// Whether symbol `a` is inert: `δi(q, a) = q` in every state `q`, so
-    /// an internal `a` cannot change any run and the slice loop skips it.
-    pub fn is_inert(&self, a: Symbol) -> bool {
-        self.inert[a.index()]
-    }
-
-    /// Whether state `q` is absorbing: every call, internal and return
-    /// from `q` lands on `q`, so a run there has a fixed verdict.
-    pub fn is_absorbing(&self, q: usize) -> bool {
-        assert!(q < self.num_states, "state {q} out of range");
-        self.absorbing_row(q as u32 * self.stride)
-    }
-
-    /// Whether the state at row offset `row` is absorbing.
-    #[inline(always)]
-    fn absorbing_row(&self, row: u32) -> bool {
-        self.absorbing[(row / 64) as usize] >> (row % 64) & 1 != 0
-    }
-
-    /// Whether `lane` sits in an absorbing state: it has *settled*, and
-    /// from here on only its stack height moves.
-    #[inline(always)]
-    pub(crate) fn lane_settled(&self, lane: &CompiledNwaLane) -> bool {
-        self.absorbing_row(lane.state)
-    }
-
-    /// Steps a settled lane over `events` by [`step_heights`]: `sp` and
-    /// `max_sp` follow the stream while the state, the cached top and the
-    /// spilled stack stay as they are. `sp` may then pass the end of
-    /// `spilled`, which a settled lane never reads again. Leaves `steps`
-    /// alone, like [`step_kept`](CompiledNwa::step_kept).
-    fn step_settled(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
-        let mut height = lane.sp as usize - 1;
-        let mut peak = lane.max_sp as usize - 1;
-        step_heights(self.sigma(), events, &mut height, &mut peak);
-        lane.sp = (height + 1) as u32;
-        lane.max_sp = (peak + 1) as u32;
-    }
-
-    /// The state `lane` sits in, as an index into the per-state vectors.
-    pub(crate) fn lane_state(&self, lane: &CompiledNwaLane) -> usize {
-        (lane.state / self.stride) as usize
-    }
-
-    /// The register loop over events that must all be stepped: hoists the
-    /// lane into locals — state, cached top, stack pointer and peak in
-    /// registers, the spilled stack moved out of the lane rather than
-    /// copied — and runs `step_local` per event. Leaves `steps` alone;
-    /// the callers count the events they read, kept or not.
-    pub(crate) fn step_kept(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
-        let mut state = lane.state;
-        let mut top = lane.top;
-        let mut sp = lane.sp as usize;
-        let mut max_sp = lane.max_sp as usize;
-        let mut spilled = std::mem::take(&mut lane.spilled);
-        for &event in events {
-            self.step_local(
-                &mut state,
-                &mut top,
-                &mut sp,
-                &mut max_sp,
-                &mut spilled,
-                event,
-            );
-        }
-        lane.state = state;
-        lane.top = top;
-        lane.sp = sp as u32;
-        lane.max_sp = max_sp as u32;
-        lane.spilled = spilled;
-    }
-
-    /// Number of states of the source automaton.
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// Alphabet size of the source automaton.
-    pub fn sigma(&self) -> usize {
-        self.sigma as usize
-    }
-
-    /// Bytes occupied by the transition tables — the memory the compiled
-    /// representation trades for speed (the `states² × 3σ` return block
-    /// dominates).
-    pub fn table_bytes(&self) -> usize {
-        (self.table.len() + self.push.len()) * std::mem::size_of::<u32>()
-    }
-
-    /// The branch-free event step on explicit locals. `inline(always)` so
-    /// the callers' locals stay register-promoted: the slice loop of
-    /// [`BatchAcceptor::lane_step_slice`] keeps the whole lane state in
-    /// registers for the duration of a block, and the stored-lane
-    /// [`BatchAcceptor::lane_step`] reuses the same body. Only unsettled
-    /// lanes get here: a settled one takes the height-only loop.
-    ///
-    /// The step is **branch-free on the event kind**: real event streams
-    /// mix calls, internals and returns unpredictably, so any per-kind
-    /// dispatch — including the arithmetic-per-arm `match` inside
-    /// [`TaggedSymbol::tagged_index`] — mispredicts constantly and
-    /// dominates the interpreted runner's budget. Here every event
-    ///
-    /// 1. decodes to `kind·σ + a` by pure arithmetic on the discriminant,
-    /// 2. unconditionally writes its would-be push (`push[state + a]`) into
-    ///    the next free stack slot,
-    /// 3. resolves `state = T[state + kind·σ + a + (top & ret_mask)]` —
-    ///    one load, with the return-block base masked in only when the
-    ///    event is a return — and
-    /// 4. adjusts the stack pointer with comparisons, not branches.
-    ///
-    /// A sentinel slot holding the initial state's return base sits below
-    /// the stack, so a pending return (pop on an empty stack) resolves
-    /// against the §3.1 hierarchical-initial row with no special case.
-    #[inline(always)]
-    fn step_local(
-        &self,
-        state: &mut u32,
-        top: &mut u32,
-        sp: &mut usize,
-        max_sp: &mut usize,
-        spilled: &mut Vec<u32>,
-        event: TaggedSymbol,
-    ) {
-        let sigma = self.sigma;
-        // Flag-style decode: `matches!` comparisons compile to setcc,
-        // where a `match` yielding per-arm values compiles to data-
-        // dependent (hence mispredicted) branches.
-        let a = event.symbol().index() as u32;
-        let is_int = u32::from(matches!(event, TaggedSymbol::Internal(_)));
-        let is_ret = u32::from(matches!(event, TaggedSymbol::Return(_)));
-        let kind = is_int + 2 * is_ret;
-        debug_assert!(a < sigma.max(1), "event symbol outside the alphabet");
-        // Predictable (amortized-rare) growth branch, never a per-kind one.
-        if *sp + 1 >= spilled.len() {
-            spilled.resize(spilled.len() * 2, 0);
-        }
-        // Unconditional spill of the cached top into its memory home
-        // `sp - 1` (a call's push must preserve it there; harmless
-        // otherwise — the slot is dead while the top lives in the
-        // register), then one add-and-load resolves the event, with the
-        // return block masked in only for returns.
-        spilled[*sp - 1] = *top;
-        let ret_mask = is_ret.wrapping_neg();
-        let pushed = self.push[(*state + a) as usize];
-        *state = self.table[(*state + kind * sigma + a + (*top & ret_mask)) as usize];
-        // New height and new top, all selected without branching: a
-        // call caches its pushed value, an internal keeps the top, a
-        // return refills from the slot that becomes the new top.
-        let is_call = usize::from(kind == 0);
-        *sp = (*sp + is_call - is_ret as usize).max(1);
-        let refill = spilled[*sp - 1];
-        *top = [pushed, *top, refill][kind as usize];
-        *max_sp = (*max_sp).max(*sp);
-    }
-}
-
-impl StreamAcceptor for CompiledNwa {
-    type Run<'a> = LaneRun<'a, CompiledNwa>;
-
-    fn start(&self) -> LaneRun<'_, CompiledNwa> {
-        LaneRun::new(self)
-    }
-
-    /// The inert symbols the slice loop already skips, so a scanner can
-    /// drop their text words at the source.
-    fn inert_symbols(&self) -> &[bool] {
-        &self.inert
-    }
-}
-
-/// One stream's worth of batched-execution state for a [`CompiledNwa`]:
-/// the premultiplied linear state, the register-style cached stack top, and
-/// the spilled `u32` stack with its pending-return sentinel — exactly the
-/// state the slice loop keeps in registers, made storable so N lanes can
-/// sit side by side and migrate across worker threads. It is also the
-/// state of every [`CompiledNwa`] streaming run ([`LaneRun`]).
-#[derive(Debug, Clone)]
-pub struct CompiledNwaLane {
-    /// Current linear state as a premultiplied row offset.
-    pub(crate) state: u32,
-    /// Cached top of the stack (a return-row base).
-    pub(crate) top: u32,
-    /// Stack pointer into `spilled`; the live height is `sp - 1` because
-    /// `spilled[0]` is the pending-return sentinel. Once the lane has
-    /// settled in an absorbing state only `sp` moves, and it may pass the
-    /// end of `spilled`.
-    pub(crate) sp: u32,
-    /// Peak `sp` observed.
-    pub(crate) max_sp: u32,
-    /// Events consumed.
-    pub(crate) steps: usize,
-    /// The spilled stack; `spilled[sp - 1]` mirrors `top` after each
-    /// internal or return step (after a call the register `top` is
-    /// authoritative and the slot is dead). Frozen, with `top`, once the
-    /// lane has settled.
-    pub(crate) spilled: Vec<u32>,
-}
-
-impl BatchAcceptor for CompiledNwa {
-    type Lane = CompiledNwaLane;
-
-    fn lane_start(&self) -> CompiledNwaLane {
-        CompiledNwaLane {
-            state: self.initial,
-            top: self.pending_row,
-            sp: 1,
-            max_sp: 1,
-            steps: 0,
-            spilled: vec![self.pending_row; 64],
-        }
-    }
-
-    /// The branch-free event step (`step_local`) on a stored lane: setcc
-    /// decode of the event kind,
-    /// unconditional spill of the cached top, one add-and-load with the
-    /// return base masked in, comparison-selected stack adjustment. Lanes
-    /// touch only their own state, so interleaved calls on different lanes
-    /// are independent dependency chains.
-    ///
-    /// A lane that has settled in an absorbing state takes the height-only
-    /// step instead (see [`lane_step_slice`](BatchAcceptor::lane_step_slice)).
-    ///
-    /// A symbol outside the alphabet panics, as in the interpreted [`Nwa`]:
-    /// `state + σ + a` would otherwise land in the next row's call band.
-    #[inline]
-    fn lane_step(&self, lane: &mut CompiledNwaLane, event: TaggedSymbol) {
-        lane.steps += 1;
-        if self.lane_settled(lane) {
-            self.step_settled(lane, &[event]);
-            return;
-        }
-        let a = event.symbol().index();
-        if a >= self.sigma() {
-            outside_alphabet(a, self.sigma());
-        }
-        let mut sp = lane.sp as usize;
-        let mut max_sp = lane.max_sp as usize;
-        self.step_local(
-            &mut lane.state,
-            &mut lane.top,
-            &mut sp,
-            &mut max_sp,
-            &mut lane.spilled,
-            event,
-        );
-        lane.sp = sp as u32;
-        lane.max_sp = max_sp as u32;
-    }
-
-    /// The compacted slice loop, the bulk entry point of the compiled
-    /// engine: each block of at most 1024 events is first copied into a
-    /// stack buffer without its inert internals (branch-free — every event
-    /// is written, the cursor advances only past kept ones), then the kept
-    /// events run through the register loop (see `step_local` for the
-    /// step's anatomy), with state, cached top, stack pointer and peak in
-    /// registers for the whole block. An inert internal changes neither
-    /// the state nor the stack, so skipping it is exact. On documents where
-    /// half the events are text words no query reads, that halves the
-    /// steps. `steps` grows by the whole slice: it counts events read.
-    ///
-    /// A lane that starts a block in an absorbing state has **settled**: its
-    /// verdict is fixed and its stack frames can no longer be observed, so
-    /// the block runs the height-only loop instead — no table, no stack,
-    /// only the stack height, its peak and the alphabet check. The check
-    /// costs one lookup per block. Observables are exactly what stepping
-    /// every event leaves, and snapshots of settled lanes are canonical
-    /// (see `Suspend for CompiledNwa`), so they agree too.
-    ///
-    /// Language-equivalent to driving [`StreamAcceptor::start`] event by
-    /// event (property-tested in `tests/compile.rs`).
-    fn lane_step_slice(&self, lane: &mut CompiledNwaLane, events: &[TaggedSymbol]) {
-        let mut kept = [TaggedSymbol::Internal(Symbol(0)); BLOCK];
-        for block in events.chunks(BLOCK) {
-            if self.lane_settled(lane) {
-                self.step_settled(lane, block);
-            } else {
-                let n = compact(&self.inert, block, &mut kept, |_| {});
-                self.step_kept(lane, &kept[..n]);
-            }
-        }
-        lane.steps += events.len();
-    }
-
-    fn lane_accepting(&self, lane: &CompiledNwaLane) -> bool {
-        self.accepting[self.lane_state(lane)]
-    }
-
-    fn lane_stack_height(&self, lane: &CompiledNwaLane) -> usize {
-        lane.sp as usize - 1
-    }
-
-    fn lane_outcome(&self, lane: &CompiledNwaLane) -> StreamOutcome {
-        StreamOutcome {
-            accepted: self.lane_accepting(lane),
-            events: lane.steps,
-            peak_memory: (lane.max_sp - 1) as usize,
-        }
-    }
-
-    /// A settled lane reads no text: in an absorbing state every internal
-    /// event lands back on the state.
-    fn lane_reads_text(&self, lane: &CompiledNwaLane) -> bool {
-        !self.lane_settled(lane)
-    }
-
-    /// A settled lane reads no name either: in an absorbing state every
-    /// event lands back on the state, so only the stack height moves.
-    fn lane_reads_names(&self, lane: &CompiledNwaLane) -> bool {
-        !self.lane_settled(lane)
-    }
-
-    /// The height-only step of a settled lane over a window known by its
-    /// forms: `sp` and `max_sp` follow the walk, as in `step_settled`, and
-    /// `steps` counts the window's events. Forms carry no symbols, so
-    /// unlike `step_heights` on the slice path there is no alphabet to
-    /// check: a tag outside it reaches a lane only this way, by form, after
-    /// the lane settled. Panics on a lane that has not settled.
-    fn lane_step_forms(&self, lane: &mut CompiledNwaLane, forms: Forms) {
-        assert!(self.lane_settled(lane), "tag forms for an unsettled lane");
-        let mut height = lane.sp as usize - 1;
-        let mut peak = lane.max_sp as usize - 1;
-        forms.apply(&mut height, &mut peak);
-        lane.sp = (height + 1) as u32;
-        lane.max_sp = (peak + 1) as u32;
-        lane.steps += forms.events;
-    }
-}
 
 impl Compile for Nwa {
     type Compiled = CompiledNwa;
@@ -616,7 +57,15 @@ impl Compile for Nwa {
     /// One fused premultiplied `u32` table ([`CompiledNwa`]); panics if
     /// `(states + states²) · 3σ` overflows `u32`.
     fn compile(&self) -> CompiledNwa {
-        CompiledNwa::new(self)
+        CompiledNwa::from_transitions(
+            self.num_states(),
+            self.sigma(),
+            self.initial(),
+            |q| self.is_accepting(q),
+            |q, a| (self.call_linear(q, a), self.call_hier(q, a)),
+            |q, a| self.internal(q, a),
+            |q, h, a| self.ret(q, h, a),
+        )
     }
 }
 
@@ -1185,44 +634,5 @@ mod tests {
         let outcome = c.run_tagged(&deep);
         assert_eq!(outcome, query::run_stream(&m, deep.iter().copied()));
         assert_eq!(outcome.peak_memory, 500);
-    }
-
-    /// A settled lane counts the stack without storing it: 10⁵-deep
-    /// nesting after settling grows no spilled stack, through the slice
-    /// loop or the per-event step, while height and peak stay exact.
-    #[test]
-    fn settled_lanes_do_not_grow_the_spilled_stack() {
-        let (a, b) = (Symbol(0), Symbol(1));
-        // Accepts once a call `a` has been read, in the absorbing state 1.
-        let mut m = Nwa::new(2, 2, 0);
-        m.set_accepting(1, true);
-        m.set_all_transitions_to(1, 1);
-        for sym in [a, b] {
-            m.set_internal(0, sym, 0);
-            m.set_call(0, sym, usize::from(sym == a), 0);
-            for h in 0..2 {
-                m.set_return(0, h, sym, 0);
-            }
-        }
-        let c = m.compile();
-        let deep = 100_000;
-        let nest: Vec<TaggedSymbol> = std::iter::repeat_n(TaggedSymbol::Call(b), deep).collect();
-        for sliced in [true, false] {
-            let mut lane = c.lane_start();
-            c.lane_step_slice(&mut lane, &[TaggedSymbol::Call(b), TaggedSymbol::Call(a)]);
-            assert!(c.lane_settled(&lane));
-            let spilled = lane.spilled.len();
-            if sliced {
-                c.lane_step_slice(&mut lane, &nest);
-            } else {
-                nest.iter().for_each(|&e| c.lane_step(&mut lane, e));
-            }
-            assert_eq!(lane.spilled.len(), spilled, "sliced {sliced}");
-            assert_eq!(c.lane_stack_height(&lane), deep + 2, "sliced {sliced}");
-            let outcome = c.lane_outcome(&lane);
-            assert!(outcome.accepted);
-            assert_eq!(outcome.peak_memory, deep + 2, "sliced {sliced}");
-            assert_eq!(outcome.events, deep + 2, "sliced {sliced}");
-        }
     }
 }

@@ -22,8 +22,9 @@
 //!   `automata-core` [`StreamAcceptor`](automata_core::StreamAcceptor)
 //!   trait: one event at a time, memory proportional to the nesting depth;
 //! * compiled execution engines ([`compile`]) behind the `automata-core`
-//!   [`Compile`](automata_core::Compile) trait: [`CompiledNwa`] lowers a
-//!   deterministic NWA into premultiplied dense `u32` tables, and
+//!   [`Compile`](automata_core::Compile) trait: a deterministic NWA
+//!   lowers into premultiplied dense `u32` tables, [`CompiledNwa`] (the
+//!   engine of `automata-core`, re-exported here), and
 //!   [`CompiledSummary`] runs the nondeterministic models through one
 //!   memoized summary-set subset engine (over [`Nnwa`]; [`JoinlessNwa`]
 //!   through its [`JoinlessNwa::to_nnwa`] expansion), whose memo
@@ -75,7 +76,7 @@ pub mod witness;
 
 pub use automaton::{Nwa, StreamingRun};
 pub use builder::{NnwaBuilder, NwaBuilder};
-pub use compile::{CompiledNwa, CompiledSummary};
+pub use compile::{CompiledNwa, CompiledNwaLane, CompiledSummary};
 pub use joinless::{JoinlessNwa, JoinlessStreamingRun};
 pub use multi::{QuerySet, QuerySetLane};
 pub use nondet::{Nnwa, NnwaStreamingRun};

@@ -66,7 +66,7 @@
 
 use crate::automaton::Nwa;
 use crate::boolean;
-use crate::compile::{
+use automata_core::compile::{
     compact, keeps, next_height, step_heights, CompiledNwa, CompiledNwaLane, BLOCK,
 };
 use automata_core::multi::MAX_QUERIES;
@@ -219,24 +219,24 @@ impl QuerySet {
         masks: Vec<Vec<u64>>,
     ) -> QuerySet {
         let inert: Vec<bool> = (0..sigma as usize)
-            .map(|a| engines.iter().all(|e| e.inert[a]))
+            .map(|a| engines.iter().all(|e| e.inert_symbols()[a]))
             .collect();
         let mut classes: Vec<InertClass> = Vec::new();
         for (e, engine) in engines.iter().enumerate() {
             match classes
                 .iter_mut()
-                .find(|c| engines[c.rep].inert == engine.inert)
+                .find(|c| engines[c.rep].inert_symbols() == engine.inert_symbols())
             {
                 Some(class) => class.engines |= 1 << e,
                 None => classes.push(InertClass {
                     engines: 1 << e,
                     rep: e,
-                    compacts: engine.inert != inert,
+                    compacts: engine.inert_symbols() != inert,
                 }),
             }
         }
         let text_readers = engines.iter().enumerate().fold(0u64, |acc, (e, engine)| {
-            acc | u64::from(!engine.inert.iter().all(|&b| b)) << e
+            acc | u64::from(!engine.inert_symbols().iter().all(|&b| b)) << e
         });
         QuerySet {
             num_queries,
@@ -390,7 +390,7 @@ impl BatchAcceptor for QuerySet {
                     continue;
                 }
                 let kept = if class.compacts {
-                    let inert = &self.engines[class.rep].inert;
+                    let inert = self.engines[class.rep].inert_symbols();
                     let m = compact(inert, &kept[..n], &mut own, |_| {});
                     &own[..m]
                 } else {
@@ -562,7 +562,7 @@ impl Persist for QuerySet {
                 // An engine accepts exactly where it contributes all its
                 // bits by construction; a disagreement means the bytes do
                 // not describe one artifact.
-                if engine.accepting[q] != (mask == owned) {
+                if engine.is_accepting(q) != (mask == owned) {
                     return Err(PersistError::Malformed {
                         context: "verdict mask disagrees with the engine's acceptance",
                     });

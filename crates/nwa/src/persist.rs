@@ -1,42 +1,34 @@
-//! `Persist` and `Suspend` for the compiled NWA engines.
+//! `Persist` and `Suspend` for the compiled summary engine. (The dense
+//! [`CompiledNwa`](crate::CompiledNwa) persists in `automata-core`,
+//! beside its tables.)
 //!
-//! * [`CompiledNwa`] is already plain old data — the payload is its scalars
-//!   plus the fused table, the push table and the acceptance bits, and the
-//!   loader re-derives the stride and range-checks **every** decoded entry
-//!   (linear states must be in-range row offsets, pushed values must be
-//!   return-block bases) so that a successfully loaded artifact can never
-//!   index out of its own tables.
-//! * [`CompiledSummary`] persists its [`Nnwa`] *and* its memoization cache:
-//!   the interned summary universe in id order plus every memoized
-//!   transition row, so a warmed engine ships warm (`load(save(a)) == a`
-//!   compares the cache too). A compiled `JoinlessNwa` is the same engine
-//!   over its `to_nnwa` expansion, so it saves under the same kind; the
-//!   retired joinless kind is refused as a wrong kind. The four memo
-//!   sections (internal, call, pending, matched) share one row codec, and
-//!   each declared row count is bounded by the remaining payload before
-//!   anything is allocated. Ids are range-checked on load; the rows
-//!   themselves are trusted content guarded by the payload checksum —
-//!   re-deriving them would be re-compiling, which is exactly what loading
-//!   exists to avoid.
+//! [`CompiledSummary`] persists its [`Nnwa`] *and* its memoization cache:
+//! the interned summary universe in id order plus every memoized
+//! transition row, so a warmed engine ships warm (`load(save(a)) == a`
+//! compares the cache too). A compiled `JoinlessNwa` is the same engine
+//! over its `to_nnwa` expansion, so it saves under the same kind; the
+//! retired joinless kind is refused as a wrong kind. The four memo
+//! sections (internal, call, pending, matched) share one row codec, and
+//! each declared row count is bounded by the remaining payload before
+//! anything is allocated. Ids are range-checked on load; the rows
+//! themselves are trusted content guarded by the payload checksum —
+//! re-deriving them would be re-compiling, which is exactly what loading
+//! exists to avoid.
 //!
-//! Snapshots of the dense engine are self-contained (state row offset plus
-//! a stack of return-block bases, `check = 0`); snapshots of the subset
-//! engine reference *interned ids*, which are only meaningful relative to
-//! one intern order, so they carry a content hash of the referenced
-//! summaries in [`Snapshot::check`] and resumption re-derives and compares
-//! it — resuming on an artifact with the same automaton but a different
-//! warm-up history fails with a typed error instead of silently running
-//! from the wrong summary.
+//! Its snapshots reference *interned ids*, which are only meaningful
+//! relative to one intern order, so they carry a content hash of the
+//! referenced summaries in [`Snapshot::check`] and resumption re-derives
+//! and compares it — resuming on an artifact with the same automaton but a
+//! different warm-up history fails with a typed error instead of silently
+//! running from the wrong summary.
 
 use crate::compile::{
-    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane,
-    InternedSummary, SummaryCache,
+    summary_key, CompiledSummary, CompiledSummaryLane, InternedSummary, SummaryCache,
 };
 use crate::nondet::Nnwa;
 use crate::summary::Summary;
 use automata_core::persist::{
-    expect_alphabet, fingerprint_alphabet, fingerprint_payload, fnv1a_words, kind, FingerprintCell,
-    Reader, Writer,
+    expect_alphabet, fingerprint_alphabet, fnv1a_words, kind, FingerprintCell, Reader, Writer,
 };
 use automata_core::suspend::decode_steps;
 use automata_core::{Persist, PersistError, Snapshot, Suspend};
@@ -44,275 +36,6 @@ use nested_words::Symbol;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::RwLock;
-
-// --------------------------------------------------------------------------
-// CompiledNwa: dense premultiplied tables
-// --------------------------------------------------------------------------
-
-impl CompiledNwa {
-    /// Serializes the scalars and tables — the payload [`Persist::save`]
-    /// seals, and the bytes the content fingerprint hashes. One definition
-    /// for both, so the fingerprint computed on first use equals the one a
-    /// loader derives from [`Reader::payload_checksum`].
-    fn write_payload(&self, w: &mut Writer) {
-        w.put_u64(self.num_states as u64);
-        w.put_u32(self.sigma);
-        w.put_u32(self.initial);
-        w.put_u32(self.pending_row);
-        w.put_u32_slice(&self.table);
-        w.put_u32_slice(&self.push);
-        w.put_bools(&self.accepting);
-    }
-
-    /// Length of the linear block — one past the largest valid row offset.
-    fn lin(&self) -> u32 {
-        self.num_states as u32 * self.stride
-    }
-
-    /// A valid linear-state row offset: `q·stride` for some `q < n`.
-    fn is_row(&self, v: u32) -> bool {
-        v < self.lin() && v.is_multiple_of(self.stride)
-    }
-
-    /// A valid return-block base: `lin·(1 + h)` for some `h < n` — what
-    /// `push` entries, `pending_row` and dense-engine stack frames hold.
-    fn is_ret_base(&self, v: u32) -> bool {
-        let lin = u64::from(self.lin());
-        let v = u64::from(v);
-        v != 0 && v % lin == 0 && v / lin <= self.num_states as u64
-    }
-
-    /// Validation for [`Suspend::resume_lane`]: the snapshot must come from
-    /// this artifact and describe a state the tables can actually index.
-    fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        s.expect_fingerprint(self.fingerprint())?;
-        if !self.is_row(s.state) {
-            return Err(PersistError::Malformed {
-                context: "snapshot state is not a row offset of this artifact",
-            });
-        }
-        for &frame in &s.stack {
-            if !self.is_ret_base(frame) {
-                return Err(PersistError::Malformed {
-                    context: "snapshot stack frame is not a return-block base",
-                });
-            }
-        }
-        if (s.peak as usize) < s.stack.len() {
-            return Err(PersistError::Malformed {
-                context: "snapshot peak below its stack height",
-            });
-        }
-        if s.check != 0 {
-            return Err(PersistError::Malformed {
-                context: "dense-engine snapshots carry no integrity word",
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Persist for CompiledNwa {
-    const KIND: u16 = kind::COMPILED_NWA;
-
-    fn save(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.write_payload(&mut w);
-        w.seal(Self::KIND, self.alphabet_fingerprint())
-    }
-
-    fn load(bytes: &[u8]) -> Result<Self, PersistError> {
-        let (alphabet, mut r) = Reader::open(bytes, Self::KIND)?;
-        // `open` just hashed the whole payload; the content fingerprint
-        // derives from that same walk instead of re-hashing the tables.
-        let fingerprint = fingerprint_payload(Self::KIND, r.payload_checksum());
-        let n = usize::try_from(r.get_u64()?).map_err(|_| PersistError::Malformed {
-            context: "state count overflows",
-        })?;
-        let sigma = r.get_u32()?;
-        let initial = r.get_u32()?;
-        let pending_row = r.get_u32()?;
-        let table = r.get_u32_vec()?;
-        let push = r.get_u32_vec()?;
-        let accepting = r.get_bool_vec()?;
-        r.finish()?;
-        expect_alphabet(alphabet, sigma as usize)?;
-        if n == 0 {
-            return Err(PersistError::Malformed {
-                context: "compiled NWA with no states",
-            });
-        }
-        let stride = (3 * u64::from(sigma)).max(1);
-        let table_len = (n as u64)
-            .checked_add(
-                (n as u64)
-                    .checked_mul(n as u64)
-                    .ok_or(PersistError::Malformed {
-                        context: "table size overflows",
-                    })?,
-            )
-            .and_then(|x| x.checked_mul(stride))
-            .ok_or(PersistError::Malformed {
-                context: "table size overflows",
-            })?;
-        if u32::try_from(table_len).is_err() {
-            return Err(PersistError::Malformed {
-                context: "table size exceeds the u32 offset space",
-            });
-        }
-        if table.len() as u64 != table_len {
-            return Err(PersistError::Malformed {
-                context: "fused table length disagrees with the state count",
-            });
-        }
-        if push.len() as u64 != (n as u64) * stride {
-            return Err(PersistError::Malformed {
-                context: "push table length disagrees with the state count",
-            });
-        }
-        if accepting.len() != n {
-            return Err(PersistError::Malformed {
-                context: "acceptance table length disagrees with the state count",
-            });
-        }
-        let mut artifact = CompiledNwa {
-            stride: stride as u32,
-            sigma,
-            num_states: n,
-            table,
-            push,
-            pending_row,
-            initial,
-            accepting,
-            fingerprint: FingerprintCell::known(fingerprint),
-            inert: Vec::new(),
-            absorbing: Vec::new(),
-        };
-        if !artifact.is_row(artifact.initial) {
-            return Err(PersistError::Malformed {
-                context: "initial state is not a row offset",
-            });
-        }
-        if !artifact.is_ret_base(artifact.pending_row) {
-            return Err(PersistError::Malformed {
-                context: "pending-return row is not a return-block base",
-            });
-        }
-        // Every decoded entry is range-checked before the artifact can ever
-        // run: states must be row offsets (so `state + kind·σ + a + base`
-        // stays inside the table) and pushed values return-block bases.
-        // `push` is only ever indexed in the call band `q·stride + a` with
-        // `a < σ`; the rest of each row is dead and canonically zero.
-        for (i, &v) in artifact.push.iter().enumerate() {
-            let live = (i as u64 % stride) < u64::from(sigma);
-            if live && !artifact.is_ret_base(v) {
-                return Err(PersistError::Malformed {
-                    context: "push entry is not a return-block base",
-                });
-            }
-            if !live && v != 0 {
-                return Err(PersistError::Malformed {
-                    context: "dead push entry is not zero",
-                });
-            }
-        }
-        // The fused table is by far the largest section (n·(1+n)·stride
-        // entries), so its per-entry check avoids the `% stride` hardware
-        // divide of `is_row`: valid row offsets are the n multiples of
-        // `stride` below `lin`, a lookup table built in O(lin).
-        let lin = artifact.lin() as usize;
-        let mut row_lut = vec![false; lin];
-        let mut row = 0;
-        while row < lin {
-            row_lut[row] = true;
-            row += artifact.stride as usize;
-        }
-        if artifact
-            .table
-            .iter()
-            .any(|&v| (v as usize) >= lin || !row_lut[v as usize])
-        {
-            return Err(PersistError::Malformed {
-                context: "table entry is not a row offset",
-            });
-        }
-        // The skip facts are not part of the image: they are re-derived
-        // from the tables just validated.
-        artifact.derive_step_facts();
-        Ok(artifact)
-    }
-
-    /// Content hash over the serialized payload, computed on first use and
-    /// stamped into every snapshot. A loaded artifact has it already:
-    /// loaders fold it out of the checksum pass [`Reader::open`] made (one
-    /// integrity walk, not two).
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-            .get_or_hash(Self::KIND, |w| self.write_payload(w))
-    }
-
-    fn alphabet_fingerprint(&self) -> u64 {
-        fingerprint_alphabet(self.sigma as usize)
-    }
-}
-
-impl Suspend for CompiledNwa {
-    /// A settled lane (one in an absorbing state) suspends to its
-    /// canonical snapshot: `height` frames, all `pending_row`. No frame of
-    /// a settled run can be observed again, and its spilled stack stopped
-    /// following the stream when it settled — at a block's end on the
-    /// slice path, at the event on the per-event path — so the canonical
-    /// frames are what makes the two paths' snapshots agree.
-    fn suspend_lane(&self, lane: &CompiledNwaLane) -> Snapshot {
-        let sp = lane.sp as usize;
-        let stack = if self.lane_settled(lane) {
-            vec![self.pending_row; sp - 1]
-        } else {
-            // The logical stack is spilled[1..sp] — minus the sentinel —
-            // except that after a call the register `top` is authoritative
-            // and the top slot is stale, so overwrite it.
-            let mut stack = lane.spilled[1..sp].to_vec();
-            if let Some(top_slot) = stack.last_mut() {
-                *top_slot = lane.top;
-            }
-            stack
-        };
-        Snapshot {
-            fingerprint: self.fingerprint(),
-            state: lane.state,
-            stack,
-            peak: lane.max_sp - 1,
-            steps: lane.steps as u64,
-            check: 0,
-        }
-    }
-
-    fn resume_lane(&self, snapshot: &Snapshot) -> Result<CompiledNwaLane, PersistError> {
-        self.check_snapshot(snapshot)?;
-        let height = snapshot.stack.len();
-        let mut spilled = Vec::with_capacity((height + 1).max(64));
-        spilled.push(self.pending_row);
-        spilled.extend_from_slice(&snapshot.stack);
-        if spilled.len() < 64 {
-            spilled.resize(64, self.pending_row);
-        }
-        Ok(CompiledNwaLane {
-            state: snapshot.state,
-            top: snapshot.stack.last().copied().unwrap_or(self.pending_row),
-            sp: u32::try_from(height + 1).map_err(|_| PersistError::Malformed {
-                context: "snapshot stack too deep for a lane",
-            })?,
-            max_sp: snapshot
-                .peak
-                .checked_add(1)
-                .ok_or(PersistError::Malformed {
-                    context: "snapshot peak overflows",
-                })?,
-            steps: decode_steps(snapshot.steps)?,
-            spilled,
-        })
-    }
-}
 
 // --------------------------------------------------------------------------
 // CompiledSummary: the subset engine, cache included
@@ -733,6 +456,7 @@ impl Suspend for CompiledSummary {
 mod tests {
     use super::*;
     use crate::builder::NwaBuilder;
+    use crate::CompiledNwa;
     use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamRun};
     use nested_words::TaggedSymbol;
 

@@ -11,7 +11,7 @@
 //! counting — is identical and lives here once, in
 //! [`SummaryStreamingRun`].
 
-use crate::compile::outside_alphabet;
+use automata_core::compile::outside_alphabet;
 use nested_words::{PositionKind, Symbol, TaggedSymbol};
 use std::collections::BTreeSet;
 

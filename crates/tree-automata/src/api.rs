@@ -6,7 +6,9 @@
 use crate::bottom_up::BottomUpBinaryTA;
 use crate::stepwise::{DetStepwiseTA, StepwiseTA};
 use crate::top_down::TopDownBinaryTA;
-use automata_core::{Acceptor, BooleanOps, Decide, Emptiness, Minimize, Witness};
+use automata_core::{
+    Acceptor, BooleanOps, Compile, CompiledNwa, Decide, Emptiness, Minimize, Witness,
+};
 use nested_words::OrderedTree;
 
 impl Acceptor<OrderedTree> for DetStepwiseTA {
@@ -57,6 +59,66 @@ impl Witness for DetStepwiseTA {
     /// bottom-up reachability with backpointers).
     fn witness(&self) -> Option<OrderedTree> {
         self.find_accepted_tree()
+    }
+}
+
+impl Compile for DetStepwiseTA {
+    type Compiled = CompiledNwa;
+
+    /// Lemma 1 made executable: the automaton as a bottom-up NWA whose
+    /// return ignores its symbol, built into the dense [`CompiledNwa`]
+    /// engine and streaming `t_w` tree encodings (§2.3) one event at a
+    /// time. A call pushes the current value and opens a node at
+    /// `init(a)`; a return pops the parent's value `q` and folds the
+    /// finished child `r` into it, `combine(q, r)`.
+    ///
+    /// To be total over arbitrary event streams, the NWA for an `n`-state
+    /// automaton runs on an extended domain of `m = 2n + 3` states:
+    ///
+    /// * `0..n`: the partial value of the open node;
+    /// * `n..2n`: *top-done(q)*, one finished tree of value `q` at the top
+    ///   level, accepting iff `q` is;
+    /// * `2n`: *top-start*, the initial state, nothing read yet;
+    /// * `2n + 1`: *top-many*, more than one top-level tree;
+    /// * `2n + 2`: *dead*, reached by an internal, a pending return or a
+    ///   call from dead. It is absorbing, so a dead run settles.
+    ///
+    /// A stream is accepted iff it is `tree.to_tagged()` for a tree the
+    /// automaton accepts **up to the labels of its returns**: a return
+    /// folds whatever its label, so `[Call(a), Return(b)]` decides like the
+    /// leaf `a`, as `nwa::bottom_up::from_stepwise` does. An internal, a
+    /// pending return, an unclosed call, two top-level trees and the empty
+    /// stream are rejected (pinned below, and held against a spec fold at
+    /// every prefix in `tests/compile.rs`).
+    ///
+    /// The tables take `(m + m²)·3σ` entries. Panics if that overflows
+    /// `u32` and, as every compiled NWA does, on an event symbol outside
+    /// the alphabet.
+    fn compile(&self) -> CompiledNwa {
+        let n = self.num_states();
+        let (top_start, top_many, dead) = (2 * n, 2 * n + 1, 2 * n + 2);
+        // The value a finished node `child` leaves in the context `ctx` it
+        // returns to; only a node's value can finish.
+        let fold = |ctx: usize, child: usize| {
+            if child >= n || ctx == dead {
+                dead
+            } else if ctx < n {
+                self.combine(ctx, child)
+            } else if ctx == top_start {
+                n + child
+            } else {
+                top_many
+            }
+        };
+        CompiledNwa::from_transitions(
+            2 * n + 3,
+            self.sigma(),
+            top_start,
+            |q| (n..2 * n).contains(&q) && self.is_accepting(q - n),
+            |q, a| (if q == dead { dead } else { self.init(a) }, q),
+            |_, _| dead,
+            |q, h, _| fold(h, q),
+        )
     }
 }
 
@@ -111,8 +173,8 @@ impl Emptiness for BottomUpBinaryTA {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata_core::query;
-    use nested_words::{Alphabet, Symbol};
+    use automata_core::{query, BatchAcceptor, Persist, StreamAcceptor, StreamRun, Suspend};
+    use nested_words::{Alphabet, Symbol, TaggedSymbol};
 
     fn syms() -> (Symbol, Symbol) {
         let ab = Alphabet::ab();
@@ -212,5 +274,104 @@ mod tests {
         let bottom_up = BottomUpBinaryTA::universal(2);
         assert!(query::contains(&bottom_up, &with_b));
         assert!(!query::is_empty(&bottom_up));
+    }
+
+    fn sample_trees() -> Vec<OrderedTree> {
+        let (a, b) = syms();
+        vec![
+            OrderedTree::leaf(a),
+            OrderedTree::leaf(b),
+            OrderedTree::node(a, vec![OrderedTree::leaf(a), OrderedTree::leaf(a)]),
+            OrderedTree::node(
+                a,
+                vec![
+                    OrderedTree::leaf(a),
+                    OrderedTree::node(a, vec![OrderedTree::leaf(b)]),
+                ],
+            ),
+        ]
+    }
+
+    /// Whether the compiled automaton accepts `events`, stepped one by one.
+    fn compiled_accepts(compiled: &CompiledNwa, events: &[TaggedSymbol]) -> bool {
+        let mut run = compiled.start();
+        events.iter().for_each(|&e| run.step(e));
+        run.is_accepting()
+    }
+
+    #[test]
+    fn compiled_agrees_with_eval_on_tree_encodings() {
+        let ta = det_contains_b();
+        let compiled = ta.compile();
+        for tree in sample_trees() {
+            let events = tree.to_tagged();
+            assert_eq!(
+                compiled_accepts(&compiled, &events),
+                ta.accepts(&tree),
+                "tree {tree:?}"
+            );
+        }
+    }
+
+    /// Returns fold whatever their label, as Lemma 1 has it; every stream
+    /// that is not one tree is rejected, and a dead run settles.
+    #[test]
+    fn malformed_streams_are_rejected_not_mangled() {
+        let compiled = det_contains_b().compile();
+        let (a, b) = syms();
+        let (call, ret) = (TaggedSymbol::Call, TaggedSymbol::Return);
+        // A mismatched return label decides like the matched one.
+        for (x, y) in [(a, b), (b, a), (b, b)] {
+            assert_eq!(
+                compiled_accepts(&compiled, &[call(x), ret(y)]),
+                compiled_accepts(&compiled, &[call(x), ret(x)]),
+                "<{x:?} {y:?}>"
+            );
+        }
+        assert!(compiled_accepts(&compiled, &[call(b), ret(a)]));
+        for events in [
+            vec![TaggedSymbol::Internal(b)],
+            vec![call(b), TaggedSymbol::Internal(a), ret(b)],
+            vec![ret(b)], // a pending return
+            vec![ret(b), call(b), ret(b)],
+            vec![call(b)],                          // an unclosed node
+            vec![call(b), ret(b), call(b), ret(b)], // two top-level trees
+            vec![],                                 // the empty stream
+        ] {
+            assert!(!compiled_accepts(&compiled, &events), "events {events:?}");
+        }
+        let mut run = compiled.start();
+        run.step(TaggedSymbol::Internal(a));
+        assert!(!run.reads_names(), "a dead run settles");
+        run.step(call(b));
+        run.step(ret(b));
+        assert!(!run.is_accepting());
+    }
+
+    #[test]
+    fn round_trips_and_resumes() {
+        let compiled = det_contains_b().compile();
+        let back = CompiledNwa::load(&compiled.save()).unwrap();
+        assert_eq!(back, compiled);
+
+        let tree = &sample_trees()[3];
+        let events = tree.to_tagged();
+        let mid = events.len() / 2;
+        let mut lane = compiled.lane_start();
+        for &e in &events[..mid] {
+            compiled.lane_step(&mut lane, e);
+        }
+        let snapshot = compiled.suspend_lane(&lane);
+        // Resume on the reloaded artifact and finish the document there.
+        let mut resumed = back.resume_lane(&snapshot).unwrap();
+        for &e in &events[mid..] {
+            back.lane_step(&mut resumed, e);
+        }
+        let mut full = compiled.lane_start();
+        for &e in &events {
+            compiled.lane_step(&mut full, e);
+        }
+        assert_eq!(back.lane_outcome(&resumed), compiled.lane_outcome(&full));
+        assert!(compiled.lane_outcome(&full).accepted);
     }
 }

@@ -18,23 +18,21 @@
 //! automata, congruence-based minimization — the quantity the succinctness
 //! experiments (E5, E8, E14) report.
 //!
-//! Deterministic stepwise automata additionally lower into a flat streaming
-//! engine over `t_w` tree events ([`compile`], via Lemma 1's
-//! return-ignores-its-symbol identification), with byte-format persistence
-//! and suspendable runs behind the `automata-core`
-//! [`Persist`](automata_core::Persist) / [`Suspend`](automata_core::Suspend)
-//! capabilities.
+//! Deterministic stepwise automata additionally compile, by Lemma 1's
+//! return-ignores-its-symbol identification, into the dense-table engine
+//! of `automata-core`, [`CompiledNwa`](automata_core::CompiledNwa), which
+//! streams `t_w` tree events, settles once the stream goes dead (at an
+//! internal or a pending return), and persists and suspends like every
+//! compiled NWA (see the `Compile` impl on [`DetStepwiseTA`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod bottom_up;
-pub mod compile;
 pub mod stepwise;
 pub mod top_down;
 
 pub use bottom_up::BottomUpBinaryTA;
-pub use compile::CompiledStepwiseTA;
 pub use stepwise::{DetStepwiseTA, StepwiseTA};
 pub use top_down::TopDownBinaryTA;

@@ -34,7 +34,7 @@ impl StreamRun for TaggedDfaRun<'_> {
     fn step(&mut self, event: TaggedSymbol) {
         let a = event.symbol().index();
         if a >= self.sigma {
-            crate::compile::outside_alphabet(a, self.sigma);
+            automata_core::compile::outside_alphabet(a, self.sigma);
         }
         self.steps += 1;
         self.state = self.dfa.next(self.state, event.tagged_index(self.sigma));

@@ -3,6 +3,7 @@
 //! `automata-core` [`Compile`] capability.
 
 use crate::dfa::Dfa;
+use automata_core::compile::outside_alphabet;
 use automata_core::persist::{
     expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, FingerprintCell, Reader,
     Writer,
@@ -171,13 +172,6 @@ impl CompiledTaggedDfa {
             self.lane_outcome(&lane)
         })
     }
-}
-
-/// The panic of an event symbol outside a tagged DFA's alphabet.
-#[cold]
-#[inline(never)]
-pub(crate) fn outside_alphabet(a: usize, sigma: usize) -> ! {
-    panic!("event symbol {a} is outside the automaton's {sigma}-symbol alphabet")
 }
 
 impl StreamAcceptor for CompiledTaggedDfa {

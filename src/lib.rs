@@ -134,9 +134,7 @@ pub mod prelude {
         ParkError, ParkedDoc, ParkedHandle, ServiceConfig,
     };
     pub use pushdown_automata::{Cfg, PushdownTreeAutomaton};
-    pub use tree_automata::{
-        BottomUpBinaryTA, CompiledStepwiseTA, DetStepwiseTA, StepwiseTA, TopDownBinaryTA,
-    };
+    pub use tree_automata::{BottomUpBinaryTA, DetStepwiseTA, StepwiseTA, TopDownBinaryTA};
     pub use word_automata::{CompiledTaggedDfa, Dfa, DfaBuilder, Nfa, Regex, TaggedDfaRun};
 }
 

@@ -193,6 +193,54 @@ pub fn random_stepwise(num_states: usize, sigma: usize, seed: u64) -> DetStepwis
     ta
 }
 
+/// A value of the stepwise spec fold: an open node's partial value, the
+/// top-level tracker (nothing yet, one tree done, more than one), or dead.
+#[derive(Clone, Copy, PartialEq)]
+enum Fold {
+    Node(usize),
+    Start,
+    Done(usize),
+    Many,
+    Dead,
+}
+
+/// The observables `(accepted, events, peak, height)` of a compiled
+/// `DetStepwiseTA` after every prefix of `events`, the empty one first,
+/// by the extended-domain fold its docs describe: a call pushes the
+/// current value and opens a node at `init(a)`, a return folds the
+/// finished node into the popped value whatever its label, and anything
+/// else — an internal, a pending return — is dead for good. A stream is
+/// accepted iff it is exactly one finished tree with an accepting value.
+pub fn stepwise_spec(
+    ta: &DetStepwiseTA,
+    events: &[TaggedSymbol],
+) -> Vec<(bool, usize, usize, usize)> {
+    let (mut current, mut stack, mut peak) = (Fold::Start, Vec::new(), 0);
+    let mut observed = vec![(false, 0, 0, 0)];
+    for (i, &event) in events.iter().enumerate() {
+        current = match event {
+            TaggedSymbol::Call(a) => {
+                stack.push(current);
+                match current {
+                    Fold::Dead => Fold::Dead,
+                    _ => Fold::Node(ta.init(a)),
+                }
+            }
+            TaggedSymbol::Internal(_) => Fold::Dead,
+            TaggedSymbol::Return(_) => match (stack.pop(), current) {
+                (Some(Fold::Node(q)), Fold::Node(r)) => Fold::Node(ta.combine(q, r)),
+                (Some(Fold::Start), Fold::Node(r)) => Fold::Done(r),
+                (Some(Fold::Done(_) | Fold::Many), Fold::Node(_)) => Fold::Many,
+                _ => Fold::Dead,
+            },
+        };
+        peak = peak.max(stack.len());
+        let accepted = matches!(current, Fold::Done(q) if ta.is_accepting(q));
+        observed.push((accepted, i + 1, peak, stack.len()));
+    }
+    observed
+}
+
 /// A random sparse nondeterministic NWA. Sparseness is deliberate: several
 /// property tests complement (hence determinize) these automata, and the
 /// summary-set construction is exponential in the transition density. The

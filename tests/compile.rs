@@ -15,7 +15,9 @@ use common::{
     both_shapes, chunk_lengths, prop_iters, random_det_nwa, random_nnwa_with_transitions,
     skip_path_nwa, some_b_block,
 };
-use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
+use nested_words_suite::nested_words::generate::{
+    random_nested_word, random_tree, NestedWordConfig,
+};
 use nested_words_suite::nested_words::path;
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::decision;
@@ -137,6 +139,93 @@ fn compiled_tagged_dfa_equals_interpreted_on_random_words() {
             );
         }
     }
+}
+
+/// Tagged streams around tree encodings: each tree, its returns
+/// relabelled, two trees back to back, the tree cut short (pending calls),
+/// and the tree after a pending return.
+fn tree_shaped_streams(trees: &[OrderedTree]) -> Vec<Vec<TaggedSymbol>> {
+    let flip = |s: Symbol| Symbol(1 - s.0);
+    let mut streams = Vec::new();
+    for tree in trees {
+        let events = tree.to_tagged();
+        let relabelled = events
+            .iter()
+            .map(|&e| match e {
+                TaggedSymbol::Return(s) => TaggedSymbol::Return(flip(s)),
+                other => other,
+            })
+            .collect();
+        let mut pending_return = vec![TaggedSymbol::Return(Symbol(0))];
+        pending_return.extend(&events);
+        streams.push([events.as_slice(), &events].concat());
+        streams.push(events[..events.len() / 2 + 1].to_vec());
+        streams.push(relabelled);
+        streams.push(pending_return);
+        streams.push(events);
+    }
+    streams
+}
+
+/// The compiled stepwise automaton against the spec fold of
+/// `common::stepwise_spec` at every prefix — verdict, events read, peak
+/// and stack height — on tree encodings, streams shaped around them and
+/// random tagged streams with internals, pending calls and pending
+/// returns; and on tree encodings, against the tree automaton itself.
+#[test]
+fn compiled_stepwise_equals_the_spec_fold() {
+    let ab = Alphabet::ab();
+    let mut verdicts = [0usize; 2];
+    for seed in 0..prop_iters(8) as u64 {
+        let ta = common::random_stepwise(3, 2, seed);
+        let compiled = query::compile(&ta);
+        let trees: Vec<OrderedTree> = (0..6)
+            .map(|i| random_tree(&ab, 1 + (seed as usize + i) % 9, 3, seed * 6 + i as u64))
+            .collect();
+        for tree in &trees {
+            assert_eq!(
+                query::contains_stream(&compiled, tree.to_tagged()),
+                ta.accepts(tree),
+                "seed {seed}, tree {tree:?}"
+            );
+        }
+        let mut streams = tree_shaped_streams(&trees);
+        for (i, call_prob) in [0.3, 0.5].into_iter().enumerate() {
+            let cfg = NestedWordConfig {
+                len: 24,
+                call_prob,
+                return_prob: call_prob,
+                allow_pending: true,
+                ..Default::default()
+            };
+            streams.push(random_nested_word(&ab, cfg, seed * 2 + i as u64).to_tagged());
+        }
+        for (i, events) in streams.iter().enumerate() {
+            let spec = common::stepwise_spec(&ta, events);
+            let mut run = compiled.start();
+            for (k, &observed) in spec.iter().enumerate() {
+                if k > 0 {
+                    run.step(events[k - 1]);
+                }
+                let got = (
+                    run.is_accepting(),
+                    run.steps(),
+                    run.peak_memory(),
+                    run.stack_height(),
+                );
+                assert_eq!(got, observed, "seed {seed}, stream {i}, prefix {k}");
+                verdicts[usize::from(observed.0)] += 1;
+            }
+            let outcome = compiled.run_tagged(events);
+            let (accepted, steps, peak, _) = spec[events.len()];
+            assert_eq!(
+                (outcome.accepted, outcome.events, outcome.peak_memory),
+                (accepted, steps, peak),
+                "bulk: seed {seed}, stream {i}"
+            );
+        }
+    }
+    assert!(verdicts.iter().all(|&v| v > 0), "verdicts {verdicts:?}");
 }
 
 /// The Theorem-3 succinctness family: the O(s)-state NWA and the 2^s-state
@@ -569,7 +658,9 @@ fn forms_of(events: &[TaggedSymbol]) -> Forms {
 
 /// Every model without a settled lane reads names for good: the
 /// interpreted NWA, nondeterministic and joinless runs and the DFA, and
-/// the compiled summary, DFA and stepwise engines, on every prefix.
+/// the compiled summary and DFA engines, on every prefix. (A compiled
+/// stepwise automaton is a compiled NWA, which settles: see
+/// `lowered_stepwise_settles_once_dead`.)
 #[test]
 fn models_without_settled_lanes_always_read_names() {
     fn check<A: StreamAcceptor>(name: &str, a: &A, events: &[TaggedSymbol]) {
@@ -605,12 +696,53 @@ fn models_without_settled_lanes_always_read_names() {
         check("interpreted DFA", &dfa, &events);
         check("compiled summary", &query::compile(&n), &events);
         check("compiled DFA", &query::compile(&dfa), &events);
-        check(
-            "compiled stepwise",
-            &query::compile(&common::random_stepwise(3, sigma, seed)),
-            &events,
-        );
     }
+}
+
+/// A stepwise automaton lowered into `CompiledNwa` goes dead, and so
+/// settles and stops reading names, exactly where its stream stops being
+/// a prefix of a forest's encoding: at the first internal or pending
+/// return. Until then it reads names.
+#[test]
+fn lowered_stepwise_settles_once_dead() {
+    let sigma = 2;
+    let ab = Alphabet::with_size(sigma);
+    let config = NestedWordConfig {
+        len: 60,
+        call_prob: 0.45,
+        return_prob: 0.45,
+        allow_pending: true,
+        ..Default::default()
+    };
+    let mut settled = 0;
+    for seed in 0..prop_iters(20) as u64 {
+        let events = random_nested_word(&ab, config, seed).to_tagged();
+        let mut height = 0usize;
+        let dead_at = events.iter().position(|&event| {
+            let pending = matches!(event, TaggedSymbol::Return(_)) && height == 0;
+            height = match event {
+                TaggedSymbol::Call(_) => height + 1,
+                TaggedSymbol::Return(_) => height.saturating_sub(1),
+                TaggedSymbol::Internal(_) => height,
+            };
+            pending || matches!(event, TaggedSymbol::Internal(_))
+        });
+        let compiled = query::compile(&common::random_stepwise(3, sigma, seed));
+        let mut run = compiled.start();
+        assert!(run.reads_names(), "seed {seed}: at the start");
+        for (i, &event) in events.iter().enumerate() {
+            run.step(event);
+            let live = dead_at.is_none_or(|at| i < at);
+            assert_eq!(
+                run.reads_names(),
+                live,
+                "seed {seed}, after {} events",
+                i + 1
+            );
+        }
+        settled += usize::from(dead_at.is_some());
+    }
+    assert!(settled > 0, "no stream went dead");
 }
 
 /// A settled lane stepped by forms ends where the same lane stepped by

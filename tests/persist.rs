@@ -22,7 +22,7 @@ use common::{
     prop_iters, random_det_nwa, random_dfa, random_nnwa_with_transitions, random_stepwise,
     some_b_block,
 };
-use nested_words_suite::automata_core::persist::{checksum_bytes, HEADER_LEN};
+use nested_words_suite::automata_core::persist::{checksum_bytes, kind, HEADER_LEN};
 use nested_words_suite::nested_words::generate::{
     random_nested_word, random_tree, NestedWordConfig,
 };
@@ -274,13 +274,14 @@ fn compiled_tagged_dfa_round_trips_and_resumes_everywhere() {
 #[test]
 fn compiled_stepwise_ta_round_trips_and_resumes_everywhere() {
     // Both genuine tree encodings (meaningful verdicts) and arbitrary
-    // nested-word streams (the engine parks them in its dead state — which
-    // must survive suspension like any other state).
+    // nested-word streams (the lowered NWA parks them in its dead state,
+    // where they settle — which must survive suspension like any other
+    // state).
     let mut streams = tree_streams(prop_iters(4));
     streams.extend(random_streams(2, 12));
     for seed in 0..4u64 {
         let compiled = random_stepwise(3, 2, seed).compile();
-        let reloaded: CompiledStepwiseTA = query::load(&query::save(&compiled)).unwrap();
+        let reloaded: CompiledNwa = query::load(&query::save(&compiled)).unwrap();
         assert_eq!(reloaded, compiled, "seed {seed}");
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(
@@ -430,6 +431,29 @@ fn artifacts_reject_foreign_bytes_and_foreign_snapshots() {
     assert!(query::resume(&reloaded, &snapshot).is_ok());
 }
 
+/// Whether loading `bytes` as an `A` is a typed `WrongKind` for kind 5,
+/// without a panic.
+fn refuses_kind_5<A: Persist>(bytes: &[u8]) -> bool {
+    let loaded = catch_unwind(AssertUnwindSafe(|| query::load::<A>(bytes).err()));
+    matches!(loaded, Ok(Some(PersistError::WrongKind { expected, found: 5 })) if expected == A::KIND)
+}
+
+/// Kind 5 named the retired stepwise engine, which stepwise automata no
+/// longer compile to: they save as compiled NWAs (kind 1), and an image of
+/// kind 5 is a typed `WrongKind` for every loader, never a panic.
+#[test]
+fn the_retired_stepwise_kind_is_refused() {
+    let stepwise = query::save(&random_stepwise(3, 2, 0).compile());
+    assert_eq!(stepwise[6..8], kind::COMPILED_NWA.to_le_bytes());
+    for (name, mut bytes) in [("stepwise", stepwise), ("set", query::save(&pinned_set(0)))] {
+        bytes[6..8].copy_from_slice(&5u16.to_le_bytes());
+        assert!(refuses_kind_5::<CompiledNwa>(&bytes), "{name}");
+        assert!(refuses_kind_5::<QuerySet>(&bytes), "{name}");
+        assert!(refuses_kind_5::<CompiledTaggedDfa>(&bytes), "{name}");
+        assert!(refuses_kind_5::<CompiledSummary>(&bytes), "{name}");
+    }
+}
+
 // --------------------------------------------------------------------------
 // Fingerprints: computed on first use, bit for bit the saved images' own
 // --------------------------------------------------------------------------
@@ -445,7 +469,9 @@ const PINNED_NWA: [u64; 4] = [
     0xc8fd_73c7_d72e_0819,
 ];
 const PINNED_DFA: [u64; 2] = [0xb92f_b795_9e30_8c3a, 0x5bb1_868a_6439_f39f];
-const PINNED_STEPWISE: [u64; 2] = [0x72c7_b86d_a579_73da, 0x3622_35d3_8387_00d2];
+/// Stepwise automata lowered into `CompiledNwa` (Lemma 1). The images
+/// these replaced, of the retired kind 5, no longer load.
+const PINNED_LOWERED_STEPWISE: [u64; 2] = [0x12a2_b706_4ad3_949c, 0x790f_aefc_9a27_4e9d];
 const PINNED_SUMMARY: [u64; 3] = [
     0xb627_268f_655d_81d1,
     0xdb1f_0991_ec4e_0192,
@@ -465,7 +491,7 @@ fn pinned_dfa(i: usize) -> CompiledTaggedDfa {
     random_dfa(5, 6, i as u64).compile()
 }
 
-fn pinned_stepwise(i: usize) -> CompiledStepwiseTA {
+fn pinned_stepwise(i: usize) -> CompiledNwa {
     random_stepwise(3, 2, i as u64).compile()
 }
 
@@ -560,7 +586,7 @@ fn fingerprints_keep_their_pinned_values_on_first_use() {
     for (i, &pinned) in PINNED_DFA.iter().enumerate() {
         check_first_use(|| pinned_dfa(i), pinned, &format!("dfa {i}"));
     }
-    for (i, &pinned) in PINNED_STEPWISE.iter().enumerate() {
+    for (i, &pinned) in PINNED_LOWERED_STEPWISE.iter().enumerate() {
         check_first_use(|| pinned_stepwise(i), pinned, &format!("stepwise {i}"));
     }
     for (i, &pinned) in PINNED_SUMMARY.iter().enumerate() {
@@ -579,7 +605,7 @@ fn clones_agree_across_the_first_use() {
     for i in 0..PINNED_DFA.len() {
         check_clones(pinned_dfa(i), &format!("dfa {i}"));
     }
-    for i in 0..PINNED_STEPWISE.len() {
+    for i in 0..PINNED_LOWERED_STEPWISE.len() {
         check_clones(pinned_stepwise(i), &format!("stepwise {i}"));
     }
     for i in 0..PINNED_SUMMARY.len() {
@@ -597,7 +623,7 @@ fn lanes_suspend_and_resume_before_the_fingerprint_is_asked_for() {
     for i in 0..PINNED_DFA.len() {
         check_suspend_before_first_use(|| pinned_dfa(i), events, &format!("dfa {i}"));
     }
-    for i in 0..PINNED_STEPWISE.len() {
+    for i in 0..PINNED_LOWERED_STEPWISE.len() {
         check_suspend_before_first_use(|| pinned_stepwise(i), tree, &format!("stepwise {i}"));
     }
     for i in 0..PINNED_SUMMARY.len() {
