@@ -12,6 +12,8 @@
 //!
 //! The `e19_setup` rows time what a program pays before its first
 //! document: lowering the sixteen queries, and compiling them into a set.
+//! The set's `table_bytes` is printed beside them and recorded as the
+//! `e19_setup_table_bytes` header of `BENCH_multiquery.json`.
 //!
 //! The `live16` rows run a second pool of sixteen queries built to bypass
 //! the set's two skips: no member reaches an absorbing state on the
@@ -185,7 +187,12 @@ fn bench_multiquery(c: &mut Criterion) {
 
     // Set-up, before the first document: lowering the sixteen queries of
     // the `16` pool to NWAs, then compiling them into one set. Ungated.
+    // The set's table footprint is printed beside the rows and kept in
+    // the JSON header.
+    let table_bytes = query::compile_set(&pool).table_bytes();
+    criterion::header("e19_setup_table_bytes", table_bytes);
     let mut group = c.benchmark_group("e19_setup");
+    println!("  table bytes of the 16-query set: {table_bytes}");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))

@@ -9,10 +9,11 @@
 //!
 //! * a deterministic [`Nwa`] compiles into [`CompiledNwa`], the dense-table
 //!   engine of `automata-core` (re-exported here): its three transition
-//!   functions fused into **one** flat `u32` table over the tagged
-//!   alphabet Σ̂ with premultiplied row offsets, so every event resolves
-//!   as one addition and one array load, with the event kind entering the
-//!   address as arithmetic on the discriminant rather than a branch. The
+//!   functions fused into **one** flat `u32` table over the symbol
+//!   classes of each event kind, with premultiplied row offsets, so every
+//!   event resolves as one column lookup, one addition and one array
+//!   load, with the event kind entering the address as arithmetic on the
+//!   discriminant rather than a branch. The
 //!   deterministic stepwise tree automata of `tree-automata` lower into
 //!   the same engine (Lemma 1).
 //! * [`CompiledSummary`] executes the summary-set subset construction of
@@ -25,10 +26,10 @@
 //!   [`JoinlessNwa::to_nnwa`], its four steps share one memo path, and
 //!   [`Nnwa::determinize`] drives the same memo to a fixpoint.
 //!
-//! The trade-off is memory: `CompiledNwa` materializes the full
-//! `states² × 3σ` return block in `u32`s up front (compilation fails on
-//! automata where the offsets would overflow `u32`), and
-//! `CompiledSummary`'s cache grows with the number of *distinct* summaries
+//! The trade-off is memory: `CompiledNwa` materializes its whole return
+//! region up front, about `states² × k_r` `u32`s for `k_r` return classes
+//! (compilation fails on automata whose dense image offsets would
+//! overflow `u32`), and `CompiledSummary`'s cache grows with the number of *distinct* summaries
 //! the input streams actually visit — bounded by the (exponential)
 //! determinization size, but in practice tiny and shared across runs.
 //! Both artifacts are language-exact: `tests/compile.rs` property-tests
@@ -54,7 +55,8 @@ use std::sync::RwLock;
 impl Compile for Nwa {
     type Compiled = CompiledNwa;
 
-    /// One fused premultiplied `u32` table ([`CompiledNwa`]); panics if
+    /// One fused premultiplied `u32` table over symbol classes
+    /// ([`CompiledNwa`]); panics if the dense image's
     /// `(states + states²) · 3σ` overflows `u32`.
     fn compile(&self) -> CompiledNwa {
         CompiledNwa::from_transitions(
@@ -599,11 +601,18 @@ mod tests {
     }
 
     #[test]
-    fn table_bytes_reports_the_dense_footprint() {
+    fn table_bytes_reports_the_classed_footprint() {
         let m = matching_labels_nwa();
         let c = m.compile();
-        // fused table (4 + 4²)·3·2 entries + push table 4·3·2, 4 bytes each.
-        assert_eq!(c.table_bytes(), ((4 + 16) * 6 + 24) * 4);
+        // `a` and `b` differ as calls and as returns, not as internals.
+        assert_eq!(c.num_classes(), [2, 1, 2]);
+        // Rows of stride 4 (three linear columns, rounded up to the
+        // two-wide return slot): a 4·4 linear block, then four return
+        // slots two to a 16-entry span, 48 entries in all; a 4·4 push
+        // table and a 3·2 column map; 4 bytes each. One column per tagged
+        // symbol took (4 + 4²)·3·2 + 4·3·2 entries.
+        assert_eq!(c.table_bytes(), (48 + 16 + 6) * 4);
+        assert!(c.table_bytes() < ((4 + 16) * 6 + 24) * 4);
         assert_eq!(c.num_states(), 4);
         assert_eq!(c.sigma(), 2);
     }

@@ -13,12 +13,12 @@
 //!
 //! * **Product** — the members fold into one product NWA (componentwise
 //!   `δc`/`δi`/`δr`, the [`crate::boolean::product`] construction) compiled
-//!   into a single dense table, whose masks decode each product state back
+//!   into a single table, whose masks decode each product state back
 //!   into its members' acceptance. One table lookup per event answers all M
 //!   queries; the trade is table size, which multiplies across members
 //!   (`∏ nᵢ` states, and the compiled fused table is quadratic in that).
-//!   The product is taken exactly when its fused table would stay within
-//!   [`PRODUCT_TABLE_BYTE_CAP`].
+//!   The product is taken exactly when its dense fused table (one column
+//!   per tagged symbol) would stay within [`PRODUCT_TABLE_BYTE_CAP`].
 //! * **Per query** — anything bigger, or overflowing, compiles each member
 //!   to its own engine, whose mask is its acceptance shifted to its bit.
 //!   Linear space, and up to M dependent table lookups per event — only up
@@ -82,9 +82,13 @@ use nested_words::{Symbol, TaggedSymbol};
 
 /// Ceiling on the product shape's fused-table footprint, in bytes.
 ///
-/// The compiled product table holds `(n + n²)·3σ` `u32` entries for
-/// `n = ∏ nᵢ` product states; past ~1 MiB it stops fitting alongside the
-/// scanner's working set in L2 and the single-lookup advantage erodes, so
+/// The shape choice still uses the **dense** estimate, `(n + n²)·3σ`
+/// `u32` entries for `n = ∏ nᵢ` product states — one column per tagged
+/// symbol, what the table took before symbol classes — although the
+/// compiled table is now sized by the product's classes. Keeping the
+/// estimate keeps every set in the shape it had, so saved set images do
+/// not change. Past ~1 MiB the dense table stopped fitting alongside the
+/// scanner's working set in L2 and the single-lookup advantage eroded, so
 /// [`QuerySet::compile`] compiles one engine per query there.
 pub const PRODUCT_TABLE_BYTE_CAP: u64 = 1 << 20;
 
@@ -140,8 +144,9 @@ fn full_mask(m: usize) -> u64 {
     }
 }
 
-/// The product shape's fused-table footprint in bytes, or `None` on
-/// overflow: `(n + n²)·3σ·4` for `n = ∏ nᵢ`.
+/// The product shape's dense fused-table footprint in bytes, or `None` on
+/// overflow: `(n + n²)·3σ·4` for `n = ∏ nᵢ` — the estimate the shape
+/// choice keeps (see [`PRODUCT_TABLE_BYTE_CAP`]), not the classed size.
 fn product_table_bytes(queries: &[Nwa]) -> Option<u64> {
     let mut n: u64 = 1;
     for q in queries {
@@ -183,16 +188,24 @@ impl QuerySet {
             .chunks(group)
             .enumerate()
             .map(|(g, members)| {
-                // Left-fold of the pairwise product: state encoding
+                // A lone member compiles as it is. Otherwise the left-fold
+                // of the pairwise product: state encoding
                 // `((q₁·n₂ + q₂)·n₃ + q₃)…`, acceptance folded with ∧ so the
                 // product automaton itself is the conjunction view.
-                let product = members[1..]
-                    .iter()
-                    .fold(members[0].clone(), |p, q| boolean::intersect(&p, q));
+                let engine = match members {
+                    [only] => only.compile(),
+                    [first, second, rest @ ..] => rest
+                        .iter()
+                        .fold(boolean::intersect(first, second), |p, q| {
+                            boolean::intersect(&p, q)
+                        })
+                        .compile(),
+                    [] => unreachable!("chunks are never empty"),
+                };
                 // Per-state verdict masks, by decoding each product state
                 // back into its member components (rightmost member is the
                 // fastest-varying digit of the mixed-radix encoding).
-                let masks = (0..product.num_states())
+                let masks = (0..engine.num_states())
                     .map(|mut s| {
                         let mut mask = 0u64;
                         for (i, q) in members.iter().enumerate().rev() {
@@ -203,7 +216,7 @@ impl QuerySet {
                         mask
                     })
                     .collect();
-                (product.compile(), masks)
+                (engine, masks)
             })
             .unzip();
         QuerySet::assemble(queries.len(), sigma as u32, engines, masks)
@@ -266,7 +279,8 @@ impl QuerySet {
         self.sigma as usize
     }
 
-    /// Total dense-table footprint of the engines, in bytes.
+    /// Total table footprint of the engines, in bytes: the sum of their
+    /// [`CompiledNwa::table_bytes`], sized by symbol classes.
     pub fn table_bytes(&self) -> usize {
         self.engines.iter().map(CompiledNwa::table_bytes).sum()
     }

@@ -91,7 +91,10 @@ impl Compile for DetStepwiseTA {
     /// stream are rejected (pinned below, and held against a spec fold at
     /// every prefix in `tests/compile.rs`).
     ///
-    /// The tables take `(m + m²)·3σ` entries. Panics if that overflows
+    /// The returns ignore their label, so they form one return class and
+    /// the tables take about `m·(k_c + 1) + m²` entries for `k_c` call
+    /// classes (labels opening nodes at distinct values), plus the `3σ`
+    /// column map. Panics if the dense image's `(m + m²)·3σ` overflows
     /// `u32` and, as every compiled NWA does, on an event symbol outside
     /// the alphabet.
     fn compile(&self) -> CompiledNwa {
@@ -315,6 +318,22 @@ mod tests {
 
     /// Returns fold whatever their label, as Lemma 1 has it; every stream
     /// that is not one tree is rejected, and a dead run settles.
+    /// A lowered automaton's returns ignore their label, so they form one
+    /// return class, and its calls and internals take one class each when
+    /// every label opens a node at the same value: `DetStepwiseTA::new(10,
+    /// 4096)` compiles to about 52 KB, most of it the 3σ column map, where
+    /// one column per tagged symbol took 28,262,400 B.
+    #[test]
+    fn lowered_returns_form_one_class() {
+        let c = DetStepwiseTA::new(10, 4096).compile();
+        assert_eq!(c.num_classes(), [1, 1, 1]);
+        assert_eq!(c.num_states(), 23);
+        assert!(c.table_bytes() < 4 * 3 * 4096 + 4096, "{}", c.table_bytes());
+        // Labels that open nodes at different values split the calls only.
+        let ta = det_contains_b();
+        assert_eq!(ta.compile().num_classes(), [2, 1, 1]);
+    }
+
     #[test]
     fn malformed_streams_are_rejected_not_mangled() {
         let compiled = det_contains_b().compile();

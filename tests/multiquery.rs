@@ -637,3 +637,38 @@ fn set_unknown_tags_fail_iff_read_before_the_set_settles() {
         "{failed} failed, {decided} decided"
     );
 }
+
+/// The sixteen-query E19 pool (the perfbench `stream_16q` set and the
+/// `e19_*` bench rows) over 8 tags and 16 words, σ = 24. One column per
+/// tagged symbol took 591,840 B; symbol classes must cut that at least
+/// tenfold.
+#[test]
+fn the_e19_pool_tables_shrink_tenfold() {
+    let sigma = 24;
+    let (t0, t1, t2, t3) = (Symbol(0), Symbol(1), Symbol(2), Symbol(3));
+    let pool: Vec<Nwa> = [
+        Query::contains(t0),
+        Query::contains(t1),
+        Query::contains(t2),
+        Query::contains(t3),
+        Query::in_order([t0, t1]),
+        Query::in_order([t2, t3]),
+        Query::in_order([t1, t0]),
+        Query::within(t0, t1),
+        Query::within(t1, t2),
+        Query::within(t2, t3),
+        Query::depth_le(4),
+        Query::depth_le(8),
+        Query::open_depth_le(16),
+        Query::open_depth_le(30),
+        Query::contains(t0).and(Query::contains(t1)),
+        Query::within(t0, t3).or(Query::depth_le(2)),
+    ]
+    .iter()
+    .map(|e| e.lower(sigma))
+    .collect();
+    let set = query::compile_set(&pool);
+    assert_eq!(set.num_engines(), 16);
+    assert_eq!(set.table_bytes(), 15_140);
+    assert!(set.table_bytes() * 10 <= 591_840);
+}

@@ -26,6 +26,7 @@ use nested_words_suite::automata_core::persist::{checksum_bytes, kind, HEADER_LE
 use nested_words_suite::nested_words::generate::{
     random_nested_word, random_tree, NestedWordConfig,
 };
+use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, depth_at_most_nwa, open_depth_at_most_nwa, patterns_in_order_nwa,
@@ -629,4 +630,158 @@ fn lanes_suspend_and_resume_before_the_fingerprint_is_asked_for() {
     for i in 0..PINNED_SUMMARY.len() {
         check_suspend_before_first_use(|| pinned_summary(i), events, &format!("summary {i}"));
     }
+}
+
+/// Reseals an image's payload checksum after its payload was edited.
+fn reseal(bytes: &mut [u8]) {
+    let checksum = checksum_bytes(&bytes[HEADER_LEN..]);
+    bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// `bytes` with one to three 4-byte payload words overwritten — by a
+/// random word, zero, a small number or a copy of another payload word —
+/// and the checksum resealed, so the loader's own checks must catch it.
+fn forge(bytes: &[u8], rng: &mut Prng) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let words = (out.len() - HEADER_LEN) / 4;
+    for _ in 0..1 + rng.below(3) {
+        let (at, donor) = (
+            HEADER_LEN + 4 * rng.below(words),
+            HEADER_LEN + 4 * rng.below(words),
+        );
+        let value = match rng.below(4) {
+            0 => rng.next_u64() as u32,
+            1 => 0,
+            2 => rng.below(64) as u32,
+            _ => u32::from_le_bytes(out[donor..donor + 4].try_into().unwrap()),
+        };
+        out[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+    reseal(&mut out);
+    out
+}
+
+/// A query-set image with the member images it nests resealed too, where
+/// the forged outer payload still frames them (layout word, query count,
+/// σ, engine count, then per engine a framed image and its masks), so a
+/// forged word inside a member reaches the member's loader.
+fn reseal_members(bytes: &mut [u8]) {
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut at = HEADER_LEN + 12;
+    let Some(count) = bytes.get(at..at + 4) else {
+        return;
+    };
+    let count = u32::from_le_bytes(count.try_into().unwrap());
+    at += 4;
+    for _ in 0..count.min(64) {
+        let Some(len) = (at + 8 <= bytes.len()).then(|| word(bytes, at) as usize) else {
+            return;
+        };
+        let image = at + 8;
+        if len < HEADER_LEN || image + len + 8 > bytes.len() {
+            return;
+        }
+        reseal(&mut bytes[image..image + len]);
+        let masks = word(bytes, image + len) as usize;
+        at = image + len + 8 + 8 * masks.min(bytes.len());
+    }
+    reseal(bytes);
+}
+
+/// Random tagged events over `sigma` symbols, pending calls and returns
+/// included.
+fn random_events(rng: &mut Prng, sigma: usize) -> Vec<TaggedSymbol> {
+    (0..rng.below(40))
+        .map(|_| {
+            let a = Symbol(rng.below(sigma) as u16);
+            [
+                TaggedSymbol::Call(a),
+                TaggedSymbol::Internal(a),
+                TaggedSymbol::Return(a),
+            ][rng.below(3)]
+        })
+        .collect()
+}
+
+/// The forged-image property: an image with payload words overwritten
+/// and its checksum resealed either loads to a typed error, or to an
+/// artifact that runs 8 random streams without a panic and re-saves to
+/// bytes that load to an equal artifact. Returns how many forged images
+/// loaded.
+fn check_forged_images<A: Persist + StreamAcceptor + PartialEq + std::fmt::Debug>(
+    artifact: &A,
+    sigma: usize,
+    members: bool,
+    seed: u64,
+    ctx: &str,
+) -> usize {
+    let mut rng = Prng::new(seed);
+    let bytes = query::save(artifact);
+    let mut loaded = 0;
+    for i in 0..prop_iters(150) {
+        let mut forged = forge(&bytes, &mut rng);
+        if members {
+            reseal_members(&mut forged);
+        }
+        let ctx = format!("{ctx}, forgery {i}");
+        let load = catch_unwind(AssertUnwindSafe(|| query::load::<A>(&forged)));
+        let Ok(forged) = load.unwrap_or_else(|_| panic!("{ctx}: load panicked")) else {
+            continue;
+        };
+        loaded += 1;
+        for _ in 0..8 {
+            let events = random_events(&mut rng, sigma);
+            catch_unwind(AssertUnwindSafe(|| query::run_stream(&forged, events)))
+                .unwrap_or_else(|_| panic!("{ctx}: a run panicked"));
+        }
+        let resaved = query::save(&forged);
+        assert_eq!(query::load::<A>(&resaved).as_ref(), Ok(&forged), "{ctx}");
+    }
+    loaded
+}
+
+/// Snapshots forged the same way: decoding gives a typed error, or
+/// resuming does, or the resumed lane steps on without a panic.
+fn check_forged_snapshots<A: Suspend>(artifact: &A, sigma: usize, seed: u64, ctx: &str) {
+    let mut rng = Prng::new(seed);
+    for i in 0..prop_iters(150) {
+        let events = random_events(&mut rng, sigma);
+        let mut lane = artifact.lane_start();
+        artifact.lane_step_slice(&mut lane, &events[..events.len() / 2]);
+        let forged = forge(&artifact.suspend_lane(&lane).to_bytes(), &mut rng);
+        catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(snapshot) = Snapshot::from_bytes(&forged) {
+                if let Ok(mut lane) = artifact.resume_lane(&snapshot) {
+                    artifact.lane_step_slice(&mut lane, &events[events.len() / 2..]);
+                    artifact.lane_outcome(&lane);
+                }
+            }
+        }))
+        .unwrap_or_else(|_| panic!("{ctx}, snapshot forgery {i}: resume panicked"));
+    }
+}
+
+/// The load-time class derivation runs on untrusted tables: forged images
+/// of a compiled NWA, a lowered stepwise automaton and query sets of both
+/// shapes, and forged snapshots of compiled NWAs (query sets take no
+/// snapshots), give typed errors or working artifacts that re-save
+/// faithfully — never a panic.
+#[test]
+fn forged_images_and_snapshots_load_to_errors_or_working_artifacts() {
+    let nwa = random_det_nwa(4, 3, 11).compile();
+    assert!(check_forged_images(&nwa, 3, false, 1, "compiled nwa") > 0);
+    check_forged_snapshots(&nwa, 3, 2, "compiled nwa");
+    let stepwise = random_stepwise(3, 2, 11).compile();
+    assert!(check_forged_images(&stepwise, 2, false, 3, "lowered stepwise") > 0);
+    check_forged_snapshots(&stepwise, 2, 4, "lowered stepwise");
+    for (i, set) in [pinned_set(0), pinned_set(1)].iter().enumerate() {
+        let ctx = format!("query set of {} engines", set.num_engines());
+        assert!(
+            check_forged_images(set, 2, true, 5 + i as u64, &ctx) > 0,
+            "{ctx}"
+        );
+    }
+    // A member of the per-member set, deeper than the others.
+    let open = open_depth_at_most_nwa(30, 2).compile();
+    check_forged_snapshots(&open, 2, 7, "open-depth member");
 }
